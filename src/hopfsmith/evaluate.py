@@ -32,7 +32,7 @@ from .bialgebra import Bialgebra
 from .gray import pair_name
 from .matrix import Matrix
 from .presentation import Presentation
-from .rewriting import Layer, Stack, _swap_ok, stack_of
+from .rewriting import Layer, Stack, slide, stack_of
 from .shear import universal_shear
 from .terms import CellTerm, Comp, Gen, Id, Inv, TermError, generators
 
@@ -195,7 +195,7 @@ def _align(a: List[Layer], b: List[Layer], p: Presentation):
             moved = a[j]
             ok = True
             for back in range(j - 1, k - 1, -1):
-                sw = _swap_ok(a[back], moved, p)
+                sw = slide(a[back], moved, p)
                 if sw is None:
                     ok = False
                     break
@@ -206,7 +206,7 @@ def _align(a: List[Layer], b: List[Layer], p: Presentation):
         if found is None:
             return None
         for j in range(found, k, -1):
-            sw = _swap_ok(a[j - 1], a[j], p)
+            sw = slide(a[j - 1], a[j], p)
             assert sw is not None
             swaps.append((tuple(a), j - 1))
             a[j - 1], a[j] = sw

@@ -45,7 +45,10 @@ class Presentation:
     max_dim: int
     gens: Dict[str, Generator] = field(default_factory=dict)
     relations: List[Relation] = field(default_factory=list)
+    # memo tables, dropped by _invalidate on every add and relate
     _sig: Optional[Signature] = field(default=None, repr=False, compare=False)
+    _words: Dict[str, tuple] = field(default_factory=dict, repr=False,
+                                     compare=False)
 
     # -- construction -------------------------------------------------
 
@@ -56,12 +59,17 @@ class Presentation:
         if d > self.max_dim:
             raise TermError(f"generator {name!r} exceeds maxDim {self.max_dim}")
         self.gens[name] = Generator(name, d, src, tgt, invertible)
-        self._sig = None
+        self._invalidate()
         return Gen(name)
 
     def relate(self, d: int, lhs: CellTerm, rhs: CellTerm,
                oriented: bool = False) -> None:
         self.relations.append(Relation(d, lhs, rhs, oriented))
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        self._sig = None
+        self._words = {}
 
     # -- views ---------------------------------------------------------
 
@@ -71,6 +79,18 @@ class Presentation:
             self._sig = Signature({g.name: (g.dim, g.src, g.tgt)
                                    for g in self.gens.values()})
         return self._sig
+
+    def boundary_words(self, name: str) -> tuple:
+        """(source word, target word) of a generator of dimension >= 2, as
+        computed by rewriting.word_of; memoized until the next mutation."""
+        try:
+            return self._words[name]
+        except KeyError:
+            from .rewriting import word_of
+            g = self.gens[name]
+            pair = (word_of(g.src, self), word_of(g.tgt, self))
+            self._words[name] = pair
+            return pair
 
     def gens_of_dim(self, d: int) -> List[Generator]:
         return [g for g in self.gens.values() if g.dim == d]

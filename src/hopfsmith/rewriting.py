@@ -11,6 +11,11 @@ The decision procedure is dimension-stratified and deliberately partial:
           memoized closure on both sides
   dim >=3 boundary equality plus a bounded comparison of move chains
 
+Boundary words of generators are read from the presentation's
+boundary-word table (Presentation.boundary_words), filled once per
+generator by word_of and dropped whenever the presentation changes, so
+interchange tests do not re-derive them.
+
 Verdicts are Equal / Distinct / Unknown.  Distinct is only produced
 with a certificate: differing boundaries, differing free normal forms,
 or two finite, fully explored rewrite closures that do not meet.
@@ -125,18 +130,11 @@ class Atom:
     name: str
     inverted: bool
 
-    def srcword(self, p: Presentation) -> Tuple[Letter, ...]:
-        g = p.gens[self.name]
-        w = word_of(g.src, p)
-        return self._tgt_raw(p) if self.inverted else w
-
-    def tgtword(self, p: Presentation) -> Tuple[Letter, ...]:
-        g = p.gens[self.name]
-        w = word_of(g.src, p)
-        return w if self.inverted else self._tgt_raw(p)
-
-    def _tgt_raw(self, p: Presentation) -> Tuple[Letter, ...]:
-        return word_of(p.gens[self.name].tgt, p)
+    def words(self, p: Presentation) -> Tuple[Tuple[Letter, ...],
+                                              Tuple[Letter, ...]]:
+        """(source word, target word), from the presentation's table."""
+        src, tgt = p.boundary_words(self.name)
+        return (tgt, src) if self.inverted else (src, tgt)
 
     def inverse(self) -> "Atom":
         return Atom(self.name, not self.inverted)
@@ -155,11 +153,13 @@ class Stack:
     layers: Tuple[Layer, ...]
 
     def word_before(self, i: int, p: Presentation) -> Tuple[Letter, ...]:
+        """The word after the first i layers fire; TermError when a layer
+        does not fit the word it fires on."""
         w = self.srcword
         for layer in self.layers[:i]:
-            a, b = layer.atom.srcword(p), layer.atom.tgtword(p)
-            assert w[layer.offset:layer.offset + len(a)] == a, \
-                "layer does not fit its word"
+            a, b = layer.atom.words(p)
+            if w[layer.offset:layer.offset + len(a)] != a:
+                raise TermError("layer does not fit its word")
             w = w[:layer.offset] + b + w[layer.offset + len(a):]
         return w
 
@@ -206,8 +206,8 @@ def _swap_variants(a: Layer, b: Layer,
     deletion meet at a single point (both boundary intervals empty at one
     offset) both readings are valid and genuinely equal by the interchange
     law, so both are returned."""
-    a_src, a_tgt = a.atom.srcword(p), a.atom.tgtword(p)
-    b_src, b_tgt = b.atom.srcword(p), b.atom.tgtword(p)
+    a_src, a_tgt = a.atom.words(p)
+    b_src, b_tgt = b.atom.words(p)
     out: List[Tuple[Layer, Layer]] = []
     if a.offset + len(a_tgt) <= b.offset:
         # b lies right of a's output: b can fire first
@@ -220,7 +220,9 @@ def _swap_variants(a: Layer, b: Layer,
     return out
 
 
-def _swap_ok(a: Layer, b: Layer, p: Presentation) -> Optional[Tuple[Layer, Layer]]:
+def slide(a: Layer, b: Layer, p: Presentation) -> Optional[Tuple[Layer, Layer]]:
+    """The first legal interchange of adjacent layers a-then-b, as a
+    b'-then-a' pair, or None when they do not commute."""
     variants = _swap_variants(a, b, p)
     return variants[0] if variants else None
 
@@ -236,7 +238,7 @@ def _bubble_front(layers: List[Layer], i: int, p: Presentation):
     cand = layers[i]
     passed: List[Layer] = []
     for j in range(i - 1, -1, -1):
-        swapped = _swap_ok(layers[j], cand, p)
+        swapped = slide(layers[j], cand, p)
         if swapped is None:
             return None
         cand, adjusted = swapped
@@ -271,7 +273,7 @@ def _pair_cancels(a: Layer, b: Layer, p: Presentation) -> bool:
     if (a.atom.name == b.atom.name and a.atom.inverted != b.atom.inverted
             and a.offset == b.offset):
         return True
-    sw = _swap_ok(a, b, p)
+    sw = slide(a, b, p)
     if sw is not None:
         c, d = sw
         return (c.atom.name == d.atom.name and c.atom.inverted != d.atom.inverted
@@ -292,7 +294,7 @@ def _cancellations(stack: Stack, p: Presentation) -> List[Stack]:
             adjusted: List[Layer] = []
             ok = True
             for back in range(len(block) - 1, -1, -1):
-                swapped = _swap_ok(block[back], moved, p)
+                swapped = slide(block[back], moved, p)
                 if swapped is None:
                     ok = False
                     break
@@ -307,7 +309,7 @@ def _cancellations(stack: Stack, p: Presentation) -> List[Stack]:
             adjusted = []
             ok = True
             for fwd in range(len(block)):
-                swapped = _swap_ok(moved, block[fwd], p)
+                swapped = slide(moved, block[fwd], p)
                 if swapped is None:
                     ok = False
                     break
@@ -401,7 +403,7 @@ def _try_window(stack: Stack, i: int, rule: LayerRule, p: Presentation):
             ok = True
             moved = cand
             for back in range(j - 1, pos, -1):
-                swapped = _swap_ok(layers[back], moved, p)
+                swapped = slide(layers[back], moved, p)
                 if swapped is None:
                     ok = False
                     break
@@ -418,7 +420,7 @@ def _try_window(stack: Stack, i: int, rule: LayerRule, p: Presentation):
         block = layers[pos + 1:found]
         newblock = []
         for back in range(len(block) - 1, -1, -1):
-            swapped = _swap_ok(block[back], moved, p)
+            swapped = slide(block[back], moved, p)
             assert swapped is not None
             moved, shifted = swapped
             newblock.insert(0, shifted)

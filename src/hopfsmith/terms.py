@@ -164,10 +164,6 @@ def boundary(t: CellTerm, side: str, k: int, sig: Signature) -> CellTerm:
     return top_boundary(out, side, sig)
 
 
-def _is_identity(t: CellTerm) -> bool:
-    return isinstance(t, Id)
-
-
 def identity_core(t: CellTerm) -> Tuple[CellTerm, int]:
     """Strip Id wrappers, returning (core, number of wrappers)."""
     n = 0
