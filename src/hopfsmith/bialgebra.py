@@ -67,13 +67,6 @@ class Bialgebra:
             return koszul_matrix(self.field, self.grading, self.grading)
         return flip_matrix(self.field, self.n, self.n)
 
-    def coord_name(self, flat: int, factors: int) -> str:
-        idx = []
-        for _ in range(factors):
-            idx.append(flat % self.n)
-            flat //= self.n
-        return "(" + ",".join(self.basis_names[i] for i in reversed(idx)) + ")"
-
 
 @dataclass
 class AxiomReport:

@@ -252,12 +252,9 @@ class NumberField:
             else:
                 power, coeff = 0, Fraction(part)
             if power >= self.degree:
-                return self._make_from_sparse_exc(part)
+                raise FieldError(f"exponent too large in {part!r}")
             coeffs[power] += coeff
         return self._make(coeffs)
-
-    def _make_from_sparse_exc(self, part):
-        raise FieldError(f"exponent too large in {part!r}")
 
     def show_poly(self, coeffs) -> str:
         terms = []

@@ -31,7 +31,6 @@ class AdjunctionRecord:
 
     @classmethod
     def trivial(cls, p: Presentation, obj: CellTerm) -> "AdjunctionRecord":
-        i = p.normalize(Id(obj)) if not isinstance(obj, Id) else obj
         return cls(p, Id(obj), Id(obj), Id(Id(obj)), Id(Id(obj)))
 
     def check_zigzags(self, budget: Optional[int] = None) -> Dict[str, Verdict]:
@@ -107,12 +106,6 @@ def rmate_square(sq: Square, adj_f: AdjunctionRecord,
     top g, left f_R, bottom h, right k_R."""
     m = right_mate(sq, adj_f, adj_k)
     return Square(f=sq.g, g=adj_k.r, h=adj_f.r, k=sq.h, alpha=m)
-
-
-def lmate_square(sq: Square, adj_h: AdjunctionRecord,
-                 adj_g: AdjunctionRecord) -> Square:
-    m = left_mate(sq, adj_h, adj_g)
-    return Square(f=adj_h.l, g=sq.f, h=sq.k, k=adj_g.l, alpha=m)
 
 
 def double_mate(sq: Square, adj_f: AdjunctionRecord,

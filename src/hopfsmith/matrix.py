@@ -1,27 +1,66 @@
 """Immutable exact matrices over a scalar field.
 
 Row-major; the tensor-factor index convention for an n*n space is
-(i, j) |-> i*n + j.  Everything is fraction-exact: rank, nullspace,
-inverse, and determinant go through ordinary Gauss elimination.
+(i, j) |-> i*n + j.  Storage is row-sparse: one {column: entry} map per
+row that holds the nonzero entries only, so a zero is never stored and
+equality and hashing compare the maps directly.  Sums, products,
+Kronecker products and elimination visit stored entries only, which
+keeps the structure tensors, braidings and their tensor powers (almost
+all zeros) cheap.  The maps are private and never mutated once a matrix
+owns them, so matrices may share rows.  `m[i, j]`, `row(i)` and `data`
+read the entries densely, with the field's zero filled in.
+
+Everything is exact, and every scalar operation goes through the field's
+methods, so Q and Q[x]/(f) share this code.  Rank, nullspace, solve,
+inverse and determinant all use one Gauss-Jordan elimination on sparse
+rows.  A product of nonzero scalars is nonzero in a field, so only sums
+are tested for zero.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .field import Field, FieldError
 
+# every all-zero row of every matrix; like all stored maps, never mutated
+_EMPTY: Dict[int, object] = {}
+
+
+def _row_map(field: Field, entries: Sequence) -> Dict[int, object]:
+    """The nonzero entries of a dense row, converted to field elements so
+    that equal matrices hash alike."""
+    is_zero = field.is_zero
+    out = {}
+    for j, x in enumerate(entries):
+        x = field(x)
+        if not is_zero(x):
+            out[j] = x
+    return out or _EMPTY
+
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "_maps")
 
     def __init__(self, field: Field, rows: int, cols: int, data: Sequence):
+        """From the dense row-major entries."""
         if len(data) != rows * cols:
             raise ValueError("data length does not match shape")
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = tuple(data)
+        self._maps = tuple(_row_map(field, data[i * cols:(i + 1) * cols])
+                           for i in range(rows))
+
+    @classmethod
+    def _of(cls, field: Field, rows: int, cols: int, maps) -> "Matrix":
+        """Adopt row maps that hold no zero and that no caller mutates."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m._maps = tuple(maps)
+        return m
 
     # -- constructors ----------------------------------------------------
 
@@ -29,45 +68,50 @@ class Matrix:
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(field(x) for x in row)
-        return cls(field, r, c, flat)
+        if any(len(row) != c for row in rows):
+            raise ValueError("ragged rows")
+        return cls._of(field, r, c, [_row_map(field, row) for row in rows])
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, [field.zero] * (rows * cols))
+        return cls._of(field, rows, cols, [_EMPTY] * rows)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        m = [field.zero] * (n * n)
-        for i in range(n):
-            m[i * n + i] = field.one
-        return cls(field, n, n, m)
+        one = field.one
+        return cls._of(field, n, n, [{i: one} for i in range(n)])
 
     @classmethod
     def build(cls, field: Field, rows: int, cols: int,
               f: Callable[[int, int], object]) -> "Matrix":
         return cls(field, rows, cols,
-                   [field(f(i, j)) for i in range(rows) for j in range(cols)])
+                   [f(i, j) for i in range(rows) for j in range(cols)])
 
     # -- access -----------------------------------------------------------
 
     def __getitem__(self, ij: Tuple[int, int]):
         i, j = ij
-        return self.data[i * self.cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry {ij} outside {self.rows}x{self.cols}")
+        x = self._maps[i].get(j)
+        return self.field.zero if x is None else x
 
     def row(self, i: int) -> Tuple:
-        return self.data[i * self.cols:(i + 1) * self.cols]
+        entries, zero = self._maps[i], self.field.zero
+        return tuple(entries.get(j, zero) for j in range(self.cols))
+
+    @property
+    def data(self) -> Tuple:
+        """The dense row-major entries."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self._maps == other._maps)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(m.items()) for m in self._maps)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(self.field.show(x) for x in self.row(i))
@@ -76,103 +120,147 @@ class Matrix:
 
     # -- algebra -----------------------------------------------------------
 
+    def _merge(self, other: "Matrix", op, alone) -> "Matrix":
+        """Entrywise op(a, b), with alone(b) where self has no entry."""
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        is_zero = self.field.is_zero
+        maps = []
+        for mine, theirs in zip(self._maps, other._maps):
+            if not theirs:
+                maps.append(mine)
+                continue
+            out = dict(mine)
+            for j, b in theirs.items():
+                a = out.get(j)
+                if a is None:
+                    out[j] = alone(b)
+                    continue
+                s = op(a, b)
+                if is_zero(s):
+                    del out[j]
+                else:
+                    out[j] = s
+            maps.append(out or _EMPTY)
+        return Matrix._of(self.field, self.rows, self.cols, maps)
+
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        F = self.field
-        return Matrix(F, self.rows, self.cols,
-                      [F.add(a, b) for a, b in zip(self.data, other.data)])
+        return self._merge(other, self.field.add, lambda b: b)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        F = self.field
-        return Matrix(F, self.rows, self.cols,
-                      [F.sub(a, b) for a, b in zip(self.data, other.data)])
+        return self._merge(other, self.field.sub, self.field.neg)
 
     def scale(self, c) -> "Matrix":
         F = self.field
         c = F(c)
-        return Matrix(F, self.rows, self.cols, [F.mul(c, a) for a in self.data])
+        if F.is_zero(c):
+            return Matrix.zero(F, self.rows, self.cols)
+        mul = F.mul
+        return Matrix._of(F, self.rows, self.cols,
+                          [{j: mul(c, a) for j, a in m.items()} or _EMPTY
+                           for m in self._maps])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
         F = self.field
-        out = [F.zero] * (self.rows * other.cols)
-        for i in range(self.rows):
-            for k in range(self.cols):
-                a = self.data[i * self.cols + k]
-                if F.is_zero(a):
-                    continue
-                for j in range(other.cols):
-                    b = other.data[k * other.cols + j]
-                    if F.is_zero(b):
-                        continue
-                    out[i * other.cols + j] = F.add(
-                        out[i * other.cols + j], F.mul(a, b))
-        return Matrix(F, self.rows, other.cols, out)
+        add, mul, is_zero = F.add, F.mul, F.is_zero
+        right = other._maps
+        maps = []
+        for mine in self._maps:
+            acc: Dict[int, object] = {}
+            for k, a in mine.items():
+                for j, b in right[k].items():
+                    s = acc.get(j)
+                    acc[j] = mul(a, b) if s is None else add(s, mul(a, b))
+            maps.append({j: s for j, s in acc.items() if not is_zero(s)}
+                        or _EMPTY)
+        return Matrix._of(F, self.rows, other.cols, maps)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Tensor product with index convention (i, j) |-> i*n + j."""
-        F = self.field
-        R, C = self.rows * other.rows, self.cols * other.cols
-        out = [F.zero] * (R * C)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.data[i * self.cols + j]
-                if F.is_zero(a):
-                    continue
-                for k in range(other.rows):
-                    for l in range(other.cols):
-                        out[(i * other.rows + k) * C + (j * other.cols + l)] = \
-                            F.mul(a, other.data[k * other.cols + l])
-        return Matrix(F, R, C, out)
+        mul = self.field.mul
+        width = other.cols
+        right = [tuple(m.items()) for m in other._maps]
+        maps = []
+        for mine in self._maps:
+            left = tuple((j * width, a) for j, a in mine.items())
+            for theirs in right:
+                maps.append({j + l: mul(a, b) for j, a in left
+                             for l, b in theirs} or _EMPTY)
+        return Matrix._of(self.field, self.rows * other.rows,
+                          self.cols * width, maps)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      [self.data[i * self.cols + j]
-                       for j in range(self.cols) for i in range(self.rows)])
+        cols: List[Dict[int, object]] = [{} for _ in range(self.cols)]
+        for i, m in enumerate(self._maps):
+            for j, x in m.items():
+                cols[j][i] = x
+        return Matrix._of(self.field, self.cols, self.rows,
+                          [c or _EMPTY for c in cols])
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return Matrix.from_rows(self.field, rows) if rows else \
-            Matrix(self.field, 0, self.cols + other.cols, [])
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
+        shift = self.cols
+        maps = [{**mine, **{shift + j: x for j, x in theirs.items()}}
+                if theirs else mine
+                for mine, theirs in zip(self._maps, other._maps)]
+        return Matrix._of(self.field, self.rows, self.cols + other.cols, maps)
 
     # -- elimination --------------------------------------------------------
 
-    def rref(self) -> Tuple["Matrix", List[int]]:
-        """Reduced row echelon form and the pivot column list."""
+    def _eliminate(self):
+        """Gauss-Jordan elimination on copies of the sparse rows.  Returns
+        the reduced rows, the pivot columns, each pivot's value before its
+        row was normalized, and the number of row swaps."""
         F = self.field
-        m = [list(self.row(i)) for i in range(self.rows)]
+        mul, sub, neg, is_zero = F.mul, F.sub, F.neg, F.is_zero
+        m = [dict(row) for row in self._maps]
+        n = self.rows
         pivots: List[int] = []
+        values: List[object] = []
+        swaps = 0
         r = 0
         for c in range(self.cols):
-            pivot = None
-            for i in range(r, self.rows):
-                if not F.is_zero(m[i][c]):
-                    pivot = i
-                    break
+            if r == n:
+                break
+            pivot = next((i for i in range(r, n) if c in m[i]), None)
             if pivot is None:
                 continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = F.inv(m[r][c])
-            m[r] = [F.mul(inv, x) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and not F.is_zero(m[i][c]):
-                    f = m[i][c]
-                    m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
+            if pivot != r:
+                m[r], m[pivot] = m[pivot], m[r]
+                swaps += 1
+            value = m[r][c]
+            inv = F.inv(value)
+            prow = {j: mul(inv, x) for j, x in m[r].items()}
+            m[r] = prow
+            for i, target in enumerate(m):
+                f = target.get(c)
+                if f is None or i == r:
+                    continue
+                for j, y in prow.items():
+                    t = mul(f, y)
+                    x = target.get(j)
+                    if x is None:
+                        target[j] = neg(t)
+                        continue
+                    s = sub(x, t)
+                    if is_zero(s):
+                        del target[j]
+                    else:
+                        target[j] = s
             pivots.append(c)
+            values.append(value)
             r += 1
-            if r == self.rows:
-                break
-        flat = [x for row in m for x in row]
-        return Matrix(F, self.rows, self.cols, flat), pivots
+        return m, pivots, values, swaps
+
+    def rref(self) -> Tuple["Matrix", List[int]]:
+        """Reduced row echelon form and the pivot column list."""
+        m, pivots, _, _ = self._eliminate()
+        return (Matrix._of(self.field, self.rows, self.cols,
+                           [row or _EMPTY for row in m]), pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -181,35 +269,35 @@ class Matrix:
         """Column-vector basis of the kernel."""
         F = self.field
         R, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
+        taken = set(pivots)
         basis = []
-        for fc in free:
-            v = [F.zero] * self.cols
-            v[fc] = F.one
+        for fc in range(self.cols):
+            if fc in taken:
+                continue
+            v = {fc: F.one}
             for r, pc in enumerate(pivots):
-                v[pc] = F.neg(R[r, fc])
-            basis.append(Matrix(F, self.cols, 1, v))
+                x = R._maps[r].get(fc)
+                if x is not None:
+                    v[pc] = F.neg(x)
+            basis.append(Matrix._of(F, self.cols, 1,
+                                    [{0: v[i]} if i in v else _EMPTY
+                                     for i in range(self.cols)]))
         return basis
 
     def solve(self, rhs: "Matrix") -> Optional["Matrix"]:
         """One solution of self @ x = rhs, or None."""
         if rhs.rows != self.rows:
             raise ValueError("rhs shape mismatch")
-        F = self.field
-        aug = self.hstack(rhs)
-        R, pivots = aug.rref()
+        R, pivots = self.hstack(rhs).rref()
         n = self.cols
-        for r in range(R.rows):
-            if all(F.is_zero(R[r, c]) for c in range(n)) and \
-               any(not F.is_zero(R[r, c]) for c in range(n, R.cols)):
-                return None
-        out = [[F.zero] * rhs.cols for _ in range(n)]
+        # a pivot right of the coefficient columns is a row 0 = nonzero
+        if pivots and pivots[-1] >= n:
+            return None
+        maps = [_EMPTY] * n
         for r, pc in enumerate(pivots):
-            if pc >= n:
-                return None
-            for j in range(rhs.cols):
-                out[pc][j] = R[r, n + j]
-        return Matrix.from_rows(F, out) if out else Matrix(F, 0, rhs.cols, [])
+            maps[pc] = {j - n: x for j, x in R._maps[r].items()
+                        if j >= n} or _EMPTY
+        return Matrix._of(self.field, n, rhs.cols, maps)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -223,47 +311,37 @@ class Matrix:
         return self.rows == self.cols and self.rank() == self.rows
 
     def det(self):
+        """Product of the pivots, negated once per row swap."""
         if self.rows != self.cols:
             raise FieldError("determinant of a non-square matrix")
         F = self.field
-        m = [list(self.row(i)) for i in range(self.rows)]
-        det = F.one
-        for c in range(self.cols):
-            pivot = None
-            for i in range(c, self.rows):
-                if not F.is_zero(m[i][c]):
-                    pivot = i
-                    break
-            if pivot is None:
-                return F.zero
-            if pivot != c:
-                m[c], m[pivot] = m[pivot], m[c]
-                det = F.neg(det)
-            det = F.mul(det, m[c][c])
-            inv = F.inv(m[c][c])
-            for i in range(c + 1, self.rows):
-                if not F.is_zero(m[i][c]):
-                    f = F.mul(m[i][c], inv)
-                    m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[c])]
+        _, pivots, values, swaps = self._eliminate()
+        if len(pivots) < self.rows:
+            return F.zero
+        det = F.neg(F.one) if swaps % 2 else F.one
+        for value in values:
+            det = F.mul(det, value)
         return det
 
 
 def flip_matrix(field: Field, n: int, m: int) -> Matrix:
     """The swap X (x) Y -> Y (x) X on basis vectors."""
-    out = Matrix.zero(field, n * m, n * m)
-    data = list(out.data)
+    one = field.one
+    maps: List[Dict[int, object]] = [_EMPTY] * (n * m)
     for i in range(n):
         for j in range(m):
-            data[(j * n + i) * n * m + (i * m + j)] = field.one
-    return Matrix(field, n * m, n * m, data)
+            maps[j * n + i] = {i * m + j: one}
+    return Matrix._of(field, n * m, n * m, maps)
 
 
 def koszul_matrix(field: Field, deg_a: Sequence[int], deg_b: Sequence[int]) -> Matrix:
     """The graded swap: a sign -1 whenever both basis vectors are odd."""
     n, m = len(deg_a), len(deg_b)
-    out = [field.zero] * (n * m) ** 2
+    one = field.one
+    minus = field.neg(one)
+    maps: List[Dict[int, object]] = [_EMPTY] * (n * m)
     for i in range(n):
         for j in range(m):
-            sign = field.one if (deg_a[i] * deg_b[j]) % 2 == 0 else field.neg(field.one)
-            out[(j * n + i) * n * m + (i * m + j)] = sign
-    return Matrix(field, n * m, n * m, out)
+            sign = one if (deg_a[i] * deg_b[j]) % 2 == 0 else minus
+            maps[j * n + i] = {i * m + j: sign}
+    return Matrix._of(field, n * m, n * m, maps)

@@ -215,34 +215,25 @@ def coend_reconstruct(family: GeneratingFamily,
     N = offs[-1]
 
     rel_rows = _relation_rows(family, offs)
-    if rel_rows:
-        R, pivots = Matrix.from_rows(F, rel_rows).rref()
-        R = Matrix.from_rows(F, [list(R.row(r)) for r in range(len(pivots))]) \
-            if pivots else None
-    else:
-        R, pivots = None, []
-    nonpivot = [c for c in range(N) if c not in pivots]
+    R, pivots = (Matrix.from_rows(F, rel_rows).rref() if rel_rows
+                 else (None, []))
+    pivot_row = {c: r for r, c in enumerate(pivots)}
+    nonpivot = [c for c in range(N) if c not in pivot_row]
     dim = len(nonpivot)
-
-    def reduce_vec(vec: List) -> List:
-        vec = list(vec)
-        if R is not None:
-            for r, pc in enumerate(pivots):
-                c = vec[pc]
-                if not F.is_zero(c):
-                    vec = [F.sub(x, F.mul(c, y))
-                           for x, y in zip(vec, R.row(r))]
-        return [vec[c] for c in nonpivot]
-
     section_cols = nonpivot  # class k is the ambient basis vector nonpivot[k]
 
-    def amb_basis(flat: int) -> List:
-        v = [F.zero] * N
-        v[flat] = F.one
-        return v
+    def class_entry(flat: int, k: int):
+        # the reduced relation of a pivot coordinate rewrites it as minus
+        # its row on the non-pivot coordinates
+        if flat in pivot_row:
+            return F.neg(R[pivot_row[flat], nonpivot[k]])
+        return F.one if flat == nonpivot[k] else F.zero
 
-    def classify(vec: List) -> List:
-        return reduce_vec(vec)
+    # the class of an ambient vector v is v @ quotient, taken one member's
+    # block of coordinates at a time
+    quotient = [Matrix.build(F, M.d * M.d, dim,
+                             lambda f, k, o=offs[i]: class_entry(o + f, k))
+                for i, M in enumerate(family.members)]
 
     # comultiplication and counit on ambient coordinates
     delta_cols = []
@@ -258,8 +249,8 @@ def coend_reconstruct(family: GeneratingFamily,
         # morphism for
         col_vec = [F.zero] * (dim * dim)
         for k in range(di):
-            left = classify(amb_basis(offs[i] + k * di + b))
-            right = classify(amb_basis(offs[i] + a * di + k))
+            left = quotient[i].row(k * di + b)
+            right = quotient[i].row(a * di + k)
             for x in range(dim):
                 if F.is_zero(left[x]):
                     continue
@@ -277,48 +268,33 @@ def coend_reconstruct(family: GeneratingFamily,
     if family.depth < 2 and len(family.members) > 0:
         raise ClosureError("depth >= 2 is needed to multiply coefficients")
 
-    def express(P: Comodule, res: Resolution, theta: List, w: List) -> List:
-        """Class of theta (x) w in P*, P through the resolution."""
-        out = [F.zero] * dim
+    def express(P: Comodule, res: Resolution) -> Matrix:
+        """Row t * P.d + s is the class of e^t (x) e_s in P*, P: the sum over
+        the resolution of (e^t . iota) (x) (pi . e_s) in the member."""
+        out = Matrix.zero(F, P.d * P.d, dim)
         for idx, iota, pi in zip(res.member_indices, res.iotas, res.pis):
-            dk = family.members[idx].d
-            # theta . iota  and  pi . w
-            ti = [sum((F.mul(theta[r], iota[r, c]) for r in range(P.d)),
-                      F.zero) for c in range(dk)]
-            pw = [sum((F.mul(pi[r, c], w[c]) for c in range(P.d)), F.zero)
-                  for r in range(dk)]
-            vec = [F.zero] * N
-            for a in range(dk):
-                for b in range(dk):
-                    vec[offs[idx] + a * dk + b] = F.mul(ti[a], pw[b])
-            red = classify(vec)
-            out = [F.add(x, y) for x, y in zip(out, red)]
+            out = out + iota.kron(pi.transpose()) @ quotient[idx]
         return out
 
-    mult_cols: List[List] = []
-    resolutions: Dict[Tuple[int, int], Tuple[Comodule, Resolution]] = {}
+    classes: Dict[Tuple[int, int], Matrix] = {}
     for i, Mi in enumerate(family.members):
         for j, Mj in enumerate(family.members):
             P = tensor_comodule(Mi, Mj)
-            resolutions[(i, j)] = (P, resolve(family, P, factors=(i, j)))
-    for colx, flatx in enumerate(section_cols):
+            classes[(i, j)] = express(P, resolve(family, P, factors=(i, j)))
+    mult_cols: List[Tuple] = []
+    for flatx in section_cols:
         i = next(k for k in range(len(family.members))
                  if offs[k] <= flatx < offs[k + 1])
         di = family.members[i].d
         a, b = divmod(flatx - offs[i], di)
-        for coly, flaty in enumerate(section_cols):
+        for flaty in section_cols:
             j = next(k for k in range(len(family.members))
                      if offs[k] <= flaty < offs[k + 1])
             dj = family.members[j].d
             c, e = divmod(flaty - offs[j], dj)
-            P, res = resolutions[(i, j)]
-            theta = [F.zero] * P.d
-            theta_idx = a * dj + c
-            theta[theta_idx] = F.one
-            w = [F.zero] * P.d
-            w[b * dj + e] = F.one
-            prod_class = express(P, res, theta, w)
-            mult_cols.append(prod_class)
+            # theta = e^(a, c) and w = e_(b, e) in P = Mi (x) Mj
+            mult_cols.append(classes[(i, j)].row(
+                (a * dj + c) * (di * dj) + b * dj + e))
     # columns are ordered (colx * dim + coly)
     mult = Matrix.from_rows(F, mult_cols).transpose()
 

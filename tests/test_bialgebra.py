@@ -12,7 +12,7 @@ from hopfsmith.bialgebra import (IntegralConditionError, Matrix, NoAntipode,
 from hopfsmith.field import QQ, number_field_from_text
 from hopfsmith.fixtures import (corrupted_delta, cyclic_group_algebra,
                                 exterior_line_super, group_inversion_matrix,
-                                standard_fixtures)
+                                standard_fixtures, symmetric_group_algebra)
 
 FX = standard_fixtures()
 
@@ -156,6 +156,14 @@ def test_number_field_group_algebra():
     assert is_valid_bialgebra(B)
     assert is_hopf(B)
     assert antipode_from_integrals(B) == antipode(B).S
+
+
+def test_symmetric_group_s4_scales():
+    # dimension 24: the bialgebra axiom composes through a 331,776-square
+    # Kronecker product with one nonzero per row
+    B = symmetric_group_algebra(4)
+    assert all(r.holds for r in check_bialgebra(B))
+    assert is_hopf(B)
 
 
 def test_superline_needs_koszul():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hopfsmith.cli import main
 
 
@@ -101,6 +103,26 @@ def test_reconstruct_family_file(tmp_path):
     code, out = run(["--json", "--no-timing", "reconstruct", str(path)])
     doc = json.loads(out)
     assert doc["coend_dim"] >= 1
+
+
+@pytest.mark.parametrize("name", ["QZ2", "sweedler"])
+def test_reconstruct_family_over_number_field(tmp_path, name):
+    from hopfsmith.bialgebra import bialgebra_to_json
+    from hopfsmith.field import number_field_from_text
+    from hopfsmith.fixtures import standard_fixtures
+    F = number_field_from_text("x^2+x+1")
+    B = standard_fixtures(F)[name]
+    rho = [[F.show(B.delta[i, j]) for j in range(B.n)]
+           for i in range(B.n * B.n)]
+    fam = {"bialgebra": bialgebra_to_json(B), "depth": 2,
+           "comodules": [{"dim": B.n, "rho": rho}]}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(fam))
+    code, out = run(["--json", "--no-timing", "reconstruct", str(path)])
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["verdict"] == "isomorphism"
+    assert doc["coend_dim"] == B.n
 
 
 def test_proof_skeleton_cli():
