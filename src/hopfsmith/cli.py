@@ -18,8 +18,8 @@ from typing import Dict, List, Optional
 from . import bialgebra as ba
 from . import walking
 from .evaluate import EvalContext, EvaluationError, shear_semantics
-from .field import FieldError
-from .fixtures import standard_fixtures
+from .field import QQ, FieldError
+from .fixtures import FIXTURE_BUILDERS
 from .gray import gray, smash
 from .matrix import Matrix
 from .presentation import Presentation, validate_presentation
@@ -95,9 +95,8 @@ def load_presentation(name: str) -> Presentation:
 
 
 def load_bialgebra(name: str) -> ba.Bialgebra:
-    fixtures = standard_fixtures()
-    if name in fixtures:
-        return fixtures[name]
+    if name in FIXTURE_BUILDERS:
+        return FIXTURE_BUILDERS[name](QQ)
     return ba.load_bialgebra(name)
 
 
@@ -224,7 +223,7 @@ def cmd_integrals(args, report: Report) -> None:
 
 
 def cmd_reconstruct(args, report: Report) -> None:
-    if args.family in standard_fixtures() or not args.family.endswith(".json"):
+    if args.family in FIXTURE_BUILDERS or not args.family.endswith(".json"):
         B = load_bialgebra(args.family)
         rt = round_trip(B, depth=args.depth)
         report.payload["verdict"] = rt.verdict

@@ -3,13 +3,22 @@
 The extension field is a single monic irreducible modulus with rational
 coefficients; irreducibility is the caller's responsibility beyond a
 cheap rational-root screen (enough to reject the easy mistakes).
-Elements are represented by their reduced coefficient tuples.
+Elements are represented by their reduced coefficient tuples: `degree`
+Fractions, low degree first.
+
+A product multiplies only the nonzero coefficients of its factors and is
+then reduced by `NumberField._make`, the one reduction routine: because
+the modulus is monic, each coefficient of x^k with k >= degree folds into
+the lower ones from the top down, with no polynomial division.  Only
+`inv` divides (extended Euclid).  `zero` and `one` are built once per
+field and shared; elements are never mutated.  An element that is an
+embedded rational equals, and hashes like, that rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 
 class FieldError(ArithmeticError):
@@ -64,6 +73,8 @@ class RationalField:
 
 QQ = RationalField()
 
+_ZERO = Fraction(0)
+
 
 def _poly_trim(cs: List[Fraction]) -> Tuple[Fraction, ...]:
     while cs and cs[-1] == 0:
@@ -105,14 +116,18 @@ class NumberFieldElement:
     def __eq__(self, other) -> bool:
         if isinstance(other, NumberFieldElement):
             return self.field is other.field and self.coeffs == other.coeffs
+        if isinstance(other, str):  # Fraction() would parse it
+            return NotImplemented
         try:
             q = Fraction(other)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return NotImplemented
         return self.coeffs == (self.field._lift(q)).coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # an embedded rational equals its Fraction, so it hashes like one
+        cs = self.coeffs
+        return hash(cs) if any(cs[1:]) else hash(cs[0])
 
     def __repr__(self) -> str:
         return self.field.show(self)
@@ -130,9 +145,14 @@ class NumberField:
             raise FieldError("modulus must be monic")
         self._rational_root_screen(mod)
         self.modulus = tuple(mod)
-        self.degree = len(mod) - 1
+        self.degree = d = len(mod) - 1
         self.var = var
         self.name = f"Q[{var}]/({self.show_poly(self.modulus)})"
+        # x^d = -(c0 + c1 x + ... + c_{d-1} x^{d-1}): (i, -c_i) for c_i != 0
+        self._fold = tuple((i, -c) for i, c in enumerate(mod[:-1]) if c)
+        self.zero = NumberFieldElement(self, (_ZERO,) * d)
+        self.one = NumberFieldElement(self,
+                                      (Fraction(1),) + (_ZERO,) * (d - 1))
 
     @staticmethod
     def _rational_root_screen(mod: List[Fraction]) -> None:
@@ -160,10 +180,25 @@ class NumberField:
 
     # -- element constructors ------------------------------------------
 
-    def _make(self, coeffs: List[Fraction]) -> NumberFieldElement:
-        _, rem = _poly_divmod(list(coeffs), self.modulus)
-        rem = list(rem) + [Fraction(0)] * (self.degree - len(rem))
-        return NumberFieldElement(self, tuple(rem[:self.degree]))
+    def _make(self, cs: List[Fraction]) -> NumberFieldElement:
+        """The class of the polynomial with coefficients `cs` (low degree
+        first, any length), reducing `cs` in place.  From the top down, each
+        nonzero coefficient c of x^k, k >= d = degree, folds into the lower
+        ones as c * x^(k-d) * (x^d - modulus); no division is needed
+        because the modulus is monic.  A slot still holding the shared
+        `_ZERO` takes a term as it is, which saves a Fraction addition."""
+        d = self.degree
+        fold = self._fold
+        for k in range(len(cs) - 1, d - 1, -1):
+            c = cs[k]
+            if c:
+                base = k - d
+                for i, m in fold:
+                    t = cs[base + i]
+                    cs[base + i] = c * m if t is _ZERO else t + c * m
+        if len(cs) < d:
+            cs.extend([_ZERO] * (d - len(cs)))
+        return NumberFieldElement(self, tuple(cs[:d]))
 
     def _lift(self, q: Fraction) -> NumberFieldElement:
         return self._make([q])
@@ -178,16 +213,8 @@ class NumberField:
         return self._lift(Fraction(value))
 
     @property
-    def zero(self) -> NumberFieldElement:
-        return self._lift(Fraction(0))
-
-    @property
-    def one(self) -> NumberFieldElement:
-        return self._lift(Fraction(1))
-
-    @property
     def gen(self) -> NumberFieldElement:
-        return self._make([Fraction(0), Fraction(1)])
+        return self._make([_ZERO, Fraction(1)])
 
     # -- arithmetic -----------------------------------------------------
 
@@ -207,7 +234,14 @@ class NumberField:
 
     def mul(self, a, b):
         a, b = self(a), self(b)
-        return self._make(_poly_mul(a.coeffs, b.coeffs))
+        terms = [(j, y) for j, y in enumerate(b.coeffs) if y]
+        out = [_ZERO] * (2 * self.degree - 1)
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in terms:  # `_ZERO` slots as in `_make`
+                    t = out[i + j]
+                    out[i + j] = x * y if t is _ZERO else t + x * y
+        return self._make(out)
 
     def inv(self, a):
         a = self(a)
@@ -233,27 +267,17 @@ class NumberField:
         return self._make([x / c for x in s0])
 
     def is_zero(self, a) -> bool:
-        return all(c == 0 for c in self(a).coeffs)
+        return not any(self(a).coeffs)
 
     # -- text -----------------------------------------------------------
 
     def parse(self, text: str) -> NumberFieldElement:
         """Polynomial expressions in the generator: '1/2*x^2 - x + 3'."""
-        text = text.replace("-", "+-").replace(" ", "")
-        coeffs = [Fraction(0)] * self.degree
-        for part in filter(None, text.split("+")):
-            if self.var in part:
-                head, _, tail = part.partition(self.var)
-                power = int(tail[1:]) if tail.startswith("^") else 1
-                if head in ("", "-"):
-                    head += "1"
-                head = head.rstrip("*")
-                coeff = Fraction(head)
-            else:
-                power, coeff = 0, Fraction(part)
+        coeffs = [_ZERO] * self.degree
+        for power, coeff in _parse_poly(text, self.var).items():
             if power >= self.degree:
-                raise FieldError(f"exponent too large in {part!r}")
-            coeffs[power] += coeff
+                raise FieldError(f"exponent too large in {text!r}")
+            coeffs[power] = coeff
         return self._make(coeffs)
 
     def show_poly(self, coeffs) -> str:
@@ -289,18 +313,24 @@ def field_from_json(data) -> Field:
 
 def number_field_from_text(text: str, var: str = "x") -> NumberField:
     """Parse a monic modulus like 'x^2+x+1'."""
+    coeffs = _parse_poly(text, var)
+    mod = [coeffs.get(i, _ZERO) for i in range(max(coeffs) + 1)]
+    return NumberField(mod, var)
+
+
+def _parse_poly(text: str, var: str) -> Dict[int, Fraction]:
+    """Power -> coefficient of a polynomial written like '1/2*x^2 - x + 3';
+    repeated powers add up."""
+    coeffs: Dict[int, Fraction] = {}
     text = text.replace("-", "+-").replace(" ", "")
-    pieces = [p for p in text.split("+") if p]
-    coeffs = {}
-    for part in pieces:
+    for part in filter(None, text.split("+")):
         if var in part:
             head, _, tail = part.partition(var)
             power = int(tail[1:]) if tail.startswith("^") else 1
             if head in ("", "-"):
                 head += "1"
-            coeffs[power] = coeffs.get(power, Fraction(0)) + Fraction(head.rstrip("*"))
+            coeff = Fraction(head.rstrip("*"))
         else:
-            coeffs[0] = coeffs.get(0, Fraction(0)) + Fraction(part)
-    deg = max(coeffs)
-    mod = [coeffs.get(i, Fraction(0)) for i in range(deg + 1)]
-    return NumberField(mod, var)
+            power, coeff = 0, Fraction(part)
+        coeffs[power] = coeffs.get(power, _ZERO) + coeff
+    return coeffs

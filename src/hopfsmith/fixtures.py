@@ -9,7 +9,7 @@ line.  Everything is exact over Q unless a field is passed in.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Dict, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from .bialgebra import Bialgebra, FLIP, SUPER
 from .field import Field, QQ
@@ -163,12 +163,16 @@ def corrupted_delta(B: Bialgebra) -> Bialgebra:
                      basis_names=B.basis_names)
 
 
+# name -> builder over a given field; the CLI builds only the fixture it names
+FIXTURE_BUILDERS: Dict[str, Callable[[Field], Bialgebra]] = {
+    "QZ2": lambda field: cyclic_group_algebra(2, field),
+    "QS3": lambda field: symmetric_group_algebra(3, field),
+    "QZ3dual": lambda field: function_hopf_algebra(3, field),
+    "QM": idempotent_monoid_bialgebra,
+    "sweedler": sweedler_algebra,
+    "superline": exterior_line_super,
+}
+
+
 def standard_fixtures(field: Field = QQ) -> Dict[str, Bialgebra]:
-    return {
-        "QZ2": cyclic_group_algebra(2, field),
-        "QS3": symmetric_group_algebra(3, field),
-        "QZ3dual": function_hopf_algebra(3, field),
-        "QM": idempotent_monoid_bialgebra(field),
-        "sweedler": sweedler_algebra(field),
-        "superline": exterior_line_super(field),
-    }
+    return {name: build(field) for name, build in FIXTURE_BUILDERS.items()}

@@ -1,0 +1,118 @@
+"""NumberField arithmetic against naive polynomial arithmetic.
+
+The oracle multiplies coefficient lists in full, zeros included, and
+reduces the product by schoolbook long division by the modulus, dividing by
+its leading coefficient; it shares no code with `field.py`.  The moduli
+cover a sparse fold (x^2+1, x^3-2), a dense one (x^2+x+1), a non-integer
+coefficient (x^2-1/2) and a cubic whose fold of x^4 produces an x^3 term
+that has to be folded again.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from hopfsmith.field import NumberFieldElement, number_field_from_text
+
+MODULI = ["x^2+x+1", "x^2+1", "x^3-2", "x^2-1/2", "x^3+1/3*x^2-x+1/2"]
+FIELDS = {text: number_field_from_text(text) for text in MODULI}
+
+# about a third of the coefficients are zero, as in embedded rationals
+RATIONALS = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-9, 9),
+                                st.integers(1, 6)))
+
+
+def oracle_mul(F, a, b):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    mod = list(F.modulus)
+    while len(prod) >= len(mod):
+        c = prod[-1] / mod[-1]
+        shift = len(prod) - len(mod)
+        for i, m in enumerate(mod):
+            prod[shift + i] -= c * m
+        prod.pop()
+    return tuple(prod + [Fraction(0)] * (F.degree - len(prod)))
+
+
+@st.composite
+def field_elements(draw, count):
+    F = FIELDS[draw(st.sampled_from(MODULI))]
+    elems = [NumberFieldElement(F, draw(st.tuples(*[RATIONALS] * F.degree)))
+             for _ in range(count)]
+    return (F, *elems)
+
+
+@given(field_elements(2))
+def test_mul_matches_long_division(args):
+    F, a, b = args
+    got = F.mul(a, b)
+    assert got.coeffs == oracle_mul(F, a.coeffs, b.coeffs)
+    assert len(got.coeffs) == F.degree
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@given(field_elements(3))
+def test_ring_laws(args):
+    F, a, b, c = args
+    assert F.mul(a, b) == F.mul(b, a)
+    assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+    assert F.mul(F.sub(a, b), c) == F.sub(F.mul(a, c), F.mul(b, c))
+
+
+@given(field_elements(1))
+def test_inverse(args):
+    F, a = args
+    if F.is_zero(a):
+        return
+    inv = F.inv(a)
+    assert F.mul(a, inv) == F.one
+    assert oracle_mul(F, a.coeffs, inv.coeffs) == F.one.coeffs
+
+
+@given(field_elements(1))
+def test_identities_and_is_zero(args):
+    F, a = args
+    assert F.zero is F.zero and F.one is F.one
+    assert F.add(a, F.zero) == a
+    assert F.mul(a, F.one) == a and F.mul(F.one, a) == a
+    assert F.mul(a, F.zero) == F.zero
+    assert F.is_zero(a) == all(c == 0 for c in a.coeffs)
+    assert F.is_zero(F.sub(a, a)) and F.is_zero(F.zero)
+    assert not F.is_zero(F.one)
+
+
+@given(field_elements(1))
+def test_parse_show_round_trip(args):
+    F, a = args
+    assert F.parse(F.show(a)) == a
+
+
+@given(field_elements(2), RATIONALS)
+def test_equal_implies_equal_hash(args, q):
+    F, a, b = args
+    assert hash(F.mul(a, b)) == hash(F.mul(b, a))
+    assert F(q) == q and hash(F(q)) == hash(q)
+    n = q.numerator
+    assert F(n) == n and hash(F(n)) == hash(n) == hash(Fraction(n))
+    for x in (a, b):
+        if x == q:
+            assert hash(x) == hash(q)
+
+
+@pytest.mark.parametrize("text", MODULI)
+def test_embedded_rationals_are_one_key(text):
+    F = FIELDS[text]
+    assert len({F(3), Fraction(3), 3}) == 1
+    table = {F(3): "field"}
+    table[Fraction(3)] = "fraction"
+    table[3] = "int"
+    assert table == {F(3): "int"}
+    assert F.gen not in {Fraction(0), Fraction(1)}
+    assert F(3) != "3"
+    assert F(1) != float("inf") and F(1) != float("nan")
