@@ -281,8 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--no-timing", action="store_true",
                     help="omit timing for byte-stable output")
     ap.add_argument("--budget", type=int, default=None,
-                    help="rewrite search budget (default HOPFSMITH_BUDGET "
-                         f"or {default_budget()})")
+                    help="rewrite search budget: one unit per search "
+                         "state expanded or rule window tried, Unknown when "
+                         "it runs out (default HOPFSMITH_BUDGET or "
+                         f"{default_budget()})")
     ap.add_argument("--depth", type=int, default=2,
                     help="tensor closure depth for reconstruction")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -32,7 +32,7 @@ from .bialgebra import Bialgebra
 from .gray import pair_name
 from .matrix import Matrix
 from .presentation import Presentation
-from .rewriting import Layer, Stack, slide, stack_of
+from .rewriting import Layer, Stack, slide, slide_left, stack_of
 from .shear import universal_shear
 from .terms import CellTerm, Comp, Gen, Id, Inv, TermError, generators
 
@@ -192,15 +192,8 @@ def _align(a: List[Layer], b: List[Layer], p: Presentation):
             continue
         found = None
         for j in range(k + 1, len(a)):
-            moved = a[j]
-            ok = True
-            for back in range(j - 1, k - 1, -1):
-                sw = slide(a[back], moved, p)
-                if sw is None:
-                    ok = False
-                    break
-                moved = sw[0]
-            if ok and moved == b[k]:
+            got = slide_left(a[k:j], a[j], p)
+            if got is not None and got[0] == b[k]:
                 found = j
                 break
         if found is None:

@@ -7,9 +7,13 @@ The decision procedure is dimension-stratified and deliberately partial:
   dim 2   layered interchange normal form: a 2-cell is decomposed into
           layers, one whiskered atom each; whisker-disjoint layers slide
           past each other toward a canonical order; oriented 2-relations
-          and formal-inverse cancellation are applied by a bounded,
-          memoized closure on both sides
-  dim >=3 boundary equality plus a bounded comparison of move chains
+          and formal-inverse cancellation are applied by a bounded search
+          from both sides
+  dim >=3 boundary equality plus a bounded search over move chains
+
+Both searches are one frontier loop (_explore) that spends the caller's
+Budget: one unit per expanded state, and one per rule window tried.  An
+exhausted budget gives Unknown.
 
 Boundary words of generators are read from the presentation's
 boundary-word table (Presentation.boundary_words), filled once per
@@ -18,18 +22,19 @@ interchange tests do not re-derive them.
 
 Verdicts are Equal / Distinct / Unknown.  Distinct is only produced
 with a certificate: differing boundaries, differing free normal forms,
-or two finite, fully explored rewrite closures that do not meet.
+or two fully explored rewrite searches that do not meet.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    TypeVar)
 
 from .presentation import Presentation
 from .terms import (CellTerm, Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
-                    flatten, top_boundary)
+                    boundary, flatten, print_term, top_boundary)
 
 
 class Verdict:
@@ -186,7 +191,8 @@ def _layers_rec(t: CellTerm, offset: int, p: Presentation) -> List[Layer]:
         if isinstance(inner, Gen):
             return [Layer(offset, Atom(inner.name, True))]
         raise TermError(f"Inv not pushed to a leaf: {t!r}")
-    assert isinstance(t, Comp)
+    if not isinstance(t, Comp):
+        raise TermError(f"not a 2-cell term: {t!r}")
     if t.k == 1:
         return (_layers_rec(t.left, offset, p)
                 + _layers_rec(t.right, offset, p))
@@ -231,19 +237,36 @@ def _layer_key(layer: Layer):
     return (layer.atom.name, layer.atom.inverted, layer.offset)
 
 
-def _bubble_front(layers: List[Layer], i: int, p: Presentation):
-    """Slide layers[i] to the front if every intervening layer commutes with
-    it.  Returns (front form of the layer, adjusted remaining layers) or
-    None when blocked."""
-    cand = layers[i]
-    passed: List[Layer] = []
-    for j in range(i - 1, -1, -1):
-        swapped = slide(layers[j], cand, p)
+def slide_left(block: Sequence[Layer], layer: Layer,
+               p: Presentation) -> Optional[Tuple[Layer, List[Layer]]]:
+    """Slide a layer that fires right after the layers of block so that it
+    fires before all of them.  Returns (the moved layer, the adjusted
+    block as a list), or None when some layer of block does not commute
+    with it."""
+    adjusted: List[Layer] = []
+    for prev in reversed(block):
+        swapped = slide(prev, layer, p)
         if swapped is None:
             return None
-        cand, adjusted = swapped
-        passed.insert(0, adjusted)
-    return cand, passed + layers[i + 1:]
+        layer, shifted = swapped
+        adjusted.append(shifted)
+    adjusted.reverse()
+    return layer, adjusted
+
+
+def _slide_right(layer: Layer, block: Sequence[Layer],
+                 p: Presentation) -> Optional[Tuple[List[Layer], Layer]]:
+    """Mirror of slide_left: a layer that fires right before block, moved
+    to fire after it.  Returns (the adjusted block as a list, the moved
+    layer), or None when blocked."""
+    adjusted: List[Layer] = []
+    for nxt in block:
+        swapped = slide(layer, nxt, p)
+        if swapped is None:
+            return None
+        shifted, layer = swapped
+        adjusted.append(shifted)
+    return adjusted, layer
 
 
 def canonical_stack(stack: Stack, p: Presentation) -> Stack:
@@ -255,15 +278,14 @@ def canonical_stack(stack: Stack, p: Presentation) -> Stack:
     while layers:
         best = None
         for i in range(len(layers)):
-            got = _bubble_front(layers, i, p)
+            got = slide_left(layers[:i], layers[i], p)
             if got is None:
                 continue
-            front, rest = got
-            if best is None or _layer_key(front) < _layer_key(best[0]):
-                best = (front, rest)
-        assert best is not None  # i = 0 always bubbles
+            if best is None or _layer_key(got[0]) < _layer_key(best[0]):
+                best = (got[0], got[1] + layers[i + 1:])
+        assert best is not None  # i = 0 always slides
         out.append(best[0])
-        layers = list(best[1])
+        layers = best[1]
     return Stack(stack.srcword, tuple(out))
 
 
@@ -285,39 +307,21 @@ def _cancellations(stack: Stack, p: Presentation) -> List[Stack]:
     """All single removals of an inverse pair of layers, sliding intervening
     disjoint layers out of the way in either direction."""
     out: List[Stack] = []
-    layers = list(stack.layers)
+    layers = stack.layers
     for i in range(len(layers)):
         for j in range(i + 1, len(layers)):
             block = layers[i + 1:j]
-            # bubble layers[j] leftward until adjacent to layers[i]
-            moved = layers[j]
-            adjusted: List[Layer] = []
-            ok = True
-            for back in range(len(block) - 1, -1, -1):
-                swapped = slide(block[back], moved, p)
-                if swapped is None:
-                    ok = False
-                    break
-                moved, shifted = swapped
-                adjusted.insert(0, shifted)
-            if ok and _pair_cancels(layers[i], moved, p):
-                out.append(Stack(stack.srcword,
-                                 tuple(layers[:i] + adjusted + layers[j + 1:])))
+            # slide layers[j] leftward until adjacent to layers[i]
+            got = slide_left(block, layers[j], p)
+            if got is not None and _pair_cancels(layers[i], got[0], p):
+                out.append(Stack(stack.srcword, layers[:i] + tuple(got[1])
+                                 + layers[j + 1:]))
                 continue
-            # or bubble layers[i] rightward until adjacent to layers[j]
-            moved = layers[i]
-            adjusted = []
-            ok = True
-            for fwd in range(len(block)):
-                swapped = slide(moved, block[fwd], p)
-                if swapped is None:
-                    ok = False
-                    break
-                shifted, moved = swapped
-                adjusted.append(shifted)
-            if ok and _pair_cancels(moved, layers[j], p):
-                out.append(Stack(stack.srcword,
-                                 tuple(layers[:i] + adjusted + layers[j + 1:])))
+            # or slide layers[i] rightward until adjacent to layers[j]
+            got = _slide_right(layers[i], block, p)
+            if got is not None and _pair_cancels(got[1], layers[j], p):
+                out.append(Stack(stack.srcword, layers[:i] + tuple(got[0])
+                                 + layers[j + 1:]))
     return out
 
 
@@ -376,9 +380,6 @@ def _try_window(stack: Stack, i: int, rule: LayerRule, p: Presentation):
     """Try to apply the rule with its first layer matched at index i,
     pulling later rule layers adjacent by legal slides."""
     layers = list(stack.layers)
-    n = len(rule.lhs)
-    if i + 1 > len(layers):
-        return None
     first = layers[i]
     if (first.atom != rule.lhs[0].atom):
         return None
@@ -390,86 +391,61 @@ def _try_window(stack: Stack, i: int, rule: LayerRule, p: Presentation):
     seg = word_here[shift:shift + len(rule.src)]
     if seg != rule.src:
         return None
-    # find and bubble the remaining rule layers up behind position i
-    pos = i
-    for r_idx in range(1, n):
-        want = Layer(rule.lhs[r_idx].offset + shift, rule.lhs[r_idx].atom)
-        j = pos + 1
-        found = None
-        probe = None
-        while j < len(layers):
-            cand = layers[j]
-            # slide cand leftward to pos+1 if possible
-            ok = True
-            moved = cand
-            for back in range(j - 1, pos, -1):
-                swapped = slide(layers[back], moved, p)
-                if swapped is None:
-                    ok = False
-                    break
-                moved = swapped[0]
-            if ok and moved == want:
-                found, probe = j, moved
+    # slide the remaining rule layers up behind position i
+    for pos, r in enumerate(rule.lhs[1:], i):
+        want = Layer(r.offset + shift, r.atom)
+        for j in range(pos + 1, len(layers)):
+            got = slide_left(layers[pos + 1:j], layers[j], p)
+            if got is not None and got[0] == want:
                 break
-            j += 1
-        if found is None:
+        else:
             return None
-        # perform the bubbling
-        cand = layers.pop(found)
-        moved = cand
-        block = layers[pos + 1:found]
-        newblock = []
-        for back in range(len(block) - 1, -1, -1):
-            swapped = slide(block[back], moved, p)
-            assert swapped is not None
-            moved, shifted = swapped
-            newblock.insert(0, shifted)
-        assert moved == probe
-        layers[pos + 1:found] = newblock
-        layers.insert(pos + 1, moved)
-        pos += 1
-    replacement = [Layer(l.offset + shift, l.atom) for l in rule.rhs]
-    layers[i:i + n] = replacement
+        layers[pos + 1:j + 1] = [got[0]] + got[1]
+    n = len(rule.lhs)
+    layers[i:i + n] = [Layer(l.offset + shift, l.atom) for l in rule.rhs]
     return Stack(stack.srcword, tuple(layers))
 
 
-def _closure(stack: Stack, rules: List[LayerRule], p: Presentation,
-             budget: Budget) -> Tuple[set, bool]:
-    """Forward closure under oriented rules and inverse-pair cancellation,
-    on canonical forms.  Cancellation is a move rather than a
-    preprocessing step: cancelling eagerly can destroy rule redexes.
-    Returns the set of canonical stacks seen and whether exploration
-    completed."""
-    start = canonical_stack(stack, p)
-    seen = {start}
+def _stack_successors(cur: Stack, rules: List[LayerRule], p: Presentation,
+                      budget: Budget) -> List[Stack]:
+    """The canonical stacks one move away: an oriented rule application,
+    an inverse-pair cancellation or a single slide.  Cancellation is a
+    move rather than a preprocessing step: cancelling eagerly can destroy
+    rule redexes."""
+    nexts = []
+    for rule in rules:
+        nexts.extend(_match_rule(cur, rule, p, budget))
+    nexts.extend(_cancellations(cur, p))
+    # single slides: canonicalization collapses ordinary interchange, but
+    # a point-degenerate insertion/deletion pair has two inequivalent-
+    # looking canonical forms that are equal, reachable only this way
+    layers = cur.layers
+    for i in range(len(layers) - 1):
+        for swapped in _swap_variants(layers[i], layers[i + 1], p):
+            nexts.append(Stack(cur.srcword,
+                               layers[:i] + swapped + layers[i + 2:]))
+    return [canonical_stack(nxt, p) for nxt in nexts]
+
+
+State = TypeVar("State")
+
+
+def _explore(start: State, successors: Callable[[State], Iterable[State]],
+             budget: Budget) -> Tuple[Dict[State, None], bool]:
+    """The states reachable from start, in the order found, and whether
+    every one of them was expanded.  Each expansion spends one unit of the
+    budget; successors may spend more, so a search during which the
+    budget ran out is incomplete."""
+    found = {start: None}
     frontier = [start]
-    complete = True
     while frontier:
-        if budget.left < 0:
-            complete = False
-            break
-        cur = frontier.pop()
-        nexts = []
-        for rule in rules:
-            nexts.extend(_match_rule(cur, rule, p, budget))
-        nexts.extend(_cancellations(cur, p))
-        # single slides: canonicalization collapses ordinary interchange, but
-        # a point-degenerate insertion/deletion pair has two inequivalent-
-        # looking canonical forms that are equal, reachable only this way
-        layers = cur.layers
-        for i in range(len(layers) - 1):
-            for swapped in _swap_variants(layers[i], layers[i + 1], p):
-                nexts.append(Stack(cur.srcword,
-                                   layers[:i] + swapped + layers[i + 2:]))
-        for nxt in nexts:
-            nxt = canonical_stack(nxt, p)
-            if nxt not in seen:
-                seen.add(nxt)
+        if not budget.spend():
+            return found, False
+        for nxt in successors(frontier.pop()):
+            if nxt not in found:
+                found[nxt] = None
                 frontier.append(nxt)
-        if len(seen) > 4096:
-            complete = False
-            break
-    return seen, complete
+    return found, budget.left >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -523,18 +499,19 @@ def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
     try:
         sa = stack_of(a, p)
         sb = stack_of(b, p)
-    except (TermError, AssertionError):
+    except TermError:
         return EQ_UNKNOWN
     ca = canonical_stack(_cancel_inverses(sa, p), p)
     cb = canonical_stack(_cancel_inverses(sb, p), p)
     if ca == cb:
         return EQ_EQUAL
     rules = _layer_rules(p)
-    seen_a, done_a = _closure(sa, rules, p, budget)
+    step = lambda s: _stack_successors(s, rules, p, budget)
+    seen_a, done_a = _explore(canonical_stack(sa, p), step, budget)
     if cb in seen_a:
         return EQ_EQUAL
-    seen_b, done_b = _closure(sb, rules, p, budget)
-    if seen_a & seen_b:
+    seen_b, done_b = _explore(canonical_stack(sb, p), step, budget)
+    if not seen_a.keys().isdisjoint(seen_b):
         return EQ_EQUAL
     if done_a and done_b:
         return EQ_DISTINCT
@@ -552,33 +529,31 @@ def _eq_high(a: CellTerm, b: CellTerm, p: Presentation,
     for r in p.relations:
         if r.dim == d and r.oriented:
             rules.append((tuple(_moves(r.lhs, p)), tuple(_moves(r.rhs, p))))
-    seen_a = _chain_closure(tuple(_moves(a, p)), rules, p, budget)
-    seen_b = _chain_closure(tuple(_moves(b, p)), rules, p, budget)
+    step = lambda c: _chain_successors(c, rules, p)
+    seen_a, _ = _explore(tuple(_moves(a, p)), step, budget)
+    seen_b, _ = _explore(tuple(_moves(b, p)), step, budget)
+    # moves are compared by eq, except the pair (a, b) itself, which would
+    # recurse without end
     for ca in seen_a:
         for cb in seen_b:
             if len(ca) == len(cb) and all(
-                    x == y or _eq(x, y, p, budget) is EQ_EQUAL
+                    x == y or ((x, y) != (a, b)
+                               and _eq(x, y, p, budget) is EQ_EQUAL)
                     for x, y in zip(ca, cb)):
                 return EQ_EQUAL
     return EQ_UNKNOWN
 
 
-def _chain_closure(chain, rules, p: Presentation, budget: Budget):
-    seen = {chain}
-    frontier = [chain]
-    while frontier and budget.spend():
-        cur = frontier.pop()
-        nexts = [tuple(_cancel_moves(list(cur), p))]
-        for lhs, rhs in rules:
-            n = len(lhs)
-            for i in range(len(cur) - n + 1):
-                if cur[i:i + n] == lhs:
-                    nexts.append(cur[:i] + rhs + cur[i + n:])
-        for nxt in nexts:
-            if nxt not in seen and len(seen) < 256:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+def _chain_successors(cur, rules, p: Presentation):
+    """The move chains one step away: all inverse pairs cancelled, or one
+    contiguous match of an oriented rule rewritten."""
+    nexts = [tuple(_cancel_moves(cur, p))]
+    for lhs, rhs in rules:
+        n = len(lhs)
+        for i in range(len(cur) - n + 1):
+            if cur[i:i + n] == lhs:
+                nexts.append(cur[:i] + rhs + cur[i + n:])
+    return nexts
 
 
 def _moves(t: CellTerm, p: Presentation) -> Optional[List[CellTerm]]:
@@ -608,7 +583,6 @@ class CompositionError(TermError):
 
     def __init__(self, level: int, left_boundary: CellTerm,
                  right_boundary: CellTerm):
-        from .terms import print_term
         super().__init__(
             f"target and source disagree at level {level}: "
             f"{print_term(left_boundary)} vs {print_term(right_boundary)}")
@@ -621,7 +595,6 @@ def compose(k: int, a: CellTerm, b: CellTerm, p: Presentation,
             budget: Optional[int] = None) -> CellTerm:
     """The k-composite a-then-b, admitted only when the shared boundary
     agrees under eq (Unknown is not good enough to compose)."""
-    from .terms import boundary
     lt = p.normalize(boundary(a, TARGET, k, p.sig))
     rs = p.normalize(boundary(b, SOURCE, k, p.sig))
     if eq(lt, rs, p, budget) is not EQ_EQUAL:

@@ -7,8 +7,9 @@ import random
 import pytest
 
 from hopfsmith.presentation import Presentation
-from hopfsmith.rewriting import (CompositionError, EQ_DISTINCT, EQ_EQUAL,
-                                 EQ_UNKNOWN, compose, eq)
+from hopfsmith.rewriting import (Budget, CompositionError, EQ_DISTINCT,
+                                 EQ_EQUAL, EQ_UNKNOWN, _explore,
+                                 canonical_stack, compose, eq, stack_of)
 from hopfsmith.terms import Comp, Gen, Id, Inv, comp
 from hopfsmith.walking import adj, mnd
 
@@ -171,3 +172,117 @@ def test_point_degenerate_interchange_orders_equal():
     assert eq(vertical, del_then_ins, p) is EQ_EQUAL
     assert eq(vertical, ins_then_del, p) is EQ_EQUAL
     assert eq(del_then_ins, ins_then_del, p) is EQ_EQUAL
+
+
+# The monad signature without its relations: a dimension-2 search over it
+# has no oriented rules, so it tries no rule windows and only the budget
+# spent per expanded state bounds it.
+FREE = Presentation(M.max_dim, dict(M.gens))
+FREE_ATOMS = {"m": (2, 1), "u": (0, 1)}  # atom -> (source, target) width
+
+
+def free_term(width, layers):
+    """The 2-cell over FREE firing (offset, atom) layers from A^width."""
+    rows = []
+    for off, atom in layers:
+        src, tgt = FREE_ATOMS[atom]
+        rows.append(comp(0, *([Id(Gen("A"))] * off + [Gen(atom)]
+                              + [Id(Gen("A"))] * (width - off - src))))
+        width += tgt - src
+    return comp(1, *rows)
+
+
+# (source width, left layers, right layers, verdict).  The Equal pairs
+# differ by slides of two units at one point, which the greedy interchange
+# normal form does not identify; each Distinct pair adds a unit and a
+# multiplication, which changes the multiset of atoms.
+FREE_PAIRS = {
+    "two-units": (1, [(0, "u"), (0, "u")], [(0, "u"), (1, "u")], EQ_EQUAL),
+    "units-and-m": (1, [(0, "u"), (0, "m"), (0, "u")],
+                    [(0, "u"), (1, "u"), (1, "m")], EQ_EQUAL),
+    "unit-redex": (2, [(0, "m")], [(0, "m"), (0, "u"), (0, "m")],
+                   EQ_DISTINCT),
+    "unit-redex-inside": (2, [(2, "u"), (0, "m"), (1, "u")],
+                          [(2, "u"), (0, "m"), (0, "u"), (0, "m"), (1, "u")],
+                          EQ_DISTINCT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FREE_PAIRS))
+def test_budget_bounds_search_without_rules(name):
+    width, left, right, verdict = FREE_PAIRS[name]
+    a, b = free_term(width, left), free_term(width, right)
+    # only the search decides the pair: the normal forms differ
+    assert (canonical_stack(stack_of(a, FREE), FREE)
+            != canonical_stack(stack_of(b, FREE), FREE))
+    assert eq(a, b, FREE, budget=0) is EQ_UNKNOWN
+    assert eq(a, b, FREE) is verdict
+    assert eq(b, a, FREE) is verdict
+
+
+def test_explore_finds_states_in_order_within_budget():
+    def halves(n):
+        return [n // 2, n // 3]
+
+    found, done = _explore(12, halves, Budget(100))
+    assert list(found) == [12, 6, 4, 2, 1, 0, 3]
+    assert done
+    spend = Budget(2)
+    found, done = _explore(12, halves, spend)
+    assert list(found) == [12, 6, 4, 2, 1] and not done
+    assert spend.left < 0
+
+
+def three_cells():
+    """2-cells a, b, c, d : f => f and 3-cells between them: al;be -> ga
+    oriented, th invertible, ep and de to lengthen chains."""
+    p = Presentation(max_dim=3)
+    x = p.add("x", 0)
+    f = p.add("f", 1, x, x)
+    a, b, c, d = (p.add(n, 2, f, f) for n in "abcd")
+    cells = {"al": (a, b), "be": (b, c), "ga": (a, c), "ep": (d, a),
+             "de": (c, d), "th": (a, b)}
+    out = {n: p.add(n, 3, s, t, invertible=(n == "th"))
+           for n, (s, t) in cells.items()}
+    p.relate(3, comp(2, out["al"], out["be"]), out["ga"], oriented=True)
+    return p, out
+
+
+def test_high_rule_inside_a_chain_is_equal():
+    p, g = three_cells()
+    long = comp(2, g["ep"], g["al"], g["be"], g["de"])
+    short = comp(2, g["ep"], g["ga"], g["de"])
+    assert eq(long, short, p) is EQ_EQUAL
+    assert eq(short, long, p) is EQ_EQUAL
+
+
+def test_high_move_then_inverse_cancels():
+    p, g = three_cells()
+    there_and_back = comp(2, g["ep"], g["th"], Inv(g["th"]), g["al"])
+    assert eq(there_and_back, comp(2, g["ep"], g["al"]), p) is EQ_EQUAL
+
+
+def test_high_budget_zero_is_unknown():
+    p, g = three_cells()
+    long = comp(2, g["ep"], g["al"], g["be"], g["de"])
+    short = comp(2, g["ep"], g["ga"], g["de"])
+    assert eq(long, short, p, budget=0) is EQ_UNKNOWN
+
+
+def test_high_never_distinct():
+    p, g = three_cells()
+    ep, al, be, ga, de, th = (g[n] for n in ("ep", "al", "be", "ga", "de",
+                                             "th"))
+    # parallel chains d => d, some equal and some not
+    chains = [comp(2, ep, al, be, de), comp(2, ep, ga, de),
+              comp(2, ep, th, be, de), comp(2, ep, th, Inv(th), ga, de),
+              comp(2, ep, th, Inv(th), al, be, de)]
+    for x in chains:
+        for y in chains:
+            for budget in (0, 1, 3, None):
+                assert eq(x, y, p, budget) is not EQ_DISTINCT
+    # two parallel generators: compared by eq move by move, which must not
+    # recurse into the same comparison
+    assert eq(al, th, p) is EQ_UNKNOWN
+    assert eq(comp(2, ep, al, be, de), comp(2, ep, th, be, de),
+              p) is EQ_UNKNOWN

@@ -112,3 +112,21 @@ def test_slide_disjoint_and_blocked():
     assert slide(left, right, p) == (right, left)
     merge = Layer(0, Atom("b", False))
     assert slide(left, merge, p) is None
+
+
+def test_slide_left_and_right_across_a_block():
+    p, f, a = _loop_presentation()
+    p.add("b", 2, comp(0, f, f), f)
+    # on the word f f f: a at 2 fires after a at 0 and a at 1, which it
+    # passes unchanged; a merge b at 0 blocks it
+    block = [Layer(0, Atom("a", False)), Layer(1, Atom("a", False))]
+    last = Layer(2, Atom("a", False))
+    assert rewriting.slide_left(block, last, p) == (last, block)
+    assert rewriting._slide_right(last, block, p) == (block, last)
+    merge = Layer(0, Atom("b", False))
+    assert rewriting.slide_left([merge], Layer(1, Atom("a", False)), p) \
+        == (Layer(2, Atom("a", False)), [merge])
+    assert rewriting.slide_left([merge], Layer(0, Atom("a", False)), p) is None
+    assert rewriting._slide_right(Layer(2, Atom("a", False)), [merge], p) \
+        == ([merge], Layer(1, Atom("a", False)))
+    assert rewriting.slide_left([], last, p) == (last, [])
