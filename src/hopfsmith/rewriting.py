@@ -8,12 +8,15 @@ The decision procedure is dimension-stratified and deliberately partial:
           layers, one whiskered atom each; whisker-disjoint layers slide
           past each other toward a canonical order; oriented 2-relations
           and formal-inverse cancellation are applied by a bounded search
-          from both sides
-  dim >=3 boundary equality plus a bounded search over move chains
+          from the first side, then from the second side until it
+          reaches a state the first side reached
+  dim >=3 boundary equality plus the same two searches over move
+          chains, whose moves are compared as normalized terms
 
-Both searches are one frontier loop (_explore) that spends the caller's
-Budget: one unit per expanded state, and one per rule window tried.  An
-exhausted budget gives Unknown.
+The searches of both strata are one frontier loop (_explore) that spends
+the caller's Budget: one unit per expanded state, and one per rule window
+tried.  An exhausted budget gives Unknown.  The first side's search stops
+early when it reaches the second side's normal form or move chain.
 
 Boundary words of generators are read from the presentation's
 boundary-word table (Presentation.boundary_words), filled once per
@@ -29,8 +32,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
-                    TypeVar)
+from typing import (Callable, Container, Dict, Iterable, List, Optional,
+                    Sequence, Tuple, TypeVar)
 
 from .presentation import Presentation
 from .terms import (CellTerm, Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
@@ -431,12 +434,17 @@ State = TypeVar("State")
 
 
 def _explore(start: State, successors: Callable[[State], Iterable[State]],
-             budget: Budget) -> Tuple[Dict[State, None], bool]:
+             budget: Budget,
+             stop: Container[State] = ()) -> Tuple[Dict[State, None], bool]:
     """The states reachable from start, in the order found, and whether
     every one of them was expanded.  Each expansion spends one unit of the
     budget; successors may spend more, so a search during which the
-    budget ran out is incomplete."""
+    budget ran out is incomplete.  The search also ends, incomplete, as
+    soon as start or a newly found state is in stop; that state is the
+    last one found."""
     found = {start: None}
+    if start in stop:
+        return found, False
     frontier = [start]
     while frontier:
         if not budget.spend():
@@ -444,6 +452,8 @@ def _explore(start: State, successors: Callable[[State], Iterable[State]],
         for nxt in successors(frontier.pop()):
             if nxt not in found:
                 found[nxt] = None
+                if nxt in stop:
+                    return found, False
                 frontier.append(nxt)
     return found, budget.left >= 0
 
@@ -507,10 +517,10 @@ def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
         return EQ_EQUAL
     rules = _layer_rules(p)
     step = lambda s: _stack_successors(s, rules, p, budget)
-    seen_a, done_a = _explore(canonical_stack(sa, p), step, budget)
+    seen_a, done_a = _explore(canonical_stack(sa, p), step, budget, {cb})
     if cb in seen_a:
         return EQ_EQUAL
-    seen_b, done_b = _explore(canonical_stack(sb, p), step, budget)
+    seen_b, done_b = _explore(canonical_stack(sb, p), step, budget, seen_a)
     if not seen_a.keys().isdisjoint(seen_b):
         return EQ_EQUAL
     if done_a and done_b:
@@ -522,7 +532,8 @@ def _eq_high(a: CellTerm, b: CellTerm, p: Presentation,
              budget: Budget) -> Verdict:
     """Dimension >= 3: boundaries already agree; bounded search over move
     chains, rewriting by oriented same-dimension relations (contiguous
-    syntactic matches only) and cancelling inverse pairs.  Never returns
+    syntactic matches only) and cancelling inverse pairs.  Chains meet
+    when they are equal move by move as normalized terms.  Never returns
     Distinct here (sound, incomplete)."""
     d = p.dim(p.normalize(a))
     rules = []
@@ -530,17 +541,11 @@ def _eq_high(a: CellTerm, b: CellTerm, p: Presentation,
         if r.dim == d and r.oriented:
             rules.append((tuple(_moves(r.lhs, p)), tuple(_moves(r.rhs, p))))
     step = lambda c: _chain_successors(c, rules, p)
-    seen_a, _ = _explore(tuple(_moves(a, p)), step, budget)
-    seen_b, _ = _explore(tuple(_moves(b, p)), step, budget)
-    # moves are compared by eq, except the pair (a, b) itself, which would
-    # recurse without end
-    for ca in seen_a:
-        for cb in seen_b:
-            if len(ca) == len(cb) and all(
-                    x == y or ((x, y) != (a, b)
-                               and _eq(x, y, p, budget) is EQ_EQUAL)
-                    for x, y in zip(ca, cb)):
-                return EQ_EQUAL
+    chain_b = tuple(_moves(b, p))
+    seen_a, _ = _explore(tuple(_moves(a, p)), step, budget, {chain_b})
+    seen_b, _ = _explore(chain_b, step, budget, seen_a)
+    if not seen_a.keys().isdisjoint(seen_b):
+        return EQ_EQUAL
     return EQ_UNKNOWN
 
 

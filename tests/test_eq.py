@@ -3,14 +3,18 @@ fragment, soundness of oriented-rule steps, interchange normalization,
 inverse cancellation."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from hopfsmith import rewriting
 from hopfsmith.presentation import Presentation
 from hopfsmith.rewriting import (Budget, CompositionError, EQ_DISTINCT,
-                                 EQ_EQUAL, EQ_UNKNOWN, _explore,
+                                 EQ_EQUAL, EQ_UNKNOWN, _cancel_inverses,
+                                 _explore, _layer_rules, _stack_successors,
                                  canonical_stack, compose, eq, stack_of)
-from hopfsmith.terms import Comp, Gen, Id, Inv, comp
+from hopfsmith.terms import Comp, Gen, Id, Inv, TermError, comp
 from hopfsmith.walking import adj, mnd
 
 M = mnd().base
@@ -233,6 +237,97 @@ def test_explore_finds_states_in_order_within_budget():
     assert spend.left < 0
 
 
+def test_explore_stops_at_first_state_in_stop():
+    def halves(n):
+        return [n // 2, n // 3]
+
+    order = [12, 6, 4, 2, 1, 0, 3]
+    for stop in ({4}, {3}, {0, 3}, {1, 99}, {2, 6}):
+        found, done = _explore(12, halves, Budget(100), stop)
+        cut = min(order.index(s) for s in stop if s in order)
+        assert list(found) == order[:cut + 1] and not done
+    # a start already in stop returns at once, spending nothing
+    spend = Budget(5)
+    found, done = _explore(12, halves, spend, {12})
+    assert list(found) == [12] and not done
+    assert spend.left == 5
+    # a stop set the search never reaches changes nothing
+    found, done = _explore(12, halves, Budget(100), {99})
+    assert list(found) == order and done
+
+
+def unstopped_eq2(a, b, p, budget):
+    """Reference for rewriting._eq2 without the stop: both sides explored
+    to the end, then compared."""
+    try:
+        sa = stack_of(a, p)
+        sb = stack_of(b, p)
+    except TermError:
+        return EQ_UNKNOWN
+    ca = canonical_stack(_cancel_inverses(sa, p), p)
+    cb = canonical_stack(_cancel_inverses(sb, p), p)
+    if ca == cb:
+        return EQ_EQUAL
+    rules = _layer_rules(p)
+    step = lambda s: _stack_successors(s, rules, p, budget)
+    seen_a, done_a = _explore(canonical_stack(sa, p), step, budget)
+    if cb in seen_a:
+        return EQ_EQUAL
+    seen_b, done_b = _explore(canonical_stack(sb, p), step, budget)
+    if not seen_a.keys().isdisjoint(seen_b):
+        return EQ_EQUAL
+    if done_a and done_b:
+        return EQ_DISTINCT
+    return EQ_UNKNOWN
+
+
+def assert_unstopped_verdicts(a, b, p):
+    for x, y in ((a, b), (b, a)):
+        for budget in (0, 12, 20, None):
+            with mock.patch.object(rewriting, "_eq2", unstopped_eq2):
+                want = eq(x, y, p, budget)
+            assert eq(x, y, p, budget) is want, (budget, want)
+
+
+@pytest.mark.parametrize("name", sorted(FREE_PAIRS))
+def test_stopped_search_keeps_unstopped_verdicts(name):
+    width, left, right, _ = FREE_PAIRS[name]
+    assert_unstopped_verdicts(free_term(width, left), free_term(width, right),
+                           FREE)
+
+
+def free_offsets(draw, width, atoms):
+    layers = []
+    for atom in atoms:
+        src, tgt = FREE_ATOMS[atom]
+        assume(width >= src)
+        layers.append((draw(st.integers(0, width - src)), atom))
+        width += tgt - src
+    return layers
+
+
+@st.composite
+def free_pairs(draw):
+    """Two 2-cells over FREE from one source: the second fires the first's
+    atoms in another order, sometimes with a unit and a multiplication
+    added, so most pairs are parallel."""
+    width = draw(st.integers(1, 3))
+    atoms = draw(st.lists(st.sampled_from(sorted(FREE_ATOMS)), min_size=1,
+                          max_size=4))
+    other = list(draw(st.permutations(atoms)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(other)))
+        other[i:i] = ["u", "m"]
+    return (free_term(width, free_offsets(draw, width, atoms)),
+            free_term(width, free_offsets(draw, width, other)))
+
+
+@settings(max_examples=40)
+@given(free_pairs())
+def test_stopped_search_keeps_unstopped_verdicts_random(pair):
+    assert_unstopped_verdicts(*pair, FREE)
+
+
 def three_cells():
     """2-cells a, b, c, d : f => f and 3-cells between them: al;be -> ga
     oriented, th invertible, ep and de to lengthen chains."""
@@ -281,8 +376,23 @@ def test_high_never_distinct():
         for y in chains:
             for budget in (0, 1, 3, None):
                 assert eq(x, y, p, budget) is not EQ_DISTINCT
-    # two parallel generators: compared by eq move by move, which must not
-    # recurse into the same comparison
+    # two parallel generators: their one-move chains are compared by
+    # equality of the normalized moves, with no nested eq
     assert eq(al, th, p) is EQ_UNKNOWN
     assert eq(comp(2, ep, al, be, de), comp(2, ep, th, be, de),
               p) is EQ_UNKNOWN
+
+
+def test_high_cycling_rules_do_not_recurse():
+    """Oriented 3-rules X -> Z and Z -> X between parallel 3-cells: the
+    searches go round the cycle, and the third cell Y is never reached."""
+    p = Presentation(max_dim=3)
+    x = p.add("x", 0)
+    f = p.add("f", 1, x, x)
+    a, b = (p.add(n, 2, f, f) for n in "ab")
+    X, Y, Z = (p.add(n, 3, a, b) for n in "XYZ")
+    p.relate(3, X, Z, oriented=True)
+    p.relate(3, Z, X, oriented=True)
+    for budget in (10, 100, 1000, None):
+        assert eq(X, Y, p, budget) is EQ_UNKNOWN
+        assert eq(X, Z, p, budget) is EQ_EQUAL

@@ -3,6 +3,7 @@ cells of the retract square."""
 
 import pytest
 
+from hopfsmith import rewriting
 from hopfsmith.mates import (AdjunctionRecord, ShapeError, Square,
                              double_mate, hopf_square_terms, left_mate,
                              right_mate, trivial_retract, walking_retract)
@@ -75,6 +76,25 @@ def test_hopf_square_checks():
         assert hs.checks[name] == "Equal"
     assert hs.checks["H_eq_algebra_form"] == "Equal"
     assert hs.checks["H_eq_coalgebra_form"] == "Equal"
+
+
+def test_hopf_square_checks_stop_within_budget(monkeypatch):
+    # each search stops where it meets the other side, so no check runs
+    # its budget out, and all twelve together stay under one default budget
+    budgets = []
+
+    class Recording(rewriting.Budget):
+        def __init__(self, steps):
+            super().__init__(steps)
+            self.steps = steps
+            budgets.append(self)
+
+    monkeypatch.setattr(rewriting, "Budget", Recording)
+    hs = hopf_square_terms(walking_retract())
+    assert len(hs.checks) == 12
+    assert set(hs.checks.values()) == {"Equal"}
+    assert budgets and all(b.left > 0 for b in budgets)
+    assert sum(b.steps - b.left for b in budgets) < 10_000
 
 
 def test_hopf_square_mates_shapes():
