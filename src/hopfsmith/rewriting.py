@@ -80,10 +80,9 @@ Letter = Tuple[str, bool]  # (generator name, inverted)
 
 def word_of(t: CellTerm, p: Presentation) -> Tuple[Letter, ...]:
     """Flatten a 1-cell term to its word of generator letters."""
-    t = p.normalize(t)
     out: List[Letter] = []
-    for f in flatten(t, 0):
-        f = p.normalize(f)
+    # the factors of a normal term are normal
+    for f in flatten(p.normalize(t), 0):
         if isinstance(f, Id):
             continue
         if isinstance(f, Gen):
@@ -176,23 +175,30 @@ class Stack:
 
 
 def stack_of(t: CellTerm, p: Presentation) -> Stack:
-    """Layer decomposition of a 2-cell term."""
+    """Layer decomposition of a 2-cell term.  The term is normalized once
+    and its source boundary taken once; _layers_rec then walks the normal
+    term without normalizing again, so the cost is linear in its size
+    plus the boundary words of its 0-composites' left parts."""
     t = p.normalize(t)
-    src = word_of(top_boundary(t, SOURCE, p.sig), p)
+    d = p.dim(t)
+    if d != 2:
+        raise TermError(f"not a 2-cell term: dimension {d}")
+    src = word_of(top_boundary(t, SOURCE, p.sig, d), p)
     layers = tuple(_layers_rec(t, 0, p))
     return Stack(src, layers)
 
 
 def _layers_rec(t: CellTerm, offset: int, p: Presentation) -> List[Layer]:
-    t = p.normalize(t)
+    """The layers of a normal 2-cell term whose source word starts at
+    offset.  Its subterms are normal too, so none is normalized again;
+    boundaries are taken at the known dimension 2."""
     if isinstance(t, Id):
         return []
     if isinstance(t, Gen):
         return [Layer(offset, Atom(t.name, False))]
     if isinstance(t, Inv):
-        inner = p.normalize(t.inner)
-        if isinstance(inner, Gen):
-            return [Layer(offset, Atom(inner.name, True))]
+        if isinstance(t.inner, Gen):
+            return [Layer(offset, Atom(t.inner.name, True))]
         raise TermError(f"Inv not pushed to a leaf: {t!r}")
     if not isinstance(t, Comp):
         raise TermError(f"not a 2-cell term: {t!r}")
@@ -201,7 +207,7 @@ def _layers_rec(t: CellTerm, offset: int, p: Presentation) -> List[Layer]:
                 + _layers_rec(t.right, offset, p))
     if t.k == 0:
         # interchange expansion, left part fires first
-        left_tgt = word_of(top_boundary(t.left, TARGET, p.sig), p)
+        left_tgt = word_of(top_boundary(t.left, TARGET, p.sig, 2), p)
         left_layers = _layers_rec(t.left, offset, p)
         right_layers = _layers_rec(t.right, offset + len(left_tgt), p)
         return left_layers + right_layers
@@ -471,22 +477,23 @@ def eq(a: CellTerm, b: CellTerm, p: Presentation,
 
 def _eq(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
     sig = p.sig
-    a = p.normalize(a)
-    b = p.normalize(b)
-    if a == b:
-        return EQ_EQUAL
     try:
-        da, db = p.dim(a), p.dim(b)
+        a = p.normalize(a)
+        b = p.normalize(b)
     except TermError:
         return EQ_UNKNOWN
+    if a == b:
+        return EQ_EQUAL
+    # normal forms are well-formed, so dim cannot raise here
+    da, db = p.dim(a), p.dim(b)
     if da != db:
         return EQ_DISTINCT
     d = da
     # boundary certificate first
     if d >= 1:
         for side in (SOURCE, TARGET):
-            v = _eq(top_boundary(a, side, sig), top_boundary(b, side, sig),
-                    p, budget)
+            v = _eq(top_boundary(a, side, sig, d),
+                    top_boundary(b, side, sig, d), p, budget)
             if v is EQ_DISTINCT:
                 return EQ_DISTINCT
             if v is EQ_UNKNOWN:
@@ -502,7 +509,7 @@ def _eq(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
         return EQ_DISTINCT if budget.left >= 0 else EQ_UNKNOWN
     if d == 2:
         return _eq2(a, b, p, budget)
-    return _eq_high(a, b, p, budget)
+    return _eq_high(a, b, d, p, budget)
 
 
 def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
@@ -528,14 +535,13 @@ def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
     return EQ_UNKNOWN
 
 
-def _eq_high(a: CellTerm, b: CellTerm, p: Presentation,
+def _eq_high(a: CellTerm, b: CellTerm, d: int, p: Presentation,
              budget: Budget) -> Verdict:
     """Dimension >= 3: boundaries already agree; bounded search over move
     chains, rewriting by oriented same-dimension relations (contiguous
     syntactic matches only) and cancelling inverse pairs.  Chains meet
     when they are equal move by move as normalized terms.  Never returns
     Distinct here (sound, incomplete)."""
-    d = p.dim(p.normalize(a))
     rules = []
     for r in p.relations:
         if r.dim == d and r.oriented:
@@ -566,7 +572,6 @@ def _moves(t: CellTerm, p: Presentation) -> Optional[List[CellTerm]]:
     d = p.dim(t)
     out = []
     for part in flatten(t, d - 1):
-        part = p.normalize(part)
         if isinstance(part, Id):
             continue
         out.append(part)

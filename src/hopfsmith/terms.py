@@ -12,13 +12,22 @@ A term is one of
 
 Terms are immutable and hashable.  All structural operations here
 (`dim`, `boundary`, `normalize`) are pure functions of the term and the
-ambient presentation.
+ambient presentation, and each visits every node of its input once:
+`normalize` computes dimensions bottom-up in the same pass, and
+`top_boundary`/`boundary` compute `dim` once at the top and pass it down,
+so all three are linear in the size of the term.
+
+`normalize` raises TermError exactly where `dim` does, with the same
+message, so a normal form is always well-formed.  Normal forms are closed
+under subterms: every subterm of a normal term is normal, and normalize
+is idempotent, so code that walks a normal term need not normalize its
+parts again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 SOURCE = "source"
 TARGET = "target"
@@ -101,39 +110,42 @@ class Signature:
     def __init__(self, table):
         self.table = dict(table)
 
-    def dim_of(self, name: str) -> int:
-        return self.table[name][0]
-
     def src_of(self, name: str):
         return self.table[name][1]
 
     def tgt_of(self, name: str):
         return self.table[name][2]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.table
-
 
 def dim(t: CellTerm, sig: Signature) -> int:
     if isinstance(t, Gen):
-        if t.name not in sig:
-            raise TermError(f"unknown generator {t.name!r}")
-        return sig.dim_of(t.name)
+        try:
+            return sig.table[t.name][0]
+        except KeyError:
+            raise TermError(f"unknown generator {t.name!r}") from None
     if isinstance(t, Id):
         return dim(t.inner, sig) + 1
     if isinstance(t, Inv):
         return dim(t.inner, sig)
-    dl = dim(t.left, sig)
-    dr = dim(t.right, sig)
+    return _comp_dim(t.k, dim(t.left, sig), dim(t.right, sig))
+
+
+def _comp_dim(k: int, dl: int, dr: int) -> int:
+    """The dimension of a k-composite of parts of dimensions dl and dr."""
     if dl != dr:
         raise TermError(f"composite of unequal dimensions {dl} and {dr}")
-    if not 0 <= t.k < dl:
-        raise TermError(f"illegal composition level {t.k} for dimension {dl}")
+    if not 0 <= k < dl:
+        raise TermError(f"illegal composition level {k} for dimension {dl}")
     return dl
 
 
-def top_boundary(t: CellTerm, side: str, sig: Signature) -> CellTerm:
-    """The (dim-1)-dimensional source or target of t."""
+def top_boundary(t: CellTerm, side: str, sig: Signature,
+                 d: Optional[int] = None) -> CellTerm:
+    """The (dim-1)-dimensional source or target of t.  A caller that
+    already knows dim(t) passes it as d; otherwise it is computed once
+    here, which also checks that t is well-formed throughout."""
+    if d is None:
+        d = dim(t, sig)
     if isinstance(t, Gen):
         b = sig.src_of(t.name) if side == SOURCE else sig.tgt_of(t.name)
         if b is None:
@@ -142,14 +154,14 @@ def top_boundary(t: CellTerm, side: str, sig: Signature) -> CellTerm:
     if isinstance(t, Id):
         return t.inner
     if isinstance(t, Inv):
-        return top_boundary(t.inner, TARGET if side == SOURCE else SOURCE, sig)
-    d = dim(t, sig)
+        return top_boundary(t.inner, TARGET if side == SOURCE else SOURCE,
+                            sig, d)
     if t.k == d - 1:
         part = t.left if side == SOURCE else t.right
-        return top_boundary(part, side, sig)
+        return top_boundary(part, side, sig, d)
     # composition at a deeper level: boundaries compose at the same level
-    return Comp(t.k, top_boundary(t.left, side, sig),
-                top_boundary(t.right, side, sig))
+    return Comp(t.k, top_boundary(t.left, side, sig, d),
+                top_boundary(t.right, side, sig, d))
 
 
 def boundary(t: CellTerm, side: str, k: int, sig: Signature) -> CellTerm:
@@ -157,11 +169,12 @@ def boundary(t: CellTerm, side: str, k: int, sig: Signature) -> CellTerm:
     d = dim(t, sig)
     if not 0 <= k < d:
         raise TermError(f"boundary level {k} out of range for dimension {d}")
-    out = t
-    while d > k + 1:
+    out = top_boundary(t, side, sig, d)
+    # deeper levels read generator boundaries from sig, so each is
+    # checked by top_boundary's own dim
+    for _ in range(d - 1 - k):
         out = top_boundary(out, side, sig)
-        d -= 1
-    return top_boundary(out, side, sig)
+    return out
 
 
 def identity_core(t: CellTerm) -> Tuple[CellTerm, int]:
@@ -181,52 +194,79 @@ def normalize(t: CellTerm, sig: Signature, push_inv: bool = True) -> CellTerm:
         whenever the identity factor is an Id-tower over its own boundary;
       * identity functoriality  Comp(k, Id a, Id b) = Id(Comp(k, a, b));
       * Inv pushed to the leaves;  Inv(Id t) = Id t;  Inv(Inv t) = t.
-    The result has the same dimension and boundaries as the input.
+    The result has the same dimension and boundaries as the input.  An
+    ill-formed input raises the TermError that dim(t) raises.
     Semantic evaluation passes push_inv=False to keep formal inverses
     at the level of whole composites.
     """
+    return _normal(t, sig, push_inv)[0]
+
+
+def _normal(t: CellTerm, sig: Signature,
+            push_inv: bool) -> Tuple[CellTerm, int]:
+    """(normal form of t, dim(t)), bottom-up in one pass.  When its
+    parts come back unchanged and none is an identity, t itself is
+    returned rather than rebuilt."""
     if isinstance(t, Gen):
-        return t
+        return t, dim(t, sig)
     if isinstance(t, Id):
-        return Id(normalize(t.inner, sig, push_inv))
+        inner, d = _normal(t.inner, sig, push_inv)
+        return (t if inner is t.inner else Id(inner)), d + 1
     if isinstance(t, Inv):
-        inner = normalize(t.inner, sig, push_inv)
-        if not push_inv:
-            if isinstance(inner, Inv):
-                return inner.inner
-            return Inv(inner)
-        return _push_inv(inner, sig)
-    left = normalize(t.left, sig, push_inv)
-    right = normalize(t.right, sig, push_inv)
-    d = dim(left, sig)
+        inner, d = _normal(t.inner, sig, push_inv)
+        if push_inv:
+            return _push_inv(inner), d
+        if isinstance(inner, Inv):
+            return inner.inner, d
+        return (t if inner is t.inner else Inv(inner)), d
+    left, dl = _normal(t.left, sig, push_inv)
+    right, dr = _normal(t.right, sig, push_inv)
+    d = _comp_dim(t.k, dl, dr)
+    if isinstance(left, Id) or isinstance(right, Id):
+        return _comp_normal(t.k, left, right, d), d
+    if left is t.left and right is t.right:
+        return t, d
+    return Comp(t.k, left, right), d
+
+
+def _comp_normal(k: int, left: CellTerm, right: CellTerm,
+                 d: int) -> CellTerm:
+    """The normal form of Comp(k, left, right) for normal parts of
+    dimension d."""
     # absorb identity factors: an Id-tower of height d - k over a (k-dim) cell
-    lcore, lh = identity_core(left)
-    if lh >= d - t.k:
+    if identity_core(left)[1] >= d - k:
         return right
-    rcore, rh = identity_core(right)
-    if rh >= d - t.k:
+    if identity_core(right)[1] >= d - k:
         return left
     # functoriality of Id over composition
     if isinstance(left, Id) and isinstance(right, Id):
-        return Id(normalize(Comp(t.k, left.inner, right.inner), sig, push_inv))
-    return Comp(t.k, left, right)
+        return Id(_comp_normal(k, left.inner, right.inner, d - 1))
+    return Comp(k, left, right)
 
 
-def _push_inv(t: CellTerm, sig: Signature) -> CellTerm:
+def _push_inv(t: CellTerm) -> CellTerm:
+    """Inv of a normal term, pushed to its leaves; the result is normal."""
     if isinstance(t, Inv):
         return t.inner
     if isinstance(t, Id):
         return t
     if isinstance(t, Comp):
-        return Comp(t.k, _push_inv(t.right, sig), _push_inv(t.left, sig))
+        return Comp(t.k, _push_inv(t.right), _push_inv(t.left))
     return Inv(t)
 
 
 def flatten(t: CellTerm, k: int) -> list:
     """The list of k-composition factors of t, in diagram order."""
-    if isinstance(t, Comp) and t.k == k:
-        return flatten(t.left, k) + flatten(t.right, k)
-    return [t]
+    out = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Comp) and t.k == k:
+            todo.append(t.right)
+            todo.append(t.left)
+        else:
+            out.append(t)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,16 @@ def test_inv_cancellation():
     assert eq(t2, Id(g), p) is EQ_EQUAL
 
 
+@pytest.mark.parametrize("bad, good", [
+    (Comp(1, Gen("A"), Gen("A")), Gen("A")),
+    (Comp(0, Id(Gen("pt")), Gen("m")), Gen("m")),
+])
+def test_ill_formed_side_is_unknown(bad, good):
+    # normalize used to absorb the identity factor and answer Equal
+    assert eq(bad, good, M) is EQ_UNKNOWN
+    assert eq(good, bad, M) is EQ_UNKNOWN
+
+
 def test_boundary_certificate_distinct():
     m, u = Gen("m"), Gen("u")
     assert eq(m, u, M) is EQ_DISTINCT

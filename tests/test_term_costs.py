@@ -1,0 +1,81 @@
+"""Cost and depth guards for the term operations.
+
+Costs are counted as Python calls into hopfsmith.terms and
+hopfsmith.rewriting, which repeat exactly from run to run, so the guard
+does not depend on timing.  An operation that is linear in the size of its
+input makes about twice the calls when the input doubles; recomputing
+dimensions at every node made that ratio about 4 for normalize and
+boundary, and about 7.6 for stack_of.
+"""
+
+import sys
+
+import pytest
+
+from hopfsmith import rewriting, terms
+from hopfsmith.rewriting import EQ_EQUAL, eq, stack_of, word_of
+from hopfsmith.terms import SOURCE, Comp, Gen, Id, comp, flatten
+from hopfsmith.walking import mnd
+
+M = mnd().base
+A, m, u = Gen("A"), Gen("m"), Gen("u")
+FILES = {terms.__file__, rewriting.__file__}
+
+
+def calls(f, *args) -> int:
+    """The number of Python calls into the counted modules made by f(*args)."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename in FILES:
+            count += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        f(*args)
+    finally:
+        sys.setprofile(old)
+    return count
+
+
+def word(n):
+    return comp(0, *[A] * n)
+
+
+def stack(n):
+    """2n layers: a unit whiskered on the right, then a multiplication."""
+    return comp(1, *[Comp(0, u, Id(A)), m] * n)
+
+
+OPERATIONS = {
+    "normalize": (word, lambda t: M.normalize(t)),
+    "boundary": (word, lambda t: M.boundary(t, SOURCE, 0)),
+    "word_of": (word, lambda t: word_of(t, M)),
+    "stack_of": (stack, lambda t: stack_of(t, M)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+def test_calls_grow_linearly(name):
+    build, op = OPERATIONS[name]
+    small, large = calls(op, build(100)), calls(op, build(200))
+    assert large <= 2.5 * small, (small, large)
+
+
+def test_eq_on_a_300_letter_word():
+    w = word(300)
+    assert eq(w, w, M) is EQ_EQUAL
+    assert eq(w, word(300), M) is EQ_EQUAL
+
+
+def test_700_deep_terms_do_not_hit_the_recursion_limit():
+    w = word(700)
+    # compared through the iterative flatten: == on two distinct 700-deep
+    # terms recurses as deep as they are
+    assert flatten(M.normalize(w), 0) == [A] * 700
+    assert M.boundary(w, SOURCE, 0) == Gen("pt")
+    s = stack_of(stack(350), M)
+    assert s.srcword == (("A", False),)
+    assert len(s.layers) == 700

@@ -83,3 +83,16 @@ def test_globularity_of_constructed_terms():
             M.normalize(M.boundary(g, "source", 0))
         assert M.normalize(M.boundary(s, "target", 0)) == \
             M.normalize(M.boundary(g, "target", 0))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (Comp(1, Gen("A"), Gen("A")), "illegal composition level 1 for dimension 1"),
+    (Comp(0, Id(Gen("pt")), Gen("m")), "composite of unequal dimensions 1 and 2"),
+])
+def test_normalize_raises_where_dim_raises(bad, message):
+    # identity absorption used to swallow these ill-formed composites
+    for push_inv in (True, False):
+        with pytest.raises(TermError, match=message):
+            M.normalize(bad, push_inv)
+    with pytest.raises(TermError, match=message):
+        M.dim(bad)

@@ -1,0 +1,300 @@
+"""Differential oracle for the one-pass term operations.
+
+The reference functions below are the earlier, straightforward versions
+of dim, normalize, top_boundary, boundary, word_of and stack_of: each
+recomputes dim at every composite and normalizes every subterm again, so
+they are quadratic or cubic in the size of a term, but obviously follow
+the definitions.  The program's versions must agree with them on every
+well-formed term, and normalize must raise exactly where dim raises.
+"""
+
+from typing import List
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hopfsmith.mates import walking_retract
+from hopfsmith.rewriting import Atom, Layer, Stack, _cancel_word, stack_of, word_of
+from hopfsmith.terms import (Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
+                             boundary, dim, flatten, identity_core, normalize,
+                             top_boundary)
+from hopfsmith.walking import adj, mnd
+
+PRESENTATIONS = {"mnd": mnd().base, "adj": adj().base,
+                 "walking_retract": walking_retract().presentation}
+
+
+# ---------------------------------------------------------------------------
+# reference code
+
+
+def ref_dim(t, sig):
+    if isinstance(t, Gen):
+        if t.name not in sig.table:
+            raise TermError(f"unknown generator {t.name!r}")
+        return sig.table[t.name][0]
+    if isinstance(t, Id):
+        return ref_dim(t.inner, sig) + 1
+    if isinstance(t, Inv):
+        return ref_dim(t.inner, sig)
+    dl = ref_dim(t.left, sig)
+    dr = ref_dim(t.right, sig)
+    if dl != dr:
+        raise TermError(f"composite of unequal dimensions {dl} and {dr}")
+    if not 0 <= t.k < dl:
+        raise TermError(f"illegal composition level {t.k} for dimension {dl}")
+    return dl
+
+
+def ref_top_boundary(t, side, sig):
+    if isinstance(t, Gen):
+        b = sig.src_of(t.name) if side == SOURCE else sig.tgt_of(t.name)
+        if b is None:
+            raise TermError(f"0-cell {t.name!r} has no boundary")
+        return b
+    if isinstance(t, Id):
+        return t.inner
+    if isinstance(t, Inv):
+        return ref_top_boundary(t.inner, TARGET if side == SOURCE else SOURCE,
+                                sig)
+    d = ref_dim(t, sig)
+    if t.k == d - 1:
+        part = t.left if side == SOURCE else t.right
+        return ref_top_boundary(part, side, sig)
+    return Comp(t.k, ref_top_boundary(t.left, side, sig),
+                ref_top_boundary(t.right, side, sig))
+
+
+def ref_boundary(t, side, k, sig):
+    d = ref_dim(t, sig)
+    if not 0 <= k < d:
+        raise TermError(f"boundary level {k} out of range for dimension {d}")
+    out = t
+    while d > k + 1:
+        out = ref_top_boundary(out, side, sig)
+        d -= 1
+    return ref_top_boundary(out, side, sig)
+
+
+def ref_normalize(t, sig, push_inv=True):
+    """The earlier normalize: absorbs identity factors after checking only
+    the left part's dimension, so it accepts some ill-formed composites."""
+    if isinstance(t, Gen):
+        return t
+    if isinstance(t, Id):
+        return Id(ref_normalize(t.inner, sig, push_inv))
+    if isinstance(t, Inv):
+        inner = ref_normalize(t.inner, sig, push_inv)
+        if not push_inv:
+            if isinstance(inner, Inv):
+                return inner.inner
+            return Inv(inner)
+        return _ref_push_inv(inner)
+    left = ref_normalize(t.left, sig, push_inv)
+    right = ref_normalize(t.right, sig, push_inv)
+    d = ref_dim(left, sig)
+    if identity_core(left)[1] >= d - t.k:
+        return right
+    if identity_core(right)[1] >= d - t.k:
+        return left
+    if isinstance(left, Id) and isinstance(right, Id):
+        return Id(ref_normalize(Comp(t.k, left.inner, right.inner), sig,
+                                push_inv))
+    return Comp(t.k, left, right)
+
+
+def _ref_push_inv(t):
+    if isinstance(t, Inv):
+        return t.inner
+    if isinstance(t, Id):
+        return t
+    if isinstance(t, Comp):
+        return Comp(t.k, _ref_push_inv(t.right), _ref_push_inv(t.left))
+    return Inv(t)
+
+
+def ref_word_of(t, p):
+    t = ref_normalize(t, p.sig)
+    out = []
+    for f in flatten(t, 0):
+        f = ref_normalize(f, p.sig)
+        if isinstance(f, Id):
+            continue
+        if isinstance(f, Gen):
+            out.append((f.name, False))
+        elif isinstance(f, Inv) and isinstance(f.inner, Gen):
+            out.append((f.inner.name, True))
+        else:
+            raise TermError(f"not a 1-cell word factor: {f!r}")
+    return _cancel_word(tuple(out))
+
+
+def ref_stack_of(t, p):
+    t = ref_normalize(t, p.sig)
+    src = ref_word_of(ref_top_boundary(t, SOURCE, p.sig), p)
+    return Stack(src, tuple(_ref_layers_rec(t, 0, p)))
+
+
+def _ref_layers_rec(t, offset, p) -> List[Layer]:
+    t = ref_normalize(t, p.sig)
+    if isinstance(t, Id):
+        return []
+    if isinstance(t, Gen):
+        return [Layer(offset, Atom(t.name, False))]
+    if isinstance(t, Inv):
+        inner = ref_normalize(t.inner, p.sig)
+        if isinstance(inner, Gen):
+            return [Layer(offset, Atom(inner.name, True))]
+        raise TermError(f"Inv not pushed to a leaf: {t!r}")
+    if not isinstance(t, Comp):
+        raise TermError(f"not a 2-cell term: {t!r}")
+    if t.k == 1:
+        return (_ref_layers_rec(t.left, offset, p)
+                + _ref_layers_rec(t.right, offset, p))
+    if t.k == 0:
+        left_tgt = ref_word_of(ref_top_boundary(t.left, TARGET, p.sig), p)
+        return (_ref_layers_rec(t.left, offset, p)
+                + _ref_layers_rec(t.right, offset + len(left_tgt), p))
+    raise TermError(f"composition level {t.k} inside a 2-cell")
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+@st.composite
+def cells(draw, p, d, depth=4):
+    """A term of dimension d over p: dimensions agree at every node, while
+    boundaries need not match.  Whiskering (a composite with an identity
+    on a lower cell) is drawn on its own so that it is common."""
+    gens = sorted(g.name for g in p.gens.values() if g.dim == d)
+    kinds = ["gen"] if gens else []
+    if d >= 1:
+        kinds.append("id")
+    if depth > 0:
+        kinds.append("inv")
+        if d >= 1:
+            kinds += ["comp", "comp", "whisker"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "gen":
+        return Gen(draw(st.sampled_from(gens)))
+    if kind == "id":
+        return Id(draw(cells(p, d - 1, depth - 1)))
+    if kind == "inv":
+        return Inv(draw(cells(p, d, depth - 1)))
+    k = draw(st.integers(0, d - 1))
+    if kind == "comp":
+        return Comp(k, draw(cells(p, d, depth - 1)),
+                    draw(cells(p, d, depth - 1)))
+    # whisker: an identity tower of height d - j over a j-cell, j >= k
+    j = draw(st.integers(k, d - 1))
+    whisker = Id(draw(cells(p, j, 1)))
+    for _ in range(d - 1 - j):
+        whisker = Id(whisker)
+    cell = draw(cells(p, d, depth - 1))
+    return Comp(k, whisker, cell) if draw(st.booleans()) else Comp(k, cell, whisker)
+
+
+@st.composite
+def well_formed(draw, d=None):
+    """A presentation and a term over it, of dimension d when given."""
+    p = PRESENTATIONS[draw(st.sampled_from(sorted(PRESENTATIONS)))]
+    if d is None:
+        d = draw(st.integers(0, max(g.dim for g in p.gens.values())))
+    return p, draw(cells(p, d))
+
+
+def _trees(p):
+    leaves = st.sampled_from(sorted(p.gens) + ["nope"]).map(Gen)
+    return st.tuples(st.just(p), st.recursive(leaves, lambda sub: st.one_of(
+        sub.map(Id), sub.map(Inv),
+        st.builds(Comp, st.integers(-1, 4), sub, sub)), max_leaves=12))
+
+
+# a presentation and a random tree over its generator names and one
+# unknown name, with levels from -1 to 4: mostly ill-formed
+trees = st.one_of([_trees(PRESENTATIONS[name]) for name in sorted(PRESENTATIONS)])
+
+
+def outcome(f, *args):
+    """The result of f, or the type and message of the TermError it raises."""
+    try:
+        return f(*args)
+    except TermError as e:
+        return ("raises", type(e).__name__, str(e))
+
+
+def subterms(t):
+    yield t
+    if isinstance(t, (Id, Inv)):
+        yield from subterms(t.inner)
+    elif isinstance(t, Comp):
+        yield from subterms(t.left)
+        yield from subterms(t.right)
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@settings(max_examples=150)
+@given(well_formed())
+def test_normalize_and_boundaries_match_reference(case):
+    p, t = case
+    sig = p.sig
+    d = ref_dim(t, sig)
+    assert dim(t, sig) == d
+    for push_inv in (True, False):
+        assert normalize(t, sig, push_inv) == ref_normalize(t, sig, push_inv)
+    for side in (SOURCE, TARGET):
+        if d >= 1:
+            assert (outcome(top_boundary, t, side, sig)
+                    == outcome(ref_top_boundary, t, side, sig))
+        for k in range(-1, d + 1):
+            assert (outcome(boundary, t, side, k, sig)
+                    == outcome(ref_boundary, t, side, k, sig))
+
+
+@settings(max_examples=150)
+@given(well_formed())
+def test_normal_forms_are_idempotent_and_closed_under_subterms(case):
+    p, t = case
+    for push_inv in (True, False):
+        n = normalize(t, p.sig, push_inv)
+        assert dim(n, p.sig) == dim(t, p.sig)
+        for s in subterms(n):
+            assert normalize(s, p.sig, push_inv) == s
+
+
+@settings(max_examples=150)
+@given(trees)
+def test_normalize_raises_exactly_where_dim_raises(case):
+    p, t = case
+    sig = p.sig
+    want = outcome(ref_dim, t, sig)
+    assert outcome(dim, t, sig) == want
+    for push_inv in (True, False):
+        got = outcome(normalize, t, sig, push_inv)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got == ref_normalize(t, sig, push_inv)
+
+
+@settings(max_examples=100)
+@given(well_formed(d=2))
+def test_stack_of_matches_reference(case):
+    p, t = case
+    assert outcome(stack_of, t, p) == outcome(ref_stack_of, t, p)
+    for side in (SOURCE, TARGET):
+        b = top_boundary(t, side, p.sig)
+        assert outcome(word_of, b, p) == outcome(ref_word_of, b, p)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_stack_of_matches_reference_on_relations(name):
+    p = PRESENTATIONS[name]
+    for r in p.relations:
+        for t in (r.lhs, r.rhs):
+            if ref_dim(t, p.sig) == 2:
+                assert outcome(stack_of, t, p) == outcome(ref_stack_of, t, p)
