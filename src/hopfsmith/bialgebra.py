@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from . import jsonshape as shape
 from .field import Field, field_from_json
 from .matrix import Matrix, flip_matrix, koszul_matrix
 
@@ -373,11 +374,14 @@ def bialgebra_to_json(B: Bialgebra) -> dict:
 
 
 def bialgebra_from_json(data: dict) -> Bialgebra:
+    """Raises jsonshape.ShapeError when data is not shaped like the output
+    of bialgebra_to_json."""
+    data = shape.obj(data, "bialgebra")
     F = field_from_json(data.get("field"))
-    n = data["dim"]
+    n = shape.get(data, "dim", int, "bialgebra")
 
     def mat(key: str, rows: int, cols: int) -> Matrix:
-        raw = data[key]
+        raw = shape.rows(data, key, "bialgebra")
         if len(raw) != rows or any(len(r) != cols for r in raw):
             raise BialgebraError(f"{key} must be {rows}x{cols}")
         return Matrix.from_rows(F, [[F.parse(str(x)) if isinstance(x, str)
@@ -387,9 +391,9 @@ def bialgebra_from_json(data: dict) -> Bialgebra:
         F, n,
         m=mat("m", n, n * n), u=mat("u", n, 1),
         delta=mat("delta", n * n, n), eps=mat("epsilon", 1, n),
-        grading=tuple(data.get("grading", [0] * n)),
-        braiding=data.get("braiding", FLIP),
-        basis_names=tuple(data.get("basis", [])),
+        grading=tuple(shape.get(data, "grading", list, "bialgebra", [0] * n)),
+        braiding=shape.get(data, "braiding", str, "bialgebra", FLIP),
+        basis_names=tuple(shape.get(data, "basis", list, "bialgebra", [])),
     )
 
 

@@ -16,6 +16,7 @@ import time
 from typing import Dict, List, Optional
 
 from . import bialgebra as ba
+from . import jsonshape as shape
 from . import walking
 from .evaluate import EvalContext, EvaluationError, shear_semantics
 from .field import QQ, FieldError
@@ -235,16 +236,20 @@ def cmd_reconstruct(args, report: Report) -> None:
                      "pass" if rt.flags_agree() else "fail")
         return
     with open(args.family, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    spec = doc["bialgebra"]
+        doc = shape.obj(json.load(fh), "family")
+    spec = shape.get(doc, "bialgebra", (str, dict), "family")
     B = load_bialgebra(spec) if isinstance(spec, str) \
         else ba.bialgebra_from_json(spec)
     members = []
-    for c in doc["comodules"]:
-        rows = [[B.field.parse(str(x)) for x in row] for row in c["rho"]]
-        members.append(Comodule(B, c["dim"],
-                               Matrix.from_rows(B.field, rows)))
-    fam = GeneratingFamily(members, depth=doc.get("depth", args.depth))
+    for i, c in enumerate(shape.get(doc, "comodules", list, "family")):
+        where = f"comodule {i}"
+        c = shape.obj(c, where)
+        rows = [[B.field.parse(str(x)) for x in row]
+                for row in shape.rows(c, "rho", where)]
+        members.append(Comodule(B, shape.get(c, "dim", int, where),
+                                Matrix.from_rows(B.field, rows)))
+    fam = GeneratingFamily(members, depth=shape.get(doc, "depth", int,
+                                                    "family", args.depth))
     res = coend_reconstruct(fam, reference=B)
     report.payload["verdict"] = res.verdict
     report.payload["coend_dim"] = res.bialgebra.n
@@ -343,7 +348,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = Report(["hopfsmith"] + list(argv), timing=not args.no_timing)
     try:
         args.run(args, report)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, shape.ShapeError) as e:
         print(f"hopfsmith: {e}", file=sys.stderr)
         return USAGE_EXIT
     except (TermError, FieldError, ba.BialgebraError, ClosureError,

@@ -306,7 +306,7 @@ Field = Union[RationalField, NumberField]
 def field_from_json(data) -> Field:
     if data == "Q" or data is None:
         return QQ
-    if isinstance(data, dict) and "ext" in data:
+    if isinstance(data, dict) and isinstance(data.get("ext"), str):
         return number_field_from_text(data["ext"])
     raise FieldError(f"unknown field description {data!r}")
 

@@ -1,0 +1,71 @@
+"""Shape checks for JSON inputs.
+
+A reader asks for each key with the JSON types it accepts; a missing key
+or a value of another type raises one ShapeError that names the place,
+the key and the type, instead of the KeyError or TypeError the reader
+would hit further on.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Tuple, Type, Union
+
+_MISSING = object()
+
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", float: "a number", bool: "a boolean",
+               type(None): "null"}
+
+
+class ShapeError(ValueError):
+    """JSON input of the wrong shape: a missing key or a wrong type."""
+
+
+def _name(value) -> str:
+    return _JSON_NAMES.get(type(value), type(value).__name__)
+
+
+def _is(value, types: Tuple[type, ...]) -> bool:
+    # JSON true and false are not integers
+    if isinstance(value, bool) and bool not in types:
+        return False
+    return isinstance(value, types)
+
+
+def obj(data, where: str) -> dict:
+    """data itself, which must be a JSON object."""
+    if not isinstance(data, dict):
+        raise ShapeError(f"{where}: expected an object, got {_name(data)}")
+    return data
+
+
+def get(data: dict, key: str, types: Union[Type, Tuple[Type, ...]],
+        where: str, default: Any = _MISSING):
+    """data[key], which must have one of the given types; default when
+    the key is absent and a default is given."""
+    if key not in data:
+        if default is _MISSING:
+            raise ShapeError(f"{where}: missing key {key!r}")
+        return default
+    value = data[key]
+    types = types if isinstance(types, tuple) else (types,)
+    if not _is(value, types):
+        want = " or ".join(_JSON_NAMES[t] for t in types)
+        raise ShapeError(f"{where}: {key!r} must be {want}, "
+                         f"got {_name(value)}")
+    return value
+
+
+def rows(data: dict, key: str, where: str) -> list:
+    """data[key], which must be an array of arrays of strings and
+    numbers."""
+    value = get(data, key, list, where)
+    for i, row in enumerate(value):
+        if not isinstance(row, list):
+            raise ShapeError(f"{where}: row {i} of {key!r} must be an "
+                             f"array, got {_name(row)}")
+        for x in row:
+            if not _is(x, (str, int, float)):
+                raise ShapeError(f"{where}: an entry of {key!r} is "
+                                 f"{_name(x)}")
+    return value

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from . import jsonshape as shape
 from .terms import (CellTerm, Gen, Signature, SOURCE, TARGET, TermError,
                     boundary, dim, generators, normalize, parse_term,
                     print_term, top_boundary)
@@ -137,14 +138,28 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Presentation":
-        p = cls(max_dim=data["maxDim"])
-        for g in data["generators"]:
-            p.add(g["name"], g["dim"],
-                  parse_term(g["src"]) if g.get("src") else None,
-                  parse_term(g["tgt"]) if g.get("tgt") else None,
+        """Raises jsonshape.ShapeError when data is not shaped like the
+        output of to_json."""
+        data = shape.obj(data, "presentation")
+        p = cls(max_dim=shape.get(data, "maxDim", int, "presentation"))
+        for i, g in enumerate(shape.get(data, "generators", list,
+                                        "presentation")):
+            where = f"generator {i}"
+            g = shape.obj(g, where)
+            src, tgt = (shape.get(g, side, (str, type(None)), where, None)
+                        for side in ("src", "tgt"))
+            p.add(shape.get(g, "name", str, where),
+                  shape.get(g, "dim", int, where),
+                  parse_term(src) if src else None,
+                  parse_term(tgt) if tgt else None,
                   bool(g.get("invertible", False)))
-        for r in data.get("relations", []):
-            p.relate(r["dim"], parse_term(r["lhs"]), parse_term(r["rhs"]),
+        for i, r in enumerate(shape.get(data, "relations", list,
+                                        "presentation", [])):
+            where = f"relation {i}"
+            r = shape.obj(r, where)
+            p.relate(shape.get(r, "dim", int, where),
+                     parse_term(shape.get(r, "lhs", str, where)),
+                     parse_term(shape.get(r, "rhs", str, where)),
                      bool(r.get("oriented", False)))
         return p
 

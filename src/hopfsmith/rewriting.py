@@ -4,9 +4,10 @@ The decision procedure is dimension-stratified and deliberately partial:
 
   dim 0   generator names
   dim 1   free words in the 1-generators modulo oriented 1-rules
-  dim 2   layered interchange normal form: a 2-cell is decomposed into
-          layers, one whiskered atom each; whisker-disjoint layers slide
-          past each other toward a canonical order; oriented 2-relations
+  dim 2   layered interchange: a 2-cell is decomposed into layers, one
+          whiskered atom each; whisker-disjoint layers slide past each
+          other into a greedy firing order (not a normal form, so single
+          slides stay search moves); oriented 2-relations
           and formal-inverse cancellation are applied by a bounded search
           from the first side, then from the second side until it
           reaches a state the first side reached
@@ -242,10 +243,6 @@ def slide(a: Layer, b: Layer, p: Presentation) -> Optional[Tuple[Layer, Layer]]:
     return variants[0] if variants else None
 
 
-def _layer_key(layer: Layer):
-    return (layer.atom.name, layer.atom.inverted, layer.offset)
-
-
 def slide_left(block: Sequence[Layer], layer: Layer,
                p: Presentation) -> Optional[Tuple[Layer, List[Layer]]]:
     """Slide a layer that fires right after the layers of block so that it
@@ -279,22 +276,35 @@ def _slide_right(layer: Layer, block: Sequence[Layer],
 
 
 def canonical_stack(stack: Stack, p: Presentation) -> Stack:
-    """Normal form under interchange: the lexicographically least firing
-    order, computed greedily by always emitting the least (name, position)
-    layer among those that can slide to the front."""
+    """A fixed firing order under interchange, computed greedily: each
+    round emits the least (name, inverted, offset) layer among those that
+    can slide to the front, the first such index on a tie, with its
+    offset as shifted by the slide.  This is not a normal form: two
+    orders equal by interchange can end in different stacks (the
+    free-interchange-pair probe of perfbench/workloads.py).
+
+    Candidates are tried in order of (atom name, inverted, index), and a
+    round stops after the first atom class with a member that slides to
+    the front: a slide keeps the atom, so every later class has a larger
+    key.  Emitting a layer keeps the order of the rest, so the sorted
+    candidates are kept from round to round."""
     layers = list(stack.layers)
+    order = sorted(range(len(layers)), key=lambda i: (
+        layers[i].atom.name, layers[i].atom.inverted, i))
     out: List[Layer] = []
     while layers:
         best = None
-        for i in range(len(layers)):
+        for i in order:
+            if best is not None and layers[i].atom != best[0].atom:
+                break
             got = slide_left(layers[:i], layers[i], p)
-            if got is None:
-                continue
-            if best is None or _layer_key(got[0]) < _layer_key(best[0]):
-                best = (got[0], got[1] + layers[i + 1:])
+            if got is not None and (best is None
+                                    or got[0].offset < best[0].offset):
+                best, k = got, i
         assert best is not None  # i = 0 always slides
         out.append(best[0])
-        layers = best[1]
+        layers = best[1] + layers[k + 1:]
+        order = [i - (i > k) for i in order if i != k]
     return Stack(stack.srcword, tuple(out))
 
 
@@ -314,11 +324,19 @@ def _pair_cancels(a: Layer, b: Layer, p: Presentation) -> bool:
 
 def _cancellations(stack: Stack, p: Presentation) -> List[Stack]:
     """All single removals of an inverse pair of layers, sliding intervening
-    disjoint layers out of the way in either direction."""
+    disjoint layers out of the way in either direction.  A slide keeps the
+    atom, so only pairs whose atoms are inverse to each other are tried;
+    a stack without such a pair is answered without any slide."""
     out: List[Stack] = []
     layers = stack.layers
+    atoms = {layer.atom for layer in layers}
+    if not any(a.inverse() in atoms for a in atoms):
+        return out
     for i in range(len(layers)):
+        inverse = layers[i].atom.inverse()
         for j in range(i + 1, len(layers)):
+            if layers[j].atom != inverse:
+                continue
             block = layers[i + 1:j]
             # slide layers[j] leftward until adjacent to layers[i]
             got = slide_left(block, layers[j], p)
@@ -387,7 +405,8 @@ def _match_rule(stack: Stack, rule: LayerRule, p: Presentation,
 
 def _try_window(stack: Stack, i: int, rule: LayerRule, p: Presentation):
     """Try to apply the rule with its first layer matched at index i,
-    pulling later rule layers adjacent by legal slides."""
+    pulling later rule layers adjacent by legal slides.  A slide keeps the
+    atom, so only layers with the wanted atom are slid."""
     layers = list(stack.layers)
     first = layers[i]
     if (first.atom != rule.lhs[0].atom):
@@ -404,6 +423,8 @@ def _try_window(stack: Stack, i: int, rule: LayerRule, p: Presentation):
     for pos, r in enumerate(rule.lhs[1:], i):
         want = Layer(r.offset + shift, r.atom)
         for j in range(pos + 1, len(layers)):
+            if layers[j].atom != want.atom:
+                continue
             got = slide_left(layers[pos + 1:j], layers[j], p)
             if got is not None and got[0] == want:
                 break
@@ -518,16 +539,20 @@ def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
         sb = stack_of(b, p)
     except TermError:
         return EQ_UNKNOWN
-    ca = canonical_stack(_cancel_inverses(sa, p), p)
-    cb = canonical_stack(_cancel_inverses(sb, p), p)
+    xa, xb = _cancel_inverses(sa, p), _cancel_inverses(sb, p)
+    ca, cb = canonical_stack(xa, p), canonical_stack(xb, p)
     if ca == cb:
         return EQ_EQUAL
     rules = _layer_rules(p)
     step = lambda s: _stack_successors(s, rules, p, budget)
-    seen_a, done_a = _explore(canonical_stack(sa, p), step, budget, {cb})
+    # with nothing cancelled, the search starts from the stack already
+    # canonicalized
+    start_a = ca if xa is sa else canonical_stack(sa, p)
+    seen_a, done_a = _explore(start_a, step, budget, {cb})
     if cb in seen_a:
         return EQ_EQUAL
-    seen_b, done_b = _explore(canonical_stack(sb, p), step, budget, seen_a)
+    start_b = cb if xb is sb else canonical_stack(sb, p)
+    seen_b, done_b = _explore(start_b, step, budget, seen_a)
     if not seen_a.keys().isdisjoint(seen_b):
         return EQ_EQUAL
     if done_a and done_b:

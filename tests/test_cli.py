@@ -161,3 +161,51 @@ def test_exit_code_contract():
     assert r.exit_code() == 2
     r.check("c", "fail")
     assert r.exit_code() == 1
+
+
+def _qz2_json():
+    from hopfsmith.bialgebra import bialgebra_to_json
+    from hopfsmith.fixtures import standard_fixtures
+    return bialgebra_to_json(standard_fixtures()["QZ2"])
+
+
+MALFORMED = [
+    ("census", {"maxDim": 2}, "'generators'"),
+    ("census", {"maxDim": 1, "generators": [{"dim": 0}]}, "'name'"),
+    ("census", [1, 2], "an array"),
+    ("census", {"maxDim": 1, "generators": [{"name": "x", "dim": "0"}]},
+     "'dim'"),
+    ("shear-check", {"dim": 2}, "'m'"),
+    ("antipode", {"dim": 2}, "'m'"),
+    ("antipode", {"dim": 1, "m": [1]}, "row 0 of 'm'"),
+    ("reconstruct", "family-without-comodules", "'comodules'"),
+    ("reconstruct", "comodule-without-rho", "'rho'"),
+]
+
+
+@pytest.mark.parametrize("command, doc, named", MALFORMED)
+def test_malformed_json_exit_64(tmp_path, capsys, command, doc, named):
+    """A wrong shape is a usage error: one stderr line naming the key or
+    type, exit 64, no traceback."""
+    if doc == "family-without-comodules":
+        doc = {"bialgebra": _qz2_json(), "depth": 2}
+    elif doc == "comodule-without-rho":
+        doc = {"bialgebra": _qz2_json(), "comodules": [{"dim": 2}]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["--json", "--no-timing", command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 64 and out == ""
+    assert err.startswith("hopfsmith: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_field_with_non_string_modulus_is_a_fail_line(tmp_path):
+    doc = dict(_qz2_json(), field={"ext": 5})
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["--json", "--no-timing", "antipode", str(path)])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks[-1]["status"] == "fail"
+    assert "unknown field description" in checks[-1]["witness"]
