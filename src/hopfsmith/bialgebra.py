@@ -5,6 +5,9 @@ integrals.
 Index convention: the basis of B (x) B is ordered (i, j) |-> i*n + j.
 Braidings supported: the flip, and the Koszul sign rule for Z/2-graded
 spaces; both are involutions, so no separate inverse braiding is kept.
+Composites apply each structure map to its tensor slots with
+`Matrix.whisker` and each braiding with `Matrix.braid`, so no Kronecker
+product by an identity is formed.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from . import jsonshape as shape
 from .field import Field, field_from_json
-from .matrix import Matrix, flip_matrix, koszul_matrix
+from .matrix import Matrix, koszul_matrix
 
 FLIP = "flip"
 SUPER = "super"
@@ -63,10 +66,14 @@ class Bialgebra:
     def id_n(self) -> Matrix:
         return Matrix.identity(self.field, self.n)
 
+    @property
+    def parities(self) -> Tuple[int, ...]:
+        """The parities the braiding signs by: the grading under the Koszul
+        rule, all even under the flip."""
+        return self.grading if self.braiding == SUPER else (0,) * self.n
+
     def br(self) -> Matrix:
-        if self.braiding == SUPER:
-            return koszul_matrix(self.field, self.grading, self.grading)
-        return flip_matrix(self.field, self.n, self.n)
+        return koszul_matrix(self.field, self.parities, self.parities)
 
 
 @dataclass
@@ -78,7 +85,7 @@ class AxiomReport:
 
 def check_bialgebra(B: Bialgebra) -> List[AxiomReport]:
     """All axioms, exactly; a failing axiom carries a witness coordinate."""
-    F = B.field
+    F, n, p = B.field, B.n, B.parities
     I = B.id_n
     out: List[AxiomReport] = []
 
@@ -93,14 +100,14 @@ def check_bialgebra(B: Bialgebra) -> List[AxiomReport]:
         out.append(AxiomReport(name, False, f"entry {where}"))
 
     m, u, d, e = B.m, B.u, B.delta, B.eps
-    cmp("associativity", m @ m.kron(I), m @ I.kron(m))
-    cmp("unit_left", m @ u.kron(I), I)
-    cmp("unit_right", m @ I.kron(u), I)
-    cmp("coassociativity", d.kron(I) @ d, I.kron(d) @ d)
-    cmp("counit_left", e.kron(I) @ d, I)
-    cmp("counit_right", I.kron(e) @ d, I)
-    mid = I.kron(B.br()).kron(I)
-    cmp("bialgebra_axiom", m.kron(m) @ mid @ d.kron(d), d @ m)
+    cmp("associativity", m @ m.whisker(1, n), m @ m.whisker(n, 1))
+    cmp("unit_left", m @ u.whisker(1, n), I)
+    cmp("unit_right", m @ u.whisker(n, 1), I)
+    cmp("coassociativity", d.whisker(1, n) @ d, d.whisker(n, 1) @ d)
+    cmp("counit_left", e.whisker(1, n) @ d, I)
+    cmp("counit_right", e.whisker(n, 1) @ d, I)
+    # (m (x) m)(id (x) br (x) id)(d (x) d): the braiding relabels d (x) d
+    cmp("bialgebra_axiom", m.kron(m) @ d.kron(d).braid(n, p, p, n), d @ m)
     cmp("comult_unit", d @ u, u.kron(u))
     cmp("counit_mult", e @ m, e.kron(e))
     cmp("counit_unit", e @ u, Matrix.identity(F, 1))
@@ -141,16 +148,15 @@ def shear(B: Bialgebra, which: str) -> Matrix:
     """The four composites of one comultiplication and one multiplication
     on B (x) B; the letter names the direction the exchanged factor
     travels under the quadrant identification."""
-    I = B.id_n
-    br = B.br()
+    n, p, m, d = B.n, B.parities, B.m, B.delta
     if which == SE:
-        return I.kron(B.m) @ B.delta.kron(I)
+        return m.whisker(n, 1) @ d.whisker(1, n)
     if which == NW:
-        return B.m.kron(I) @ I.kron(B.delta)
+        return m.whisker(1, n) @ d.whisker(n, 1)
     if which == NE:
-        return B.m.kron(I) @ I.kron(br) @ B.delta.kron(I)
+        return m.whisker(1, n) @ d.whisker(1, n).braid(n, p, p, 1)
     if which == SW:
-        return I.kron(B.m) @ br.kron(I) @ I.kron(B.delta)
+        return m.whisker(n, 1) @ d.whisker(n, 1).braid(1, p, p, n)
     raise BialgebraError(f"unknown shear direction {which!r}")
 
 
@@ -186,15 +192,15 @@ def antipode(B: Bialgebra) -> HopfData:
     sh = shear(B, SE)
     if not sh.is_invertible():
         raise NoAntipode(sh.nullspace())
-    I = B.id_n
+    n = B.n
     sh_inv = sh.inverse()
-    S = B.eps.kron(I) @ sh_inv @ I.kron(B.u)
-    conv_l = B.m @ S.kron(I) @ B.delta
-    conv_r = B.m @ I.kron(S) @ B.delta
+    S = B.eps.whisker(1, n) @ sh_inv @ B.u.whisker(n, 1)
+    conv_l = B.m @ S.whisker(1, n) @ B.delta
+    conv_r = B.m @ S.whisker(n, 1) @ B.delta
     ue = B.u @ B.eps
     if conv_l != ue or conv_r != ue:
         raise BialgebraError("antipode candidate fails the convolution axioms")
-    undo = I.kron(B.m) @ I.kron(S).kron(I) @ B.delta.kron(I)
+    undo = B.m.whisker(n, 1) @ S.whisker(n, n) @ B.delta.whisker(1, n)
     if undo != sh_inv:
         raise BialgebraError("antipode does not invert the shear")
     S_inv = S.inverse() if is_cohopf(B) else None
@@ -206,7 +212,6 @@ def convolution_inverse(B: Bialgebra) -> Optional[Matrix]:
     equations m(T (x) id)delta = u.eps = m(id (x) T)delta as a linear
     system in the entries of T."""
     F, n = B.field, B.n
-    I = B.id_n
     rows: List[List] = []
     rhs: List[List] = []
     ue = B.u @ B.eps
@@ -315,22 +320,21 @@ def antipode_from_integrals(B: Bialgebra,
     if data.normalized_integral is None:
         raise IntegralConditionError(
             "integral and cointegral spaces must be lines with nonzero pairing")
-    F, n = B.field, B.n
-    I = B.id_n
+    n, p = B.n, B.parities
     lam = data.normalized_integral
     coint = data.normalized_cointegral
     dl = B.delta @ coint         # n^2 x 1, the split cointegral
     if B.braiding == SUPER:
         deg_int = _functional_parity(B, lam)
-        br = koszul_matrix(F, [(g + deg_int) % 2 for g in B.grading],
-                           B.grading)
+        shifted = [(g + deg_int) % 2 for g in p]
     else:
-        br = flip_matrix(F, n, n)
-    step1 = dl.kron(I)           # h |-> Lam1 (x) Lam2 (x) h
-    step2 = I.kron(br)           # braid h past Lam2 and the value line
-    step3 = I.kron(B.m)          # multiply h with Lam2
-    step4 = I.kron(lam)          # evaluate the integral
-    return step4 @ step3 @ step2 @ step1
+        shifted = p
+    step1 = dl.whisker(1, n)     # h |-> Lam1 (x) Lam2 (x) h
+    # braid h past Lam2 and the value line: Lam1 (x) h (x) Lam2
+    step2 = step1.braid(n, shifted, p, 1)
+    step3 = B.m.whisker(n, 1)    # multiply h with Lam2
+    step4 = lam.whisker(n, 1)    # evaluate the integral
+    return step4 @ step3 @ step2
 
 
 def _functional_parity(B: Bialgebra, lam: Matrix) -> int:

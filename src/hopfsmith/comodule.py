@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .bialgebra import Bialgebra, HopfData
-from .matrix import Matrix, flip_matrix
+from .matrix import Matrix
 
 
 class ComoduleError(ValueError):
@@ -35,12 +35,11 @@ class Comodule:
         """Names of failing comodule axioms (empty when valid)."""
         B = self.bialgebra
         n, d = B.n, self.d
-        I_d = Matrix.identity(B.field, d)
-        I_n = Matrix.identity(B.field, n)
         out = []
-        if B.delta.kron(I_d) @ self.rho != I_n.kron(self.rho) @ self.rho:
+        if B.delta.whisker(1, d) @ self.rho != \
+                self.rho.whisker(n, 1) @ self.rho:
             out.append("coassociativity")
-        if B.eps.kron(I_d) @ self.rho != I_d:
+        if B.eps.whisker(1, d) @ self.rho != Matrix.identity(B.field, d):
             out.append("counit")
         return out
 
@@ -86,14 +85,11 @@ def tensor_comodule(M: Comodule, N: Comodule) -> Comodule:
     """Codiagonal coaction: multiply the two H-legs after pulling the
     second one across the first module factor."""
     B = M.bialgebra
-    F, n = B.field, B.n
-    dm, dn = M.d, N.d
-    swap = flip_matrix(F, dm, n)  # (M, H) -> (H, M)
-    I_n, I_dm, I_dn = (Matrix.identity(F, k) for k in (n, dm, dn))
+    n, dm, dn = B.n, M.d, N.d
     both = M.rho.kron(N.rho)                       # (H M H N) from (M N)
-    rearrange = I_n.kron(swap).kron(I_dn)          # (H H M N)
-    mul = B.m.kron(I_dm).kron(I_dn)
-    return Comodule(B, dm * dn, mul @ rearrange @ both)
+    # flip (M, H) -> (H, M): (H H M N)
+    rearranged = both.braid(n, (0,) * dm, (0,) * n, dn)
+    return Comodule(B, dm * dn, B.m.whisker(1, dm * dn) @ rearranged)
 
 
 def dual_comodule(M: Comodule, hopf: Optional[HopfData] = None) -> Comodule:
@@ -105,9 +101,8 @@ def dual_comodule(M: Comodule, hopf: Optional[HopfData] = None) -> Comodule:
     if hopf.bialgebra != M.bialgebra:
         raise ComoduleError("antipode belongs to a different bialgebra")
     B = M.bialgebra
-    I_d = Matrix.identity(B.field, M.d)
     rho_t = _coefficient_transpose(M)
-    return Comodule(B, M.d, hopf.S.kron(I_d) @ rho_t)
+    return Comodule(B, M.d, hopf.S.whisker(1, M.d) @ rho_t)
 
 
 def _coefficient_transpose(M: Comodule) -> Matrix:

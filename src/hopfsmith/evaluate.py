@@ -162,17 +162,14 @@ def _junction(a2: CellTerm, b2: CellTerm, ctx: EvalContext,
             "evaluate the uncollapsed diagram instead")
     total = _count_cross(sa)
     out = Matrix.identity(F, n ** total)
-    br = B.br()
+    p = B.parities
     for config, pos in swaps:
         x, y = config[pos], config[pos + 1]
         if x.atom.name == CROSSING and y.atom.name == CROSSING:
             below = sum(1 for l in config[:pos] if l.atom.name == CROSSING)
             # factors are read top-down: slot 0 is the topmost crossing
             slot = total - 2 - below
-            step = Matrix.identity(F, n ** slot)
-            step = step.kron(br)
-            step = step.kron(Matrix.identity(F, n ** (total - 2 - slot)))
-            out = step @ out
+            out = out.braid(n ** slot, p, p, n ** (total - 2 - slot))
     return out
 
 

@@ -218,22 +218,33 @@ class NumberField:
 
     # -- arithmetic -----------------------------------------------------
 
+    # Operands that are already elements of this field are used as they
+    # are; otherwise both go through __call__, which converts an int,
+    # Fraction or str and refuses an element of another field.
+
     def add(self, a, b):
-        a, b = self(a), self(b)
+        if not (type(a) is type(b) is NumberFieldElement
+                and a.field is b.field is self):
+            a, b = self(a), self(b)
         return NumberFieldElement(self, tuple(x + y for x, y in
                                               zip(a.coeffs, b.coeffs)))
 
     def sub(self, a, b):
-        a, b = self(a), self(b)
+        if not (type(a) is type(b) is NumberFieldElement
+                and a.field is b.field is self):
+            a, b = self(a), self(b)
         return NumberFieldElement(self, tuple(x - y for x, y in
                                               zip(a.coeffs, b.coeffs)))
 
     def neg(self, a):
-        a = self(a)
+        if type(a) is not NumberFieldElement or a.field is not self:
+            a = self(a)
         return NumberFieldElement(self, tuple(-x for x in a.coeffs))
 
     def mul(self, a, b):
-        a, b = self(a), self(b)
+        if not (type(a) is type(b) is NumberFieldElement
+                and a.field is b.field is self):
+            a, b = self(a), self(b)
         terms = [(j, y) for j, y in enumerate(b.coeffs) if y]
         out = [_ZERO] * (2 * self.degree - 1)
         for i, x in enumerate(a.coeffs):
@@ -267,7 +278,9 @@ class NumberField:
         return self._make([x / c for x in s0])
 
     def is_zero(self, a) -> bool:
-        return not any(self(a).coeffs)
+        if type(a) is not NumberFieldElement or a.field is not self:
+            a = self(a)
+        return not any(a.coeffs)
 
     # -- text -----------------------------------------------------------
 

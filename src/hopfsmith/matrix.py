@@ -7,8 +7,16 @@ equality and hashing compare the maps directly.  Sums, products,
 Kronecker products and elimination visit stored entries only, which
 keeps the structure tensors, braidings and their tensor powers (almost
 all zeros) cheap.  The maps are private and never mutated once a matrix
-owns them, so matrices may share rows.  `m[i, j]`, `row(i)` and `data`
-read the entries densely, with the field's zero filled in.
+owns them, so matrices may share rows and entries.  `m[i, j]`, `row(i)`
+and `data` read the entries densely, with the field's zero filled in.
+
+Maps applied to one tensor slot and braidings of two adjacent slots are
+index arithmetic, not products.  `whisker(l, r)` is I_l (x) A (x) I_r
+built from A's own entries, and `braid` composes a matrix with a
+whiskered flip or Koszul braiding by relabelling its rows, negating the
+rows whose two braided factors are both odd.  Neither makes a
+multiplication; `kron` is for the tensor products that are results in
+their own right, such as m (x) m.
 
 Everything is exact, and every scalar operation goes through the field's
 methods, so Q and Q[x]/(f) share this code.  Rank, nullspace, solve,
@@ -191,6 +199,51 @@ class Matrix:
                              for l, b in theirs} or _EMPTY)
         return Matrix._of(self.field, self.rows * other.rows,
                           self.cols * width, maps)
+
+    def whisker(self, left: int, right: int) -> "Matrix":
+        """I_left (x) self (x) I_right.  Row (a, i, b) is
+        a*rows*right + i*right + b, and columns likewise; the entries are
+        self's own objects, and no scalar operation is made."""
+        if left == right == 1:
+            return self
+        width = self.cols * right
+        shifted = [tuple((j * right, x) for j, x in m.items())
+                   for m in self._maps]
+        maps = []
+        for a in range(left):
+            base = a * width
+            for row in shifted:
+                for b in range(right):
+                    maps.append({base + b + j: x for j, x in row} or _EMPTY)
+        return Matrix._of(self.field, left * self.rows * right,
+                          left * width, maps)
+
+    def braid(self, left: int, deg_a: Sequence[int], deg_b: Sequence[int],
+              right: int) -> "Matrix":
+        """(I_left (x) s (x) I_right) @ self, where s: A (x) B -> B (x) A
+        is the braiding with the Koszul sign of the parities deg_a, deg_b
+        (the flip when either side is all even), as koszul_matrix builds
+        it.  Output row (l, j, i, r) is row (l, i, j, r) of self, negated
+        when deg_a[i] and deg_b[j] are both odd; only `neg` is called."""
+        n, m = len(deg_a), len(deg_b)
+        if self.rows != left * n * m * right:
+            raise ValueError(f"braiding of {left}*{n}*{m}*{right} rows "
+                             f"applied to {self.rows} rows")
+        neg = self.field.neg
+        odd_a = [g % 2 for g in deg_a]
+        odd_b = [g % 2 for g in deg_b]
+        src = self._maps
+        maps = []
+        for l in range(left):
+            for j in range(m):
+                for i in range(n):
+                    start = ((l * n + i) * m + j) * right
+                    rows = src[start:start + right]
+                    if odd_a[i] and odd_b[j]:
+                        rows = [{k: neg(x) for k, x in row.items()} or _EMPTY
+                                for row in rows]
+                    maps.extend(rows)
+        return Matrix._of(self.field, self.rows, self.cols, maps)
 
     def transpose(self) -> "Matrix":
         cols: List[Dict[int, object]] = [{} for _ in range(self.cols)]

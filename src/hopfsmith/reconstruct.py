@@ -91,9 +91,8 @@ def _resolve_via_shear(family: GeneratingFamily, P: Comodule,
     if not phi.is_invertible():
         return None
     # verify the intertwining identity before trusting it
-    I_n = Matrix.identity(F, n)
-    rho_first = B.delta.kron(I_n)
-    if rho_first @ phi != I_n.kron(phi) @ P.rho:
+    rho_first = B.delta.whisker(1, n)
+    if rho_first @ phi != phi.whisker(n, 1) @ P.rho:
         return None
     inv = phi.inverse()
     iotas, pis = [], []

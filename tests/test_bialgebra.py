@@ -22,6 +22,14 @@ def test_all_fixtures_pass_axioms():
         assert is_valid_bialgebra(B), name
 
 
+def test_br_is_the_braiding_that_braid_applies():
+    for name, B in FX.items():
+        p = B.parities
+        assert B.br() @ B.delta == B.delta.braid(1, p, p, 1), name
+    assert FX["superline"].parities == FX["superline"].grading
+    assert FX["QS3"].parities == (0,) * 6
+
+
 def test_corrupted_delta_fails_with_witness():
     bad = corrupted_delta(FX["QZ2"])
     failing = [r for r in check_bialgebra(bad) if not r.holds]

@@ -22,6 +22,21 @@ def test_number_field_cube_roots():
     assert F.is_zero(F.add(F.add(F.one, w), F.mul(w, w)))
 
 
+def test_number_field_operands():
+    # rationals and text are converted, elements of another field refused
+    F = number_field_from_text("x^2+x+1")
+    G = number_field_from_text("x^2+1")
+    w = F.gen
+    assert F.add(1, "1/2*x") == F.add(F.one, F.mul(Fraction(1, 2), w))
+    assert F.sub(w, w) == 0 and F.neg("x") == F.mul(-1, w)
+    assert F.is_zero(0) and not F.is_zero(Fraction(1, 3))
+    for op in (lambda: F.add(G.gen, w), lambda: F.sub(w, G.gen),
+               lambda: F.mul(w, G.gen), lambda: F.neg(G.gen),
+               lambda: F.is_zero(G.gen)):
+        with pytest.raises(FieldError, match="different field"):
+            op()
+
+
 def test_number_field_parse_show():
     F = number_field_from_text("x^2+1")
     e = F.parse("1/2*x - 3")

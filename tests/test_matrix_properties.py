@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfsmith.field import FieldError, QQ, number_field_from_text
-from hopfsmith.matrix import Matrix
+from hopfsmith.matrix import Matrix, flip_matrix, koszul_matrix
 
 EXT = number_field_from_text("x^2+x+1")
 FIELDS = pytest.mark.parametrize("F", [QQ, EXT], ids=["Q", "ext"])
@@ -77,6 +77,10 @@ def o_matmul(F, a, b, inner, cols):
 
 def o_kron(F, a, b):
     return [[F.mul(x, y) for x in ra for y in rb] for ra in a for rb in b]
+
+
+def eye(F, n):
+    return [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
 
 
 def o_rref(F, a, cols):
@@ -158,6 +162,78 @@ def test_kron(F, data):
           c1 * c2, o_kron(F, a, b))
 
 
+def whiskered(F, left, A, right):
+    """I_left (x) A (x) I_right, materialized with kron."""
+    return Matrix.identity(F, left).kron(A).kron(Matrix.identity(F, right))
+
+
+def same(got, want):
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got == want and hash(got) == hash(want)
+    assert got.data == want.data
+
+
+@FIELDS
+@given(data=st.data())
+def test_whisker_is_kron_by_identities(F, data):
+    r, c = dims(data, high=3), dims(data, 1, 3)
+    left, right = dims(data, 1, 3), dims(data, 1, 3)
+    a = dense(data, F, r, c)
+    if r and data.draw(st.booleans()):
+        a[data.draw(st.integers(0, r - 1))] = [F.zero] * c
+    A = build(F, r, c, a)
+    for l, rt in ((left, right), (left, 1), (1, right), (1, 1)):
+        got = A.whisker(l, rt)
+        same(got, whiskered(F, l, A, rt))
+        check(F, got, l * r * rt, l * c * rt,
+              o_kron(F, o_kron(F, eye(F, l), a), eye(F, rt)))
+
+
+@FIELDS
+def test_whisker_of_a_wide_matrix_with_a_zero_row(F):
+    A = Matrix.from_rows(F, [[0, 0, 0], [1, F(Fraction(1, 2)), 0]])
+    same(A.whisker(2, 3), whiskered(F, 2, A, 3))
+    same(A.whisker(1, 2), whiskered(F, 1, A, 2))
+    assert A.whisker(1, 1) is A
+
+
+def parities(data, n):
+    return data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+
+
+@FIELDS
+@given(data=st.data())
+def test_braid_is_product_with_braiding(F, data):
+    n, m = dims(data, 1, 3), dims(data, 1, 3)
+    left, right = dims(data, 1, 2), dims(data, 1, 2)
+    deg_a, deg_b = parities(data, n), parities(data, m)
+    rows, c = left * n * m * right, dims(data, 0, 3)
+    x = build(F, rows, c, dense(data, F, rows, c))
+    y = build(F, c, rows, dense(data, F, c, rows))
+    koszul = whiskered(F, left, koszul_matrix(F, deg_a, deg_b), right)
+    # on the left: relabel rows; on the right: the transpose of the
+    # braiding is the braiding with the two sides exchanged
+    same(x.braid(left, deg_a, deg_b, right), koszul @ x)
+    same(y.transpose().braid(left, deg_b, deg_a, right).transpose(),
+         y @ koszul)
+    flip = whiskered(F, left, flip_matrix(F, n, m), right)
+    even_a, even_b = (0,) * n, (0,) * m
+    same(x.braid(left, even_a, even_b, right), flip @ x)
+    same(y.transpose().braid(left, even_b, even_a, right).transpose(),
+         y @ flip)
+
+
+def test_braid_signs_follow_both_parities():
+    # rows (i, j) of a 2 (x) 2 space with parities (0, 1) on both sides:
+    # only (1, 1) is odd twice, and (0, 1) and (1, 0) trade places
+    F = QQ
+    x = Matrix.from_rows(F, [[1], [2], [3], [4]])
+    got = x.braid(1, (0, 1), (0, 1), 1)
+    assert got == Matrix.from_rows(F, [[1], [3], [2], [-4]])
+    with pytest.raises(ValueError):
+        x.braid(1, (0, 1), (0,), 1)
+
+
 @FIELDS
 @given(data=st.data())
 def test_transpose_and_hstack(F, data):
@@ -219,8 +295,7 @@ def test_inverse_and_det(F, data):
         with pytest.raises(FieldError):
             A.inverse()
         return
-    eye = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
-    check(F, A.inverse(), n, n, o_solution(F, a, eye, n, n))
+    check(F, A.inverse(), n, n, o_solution(F, a, eye(F, n), n, n))
     assert A @ A.inverse() == Matrix.identity(F, n)
 
 
