@@ -93,10 +93,7 @@ def check_bialgebra(B: Bialgebra) -> List[AxiomReport]:
         if lhs == rhs:
             out.append(AxiomReport(name, True))
             return
-        diff = lhs - rhs
-        where = next((i, j) for i in range(diff.rows)
-                     for j in range(diff.cols)
-                     if not F.is_zero(diff[i, j]))
+        where = min((i, j) for i, j, _ in (lhs - rhs).entries())
         out.append(AxiomReport(name, False, f"entry {where}"))
 
     m, u, d, e = B.m, B.u, B.delta, B.eps
@@ -117,22 +114,24 @@ def check_bialgebra(B: Bialgebra) -> List[AxiomReport]:
 
 
 def _check_degree_zero(B: Bialgebra) -> AxiomReport:
-    F, n, g = B.field, B.n, B.grading
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if not F.is_zero(B.m[k, i * n + j]) and \
-                   (g[i] + g[j] - g[k]) % 2:
-                    return AxiomReport("degree_zero", False,
-                                       f"m[{k},({i},{j})]")
-                if not F.is_zero(B.delta[i * n + j, k]) and \
-                   (g[i] + g[j] - g[k]) % 2:
-                    return AxiomReport("degree_zero", False,
-                                       f"delta[({i},{j}),{k}]")
-        if not F.is_zero(B.u[k, 0]) and g[k] % 2:
-            return AxiomReport("degree_zero", False, f"u[{k}]")
-        if not F.is_zero(B.eps[0, k]) and g[k] % 2:
-            return AxiomReport("degree_zero", False, f"eps[{k}]")
+    """The first odd entry in the scan order k, (i, j), m before delta,
+    then u[k] and eps[k]."""
+    n, g = B.n, B.grading
+    odd = []  # (scan position, witness)
+    for k, c, _ in B.m.entries():
+        i, j = divmod(c, n)
+        if (g[i] + g[j] - g[k]) % 2:
+            odd.append(((k, i, j, 0), f"m[{k},({i},{j})]"))
+    for r, k, _ in B.delta.entries():
+        i, j = divmod(r, n)
+        if (g[i] + g[j] - g[k]) % 2:
+            odd.append(((k, i, j, 1), f"delta[({i},{j}),{k}]"))
+    odd += [((k, n, 0, 0), f"u[{k}]") for k, _, _ in B.u.entries()
+            if g[k] % 2]
+    odd += [((k, n, 0, 1), f"eps[{k}]") for _, k, _ in B.eps.entries()
+            if g[k] % 2]
+    if odd:
+        return AxiomReport("degree_zero", False, min(odd)[1])
     return AxiomReport("degree_zero", True)
 
 
@@ -212,43 +211,30 @@ def convolution_inverse(B: Bialgebra) -> Optional[Matrix]:
     equations m(T (x) id)delta = u.eps = m(id (x) T)delta as a linear
     system in the entries of T."""
     F, n = B.field, B.n
-    rows: List[List] = []
-    rhs: List[List] = []
-    ue = B.u @ B.eps
-
-    def add_equations(side_left: bool) -> None:
-        # entry (r, c) of m (T (x) id) delta is linear in T
-        for r in range(n):
-            for c in range(n):
-                coeff = [F.zero] * (n * n)
-                for a in range(n):
-                    for b in range(n):
-                        # delta[(a,b), c]
-                        dab = B.delta[a * n + b, c]
-                        if F.is_zero(dab):
-                            continue
-                        for t in range(n):
-                            if side_left:
-                                # T[t,a] * m[r, (t,b)]
-                                coeff[t * n + a] = F.add(
-                                    coeff[t * n + a],
-                                    F.mul(dab, B.m[r, t * n + b]))
-                            else:
-                                coeff[t * n + b] = F.add(
-                                    coeff[t * n + b],
-                                    F.mul(dab, B.m[r, a * n + t]))
-                rows.append(coeff)
-                rhs.append([ue[r, c]])
-
-    add_equations(True)
-    add_equations(False)
-    A = Matrix.from_rows(F, rows)
-    b = Matrix.from_rows(F, rhs)
-    sol = A.solve(b)
+    # entry (r, c) of m (T (x) id) delta is equation r*n + c, and of
+    # m (id (x) T) delta equation n*n + r*n + c; unknown T[i, j] is i*n + j.
+    # Each m[r, (p, q)] is listed as (r, p, x) under q and (r, q, x) under p.
+    under_q, under_p = [[] for _ in range(n)], [[] for _ in range(n)]
+    for r, col, x in B.m.entries():
+        p, q = divmod(col, n)
+        under_q[q].append((r, p, x))
+        under_p[p].append((r, q, x))
+    eqs = []
+    for ab, c, d in B.delta.entries():
+        a, b = divmod(ab, n)
+        # delta[(a, b), c] times T[t, a] m[r, (t, b)], and times
+        # T[t, b] m[r, (a, t)]
+        eqs += [(r * n + c, t * n + a, F.mul(d, x)) for r, t, x in under_q[b]]
+        eqs += [(n * n + r * n + c, t * n + b, F.mul(d, x))
+                for r, t, x in under_p[a]]
+    rhs = [(half + r * n + c, 0, x) for r, c, x in (B.u @ B.eps).entries()
+           for half in (0, n * n)]
+    sol = Matrix.from_entries(F, 2 * n * n, n * n, eqs).solve(
+        Matrix.from_entries(F, 2 * n * n, 1, rhs))
     if sol is None:
         return None
-    return Matrix(F, n, n, [sol[i * n + j, 0] for i in range(n)
-                            for j in range(n)])
+    return Matrix.from_entries(F, n, n, ((*divmod(k, n), x)
+                                         for k, _, x in sol.entries()))
 
 
 # ---------------------------------------------------------------------------
@@ -268,26 +254,23 @@ def integrals(B: Bialgebra) -> IntegralData:
     """Solve (id (x) lam)delta = u.lam for integrals and
     m(id (x) Lam) = Lam.eps for cointegrals, exactly."""
     F, n = B.field, B.n
+    # equation (r, c) is row r*n + c; unknown k is column k
+    eqs = []
+    for rk, c, x in B.delta.entries():      # + delta[(r, k), c] lam[k]
+        r, k = divmod(rk, n)
+        eqs.append((r * n + c, k, x))
+    eqs += [(r * n + c, c, F.neg(x)) for r, _, x in B.u.entries()
+            for c in range(n)]              # - u[r] lam[c]
+    lam_basis = [v.transpose() for v in
+                 Matrix.from_entries(F, n * n, n, eqs).nullspace()]
 
-    rows = []
-    for r in range(n):
-        for c in range(n):
-            coeff = [F.zero] * n
-            for k in range(n):
-                coeff[k] = F.add(coeff[k], B.delta[r * n + k, c])
-            coeff[c] = F.sub(coeff[c], B.u[r, 0])
-            rows.append(coeff)
-    lam_basis = [v.transpose() for v in Matrix.from_rows(F, rows).nullspace()]
-
-    rows = []
-    for r in range(n):
-        for c in range(n):
-            coeff = [F.zero] * n
-            for k in range(n):
-                coeff[k] = F.add(coeff[k], B.m[r, c * n + k])
-            coeff[r] = F.sub(coeff[r], B.eps[0, c])
-            rows.append(coeff)
-    coint_basis = Matrix.from_rows(F, rows).nullspace()
+    eqs = []
+    for r, ck, x in B.m.entries():          # + m[r, (c, k)] Lam[k]
+        c, k = divmod(ck, n)
+        eqs.append((r * n + c, k, x))
+    eqs += [(r * n + c, r, F.neg(x)) for _, c, x in B.eps.entries()
+            for r in range(n)]              # - eps[c] Lam[r]
+    coint_basis = Matrix.from_entries(F, n * n, n, eqs).nullspace()
 
     data = IntegralData(lam_basis, coint_basis)
     if len(lam_basis) == 1 and len(coint_basis) == 1:
@@ -338,9 +321,7 @@ def antipode_from_integrals(B: Bialgebra,
 
 
 def _functional_parity(B: Bialgebra, lam: Matrix) -> int:
-    F = B.field
-    degs = {B.grading[k] % 2 for k in range(B.n)
-            if not F.is_zero(lam[0, k])}
+    degs = {B.grading[k] % 2 for _, k, _ in lam.entries()}
     if len(degs) != 1:
         raise IntegralConditionError("integral functional is not homogeneous")
     return degs.pop()

@@ -63,22 +63,20 @@ def comodule_hom(M: Comodule, N: Comodule) -> List[Matrix]:
     B = M.bialgebra
     F, n = B.field, B.n
     dm, dn = M.d, N.d
-    # unknowns phi[a, b], a < dn, b < dm
-    rows = []
-    for h in range(n):
-        for a in range(dn):
-            for c in range(dm):
-                coeff = [F.zero] * (dn * dm)
-                for b in range(dm):
-                    coeff[a * dm + b] = F.add(coeff[a * dm + b],
-                                              M.rho[h * dm + b, c])
-                for b in range(dn):
-                    coeff[b * dm + c] = F.sub(coeff[b * dm + c],
-                                              N.rho[h * dn + a, b])
-                rows.append(coeff)
-    basis = Matrix.from_rows(F, rows).nullspace()
-    return [Matrix(F, dn, dm, [v[a * dm + b, 0] for a in range(dn)
-                               for b in range(dm)]) for v in basis]
+    # unknown phi[a, b] (a < dn, b < dm) is column a*dm + b; equation
+    # (h, a, c) is row (h*dn + a)*dm + c
+    eqs = []
+    for r, c, x in M.rho.entries():         # + phi[a, b] rho_M[(h, b), c]
+        h, b = divmod(r, dm)
+        eqs += [((h * dn + a) * dm + c, a * dm + b, x) for a in range(dn)]
+    for r, b, x in N.rho.entries():         # - rho_N[(h, a), b] phi[b, c]
+        h, a = divmod(r, dn)
+        x = F.neg(x)
+        eqs += [((h * dn + a) * dm + c, b * dm + c, x) for c in range(dm)]
+    basis = Matrix.from_entries(F, n * dn * dm, dn * dm, eqs).nullspace()
+    return [Matrix.from_entries(F, dn, dm, ((*divmod(k, dm), x)
+                                            for k, _, x in v.entries()))
+            for v in basis]
 
 
 def tensor_comodule(M: Comodule, N: Comodule) -> Comodule:
@@ -108,11 +106,9 @@ def dual_comodule(M: Comodule, hopf: Optional[HopfData] = None) -> Comodule:
 def _coefficient_transpose(M: Comodule) -> Matrix:
     """Swap the two module indices of the matrix-coefficient family: the
     dual coaction uses coefficient (j, i) where the original uses (i, j)."""
-    B = M.bialgebra
-    F, n, d = B.field, B.n, M.d
-    out = [F.zero] * (n * d * d)
-    for h in range(n):
-        for i in range(d):
-            for j in range(d):
-                out[(h * d + j) * d + i] = M.rho[h * d + i, j]
-    return Matrix(F, n * d, d, out)
+    B, d = M.bialgebra, M.d
+    out = []
+    for r, j, x in M.rho.entries():
+        h, i = divmod(r, d)
+        out.append((h * d + j, i, x))
+    return Matrix.from_entries(B.field, B.n * d, d, out)

@@ -23,30 +23,18 @@ def _structure(field: Field, names: Sequence[str],
                counit: Dict[int, object],
                grading: Sequence[int] = (),
                braiding: str = FLIP) -> Bialgebra:
-    n = len(names)
-    m = Matrix.zero(field, n, n * n)
-    md = list(m.data)
-    for (i, j), out in mul.items():
-        for k, c in out.items():
-            md[k * n * n + (i * n + j)] = field(c)
-    u = Matrix.zero(field, n, 1)
-    ud = list(u.data)
-    for k, c in unit.items():
-        ud[k] = field(c)
-    d = Matrix.zero(field, n * n, n)
-    dd = list(d.data)
-    for k, out in com.items():
-        for (i, j), c in out.items():
-            dd[(i * n + j) * n + k] = field(c)
-    e = Matrix.zero(field, 1, n)
-    ed = list(e.data)
-    for k, c in counit.items():
-        ed[k] = field(c)
-    return Bialgebra(field, n,
-                     m=Matrix(field, n, n * n, md),
-                     u=Matrix(field, n, 1, ud),
-                     delta=Matrix(field, n * n, n, dd),
-                     eps=Matrix(field, 1, n, ed),
+    n, F = len(names), field
+    m = [(k, i * n + j, F(c)) for (i, j), out in mul.items()
+         for k, c in out.items()]
+    d = [(i * n + j, k, F(c)) for k, out in com.items()
+         for (i, j), c in out.items()]
+    return Bialgebra(F, n,
+                     m=Matrix.from_entries(F, n, n * n, m),
+                     u=Matrix.from_entries(
+                         F, n, 1, [(k, 0, F(c)) for k, c in unit.items()]),
+                     delta=Matrix.from_entries(F, n * n, n, d),
+                     eps=Matrix.from_entries(
+                         F, 1, n, [(0, k, F(c)) for k, c in counit.items()]),
                      grading=tuple(grading) or (0,) * n,
                      braiding=braiding,
                      basis_names=tuple(names))
@@ -84,17 +72,15 @@ def symmetric_group_algebra(n: int = 3, field: Field = QQ) -> Bialgebra:
     return _monoid_bialgebra(field, names, table, unit)
 
 
-def group_inversion_matrix(B: Bialgebra, order_table=None) -> Matrix:
+def group_inversion_matrix(B: Bialgebra) -> Matrix:
     """For group-algebra fixtures: the permutation g |-> g^{-1}, found from
     the multiplication tensor."""
     F, n = B.field, B.n
-    e = next(k for k in range(n) if not F.is_zero(B.u[k, 0]))
-    out = Matrix.zero(F, n, n)
-    data = list(out.data)
-    for i in range(n):
-        inv = next(j for j in range(n) if not F.is_zero(B.m[e, i * n + j]))
-        data[inv * n + i] = F.one
-    return Matrix(F, n, n, data)
+    e = min(k for k, _, _ in B.u.entries())
+    # column (i, j) of row e of m is nonzero exactly when j = i^{-1}
+    return Matrix.from_entries(F, n, n, [(c % n, c // n, F.one)
+                                         for k, c, _ in B.m.entries()
+                                         if k == e])
 
 
 def idempotent_monoid_bialgebra(field: Field = QQ) -> Bialgebra:
@@ -155,10 +141,9 @@ def exterior_line_super(field: Field = QQ) -> Bialgebra:
 def corrupted_delta(B: Bialgebra) -> Bialgebra:
     """One entry of the comultiplication bumped; breaks the bialgebra axiom
     with a witness coordinate."""
-    data = list(B.delta.data)
-    data[0] = B.field.add(data[0], B.field.one)
-    return Bialgebra(B.field, B.n, m=B.m, u=B.u,
-                     delta=Matrix(B.field, B.n * B.n, B.n, data),
+    F, n = B.field, B.n
+    bump = Matrix.from_entries(F, n * n, n, [(0, 0, F.one)])
+    return Bialgebra(F, n, m=B.m, u=B.u, delta=B.delta + bump,
                      eps=B.eps, grading=B.grading, braiding=B.braiding,
                      basis_names=B.basis_names)
 

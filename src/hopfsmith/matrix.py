@@ -7,8 +7,10 @@ equality and hashing compare the maps directly.  Sums, products,
 Kronecker products and elimination visit stored entries only, which
 keeps the structure tensors, braidings and their tensor powers (almost
 all zeros) cheap.  The maps are private and never mutated once a matrix
-owns them, so matrices may share rows and entries.  `m[i, j]`, `row(i)`
-and `data` read the entries densely, with the field's zero filled in.
+owns them, so matrices may share rows and entries.  `from_entries` builds
+a matrix from (i, j, x) triples and `entries()` reads the stored ones
+back, so a caller never touches a zero; `m[i, j]`, `row(i)` and `data`
+read the entries densely, with the field's zero filled in.
 
 Maps applied to one tensor slot and braidings of two adjacent slots are
 index arithmetic, not products.  `whisker(l, r)` is I_l (x) A (x) I_r
@@ -27,7 +29,7 @@ are tested for zero.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .field import Field, FieldError
 
@@ -90,10 +92,21 @@ class Matrix:
         return cls._of(field, n, n, [{i: one} for i in range(n)])
 
     @classmethod
-    def build(cls, field: Field, rows: int, cols: int,
-              f: Callable[[int, int], object]) -> "Matrix":
-        return cls(field, rows, cols,
-                   [f(i, j) for i in range(rows) for j in range(cols)])
+    def from_entries(cls, field: Field, rows: int, cols: int,
+                     entries: Iterable[Tuple[int, int, object]]) -> "Matrix":
+        """From (i, j, x) triples of field elements, which are not
+        converted.  Repeated positions are summed and a zero sum is not
+        stored; a position outside the shape raises IndexError."""
+        add, is_zero = field.add, field.is_zero
+        maps: List[Dict[int, object]] = [{} for _ in range(rows)]
+        for i, j, x in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"entry {(i, j)} outside {rows}x{cols}")
+            row = maps[i]
+            row[j] = add(row[j], x) if j in row else x
+        return cls._of(field, rows, cols,
+                       [{j: x for j, x in m.items() if not is_zero(x)}
+                        or _EMPTY for m in maps])
 
     # -- access -----------------------------------------------------------
 
@@ -103,6 +116,12 @@ class Matrix:
             raise IndexError(f"entry {ij} outside {self.rows}x{self.cols}")
         x = self._maps[i].get(j)
         return self.field.zero if x is None else x
+
+    def entries(self) -> Iterator[Tuple[int, int, object]]:
+        """The stored (i, j, x), row by row; x is never zero."""
+        for i, m in enumerate(self._maps):
+            for j, x in m.items():
+                yield i, j, x
 
     def row(self, i: int) -> Tuple:
         entries, zero = self._maps[i], self.field.zero
@@ -377,18 +396,9 @@ class Matrix:
         return det
 
 
-def flip_matrix(field: Field, n: int, m: int) -> Matrix:
-    """The swap X (x) Y -> Y (x) X on basis vectors."""
-    one = field.one
-    maps: List[Dict[int, object]] = [_EMPTY] * (n * m)
-    for i in range(n):
-        for j in range(m):
-            maps[j * n + i] = {i * m + j: one}
-    return Matrix._of(field, n * m, n * m, maps)
-
-
 def koszul_matrix(field: Field, deg_a: Sequence[int], deg_b: Sequence[int]) -> Matrix:
-    """The graded swap: a sign -1 whenever both basis vectors are odd."""
+    """The graded swap X (x) Y -> Y (x) X: a sign -1 whenever both basis
+    vectors are odd, so with all parities even it is the plain flip."""
     n, m = len(deg_a), len(deg_b)
     one = field.one
     minus = field.neg(one)

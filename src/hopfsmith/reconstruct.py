@@ -98,9 +98,8 @@ def _resolve_via_shear(family: GeneratingFamily, P: Comodule,
     iotas, pis = [], []
     for s in range(n):
         # column embedding v |-> v (x) e_s
-        emb = Matrix(F, n * n, n,
-                     [F.one if r == c * n + s else F.zero
-                      for r in range(n * n) for c in range(n)])
+        emb = Matrix.from_entries(F, n * n, n,
+                                  [(c * n + s, c, F.one) for c in range(n)])
         proj = emb.transpose()
         iotas.append(inv @ emb)
         pis.append(proj @ phi)
@@ -121,29 +120,27 @@ def _resolve_general(family: GeneratingFamily, P: Comodule,
         raise ClosureError("no intertwiners between the product and the family")
     if unknowns * P.d * P.d > size_guard * 64:
         raise ClosureError("resolution system too large; raise the guard")
-    cols = []
-    meta = []
+    # unknown (k, a, b) is the coefficient of into[k][a] @ onto[k][b], whose
+    # entry (i, j) is equation i*P.d + j of id_P
+    eqs, meta = [], []
     for k in range(len(family.members)):
         for a, iota in enumerate(into[k]):
             for b, pi in enumerate(onto[k]):
-                prod = iota @ pi
-                cols.append([prod[i, j] for i in range(P.d)
-                             for j in range(P.d)])
+                col = len(meta)
+                eqs += [(i * P.d + j, col, x)
+                        for i, j, x in (iota @ pi).entries()]
                 meta.append((k, a, b))
-    A = Matrix.from_rows(F, cols).transpose()
-    target = Matrix(F, P.d * P.d, 1,
-                    [F.one if i == j else F.zero
-                     for i in range(P.d) for j in range(P.d)])
-    sol = A.solve(target)
+    rows = P.d * P.d
+    target = Matrix.from_entries(F, rows, 1, [(i * P.d + i, 0, F.one)
+                                              for i in range(P.d)])
+    sol = Matrix.from_entries(F, rows, len(meta), eqs).solve(target)
     if sol is None:
         raise ClosureError("identity of the product does not factor "
                            "through the family")
     iotas, pis, idxs = [], [], []
     grouped: Dict[Tuple[int, int], Matrix] = {}
-    for col, (k, a, b) in enumerate(meta):
-        c = sol[col, 0]
-        if F.is_zero(c):
-            continue
+    for col, _, c in sol.entries():
+        k, a, b = meta[col]
         key = (k, a)
         scaled = onto[k][b].scale(c)
         grouped[key] = grouped.get(key, Matrix.zero(
@@ -174,35 +171,33 @@ def _block_offsets(family: GeneratingFamily) -> List[int]:
     return out
 
 
-def _relation_rows(family: GeneratingFamily, offs: List[int]) -> List[List]:
-    """The naturality span: precompose-by-phi minus postcompose-by-phi for
-    every basis intertwiner."""
+def _relations(family: GeneratingFamily, offs: List[int]) -> Matrix:
+    """The naturality span, one row for every basis intertwiner phi and
+    pair (a, b): precompose-by-phi minus postcompose-by-phi."""
     F = family.bialgebra.field
-    N = offs[-1]
-    rel_rows: List[List] = []
+    eqs = []
+    row = 0
     for i, Mi in enumerate(family.members):
+        di = Mi.d
         for j, Mj in enumerate(family.members):
+            dj = Mj.d
             for phi in family.hom(i, j):
-                for a in range(Mj.d):       # xi = e^a of Mj*
-                    for b in range(Mi.d):   # v = e_b of Mi
-                        row = [F.zero] * N
-                        for c in range(Mi.d):
-                            row[offs[i] + c * Mi.d + b] = F.add(
-                                row[offs[i] + c * Mi.d + b], phi[a, c])
-                        for c in range(Mj.d):
-                            row[offs[j] + a * Mj.d + c] = F.sub(
-                                row[offs[j] + a * Mj.d + c], phi[c, b])
-                        rel_rows.append(row)
-    return rel_rows
+                # xi = e^a of Mj*, v = e_b of Mi: row + a*di + b
+                for a, c, x in phi.entries():
+                    eqs += [(row + a * di + b, offs[i] + c * di + b, x)
+                            for b in range(di)]
+                for c, b, x in phi.entries():
+                    x = F.neg(x)
+                    eqs += [(row + a * di + b, offs[j] + a * dj + c, x)
+                            for a in range(dj)]
+                row += dj * di
+    return Matrix.from_entries(F, row, offs[-1], eqs)
 
 
 def coend_dimension(family: GeneratingFamily) -> int:
     """Dimension of the quotient of the coefficient span by naturality."""
     offs = _block_offsets(family)
-    rows = _relation_rows(family, offs)
-    if not rows:
-        return offs[-1]
-    return offs[-1] - Matrix.from_rows(family.bialgebra.field, rows).rank()
+    return offs[-1] - _relations(family, offs).rank()
 
 
 def coend_reconstruct(family: GeneratingFamily,
@@ -210,61 +205,53 @@ def coend_reconstruct(family: GeneratingFamily,
                       ) -> ReconstructionResult:
     B = family.bialgebra
     F, n = B.field, B.n
+    members = family.members
     offs = _block_offsets(family)
-    N = offs[-1]
+    # the member and coefficient (a, b) of each ambient coordinate
+    where = [(i, *divmod(f, M.d)) for i, M in enumerate(members)
+             for f in range(M.d * M.d)]
 
-    rel_rows = _relation_rows(family, offs)
-    R, pivots = (Matrix.from_rows(F, rel_rows).rref() if rel_rows
-                 else (None, []))
-    pivot_row = {c: r for r, c in enumerate(pivots)}
-    nonpivot = [c for c in range(N) if c not in pivot_row]
+    R, pivots = _relations(family, offs).rref()
+    taken = set(pivots)
+    # class k is the ambient basis vector nonpivot[k]
+    nonpivot = [c for c in range(offs[-1]) if c not in taken]
+    klass = {c: k for k, c in enumerate(nonpivot)}
     dim = len(nonpivot)
-    section_cols = nonpivot  # class k is the ambient basis vector nonpivot[k]
 
-    def class_entry(flat: int, k: int):
-        # the reduced relation of a pivot coordinate rewrites it as minus
-        # its row on the non-pivot coordinates
-        if flat in pivot_row:
-            return F.neg(R[pivot_row[flat], nonpivot[k]])
-        return F.one if flat == nonpivot[k] else F.zero
-
+    # classes[f] lists the (k, x) of the class of ambient coordinate f: a
+    # non-pivot coordinate is its own class, and the reduced relation of a
+    # pivot coordinate rewrites it as minus its row on the non-pivot ones
+    classes = [[] for _ in range(offs[-1])]
+    for c, k in klass.items():
+        classes[c].append((k, F.one))
+    for r, c, x in R.entries():
+        if c in klass:
+            classes[pivots[r]].append((klass[c], F.neg(x)))
     # the class of an ambient vector v is v @ quotient, taken one member's
     # block of coordinates at a time
-    quotient = [Matrix.build(F, M.d * M.d, dim,
-                             lambda f, k, o=offs[i]: class_entry(o + f, k))
-                for i, M in enumerate(family.members)]
+    quotient = [Matrix.from_entries(F, M.d * M.d, dim,
+                                    [(f - offs[i], k, x)
+                                     for f in range(offs[i], offs[i + 1])
+                                     for k, x in classes[f]])
+                for i, M in enumerate(members)]
 
-    # comultiplication and counit on ambient coordinates
-    delta_cols = []
-    eps_row = [F.zero] * dim
-    for col, flat in enumerate(section_cols):
-        i = next(k for k in range(len(family.members))
-                 if offs[k] <= flat < offs[k + 1])
-        local = flat - offs[i]
-        di = family.members[i].d
-        a, b = divmod(local, di)
-        # delta [e^a (x) e_b] = sum_k [e^k (x) e_b] (x) [e^a (x) e_k],
-        # the leg order that the canonical comparison map is a coalgebra
-        # morphism for
-        col_vec = [F.zero] * (dim * dim)
-        for k in range(di):
-            left = quotient[i].row(k * di + b)
-            right = quotient[i].row(a * di + k)
-            for x in range(dim):
-                if F.is_zero(left[x]):
-                    continue
-                for y in range(dim):
-                    if F.is_zero(right[y]):
-                        continue
-                    col_vec[x * dim + y] = F.add(col_vec[x * dim + y],
-                                                 F.mul(left[x], right[y]))
-        delta_cols.append(col_vec)
-        eps_row[col] = F.one if a == b else F.zero
-    delta = Matrix.from_rows(F, delta_cols).transpose()
-    eps = Matrix(F, 1, dim, eps_row)
+    # comultiplication and counit on ambient coordinates:
+    # delta [e^a (x) e_b] = sum_k [e^k (x) e_b] (x) [e^a (x) e_k], the leg
+    # order that the canonical comparison map is a coalgebra morphism for
+    split, counit = [], []
+    for col, flat in enumerate(nonpivot):
+        i, a, b = where[flat]
+        o, di = offs[i], members[i].d
+        split += [(x * dim + y, col, F.mul(l, r)) for k in range(di)
+                  for x, l in classes[o + k * di + b]
+                  for y, r in classes[o + a * di + k]]
+        if a == b:
+            counit.append((0, col, F.one))
+    delta = Matrix.from_entries(F, dim * dim, dim, split)
+    eps = Matrix.from_entries(F, 1, dim, counit)
 
     # multiplication through resolutions of pairwise products
-    if family.depth < 2 and len(family.members) > 0:
+    if family.depth < 2 and len(members) > 0:
         raise ClosureError("depth >= 2 is needed to multiply coefficients")
 
     def express(P: Comodule, res: Resolution) -> Matrix:
@@ -275,27 +262,24 @@ def coend_reconstruct(family: GeneratingFamily,
             out = out + iota.kron(pi.transpose()) @ quotient[idx]
         return out
 
-    classes: Dict[Tuple[int, int], Matrix] = {}
-    for i, Mi in enumerate(family.members):
-        for j, Mj in enumerate(family.members):
+    # column colx * dim + coly of m is the class of the product of the
+    # section vectors nonpivot[colx] and nonpivot[coly]
+    products = []
+    for i, Mi in enumerate(members):
+        di = Mi.d
+        for j, Mj in enumerate(members):
+            dj = Mj.d
             P = tensor_comodule(Mi, Mj)
-            classes[(i, j)] = express(P, resolve(family, P, factors=(i, j)))
-    mult_cols: List[Tuple] = []
-    for flatx in section_cols:
-        i = next(k for k in range(len(family.members))
-                 if offs[k] <= flatx < offs[k + 1])
-        di = family.members[i].d
-        a, b = divmod(flatx - offs[i], di)
-        for flaty in section_cols:
-            j = next(k for k in range(len(family.members))
-                     if offs[k] <= flaty < offs[k + 1])
-            dj = family.members[j].d
-            c, e = divmod(flaty - offs[j], dj)
-            # theta = e^(a, c) and w = e_(b, e) in P = Mi (x) Mj
-            mult_cols.append(classes[(i, j)].row(
-                (a * dj + c) * (di * dj) + b * dj + e))
-    # columns are ordered (colx * dim + coly)
-    mult = Matrix.from_rows(F, mult_cols).transpose()
+            for t, k, x in express(P, resolve(family, P,
+                                              factors=(i, j))).entries():
+                # row t is e^(a, c) (x) e_(b, e) in P = Mi (x) Mj
+                ac, be = divmod(t, di * dj)
+                (a, c), (b, e) = divmod(ac, dj), divmod(be, dj)
+                colx = klass.get(offs[i] + a * di + b)
+                coly = klass.get(offs[j] + c * dj + e)
+                if colx is not None and coly is not None:
+                    products.append((k, colx * dim + coly, x))
+    mult = Matrix.from_entries(F, dim, dim * dim, products)
 
     # the unit is the unique two-sided unit of the constructed
     # multiplication (the trivial comodule need not split off any member,
@@ -316,15 +300,14 @@ def coend_reconstruct(family: GeneratingFamily,
         return ReconstructionResult(C, None, "no-reference", details)
 
     # canonical map (xi (x) v) |-> (id (x) xi)(rho v)
-    can_cols = []
-    for flat in section_cols:
-        i = next(k for k in range(len(family.members))
-                 if offs[k] <= flat < offs[k + 1])
-        Mi = family.members[i]
-        di = Mi.d
-        a, b = divmod(flat - offs[i], di)
-        can_cols.append([Mi.rho[h * di + a, b] for h in range(n)])
-    canonical = Matrix.from_rows(F, can_cols).transpose()
+    coefficients = []
+    for i, Mi in enumerate(members):
+        for r, b, x in Mi.rho.entries():
+            h, a = divmod(r, Mi.d)
+            col = klass.get(offs[i] + a * Mi.d + b)
+            if col is not None:
+                coefficients.append((h, col, x))
+    canonical = Matrix.from_entries(F, n, dim, coefficients)
 
     ok = canonical.is_invertible() and not bad
     checks = [
@@ -346,19 +329,18 @@ def coend_reconstruct(family: GeneratingFamily,
 
 
 def _solve_unit(F, dim: int, mult: Matrix) -> Optional[Matrix]:
-    """The element u with m(u (x) x) = x = m(x (x) u), solved exactly."""
-    rows: List[List] = []
-    rhs: List[List] = []
-    for r in range(dim):
-        for c in range(dim):
-            left = [mult[r, t * dim + c] for t in range(dim)]
-            rows.append(left)
-            rhs.append([F.one if r == c else F.zero])
-            right = [mult[r, c * dim + t] for t in range(dim)]
-            rows.append(right)
-            rhs.append([F.one if r == c else F.zero])
-    sol = Matrix.from_rows(F, rows).solve(Matrix.from_rows(F, rhs))
-    return sol
+    """The element u with m(u (x) x) = x = m(x (x) u), solved exactly.
+    Entry (r, c) of m(u (x) -) is equation 2*(r*dim + c), and of
+    m(- (x) u) equation 2*(r*dim + c) + 1."""
+    eqs = []
+    for r, col, x in mult.entries():
+        p, q = divmod(col, dim)
+        eqs.append((2 * (r * dim + q), p, x))
+        eqs.append((2 * (r * dim + p) + 1, q, x))
+    rhs = [(2 * r * (dim + 1) + side, 0, F.one) for r in range(dim)
+           for side in (0, 1)]
+    return Matrix.from_entries(F, 2 * dim * dim, dim, eqs).solve(
+        Matrix.from_entries(F, 2 * dim * dim, 1, rhs))
 
 
 @dataclass

@@ -4,7 +4,7 @@ import pytest
 
 from hopfsmith.field import (FieldError, QQ, field_from_json,
                              number_field_from_text)
-from hopfsmith.matrix import Matrix, flip_matrix, koszul_matrix
+from hopfsmith.matrix import Matrix, koszul_matrix
 
 
 def test_rational_field_basics():
@@ -95,8 +95,10 @@ def test_kron_index_convention():
 
 
 def test_flip_and_koszul():
-    f = flip_matrix(QQ, 2, 3)
+    # all-even parities: the plain flip
+    f = koszul_matrix(QQ, (0, 0), (0, 0, 0))
     assert f.transpose() @ f == Matrix.identity(QQ, 6)
+    assert f[1 * 2 + 0, 0 * 3 + 1] == 1 and f[0, 0] == 1 and f[0, 1] == 0
     k = koszul_matrix(QQ, [0, 1], [0, 1])
     # odd-odd entry carries the sign
     assert k[(1 * 2 + 1), (1 * 2 + 1)] == -1

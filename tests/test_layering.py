@@ -1,0 +1,94 @@
+"""The matrix storage stays behind `matrix.py`.
+
+Outside that module no code may read a matrix's private row maps
+(`._maps`), adopt maps with `Matrix._of`, or use the module's private
+`_row_map` and `_EMPTY`; structure tensors and linear systems are built
+from their nonzero entries (`Matrix.from_entries`), not from dense
+scratch rows such as `[F.zero] * n`; and only the JSON loaders build a
+matrix from dense rows (`Matrix.from_rows`).  The checks read the syntax
+tree of every module, so they fail as soon as such a shortcut is written,
+whether or not a test runs it.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hopfsmith"
+PRIVATE = {"_maps", "_of", "_row_map", "_EMPTY"}
+# the functions that read dense matrices from JSON documents
+JSON_LOADERS = {("bialgebra.py", "bialgebra_from_json"),
+                ("cli.py", "cmd_reconstruct")}
+
+
+def private_uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in PRIVATE:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Name) and node.id in PRIVATE:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Constant) and node.value in PRIVATE:
+            yield node.lineno, node.value          # getattr(m, "_maps")
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in PRIVATE:
+                    yield node.lineno, alias.name
+
+
+def zero_rows(tree):
+    """Lists of a field's zero repeated with `*`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            for side in (node.left, node.right):
+                if (isinstance(side, ast.List) and len(side.elts) == 1
+                        and isinstance(side.elts[0], ast.Attribute)
+                        and side.elts[0].attr == "zero"):
+                    yield node.lineno
+
+
+def from_rows_callers(tree):
+    """The enclosing top-level function of every `from_rows` call."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "from_rows"):
+                yield node.lineno, getattr(top, "name", None)
+
+
+def modules():
+    return sorted(p for p in SRC.glob("*.py") if p.name != "matrix.py")
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_no_module_but_matrix_touches_the_row_maps():
+    bad = [(p.name, *use) for p in modules() for use in private_uses(parse(p))]
+    assert not bad
+
+
+def test_no_dense_zero_rows():
+    bad = [(p.name, line) for p in modules() for line in zero_rows(parse(p))]
+    assert not bad
+
+
+def test_only_json_loaders_build_from_dense_rows():
+    bad = [(p.name, line, fn) for p in modules()
+           for line, fn in from_rows_callers(parse(p))
+           if (p.name, fn) not in JSON_LOADERS]
+    assert not bad
+
+
+def test_the_checks_see_what_they_forbid():
+    tree = ast.parse(
+        "from .matrix import _EMPTY\n"
+        "def f(F, A, n):\n"
+        "    row = [F.zero] * n\n"
+        "    g = getattr(A, '_maps')\n"
+        "    return Matrix._of(F, 1, n, A._maps), Matrix.from_rows(F, [row])\n")
+    assert {name for _, name in private_uses(tree)} == PRIVATE - {"_row_map"}
+    assert list(zero_rows(tree)) == [3]
+    assert list(from_rows_callers(tree)) == [(5, "f")]
+    assert {name for _, name in private_uses(parse(SRC / "matrix.py"))} \
+        == PRIVATE

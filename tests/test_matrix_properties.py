@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfsmith.field import FieldError, QQ, number_field_from_text
-from hopfsmith.matrix import Matrix, flip_matrix, koszul_matrix
+from hopfsmith.matrix import Matrix, koszul_matrix
 
 EXT = number_field_from_text("x^2+x+1")
 FIELDS = pytest.mark.parametrize("F", [QQ, EXT], ids=["Q", "ext"])
@@ -216,8 +216,8 @@ def test_braid_is_product_with_braiding(F, data):
     same(x.braid(left, deg_a, deg_b, right), koszul @ x)
     same(y.transpose().braid(left, deg_b, deg_a, right).transpose(),
          y @ koszul)
-    flip = whiskered(F, left, flip_matrix(F, n, m), right)
     even_a, even_b = (0,) * n, (0,) * m
+    flip = whiskered(F, left, koszul_matrix(F, even_a, even_b), right)
     same(x.braid(left, even_a, even_b, right), flip @ x)
     same(y.transpose().braid(left, even_b, even_a, right).transpose(),
          y @ flip)
@@ -303,7 +303,8 @@ def test_inverse_and_det(F, data):
 def test_det_sign_follows_row_swaps(F):
     # a permutation matrix: the determinant is the sign of the permutation
     perm = [2, 0, 3, 1]   # the 4-cycle 0->2->3->1->0, odd
-    A = Matrix.build(F, 4, 4, lambda i, j: int(perm[i] == j))
+    A = Matrix.from_entries(F, 4, 4,
+                            [(i, j, F.one) for i, j in enumerate(perm)])
     assert A.det() == F(-1)
     assert A.scale(Fraction(1, 2)).det() == F(Fraction(-1, 16))
 
@@ -313,3 +314,61 @@ def test_raw_entries_hash_like_field_elements(F):
     raw = Matrix(F, 2, 2, [3, 0, 0, Fraction(1, 2)])
     same = Matrix.from_rows(F, [[F(3), F.zero], [F.zero, F(Fraction(1, 2))]])
     assert raw == same and hash(raw) == hash(same)
+
+
+# -- sparse construction -------------------------------------------------------
+
+
+def triples(data, F, rows, cols):
+    """(i, j, x) triples inside the shape: positions repeat often, and some
+    entries are followed by their negative, so that the pair cancels."""
+    out = []
+    for _ in range(data.draw(st.integers(0, 10)) if rows and cols else 0):
+        i = data.draw(st.integers(0, rows - 1))
+        j = data.draw(st.integers(0, cols - 1))
+        x = data.draw(SCALARS[F])
+        out.append((i, j, x))
+        if data.draw(st.booleans()):
+            out.append((i, j, F.neg(x)))
+    return out
+
+
+@FIELDS
+@given(data=st.data())
+def test_from_entries_sums_repeated_positions(F, data):
+    r, c = dims(data), dims(data)
+    ts = triples(data, F, r, c)
+    lists = [[F.zero] * c for _ in range(r)]
+    for i, j, x in ts:
+        lists[i][j] = F.add(lists[i][j], x)
+    check(F, Matrix.from_entries(F, r, c, ts), r, c, lists)
+
+
+@FIELDS
+@given(data=st.data())
+def test_entries_round_trip(F, data):
+    r, c = dims(data), dims(data)
+    lists = dense(data, F, r, c)
+    A = build(F, r, c, lists)
+    got = list(A.entries())
+    assert [i for i, _, _ in got] == sorted(i for i, _, _ in got)
+    assert sorted((i, j) for i, j, _ in got) == [
+        (i, j) for i in range(r) for j in range(c)
+        if not F.is_zero(lists[i][j])]
+    assert all(x == lists[i][j] for i, j, x in got)
+    assert Matrix.from_entries(F, r, c, A.entries()) == A
+
+
+@FIELDS
+@given(data=st.data())
+def test_from_entries_rejects_positions_outside_the_shape(F, data):
+    r, c = dims(data), dims(data)
+    if data.draw(st.booleans()):    # the row is outside
+        i = data.draw(st.one_of(st.integers(-3, -1), st.integers(r, r + 3)))
+        j = data.draw(st.integers(-3, c + 3))
+    else:                           # the column is outside
+        i = data.draw(st.integers(-3, r + 3))
+        j = data.draw(st.one_of(st.integers(-3, -1), st.integers(c, c + 3)))
+    inside = triples(data, F, r, c)
+    with pytest.raises(IndexError):
+        Matrix.from_entries(F, r, c, inside + [(i, j, F.one)])
