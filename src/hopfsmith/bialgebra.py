@@ -369,8 +369,7 @@ def bialgebra_from_json(data: dict) -> Bialgebra:
         raw = shape.rows(data, key, "bialgebra")
         if len(raw) != rows or any(len(r) != cols for r in raw):
             raise BialgebraError(f"{key} must be {rows}x{cols}")
-        return Matrix.from_rows(F, [[F.parse(str(x)) if isinstance(x, str)
-                                     else F(x) for x in row] for row in raw])
+        return Matrix.from_rows(F, raw)
 
     return Bialgebra(
         F, n,

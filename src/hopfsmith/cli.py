@@ -244,10 +244,8 @@ def cmd_reconstruct(args, report: Report) -> None:
     for i, c in enumerate(shape.get(doc, "comodules", list, "family")):
         where = f"comodule {i}"
         c = shape.obj(c, where)
-        rows = [[B.field.parse(str(x)) for x in row]
-                for row in shape.rows(c, "rho", where)]
-        members.append(Comodule(B, shape.get(c, "dim", int, where),
-                                Matrix.from_rows(B.field, rows)))
+        rho = Matrix.from_rows(B.field, shape.rows(c, "rho", where))
+        members.append(Comodule(B, shape.get(c, "dim", int, where), rho))
     fam = GeneratingFamily(members, depth=shape.get(doc, "depth", int,
                                                     "family", args.depth))
     res = coend_reconstruct(fam, reference=B)

@@ -3,66 +3,108 @@
 The extension field is a single monic irreducible modulus with rational
 coefficients; irreducibility is the caller's responsibility beyond a
 cheap rational-root screen (enough to reject the easy mistakes).
-Elements are represented by their reduced coefficient tuples: `degree`
-Fractions, low degree first.
+A rational scalar is canonical: an `int` when it is integral, otherwise a
+`Fraction` with denominator > 1, so the integral structure tensors of
+every fixture are multiplied as machine-word `int`s.  `int` and
+`Fraction` compare, hash and print alike, so the representation shows in
+no result.  Every operation of both fields returns canonical values, and
+this module is the only one that divides: `int / int` would be a
+`float`, so a quotient is always taken with a `Fraction` operand.
+Elements of Q[x]/(f) are represented by their reduced coefficient tuples:
+`degree` canonical rationals, low degree first.
 
 A product multiplies only the nonzero coefficients of its factors and is
 then reduced by `NumberField._make`, the one reduction routine: because
 the modulus is monic, each coefficient of x^k with k >= degree folds into
 the lower ones from the top down, with no polynomial division.  Only
-`inv` divides (extended Euclid).  `zero` and `one` are built once per
-field and shared; elements are never mutated.  An element that is an
-embedded rational equals, and hashes like, that rational.
+`inv` divides: an embedded rational is inverted as a rational, anything
+else by extended Euclid over `Fraction` polynomials.  `zero` and `one`
+are built once per field and shared; elements are never mutated.  An
+element that is an embedded rational equals, and hashes like, that
+rational.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
+
+
+# a canonical rational: an int, or a Fraction with denominator > 1
+Rational = Union[int, Fraction]
 
 
 class FieldError(ArithmeticError):
     pass
 
 
+def _canonical(q):
+    """The canonical form of a rational given as an int or a Fraction."""
+    if type(q) is int or q.denominator != 1:
+        return q
+    return q.numerator
+
+
+def _rational(text: str):
+    """The canonical rational a string such as '-3' or '1/2' denotes;
+    a plain integer is read without building a Fraction."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isdecimal():
+        return int(text)
+    return _canonical(Fraction(text))
+
+
+def _inverse(q):
+    """1/q for a rational q, canonical."""
+    if q == 0:
+        raise FieldError("division by zero")
+    if type(q) is int:
+        return q if q == 1 or q == -1 else Fraction(1, q)
+    return _canonical(1 / Fraction(q))
+
+
+def _canonical_tuple(cs) -> tuple:
+    """The canonical forms of cs, with `_canonical` inlined."""
+    return tuple([c if type(c) is int or c.denominator != 1
+                  else c.numerator for c in cs])
+
+
 class RationalField:
-    """Q, with scalars as Fraction."""
+    """Q, with each scalar an int when it is integral and a Fraction
+    otherwise."""
 
     name = "Q"
+    zero = 0
+    one = 1
 
-    def __call__(self, value) -> Fraction:
-        return Fraction(value)
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def __call__(self, value):
+        if type(value) is int:
+            return value
+        if isinstance(value, str):
+            return _rational(value)
+        return _canonical(Fraction(value))
 
     def add(self, a, b):
-        return a + b
+        return _canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canonical(a * b)
 
     def neg(self, a):
-        return -a
+        return _canonical(-a)
 
     def inv(self, a):
-        if a == 0:
-            raise FieldError("division by zero")
-        return 1 / Fraction(a)
+        return _inverse(a)
 
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def parse(self, text: str) -> Fraction:
-        return Fraction(text)
+    def parse(self, text: str):
+        return _rational(text)
 
     def show(self, a) -> str:
         return str(a)
@@ -73,7 +115,7 @@ class RationalField:
 
 QQ = RationalField()
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 def _poly_trim(cs: List[Fraction]) -> Tuple[Fraction, ...]:
@@ -109,7 +151,7 @@ def _poly_divmod(a: List[Fraction], b: Sequence[Fraction]):
 class NumberFieldElement:
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: "NumberField", coeffs: Tuple[Fraction, ...]):
+    def __init__(self, field: "NumberField", coeffs: Tuple[Rational, ...]):
         self.field = field
         self.coeffs = coeffs
 
@@ -137,8 +179,8 @@ class NumberField:
     """Q[x]/(modulus) for a monic modulus given by its coefficient list
     [c0, c1, ..., 1] (low degree first)."""
 
-    def __init__(self, modulus: Sequence[Fraction], var: str = "x"):
-        mod = [Fraction(c) for c in modulus]
+    def __init__(self, modulus: Sequence[Rational], var: str = "x"):
+        mod = [QQ(c) for c in modulus]
         if len(mod) < 2:
             raise FieldError("modulus must have degree >= 1")
         if mod[-1] != 1:
@@ -151,11 +193,10 @@ class NumberField:
         # x^d = -(c0 + c1 x + ... + c_{d-1} x^{d-1}): (i, -c_i) for c_i != 0
         self._fold = tuple((i, -c) for i, c in enumerate(mod[:-1]) if c)
         self.zero = NumberFieldElement(self, (_ZERO,) * d)
-        self.one = NumberFieldElement(self,
-                                      (Fraction(1),) + (_ZERO,) * (d - 1))
+        self.one = NumberFieldElement(self, (1,) + (_ZERO,) * (d - 1))
 
     @staticmethod
-    def _rational_root_screen(mod: List[Fraction]) -> None:
+    def _rational_root_screen(mod: List[Rational]) -> None:
         # scale to integer coefficients and try all p/q candidates
         from math import gcd
         den = 1
@@ -180,13 +221,14 @@ class NumberField:
 
     # -- element constructors ------------------------------------------
 
-    def _make(self, cs: List[Fraction]) -> NumberFieldElement:
+    def _make(self, cs: List) -> NumberFieldElement:
         """The class of the polynomial with coefficients `cs` (low degree
         first, any length), reducing `cs` in place.  From the top down, each
         nonzero coefficient c of x^k, k >= d = degree, folds into the lower
         ones as c * x^(k-d) * (x^d - modulus); no division is needed
-        because the modulus is monic.  A slot still holding the shared
-        `_ZERO` takes a term as it is, which saves a Fraction addition."""
+        because the modulus is monic.  A slot that is `_ZERO` (the int 0)
+        takes a term as it is, which saves an addition; the kept
+        coefficients come back canonical."""
         d = self.degree
         fold = self._fold
         for k in range(len(cs) - 1, d - 1, -1):
@@ -198,9 +240,9 @@ class NumberField:
                     cs[base + i] = c * m if t is _ZERO else t + c * m
         if len(cs) < d:
             cs.extend([_ZERO] * (d - len(cs)))
-        return NumberFieldElement(self, tuple(cs[:d]))
+        return NumberFieldElement(self, _canonical_tuple(cs[:d]))
 
-    def _lift(self, q: Fraction) -> NumberFieldElement:
+    def _lift(self, q: Rational) -> NumberFieldElement:
         return self._make([q])
 
     def __call__(self, value) -> NumberFieldElement:
@@ -210,11 +252,11 @@ class NumberField:
             return value
         if isinstance(value, str):
             return self.parse(value)
-        return self._lift(Fraction(value))
+        return self._lift(QQ(value))
 
     @property
     def gen(self) -> NumberFieldElement:
-        return self._make([_ZERO, Fraction(1)])
+        return self._make([_ZERO, 1])
 
     # -- arithmetic -----------------------------------------------------
 
@@ -226,20 +268,21 @@ class NumberField:
         if not (type(a) is type(b) is NumberFieldElement
                 and a.field is b.field is self):
             a, b = self(a), self(b)
-        return NumberFieldElement(self, tuple(x + y for x, y in
-                                              zip(a.coeffs, b.coeffs)))
+        return NumberFieldElement(self, _canonical_tuple(
+            map(operator.add, a.coeffs, b.coeffs)))
 
     def sub(self, a, b):
         if not (type(a) is type(b) is NumberFieldElement
                 and a.field is b.field is self):
             a, b = self(a), self(b)
-        return NumberFieldElement(self, tuple(x - y for x, y in
-                                              zip(a.coeffs, b.coeffs)))
+        return NumberFieldElement(self, _canonical_tuple(
+            map(operator.sub, a.coeffs, b.coeffs)))
 
     def neg(self, a):
         if type(a) is not NumberFieldElement or a.field is not self:
             a = self(a)
-        return NumberFieldElement(self, tuple(-x for x in a.coeffs))
+        return NumberFieldElement(self, _canonical_tuple(
+            map(operator.neg, a.coeffs)))
 
     def mul(self, a, b):
         if not (type(a) is type(b) is NumberFieldElement
@@ -256,10 +299,15 @@ class NumberField:
 
     def inv(self, a):
         a = self(a)
-        if self.is_zero(a):
-            raise FieldError("division by zero")
-        # extended Euclid in Q[x]
-        r0, r1 = list(self.modulus), list(a.coeffs)
+        if not any(a.coeffs[1:]):  # an embedded rational, possibly zero
+            return self._make([_inverse(a.coeffs[0])])
+        return self._euclid_inverse(a)
+
+    def _euclid_inverse(self, a: NumberFieldElement) -> NumberFieldElement:
+        """The inverse of a nonzero element by extended Euclid in Q[x],
+        on Fraction coefficients so that every quotient is exact."""
+        r0 = [Fraction(c) for c in self.modulus]
+        r1 = [Fraction(c) for c in a.coeffs]
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while any(r1):
             q, r = _poly_divmod(r0, _poly_trim(list(r1)) or [Fraction(0)])
@@ -331,10 +379,10 @@ def number_field_from_text(text: str, var: str = "x") -> NumberField:
     return NumberField(mod, var)
 
 
-def _parse_poly(text: str, var: str) -> Dict[int, Fraction]:
+def _parse_poly(text: str, var: str) -> Dict[int, Rational]:
     """Power -> coefficient of a polynomial written like '1/2*x^2 - x + 3';
     repeated powers add up."""
-    coeffs: Dict[int, Fraction] = {}
+    coeffs: Dict[int, Rational] = {}
     text = text.replace("-", "+-").replace(" ", "")
     for part in filter(None, text.split("+")):
         if var in part:
@@ -342,8 +390,9 @@ def _parse_poly(text: str, var: str) -> Dict[int, Fraction]:
             power = int(tail[1:]) if tail.startswith("^") else 1
             if head in ("", "-"):
                 head += "1"
-            coeff = Fraction(head.rstrip("*"))
+            coeff = _rational(head.rstrip("*"))
         else:
-            power, coeff = 0, Fraction(part)
-        coeffs[power] = coeffs.get(power, _ZERO) + coeff
+            power, coeff = 0, _rational(part)
+        coeffs[power] = QQ.add(coeffs[power], coeff) if power in coeffs \
+            else coeff
     return coeffs

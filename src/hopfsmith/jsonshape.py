@@ -58,14 +58,15 @@ def get(data: dict, key: str, types: Union[Type, Tuple[Type, ...]],
 
 def rows(data: dict, key: str, where: str) -> list:
     """data[key], which must be an array of arrays of strings and
-    numbers."""
+    integers; a JSON number with a fraction or exponent is refused, since
+    it would enter as an inexact binary float."""
     value = get(data, key, list, where)
     for i, row in enumerate(value):
         if not isinstance(row, list):
             raise ShapeError(f"{where}: row {i} of {key!r} must be an "
                              f"array, got {_name(row)}")
         for x in row:
-            if not _is(x, (str, int, float)):
-                raise ShapeError(f"{where}: an entry of {key!r} is "
-                                 f"{_name(x)}")
+            if not _is(x, (str, int)):
+                raise ShapeError(f"{where}: an entry of {key!r} must be "
+                                 f"a string or an integer, got {_name(x)}")
     return value

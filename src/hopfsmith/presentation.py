@@ -164,11 +164,38 @@ class Presentation:
         return p
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=1, sort_keys=True)
+        """The pinned JSON, byte for byte as
+        json.dumps(self.to_json(), indent=1, sort_keys=True) writes it."""
+        return _dump(self.to_json(), "")
 
     @classmethod
     def loads(cls, text: str) -> "Presentation":
         return cls.from_json(json.loads(text))
+
+
+_STR = json.encoder.encode_basestring_ascii
+
+
+def _dump(v, pad: str) -> str:
+    """v, a value of the pinned format, as json.dumps(v, indent=1,
+    sort_keys=True) writes it when its line is indented by pad.  Under an
+    indent json falls back to its pure-Python encoder; this keeps its C
+    string encoder."""
+    if type(v) is str:
+        return _STR(v)
+    if type(v) is dict:
+        inner = pad + " "
+        items = [f"{inner}{_STR(k)}: {_dump(v[k], inner)}" for k in sorted(v)]
+    elif type(v) is list:
+        inner = pad + " "
+        items = [inner + _dump(x, inner) for x in v]
+    else:
+        return ("null" if v is None else "true" if v is True
+                else "false" if v is False else int.__repr__(v))
+    opening, closing = "{}" if type(v) is dict else "[]"
+    if not items:
+        return opening + closing
+    return f"{opening}\n" + ",\n".join(items) + f"\n{pad}{closing}"
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,10 @@ MALFORMED = [
     ("antipode", {"dim": 1, "m": [1]}, "row 0 of 'm'"),
     ("reconstruct", "family-without-comodules", "'comodules'"),
     ("reconstruct", "comodule-without-rho", "'rho'"),
+    # a float would enter as an inexact binary fraction: 0.5 is exact,
+    # 0.1 is not, and both are refused
+    ("antipode", "qz2-with-float-u", "an entry of 'u'"),
+    ("reconstruct", "comodule-with-float-rho", "an entry of 'rho'"),
 ]
 
 
@@ -191,6 +195,11 @@ def test_malformed_json_exit_64(tmp_path, capsys, command, doc, named):
         doc = {"bialgebra": _qz2_json(), "depth": 2}
     elif doc == "comodule-without-rho":
         doc = {"bialgebra": _qz2_json(), "comodules": [{"dim": 2}]}
+    elif doc == "qz2-with-float-u":
+        doc = dict(_qz2_json(), u=[[1], [0.5]])
+    elif doc == "comodule-with-float-rho":
+        doc = {"bialgebra": _qz2_json(),
+               "comodules": [{"dim": 1, "rho": [[0.1], [1]]}]}
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     code, out = run(["--json", "--no-timing", command, str(path)])

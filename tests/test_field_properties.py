@@ -6,6 +6,10 @@ its leading coefficient; it shares no code with `field.py`.  The moduli
 cover a sparse fold (x^2+1, x^3-2), a dense one (x^2+x+1), a non-integer
 coefficient (x^2-1/2) and a cubic whose fold of x^4 produces an x^3 term
 that has to be folded again.
+
+Every scalar either field returns is canonical: an `int` when it is
+integral, otherwise a `Fraction` with denominator > 1, never a `float`.
+Plain `Fraction` arithmetic is the oracle for the values.
 """
 
 from fractions import Fraction
@@ -13,7 +17,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfsmith.field import NumberFieldElement, number_field_from_text
+from hopfsmith.field import (FieldError, NumberFieldElement, QQ,
+                             number_field_from_text)
 
 MODULI = ["x^2+x+1", "x^2+1", "x^3-2", "x^2-1/2", "x^3+1/3*x^2-x+1/2"]
 FIELDS = {text: number_field_from_text(text) for text in MODULI}
@@ -22,6 +27,14 @@ FIELDS = {text: number_field_from_text(text) for text in MODULI}
 RATIONALS = st.one_of(st.just(Fraction(0)),
                       st.builds(Fraction, st.integers(-9, 9),
                                 st.integers(1, 6)))
+
+
+def is_canonical(q):
+    return type(q) is int or (type(q) is Fraction and q.denominator > 1)
+
+
+def canonical_coeffs(x):
+    return all(map(is_canonical, x.coeffs))
 
 
 def oracle_mul(F, a, b):
@@ -53,7 +66,7 @@ def test_mul_matches_long_division(args):
     got = F.mul(a, b)
     assert got.coeffs == oracle_mul(F, a.coeffs, b.coeffs)
     assert len(got.coeffs) == F.degree
-    assert all(type(c) is Fraction for c in got.coeffs)
+    assert canonical_coeffs(got)
 
 
 @given(field_elements(3))
@@ -116,3 +129,80 @@ def test_embedded_rationals_are_one_key(text):
     assert F.gen not in {Fraction(0), Fraction(1)}
     assert F(3) != "3"
     assert F(1) != float("inf") and F(1) != float("nan")
+
+
+# -- canonical scalars ---------------------------------------------------------
+
+# operands as a caller may pass them: ints, and Fractions whether
+# integral or not
+OPERANDS = st.one_of(st.integers(-50, 50), RATIONALS,
+                     st.builds(Fraction, st.integers(-9, 9)))
+
+
+@given(OPERANDS, OPERANDS)
+def test_rational_operations_are_exact_and_canonical(a, b):
+    x, y = Fraction(a), Fraction(b)
+    for got, want in ((QQ.add(a, b), x + y), (QQ.sub(a, b), x - y),
+                      (QQ.mul(a, b), x * y), (QQ.neg(a), -x), (QQ(a), x),
+                      (QQ.parse(str(a)), x), (QQ(f"{x.numerator}/"
+                                                 f"{x.denominator}"), x)):
+        assert got == want and is_canonical(got)
+    if y:
+        assert QQ.inv(b) == 1 / y and is_canonical(QQ.inv(b))
+    else:
+        with pytest.raises(FieldError):
+            QQ.inv(b)
+
+
+@pytest.mark.parametrize("text", MODULI)
+def test_field_constants_are_canonical(text):
+    F = FIELDS[text]
+    for x in (F.zero, F.one, F.gen):
+        assert canonical_coeffs(x)
+    assert all(map(is_canonical, F.modulus))
+    assert (QQ.zero, QQ.one) == (0, 1)
+    assert is_canonical(QQ.zero) and is_canonical(QQ.one)
+
+
+@given(field_elements(2), OPERANDS)
+def test_number_field_coefficients_are_exact_and_canonical(args, q):
+    F, a, b = args
+    for got, want in ((F.add(a, b), map(Fraction.__add__, a.coeffs,
+                                        b.coeffs)),
+                      (F.sub(a, b), map(Fraction.__sub__, a.coeffs,
+                                        b.coeffs)),
+                      (F.neg(a), map(Fraction.__neg__, a.coeffs)),
+                      (F.parse(F.show(a)), a.coeffs),
+                      (F(q), [q] + [0] * (F.degree - 1))):
+        assert got.coeffs == tuple(want) and canonical_coeffs(got)
+    if not F.is_zero(a):
+        # the drawn coefficients are Fractions; the parsed copy's integral
+        # ones are ints, which Euclid must not divide as ints
+        for x in (a, F.parse(F.show(a))):
+            inv = F.inv(x)
+            assert canonical_coeffs(inv) and F.mul(x, inv) == F.one
+
+
+@given(field_elements(1), OPERANDS)
+def test_embedded_rationals_equal_and_hash_like_the_rational(args, q):
+    F, a = args
+    embedded = [F(q), F.add(F(q), F.zero), F.mul(F(q), F.one),
+                F.sub(F.add(a, F(q)), a)]
+    if q:
+        embedded.append(F.inv(F.inv(F(q))))
+    for x in embedded:
+        assert x == q and x == QQ(q) and x == Fraction(q)
+        assert hash(x) == hash(q) == hash(QQ(q))
+
+
+@given(st.sampled_from(MODULI), OPERANDS)
+def test_rational_inverse_shortcut_agrees_with_euclid(text, q):
+    F = FIELDS[text]
+    if not q:
+        with pytest.raises(FieldError):
+            F.inv(F(q))
+        return
+    got, euclid = F.inv(F(q)), F._euclid_inverse(F(q))
+    assert got.coeffs == euclid.coeffs
+    assert canonical_coeffs(got) and canonical_coeffs(euclid)
+    assert got == 1 / Fraction(q)

@@ -5,9 +5,11 @@ Outside that module no code may read a matrix's private row maps
 `_row_map` and `_EMPTY`; structure tensors and linear systems are built
 from their nonzero entries (`Matrix.from_entries`), not from dense
 scratch rows such as `[F.zero] * n`; and only the JSON loaders build a
-matrix from dense rows (`Matrix.from_rows`).  The checks read the syntax
-tree of every module, so they fail as soon as such a shortcut is written,
-whether or not a test runs it.
+matrix from dense rows (`Matrix.from_rows`).  Scalars stay behind
+`field.py`: no other module divides with `/` (an `int / int` is a
+`float`, not an exact scalar) or names `Fraction`.  The checks read the
+syntax tree of every module, so they fail as soon as such a shortcut is
+written, whether or not a test runs it.
 """
 
 import ast
@@ -55,8 +57,24 @@ def from_rows_callers(tree):
                 yield node.lineno, getattr(top, "name", None)
 
 
-def modules():
-    return sorted(p for p in SRC.glob("*.py") if p.name != "matrix.py")
+def true_divisions_and_fractions(tree):
+    """Every `/` or `/=`, and every use of the name `Fraction`."""
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Div)):
+            yield node.lineno, "/"
+        elif ((isinstance(node, ast.Name) and node.id == "Fraction")
+              or (isinstance(node, ast.Attribute)
+                  and node.attr == "Fraction")):
+            yield node.lineno, "Fraction"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name.split(".")[-1] == "Fraction":
+                    yield node.lineno, "Fraction"
+
+
+def modules(but="matrix.py"):
+    return sorted(p for p in SRC.glob("*.py") if p.name != but)
 
 
 def parse(path):
@@ -80,6 +98,12 @@ def test_only_json_loaders_build_from_dense_rows():
     assert not bad
 
 
+def test_only_the_field_module_divides_or_names_fractions():
+    bad = [(p.name, *use) for p in modules(but="field.py")
+           for use in true_divisions_and_fractions(parse(p))]
+    assert not bad
+
+
 def test_the_checks_see_what_they_forbid():
     tree = ast.parse(
         "from .matrix import _EMPTY\n"
@@ -92,3 +116,14 @@ def test_the_checks_see_what_they_forbid():
     assert list(from_rows_callers(tree)) == [(5, "f")]
     assert {name for _, name in private_uses(parse(SRC / "matrix.py"))} \
         == PRIVATE
+    tree = ast.parse(
+        "from fractions import Fraction\n"
+        "import fractions\n"
+        "def g(x, y):\n"
+        "    x /= y\n"
+        "    return x // y, x / y, fractions.Fraction(x)\n")
+    assert list(true_divisions_and_fractions(tree)) == [
+        (1, "Fraction"), (4, "/"), (5, "/"), (5, "Fraction")]
+    assert {kind for _, kind in
+            true_divisions_and_fractions(parse(SRC / "field.py"))} \
+        == {"/", "Fraction"}

@@ -3,7 +3,9 @@
 The oracle below keeps every entry, zeros included, and uses only the
 field's scalar operations; the determinant is a cofactor expansion.  Every
 result is also checked to store no zero and to equal, with the same hash,
-the matrix built from its dense entries.
+the matrix built from its dense entries, and to hold only canonical
+scalars: every rational (an entry over Q, a coefficient over Q[x]/(f)) is
+an int when it is integral, otherwise a Fraction with denominator > 1.
 """
 
 from fractions import Fraction
@@ -48,9 +50,18 @@ def build(F, rows, cols, lists):
     return Matrix(F, rows, cols, [x for row in lists for x in row])
 
 
+def is_canonical(q):
+    return type(q) is int or (type(q) is Fraction and q.denominator > 1)
+
+
+def canonical(F, x):
+    return is_canonical(x) if F is QQ else all(map(is_canonical, x.coeffs))
+
+
 def check(F, got, rows, cols, lists):
     """got has shape rows x cols and the dense entries lists."""
     assert (got.rows, got.cols) == (rows, cols)
+    assert all(canonical(F, x) for _, _, x in got.entries())
     assert all(not F.is_zero(x) for m in got._maps for x in m.values())
     assert [list(got.row(i)) for i in range(rows)] == lists
     assert [[got[i, j] for j in range(cols)] for i in range(rows)] == lists
@@ -169,6 +180,7 @@ def whiskered(F, left, A, right):
 
 def same(got, want):
     assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert all(canonical(got.field, x) for _, _, x in got.entries())
     assert got == want and hash(got) == hash(want)
     assert got.data == want.data
 
@@ -289,7 +301,7 @@ def test_inverse_and_det(F, data):
     a = dense(data, F, n, n)
     A = build(F, n, n, a)
     det = o_det(F, a)
-    assert A.det() == det
+    assert A.det() == det and canonical(F, A.det())
     if F.is_zero(det):
         assert not A.is_invertible()
         with pytest.raises(FieldError):

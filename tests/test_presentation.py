@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import given, strategies as st
 
 from hopfsmith.presentation import Presentation, validate_presentation
 from hopfsmith.terms import Gen, comp
@@ -55,6 +58,36 @@ def test_json_roundtrip_bit_exact():
         assert again.dumps() == text
         assert again.census() == p.census()
         assert len(again.relations) == len(p.relations)
+
+
+# names with quotes, backslashes, control characters and non-ASCII text,
+# one character outside the basic plane (escaped as a surrogate pair)
+NAMES = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7f é€😀'), max_size=6)
+
+
+@st.composite
+def presentations(draw):
+    """Points and arrows between them, with relations between arrows."""
+    p = Presentation(max_dim=draw(st.integers(1, 4)))
+    names = draw(st.lists(NAMES, unique=True, max_size=8))
+    points = names[:draw(st.integers(0, len(names)))]
+    for name in points:
+        p.add(name, 0)
+    arrows = []
+    for name in names[len(points):]:
+        if not points:
+            break
+        ends = [Gen(draw(st.sampled_from(points))) for _ in range(2)]
+        arrows.append(p.add(name, 1, *ends, invertible=draw(st.booleans())))
+    for _ in range(draw(st.integers(0, 3)) if arrows else 0):
+        lhs, rhs = (draw(st.sampled_from(arrows)) for _ in range(2))
+        p.relate(1, lhs, rhs, oriented=draw(st.booleans()))
+    return p
+
+
+@given(presentations())
+def test_dumps_writes_what_json_writes(p):
+    assert p.dumps() == json.dumps(p.to_json(), indent=1, sort_keys=True)
 
 
 def test_census():
