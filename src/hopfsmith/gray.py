@@ -12,7 +12,9 @@ pairs (0,k), (k,0), (1,1), (2,1), (1,2), (2,2), (1,3), (3,1):
 
 The same term constructors (`cross`, `move12`, `move21`, `fill22`) build
 instances of these cells over composite boundaries, which is what both
-the generator table and the shear/proof-chain constructions need.
+the generator table and the shear/proof-chain constructions need, and
+what `GrayMorphism`, the tensor of two presentation morphisms, sends
+pair generators to.  `smash` returns its collapse as a `PresMorphism`.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .presentation import Presentation
-from .terms import CellTerm, Comp, Gen, Id, Inv, TermError, comp, idn
+from .presentation import PresMorphism, Presentation
+from .terms import CellTerm, Comp, Gen, Id, TermError, comp, idn, substitute
 from .walking import PointedPresentation
 
 PAIR_SEP = "⊗"  # the tensor sign, kept out of factor names
@@ -36,6 +38,15 @@ def split_pair(name: str) -> Tuple[str, str]:
     return x, y
 
 
+def _ends(p: Presentation, t: CellTerm) -> Tuple[str, str]:
+    """The names of the source and target objects of a term of p."""
+    s = p.normalize(p.boundary(t, "source", 0))
+    g = p.normalize(p.boundary(t, "target", 0))
+    if not (isinstance(s, Gen) and isinstance(g, Gen)):
+        raise TermError("0-boundary is not an object")
+    return s.name, g.name
+
+
 class TensorTerms:
     """Term constructors over the tensor of two presentations."""
 
@@ -47,38 +58,11 @@ class TensorTerms:
 
     def ten_l(self, t: CellTerm, y: str) -> CellTerm:
         """t (x) y for t a term of the left factor and y an object name."""
-        if isinstance(t, Gen):
-            return Gen(pair_name(t.name, y))
-        if isinstance(t, Id):
-            return Id(self.ten_l(t.inner, y))
-        if isinstance(t, Inv):
-            return Inv(self.ten_l(t.inner, y))
-        return Comp(t.k, self.ten_l(t.left, y), self.ten_l(t.right, y))
+        return substitute(t, lambda x: Gen(pair_name(x, y)))
 
     def ten_r(self, x: str, t: CellTerm) -> CellTerm:
-        if isinstance(t, Gen):
-            return Gen(pair_name(x, t.name))
-        if isinstance(t, Id):
-            return Id(self.ten_r(x, t.inner))
-        if isinstance(t, Inv):
-            return Inv(self.ten_r(x, t.inner))
-        return Comp(t.k, self.ten_r(x, t.left), self.ten_r(x, t.right))
-
-    # -- boundaries in the factors ---------------------------------------
-
-    def _ends_l(self, t: CellTerm) -> Tuple[str, str]:
-        s = self.L.normalize(self.L.boundary(t, "source", 0))
-        g = self.L.normalize(self.L.boundary(t, "target", 0))
-        if not (isinstance(s, Gen) and isinstance(g, Gen)):
-            raise TermError("0-boundary is not an object")
-        return s.name, g.name
-
-    def _ends_r(self, t: CellTerm) -> Tuple[str, str]:
-        s = self.R.normalize(self.R.boundary(t, "source", 0))
-        g = self.R.normalize(self.R.boundary(t, "target", 0))
-        if not (isinstance(s, Gen) and isinstance(g, Gen)):
-            raise TermError("0-boundary is not an object")
-        return s.name, g.name
+        """x (x) t for x an object name and t a term of the right factor."""
+        return substitute(t, lambda y: Gen(pair_name(x, y)))
 
     # -- the crossing of two 1-cells --------------------------------------
 
@@ -97,13 +81,13 @@ class TensorTerms:
             return Id(self.ten_l(a, y.name))
         if isinstance(a, Comp):
             s, t = a.left, a.right
-            p, q = self._ends_r(b)
+            p, q = _ends(self.R, b)
             step1 = Comp(0, self.cross(s, b), Id(self.ten_l(t, q)))
             step2 = Comp(0, Id(self.ten_l(s, p)), self.cross(t, b))
             return Comp(1, step1, step2)
         if isinstance(b, Comp):
             u, v = b.left, b.right
-            P, Q = self._ends_l(a)
+            P, Q = _ends(self.L, a)
             step1 = Comp(0, Id(self.ten_r(P, u)), self.cross(a, v))
             step2 = Comp(0, self.cross(a, u), Id(self.ten_r(Q, v)))
             return Comp(1, step1, step2)
@@ -129,7 +113,7 @@ class TensorTerms:
             s, t = a.left, a.right
             b = self.R.src(beta)
             b2 = self.R.tgt(beta)
-            p, q = self._ends_r(b)
+            p, q = _ends(self.R, b)
             layer3 = Comp(0, Id(self.ten_l(s, p)), self.cross(t, b2))
             W1 = Comp(1, Comp(0, self.move12(s, beta), Id(Id(self.ten_l(t, q)))),
                       Id(layer3))
@@ -140,7 +124,7 @@ class TensorTerms:
         assert isinstance(a, Gen)
         if isinstance(beta, Gen):
             return Gen(pair_name(a.name, beta.name))
-        A0, A1 = self._ends_l(a)
+        A0, A1 = _ends(self.L, a)
         if isinstance(beta, Comp) and beta.k == 1:
             # a vertical bead stack crosses top-first
             c, d = beta.left, beta.right
@@ -187,7 +171,7 @@ class TensorTerms:
             u, v = b.left, b.right
             a = self.L.src(alpha)
             a2 = self.L.tgt(alpha)
-            A0, A1 = self._ends_l(a)
+            A0, A1 = _ends(self.L, a)
             layer1 = Comp(0, Id(self.ten_r(A0, u)), self.cross(a, v))
             W_u = Comp(1, Id(layer1),
                        Comp(0, self.move21(alpha, u), Id(Id(self.ten_r(A1, v)))))
@@ -198,7 +182,7 @@ class TensorTerms:
         assert isinstance(b, Gen)
         if isinstance(alpha, Gen):
             return Gen(pair_name(alpha.name, b.name))
-        p, q = self._ends_r(b)
+        p, q = _ends(self.R, b)
         if isinstance(alpha, Comp) and alpha.k == 1:
             # a vertical bead stack crosses bottom-first
             c, d = alpha.left, alpha.right
@@ -240,8 +224,8 @@ class TensorTerms:
         a2 = self.L.tgt(alpha)
         b = self.R.src(beta)
         b2 = self.R.tgt(beta)
-        p, q = self._ends_r(b)
-        A0, A1 = self._ends_l(a)
+        p, q = _ends(self.R, b)
+        A0, A1 = _ends(self.L, a)
         # layers used as whiskers
         aNE = Comp(0, self.ten_l(alpha, p), Id(self.ten_r(A1, b2)))
         bNW2 = Comp(0, Id(self.ten_l(a2, p)), self.ten_r(A1, beta))
@@ -256,16 +240,15 @@ class TensorTerms:
         return src, tgt
 
 
-def gray(P: Presentation, Q: Presentation,
-         check_dim: bool = True) -> Presentation:
+def gray(P: Presentation, Q: Presentation) -> Presentation:
     """The strict lax tensor product of two presentations."""
     top = 0
     for g in P.gens.values():
         for h in Q.gens.values():
             top = max(top, g.dim + h.dim)
-    if check_dim and top > 4:
+    if top > 4:
         raise TermError(f"tensor would reach dimension {top} > 4")
-    out = Presentation(max_dim=min(top, 4) if top else 0)
+    out = Presentation(max_dim=top)
     tt = TensorTerms(P, Q)
 
     pairs = sorted(((g, h) for g in P.gens.values() for h in Q.gens.values()),
@@ -299,16 +282,16 @@ def _pair_boundaries(tt: TensorTerms, g, h):
     if dh == 0:
         return tt.ten_l(g.src, h.name), tt.ten_l(g.tgt, h.name)
     if (dg, dh) == (1, 1):
-        A0, A1 = tt._ends_l(gx)
-        p, q = tt._ends_r(hy)
+        A0, A1 = _ends(tt.L, gx)
+        p, q = _ends(tt.R, hy)
         src = comp(0, tt.ten_r(A0, hy), tt.ten_l(gx, q))
         tgt = comp(0, tt.ten_l(gx, p), tt.ten_r(A1, hy))
         return src, tgt
     if (dg, dh) == (1, 2):
         a = gx
         b, b2 = h.src, h.tgt
-        p, q = tt._ends_r(b)
-        A0, A1 = tt._ends_l(a)
+        p, q = _ends(tt.R, b)
+        A0, A1 = _ends(tt.L, a)
         src = Comp(1, Comp(0, tt.ten_r(A0, hy), Id(tt.ten_l(a, q))),
                    tt.cross(a, b2))
         tgt = Comp(1, tt.cross(a, b),
@@ -317,8 +300,8 @@ def _pair_boundaries(tt: TensorTerms, g, h):
     if (dg, dh) == (2, 1):
         b = hy
         a, a2 = g.src, g.tgt
-        p, q = tt._ends_r(b)
-        A0, A1 = tt._ends_l(a)
+        p, q = _ends(tt.R, b)
+        A0, A1 = _ends(tt.L, a)
         src = Comp(1, tt.cross(a, b),
                    Comp(0, tt.ten_l(gx, p), Id(tt.ten_r(A1, b))))
         tgt = Comp(1, Comp(0, Id(tt.ten_r(A0, b)), tt.ten_l(gx, q)),
@@ -331,8 +314,8 @@ def _pair_boundaries(tt: TensorTerms, g, h):
         beta, beta2 = h.src, h.tgt
         b = tt.R.src(beta)
         b2 = tt.R.tgt(beta)
-        p, q = tt._ends_r(b)
-        A0, A1 = tt._ends_l(gx)
+        p, q = _ends(tt.R, b)
+        A0, A1 = _ends(tt.L, gx)
         w_src = Comp(1, Comp(0, tt.ten_r(A0, hy), Id(Id(tt.ten_l(gx, q)))),
                      Id(tt.cross(gx, b2)))
         src = Comp(2, w_src, tt.move12(gx, beta2))
@@ -344,8 +327,8 @@ def _pair_boundaries(tt: TensorTerms, g, h):
         alpha, alpha2 = g.src, g.tgt
         a = tt.L.src(alpha)
         a2 = tt.L.tgt(alpha)
-        p, q = tt._ends_r(hy)
-        A0, A1 = tt._ends_l(a)
+        p, q = _ends(tt.R, hy)
+        A0, A1 = _ends(tt.L, a)
         w_src = Comp(1, Comp(0, Id(Id(tt.ten_r(A0, hy))), tt.ten_l(gx, q)),
                      Id(tt.cross(a2, hy)))
         src = Comp(2, tt.move21(alpha, hy), w_src)
@@ -357,37 +340,63 @@ def _pair_boundaries(tt: TensorTerms, g, h):
 
 
 # ---------------------------------------------------------------------------
-# smash collapse
+# tensor squares of morphisms
 
 
 @dataclass
-class CollapseMap:
-    domain: Presentation
-    codomain: Presentation
-    assignment: Dict[str, CellTerm]
+class GrayMorphism:
+    """The tensor of two presentation morphisms: a pair generator goes to
+    the tensor of the images, built with the same term constructors that
+    define the tensor boundaries, so functoriality is by construction."""
+    left: PresMorphism
+    right: PresMorphism
+    domain: Presentation     # gray(left.domain, right.domain)
+    codomain: Presentation   # gray(left.codomain, right.codomain)
+
+    def __post_init__(self):
+        self.tt = TensorTerms(self.left.codomain, self.right.codomain)
 
     def push(self, t: CellTerm) -> CellTerm:
-        out = self._push_raw(t)
-        return self.codomain.normalize(out)
+        return self.codomain.normalize(substitute(t, self._push_pair))
 
-    def _push_raw(self, t: CellTerm) -> CellTerm:
-        if isinstance(t, Gen):
-            return self.assignment[t.name]
-        if isinstance(t, Id):
-            return Id(self._push_raw(t.inner))
-        if isinstance(t, Inv):
-            return Inv(self._push_raw(t.inner))
-        return Comp(t.k, self._push_raw(t.left), self._push_raw(t.right))
+    def _push_pair(self, name: str) -> CellTerm:
+        x, y = split_pair(name)
+        fx = self.left.push(Gen(x))
+        gy = self.right.push(Gen(y))
+        dx = self.left.domain.gens[x].dim
+        dy = self.right.domain.gens[y].dim
+        tt = self.tt
+        if dx == 0:
+            return tt.ten_r(_object_name(fx), gy)
+        if dy == 0:
+            return tt.ten_l(fx, _object_name(gy))
+        if (dx, dy) == (1, 1):
+            return tt.cross(fx, gy)
+        if (dx, dy) == (1, 2):
+            return tt.move12(fx, gy)
+        if (dx, dy) == (2, 1):
+            return tt.move21(fx, gy)
+        raise TermError(f"no tensor image rule for dimension pair ({dx},{dy})")
+
+
+def _object_name(t: CellTerm) -> str:
+    if not isinstance(t, Gen):
+        raise TermError("object image is not an object generator")
+    return t.name
+
+
+# ---------------------------------------------------------------------------
+# smash collapse
 
 
 BASEPOINT = "pt"
 
 
-def smash(P: PointedPresentation, Q: PointedPresentation,
-          check_dim: bool = True) -> Tuple[Presentation, CollapseMap]:
+def smash(P: PointedPresentation,
+          Q: PointedPresentation) -> Tuple[Presentation, PresMorphism]:
     """Quotient of the tensor collapsing every generator that touches either
-    basepoint to an identity on the base object."""
-    big = gray(P.base, Q.base, check_dim=check_dim)
+    basepoint to an identity on the base object, with the collapse map."""
+    big = gray(P.base, Q.base)
     out = Presentation(max_dim=big.max_dim)
     out.add(BASEPOINT, 0)
     assignment: Dict[str, CellTerm] = {}
@@ -400,7 +409,7 @@ def smash(P: PointedPresentation, Q: PointedPresentation,
         else:
             survivors.append(g)
 
-    cm = CollapseMap(big, out, assignment)
+    cm = PresMorphism(big, out, assignment)
     for g in sorted(survivors, key=lambda g: (g.dim, g.name)):
         if g.dim == 0:
             out.add(g.name, 0)

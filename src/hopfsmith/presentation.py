@@ -8,6 +8,9 @@ The JSON format is pinned for interchange:
 
 with src/tgt/lhs/rhs as S-expression strings.  parse -> print -> parse
 is the identity on the nose.
+
+`PresMorphism` maps the terms of one presentation to another, generator
+by generator.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from . import jsonshape as shape
 from .terms import (CellTerm, Gen, Signature, SOURCE, TARGET, TermError,
                     boundary, dim, generators, normalize, parse_term,
-                    print_term, top_boundary)
+                    print_term, substitute, top_boundary)
 
 MAX_DIM = 4
 
@@ -46,10 +49,17 @@ class Presentation:
     max_dim: int
     gens: Dict[str, Generator] = field(default_factory=dict)
     relations: List[Relation] = field(default_factory=list)
-    # memo tables, dropped by _invalidate on every add and relate
-    _sig: Optional[Signature] = field(default=None, repr=False, compare=False)
+    # the signature grows with add; the boundary-word table only grows, since
+    # an entry depends on its generator's boundaries and on the dimensions of
+    # the generators they mention, which add never changes and relate never
+    # reads
+    sig: Signature = field(init=False, repr=False, compare=False)
     _words: Dict[str, tuple] = field(default_factory=dict, repr=False,
                                      compare=False)
+
+    def __post_init__(self):
+        self.sig = Signature({g.name: (g.dim, g.src, g.tgt)
+                              for g in self.gens.values()})
 
     # -- construction -------------------------------------------------
 
@@ -60,30 +70,18 @@ class Presentation:
         if d > self.max_dim:
             raise TermError(f"generator {name!r} exceeds maxDim {self.max_dim}")
         self.gens[name] = Generator(name, d, src, tgt, invertible)
-        self._invalidate()
+        self.sig.table[name] = (d, src, tgt)
         return Gen(name)
 
     def relate(self, d: int, lhs: CellTerm, rhs: CellTerm,
                oriented: bool = False) -> None:
         self.relations.append(Relation(d, lhs, rhs, oriented))
-        self._invalidate()
-
-    def _invalidate(self) -> None:
-        self._sig = None
-        self._words = {}
 
     # -- views ---------------------------------------------------------
 
-    @property
-    def sig(self) -> Signature:
-        if self._sig is None:
-            self._sig = Signature({g.name: (g.dim, g.src, g.tgt)
-                                   for g in self.gens.values()})
-        return self._sig
-
     def boundary_words(self, name: str) -> tuple:
         """(source word, target word) of a generator of dimension >= 2, as
-        computed by rewriting.word_of; memoized until the next mutation."""
+        computed by rewriting.word_of, once per generator."""
         try:
             return self._words[name]
         except KeyError:
@@ -173,6 +171,20 @@ class Presentation:
         return cls.from_json(json.loads(text))
 
 
+@dataclass
+class PresMorphism:
+    """A map of presentations: each generator of the domain goes to a term
+    of the codomain of the same dimension, with images of boundaries
+    matching boundaries of images."""
+    domain: Presentation
+    codomain: Presentation
+    assignment: Dict[str, CellTerm]
+
+    def push(self, t: CellTerm) -> CellTerm:
+        return self.codomain.normalize(
+            substitute(t, self.assignment.__getitem__))
+
+
 _STR = json.encoder.encode_basestring_ascii
 
 
@@ -245,10 +257,11 @@ def _validate_rec(t, p, invertibles) -> List[Violation]:
     out.extend(_validate_rec(t.right, p, invertibles))
     if out:
         return out
+    from .rewriting import EQ_DISTINCT, eq
     sig = p.sig
     lt = normalize(boundary(t.left, TARGET, t.k, sig), sig)
     rs = normalize(boundary(t.right, SOURCE, t.k, sig), sig)
-    if not _boundary_match(lt, rs, p):
+    if eq(lt, rs, p) is EQ_DISTINCT:
         out.append(Violation(
             "term",
             f"composition mismatch at level {t.k}: "
@@ -256,13 +269,20 @@ def _validate_rec(t, p, invertibles) -> List[Violation]:
     return out
 
 
-def _boundary_match(a: CellTerm, b: CellTerm, p: Presentation) -> bool:
-    """Cheap boundary agreement test used during validation; final
-    authority is eq() in rewriting, which compose() consults."""
-    if a == b:
-        return True
-    from .rewriting import eq, EQ_DISTINCT
-    return eq(a, b, p) is not EQ_DISTINCT
+def _parallel_violations(where: str, a: CellTerm, b: CellTerm, what: str,
+                         p: Presentation) -> List[Violation]:
+    """A violation when a and b, two well-formed terms of one dimension,
+    are not parallel or a boundary cannot be taken.  One parallel call
+    covers every level, since eq compares lower boundaries first; the
+    level named is the top one."""
+    from .rewriting import EQ_DISTINCT, parallel
+    try:
+        if parallel(a, b, p) is EQ_DISTINCT:
+            return [Violation(
+                where, f"{what} not parallel at level {p.dim(a) - 1}")]
+    except TermError as e:
+        return [Violation(where, str(e))]
+    return []
 
 
 def validate_presentation(p: Presentation) -> List[Violation]:
@@ -278,6 +298,7 @@ def validate_presentation(p: Presentation) -> List[Violation]:
         if g.src is None or g.tgt is None:
             out.append(Violation(g.name, "missing boundary"))
             continue
+        found = len(out)
         for side_name, side_term in (("src", g.src), ("tgt", g.tgt)):
             try:
                 d = dim(side_term, sig)
@@ -292,21 +313,9 @@ def validate_presentation(p: Presentation) -> List[Violation]:
                     out.append(Violation(
                         g.name,
                         f"{side_name} mentions {name!r} of dimension >= {g.dim}"))
-        if out:
-            continue
-        if g.dim >= 2:
-            # parallelism: src and tgt share each lower boundary
-            for k in range(g.dim - 1):
-                for side in (SOURCE, TARGET):
-                    try:
-                        bs = normalize(boundary(g.src, side, k, sig), sig)
-                        bt = normalize(boundary(g.tgt, side, k, sig), sig)
-                    except TermError as e:
-                        out.append(Violation(g.name, str(e)))
-                        break
-                    if not _boundary_match(bs, bt, p):
-                        out.append(Violation(
-                            g.name, f"src/tgt not parallel at level {k}"))
+        if len(out) == found:
+            out.extend(_parallel_violations(g.name, g.src, g.tgt, "src/tgt",
+                                            p))
     for i, r in enumerate(p.relations):
         label = f"relation#{i}"
         for side_name, side_term in (("lhs", r.lhs), ("rhs", r.rhs)):
@@ -317,10 +326,5 @@ def validate_presentation(p: Presentation) -> List[Violation]:
         if dim(r.lhs, sig) != r.dim or dim(r.rhs, sig) != r.dim:
             out.append(Violation(label, "stated dimension disagrees with sides"))
             continue
-        for k in range(r.dim):
-            for side in (SOURCE, TARGET):
-                bs = normalize(boundary(r.lhs, side, k, sig), sig)
-                bt = normalize(boundary(r.rhs, side, k, sig), sig)
-                if not _boundary_match(bs, bt, p):
-                    out.append(Violation(label, f"sides not parallel at level {k}"))
+        out.extend(_parallel_violations(label, r.lhs, r.rhs, "sides", p))
     return out

@@ -21,6 +21,10 @@ from .comodule import (Comodule, ComoduleError, comodule_hom,
 from .matrix import Matrix
 
 
+# the largest resolution system solved, in unknowns times entries of id_P
+MAX_RESOLUTION_CELLS = 4096 * 64
+
+
 class ClosureError(ComoduleError):
     """A tensor product of members is not expressible inside the family."""
 
@@ -59,8 +63,7 @@ class GeneratingFamily:
 
 
 def resolve(family: GeneratingFamily, P: Comodule,
-            factors: Optional[Tuple[int, int]] = None,
-            size_guard: int = 4096) -> Resolution:
+            factors: Optional[Tuple[int, int]] = None) -> Resolution:
     """Express id_P through family members.  When P is a product of two
     regular comodules of a Hopf algebra, the inverse shear gives the
     isomorphism from a sum of regulars directly (it intertwines the
@@ -71,7 +74,7 @@ def resolve(family: GeneratingFamily, P: Comodule,
         fast = _resolve_via_shear(family, P, factors)
         if fast is not None:
             return fast
-    return _resolve_general(family, P, size_guard)
+    return _resolve_general(family, P)
 
 
 def _is_regular(B: Bialgebra, M: Comodule) -> bool:
@@ -106,8 +109,7 @@ def _resolve_via_shear(family: GeneratingFamily, P: Comodule,
     return Resolution([reg_index] * n, iotas, pis)
 
 
-def _resolve_general(family: GeneratingFamily, P: Comodule,
-                     size_guard: int) -> Resolution:
+def _resolve_general(family: GeneratingFamily, P: Comodule) -> Resolution:
     B = family.bialgebra
     F = B.field
     into = [comodule_hom(family.members[k], P)
@@ -118,8 +120,8 @@ def _resolve_general(family: GeneratingFamily, P: Comodule,
                    for k in range(len(family.members)))
     if unknowns == 0:
         raise ClosureError("no intertwiners between the product and the family")
-    if unknowns * P.d * P.d > size_guard * 64:
-        raise ClosureError("resolution system too large; raise the guard")
+    if unknowns * P.d * P.d > MAX_RESOLUTION_CELLS:
+        raise ClosureError("resolution system too large")
     # unknown (k, a, b) is the coefficient of into[k][a] @ onto[k][b], whose
     # entry (i, j) is equation i*P.d + j of id_P
     eqs, meta = [], []

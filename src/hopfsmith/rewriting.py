@@ -21,8 +21,14 @@ early when it reaches the second side's normal form or move chain.
 
 Boundary words of generators are read from the presentation's
 boundary-word table (Presentation.boundary_words), filled once per
-generator by word_of and dropped whenever the presentation changes, so
+generator by word_of and kept for the presentation's lifetime, so
 interchange tests do not re-derive them.
+
+Every comparison starts with the boundary certificate, `parallel`: the
+top sources and the top targets are compared by eq, which compares
+their own boundaries first.  Validation uses the same call to check
+that a generator's source and target, or a relation's sides, are
+parallel at every level.
 
 Verdicts are Equal / Distinct / Unknown.  Distinct is only produced
 with a certificate: differing boundaries, differing free normal forms,
@@ -497,7 +503,6 @@ def eq(a: CellTerm, b: CellTerm, p: Presentation,
 
 
 def _eq(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
-    sig = p.sig
     try:
         a = p.normalize(a)
         b = p.normalize(b)
@@ -510,17 +515,12 @@ def _eq(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
     if da != db:
         return EQ_DISTINCT
     d = da
+    if d == 0:  # two different generators
+        return EQ_DISTINCT
     # boundary certificate first
-    if d >= 1:
-        for side in (SOURCE, TARGET):
-            v = _eq(top_boundary(a, side, sig, d),
-                    top_boundary(b, side, sig, d), p, budget)
-            if v is EQ_DISTINCT:
-                return EQ_DISTINCT
-            if v is EQ_UNKNOWN:
-                return EQ_UNKNOWN
-    if d == 0:
-        return EQ_EQUAL if a == b else EQ_DISTINCT
+    v = _parallel(a, b, d, p, budget)
+    if v is not EQ_EQUAL:
+        return v
     if d == 1:
         rules = _word_rules(p)
         wa = _rewrite_word(word_of(a, p), rules, budget)
@@ -531,6 +531,38 @@ def _eq(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
     if d == 2:
         return _eq2(a, b, p, budget)
     return _eq_high(a, b, d, p, budget)
+
+
+def parallel(a: CellTerm, b: CellTerm, p: Presentation,
+             budget: Optional[int] = None) -> Verdict:
+    """Whether two cells are parallel: Equal when their top sources and
+    top targets are equal under eq (two 0-cells always are), Distinct
+    when the dimensions differ or either pair is Distinct, Unknown
+    otherwise.  Each eq compares the lower boundaries first, so this
+    certifies every level at once.  Raises TermError when a boundary
+    cannot be taken."""
+    d = p.dim(a)
+    if p.dim(b) != d:
+        return EQ_DISTINCT
+    if d == 0:
+        return EQ_EQUAL
+    steps = default_budget() if budget is None else budget
+    return _parallel(a, b, d, p, Budget(steps))
+
+
+def _parallel(a: CellTerm, b: CellTerm, d: int, p: Presentation,
+              budget: Budget) -> Verdict:
+    """parallel for a and b of dimension d, within one budget: Distinct as
+    soon as one side is, Unknown only after both sides were compared."""
+    verdict = EQ_EQUAL
+    for side in (SOURCE, TARGET):
+        v = _eq(top_boundary(a, side, p.sig, d),
+                top_boundary(b, side, p.sig, d), p, budget)
+        if v is EQ_DISTINCT:
+            return EQ_DISTINCT
+        if v is EQ_UNKNOWN:
+            verdict = EQ_UNKNOWN
+    return verdict
 
 
 def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:

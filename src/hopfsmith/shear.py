@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .gray import CollapseMap, TensorTerms, gray, pair_name, smash, split_pair
-from .morphism import GrayMorphism, PresMorphism
-from .presentation import Presentation
+from .gray import (GrayMorphism, TensorTerms, gray, pair_name, smash,
+                   split_pair)
+from .presentation import PresMorphism, Presentation
 from .rewriting import EQ_DISTINCT, EQ_EQUAL, eq
 from .terms import CellTerm, Comp, Gen, Id, comp
 from .walking import e_oriental2, mnd, oriental2
@@ -32,7 +32,7 @@ def mnd_gray() -> Presentation:
 
 
 @lru_cache(maxsize=None)
-def mnd_smash() -> Tuple[Presentation, CollapseMap]:
+def mnd_smash() -> Tuple[Presentation, PresMorphism]:
     return smash(mnd(), mnd())
 
 
@@ -119,7 +119,7 @@ class UniversalShear:
     source_fixture: CellTerm
     target_fixture: CellTerm
     smashed: Presentation
-    collapse: CollapseMap
+    collapse: PresMorphism
     collapsed_term: CellTerm
 
 

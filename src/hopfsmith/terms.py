@@ -27,7 +27,7 @@ parts again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 SOURCE = "source"
 TARGET = "target"
@@ -101,6 +101,19 @@ def generators(t: CellTerm) -> Iterator[str]:
     else:
         yield from generators(t.left)
         yield from generators(t.right)
+
+
+def substitute(t: CellTerm, image: Callable[[str], CellTerm]) -> CellTerm:
+    """t with each generator replaced by image(name), and every Id, Inv
+    and Comp rebuilt as it is.  This is how a map of presentations, or the
+    tensor with a fixed object, acts on terms."""
+    if isinstance(t, Gen):
+        return image(t.name)
+    if isinstance(t, Id):
+        return Id(substitute(t.inner, image))
+    if isinstance(t, Inv):
+        return Inv(substitute(t.inner, image))
+    return Comp(t.k, substitute(t.left, image), substitute(t.right, image))
 
 
 class Signature:

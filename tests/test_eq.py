@@ -13,7 +13,8 @@ from hopfsmith.presentation import Presentation
 from hopfsmith.rewriting import (Budget, CompositionError, EQ_DISTINCT,
                                  EQ_EQUAL, EQ_UNKNOWN, _cancel_inverses,
                                  _explore, _layer_rules, _stack_successors,
-                                 canonical_stack, compose, eq, stack_of)
+                                 canonical_stack, compose, eq, parallel,
+                                 stack_of)
 from hopfsmith.terms import Comp, Gen, Id, Inv, TermError, comp
 from hopfsmith.walking import adj, mnd
 
@@ -406,3 +407,33 @@ def test_high_cycling_rules_do_not_recurse():
     for budget in (10, 100, 1000, None):
         assert eq(X, Y, p, budget) is EQ_UNKNOWN
         assert eq(X, Z, p, budget) is EQ_EQUAL
+
+
+def test_unknown_source_does_not_hide_a_distinct_target():
+    """a: f => k is not parallel (as in a presentation under validation).
+    At budget 0 the sources f, f2 are Unknown, but the targets k: x -> z
+    and k2: x -> y differ at an object, which costs no budget."""
+    p = Presentation(max_dim=2)
+    x, y, z = (p.add(n, 0) for n in "xyz")
+    f, f2, k2 = (p.add(n, 1, x, y) for n in ("f", "f2", "k2"))
+    k = p.add("k", 1, x, z)
+    a = p.add("a", 2, f, k)
+    b = p.add("b", 2, f2, k2)
+    assert eq(f, f2, p, budget=0) is EQ_UNKNOWN
+    assert eq(k, k2, p, budget=0) is EQ_DISTINCT
+    assert parallel(a, b, p, budget=0) is EQ_DISTINCT
+    assert eq(a, b, p, budget=0) is EQ_DISTINCT
+    assert eq(b, a, p, budget=0) is EQ_DISTINCT
+
+
+def test_parallel():
+    m, u, A = Gen("m"), Gen("u"), Gen("A")
+    assert parallel(m, m, M) is EQ_EQUAL
+    assert parallel(m, comp(1, comp(0, m, u), m), M) is EQ_EQUAL
+    assert parallel(m, u, M) is EQ_DISTINCT   # different sources
+    assert parallel(m, A, M) is EQ_DISTINCT   # different dimensions
+    assert parallel(Gen("pt"), Gen("pt"), M) is EQ_EQUAL
+    a = comp(1, comp(0, m, Id(A)), m)
+    b = comp(1, comp(0, Id(A), m), m)
+    # their sources AAA agree, so the budget goes to their targets, A
+    assert parallel(a, b, M, budget=0) is EQ_EQUAL

@@ -7,7 +7,10 @@ from their nonzero entries (`Matrix.from_entries`), not from dense
 scratch rows such as `[F.zero] * n`; and only the JSON loaders build a
 matrix from dense rows (`Matrix.from_rows`).  Scalars stay behind
 `field.py`: no other module divides with `/` (an `int / int` is a
-`float`, not an exact scalar) or names `Fraction`.  The checks read the
+`float`, not an exact scalar) or names `Fraction`.  Terms are mapped
+generator by generator only through `terms.substitute`: no other
+function rebuilds `Id`, `Inv` and `Comp` around recursive calls of its
+own.  The checks read the
 syntax tree of every module, so they fail as soon as such a shortcut is
 written, whether or not a test runs it.
 """
@@ -73,6 +76,28 @@ def true_divisions_and_fractions(tree):
                     yield node.lineno, "Fraction"
 
 
+def term_rebuilders(tree):
+    """Functions that rebuild Id(f(..)), Inv(f(..)) and Comp(_, f(..), f(..))
+    around calls f of themselves, as a generator-by-generator map does."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+
+        def recurses(node):
+            return isinstance(node, ast.Call) and fn.name in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None))
+
+        rebuilt = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                parts = node.args[1:] if node.func.id == "Comp" else node.args
+                if parts and all(recurses(a) for a in parts):
+                    rebuilt.add(node.func.id)
+        if {"Id", "Inv", "Comp"} <= rebuilt:
+            yield fn.lineno, fn.name
+
+
 def modules(but="matrix.py"):
     return sorted(p for p in SRC.glob("*.py") if p.name != but)
 
@@ -104,6 +129,12 @@ def test_only_the_field_module_divides_or_names_fractions():
     assert not bad
 
 
+def test_only_substitute_maps_terms_generator_by_generator():
+    found = [(p.name, name) for p in modules(but=None)
+             for _, name in term_rebuilders(parse(p))]
+    assert found == [("terms.py", "substitute")]
+
+
 def test_the_checks_see_what_they_forbid():
     tree = ast.parse(
         "from .matrix import _EMPTY\n"
@@ -127,3 +158,14 @@ def test_the_checks_see_what_they_forbid():
     assert {kind for _, kind in
             true_divisions_and_fractions(parse(SRC / "field.py"))} \
         == {"/", "Fraction"}
+    tree = ast.parse(
+        "class T:\n"
+        "    def ten(self, t, y):\n"
+        "        if isinstance(t, Gen):\n"
+        "            return Gen(t.name + y)\n"
+        "        if isinstance(t, Id):\n"
+        "            return Id(self.ten(t.inner, y))\n"
+        "        if isinstance(t, Inv):\n"
+        "            return Inv(self.ten(t.inner, y))\n"
+        "        return Comp(t.k, self.ten(t.left, y), self.ten(t.right, y))\n")
+    assert list(term_rebuilders(tree)) == [(2, "ten")]

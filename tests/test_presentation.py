@@ -3,8 +3,9 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfsmith.presentation import Presentation, validate_presentation
-from hopfsmith.terms import Gen, comp
+from hopfsmith.presentation import (Presentation, Violation,
+                                    validate_presentation)
+from hopfsmith.terms import Gen, Id, comp
 from hopfsmith.walking import adj, e_oriental2, mnd, oriental2
 
 
@@ -95,3 +96,48 @@ def test_census():
     assert adj().base.census() == (2, 2, 2)
     assert oriental2().census() == (3, 3, 1)
     assert e_oriental2().census() == (5, 5, 1)
+
+
+def test_parallelism_is_checked_after_an_earlier_violation():
+    p = Presentation(max_dim=2)
+    x = p.add("x", 0)
+    y = p.add("y", 0)
+    p.add("bad", 2, x, x)  # 0-dimensional boundaries
+    f = p.add("f", 1, x, y)
+    g = p.add("g", 1, y, x)
+    p.add("np", 2, f, g)
+    issues = validate_presentation(p)
+    assert [v.where for v in issues] == ["bad", "bad", "np"]
+    assert issues[-1].issue == "src/tgt not parallel at level 0"
+
+
+def test_boundaries_differing_only_at_level_0_are_flagged():
+    # the 1-boundaries Id(x) and Id(y) have the same empty word
+    p = Presentation(max_dim=3)
+    x = p.add("x", 0)
+    y = p.add("y", 0)
+    a = p.add("a", 2, Id(x), Id(x))
+    b = p.add("b", 2, Id(y), Id(y))
+    p.add("t", 3, a, b)
+    assert validate_presentation(p) == [
+        Violation("t", "src/tgt not parallel at level 1")]
+
+
+def test_a_boundary_that_cannot_be_taken_is_a_violation():
+    p = Presentation(max_dim=2)
+    p.add("x", 0)
+    h = p.add("h", 1)  # no boundary
+    p.add("a", 2, h, h)
+    issues = validate_presentation(p)
+    assert [v.where for v in issues] == ["h", "a"]
+    assert "no boundary" in issues[1].issue
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "m⊗eta's two source stacks on A⊗a A⊗a are one point-degenerate slide "
+    "apart, but canonical_stack and the search answer Distinct"))
+def test_smash_of_mnd_and_adj_at_b_is_valid():
+    from hopfsmith.gray import smash
+    from hopfsmith.walking import PointedPresentation
+    q = smash(mnd(), PointedPresentation(adj().base, "b"))[0]
+    assert validate_presentation(q) == []

@@ -1,6 +1,6 @@
 """The per-presentation boundary-word table: it agrees with word_of on
-every generator, swaps for inverted atoms, and is dropped when the
-presentation changes.  Also the fit check of Stack.word_before and the
+every generator, swaps for inverted atoms, and keeps its entries when
+the presentation grows.  Also the fit check of Stack.word_before and the
 public slide test."""
 
 import pytest
@@ -74,7 +74,7 @@ def test_words_and_verdicts_after_add_and_relate():
     assert eq(lhs, rhs, p) is EQ_EQUAL
 
 
-def test_add_and_relate_drop_the_table(monkeypatch):
+def test_add_and_relate_keep_the_table(monkeypatch):
     p, f, a = _loop_presentation()
     calls = []
 
@@ -88,10 +88,15 @@ def test_add_and_relate_drop_the_table(monkeypatch):
     assert len(calls) == 2  # source and target, once
     p.add("b", 2, comp(0, f, f), f)
     Atom("a", False).words(p)
-    assert len(calls) == 4
     p.relate(2, Gen("a"), Gen("a"))
-    Atom("a", False).words(p)
-    assert len(calls) == 6
+    Atom("a", True).words(p)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    # the kept entry is what a presentation built afresh computes
+    fresh = Presentation.loads(p.dumps())
+    g = fresh.gens["a"]
+    assert p.boundary_words("a") == (word_of(g.src, fresh),
+                                     word_of(g.tgt, fresh))
 
 
 def test_word_before_rejects_a_layer_that_does_not_fit():
