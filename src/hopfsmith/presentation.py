@@ -273,16 +273,21 @@ def _parallel_violations(where: str, a: CellTerm, b: CellTerm, what: str,
                          p: Presentation) -> List[Violation]:
     """A violation when a and b, two well-formed terms of one dimension,
     are not parallel or a boundary cannot be taken.  One parallel call
-    covers every level, since eq compares lower boundaries first; the
-    level named is the top one."""
-    from .rewriting import EQ_DISTINCT, parallel
+    covers every level, since eq compares lower boundaries first; only
+    when it fails are the levels compared one by one, to name the lowest
+    that differs."""
+    from .rewriting import EQ_DISTINCT, eq, parallel
+    sig = p.sig
     try:
-        if parallel(a, b, p) is EQ_DISTINCT:
-            return [Violation(
-                where, f"{what} not parallel at level {p.dim(a) - 1}")]
+        if parallel(a, b, p) is not EQ_DISTINCT:
+            return []
+        d = p.dim(a)
+        level = next((k for k in range(d) if any(
+            eq(boundary(a, side, k, sig), boundary(b, side, k, sig), p)
+            is EQ_DISTINCT for side in (SOURCE, TARGET))), d - 1)
     except TermError as e:
         return [Violation(where, str(e))]
-    return []
+    return [Violation(where, f"{what} not parallel at level {level}")]
 
 
 def validate_presentation(p: Presentation) -> List[Violation]:

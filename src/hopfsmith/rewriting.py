@@ -26,9 +26,11 @@ interchange tests do not re-derive them.
 
 Every comparison starts with the boundary certificate, `parallel`: the
 top sources and the top targets are compared by eq, which compares
-their own boundaries first.  Validation uses the same call to check
-that a generator's source and target, or a relation's sides, are
-parallel at every level.
+their own boundaries first.  Each side starts from the budget left
+when the certificate began, so running out on one side never hides a
+difference on the other.  Validation uses the same call to check that
+a generator's source and target, or a relation's sides, are parallel at
+every level.
 
 Verdicts are Equal / Distinct / Unknown.  Distinct is only produced
 with a certificate: differing boundaries, differing free normal forms,
@@ -533,35 +535,41 @@ def _eq(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
     return _eq_high(a, b, d, p, budget)
 
 
-def parallel(a: CellTerm, b: CellTerm, p: Presentation,
-             budget: Optional[int] = None) -> Verdict:
+def parallel(a: CellTerm, b: CellTerm, p: Presentation) -> Verdict:
     """Whether two cells are parallel: Equal when their top sources and
     top targets are equal under eq (two 0-cells always are), Distinct
     when the dimensions differ or either pair is Distinct, Unknown
     otherwise.  Each eq compares the lower boundaries first, so this
-    certifies every level at once.  Raises TermError when a boundary
-    cannot be taken."""
+    certifies every level at once; each side, at every level, starts
+    from the default budget.  Raises TermError when a boundary cannot be
+    taken."""
     d = p.dim(a)
     if p.dim(b) != d:
         return EQ_DISTINCT
     if d == 0:
         return EQ_EQUAL
-    steps = default_budget() if budget is None else budget
-    return _parallel(a, b, d, p, Budget(steps))
+    return _parallel(a, b, d, p, Budget(default_budget()))
 
 
 def _parallel(a: CellTerm, b: CellTerm, d: int, p: Presentation,
               budget: Budget) -> Verdict:
-    """parallel for a and b of dimension d, within one budget: Distinct as
-    soon as one side is, Unknown only after both sides were compared."""
+    """parallel for a and b of dimension d: Distinct as soon as one side
+    is, Unknown only after both sides were compared.  Each side starts
+    from what is left of the budget, so a side that runs it out cannot
+    starve the other; the budget is then charged what both spent."""
     verdict = EQ_EQUAL
+    spent = 0
     for side in (SOURCE, TARGET):
+        own = Budget(budget.left)
         v = _eq(top_boundary(a, side, p.sig, d),
-                top_boundary(b, side, p.sig, d), p, budget)
+                top_boundary(b, side, p.sig, d), p, own)
+        spent += budget.left - own.left
         if v is EQ_DISTINCT:
-            return EQ_DISTINCT
+            verdict = EQ_DISTINCT
+            break
         if v is EQ_UNKNOWN:
             verdict = EQ_UNKNOWN
+    budget.spend(spent)
     return verdict
 
 

@@ -421,12 +421,37 @@ def test_unknown_source_does_not_hide_a_distinct_target():
     b = p.add("b", 2, f2, k2)
     assert eq(f, f2, p, budget=0) is EQ_UNKNOWN
     assert eq(k, k2, p, budget=0) is EQ_DISTINCT
-    assert parallel(a, b, p, budget=0) is EQ_DISTINCT
     assert eq(a, b, p, budget=0) is EQ_DISTINCT
     assert eq(b, a, p, budget=0) is EQ_DISTINCT
 
 
-def test_parallel():
+def _cycling_words():
+    """1-cells f, g, f2, k, k2: x -> y with oriented rules f -> g and
+    g -> f, so comparing f with f2 runs any budget out."""
+    p = Presentation(max_dim=4)
+    x, y = p.add("x", 0), p.add("y", 0)
+    f, g, f2, k, k2 = (p.add(n, 1, x, y) for n in ("f", "g", "f2", "k", "k2"))
+    p.relate(1, f, g, oriented=True)
+    p.relate(1, g, f, oriented=True)
+    return p, f, f2, k, k2
+
+
+def test_a_side_that_runs_the_budget_out_leaves_the_other_its_own():
+    p, f, f2, k, k2 = _cycling_words()
+    assert eq(f, f2, p) is EQ_UNKNOWN
+    assert eq(k, k2, p) is EQ_DISTINCT
+    a = p.add("a", 2, f, k)
+    b = p.add("b", 2, f2, k2)
+    assert parallel(a, b, p) is EQ_DISTINCT
+    assert eq(a, b, p) is EQ_DISTINCT
+    # one level further up, the same certificate is found inside eq
+    t = p.add("t", 3, a, a)
+    u = p.add("u", 3, b, b)
+    assert parallel(t, u, p) is EQ_DISTINCT
+    assert eq(t, u, p) is EQ_DISTINCT
+
+
+def test_parallel(monkeypatch):
     m, u, A = Gen("m"), Gen("u"), Gen("A")
     assert parallel(m, m, M) is EQ_EQUAL
     assert parallel(m, comp(1, comp(0, m, u), m), M) is EQ_EQUAL
@@ -435,5 +460,6 @@ def test_parallel():
     assert parallel(Gen("pt"), Gen("pt"), M) is EQ_EQUAL
     a = comp(1, comp(0, m, Id(A)), m)
     b = comp(1, comp(0, Id(A), m), m)
-    # their sources AAA agree, so the budget goes to their targets, A
-    assert parallel(a, b, M, budget=0) is EQ_EQUAL
+    # their sources AAA and their targets A agree as terms, at no cost
+    monkeypatch.setenv("HOPFSMITH_BUDGET", "0")
+    assert parallel(a, b, M) is EQ_EQUAL

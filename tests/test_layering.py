@@ -77,8 +77,11 @@ def true_divisions_and_fractions(tree):
 
 
 def term_rebuilders(tree):
-    """Functions that rebuild Id(f(..)), Inv(f(..)) and Comp(_, f(..), f(..))
-    around calls f of themselves, as a generator-by-generator map does."""
+    """Functions that rebuild Id(f(..)), Inv(f(..)) and Comp(t.k, f(..),
+    f(..)) around calls f of themselves, as a generator-by-generator map
+    does.  A rebuild through type(t)(f(..)) counts as both Id and Inv.  A
+    Comp whose level is not t.k as it was is no such map: walking's
+    `shift` raises every level by one, and that is why it is not found."""
     for fn in ast.walk(tree):
         if not isinstance(fn, ast.FunctionDef):
             continue
@@ -90,10 +93,22 @@ def term_rebuilders(tree):
 
         rebuilt = set()
         for node in ast.walk(fn):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                parts = node.args[1:] if node.func.id == "Comp" else node.args
-                if parts and all(recurses(a) for a in parts):
-                    rebuilt.add(node.func.id)
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                names = {node.func.id}
+            elif (isinstance(node.func, ast.Call)
+                  and getattr(node.func.func, "id", None) == "type"):
+                names = {"Id", "Inv"}
+            else:
+                continue
+            parts = node.args
+            if names == {"Comp"}:
+                level, parts = node.args[0], node.args[1:]
+                if getattr(level, "attr", None) != "k":
+                    continue
+            if parts and all(recurses(a) for a in parts):
+                rebuilt |= names
         if {"Id", "Inv", "Comp"} <= rebuilt:
             yield fn.lineno, fn.name
 
@@ -169,3 +184,13 @@ def test_the_checks_see_what_they_forbid():
         "            return Inv(self.ten(t.inner, y))\n"
         "        return Comp(t.k, self.ten(t.left, y), self.ten(t.right, y))\n")
     assert list(term_rebuilders(tree)) == [(2, "ten")]
+    tree = ast.parse(
+        "def keep(t):\n"
+        "    if isinstance(t, Comp):\n"
+        "        return Comp(t.k, keep(t.left), keep(t.right))\n"
+        "    return type(t)(keep(t.inner))\n"
+        "def lift(t):\n"
+        "    if isinstance(t, Comp):\n"
+        "        return Comp(t.k + 1, lift(t.left), lift(t.right))\n"
+        "    return type(t)(lift(t.inner))\n")
+    assert list(term_rebuilders(tree)) == [(1, "keep")]

@@ -120,7 +120,24 @@ def test_boundaries_differing_only_at_level_0_are_flagged():
     b = p.add("b", 2, Id(y), Id(y))
     p.add("t", 3, a, b)
     assert validate_presentation(p) == [
-        Violation("t", "src/tgt not parallel at level 1")]
+        Violation("t", "src/tgt not parallel at level 0")]
+
+
+def test_a_boundary_that_runs_the_budget_out_hides_no_violation():
+    # f -> g -> f cycles, so f against f2 is Unknown at any budget; the
+    # targets k and k2 still differ, one and two levels down
+    p = Presentation(max_dim=4)
+    x, y = p.add("x", 0), p.add("y", 0)
+    f, g, f2, k, k2 = (p.add(n, 1, x, y) for n in ("f", "g", "f2", "k", "k2"))
+    p.relate(1, f, g, oriented=True)
+    p.relate(1, g, f, oriented=True)
+    a = p.add("a", 2, f, k)
+    b = p.add("b", 2, f2, k2)
+    p.add("t", 3, a, b)
+    p.add("u", 4, p.add("aa", 3, a, a), p.add("bb", 3, b, b))
+    assert validate_presentation(p) == [
+        Violation("t", "src/tgt not parallel at level 1"),
+        Violation("u", "src/tgt not parallel at level 1")]
 
 
 def test_a_boundary_that_cannot_be_taken_is_a_violation():
