@@ -259,9 +259,13 @@ def _validate_rec(t, p, invertibles) -> List[Violation]:
         return out
     from .rewriting import EQ_DISTINCT, eq
     sig = p.sig
-    lt = normalize(boundary(t.left, TARGET, t.k, sig), sig)
-    rs = normalize(boundary(t.right, SOURCE, t.k, sig), sig)
-    if eq(lt, rs, p) is EQ_DISTINCT:
+    try:
+        lt = normalize(boundary(t.left, TARGET, t.k, sig), sig)
+        rs = normalize(boundary(t.right, SOURCE, t.k, sig), sig)
+        distinct = eq(lt, rs, p) is EQ_DISTINCT
+    except TermError as e:
+        return [Violation("term", str(e))]
+    if distinct:
         out.append(Violation(
             "term",
             f"composition mismatch at level {t.k}: "

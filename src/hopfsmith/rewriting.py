@@ -3,21 +3,22 @@
 The decision procedure is dimension-stratified and deliberately partial:
 
   dim 0   generator names
-  dim 1   free words in the 1-generators modulo oriented 1-rules
+  dim 1   free words in the 1-generators; oriented 1-rules rewrite any
+          contiguous match, and every rewrite is freely reduced
   dim 2   layered interchange: a 2-cell is decomposed into layers, one
           whiskered atom each; whisker-disjoint layers slide past each
           other into a greedy firing order (not a normal form, so single
           slides stay search moves); oriented 2-relations
-          and formal-inverse cancellation are applied by a bounded search
-          from the first side, then from the second side until it
-          reaches a state the first side reached
-  dim >=3 boundary equality plus the same two searches over move
-          chains, whose moves are compared as normalized terms
+          and formal-inverse cancellation are the other moves
+  dim >=3 move chains, whose moves are compared as normalized terms,
+          rewritten by oriented relations and cancelled in inverse pairs
 
-The searches of both strata are one frontier loop (_explore) that spends
-the caller's Budget: one unit per expanded state, and one per rule window
-tried.  An exhausted budget gives Unknown.  The first side's search stops
-early when it reaches the second side's normal form or move chain.
+Dimensions 1 and up are decided by one two-sided search (_meet): a
+frontier loop (_explore) from the first side until it reaches the
+second side's word, chain or cancelled canonical stack, then from the
+second side until it reaches a state the first side reached.  Both
+spend the caller's Budget: one unit per expanded state, and one per rule
+window tried, in every dimension.  An exhausted budget gives Unknown.
 
 Boundary words of generators are read from the presentation's
 boundary-word table (Presentation.boundary_words), filled once per
@@ -33,16 +34,17 @@ a generator's source and target, or a relation's sides, are parallel at
 every level.
 
 Verdicts are Equal / Distinct / Unknown.  Distinct is only produced
-with a certificate: differing boundaries, differing free normal forms,
-or two fully explored rewrite searches that do not meet.
+with a certificate: differing boundaries, or, in dimensions 1 and 2,
+two fully explored rewrite searches that do not meet.  Move chains are
+never Distinct.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import (Callable, Container, Dict, Iterable, List, Optional,
-                    Sequence, Tuple, TypeVar)
+from typing import (AbstractSet, Callable, Container, Dict, Iterable, List,
+                    Optional, Sequence, Tuple, TypeVar)
 
 from .presentation import Presentation
 from .terms import (CellTerm, Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
@@ -114,27 +116,22 @@ def _cancel_word(w: Tuple[Letter, ...]) -> Tuple[Letter, ...]:
 
 
 def _word_rules(p: Presentation):
-    rules = []
-    for r in p.relations:
-        if r.dim == 1 and r.oriented:
-            rules.append((word_of(r.lhs, p), word_of(r.rhs, p)))
-    return rules
+    return [(word_of(r.lhs, p), word_of(r.rhs, p))
+            for r in p.relations if r.dim == 1 and r.oriented]
 
 
-def _rewrite_word(w, rules, budget: Budget):
-    changed = True
-    while changed and budget.spend():
-        changed = False
-        for lhs, rhs in rules:
-            n = len(lhs)
-            for i in range(len(w) - n + 1):
-                if w[i:i + n] == lhs:
-                    w = _cancel_word(w[:i] + rhs + w[i + n:])
-                    changed = True
-                    break
-            if changed:
-                break
-    return w
+def _rewrites(seq: tuple, rules, budget: Budget) -> Iterable[tuple]:
+    """seq with one contiguous match of an oriented rule's left side
+    replaced by its right side, for every match: the successors of a word
+    and of a move chain.  Each window tried spends one unit of the budget,
+    as _match_rule does for stacks."""
+    for lhs, rhs in rules:
+        n = len(lhs)
+        for i in range(len(seq) - n + 1):
+            if not budget.spend():
+                return
+            if seq[i:i + n] == lhs:
+                yield seq[:i] + rhs + seq[i + n:]
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +490,21 @@ def _explore(start: State, successors: Callable[[State], Iterable[State]],
     return found, budget.left >= 0
 
 
+def _meet(a: State, b: State, successors: Callable[[State], Iterable[State]],
+          budget: Budget, stop: AbstractSet[State]) -> Verdict:
+    """Search from a until it reaches a state in stop, then from b until
+    it reaches a state the first search found.  Equal when the searches
+    meet, Distinct when both ran to the end without meeting, Unknown
+    otherwise.  A start already in its stop set spends nothing."""
+    seen_a, done_a = _explore(a, successors, budget, stop)
+    if not seen_a.keys().isdisjoint(stop):
+        return EQ_EQUAL
+    seen_b, done_b = _explore(b, successors, budget, seen_a)
+    if not seen_a.keys().isdisjoint(seen_b):
+        return EQ_EQUAL
+    return EQ_DISTINCT if done_a and done_b else EQ_UNKNOWN
+
+
 # ---------------------------------------------------------------------------
 # top level
 
@@ -525,11 +537,9 @@ def _eq(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
         return v
     if d == 1:
         rules = _word_rules(p)
-        wa = _rewrite_word(word_of(a, p), rules, budget)
-        wb = _rewrite_word(word_of(b, p), rules, budget)
-        if wa == wb:
-            return EQ_EQUAL
-        return EQ_DISTINCT if budget.left >= 0 else EQ_UNKNOWN
+        step = lambda w: map(_cancel_word, _rewrites(w, rules, budget))
+        wb = word_of(b, p)
+        return _meet(word_of(a, p), wb, step, budget, {wb})
     if d == 2:
         return _eq2(a, b, p, budget)
     return _eq_high(a, b, d, p, budget)
@@ -588,16 +598,8 @@ def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
     # with nothing cancelled, the search starts from the stack already
     # canonicalized
     start_a = ca if xa is sa else canonical_stack(sa, p)
-    seen_a, done_a = _explore(start_a, step, budget, {cb})
-    if cb in seen_a:
-        return EQ_EQUAL
     start_b = cb if xb is sb else canonical_stack(sb, p)
-    seen_b, done_b = _explore(start_b, step, budget, seen_a)
-    if not seen_a.keys().isdisjoint(seen_b):
-        return EQ_EQUAL
-    if done_a and done_b:
-        return EQ_DISTINCT
-    return EQ_UNKNOWN
+    return _meet(start_a, start_b, step, budget, {cb})
 
 
 def _eq_high(a: CellTerm, b: CellTerm, d: int, p: Presentation,
@@ -606,51 +608,38 @@ def _eq_high(a: CellTerm, b: CellTerm, d: int, p: Presentation,
     chains, rewriting by oriented same-dimension relations (contiguous
     syntactic matches only) and cancelling inverse pairs.  Chains meet
     when they are equal move by move as normalized terms.  Never returns
-    Distinct here (sound, incomplete)."""
-    rules = []
-    for r in p.relations:
-        if r.dim == d and r.oriented:
-            rules.append((tuple(_moves(r.lhs, p)), tuple(_moves(r.rhs, p))))
-    step = lambda c: _chain_successors(c, rules, p)
-    chain_b = tuple(_moves(b, p))
-    seen_a, _ = _explore(tuple(_moves(a, p)), step, budget, {chain_b})
-    seen_b, _ = _explore(chain_b, step, budget, seen_a)
-    if not seen_a.keys().isdisjoint(seen_b):
+    Distinct: chains that never meet may still be equal by an interchange
+    of moves the chains do not model (sound, incomplete)."""
+    rules = [(_moves(r.lhs, p), _moves(r.rhs, p))
+             for r in p.relations if r.dim == d and r.oriented]
+    step = lambda c: _chain_successors(c, rules, p, budget)
+    chain_b = _moves(b, p)
+    if _meet(_moves(a, p), chain_b, step, budget, {chain_b}) is EQ_EQUAL:
         return EQ_EQUAL
     return EQ_UNKNOWN
 
 
-def _chain_successors(cur, rules, p: Presentation):
+def _chain_successors(cur, rules, p: Presentation, budget: Budget):
     """The move chains one step away: all inverse pairs cancelled, or one
     contiguous match of an oriented rule rewritten."""
-    nexts = [tuple(_cancel_moves(cur, p))]
-    for lhs, rhs in rules:
-        n = len(lhs)
-        for i in range(len(cur) - n + 1):
-            if cur[i:i + n] == lhs:
-                nexts.append(cur[:i] + rhs + cur[i + n:])
-    return nexts
+    yield _cancel_moves(cur, p)
+    yield from _rewrites(cur, rules, budget)
 
 
-def _moves(t: CellTerm, p: Presentation) -> Optional[List[CellTerm]]:
+def _moves(t: CellTerm, p: Presentation) -> Tuple[CellTerm, ...]:
     t = p.normalize(t)
-    d = p.dim(t)
-    out = []
-    for part in flatten(t, d - 1):
-        if isinstance(part, Id):
-            continue
-        out.append(part)
-    return out
+    return tuple(m for m in flatten(t, p.dim(t) - 1) if not isinstance(m, Id))
 
 
-def _cancel_moves(moves: List[CellTerm], p: Presentation) -> List[CellTerm]:
+def _cancel_moves(moves: Sequence[CellTerm],
+                  p: Presentation) -> Tuple[CellTerm, ...]:
     out: List[CellTerm] = []
     for m in moves:
         if out and p.normalize(Inv(out[-1])) == m:
             out.pop()
         else:
             out.append(m)
-    return out
+    return tuple(out)
 
 
 class CompositionError(TermError):

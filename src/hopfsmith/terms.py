@@ -162,7 +162,7 @@ def top_boundary(t: CellTerm, side: str, sig: Signature,
     if isinstance(t, Gen):
         b = sig.src_of(t.name) if side == SOURCE else sig.tgt_of(t.name)
         if b is None:
-            raise TermError(f"0-cell {t.name!r} has no boundary")
+            raise TermError(f"generator {t.name!r} has no boundary")
         return b
     if isinstance(t, Id):
         return t.inner

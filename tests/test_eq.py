@@ -12,9 +12,9 @@ from hopfsmith import rewriting
 from hopfsmith.presentation import Presentation
 from hopfsmith.rewriting import (Budget, CompositionError, EQ_DISTINCT,
                                  EQ_EQUAL, EQ_UNKNOWN, _cancel_inverses,
-                                 _explore, _layer_rules, _stack_successors,
-                                 canonical_stack, compose, eq, parallel,
-                                 stack_of)
+                                 _explore, _layer_rules, _rewrites,
+                                 _stack_successors, canonical_stack,
+                                 compose, eq, parallel, stack_of)
 from hopfsmith.terms import Comp, Gen, Id, Inv, TermError, comp
 from hopfsmith.walking import adj, mnd
 
@@ -425,19 +425,19 @@ def test_unknown_source_does_not_hide_a_distinct_target():
     assert eq(b, a, p, budget=0) is EQ_DISTINCT
 
 
-def _cycling_words():
-    """1-cells f, g, f2, k, k2: x -> y with oriented rules f -> g and
-    g -> f, so comparing f with f2 runs any budget out."""
+def _growing_words():
+    """1-cells f, f2, k, k2: x -> y and e: y -> y with the oriented rule
+    f -> f e, whose closure of f is infinite, so comparing f with f2 runs
+    any budget out."""
     p = Presentation(max_dim=4)
     x, y = p.add("x", 0), p.add("y", 0)
-    f, g, f2, k, k2 = (p.add(n, 1, x, y) for n in ("f", "g", "f2", "k", "k2"))
-    p.relate(1, f, g, oriented=True)
-    p.relate(1, g, f, oriented=True)
+    f, f2, k, k2 = (p.add(n, 1, x, y) for n in ("f", "f2", "k", "k2"))
+    p.relate(1, f, comp(0, f, p.add("e", 1, y, y)), oriented=True)
     return p, f, f2, k, k2
 
 
 def test_a_side_that_runs_the_budget_out_leaves_the_other_its_own():
-    p, f, f2, k, k2 = _cycling_words()
+    p, f, f2, k, k2 = _growing_words()
     assert eq(f, f2, p) is EQ_UNKNOWN
     assert eq(k, k2, p) is EQ_DISTINCT
     a = p.add("a", 2, f, k)
@@ -449,6 +449,111 @@ def test_a_side_that_runs_the_budget_out_leaves_the_other_its_own():
     u = p.add("u", 3, b, b)
     assert parallel(t, u, p) is EQ_DISTINCT
     assert eq(t, u, p) is EQ_DISTINCT
+
+
+def _loops(rules, letters="fgh"):
+    """Non-invertible loops on one object x, one per letter, and the
+    oriented 1-rules given as (lhs, rhs) strings of letters."""
+    p = Presentation(max_dim=1)
+    x = p.add("x", 0)
+    for n in letters:
+        p.add(n, 1, x, x)
+    for lhs, rhs in rules:
+        p.relate(1, _loop_word(lhs), _loop_word(rhs), oriented=True)
+    return p
+
+
+def _loop_word(w):
+    return comp(0, *map(Gen, w)) if w else Id(Gen("x"))
+
+
+def test_words_that_share_a_redex_are_equal():
+    # f -> g and f -> h: h is one rule step from f
+    p = _loops([("f", "g"), ("f", "h")])
+    assert eq(Gen("f"), Gen("h"), p) is EQ_EQUAL
+    assert eq(Gen("h"), Gen("f"), p) is EQ_EQUAL
+    assert eq(Gen("f"), Gen("g"), p) is EQ_EQUAL
+
+
+def test_cycling_word_rules_decide_both_ways():
+    # f -> g -> f: the closure of f is {f, g}, finite, and misses f2
+    p = _loops([("f", "g"), ("g", "f")], letters=("f", "g", "f2"))
+    for budget in (None, 100):
+        assert eq(Gen("f"), Gen("g"), p, budget) is EQ_EQUAL
+        assert eq(Gen("g"), Gen("f"), p, budget) is EQ_EQUAL
+        assert eq(Gen("f"), Gen("f2"), p, budget) is EQ_DISTINCT
+    assert eq(Gen("f"), Gen("f2"), p, budget=1) is EQ_UNKNOWN
+
+
+def test_a_word_search_cut_short_is_unknown():
+    # f2's closure is {f2}, explored to the end; f's never ends
+    p, f, f2, _, _ = _growing_words()
+    assert eq(f2, f, p) is EQ_UNKNOWN
+
+
+def test_word_rewrites_are_freely_reduced():
+    # g -> f^-1 over invertible loops: f g -> f f^-1, which reduces to
+    # the empty word
+    p = Presentation(max_dim=1)
+    x = p.add("x", 0)
+    f, g = (p.add(n, 1, x, x, invertible=True) for n in "fg")
+    p.relate(1, g, Inv(f), oriented=True)
+    assert eq(comp(0, f, g), Id(x), p) is EQ_EQUAL
+    assert eq(Id(x), comp(0, f, g), p) is EQ_EQUAL
+    assert eq(comp(0, g, f), Id(x), p) is EQ_EQUAL
+
+
+def test_rewrites_spend_one_unit_per_window():
+    rules = [(("a",), ("b",)), (("a", "a"), ())]
+    budget = Budget(100)
+    assert list(_rewrites(tuple("aab"), rules, budget)) == [
+        tuple("bab"), tuple("abb"), tuple("b")]
+    assert budget.left == 100 - 3 - 2
+    budget = Budget(2)
+    assert list(_rewrites(tuple("aab"), rules, budget)) == [
+        tuple("bab"), tuple("abb")]
+
+
+def forward_closure(word, rules, cap):
+    """The words reachable from word by rewriting one occurrence of a
+    rule's lhs to its rhs at a time, and whether that is all of them;
+    the search stops once it holds cap words."""
+    seen, todo = {word}, [word]
+    while todo:
+        cur = todo.pop()
+        for lhs, rhs in rules:
+            i = cur.find(lhs)
+            while i >= 0:
+                nxt = cur[:i] + rhs + cur[i + len(lhs):]
+                if nxt not in seen:
+                    if len(seen) == cap:
+                        return seen, False
+                    seen.add(nxt)
+                    todo.append(nxt)
+                i = cur.find(lhs, i + 1)
+    return seen, True
+
+
+loop_words = st.text("fgh", max_size=4)
+loop_rules = st.lists(st.tuples(st.text("fgh", min_size=1, max_size=2),
+                                st.text("fgh", max_size=2)), max_size=4)
+
+
+@settings(max_examples=300)
+@given(loop_rules, loop_words, loop_words)
+def test_word_search_meets_where_the_forward_closures_do(rules, u, v):
+    # a closure of at most 20 words holds words of at most 4 + 19
+    # letters, so exploring it costs at most 20 * (1 + 4 * 23) units per
+    # side: 4000 decides every pair of such closures
+    p = _loops(rules)
+    seen_u, all_u = forward_closure(u, rules, cap=20)
+    seen_v, all_v = forward_closure(v, rules, cap=20)
+    meet = not seen_u.isdisjoint(seen_v)
+    verdict = eq(_loop_word(u), _loop_word(v), p, budget=4000)
+    if all_u and all_v:
+        assert verdict is (EQ_EQUAL if meet else EQ_DISTINCT)
+    elif meet:
+        assert verdict is not EQ_DISTINCT
 
 
 def test_parallel(monkeypatch):

@@ -10,7 +10,8 @@ matrix from dense rows (`Matrix.from_rows`).  Scalars stay behind
 `float`, not an exact scalar) or names `Fraction`.  Terms are mapped
 generator by generator only through `terms.substitute`: no other
 function rebuilds `Id`, `Inv` and `Comp` around recursive calls of its
-own.  The checks read the
+own.  Every stratum of `eq` searches through `rewriting._meet`: no
+other function names the frontier loop `_explore`.  The checks read the
 syntax tree of every module, so they fail as soon as such a shortcut is
 written, whether or not a test runs it.
 """
@@ -113,6 +114,16 @@ def term_rebuilders(tree):
             yield fn.lineno, fn.name
 
 
+def uses_of(name, tree):
+    """The enclosing top-level function of every use of name, called or
+    not, as a plain name or as an attribute."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name):
+                yield node.lineno, getattr(top, "name", None)
+
+
 def modules(but="matrix.py"):
     return sorted(p for p in SRC.glob("*.py") if p.name != but)
 
@@ -148,6 +159,12 @@ def test_only_substitute_maps_terms_generator_by_generator():
     found = [(p.name, name) for p in modules(but=None)
              for _, name in term_rebuilders(parse(p))]
     assert found == [("terms.py", "substitute")]
+
+
+def test_only_meet_runs_the_search_loop():
+    found = {(p.name, fn) for p in modules(but=None)
+             for _, fn in uses_of("_explore", parse(p))}
+    assert found == {("rewriting.py", "_meet")}
 
 
 def test_the_checks_see_what_they_forbid():
@@ -194,3 +211,11 @@ def test_the_checks_see_what_they_forbid():
         "        return Comp(t.k + 1, lift(t.left), lift(t.right))\n"
         "    return type(t)(lift(t.inner))\n")
     assert list(term_rebuilders(tree)) == [(1, "keep")]
+    tree = ast.parse(
+        "def _meet(a, b, step):\n"
+        "    return _explore(a, step), _explore(b, step)\n"
+        "def _eq1(a, b):\n"
+        "    search = rewriting._explore\n"
+        "    return (lambda: _explore(a, None))()\n")
+    assert list(uses_of("_explore", tree)) == [
+        (2, "_meet"), (2, "_meet"), (4, "_eq1"), (5, "_eq1")]

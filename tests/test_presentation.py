@@ -124,13 +124,13 @@ def test_boundaries_differing_only_at_level_0_are_flagged():
 
 
 def test_a_boundary_that_runs_the_budget_out_hides_no_violation():
-    # f -> g -> f cycles, so f against f2 is Unknown at any budget; the
-    # targets k and k2 still differ, one and two levels down
+    # f -> f e -> f e e ... grows without end, so f against f2 is Unknown
+    # at any budget; the targets k and k2 still differ, one and two
+    # levels down
     p = Presentation(max_dim=4)
     x, y = p.add("x", 0), p.add("y", 0)
-    f, g, f2, k, k2 = (p.add(n, 1, x, y) for n in ("f", "g", "f2", "k", "k2"))
-    p.relate(1, f, g, oriented=True)
-    p.relate(1, g, f, oriented=True)
+    f, f2, k, k2 = (p.add(n, 1, x, y) for n in ("f", "f2", "k", "k2"))
+    p.relate(1, f, comp(0, f, p.add("e", 1, y, y)), oriented=True)
     a = p.add("a", 2, f, k)
     b = p.add("b", 2, f2, k2)
     p.add("t", 3, a, b)
@@ -148,6 +148,24 @@ def test_a_boundary_that_cannot_be_taken_is_a_violation():
     issues = validate_presentation(p)
     assert [v.where for v in issues] == ["h", "a"]
     assert "no boundary" in issues[1].issue
+
+
+def test_a_relation_over_a_generator_without_boundary_is_a_violation(
+        tmp_path, capsys):
+    from hopfsmith.cli import main
+    p = Presentation(max_dim=1)
+    p.add("x", 0)
+    h = p.add("h", 1)  # no boundary
+    p.relate(1, comp(0, h, h), h)
+    assert validate_presentation(p) == [
+        Violation("h", "missing boundary"),
+        Violation("relation#0", "lhs: generator 'h' has no boundary")]
+    path = tmp_path / "h.json"
+    path.write_text(p.dumps(), encoding="utf-8")
+    assert main(["--json", "--no-timing", "census", str(path)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["status"]) for c in doc["checks"]] == [
+        ("valid", "fail")]
 
 
 @pytest.mark.xfail(strict=True, reason=(
