@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from . import jsonshape as shape
 from .field import Field, field_from_json
-from .matrix import Matrix, koszul_matrix
+from .matrix import Matrix
 
 FLIP = "flip"
 SUPER = "super"
@@ -71,9 +71,6 @@ class Bialgebra:
         """The parities the braiding signs by: the grading under the Koszul
         rule, all even under the flip."""
         return self.grading if self.braiding == SUPER else (0,) * self.n
-
-    def br(self) -> Matrix:
-        return koszul_matrix(self.field, self.parities, self.parities)
 
 
 @dataclass

@@ -120,15 +120,22 @@ def emit_dot(p: Presentation, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def check_valid(report: Report, name: str, p: Presentation,
+                budget: Optional[int]) -> None:
+    """fail on a decided violation, else unknown on an undecided one."""
+    bad = validate_presentation(p, budget)
+    decided = [v for v in bad if not v.undecided]
+    status = "fail" if decided else "unknown" if bad else "pass"
+    report.check(name, status, (decided or bad)[0].issue if bad else None)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_census(args, report: Report) -> None:
     p = load_presentation(args.presentation)
-    bad = validate_presentation(p)
-    report.check("valid", "pass" if not bad else "fail",
-                 None if not bad else bad[0].issue)
+    check_valid(report, "valid", p, args.budget)
     report.payload["census"] = list(p.census())
 
 
@@ -136,9 +143,7 @@ def cmd_gray(args, report: Report) -> None:
     a = load_presentation(args.left)
     b = load_presentation(args.right)
     out = gray(a, b)
-    bad = validate_presentation(out)
-    report.check("tensor-valid", "pass" if not bad else "fail",
-                 None if not bad else bad[0].issue)
+    check_valid(report, "tensor-valid", out, args.budget)
     report.payload["census"] = list(out.census())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -153,9 +158,7 @@ def cmd_smash(args, report: Report) -> None:
     pa = PointedPresentation(a, args.left_point)
     pb = PointedPresentation(b, args.right_point)
     out, _ = smash(pa, pb)
-    bad = validate_presentation(out)
-    report.check("smash-valid", "pass" if not bad else "fail",
-                 None if not bad else bad[0].issue)
+    check_valid(report, "smash-valid", out, args.budget)
     report.payload["census"] = list(out.census())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -226,7 +229,7 @@ def cmd_integrals(args, report: Report) -> None:
 def cmd_reconstruct(args, report: Report) -> None:
     if args.family in FIXTURE_BUILDERS or not args.family.endswith(".json"):
         B = load_bialgebra(args.family)
-        rt = round_trip(B, depth=args.depth)
+        rt = round_trip(B)
         report.payload["verdict"] = rt.verdict
         report.payload["hopf"] = [rt.reference_hopf, rt.reconstruction_hopf]
         report.check("round-trip",
@@ -246,9 +249,7 @@ def cmd_reconstruct(args, report: Report) -> None:
         c = shape.obj(c, where)
         rho = Matrix.from_rows(B.field, shape.rows(c, "rho", where))
         members.append(Comodule(B, shape.get(c, "dim", int, where), rho))
-    fam = GeneratingFamily(members, depth=shape.get(doc, "depth", int,
-                                                    "family", args.depth))
-    res = coend_reconstruct(fam, reference=B)
+    res = coend_reconstruct(GeneratingFamily(members), reference=B)
     report.payload["verdict"] = res.verdict
     report.payload["coend_dim"] = res.bialgebra.n
     report.check("reconstruction",
@@ -288,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "state expanded or rule window tried, Unknown when "
                          "it runs out (default HOPFSMITH_BUDGET or "
                          f"{default_budget()})")
-    ap.add_argument("--depth", type=int, default=2,
-                    help="tensor closure depth for reconstruction")
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("census", help="per-dimension generator counts")

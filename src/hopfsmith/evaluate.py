@@ -25,7 +25,7 @@ which is the same thing as evaluating the diagram in the smash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .bialgebra import Bialgebra
@@ -50,22 +50,15 @@ class EvaluationError(ValueError):
 @dataclass
 class EvalContext:
     bialgebra: Bialgebra
-    presentation: Presentation = dfield(default=None)
-    smashed: Presentation = dfield(default=None)
 
     def __post_init__(self):
         us = universal_shear()
-        if self.presentation is None:
-            self.presentation = us.presentation
-        if self.smashed is None:
-            self.smashed = us.smashed
+        self.presentation: Presentation = us.presentation
+        self.smashed: Presentation = us.smashed
         B = self.bialgebra
         self.assignment: Dict[str, Matrix] = {
             MULT: B.m, UNIT: B.u, COMULT: B.delta, COUNIT: B.eps,
         }
-
-    def matrices(self) -> Dict[str, Matrix]:
-        return dict(self.assignment)
 
 
 def _crossings(t: CellTerm) -> int:
@@ -155,21 +148,22 @@ def _junction(a2: CellTerm, b2: CellTerm, ctx: EvalContext,
     sb = stack_of(p.normalize(b2), p)
     if sa.layers == sb.layers:
         return Matrix.identity(F, n ** _count_cross(sa))
-    swaps = _align(list(sa.layers), list(sb.layers), p)
+    swaps = _align(list(sa.layers), list(sb.layers))
     if swaps is None:
         raise EvaluationError(
             "composition boundaries differ by more than interchange slides; "
             "evaluate the uncollapsed diagram instead")
     total = _count_cross(sa)
     out = Matrix.identity(F, n ** total)
-    p = B.parities
+    parities = B.parities
     for config, pos in swaps:
         x, y = config[pos], config[pos + 1]
         if x.atom.name == CROSSING and y.atom.name == CROSSING:
             below = sum(1 for l in config[:pos] if l.atom.name == CROSSING)
             # factors are read top-down: slot 0 is the topmost crossing
             slot = total - 2 - below
-            out = out.braid(n ** slot, p, p, n ** (total - 2 - slot))
+            out = out.braid(n ** slot, parities, parities,
+                            n ** (total - 2 - slot))
     return out
 
 
@@ -177,7 +171,7 @@ def _count_cross(s: Stack) -> int:
     return sum(1 for l in s.layers if l.atom.name == CROSSING)
 
 
-def _align(a: List[Layer], b: List[Layer], p: Presentation):
+def _align(a: List[Layer], b: List[Layer]):
     """Adjacent transpositions turning layer list a into b, or None.
     Returns pairs (configuration before the swap, position)."""
     if len(a) != len(b):
@@ -189,14 +183,14 @@ def _align(a: List[Layer], b: List[Layer], p: Presentation):
             continue
         found = None
         for j in range(k + 1, len(a)):
-            got = slide_left(a[k:j], a[j], p)
+            got = slide_left(a[k:j], a[j])
             if got is not None and got[0] == b[k]:
                 found = j
                 break
         if found is None:
             return None
         for j in range(found, k, -1):
-            sw = slide(a[j - 1], a[j], p)
+            sw = slide(a[j - 1], a[j])
             assert sw is not None
             swaps.append((tuple(a), j - 1))
             a[j - 1], a[j] = sw

@@ -218,11 +218,13 @@ def _dump(v, pad: str) -> str:
 class Violation:
     where: str   # generator or relation identifier
     issue: str
+    undecided: bool = False  # eq ran out of budget; the data may be valid
 
 
-def validate_term(t: CellTerm, p: Presentation) -> List[Violation]:
+def validate_term(t: CellTerm, p: Presentation,
+                  budget: Optional[int] = None) -> List[Violation]:
     """Structural checks on a term: known generators, legal dimensions,
-    boundary-compatible composites (up to Id-normal syntactic match),
+    boundary-compatible composites (up to eq within the step budget),
     Inv restricted to invertible-marked content."""
     out: List[Violation] = []
     sig = p.sig
@@ -233,11 +235,11 @@ def validate_term(t: CellTerm, p: Presentation) -> List[Violation]:
     if d > p.max_dim:
         out.append(Violation("term", f"dimension {d} exceeds maxDim"))
     invertibles = p.invertible_names()
-    out.extend(_validate_rec(t, p, invertibles))
+    out.extend(_validate_rec(t, p, invertibles, budget))
     return out
 
 
-def _validate_rec(t, p, invertibles) -> List[Violation]:
+def _validate_rec(t, p, invertibles, budget) -> List[Violation]:
     from .terms import Comp, Id as IdT, Inv as InvT
     out: List[Violation] = []
     if isinstance(t, Gen):
@@ -245,58 +247,63 @@ def _validate_rec(t, p, invertibles) -> List[Violation]:
             out.append(Violation("term", f"unknown generator {t.name!r}"))
         return out
     if isinstance(t, IdT):
-        return _validate_rec(t.inner, p, invertibles)
+        return _validate_rec(t.inner, p, invertibles, budget)
     if isinstance(t, InvT):
         for name in generators(t.inner):
             if name not in invertibles:
                 out.append(Violation(
                     "term", f"Inv over non-invertible generator {name!r}"))
-        return out + _validate_rec(t.inner, p, invertibles)
+        return out + _validate_rec(t.inner, p, invertibles, budget)
     assert isinstance(t, Comp)
-    out.extend(_validate_rec(t.left, p, invertibles))
-    out.extend(_validate_rec(t.right, p, invertibles))
+    out.extend(_validate_rec(t.left, p, invertibles, budget))
+    out.extend(_validate_rec(t.right, p, invertibles, budget))
     if out:
         return out
-    from .rewriting import EQ_DISTINCT, eq
+    from .rewriting import EQ_DISTINCT, EQ_EQUAL, eq
     sig = p.sig
     try:
         lt = normalize(boundary(t.left, TARGET, t.k, sig), sig)
         rs = normalize(boundary(t.right, SOURCE, t.k, sig), sig)
-        distinct = eq(lt, rs, p) is EQ_DISTINCT
+        v = eq(lt, rs, p, budget)
     except TermError as e:
         return [Violation("term", str(e))]
-    if distinct:
-        out.append(Violation(
-            "term",
-            f"composition mismatch at level {t.k}: "
-            f"{print_term(lt)} vs {print_term(rs)}"))
+    if v is not EQ_EQUAL:
+        word = "mismatch" if v is EQ_DISTINCT else "undecided"
+        out.append(Violation("term", f"composition {word} at level {t.k}: "
+                             f"{print_term(lt)} vs {print_term(rs)}",
+                             v is not EQ_DISTINCT))
     return out
 
 
 def _parallel_violations(where: str, a: CellTerm, b: CellTerm, what: str,
-                         p: Presentation) -> List[Violation]:
+                         p: Presentation, budget) -> List[Violation]:
     """A violation when a and b, two well-formed terms of one dimension,
-    are not parallel or a boundary cannot be taken.  One parallel call
-    covers every level, since eq compares lower boundaries first; only
-    when it fails are the levels compared one by one, to name the lowest
-    that differs."""
-    from .rewriting import EQ_DISTINCT, eq, parallel
+    are not parallel (undecided when eq cannot tell within the budget) or
+    a boundary cannot be taken.  One parallel call covers every level,
+    since eq compares lower boundaries first; only when it fails are the
+    levels compared one by one, to name the lowest that differs."""
+    from .rewriting import EQ_DISTINCT, EQ_EQUAL, eq, parallel
     sig = p.sig
     try:
-        if parallel(a, b, p) is not EQ_DISTINCT:
+        v = parallel(a, b, p, budget)
+        if v is EQ_EQUAL:
             return []
+        if v is not EQ_DISTINCT:
+            return [Violation(where, f"{what} parallel undecided", True)]
         d = p.dim(a)
         level = next((k for k in range(d) if any(
-            eq(boundary(a, side, k, sig), boundary(b, side, k, sig), p)
-            is EQ_DISTINCT for side in (SOURCE, TARGET))), d - 1)
+            eq(boundary(a, side, k, sig), boundary(b, side, k, sig), p,
+               budget) is EQ_DISTINCT for side in (SOURCE, TARGET))), d - 1)
     except TermError as e:
         return [Violation(where, str(e))]
     return [Violation(where, f"{what} not parallel at level {level}")]
 
 
-def validate_presentation(p: Presentation) -> List[Violation]:
+def validate_presentation(p: Presentation,
+                          budget: Optional[int] = None) -> List[Violation]:
     """Every violation of dimension stratification, parallelism, or
-    globularity in the generator and relation data.  Empty iff valid."""
+    globularity in the generator and relation data, undecided where eq
+    cannot tell within the step budget (eq's default).  Empty iff valid."""
     out: List[Violation] = []
     sig = p.sig
     for g in p.gens.values():
@@ -324,16 +331,18 @@ def validate_presentation(p: Presentation) -> List[Violation]:
                         f"{side_name} mentions {name!r} of dimension >= {g.dim}"))
         if len(out) == found:
             out.extend(_parallel_violations(g.name, g.src, g.tgt, "src/tgt",
-                                            p))
+                                            p, budget))
     for i, r in enumerate(p.relations):
         label = f"relation#{i}"
         for side_name, side_term in (("lhs", r.lhs), ("rhs", r.rhs)):
-            out.extend(Violation(label, f"{side_name}: {v.issue}")
-                       for v in validate_term(side_term, p))
+            out.extend(Violation(label, f"{side_name}: {v.issue}",
+                                 v.undecided)
+                       for v in validate_term(side_term, p, budget))
         if any(v.where == label for v in out):
             continue
         if dim(r.lhs, sig) != r.dim or dim(r.rhs, sig) != r.dim:
             out.append(Violation(label, "stated dimension disagrees with sides"))
             continue
-        out.extend(_parallel_violations(label, r.lhs, r.rhs, "sides", p))
+        out.extend(_parallel_violations(label, r.lhs, r.rhs, "sides", p,
+                                        budget))
     return out

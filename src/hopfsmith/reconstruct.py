@@ -40,7 +40,6 @@ class Resolution:
 @dataclass
 class GeneratingFamily:
     members: List[Comodule]
-    depth: int = 2
     hom_cache: Dict[Tuple[int, int], List[Matrix]] = dfield(default_factory=dict)
 
     def __post_init__(self):
@@ -253,9 +252,6 @@ def coend_reconstruct(family: GeneratingFamily,
     eps = Matrix.from_entries(F, 1, dim, counit)
 
     # multiplication through resolutions of pairwise products
-    if family.depth < 2 and len(members) > 0:
-        raise ClosureError("depth >= 2 is needed to multiply coefficients")
-
     def express(P: Comodule, res: Resolution) -> Matrix:
         """Row t * P.d + s is the class of e^t (x) e_s in P*, P: the sum over
         the resolution of (e^t . iota) (x) (pi . e_s) in the member."""
@@ -360,12 +356,12 @@ class RoundTrip:
                 and self.reference_cohopf == self.reconstruction_cohopf)
 
 
-def round_trip(H: Bialgebra, depth: int = 2) -> RoundTrip:
+def round_trip(H: Bialgebra) -> RoundTrip:
     """Reconstruct from the regular comodule and compare canonically."""
     bad = [r.name for r in check_bialgebra(H) if not r.holds]
     if bad:
         raise ComoduleError(f"reference fails axioms: {bad}")
-    family = GeneratingFamily([regular_comodule(H)], depth=depth)
+    family = GeneratingFamily([regular_comodule(H)])
     res = coend_reconstruct(family, reference=H)
     return RoundTrip(res.verdict, res.bialgebra,
                      is_hopf(H), is_hopf(res.bialgebra),

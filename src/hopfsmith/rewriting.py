@@ -20,10 +20,10 @@ second side until it reaches a state the first side reached.  Both
 spend the caller's Budget: one unit per expanded state, and one per rule
 window tried, in every dimension.  An exhausted budget gives Unknown.
 
-Boundary words of generators are read from the presentation's
-boundary-word table (Presentation.boundary_words), filled once per
-generator by word_of and kept for the presentation's lifetime, so
-interchange tests do not re-derive them.
+A stack is a complete value: stack_of gives each atom its generator's
+source and target words (swapped when inverted) from the presentation's
+boundary-word table, so slides, canonicalization, cancellation and rule
+matching are functions of stacks alone.
 
 Every comparison starts with the boundary certificate, `parallel`: the
 top sources and the top targets are compared by eq, which compares
@@ -42,7 +42,7 @@ never Distinct.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (AbstractSet, Callable, Container, Dict, Iterable, List,
                     Optional, Sequence, Tuple, TypeVar)
 
@@ -142,15 +142,12 @@ def _rewrites(seq: tuple, rules, budget: Budget) -> Iterable[tuple]:
 class Atom:
     name: str
     inverted: bool
-
-    def words(self, p: Presentation) -> Tuple[Tuple[Letter, ...],
-                                              Tuple[Letter, ...]]:
-        """(source word, target word), from the presentation's table."""
-        src, tgt = p.boundary_words(self.name)
-        return (tgt, src) if self.inverted else (src, tgt)
+    # the words it fires on and leaves; equality and hashing ignore them
+    src: Tuple[Letter, ...] = field(compare=False)
+    tgt: Tuple[Letter, ...] = field(compare=False)
 
     def inverse(self) -> "Atom":
-        return Atom(self.name, not self.inverted)
+        return Atom(self.name, not self.inverted, self.tgt, self.src)
 
 
 @dataclass(frozen=True)
@@ -165,26 +162,27 @@ class Stack:
     srcword: Tuple[Letter, ...]
     layers: Tuple[Layer, ...]
 
-    def word_before(self, i: int, p: Presentation) -> Tuple[Letter, ...]:
+    def word_before(self, i: int) -> Tuple[Letter, ...]:
         """The word after the first i layers fire; TermError when a layer
         does not fit the word it fires on."""
         w = self.srcword
         for layer in self.layers[:i]:
-            a, b = layer.atom.words(p)
+            a, b = layer.atom.src, layer.atom.tgt
             if w[layer.offset:layer.offset + len(a)] != a:
                 raise TermError("layer does not fit its word")
             w = w[:layer.offset] + b + w[layer.offset + len(a):]
         return w
 
-    def tgtword(self, p: Presentation) -> Tuple[Letter, ...]:
-        return self.word_before(len(self.layers), p)
+    def tgtword(self) -> Tuple[Letter, ...]:
+        return self.word_before(len(self.layers))
 
 
 def stack_of(t: CellTerm, p: Presentation) -> Stack:
     """Layer decomposition of a 2-cell term.  The term is normalized once
     and its source boundary taken once; _layers_rec then walks the normal
     term without normalizing again, so the cost is linear in its size
-    plus the boundary words of its 0-composites' left parts."""
+    plus the boundary words of its 0-composites' left parts.  TermError
+    when a generator's boundary is not a word."""
     t = p.normalize(t)
     d = p.dim(t)
     if d != 2:
@@ -201,10 +199,11 @@ def _layers_rec(t: CellTerm, offset: int, p: Presentation) -> List[Layer]:
     if isinstance(t, Id):
         return []
     if isinstance(t, Gen):
-        return [Layer(offset, Atom(t.name, False))]
+        return [Layer(offset, Atom(t.name, False, *p.boundary_words(t.name)))]
     if isinstance(t, Inv):
         if isinstance(t.inner, Gen):
-            return [Layer(offset, Atom(t.inner.name, True))]
+            atom = Atom(t.inner.name, False, *p.boundary_words(t.inner.name))
+            return [Layer(offset, atom.inverse())]
         raise TermError(f"Inv not pushed to a leaf: {t!r}")
     if not isinstance(t, Comp):
         raise TermError(f"not a 2-cell term: {t!r}")
@@ -220,15 +219,14 @@ def _layers_rec(t: CellTerm, offset: int, p: Presentation) -> List[Layer]:
     raise TermError(f"composition level {t.k} inside a 2-cell")
 
 
-def _swap_variants(a: Layer, b: Layer,
-                   p: Presentation) -> List[Tuple[Layer, Layer]]:
+def _swap_variants(a: Layer, b: Layer) -> List[Tuple[Layer, Layer]]:
     """All legal interchanges of adjacent layers a-then-b, as b'-then-a'
     pairs.  Normally at most one reading applies; when an insertion and a
     deletion meet at a single point (both boundary intervals empty at one
     offset) both readings are valid and genuinely equal by the interchange
     law, so both are returned."""
-    a_src, a_tgt = a.atom.words(p)
-    b_src, b_tgt = b.atom.words(p)
+    a_src, a_tgt = a.atom.src, a.atom.tgt
+    b_src, b_tgt = b.atom.src, b.atom.tgt
     out: List[Tuple[Layer, Layer]] = []
     if a.offset + len(a_tgt) <= b.offset:
         # b lies right of a's output: b can fire first
@@ -241,22 +239,22 @@ def _swap_variants(a: Layer, b: Layer,
     return out
 
 
-def slide(a: Layer, b: Layer, p: Presentation) -> Optional[Tuple[Layer, Layer]]:
+def slide(a: Layer, b: Layer) -> Optional[Tuple[Layer, Layer]]:
     """The first legal interchange of adjacent layers a-then-b, as a
     b'-then-a' pair, or None when they do not commute."""
-    variants = _swap_variants(a, b, p)
+    variants = _swap_variants(a, b)
     return variants[0] if variants else None
 
 
-def slide_left(block: Sequence[Layer], layer: Layer,
-               p: Presentation) -> Optional[Tuple[Layer, List[Layer]]]:
+def slide_left(block: Sequence[Layer],
+               layer: Layer) -> Optional[Tuple[Layer, List[Layer]]]:
     """Slide a layer that fires right after the layers of block so that it
     fires before all of them.  Returns (the moved layer, the adjusted
     block as a list), or None when some layer of block does not commute
     with it."""
     adjusted: List[Layer] = []
     for prev in reversed(block):
-        swapped = slide(prev, layer, p)
+        swapped = slide(prev, layer)
         if swapped is None:
             return None
         layer, shifted = swapped
@@ -265,14 +263,14 @@ def slide_left(block: Sequence[Layer], layer: Layer,
     return layer, adjusted
 
 
-def _slide_right(layer: Layer, block: Sequence[Layer],
-                 p: Presentation) -> Optional[Tuple[List[Layer], Layer]]:
+def _slide_right(layer: Layer,
+                 block: Sequence[Layer]) -> Optional[Tuple[List[Layer], Layer]]:
     """Mirror of slide_left: a layer that fires right before block, moved
     to fire after it.  Returns (the adjusted block as a list, the moved
     layer), or None when blocked."""
     adjusted: List[Layer] = []
     for nxt in block:
-        swapped = slide(layer, nxt, p)
+        swapped = slide(layer, nxt)
         if swapped is None:
             return None
         shifted, layer = swapped
@@ -280,7 +278,7 @@ def _slide_right(layer: Layer, block: Sequence[Layer],
     return adjusted, layer
 
 
-def canonical_stack(stack: Stack, p: Presentation) -> Stack:
+def canonical_stack(stack: Stack) -> Stack:
     """A fixed firing order under interchange, computed greedily: each
     round emits the least (name, inverted, offset) layer among those that
     can slide to the front, the first such index on a tie, with its
@@ -302,7 +300,7 @@ def canonical_stack(stack: Stack, p: Presentation) -> Stack:
         for i in order:
             if best is not None and layers[i].atom != best[0].atom:
                 break
-            got = slide_left(layers[:i], layers[i], p)
+            got = slide_left(layers[:i], layers[i])
             if got is not None and (best is None
                                     or got[0].offset < best[0].offset):
                 best, k = got, i
@@ -313,13 +311,13 @@ def canonical_stack(stack: Stack, p: Presentation) -> Stack:
     return Stack(stack.srcword, tuple(out))
 
 
-def _pair_cancels(a: Layer, b: Layer, p: Presentation) -> bool:
+def _pair_cancels(a: Layer, b: Layer) -> bool:
     """Whether the adjacent pair a-then-b composes to an identity: either
     literally an inverse pair at one offset, or one slide away from it."""
     if (a.atom.name == b.atom.name and a.atom.inverted != b.atom.inverted
             and a.offset == b.offset):
         return True
-    sw = slide(a, b, p)
+    sw = slide(a, b)
     if sw is not None:
         c, d = sw
         return (c.atom.name == d.atom.name and c.atom.inverted != d.atom.inverted
@@ -327,7 +325,7 @@ def _pair_cancels(a: Layer, b: Layer, p: Presentation) -> bool:
     return False
 
 
-def _cancellations(stack: Stack, p: Presentation) -> List[Stack]:
+def _cancellations(stack: Stack) -> List[Stack]:
     """All single removals of an inverse pair of layers, sliding intervening
     disjoint layers out of the way in either direction.  A slide keeps the
     atom, so only pairs whose atoms are inverse to each other are tried;
@@ -344,23 +342,23 @@ def _cancellations(stack: Stack, p: Presentation) -> List[Stack]:
                 continue
             block = layers[i + 1:j]
             # slide layers[j] leftward until adjacent to layers[i]
-            got = slide_left(block, layers[j], p)
-            if got is not None and _pair_cancels(layers[i], got[0], p):
+            got = slide_left(block, layers[j])
+            if got is not None and _pair_cancels(layers[i], got[0]):
                 out.append(Stack(stack.srcword, layers[:i] + tuple(got[1])
                                  + layers[j + 1:]))
                 continue
             # or slide layers[i] rightward until adjacent to layers[j]
-            got = _slide_right(layers[i], block, p)
-            if got is not None and _pair_cancels(got[1], layers[j], p):
+            got = _slide_right(layers[i], block)
+            if got is not None and _pair_cancels(got[1], layers[j]):
                 out.append(Stack(stack.srcword, layers[:i] + tuple(got[0])
                                  + layers[j + 1:]))
     return out
 
 
-def _cancel_inverses(stack: Stack, p: Presentation) -> Stack:
+def _cancel_inverses(stack: Stack) -> Stack:
     """Fully cancelled form, for the fast equality path."""
     while True:
-        nexts = _cancellations(stack, p)
+        nexts = _cancellations(stack)
         if not nexts:
             return stack
         stack = nexts[0]
@@ -390,7 +388,7 @@ def _layer_rules(p: Presentation) -> List[LayerRule]:
     return rules
 
 
-def _match_rule(stack: Stack, rule: LayerRule, p: Presentation,
+def _match_rule(stack: Stack, rule: LayerRule,
                 budget: Budget) -> List[Stack]:
     """All single-step applications of the rule to the stack, trying each
     contiguous window after bubbling candidate layers together."""
@@ -402,13 +400,13 @@ def _match_rule(stack: Stack, rule: LayerRule, p: Presentation,
     for i in range(len(layers)):
         if not budget.spend():
             return out
-        got = _try_window(stack, i, rule, p)
+        got = _try_window(stack, i, rule)
         if got is not None:
             out.append(got)
     return out
 
 
-def _try_window(stack: Stack, i: int, rule: LayerRule, p: Presentation):
+def _try_window(stack: Stack, i: int, rule: LayerRule):
     """Try to apply the rule with its first layer matched at index i,
     pulling later rule layers adjacent by legal slides.  A slide keeps the
     atom, so only layers with the wanted atom are slid."""
@@ -420,7 +418,7 @@ def _try_window(stack: Stack, i: int, rule: LayerRule, p: Presentation):
     if shift < 0:
         return None
     # check the whole rule source word occurs at the shift position
-    word_here = stack.word_before(i, p)
+    word_here = stack.word_before(i)
     seg = word_here[shift:shift + len(rule.src)]
     if seg != rule.src:
         return None
@@ -430,7 +428,7 @@ def _try_window(stack: Stack, i: int, rule: LayerRule, p: Presentation):
         for j in range(pos + 1, len(layers)):
             if layers[j].atom != want.atom:
                 continue
-            got = slide_left(layers[pos + 1:j], layers[j], p)
+            got = slide_left(layers[pos + 1:j], layers[j])
             if got is not None and got[0] == want:
                 break
         else:
@@ -441,7 +439,7 @@ def _try_window(stack: Stack, i: int, rule: LayerRule, p: Presentation):
     return Stack(stack.srcword, tuple(layers))
 
 
-def _stack_successors(cur: Stack, rules: List[LayerRule], p: Presentation,
+def _stack_successors(cur: Stack, rules: List[LayerRule],
                       budget: Budget) -> List[Stack]:
     """The canonical stacks one move away: an oriented rule application,
     an inverse-pair cancellation or a single slide.  Cancellation is a
@@ -449,17 +447,17 @@ def _stack_successors(cur: Stack, rules: List[LayerRule], p: Presentation,
     rule redexes."""
     nexts = []
     for rule in rules:
-        nexts.extend(_match_rule(cur, rule, p, budget))
-    nexts.extend(_cancellations(cur, p))
+        nexts.extend(_match_rule(cur, rule, budget))
+    nexts.extend(_cancellations(cur))
     # single slides: canonicalization collapses ordinary interchange, but
     # a point-degenerate insertion/deletion pair has two inequivalent-
     # looking canonical forms that are equal, reachable only this way
     layers = cur.layers
     for i in range(len(layers) - 1):
-        for swapped in _swap_variants(layers[i], layers[i + 1], p):
+        for swapped in _swap_variants(layers[i], layers[i + 1]):
             nexts.append(Stack(cur.srcword,
                                layers[:i] + swapped + layers[i + 2:]))
-    return [canonical_stack(nxt, p) for nxt in nexts]
+    return [canonical_stack(nxt) for nxt in nexts]
 
 
 State = TypeVar("State")
@@ -545,20 +543,22 @@ def _eq(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
     return _eq_high(a, b, d, p, budget)
 
 
-def parallel(a: CellTerm, b: CellTerm, p: Presentation) -> Verdict:
+def parallel(a: CellTerm, b: CellTerm, p: Presentation,
+             budget: Optional[int] = None) -> Verdict:
     """Whether two cells are parallel: Equal when their top sources and
     top targets are equal under eq (two 0-cells always are), Distinct
     when the dimensions differ or either pair is Distinct, Unknown
     otherwise.  Each eq compares the lower boundaries first, so this
     certifies every level at once; each side, at every level, starts
-    from the default budget.  Raises TermError when a boundary cannot be
-    taken."""
+    from the step budget, by default eq's.  Raises TermError when a
+    boundary cannot be taken."""
     d = p.dim(a)
     if p.dim(b) != d:
         return EQ_DISTINCT
     if d == 0:
         return EQ_EQUAL
-    return _parallel(a, b, d, p, Budget(default_budget()))
+    steps = default_budget() if budget is None else budget
+    return _parallel(a, b, d, p, Budget(steps))
 
 
 def _parallel(a: CellTerm, b: CellTerm, d: int, p: Presentation,
@@ -589,16 +589,16 @@ def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
         sb = stack_of(b, p)
     except TermError:
         return EQ_UNKNOWN
-    xa, xb = _cancel_inverses(sa, p), _cancel_inverses(sb, p)
-    ca, cb = canonical_stack(xa, p), canonical_stack(xb, p)
+    xa, xb = _cancel_inverses(sa), _cancel_inverses(sb)
+    ca, cb = canonical_stack(xa), canonical_stack(xb)
     if ca == cb:
         return EQ_EQUAL
     rules = _layer_rules(p)
-    step = lambda s: _stack_successors(s, rules, p, budget)
+    step = lambda s: _stack_successors(s, rules, budget)
     # with nothing cancelled, the search starts from the stack already
     # canonicalized
-    start_a = ca if xa is sa else canonical_stack(sa, p)
-    start_b = cb if xb is sb else canonical_stack(sb, p)
+    start_a = ca if xa is sa else canonical_stack(sa)
+    start_b = cb if xb is sb else canonical_stack(sb)
     return _meet(start_a, start_b, step, budget, {cb})
 
 

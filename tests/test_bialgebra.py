@@ -13,6 +13,7 @@ from hopfsmith.field import QQ, number_field_from_text
 from hopfsmith.fixtures import (corrupted_delta, cyclic_group_algebra,
                                 exterior_line_super, group_inversion_matrix,
                                 standard_fixtures, symmetric_group_algebra)
+from hopfsmith.matrix import koszul_matrix
 
 FX = standard_fixtures()
 
@@ -25,7 +26,8 @@ def test_all_fixtures_pass_axioms():
 def test_br_is_the_braiding_that_braid_applies():
     for name, B in FX.items():
         p = B.parities
-        assert B.br() @ B.delta == B.delta.braid(1, p, p, 1), name
+        assert (koszul_matrix(B.field, p, p) @ B.delta
+                == B.delta.braid(1, p, p, 1)), name
     assert FX["superline"].parities == FX["superline"].grading
     assert FX["QS3"].parities == (0,) * 6
 

@@ -218,3 +218,57 @@ def test_field_with_non_string_modulus_is_a_fail_line(tmp_path):
     checks = json.loads(out)["checks"]
     assert checks[-1]["status"] == "fail"
     assert "unknown field description" in checks[-1]["witness"]
+
+
+def _written(p, path):
+    path.write_text(p.dumps(), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("budget, env, status, code", [
+    ([], None, "pass", 0),
+    (["--budget", "0"], None, "unknown", 2),
+    ([], "0", "unknown", 2),
+    (["--budget", "10000"], "0", "pass", 0),
+])
+def test_validation_honours_the_budget(tmp_path, monkeypatch,
+                                       undecidable_at_budget_0, budget, env,
+                                       status, code):
+    if env is not None:
+        monkeypatch.setenv("HOPFSMITH_BUDGET", env)
+    path = _written(undecidable_at_budget_0, tmp_path / "p.json")
+    got, out = run(["--json", "--no-timing", *budget, "census", path])
+    check = json.loads(out)["checks"][0]
+    assert (got, check["name"], check["status"]) == (code, "valid", status)
+    if status == "unknown":
+        assert check["witness"] == "src/tgt parallel undecided"
+
+
+def test_a_decided_violation_fails_whatever_else_is_undecided(
+        tmp_path, undecidable_at_budget_0):
+    from hopfsmith.terms import Gen
+    p = undecidable_at_budget_0
+    p.add("bad", 2, Gen("x"), Gen("x"))
+    path = _written(p, tmp_path / "p.json")
+    code, out = run(["--json", "--no-timing", "--budget", "0", "census",
+                     path])
+    check = json.loads(out)["checks"][0]
+    assert (code, check["status"]) == (1, "fail")
+    assert check["witness"] == "src has dimension 0, expected 1"
+
+
+@pytest.mark.parametrize("command", [["gray", "P", "globe1"],
+                                     ["smash", "P", "x", "globe1", "t0"]])
+def test_tensor_validation_honours_the_budget(tmp_path, command,
+                                              undecidable_at_budget_0):
+    path = _written(undecidable_at_budget_0, tmp_path / "p.json")
+    command = [path if arg == "P" else arg for arg in command]
+    code, out = run(["--json", "--no-timing", "--budget", "0", *command])
+    assert code == 2
+    assert [c["status"] for c in json.loads(out)["checks"]] == ["unknown"]
+    code, out = run(["--json", "--no-timing", *command])
+    assert code == 0
+
+
+def test_there_is_no_depth_option():
+    assert run(["--depth", "2", "reconstruct", "QZ2"])[0] == 64

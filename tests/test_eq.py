@@ -228,8 +228,8 @@ def test_budget_bounds_search_without_rules(name):
     width, left, right, verdict = FREE_PAIRS[name]
     a, b = free_term(width, left), free_term(width, right)
     # only the search decides the pair: the normal forms differ
-    assert (canonical_stack(stack_of(a, FREE), FREE)
-            != canonical_stack(stack_of(b, FREE), FREE))
+    assert (canonical_stack(stack_of(a, FREE))
+            != canonical_stack(stack_of(b, FREE)))
     assert eq(a, b, FREE, budget=0) is EQ_UNKNOWN
     assert eq(a, b, FREE) is verdict
     assert eq(b, a, FREE) is verdict
@@ -275,16 +275,16 @@ def unstopped_eq2(a, b, p, budget):
         sb = stack_of(b, p)
     except TermError:
         return EQ_UNKNOWN
-    ca = canonical_stack(_cancel_inverses(sa, p), p)
-    cb = canonical_stack(_cancel_inverses(sb, p), p)
+    ca = canonical_stack(_cancel_inverses(sa))
+    cb = canonical_stack(_cancel_inverses(sb))
     if ca == cb:
         return EQ_EQUAL
     rules = _layer_rules(p)
-    step = lambda s: _stack_successors(s, rules, p, budget)
-    seen_a, done_a = _explore(canonical_stack(sa, p), step, budget)
+    step = lambda s: _stack_successors(s, rules, budget)
+    seen_a, done_a = _explore(canonical_stack(sa), step, budget)
     if cb in seen_a:
         return EQ_EQUAL
-    seen_b, done_b = _explore(canonical_stack(sb, p), step, budget)
+    seen_b, done_b = _explore(canonical_stack(sb), step, budget)
     if not seen_a.keys().isdisjoint(seen_b):
         return EQ_EQUAL
     if done_a and done_b:
@@ -554,6 +554,26 @@ def test_word_search_meets_where_the_forward_closures_do(rules, u, v):
         assert verdict is (EQ_EQUAL if meet else EQ_DISTINCT)
     elif meet:
         assert verdict is not EQ_DISTINCT
+
+
+def test_a_generator_boundary_that_is_not_a_word_is_unknown():
+    """g's target mentions an unknown generator, so g has no boundary
+    words: stack_of refuses the stack g-then-a, and eq, which used to
+    let the TermError escape from canonical_stack, answers Unknown."""
+    p = Presentation(max_dim=2)
+    x = p.add("x", 0)
+    f = p.add("f", 1, x, x)
+    g = p.add("g", 2, f, comp(0, f, Gen("nope")))
+    a, b = p.add("a", 2, f, f), p.add("b", 2, f, f)
+    with pytest.raises(TermError):
+        stack_of(comp(1, g, a), p)
+    assert eq(comp(1, g, a), comp(1, g, b), p) is EQ_UNKNOWN
+
+
+def test_parallel_spends_the_given_budget(undecidable_at_budget_0):
+    p, a, b = undecidable_at_budget_0, Gen("a"), Gen("b")
+    assert parallel(a, b, p) is EQ_EQUAL
+    assert parallel(a, b, p, budget=0) is EQ_UNKNOWN
 
 
 def test_parallel(monkeypatch):

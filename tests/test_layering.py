@@ -11,9 +11,12 @@ matrix from dense rows (`Matrix.from_rows`).  Scalars stay behind
 generator by generator only through `terms.substitute`: no other
 function rebuilds `Id`, `Inv` and `Comp` around recursive calls of its
 own.  Every stratum of `eq` searches through `rewriting._meet`: no
-other function names the frontier loop `_explore`.  The checks read the
-syntax tree of every module, so they fail as soon as such a shortcut is
-written, whether or not a test runs it.
+other function names the frontier loop `_explore`.  Stacks are complete
+values: only `rewriting._layers_rec`, which builds each atom, reads the
+presentation's boundary-word table, and no function of the interchange
+core takes a presentation.  The checks read the syntax tree of every
+module, so they fail as soon as such a shortcut is written, whether or
+not a test runs it.
 """
 
 import ast
@@ -24,6 +27,13 @@ PRIVATE = {"_maps", "_of", "_row_map", "_EMPTY"}
 # the functions that read dense matrices from JSON documents
 JSON_LOADERS = {("bialgebra.py", "bialgebra_from_json"),
                 ("cli.py", "cmd_reconstruct")}
+# the interchange core: every function that slides, canonicalizes,
+# cancels or matches layers, reading words from the atoms alone
+INTERCHANGE_CORE = {("rewriting.py", name) for name in (
+    "Stack.word_before", "Stack.tgtword", "_swap_variants", "slide",
+    "slide_left", "_slide_right", "canonical_stack", "_pair_cancels",
+    "_cancellations", "_cancel_inverses", "_try_window", "_match_rule",
+    "_stack_successors")} | {("evaluate.py", "_align")}
 
 
 def private_uses(tree):
@@ -124,6 +134,25 @@ def uses_of(name, tree):
                 yield node.lineno, getattr(top, "name", None)
 
 
+def functions(tree):
+    """Every top-level function and method, by name (Class.method)."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield f"{top.name}.{node.name}", node
+
+
+def takes_a_presentation(fn):
+    """Whether a parameter of fn is named p or annotated Presentation."""
+    args = fn.args
+    return any(a.arg == "p" or (a.annotation is not None
+                                and "Presentation" in ast.unparse(a.annotation))
+               for a in args.posonlyargs + args.args + args.kwonlyargs)
+
+
 def modules(but="matrix.py"):
     return sorted(p for p in SRC.glob("*.py") if p.name != but)
 
@@ -165,6 +194,19 @@ def test_only_meet_runs_the_search_loop():
     found = {(p.name, fn) for p in modules(but=None)
              for _, fn in uses_of("_explore", parse(p))}
     assert found == {("rewriting.py", "_meet")}
+
+
+def test_only_layers_rec_reads_boundary_words():
+    found = {(p.name, fn) for p in modules(but=None)
+             for _, fn in uses_of("boundary_words", parse(p))}
+    assert found == {("rewriting.py", "_layers_rec")}
+
+
+def test_the_interchange_core_takes_no_presentation():
+    found = {(p.name, name): takes_a_presentation(fn)
+             for p in modules(but=None) for name, fn in functions(parse(p))
+             if (p.name, name) in INTERCHANGE_CORE}
+    assert found == dict.fromkeys(INTERCHANGE_CORE, False)
 
 
 def test_the_checks_see_what_they_forbid():
@@ -219,3 +261,18 @@ def test_the_checks_see_what_they_forbid():
         "    return (lambda: _explore(a, None))()\n")
     assert list(uses_of("_explore", tree)) == [
         (2, "_meet"), (2, "_meet"), (4, "_eq1"), (5, "_eq1")]
+    tree = ast.parse(
+        "class Atom:\n"
+        "    def words(self, p):\n"
+        "        return p.boundary_words(self.name)\n"
+        "def slide(a, b, q: 'Presentation'):\n"
+        "    return a\n"
+        "def slide_left(block, layer, *, p=None):\n"
+        "    return layer\n"
+        "def canonical_stack(stack: Stack) -> Presentation:\n"
+        "    return stack\n")
+    assert list(uses_of("boundary_words", tree)) == [(3, "Atom")]
+    assert {name: takes_a_presentation(fn)
+            for name, fn in functions(tree)} == {
+        "Atom.words": True, "slide": True, "slide_left": True,
+        "canonical_stack": False}

@@ -140,6 +140,22 @@ def test_a_boundary_that_runs_the_budget_out_hides_no_violation():
         Violation("u", "src/tgt not parallel at level 1")]
 
 
+def test_a_check_eq_cannot_decide_is_an_undecided_violation(
+        undecidable_at_budget_0):
+    p = undecidable_at_budget_0
+    assert validate_presentation(p) == []
+    assert validate_presentation(p, budget=0) == [
+        Violation("t", "src/tgt parallel undecided", undecided=True)]
+    # a relation composing c: k => f with d: g => k meets at f against g
+    c = p.add("c", 2, Gen("k"), Gen("f"))
+    d = p.add("d", 2, Gen("g"), Gen("k"))
+    p.relate(2, comp(1, c, d), Id(Gen("k")))
+    assert validate_presentation(p) == []
+    assert validate_presentation(p, budget=0)[1:] == [
+        Violation("relation#1", "lhs: composition undecided at level 1: "
+                  "(gen f) vs (gen g)", undecided=True)]
+
+
 def test_a_boundary_that_cannot_be_taken_is_a_violation():
     p = Presentation(max_dim=2)
     p.add("x", 0)

@@ -81,7 +81,7 @@ def test_resolution_identity_property():
 
 def test_round_trips():
     for name in ("QZ2", "QS3", "sweedler", "QM"):
-        rt = round_trip(FX[name], depth=2)
+        rt = round_trip(FX[name])
         assert rt.verdict == "isomorphism", (name, rt.details)
         assert rt.flags_agree(), name
         assert rt.reconstruction_hopf == is_hopf(FX[name])
@@ -125,7 +125,7 @@ def test_canonical_map_is_coalgebra_morphism():
 
 
 def test_round_trip_function_algebra():
-    rt = round_trip(FX["QZ3dual"], depth=2)
+    rt = round_trip(FX["QZ3dual"])
     assert rt.verdict == "isomorphism"
     assert rt.flags_agree()
 

@@ -1,7 +1,8 @@
 """The per-presentation boundary-word table: it agrees with word_of on
-every generator, swaps for inverted atoms, and keeps its entries when
-the presentation grows.  Also the fit check of Stack.word_before and the
-public slide test."""
+every generator, every atom stack_of builds carries its entry (swapped
+for inverted atoms), and it keeps its entries when the presentation
+grows.  Also the fit check of Stack.word_before and the public slide
+test."""
 
 import pytest
 
@@ -11,8 +12,8 @@ from hopfsmith.gray import gray
 from hopfsmith.mates import walking_retract
 from hopfsmith.presentation import Presentation
 from hopfsmith.rewriting import (EQ_EQUAL, Atom, Layer, Stack, eq, slide,
-                                 word_of)
-from hopfsmith.terms import Gen, Id, TermError, comp
+                                 stack_of, word_of)
+from hopfsmith.terms import Gen, Id, Inv, TermError, comp
 from hopfsmith.walking import mnd
 
 
@@ -30,11 +31,15 @@ def _word_or_error(t, p):
         return TermError
 
 
-def _words_or_error(atom, p):
+def _table_or_error(p, name):
     try:
-        return atom.words(p)
+        return p.boundary_words(name)
     except TermError:
         return TermError
+
+
+def _atom(p, name):
+    return Atom(name, False, *p.boundary_words(name))
 
 
 @pytest.mark.parametrize("name,p", sorted(_presentations().items()))
@@ -45,11 +50,34 @@ def test_table_matches_word_of(name, p):
         src, tgt = _word_or_error(g.src, p), _word_or_error(g.tgt, p)
         if TermError in (src, tgt):
             # not a 2-cell boundary: the table refuses it the same way
-            assert _words_or_error(Atom(g.name, False), p) is TermError
-            assert _words_or_error(Atom(g.name, True), p) is TermError
+            assert _table_or_error(p, g.name) is TermError
             continue
-        assert Atom(g.name, False).words(p) == (src, tgt), g.name
-        assert Atom(g.name, True).words(p) == (tgt, src), g.name
+        assert p.boundary_words(g.name) == (src, tgt), g.name
+
+
+@pytest.mark.parametrize("name,p", sorted(_presentations().items()))
+def test_atoms_carry_their_table_words(name, p):
+    """Every atom of every stack stack_of builds from a 2-generator, its
+    inverse or a side of a 2-relation carries the generator's table
+    words, swapped when it is inverted."""
+    terms = []
+    for g in p.gens_of_dim(2):
+        terms += [Gen(g.name), Inv(Gen(g.name))]
+    terms += [t for r in p.relations if r.dim == 2 for t in (r.lhs, r.rhs)]
+    atoms = 0
+    for t in terms:
+        try:
+            stack = stack_of(t, p)
+        except TermError:
+            continue
+        for layer in stack.layers:
+            src, tgt = p.boundary_words(layer.atom.name)
+            want = (tgt, src) if layer.atom.inverted else (src, tgt)
+            assert (layer.atom.src, layer.atom.tgt) == want, (name, t)
+            inverse = layer.atom.inverse()
+            assert (inverse.src, inverse.tgt) == want[::-1]
+            atoms += 1
+    assert atoms >= 2 * len(p.gens_of_dim(2))
 
 
 def _loop_presentation():
@@ -69,8 +97,10 @@ def test_words_and_verdicts_after_add_and_relate():
     lhs, rhs = comp(1, comp(0, a, a), b), comp(1, b, a)
     p.relate(2, lhs, rhs, oriented=True)
     ff, one_f = (("f", False), ("f", False)), (("f", False),)
-    assert Atom("b", False).words(p) == (ff, one_f)
-    assert Atom("b", True).words(p) == (one_f, ff)
+    assert p.boundary_words("b") == (ff, one_f)
+    atom = stack_of(rhs, p).layers[0].atom
+    assert (atom.name, atom.src, atom.tgt) == ("b", ff, one_f)
+    assert (atom.inverse().src, atom.inverse().tgt) == (one_f, ff)
     assert eq(lhs, rhs, p) is EQ_EQUAL
 
 
@@ -83,13 +113,13 @@ def test_add_and_relate_keep_the_table(monkeypatch):
         return word_of(t, q)
 
     monkeypatch.setattr(rewriting, "word_of", counting)
-    Atom("a", False).words(p)
-    Atom("a", True).words(p)
+    p.boundary_words("a")
+    p.boundary_words("a")
     assert len(calls) == 2  # source and target, once
     p.add("b", 2, comp(0, f, f), f)
-    Atom("a", False).words(p)
+    p.boundary_words("a")
     p.relate(2, Gen("a"), Gen("a"))
-    Atom("a", True).words(p)
+    p.boundary_words("a")
     assert len(calls) == 2
     monkeypatch.undo()
     # the kept entry is what a presentation built afresh computes
@@ -102,21 +132,22 @@ def test_add_and_relate_keep_the_table(monkeypatch):
 def test_word_before_rejects_a_layer_that_does_not_fit():
     p, f, a = _loop_presentation()
     p.add("b", 2, comp(0, f, f), f)
-    stack = Stack((("f", False),), (Layer(0, Atom("b", False)),))
-    assert stack.word_before(0, p) == (("f", False),)
+    stack = Stack((("f", False),), (Layer(0, _atom(p, "b")),))
+    assert stack.word_before(0) == (("f", False),)
     with pytest.raises(TermError):
-        stack.word_before(1, p)
+        stack.word_before(1)
     with pytest.raises(TermError):
-        stack.tgtword(p)
+        stack.tgtword()
 
 
 def test_slide_disjoint_and_blocked():
     p, f, a = _loop_presentation()
     p.add("b", 2, comp(0, f, f), f)
-    left, right = Layer(0, Atom("a", False)), Layer(1, Atom("a", False))
-    assert slide(left, right, p) == (right, left)
-    merge = Layer(0, Atom("b", False))
-    assert slide(left, merge, p) is None
+    a, b = _atom(p, "a"), _atom(p, "b")
+    left, right = Layer(0, a), Layer(1, a)
+    assert slide(left, right) == (right, left)
+    merge = Layer(0, b)
+    assert slide(left, merge) is None
 
 
 def test_slide_left_and_right_across_a_block():
@@ -124,14 +155,14 @@ def test_slide_left_and_right_across_a_block():
     p.add("b", 2, comp(0, f, f), f)
     # on the word f f f: a at 2 fires after a at 0 and a at 1, which it
     # passes unchanged; a merge b at 0 blocks it
-    block = [Layer(0, Atom("a", False)), Layer(1, Atom("a", False))]
-    last = Layer(2, Atom("a", False))
-    assert rewriting.slide_left(block, last, p) == (last, block)
-    assert rewriting._slide_right(last, block, p) == (block, last)
-    merge = Layer(0, Atom("b", False))
-    assert rewriting.slide_left([merge], Layer(1, Atom("a", False)), p) \
-        == (Layer(2, Atom("a", False)), [merge])
-    assert rewriting.slide_left([merge], Layer(0, Atom("a", False)), p) is None
-    assert rewriting._slide_right(Layer(2, Atom("a", False)), [merge], p) \
-        == ([merge], Layer(1, Atom("a", False)))
-    assert rewriting.slide_left([], last, p) == (last, [])
+    a, b = _atom(p, "a"), _atom(p, "b")
+    block = [Layer(0, a), Layer(1, a)]
+    last = Layer(2, a)
+    assert rewriting.slide_left(block, last) == (last, block)
+    assert rewriting._slide_right(last, block) == (block, last)
+    merge = Layer(0, b)
+    assert rewriting.slide_left([merge], Layer(1, a)) == (Layer(2, a), [merge])
+    assert rewriting.slide_left([merge], Layer(0, a)) is None
+    assert rewriting._slide_right(Layer(2, a), [merge]) \
+        == ([merge], Layer(1, a))
+    assert rewriting.slide_left([], last) == (last, [])
