@@ -29,7 +29,7 @@ from .reconstruct import (ClosureError, GeneratingFamily, coend_reconstruct,
 from .comodule import Comodule
 from .rewriting import default_budget
 from .shear import proof_skeleton_check
-from .terms import TermError
+from .terms import TermError, generators
 from .walking import PointedPresentation
 
 USAGE_EXIT = 64
@@ -102,7 +102,6 @@ def load_bialgebra(name: str) -> ba.Bialgebra:
 
 
 def emit_dot(p: Presentation, path: str) -> None:
-    from .terms import generators
     lines = ["digraph presentation {"]
     for g in p.gens.values():
         lines.append(f'  "{g.name}" [label="{g.name} ({g.dim})"];')

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .bialgebra import Bialgebra, HopfData
+from .bialgebra import Bialgebra, HopfData, antipode
 from .matrix import Matrix
 
 
@@ -94,7 +94,6 @@ def dual_comodule(M: Comodule, hopf: Optional[HopfData] = None) -> Comodule:
     """Left dual with the coaction twisted by the antipode.  Raises
     NoAntipode through antipode() when the bialgebra is not Hopf."""
     if hopf is None:
-        from .bialgebra import antipode
         hopf = antipode(M.bialgebra)
     if hopf.bialgebra != M.bialgebra:
         raise ComoduleError("antipode belongs to a different bialgebra")

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .bialgebra import Bialgebra
+from .bialgebra import NE, Bialgebra, shear
 from .gray import pair_name
 from .matrix import Matrix
 from .presentation import Presentation
@@ -202,7 +202,6 @@ def _align(a: List[Layer], b: List[Layer]):
 def shear_semantics(ctx: EvalContext) -> Tuple[Matrix, Matrix]:
     """Evaluate the universal shear and return it with the coshear it is
     supposed to equal."""
-    from .bialgebra import shear, NE
     us = universal_shear()
     value = evaluate_diagram(us.term, ctx)
     return value, shear(ctx.bialgebra, NE)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Sequence, Tuple, Union
 
 
@@ -198,7 +199,6 @@ class NumberField:
     @staticmethod
     def _rational_root_screen(mod: List[Rational]) -> None:
         # scale to integer coefficients and try all p/q candidates
-        from math import gcd
         den = 1
         for c in mod:
             den = den * c.denominator // gcd(den, c.denominator)

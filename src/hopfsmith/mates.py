@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 from .presentation import Presentation
 from .rewriting import EQ_DISTINCT, Verdict, eq
-from .terms import CellTerm, Id, Inv, TermError, comp
+from .terms import CellTerm, Id, Inv, TermError, comp, print_term
 
 
 @dataclass
@@ -139,7 +139,6 @@ class RetractRecord:
             Id(self.presentation.boundary(self.f, "source", 0)))
 
     def to_json(self) -> dict:
-        from .terms import print_term
         data = self.presentation.to_json()
         data["retract"] = {
             "f": print_term(self.f), "g": print_term(self.g),

@@ -9,8 +9,9 @@ The JSON format is pinned for interchange:
 with src/tgt/lhs/rhs as S-expression strings.  parse -> print -> parse
 is the identity on the nose.
 
-`PresMorphism` maps the terms of one presentation to another, generator
-by generator.
+A presentation's `gens` is the generator table that `dim`, `boundary`
+and `normalize` in `terms` read.  `PresMorphism` maps the terms of one
+presentation to another, generator by generator.
 """
 
 from __future__ import annotations
@@ -20,20 +21,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import jsonshape as shape
-from .terms import (CellTerm, Gen, Signature, SOURCE, TARGET, TermError,
-                    boundary, dim, generators, normalize, parse_term,
-                    print_term, substitute, top_boundary)
+from .rewriting import EQ_DISTINCT, EQ_EQUAL, eq, parallel, word_of
+from .terms import (CellTerm, Comp, Gen, Generator, Id, Inv, SOURCE, TARGET,
+                    TermError, boundary, dim, generators, illegal_inverses,
+                    normalize, parse_term, print_term, substitute,
+                    top_boundary)
 
 MAX_DIM = 4
-
-
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    dim: int
-    src: Optional[CellTerm]  # None exactly in dimension 0
-    tgt: Optional[CellTerm]
-    invertible: bool = False
 
 
 @dataclass(frozen=True)
@@ -49,17 +43,11 @@ class Presentation:
     max_dim: int
     gens: Dict[str, Generator] = field(default_factory=dict)
     relations: List[Relation] = field(default_factory=list)
-    # the signature grows with add; the boundary-word table only grows, since
-    # an entry depends on its generator's boundaries and on the dimensions of
-    # the generators they mention, which add never changes and relate never
-    # reads
-    sig: Signature = field(init=False, repr=False, compare=False)
+    # the boundary-word table only grows, since an entry depends on its
+    # generator's boundaries and on the dimensions of the generators they
+    # mention, which add never changes and relate never reads
     _words: Dict[str, tuple] = field(default_factory=dict, repr=False,
                                      compare=False)
-
-    def __post_init__(self):
-        self.sig = Signature({g.name: (g.dim, g.src, g.tgt)
-                              for g in self.gens.values()})
 
     # -- construction -------------------------------------------------
 
@@ -70,7 +58,6 @@ class Presentation:
         if d > self.max_dim:
             raise TermError(f"generator {name!r} exceeds maxDim {self.max_dim}")
         self.gens[name] = Generator(name, d, src, tgt, invertible)
-        self.sig.table[name] = (d, src, tgt)
         return Gen(name)
 
     def relate(self, d: int, lhs: CellTerm, rhs: CellTerm,
@@ -85,7 +72,6 @@ class Presentation:
         try:
             return self._words[name]
         except KeyError:
-            from .rewriting import word_of
             g = self.gens[name]
             pair = (word_of(g.src, self), word_of(g.tgt, self))
             self._words[name] = pair
@@ -99,23 +85,20 @@ class Presentation:
         top = max([g.dim for g in self.gens.values()], default=0)
         return tuple(len(self.gens_of_dim(d)) for d in range(top + 1))
 
-    def invertible_names(self) -> set:
-        return {g.name for g in self.gens.values() if g.invertible}
-
     def dim(self, t: CellTerm) -> int:
-        return dim(t, self.sig)
+        return dim(t, self.gens)
 
     def boundary(self, t: CellTerm, side: str, k: int) -> CellTerm:
-        return boundary(t, side, k, self.sig)
+        return boundary(t, side, k, self.gens)
 
     def src(self, t: CellTerm) -> CellTerm:
-        return top_boundary(t, SOURCE, self.sig)
+        return top_boundary(t, SOURCE, self.gens)
 
     def tgt(self, t: CellTerm) -> CellTerm:
-        return top_boundary(t, TARGET, self.sig)
+        return top_boundary(t, TARGET, self.gens)
 
     def normalize(self, t: CellTerm, push_inv: bool = True) -> CellTerm:
-        return normalize(t, self.sig, push_inv)
+        return normalize(t, self.gens, push_inv)
 
     # -- serialization ---------------------------------------------------
 
@@ -227,43 +210,33 @@ def validate_term(t: CellTerm, p: Presentation,
     boundary-compatible composites (up to eq within the step budget),
     Inv restricted to invertible-marked content."""
     out: List[Violation] = []
-    sig = p.sig
     try:
-        d = dim(t, sig)
+        d = dim(t, p.gens)
     except TermError as e:
         return [Violation("term", str(e))]
     if d > p.max_dim:
         out.append(Violation("term", f"dimension {d} exceeds maxDim"))
-    invertibles = p.invertible_names()
-    out.extend(_validate_rec(t, p, invertibles, budget))
+    out.extend(_validate_rec(t, p, budget))
     return out
 
 
-def _validate_rec(t, p, invertibles, budget) -> List[Violation]:
-    from .terms import Comp, Id as IdT, Inv as InvT
-    out: List[Violation] = []
+def _validate_rec(t, p, budget) -> List[Violation]:
     if isinstance(t, Gen):
-        if t.name not in p.gens:
-            out.append(Violation("term", f"unknown generator {t.name!r}"))
-        return out
-    if isinstance(t, IdT):
-        return _validate_rec(t.inner, p, invertibles, budget)
-    if isinstance(t, InvT):
-        for name in generators(t.inner):
-            if name not in invertibles:
-                out.append(Violation(
-                    "term", f"Inv over non-invertible generator {name!r}"))
-        return out + _validate_rec(t.inner, p, invertibles, budget)
+        return []
+    if isinstance(t, Id):
+        return _validate_rec(t.inner, p, budget)
+    if isinstance(t, Inv):
+        return [Violation("term", f"Inv over non-invertible generator {name!r}")
+                for name in illegal_inverses(t, p.gens)
+                ] + _validate_rec(t.inner, p, budget)
     assert isinstance(t, Comp)
-    out.extend(_validate_rec(t.left, p, invertibles, budget))
-    out.extend(_validate_rec(t.right, p, invertibles, budget))
+    out = _validate_rec(t.left, p, budget) + _validate_rec(t.right, p, budget)
     if out:
         return out
-    from .rewriting import EQ_DISTINCT, EQ_EQUAL, eq
-    sig = p.sig
+    gens = p.gens
     try:
-        lt = normalize(boundary(t.left, TARGET, t.k, sig), sig)
-        rs = normalize(boundary(t.right, SOURCE, t.k, sig), sig)
+        lt = normalize(boundary(t.left, TARGET, t.k, gens), gens)
+        rs = normalize(boundary(t.right, SOURCE, t.k, gens), gens)
         v = eq(lt, rs, p, budget)
     except TermError as e:
         return [Violation("term", str(e))]
@@ -282,8 +255,7 @@ def _parallel_violations(where: str, a: CellTerm, b: CellTerm, what: str,
     a boundary cannot be taken.  One parallel call covers every level,
     since eq compares lower boundaries first; only when it fails are the
     levels compared one by one, to name the lowest that differs."""
-    from .rewriting import EQ_DISTINCT, EQ_EQUAL, eq, parallel
-    sig = p.sig
+    gens = p.gens
     try:
         v = parallel(a, b, p, budget)
         if v is EQ_EQUAL:
@@ -292,7 +264,7 @@ def _parallel_violations(where: str, a: CellTerm, b: CellTerm, what: str,
             return [Violation(where, f"{what} parallel undecided", True)]
         d = p.dim(a)
         level = next((k for k in range(d) if any(
-            eq(boundary(a, side, k, sig), boundary(b, side, k, sig), p,
+            eq(boundary(a, side, k, gens), boundary(b, side, k, gens), p,
                budget) is EQ_DISTINCT for side in (SOURCE, TARGET))), d - 1)
     except TermError as e:
         return [Violation(where, str(e))]
@@ -305,8 +277,8 @@ def validate_presentation(p: Presentation,
     globularity in the generator and relation data, undecided where eq
     cannot tell within the step budget (eq's default).  Empty iff valid."""
     out: List[Violation] = []
-    sig = p.sig
-    for g in p.gens.values():
+    gens = p.gens
+    for g in gens.values():
         if g.dim == 0:
             if g.src is not None or g.tgt is not None:
                 out.append(Violation(g.name, "0-generator with boundary"))
@@ -317,7 +289,7 @@ def validate_presentation(p: Presentation,
         found = len(out)
         for side_name, side_term in (("src", g.src), ("tgt", g.tgt)):
             try:
-                d = dim(side_term, sig)
+                d = dim(side_term, gens)
             except TermError as e:
                 out.append(Violation(g.name, f"{side_name}: {e}"))
                 continue
@@ -325,7 +297,7 @@ def validate_presentation(p: Presentation,
                 out.append(Violation(
                     g.name, f"{side_name} has dimension {d}, expected {g.dim - 1}"))
             for name in generators(side_term):
-                if name in p.gens and p.gens[name].dim >= g.dim:
+                if name in gens and gens[name].dim >= g.dim:
                     out.append(Violation(
                         g.name,
                         f"{side_name} mentions {name!r} of dimension >= {g.dim}"))
@@ -340,7 +312,7 @@ def validate_presentation(p: Presentation,
                        for v in validate_term(side_term, p, budget))
         if any(v.where == label for v in out):
             continue
-        if dim(r.lhs, sig) != r.dim or dim(r.rhs, sig) != r.dim:
+        if dim(r.lhs, gens) != r.dim or dim(r.rhs, gens) != r.dim:
             out.append(Violation(label, "stated dimension disagrees with sides"))
             continue
         out.extend(_parallel_violations(label, r.lhs, r.rhs, "sides", p,

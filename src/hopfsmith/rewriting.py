@@ -33,22 +33,30 @@ difference on the other.  Validation uses the same call to check that
 a generator's source and target, or a relation's sides, are parallel at
 every level.
 
-Verdicts are Equal / Distinct / Unknown.  Distinct is only produced
+Verdicts are Equal / Distinct / Unknown.  Both sides are normalized
+first; a side that is ill-formed, or that has a formal inverse of a
+generator not marked invertible, is Unknown.  Distinct is only produced
 with a certificate: differing boundaries, or, in dimensions 1 and 2,
 two fully explored rewrite searches that do not meet.  Move chains are
 never Distinct.
+
+`presentation` imports this module, for validation and the boundary-word
+table, so this module names `Presentation` only in annotations.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import (AbstractSet, Callable, Container, Dict, Iterable, List,
-                    Optional, Sequence, Tuple, TypeVar)
+from typing import (TYPE_CHECKING, AbstractSet, Callable, Container, Dict,
+                    Iterable, List, Optional, Sequence, Tuple, TypeVar)
 
-from .presentation import Presentation
 from .terms import (CellTerm, Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
-                    boundary, flatten, print_term, top_boundary)
+                    boundary, flatten, illegal_inverses, print_term,
+                    top_boundary)
+
+if TYPE_CHECKING:  # presentation imports this module
+    from .presentation import Presentation
 
 
 class Verdict:
@@ -187,7 +195,7 @@ def stack_of(t: CellTerm, p: Presentation) -> Stack:
     d = p.dim(t)
     if d != 2:
         raise TermError(f"not a 2-cell term: dimension {d}")
-    src = word_of(top_boundary(t, SOURCE, p.sig, d), p)
+    src = word_of(top_boundary(t, SOURCE, p.gens, d), p)
     layers = tuple(_layers_rec(t, 0, p))
     return Stack(src, layers)
 
@@ -212,7 +220,7 @@ def _layers_rec(t: CellTerm, offset: int, p: Presentation) -> List[Layer]:
                 + _layers_rec(t.right, offset, p))
     if t.k == 0:
         # interchange expansion, left part fires first
-        left_tgt = word_of(top_boundary(t.left, TARGET, p.sig, 2), p)
+        left_tgt = word_of(top_boundary(t.left, TARGET, p.gens, 2), p)
         left_layers = _layers_rec(t.left, offset, p)
         right_layers = _layers_rec(t.right, offset + len(left_tgt), p)
         return left_layers + right_layers
@@ -520,6 +528,10 @@ def _eq(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
         b = p.normalize(b)
     except TermError:
         return EQ_UNKNOWN
+    # a formal inverse of a generator not marked invertible is no cell;
+    # in a normal form every Inv wraps a generator
+    if any(illegal_inverses(a, p.gens)) or any(illegal_inverses(b, p.gens)):
+        return EQ_UNKNOWN
     if a == b:
         return EQ_EQUAL
     # normal forms are well-formed, so dim cannot raise here
@@ -571,8 +583,8 @@ def _parallel(a: CellTerm, b: CellTerm, d: int, p: Presentation,
     spent = 0
     for side in (SOURCE, TARGET):
         own = Budget(budget.left)
-        v = _eq(top_boundary(a, side, p.sig, d),
-                top_boundary(b, side, p.sig, d), p, own)
+        v = _eq(top_boundary(a, side, p.gens, d),
+                top_boundary(b, side, p.gens, d), p, own)
         spent += budget.left - own.left
         if v is EQ_DISTINCT:
             verdict = EQ_DISTINCT
@@ -659,8 +671,8 @@ def compose(k: int, a: CellTerm, b: CellTerm, p: Presentation,
             budget: Optional[int] = None) -> CellTerm:
     """The k-composite a-then-b, admitted only when the shared boundary
     agrees under eq (Unknown is not good enough to compose)."""
-    lt = p.normalize(boundary(a, TARGET, k, p.sig))
-    rs = p.normalize(boundary(b, SOURCE, k, p.sig))
+    lt = p.normalize(boundary(a, TARGET, k, p.gens))
+    rs = p.normalize(boundary(b, SOURCE, k, p.gens))
     if eq(lt, rs, p, budget) is not EQ_EQUAL:
         raise CompositionError(k, lt, rs)
     return p.normalize(Comp(k, a, b))

@@ -19,7 +19,7 @@ from .gray import (GrayMorphism, TensorTerms, gray, pair_name, smash,
                    split_pair)
 from .presentation import PresMorphism, Presentation
 from .rewriting import EQ_DISTINCT, EQ_EQUAL, eq
-from .terms import CellTerm, Comp, Gen, Id, comp
+from .terms import CellTerm, Comp, Gen, Id, Inv, comp, generators
 from .walking import e_oriental2, mnd, oriental2
 
 # ---------------------------------------------------------------------------
@@ -162,11 +162,12 @@ COLLAPSE_TRIVIAL = "collapse-trivial"
 _TRIVIAL_FACTORS = {"w"}
 
 
-def classify_pair(name: str, p: Presentation) -> str:
+def classify_pair(name: str) -> str:
+    """The kind of a generator of the whiskered tensor square, from the
+    dimensions of its two factors."""
     x, y = split_pair(name)
-    # dimensions in the respective factors are recoverable from the tensor
-    dx = _factor_dim(x)
-    dy = _factor_dim(y)
+    gens = e_oriental2().gens
+    dx, dy = gens[x].dim, gens[y].dim
     if x in _TRIVIAL_FACTORS or y in _TRIVIAL_FACTORS:
         return COLLAPSE_TRIVIAL
     if (dx, dy) == (2, 2):
@@ -178,19 +179,12 @@ def classify_pair(name: str, p: Presentation) -> str:
     return "whisker"
 
 
-def _factor_dim(name: str) -> int:
-    if name.startswith("q") or name.startswith("x"):
-        return 0
-    if name == "sigma":
-        return 2
-    return 1
-
-
 def _top_atom(t: CellTerm) -> Optional[str]:
-    """The unique top-dimensional generator in a move term, if any."""
-    from .terms import generators
+    """The unique top-dimensional generator in a move term over the
+    whiskered tensor square, if any."""
+    gens = e_oriental2().gens
     pairs = [n for n in generators(t)
-             if _factor_dim(split_pair(n)[0]) + _factor_dim(split_pair(n)[1]) >= 3]
+             if sum(gens[x].dim for x in split_pair(n)) >= 3]
     return pairs[0] if pairs else None
 
 
@@ -246,8 +240,9 @@ def proof_skeleton_check(budget: Optional[int] = None,
     the total 2-boundary, then verify the interchange hexagon whose target
     route passes through the collapse-trivial wires.
 
-    `mutate_step` replaces the given step of the chain by its reversed
-    orientation, to exhibit the failure mode."""
+    `mutate_step` replaces the given step of the chain by its formal
+    inverse, which has its source and target swapped, to exhibit the
+    failure mode."""
     eg = whiskered_gray()
     to_e = _o2_to_eo2()
     gm = GrayMorphism(to_e, to_e, oriental_gray(), eg)
@@ -267,14 +262,13 @@ def proof_skeleton_check(budget: Optional[int] = None,
     failures: List[str] = []
     for i, t in enumerate(steps_terms):
         atom = _top_atom(t)
-        cls = classify_pair(atom, eg) if atom else "unknown"
+        cls = classify_pair(atom) if atom else "unknown"
         steps.append(ChainStep(f"step{i}", t, cls))
 
     if mutate_step is not None and 0 <= mutate_step < len(steps):
         t = steps[mutate_step].term
         steps[mutate_step] = ChainStep(
-            steps[mutate_step].label + ":reversed",
-            _reverse_orientation(t, eg),
+            steps[mutate_step].label + ":reversed", Inv(t),
             steps[mutate_step].classification)
 
     # (i) consecutive composability
@@ -321,12 +315,11 @@ def proof_skeleton_check(budget: Optional[int] = None,
             hex_ok = False
             failures.append(f"hexagon routes differ at their {lvl_side}")
 
-    for t, label in ((hex_cell, "hexagon"),):
-        steps.append(ChainStep(label, t, FOUR_CELL))
+    steps.append(ChainStep("hexagon", hex_cell, FOUR_CELL))
     for mv, label in ((tt.move21(Gen("sigma"), Gen("w")), "slide-across-w2"),
                       (tt.move12(Gen("w"), Gen("sigma")), "slide-across-w1")):
         atom = _top_atom(mv)
-        steps.append(ChainStep(label, mv, classify_pair(atom, eg)))
+        steps.append(ChainStep(label, mv, classify_pair(atom)))
 
     table: Dict[str, int] = {}
     for s in steps:
@@ -335,10 +328,3 @@ def proof_skeleton_check(budget: Optional[int] = None,
     return SkeletonReport(steps, chain_ok, boundary_match, hex_ok, table,
                           failures)
 
-
-def _reverse_orientation(t: CellTerm, p: Presentation) -> CellTerm:
-    """The formal inverse of a step.  Boundary computation swaps sides on
-    Inv regardless of invertibility marks, which is all the mutation
-    fixture needs; validation would flag the term, as it should."""
-    from .terms import Inv
-    return Inv(t)

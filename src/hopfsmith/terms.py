@@ -11,8 +11,9 @@ A term is one of
                            occurring in t is marked invertible
 
 Terms are immutable and hashable.  All structural operations here
-(`dim`, `boundary`, `normalize`) are pure functions of the term and the
-ambient presentation, and each visits every node of its input once:
+(`dim`, `boundary`, `normalize`) are pure functions of the term and a
+generator table, the mapping name -> `Generator` that a presentation
+keeps as `gens`, and each visits every node of its input once:
 `normalize` computes dimensions bottom-up in the same pass, and
 `top_boundary`/`boundary` compute `dim` once at the top and pass it down,
 so all three are linear in the size of the term.
@@ -27,7 +28,7 @@ parts again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple, Union
+from typing import Callable, Iterator, Mapping, Optional, Tuple, Union
 
 SOURCE = "source"
 TARGET = "target"
@@ -74,6 +75,18 @@ class Inv:
 CellTerm = Union[Gen, Id, Comp, Inv]
 
 
+@dataclass(frozen=True)
+class Generator:
+    name: str
+    dim: int
+    src: Optional[CellTerm]  # None exactly in dimension 0
+    tgt: Optional[CellTerm]
+    invertible: bool = False
+
+
+Gens = Mapping[str, Generator]
+
+
 def comp(k: int, *parts: CellTerm) -> CellTerm:
     """Left-associated k-composite of one or more parts, in diagram order."""
     if not parts:
@@ -103,44 +116,51 @@ def generators(t: CellTerm) -> Iterator[str]:
         yield from generators(t.right)
 
 
-def substitute(t: CellTerm, image: Callable[[str], CellTerm]) -> CellTerm:
-    """t with each generator replaced by image(name), and every Id, Inv
-    and Comp rebuilt as it is.  This is how a map of presentations, or the
-    tensor with a fixed object, acts on terms."""
+def illegal_inverses(t: CellTerm, gens: Gens) -> Iterator[str]:
+    """The generators occurring under an Inv in t that are not marked
+    invertible, once per occurrence, left to right.  Every name in t must
+    be in gens.  The walk keeps its own stack, so no depth of t reaches
+    the recursion limit."""
+    todo = [(t, False)]
+    while todo:
+        t, inverted = todo.pop()
+        if isinstance(t, Gen):
+            if inverted and not gens[t.name].invertible:
+                yield t.name
+        elif isinstance(t, Comp):
+            todo.append((t.right, inverted))
+            todo.append((t.left, inverted))
+        else:
+            todo.append((t.inner, inverted or isinstance(t, Inv)))
+
+
+def substitute(t: CellTerm, image: Callable[[str], CellTerm],
+               shift: int = 0) -> CellTerm:
+    """t with each generator replaced by image(name), every Id and Inv
+    rebuilt as it is, and every Comp rebuilt at its level plus shift.
+    This is how a map of presentations, the tensor with a fixed object,
+    or a suspension (shift 1) acts on terms."""
     if isinstance(t, Gen):
         return image(t.name)
     if isinstance(t, Id):
-        return Id(substitute(t.inner, image))
+        return Id(substitute(t.inner, image, shift))
     if isinstance(t, Inv):
-        return Inv(substitute(t.inner, image))
-    return Comp(t.k, substitute(t.left, image), substitute(t.right, image))
+        return Inv(substitute(t.inner, image, shift))
+    return Comp(t.k + shift, substitute(t.left, image, shift),
+                substitute(t.right, image, shift))
 
 
-class Signature:
-    """Just enough of a presentation to compute dimensions and boundaries:
-    a map name -> (dim, src, tgt) with src/tgt = None in dimension 0."""
-
-    def __init__(self, table):
-        self.table = dict(table)
-
-    def src_of(self, name: str):
-        return self.table[name][1]
-
-    def tgt_of(self, name: str):
-        return self.table[name][2]
-
-
-def dim(t: CellTerm, sig: Signature) -> int:
+def dim(t: CellTerm, gens: Gens) -> int:
     if isinstance(t, Gen):
         try:
-            return sig.table[t.name][0]
+            return gens[t.name].dim
         except KeyError:
             raise TermError(f"unknown generator {t.name!r}") from None
     if isinstance(t, Id):
-        return dim(t.inner, sig) + 1
+        return dim(t.inner, gens) + 1
     if isinstance(t, Inv):
-        return dim(t.inner, sig)
-    return _comp_dim(t.k, dim(t.left, sig), dim(t.right, sig))
+        return dim(t.inner, gens)
+    return _comp_dim(t.k, dim(t.left, gens), dim(t.right, gens))
 
 
 def _comp_dim(k: int, dl: int, dr: int) -> int:
@@ -152,15 +172,16 @@ def _comp_dim(k: int, dl: int, dr: int) -> int:
     return dl
 
 
-def top_boundary(t: CellTerm, side: str, sig: Signature,
+def top_boundary(t: CellTerm, side: str, gens: Gens,
                  d: Optional[int] = None) -> CellTerm:
     """The (dim-1)-dimensional source or target of t.  A caller that
     already knows dim(t) passes it as d; otherwise it is computed once
     here, which also checks that t is well-formed throughout."""
     if d is None:
-        d = dim(t, sig)
+        d = dim(t, gens)
     if isinstance(t, Gen):
-        b = sig.src_of(t.name) if side == SOURCE else sig.tgt_of(t.name)
+        g = gens[t.name]
+        b = g.src if side == SOURCE else g.tgt
         if b is None:
             raise TermError(f"generator {t.name!r} has no boundary")
         return b
@@ -168,25 +189,25 @@ def top_boundary(t: CellTerm, side: str, sig: Signature,
         return t.inner
     if isinstance(t, Inv):
         return top_boundary(t.inner, TARGET if side == SOURCE else SOURCE,
-                            sig, d)
+                            gens, d)
     if t.k == d - 1:
         part = t.left if side == SOURCE else t.right
-        return top_boundary(part, side, sig, d)
+        return top_boundary(part, side, gens, d)
     # composition at a deeper level: boundaries compose at the same level
-    return Comp(t.k, top_boundary(t.left, side, sig, d),
-                top_boundary(t.right, side, sig, d))
+    return Comp(t.k, top_boundary(t.left, side, gens, d),
+                top_boundary(t.right, side, gens, d))
 
 
-def boundary(t: CellTerm, side: str, k: int, sig: Signature) -> CellTerm:
+def boundary(t: CellTerm, side: str, k: int, gens: Gens) -> CellTerm:
     """The k-dimensional source or target of t, for 0 <= k < dim(t)."""
-    d = dim(t, sig)
+    d = dim(t, gens)
     if not 0 <= k < d:
         raise TermError(f"boundary level {k} out of range for dimension {d}")
-    out = top_boundary(t, side, sig, d)
-    # deeper levels read generator boundaries from sig, so each is
+    out = top_boundary(t, side, gens, d)
+    # deeper levels read generator boundaries from gens, so each is
     # checked by top_boundary's own dim
     for _ in range(d - 1 - k):
-        out = top_boundary(out, side, sig)
+        out = top_boundary(out, side, gens)
     return out
 
 
@@ -199,7 +220,7 @@ def identity_core(t: CellTerm) -> Tuple[CellTerm, int]:
     return t, n
 
 
-def normalize(t: CellTerm, sig: Signature, push_inv: bool = True) -> CellTerm:
+def normalize(t: CellTerm, gens: Gens, push_inv: bool = True) -> CellTerm:
     """Id-normalization.
 
     Eagerly performed before any comparison:
@@ -212,28 +233,28 @@ def normalize(t: CellTerm, sig: Signature, push_inv: bool = True) -> CellTerm:
     Semantic evaluation passes push_inv=False to keep formal inverses
     at the level of whole composites.
     """
-    return _normal(t, sig, push_inv)[0]
+    return _normal(t, gens, push_inv)[0]
 
 
-def _normal(t: CellTerm, sig: Signature,
+def _normal(t: CellTerm, gens: Gens,
             push_inv: bool) -> Tuple[CellTerm, int]:
     """(normal form of t, dim(t)), bottom-up in one pass.  When its
     parts come back unchanged and none is an identity, t itself is
     returned rather than rebuilt."""
     if isinstance(t, Gen):
-        return t, dim(t, sig)
+        return t, dim(t, gens)
     if isinstance(t, Id):
-        inner, d = _normal(t.inner, sig, push_inv)
+        inner, d = _normal(t.inner, gens, push_inv)
         return (t if inner is t.inner else Id(inner)), d + 1
     if isinstance(t, Inv):
-        inner, d = _normal(t.inner, sig, push_inv)
+        inner, d = _normal(t.inner, gens, push_inv)
         if push_inv:
             return _push_inv(inner), d
         if isinstance(inner, Inv):
             return inner.inner, d
         return (t if inner is t.inner else Inv(inner)), d
-    left, dl = _normal(t.left, sig, push_inv)
-    right, dr = _normal(t.right, sig, push_inv)
+    left, dl = _normal(t.left, gens, push_inv)
+    right, dr = _normal(t.right, gens, push_inv)
     d = _comp_dim(t.k, dl, dr)
     if isinstance(left, Id) or isinstance(right, Id):
         return _comp_normal(t.k, left, right, d), d

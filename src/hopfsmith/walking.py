@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .presentation import Presentation
-from .terms import Comp, Gen, Id, comp
+from .terms import Gen, Id, comp, substitute
 
 
 @dataclass
@@ -81,23 +81,16 @@ def suspend(p: Presentation, prefix: str = "S.") -> Presentation:
     lo = out.add("0", 0)
     hi = out.add("1", 0)
 
-    def shift(t):
-        if t is None:
-            return None
-        if isinstance(t, Gen):
-            return Gen(prefix + t.name)
-        if isinstance(t, Id):
-            return Id(shift(t.inner))
-        if isinstance(t, Comp):
-            return Comp(t.k + 1, shift(t.left), shift(t.right))
-        return type(t)(shift(t.inner))
+    def rename(name):
+        return Gen(prefix + name)
 
     for g in p.gens.values():
-        src = shift(g.src) if g.dim > 0 else lo
-        tgt = shift(g.tgt) if g.dim > 0 else hi
+        src = substitute(g.src, rename, 1) if g.dim > 0 else lo
+        tgt = substitute(g.tgt, rename, 1) if g.dim > 0 else hi
         out.add(prefix + g.name, g.dim + 1, src, tgt, g.invertible)
     for r in p.relations:
-        out.relate(r.dim + 1, shift(r.lhs), shift(r.rhs), r.oriented)
+        out.relate(r.dim + 1, substitute(r.lhs, rename, 1),
+                   substitute(r.rhs, rename, 1), r.oriented)
     return out
 
 

@@ -126,6 +126,18 @@ def test_ill_formed_side_is_unknown(bad, good):
     assert eq(good, bad, M) is EQ_UNKNOWN
 
 
+@pytest.mark.parametrize("side, other", [
+    (comp(1, Gen("m"), Inv(Gen("m"))), Id(comp(0, Gen("A"), Gen("A")))),
+    (comp(1, Inv(Gen("m")), Gen("m")), Id(Gen("A"))),
+    (comp(0, Gen("A"), Inv(Gen("A"))), Id(Gen("pt"))),
+])
+def test_inverse_of_a_non_invertible_generator_is_unknown(side, other):
+    # cancelled as formal inverses, these pairs were Equal, but no
+    # generator of the walking monad is invertible
+    assert eq(side, other, M) is EQ_UNKNOWN
+    assert eq(other, side, M) is EQ_UNKNOWN
+
+
 def test_boundary_certificate_distinct():
     m, u = Gen("m"), Gen("u")
     assert eq(m, u, M) is EQ_DISTINCT

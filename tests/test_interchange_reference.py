@@ -142,7 +142,7 @@ def _atoms(p):
     out = []
     for name in sorted(g.name for g in p.gens_of_dim(2)):
         src, tgt = p.boundary_words(name)
-        obj = boundary(Gen(name), SOURCE, 0, p.sig)
+        obj = boundary(Gen(name), SOURCE, 0, p.gens)
         out.append((Atom(name, False, src, tgt), src, tgt, obj))
         if p.gens[name].invertible:
             out.append((Atom(name, True, tgt, src), tgt, src, obj))

@@ -14,12 +14,18 @@ own.  Every stratum of `eq` searches through `rewriting._meet`: no
 other function names the frontier loop `_explore`.  Stacks are complete
 values: only `rewriting._layers_rec`, which builds each atom, reads the
 presentation's boundary-word table, and no function of the interchange
-core takes a presentation.  The checks read the syntax tree of every
-module, so they fail as soon as such a shortcut is written, whether or
-not a test runs it.
+core takes a presentation.  Imports run once, at module top: no function
+imports, `rewriting` names `presentation` only for type checkers (so the
+presentation layer imports one way), and every module imports on its own
+in a fresh interpreter.  All checks but that last one read the syntax
+tree of every module, so they fail as soon as such a shortcut is
+written, whether or not a test runs it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hopfsmith"
@@ -90,9 +96,9 @@ def true_divisions_and_fractions(tree):
 def term_rebuilders(tree):
     """Functions that rebuild Id(f(..)), Inv(f(..)) and Comp(t.k, f(..),
     f(..)) around calls f of themselves, as a generator-by-generator map
-    does.  A rebuild through type(t)(f(..)) counts as both Id and Inv.  A
-    Comp whose level is not t.k as it was is no such map: walking's
-    `shift` raises every level by one, and that is why it is not found."""
+    does.  A rebuild through type(t)(f(..)) counts as both Id and Inv, and
+    one at level t.k + shift as one at t.k, so a map that raises every
+    level, as a suspension does, is found too."""
     for fn in ast.walk(tree):
         if not isinstance(fn, ast.FunctionDef):
             continue
@@ -116,6 +122,9 @@ def term_rebuilders(tree):
             parts = node.args
             if names == {"Comp"}:
                 level, parts = node.args[0], node.args[1:]
+                if isinstance(level, ast.BinOp) and isinstance(level.op,
+                                                               ast.Add):
+                    level = level.left
                 if getattr(level, "attr", None) != "k":
                     continue
             if parts and all(recurses(a) for a in parts):
@@ -151,6 +160,48 @@ def takes_a_presentation(fn):
     return any(a.arg == "p" or (a.annotation is not None
                                 and "Presentation" in ast.unparse(a.annotation))
                for a in args.posonlyargs + args.args + args.kwonlyargs)
+
+
+def imports_in_functions(tree):
+    """(line, function) of every import inside a top-level function or a
+    method, nested functions included."""
+    for name, fn in functions(tree):
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield node.lineno, name
+
+
+def runtime_imports_of(module, tree):
+    """Lines that import the sibling module named module at run time, on
+    import or inside a function: every import of it but those under
+    `if TYPE_CHECKING:`."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if (isinstance(node, ast.If) and ast.unparse(node.test)
+                in ("TYPE_CHECKING", "typing.TYPE_CHECKING")):
+            todo.extend(node.orelse)
+            continue
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+            if node.module in (None, "hopfsmith"):
+                names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = []
+        if any(name.split(".")[-1] == module for name in names):
+            yield node.lineno
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def import_error(module, path):
+    """The last line of what a fresh interpreter prints when `import
+    module` fails with path on its module search path, or None."""
+    run = subprocess.run(
+        [sys.executable, "-c", f"import {module}"], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(path)})
+    return run.stderr.strip().splitlines()[-1] if run.returncode else None
 
 
 def modules(but="matrix.py"):
@@ -209,7 +260,25 @@ def test_the_interchange_core_takes_no_presentation():
     assert found == dict.fromkeys(INTERCHANGE_CORE, False)
 
 
-def test_the_checks_see_what_they_forbid():
+def test_no_function_imports():
+    bad = [(p.name, *use) for p in modules(but=None)
+           for use in imports_in_functions(parse(p))]
+    assert not bad
+
+
+def test_rewriting_imports_presentation_only_for_type_checkers():
+    assert not list(runtime_imports_of("presentation",
+                                       parse(SRC / "rewriting.py")))
+
+
+def test_every_module_imports_on_its_own():
+    names = ["hopfsmith" if p.stem == "__init__" else f"hopfsmith.{p.stem}"
+             for p in modules(but=None)]
+    failed = {name: import_error(name, SRC.parent) for name in names}
+    assert failed == dict.fromkeys(names)
+
+
+def test_the_checks_see_what_they_forbid(tmp_path):
     tree = ast.parse(
         "from .matrix import _EMPTY\n"
         "def f(F, A, n):\n"
@@ -252,7 +321,7 @@ def test_the_checks_see_what_they_forbid():
         "    if isinstance(t, Comp):\n"
         "        return Comp(t.k + 1, lift(t.left), lift(t.right))\n"
         "    return type(t)(lift(t.inner))\n")
-    assert list(term_rebuilders(tree)) == [(1, "keep")]
+    assert list(term_rebuilders(tree)) == [(1, "keep"), (5, "lift")]
     tree = ast.parse(
         "def _meet(a, b, step):\n"
         "    return _explore(a, step), _explore(b, step)\n"
@@ -276,3 +345,34 @@ def test_the_checks_see_what_they_forbid():
             for name, fn in functions(tree)} == {
         "Atom.words": True, "slide": True, "slide_left": True,
         "canonical_stack": False}
+    tree = ast.parse(
+        "import os\n"
+        "def f():\n"
+        "    from .terms import Gen\n"
+        "    def g():\n"
+        "        import json\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        from . import terms\n")
+    assert list(imports_in_functions(tree)) == [(3, "f"), (5, "f"), (8, "C.m")]
+    tree = ast.parse(
+        "from typing import TYPE_CHECKING\n"
+        "import typing\n"
+        "if TYPE_CHECKING:\n"
+        "    from .presentation import Presentation\n"
+        "if typing.TYPE_CHECKING:\n"
+        "    from hopfsmith.presentation import Presentation\n"
+        "else:\n"
+        "    from . import presentation\n"
+        "import hopfsmith.presentation\n"
+        "def f():\n"
+        "    from .presentation import Presentation\n")
+    assert sorted(runtime_imports_of("presentation", tree)) == [8, 9, 11]
+    package = tmp_path / "cyc"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "a.py").write_text("from .b import g\ndef f():\n    pass\n")
+    (package / "b.py").write_text("from .a import f\ndef g():\n    pass\n")
+    (package / "c.py").write_text("def h():\n    from .a import f\n")
+    assert "ImportError" in import_error("cyc.a", tmp_path)
+    assert import_error("cyc.c", tmp_path) is None

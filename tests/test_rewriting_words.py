@@ -6,7 +6,7 @@ test."""
 
 import pytest
 
-from hopfsmith import rewriting
+from hopfsmith import presentation, rewriting
 from hopfsmith.cli import BUILTIN_PRESENTATIONS
 from hopfsmith.gray import gray
 from hopfsmith.mates import walking_retract
@@ -112,7 +112,7 @@ def test_add_and_relate_keep_the_table(monkeypatch):
         calls.append(t)
         return word_of(t, q)
 
-    monkeypatch.setattr(rewriting, "word_of", counting)
+    monkeypatch.setattr(presentation, "word_of", counting)
     p.boundary_words("a")
     p.boundary_words("a")
     assert len(calls) == 2  # source and target, once

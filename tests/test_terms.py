@@ -1,5 +1,6 @@
+from hopfsmith.presentation import Presentation
 from hopfsmith.terms import (Comp, Gen, Id, Inv, TermError, comp, flatten,
-                             parse_term, print_term)
+                             illegal_inverses, parse_term, print_term)
 from hopfsmith.walking import mnd
 
 import pytest
@@ -96,3 +97,15 @@ def test_normalize_raises_where_dim_raises(bad, message):
             M.normalize(bad, push_inv)
     with pytest.raises(TermError, match=message):
         M.dim(bad)
+
+
+def test_illegal_inverses_walks_deep_terms():
+    A = Gen("A")
+    deep = comp(0, *[Inv(A), A] * 5000)
+    assert list(illegal_inverses(deep, M.gens)) == ["A"] * 5000
+    twice = Inv(comp(0, Inv(A), A))
+    assert list(illegal_inverses(twice, M.gens)) == ["A", "A"]
+    p = Presentation(max_dim=1)
+    x = p.add("x", 0)
+    f = p.add("f", 1, x, x, invertible=True)
+    assert list(illegal_inverses(comp(0, *[Inv(f), f] * 5000), p.gens)) == []

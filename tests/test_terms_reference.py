@@ -30,9 +30,9 @@ PRESENTATIONS = {"mnd": mnd().base, "adj": adj().base,
 
 def ref_dim(t, sig):
     if isinstance(t, Gen):
-        if t.name not in sig.table:
+        if t.name not in sig:
             raise TermError(f"unknown generator {t.name!r}")
-        return sig.table[t.name][0]
+        return sig[t.name].dim
     if isinstance(t, Id):
         return ref_dim(t.inner, sig) + 1
     if isinstance(t, Inv):
@@ -48,7 +48,7 @@ def ref_dim(t, sig):
 
 def ref_top_boundary(t, side, sig):
     if isinstance(t, Gen):
-        b = sig.src_of(t.name) if side == SOURCE else sig.tgt_of(t.name)
+        b = sig[t.name].src if side == SOURCE else sig[t.name].tgt
         if b is None:
             raise TermError(f"0-cell {t.name!r} has no boundary")
         return b
@@ -114,10 +114,10 @@ def _ref_push_inv(t):
 
 
 def ref_word_of(t, p):
-    t = ref_normalize(t, p.sig)
+    t = ref_normalize(t, p.gens)
     out = []
     for f in flatten(t, 0):
-        f = ref_normalize(f, p.sig)
+        f = ref_normalize(f, p.gens)
         if isinstance(f, Id):
             continue
         if isinstance(f, Gen):
@@ -130,8 +130,8 @@ def ref_word_of(t, p):
 
 
 def ref_stack_of(t, p):
-    t = ref_normalize(t, p.sig)
-    src = ref_word_of(ref_top_boundary(t, SOURCE, p.sig), p)
+    t = ref_normalize(t, p.gens)
+    src = ref_word_of(ref_top_boundary(t, SOURCE, p.gens), p)
     return Stack(src, tuple(_ref_layers_rec(t, 0, p)))
 
 
@@ -142,13 +142,13 @@ def ref_atom(name, inverted, p):
 
 
 def _ref_layers_rec(t, offset, p) -> List[Layer]:
-    t = ref_normalize(t, p.sig)
+    t = ref_normalize(t, p.gens)
     if isinstance(t, Id):
         return []
     if isinstance(t, Gen):
         return [Layer(offset, ref_atom(t.name, False, p))]
     if isinstance(t, Inv):
-        inner = ref_normalize(t.inner, p.sig)
+        inner = ref_normalize(t.inner, p.gens)
         if isinstance(inner, Gen):
             return [Layer(offset, ref_atom(inner.name, True, p))]
         raise TermError(f"Inv not pushed to a leaf: {t!r}")
@@ -158,7 +158,7 @@ def _ref_layers_rec(t, offset, p) -> List[Layer]:
         return (_ref_layers_rec(t.left, offset, p)
                 + _ref_layers_rec(t.right, offset, p))
     if t.k == 0:
-        left_tgt = ref_word_of(ref_top_boundary(t.left, TARGET, p.sig), p)
+        left_tgt = ref_word_of(ref_top_boundary(t.left, TARGET, p.gens), p)
         return (_ref_layers_rec(t.left, offset, p)
                 + _ref_layers_rec(t.right, offset + len(left_tgt), p))
     raise TermError(f"composition level {t.k} inside a 2-cell")
@@ -256,7 +256,7 @@ def subterms(t):
 @given(well_formed())
 def test_normalize_and_boundaries_match_reference(case):
     p, t = case
-    sig = p.sig
+    sig = p.gens
     d = ref_dim(t, sig)
     assert dim(t, sig) == d
     for push_inv in (True, False):
@@ -275,17 +275,17 @@ def test_normalize_and_boundaries_match_reference(case):
 def test_normal_forms_are_idempotent_and_closed_under_subterms(case):
     p, t = case
     for push_inv in (True, False):
-        n = normalize(t, p.sig, push_inv)
-        assert dim(n, p.sig) == dim(t, p.sig)
+        n = normalize(t, p.gens, push_inv)
+        assert dim(n, p.gens) == dim(t, p.gens)
         for s in subterms(n):
-            assert normalize(s, p.sig, push_inv) == s
+            assert normalize(s, p.gens, push_inv) == s
 
 
 @settings(max_examples=150)
 @given(trees)
 def test_normalize_raises_exactly_where_dim_raises(case):
     p, t = case
-    sig = p.sig
+    sig = p.gens
     want = outcome(ref_dim, t, sig)
     assert outcome(dim, t, sig) == want
     for push_inv in (True, False):
@@ -302,7 +302,7 @@ def test_stack_of_matches_reference(case):
     p, t = case
     assert stack_outcome(stack_of, t, p) == stack_outcome(ref_stack_of, t, p)
     for side in (SOURCE, TARGET):
-        b = top_boundary(t, side, p.sig)
+        b = top_boundary(t, side, p.gens)
         assert outcome(word_of, b, p) == outcome(ref_word_of, b, p)
 
 
@@ -311,6 +311,6 @@ def test_stack_of_matches_reference_on_relations(name):
     p = PRESENTATIONS[name]
     for r in p.relations:
         for t in (r.lhs, r.rhs):
-            if ref_dim(t, p.sig) == 2:
+            if ref_dim(t, p.gens) == 2:
                 assert (stack_outcome(stack_of, t, p)
                         == stack_outcome(ref_stack_of, t, p))
