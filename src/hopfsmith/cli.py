@@ -138,32 +138,28 @@ def cmd_census(args, report: Report) -> None:
     report.payload["census"] = list(p.census())
 
 
-def cmd_gray(args, report: Report) -> None:
-    a = load_presentation(args.left)
-    b = load_presentation(args.right)
-    out = gray(a, b)
-    check_valid(report, "tensor-valid", out, args.budget)
+def report_product(args, report: Report, check: str,
+                   out: Presentation) -> None:
+    """Validity and census of a built presentation; --out and --dot."""
+    check_valid(report, check, out, args.budget)
     report.payload["census"] = list(out.census())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out.dumps())
     if args.dot:
         emit_dot(out, args.dot)
+
+
+def cmd_gray(args, report: Report) -> None:
+    out = gray(load_presentation(args.left), load_presentation(args.right))
+    report_product(args, report, "tensor-valid", out)
 
 
 def cmd_smash(args, report: Report) -> None:
-    a = load_presentation(args.left)
-    b = load_presentation(args.right)
-    pa = PointedPresentation(a, args.left_point)
-    pb = PointedPresentation(b, args.right_point)
-    out, _ = smash(pa, pb)
-    check_valid(report, "smash-valid", out, args.budget)
-    report.payload["census"] = list(out.census())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out.dumps())
-    if args.dot:
-        emit_dot(out, args.dot)
+    a, b = load_presentation(args.left), load_presentation(args.right)
+    out, _ = smash(PointedPresentation(a, args.left_point),
+                   PointedPresentation(b, args.right_point))
+    report_product(args, report, "smash-valid", out)
 
 
 def cmd_shear_check(args, report: Report) -> None:

@@ -10,11 +10,12 @@ pairs (0,k), (k,0), (1,1), (2,1), (1,2), (2,2), (1,3), (3,1):
     northwest and first-factor beads to the southwest;
   * the interchange 4-cell mediating the two pull orders.
 
-The same term constructors (`cross`, `move12`, `move21`, `fill22`) build
-instances of these cells over composite boundaries, which is what both
-the generator table and the shear/proof-chain constructions need, and
-what `GrayMorphism`, the tensor of two presentation morphisms, sends
-pair generators to.  `smash` returns its collapse as a `PresMorphism`.
+The same term constructors (`cross`, `move12`, `move21` and
+`fill22_boundaries`) build instances of these cells over composite
+boundaries, which is what both the generator table and the
+shear/proof-chain constructions need, and what `GrayMorphism`, the
+tensor of two presentation morphisms, sends pair generators to.
+`smash` returns its collapse as a `PresMorphism`.
 """
 
 from __future__ import annotations
@@ -126,10 +127,13 @@ class TensorTerms:
             return Gen(pair_name(a.name, beta.name))
         A0, A1 = _ends(self.L, a)
         if isinstance(beta, Comp) and beta.k == 1:
-            # a vertical bead stack crosses top-first
+            # a vertical bead stack crosses top-first, idle bead whiskered
             c, d = beta.left, beta.right
-            lower = Comp(1, Id(self.ten_r(A0, c)), self.move12(a, d))
-            upper = Comp(1, self.move12(a, c), Id(self.ten_r(A1, d)))
+            p, q = _ends(self.R, beta)
+            lower = Comp(1, Id(Comp(0, self.ten_r(A0, c), Id(self.ten_l(a, q)))),
+                         self.move12(a, d))
+            upper = Comp(1, self.move12(a, c),
+                         Id(Comp(0, Id(self.ten_l(a, p)), self.ten_r(A1, d))))
             return Comp(2, lower, upper)
         if isinstance(beta, Comp) and beta.k == 0:
             x, y = beta.left, beta.right
@@ -184,10 +188,13 @@ class TensorTerms:
             return Gen(pair_name(alpha.name, b.name))
         p, q = _ends(self.R, b)
         if isinstance(alpha, Comp) and alpha.k == 1:
-            # a vertical bead stack crosses bottom-first
+            # a vertical bead stack crosses bottom-first, idle bead whiskered
             c, d = alpha.left, alpha.right
-            lower = Comp(1, self.move21(c, b), Id(self.ten_l(d, p)))
-            upper = Comp(1, Id(self.ten_l(c, q)), self.move21(d, b))
+            A0, A1 = _ends(self.L, alpha)
+            lower = Comp(1, self.move21(c, b),
+                         Id(Comp(0, self.ten_l(d, p), Id(self.ten_r(A1, b)))))
+            upper = Comp(1, Id(Comp(0, Id(self.ten_r(A0, b)), self.ten_l(c, q))),
+                         self.move21(d, b))
             return Comp(2, lower, upper)
         if isinstance(alpha, Comp) and alpha.k == 0:
             x, y = alpha.left, alpha.right
@@ -209,13 +216,6 @@ class TensorTerms:
         raise TermError(f"unsupported shape in move21: {alpha!r}")
 
     # -- the interchange 4-cell ------------------------------------------
-
-    def fill22(self, alpha: CellTerm, beta: CellTerm) -> CellTerm:
-        alpha = self.L.normalize(alpha)
-        beta = self.R.normalize(beta)
-        if not (isinstance(alpha, Gen) and isinstance(beta, Gen)):
-            raise TermError("interchange filler only built on generator pairs")
-        return Gen(pair_name(alpha.name, beta.name))
 
     def fill22_boundaries(self, alpha: Gen, beta: Gen) -> Tuple[CellTerm, CellTerm]:
         """Source and target 3-cells of the interchange 4-cell: the two ways

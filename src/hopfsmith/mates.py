@@ -60,12 +60,8 @@ class ShapeError(TermError):
 
 
 def _require_parallel(p: Presentation, sq: Square) -> None:
-    want_src = p.normalize(comp(0, sq.h, sq.k))
-    want_tgt = p.normalize(comp(0, sq.f, sq.g))
-    got_src = p.normalize(p.src(sq.alpha))
-    got_tgt = p.normalize(p.tgt(sq.alpha))
-    if eq(want_src, got_src, p) is EQ_DISTINCT or \
-       eq(want_tgt, got_tgt, p) is EQ_DISTINCT:
+    if (eq(comp(0, sq.h, sq.k), p.src(sq.alpha), p) is EQ_DISTINCT
+            or eq(comp(0, sq.f, sq.g), p.tgt(sq.alpha), p) is EQ_DISTINCT):
         raise ShapeError("filler does not match the square's sides")
 
 
@@ -291,14 +287,11 @@ def hopf_square_terms(rec: RetractRecord,
     note("H_eq_algebra_form", eq(H, comp(1, gammaL, gamma), p, budget))
     note("H_eq_coalgebra_form", eq(H, comp(1, deltaR, delta), p, budget))
     HH = comp(1, H, H)
-    note("mult_src", eq(p.boundary(mult, "source", 2), HH, p, budget))
-    note("mult_tgt", eq(p.boundary(mult, "target", 2), H, p, budget))
-    note("counit_src", eq(p.boundary(counit, "source", 2), H, p, budget))
-    note("counit_tgt", eq(p.boundary(counit, "target", 2), Id(base), p, budget))
-    note("comult_src", eq(p.boundary(comult, "source", 2), H, p, budget))
-    note("comult_tgt", eq(p.boundary(comult, "target", 2), HH, p, budget))
-    note("unit_src", eq(p.boundary(unit, "source", 2), Id(base), p, budget))
-    note("unit_tgt", eq(p.boundary(unit, "target", 2), H, p, budget))
+    for name, cell, src, tgt in (
+            ("mult", mult, HH, H), ("counit", counit, H, Id(base)),
+            ("comult", comult, H, HH), ("unit", unit, Id(base), H)):
+        note(f"{name}_src", eq(p.boundary(cell, "source", 2), src, p, budget))
+        note(f"{name}_tgt", eq(p.boundary(cell, "target", 2), tgt, p, budget))
 
     return HopfSquare(rec, H, mult, unit, counit, comult,
                       alpha_rmate, alpha_lmate, alpha_sharp, checks)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import jsonshape as shape
-from .rewriting import EQ_DISTINCT, EQ_EQUAL, eq, parallel, word_of
-from .terms import (CellTerm, Comp, Gen, Generator, Id, Inv, SOURCE, TARGET,
+from .rewriting import EQ_DISTINCT, EQ_EQUAL, composable, parallel, word_of
+from .terms import (CellTerm, Gen, Generator, Id, Inv, SOURCE, TARGET,
                     TermError, boundary, dim, generators, illegal_inverses,
                     normalize, parse_term, print_term, substitute,
                     top_boundary)
@@ -208,36 +208,31 @@ def validate_term(t: CellTerm, p: Presentation,
                   budget: Optional[int] = None) -> List[Violation]:
     """Structural checks on a term: known generators, legal dimensions,
     boundary-compatible composites (up to eq within the step budget),
-    Inv restricted to invertible-marked content."""
-    out: List[Violation] = []
+    Inv restricted to invertible-marked content, each offending
+    occurrence reported once."""
     try:
         d = dim(t, p.gens)
     except TermError as e:
         return [Violation("term", str(e))]
-    if d > p.max_dim:
-        out.append(Violation("term", f"dimension {d} exceeds maxDim"))
-    out.extend(_validate_rec(t, p, budget))
-    return out
+    out = ([Violation("term", f"dimension {d} exceeds maxDim")]
+           if d > p.max_dim else [])
+    out += [Violation("term", f"Inv over non-invertible generator {name!r}")
+            for name in illegal_inverses(t, p.gens)]
+    return out + _validate_rec(t, p, budget)
 
 
 def _validate_rec(t, p, budget) -> List[Violation]:
+    """The composites of t whose parts do not compose, innermost first;
+    a composite is checked only when its parts passed."""
     if isinstance(t, Gen):
         return []
-    if isinstance(t, Id):
+    if isinstance(t, (Id, Inv)):
         return _validate_rec(t.inner, p, budget)
-    if isinstance(t, Inv):
-        return [Violation("term", f"Inv over non-invertible generator {name!r}")
-                for name in illegal_inverses(t, p.gens)
-                ] + _validate_rec(t.inner, p, budget)
-    assert isinstance(t, Comp)
     out = _validate_rec(t.left, p, budget) + _validate_rec(t.right, p, budget)
     if out:
         return out
-    gens = p.gens
     try:
-        lt = normalize(boundary(t.left, TARGET, t.k, gens), gens)
-        rs = normalize(boundary(t.right, SOURCE, t.k, gens), gens)
-        v = eq(lt, rs, p, budget)
+        v, lt, rs = composable(t.k, t.left, t.right, p, budget)
     except TermError as e:
         return [Violation("term", str(e))]
     if v is not EQ_EQUAL:
@@ -250,25 +245,18 @@ def _validate_rec(t, p, budget) -> List[Violation]:
 
 def _parallel_violations(where: str, a: CellTerm, b: CellTerm, what: str,
                          p: Presentation, budget) -> List[Violation]:
-    """A violation when a and b, two well-formed terms of one dimension,
-    are not parallel (undecided when eq cannot tell within the budget) or
-    a boundary cannot be taken.  One parallel call covers every level,
-    since eq compares lower boundaries first; only when it fails are the
-    levels compared one by one, to name the lowest that differs."""
-    gens = p.gens
+    """A violation when a and b, well-formed terms of one dimension, are
+    not parallel, naming the lowest level that differs (undecided when eq
+    cannot tell within the budget), or a boundary cannot be taken."""
     try:
-        v = parallel(a, b, p, budget)
-        if v is EQ_EQUAL:
-            return []
-        if v is not EQ_DISTINCT:
-            return [Violation(where, f"{what} parallel undecided", True)]
-        d = p.dim(a)
-        level = next((k for k in range(d) if any(
-            eq(boundary(a, side, k, gens), boundary(b, side, k, gens), p,
-               budget) is EQ_DISTINCT for side in (SOURCE, TARGET))), d - 1)
+        v, level = parallel(a, b, p, budget)
     except TermError as e:
         return [Violation(where, str(e))]
-    return [Violation(where, f"{what} not parallel at level {level}")]
+    if v is EQ_EQUAL:
+        return []
+    if v is EQ_DISTINCT:
+        return [Violation(where, f"{what} not parallel at level {level}")]
+    return [Violation(where, f"{what} parallel undecided", True)]
 
 
 def validate_presentation(p: Presentation,

@@ -26,12 +26,12 @@ boundary-word table, so slides, canonicalization, cancellation and rule
 matching are functions of stacks alone.
 
 Every comparison starts with the boundary certificate, `parallel`: the
-top sources and the top targets are compared by eq, which compares
-their own boundaries first.  Each side starts from the budget left
-when the certificate began, so running out on one side never hides a
-difference on the other.  Validation uses the same call to check that
-a generator's source and target, or a relation's sides, are parallel at
-every level.
+k-sources and k-targets of both sides are taken once each and compared
+from level 0 upward, each level by its own decision alone.  Each pair
+starts from the budget left when the certificate began, so running out
+on one pair never hides a difference at another.  Validation uses the
+same call for a generator's source and target and a relation's sides,
+and names the lowest level that differs.
 
 Verdicts are Equal / Distinct / Unknown.  Both sides are normalized
 first; a side that is ill-formed, or that has a formal inverse of a
@@ -128,18 +128,29 @@ def _word_rules(p: Presentation):
             for r in p.relations if r.dim == 1 and r.oriented]
 
 
-def _rewrites(seq: tuple, rules, budget: Budget) -> Iterable[tuple]:
-    """seq with one contiguous match of an oriented rule's left side
-    replaced by its right side, for every match: the successors of a word
-    and of a move chain.  Each window tried spends one unit of the budget,
-    as _match_rule does for stacks."""
+def _join(u: Tuple[Letter, ...], v: Tuple[Letter, ...]) -> Tuple[Letter, ...]:
+    """The free reduction of u + v for freely reduced u and v: letters
+    cancel only where the two meet."""
+    j, n = 0, min(len(u), len(v))
+    while j < n and u[-1 - j][0] == v[j][0] and u[-1 - j][1] != v[j][1]:
+        j += 1
+    return u[:len(u) - j] + v[j:]
+
+
+def _rewrites(seq: tuple, rules, budget: Budget,
+              join: Callable[[tuple, tuple], tuple] = tuple.__add__
+              ) -> Iterable[tuple]:
+    """The successors of a word or a move chain: seq with one contiguous
+    match of an oriented rule's left side replaced by its right side, the
+    parts joined by join (_join for a word).  Each window tried spends one
+    unit of the budget, as _match_rule does for stacks."""
     for lhs, rhs in rules:
         n = len(lhs)
         for i in range(len(seq) - n + 1):
             if not budget.spend():
                 return
             if seq[i:i + n] == lhs:
-                yield seq[:i] + rhs + seq[i + n:]
+                yield join(join(seq[:i], rhs), seq[i + n:])
 
 
 # ---------------------------------------------------------------------------
@@ -518,36 +529,33 @@ def _meet(a: State, b: State, successors: Callable[[State], Iterable[State]],
 def eq(a: CellTerm, b: CellTerm, p: Presentation,
        budget: Optional[int] = None) -> Verdict:
     """Decide equality of two parallel terms over p, within a step budget."""
-    steps = default_budget() if budget is None else budget
-    return _eq(a, b, p, Budget(steps))
-
-
-def _eq(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
     try:
-        a = p.normalize(a)
-        b = p.normalize(b)
+        a, b = p.normalize(a), p.normalize(b)
     except TermError:
         return EQ_UNKNOWN
-    # a formal inverse of a generator not marked invertible is no cell;
-    # in a normal form every Inv wraps a generator
+    steps = default_budget() if budget is None else budget
+    return _eq(a, b, p, Budget(steps), certify=True)
+
+
+def _eq(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget,
+        certify: bool) -> Verdict:
+    """eq on two normal terms, after the boundary certificate when certify
+    is set.  In a normal form every Inv wraps a generator."""
     if any(illegal_inverses(a, p.gens)) or any(illegal_inverses(b, p.gens)):
         return EQ_UNKNOWN
     if a == b:
         return EQ_EQUAL
     # normal forms are well-formed, so dim cannot raise here
-    da, db = p.dim(a), p.dim(b)
-    if da != db:
+    d = p.dim(a)
+    if p.dim(b) != d or d == 0:
         return EQ_DISTINCT
-    d = da
-    if d == 0:  # two different generators
-        return EQ_DISTINCT
-    # boundary certificate first
-    v = _parallel(a, b, d, p, budget)
-    if v is not EQ_EQUAL:
-        return v
+    if certify:
+        v = _certificate(a, b, d, p, budget)[0]
+        if v is not EQ_EQUAL:
+            return v
     if d == 1:
         rules = _word_rules(p)
-        step = lambda w: map(_cancel_word, _rewrites(w, rules, budget))
+        step = lambda w: _rewrites(w, rules, budget, _join)
         wb = word_of(b, p)
         return _meet(word_of(a, p), wb, step, budget, {wb})
     if d == 2:
@@ -556,43 +564,57 @@ def _eq(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
 
 
 def parallel(a: CellTerm, b: CellTerm, p: Presentation,
-             budget: Optional[int] = None) -> Verdict:
-    """Whether two cells are parallel: Equal when their top sources and
-    top targets are equal under eq (two 0-cells always are), Distinct
-    when the dimensions differ or either pair is Distinct, Unknown
-    otherwise.  Each eq compares the lower boundaries first, so this
-    certifies every level at once; each side, at every level, starts
+             budget: Optional[int] = None) -> Tuple[Verdict, Optional[int]]:
+    """(Equal, None) when the k-sources and k-targets of two cells are
+    equal under eq at every level k (two 0-cells always are), (Distinct,
+    k) for the lowest level k with a Distinct pair, (Distinct, None) for
+    cells of different dimensions, else (Unknown, None).  Each pair starts
     from the step budget, by default eq's.  Raises TermError when a
     boundary cannot be taken."""
     d = p.dim(a)
     if p.dim(b) != d:
-        return EQ_DISTINCT
+        return EQ_DISTINCT, None
     if d == 0:
-        return EQ_EQUAL
+        return EQ_EQUAL, None
     steps = default_budget() if budget is None else budget
-    return _parallel(a, b, d, p, Budget(steps))
+    return _certificate(a, b, d, p, Budget(steps))
 
 
-def _parallel(a: CellTerm, b: CellTerm, d: int, p: Presentation,
-              budget: Budget) -> Verdict:
-    """parallel for a and b of dimension d: Distinct as soon as one side
-    is, Unknown only after both sides were compared.  Each side starts
-    from what is left of the budget, so a side that runs it out cannot
-    starve the other; the budget is then charged what both spent."""
-    verdict = EQ_EQUAL
-    spent = 0
+def _certificate(a: CellTerm, b: CellTerm, d: int, p: Presentation,
+                 budget: Budget) -> Tuple[Verdict, Optional[int]]:
+    """parallel for a and b of dimension d.  Each k-boundary is taken once,
+    down its spine, and the levels are compared from 0 upward by _eq alone.
+    Each pair starts from the budget left when the certificate began, so a
+    pair that runs it out hides no Distinct at another; the budget is then
+    charged what all pairs spent."""
+    levels: List[list] = [[] for _ in range(d)]
     for side in (SOURCE, TARGET):
-        own = Budget(budget.left)
-        v = _eq(top_boundary(a, side, p.gens, d),
-                top_boundary(b, side, p.gens, d), p, own)
-        spent += budget.left - own.left
-        if v is EQ_DISTINCT:
-            verdict = EQ_DISTINCT
-            break
-        if v is EQ_UNKNOWN:
-            verdict = EQ_UNKNOWN
+        x, y = a, b
+        for k in range(d - 1, -1, -1):
+            x = top_boundary(x, side, p.gens, k + 1)
+            y = top_boundary(y, side, p.gens, k + 1)
+            try:
+                x, y = p.normalize(x), p.normalize(y)
+            except TermError:
+                levels[k].append(None)  # Unknown, and nothing below it
+                break
+            if x == y:  # so is every pair below; _eq compares x to itself
+                levels[k].append((x, x))
+                break
+            levels[k].append((x, y))
+    start, spent, verdict = budget.left, 0, EQ_EQUAL
+    for k, pairs in enumerate(levels):
+        for pair in pairs:
+            own = Budget(start)
+            v = _eq(pair[0], pair[1], p, own, False) if pair else EQ_UNKNOWN
+            spent += start - own.left
+            if v is EQ_DISTINCT:
+                budget.spend(spent)
+                return v, k
+            if v is EQ_UNKNOWN:
+                verdict = v
     budget.spend(spent)
-    return verdict
+    return verdict, None
 
 
 def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
@@ -626,9 +648,8 @@ def _eq_high(a: CellTerm, b: CellTerm, d: int, p: Presentation,
              for r in p.relations if r.dim == d and r.oriented]
     step = lambda c: _chain_successors(c, rules, p, budget)
     chain_b = _moves(b, p)
-    if _meet(_moves(a, p), chain_b, step, budget, {chain_b}) is EQ_EQUAL:
-        return EQ_EQUAL
-    return EQ_UNKNOWN
+    met = _meet(_moves(a, p), chain_b, step, budget, {chain_b})
+    return EQ_EQUAL if met is EQ_EQUAL else EQ_UNKNOWN
 
 
 def _chain_successors(cur, rules, p: Presentation, budget: Budget):
@@ -667,12 +688,24 @@ class CompositionError(TermError):
         self.right_boundary = right_boundary
 
 
+def composable(k: int, a: CellTerm, b: CellTerm, p: Presentation,
+               budget: Optional[int] = None
+               ) -> Tuple[Verdict, CellTerm, CellTerm]:
+    """eq on the k-target of a and the k-source of b, which a-then-b
+    shares, with both, normalized for a report when they are not Equal.
+    Raises TermError when a boundary cannot be taken."""
+    lt, rs = boundary(a, TARGET, k, p.gens), boundary(b, SOURCE, k, p.gens)
+    v = eq(lt, rs, p, budget)
+    if v is not EQ_EQUAL:
+        lt, rs = p.normalize(lt), p.normalize(rs)
+    return v, lt, rs
+
+
 def compose(k: int, a: CellTerm, b: CellTerm, p: Presentation,
             budget: Optional[int] = None) -> CellTerm:
     """The k-composite a-then-b, admitted only when the shared boundary
     agrees under eq (Unknown is not good enough to compose)."""
-    lt = p.normalize(boundary(a, TARGET, k, p.gens))
-    rs = p.normalize(boundary(b, SOURCE, k, p.gens))
-    if eq(lt, rs, p, budget) is not EQ_EQUAL:
+    v, lt, rs = composable(k, a, b, p, budget)
+    if v is not EQ_EQUAL:
         raise CompositionError(k, lt, rs)
     return p.normalize(Comp(k, a, b))

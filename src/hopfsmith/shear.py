@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from .gray import (GrayMorphism, TensorTerms, gray, pair_name, smash,
                    split_pair)
 from .presentation import PresMorphism, Presentation
-from .rewriting import EQ_DISTINCT, EQ_EQUAL, eq
+from .rewriting import EQ_DISTINCT, EQ_EQUAL, composable, eq, parallel
 from .terms import CellTerm, Comp, Gen, Id, Inv, comp, generators
 from .walking import e_oriental2, mnd, oriental2
 
@@ -272,28 +272,22 @@ def proof_skeleton_check(budget: Optional[int] = None,
             steps[mutate_step].classification)
 
     # (i) consecutive composability
-    chain_ok = True
     for i in range(len(steps) - 1):
-        a, b = steps[i].term, steps[i + 1].term
-        v = eq(eg.boundary(a, "target", 2), eg.boundary(b, "source", 2),
-               eg, budget)
-        good = v is EQ_EQUAL
-        steps[i + 1].composable = good
-        if not good:
-            chain_ok = False
+        v = composable(2, steps[i].term, steps[i + 1].term, eg, budget)[0]
+        steps[i + 1].composable = v is EQ_EQUAL
+        if v is not EQ_EQUAL:
             failures.append(
                 f"boundary mismatch between step{i} and step{i + 1} ({v})")
-    if steps:
-        steps[0].composable = True
+    chain_ok = not failures
+    steps[0].composable = True
 
     # (ii) total 2-boundary against the (whiskered) shear image
     whiskered_image = eg.normalize(Comp(1, Id(beta_layer), image))
-    bm_src = eq(eg.boundary(steps[0].term, "source", 2),
-                eg.boundary(whiskered_image, "source", 2), eg, budget) is EQ_EQUAL
-    bm_tgt = eq(eg.boundary(steps[-1].term, "target", 2),
-                eg.boundary(whiskered_image, "target", 2), eg, budget) is EQ_EQUAL
-    boundary_match = bm_src and bm_tgt and chain_ok
-    if not (bm_src and bm_tgt):
+    ends = [eq(eg.boundary(s.term, side, 2),
+               eg.boundary(whiskered_image, side, 2), eg, budget) is EQ_EQUAL
+            for s, side in ((steps[0], "source"), (steps[-1], "target"))]
+    boundary_match = all(ends) and chain_ok
+    if not all(ends):
         failures.append("total 2-boundary differs from the shear image")
 
     # (iii) the hexagon: pulls in both orders around the interchange 4-cell
@@ -301,19 +295,14 @@ def proof_skeleton_check(budget: Optional[int] = None,
     hex_cell = _g("sigma", "sigma")
     hex_src, hex_tgt = tt.fill22_boundaries(Gen("sigma"), Gen("sigma"))
     hex_ok = True
-    for side, route in (("source", hex_src), ("target", hex_tgt)):
-        for lvl in (1, 2):
-            va = eq(eg.boundary(hex_cell, side, lvl),
-                    eg.boundary(route, side, lvl), eg, budget)
-            if va is EQ_DISTINCT:
-                hex_ok = False
-                failures.append(f"hexagon {side} mismatch at level {lvl}")
-    for lvl_side in ("source", "target"):
-        v = eq(eg.boundary(hex_src, lvl_side, 2),
-               eg.boundary(hex_tgt, lvl_side, 2), eg, budget)
+    for what, a, b in (
+            ("hexagon source mismatch", eg.src(hex_cell), hex_src),
+            ("hexagon target mismatch", eg.tgt(hex_cell), hex_tgt),
+            ("hexagon routes differ", hex_src, hex_tgt)):
+        v, lvl = parallel(a, b, eg, budget)
         if v is EQ_DISTINCT:
             hex_ok = False
-            failures.append(f"hexagon routes differ at their {lvl_side}")
+            failures.append(f"{what} at level {lvl}")
 
     steps.append(ChainStep("hexagon", hex_cell, FOUR_CELL))
     for mv, label in ((tt.move21(Gen("sigma"), Gen("w")), "slide-across-w2"),

@@ -454,12 +454,12 @@ def test_a_side_that_runs_the_budget_out_leaves_the_other_its_own():
     assert eq(k, k2, p) is EQ_DISTINCT
     a = p.add("a", 2, f, k)
     b = p.add("b", 2, f2, k2)
-    assert parallel(a, b, p) is EQ_DISTINCT
+    assert parallel(a, b, p) == (EQ_DISTINCT, 1)
     assert eq(a, b, p) is EQ_DISTINCT
     # one level further up, the same certificate is found inside eq
     t = p.add("t", 3, a, a)
     u = p.add("u", 3, b, b)
-    assert parallel(t, u, p) is EQ_DISTINCT
+    assert parallel(t, u, p) == (EQ_DISTINCT, 1)
     assert eq(t, u, p) is EQ_DISTINCT
 
 
@@ -584,19 +584,19 @@ def test_a_generator_boundary_that_is_not_a_word_is_unknown():
 
 def test_parallel_spends_the_given_budget(undecidable_at_budget_0):
     p, a, b = undecidable_at_budget_0, Gen("a"), Gen("b")
-    assert parallel(a, b, p) is EQ_EQUAL
-    assert parallel(a, b, p, budget=0) is EQ_UNKNOWN
+    assert parallel(a, b, p) == (EQ_EQUAL, None)
+    assert parallel(a, b, p, budget=0) == (EQ_UNKNOWN, None)
 
 
 def test_parallel(monkeypatch):
     m, u, A = Gen("m"), Gen("u"), Gen("A")
-    assert parallel(m, m, M) is EQ_EQUAL
-    assert parallel(m, comp(1, comp(0, m, u), m), M) is EQ_EQUAL
-    assert parallel(m, u, M) is EQ_DISTINCT   # different sources
-    assert parallel(m, A, M) is EQ_DISTINCT   # different dimensions
-    assert parallel(Gen("pt"), Gen("pt"), M) is EQ_EQUAL
+    assert parallel(m, m, M) == (EQ_EQUAL, None)
+    assert parallel(m, comp(1, comp(0, m, u), m), M) == (EQ_EQUAL, None)
+    assert parallel(m, u, M) == (EQ_DISTINCT, 1)   # different sources
+    assert parallel(m, A, M) == (EQ_DISTINCT, None)   # different dimensions
+    assert parallel(Gen("pt"), Gen("pt"), M) == (EQ_EQUAL, None)
     a = comp(1, comp(0, m, Id(A)), m)
     b = comp(1, comp(0, Id(A), m), m)
     # their sources AAA and their targets A agree as terms, at no cost
     monkeypatch.setenv("HOPFSMITH_BUDGET", "0")
-    assert parallel(a, b, M) is EQ_EQUAL
+    assert parallel(a, b, M) == (EQ_EQUAL, None)

@@ -4,10 +4,13 @@ and its functoriality."""
 import pytest
 
 from hopfsmith.gray import TensorTerms, gray, pair_name, smash
-from hopfsmith.presentation import Presentation, validate_presentation
+from hopfsmith.mates import walking_retract
+from hopfsmith.presentation import (Presentation, validate_presentation,
+                                    validate_term)
 from hopfsmith.rewriting import EQ_EQUAL, eq
-from hopfsmith.terms import Comp, Gen, TermError, comp
-from hopfsmith.walking import PointedPresentation, globe, mnd, point
+from hopfsmith.terms import Comp, Gen, Id, TermError, comp
+from hopfsmith.walking import (PointedPresentation, boundary_globe, globe,
+                               mnd, point)
 
 
 def census_product(pc, qc, d):
@@ -140,3 +143,42 @@ def test_large_tensor_squares_validate():
               gray(adj().base, adj().base),
               smash(adj(), adj())[0]):
         assert validate_presentation(p) == []
+
+
+def _composite_boundaries():
+    """3-generators whose boundaries are a horizontal composite of two
+    2-generators (t) and an identity 2-cell (s), so that tensoring with a
+    1-cell pulls a composite and an identity across a wire."""
+    p = Presentation(max_dim=3)
+    x = p.add("x", 0)
+    f, g = p.add("f", 1, x, x), p.add("g", 1, x, x)
+    a, a2 = p.add("a", 2, f, g), p.add("a2", 2, f, g)
+    b = p.add("b", 2, g, f)
+    p.add("t", 3, comp(0, a, b), comp(0, a2, b))
+    p.add("s", 3, Id(f), p.add("c", 2, f, f))
+    return p
+
+
+def _factors():
+    retract = walking_retract().presentation
+    return {"retract x globe1": (retract, globe(1)),
+            "retract x bglobe2": (retract, boundary_globe(2)),
+            "composite boundaries x globe1": (_composite_boundaries(),
+                                              globe(1))}
+
+
+@pytest.mark.parametrize("name", sorted(_factors()))
+@pytest.mark.parametrize("swap", [False, True])
+def test_tensors_that_pull_stacks_and_composites_validate(name, swap):
+    """The walking retract has 3-generators whose boundaries are vertical
+    stacks, so its tensors with a 1-cell pull a stack across a wire, with
+    the idle bead whiskered; the composite-boundaries presentation pulls
+    a horizontal composite and an identity.  Every tensor validates, and
+    every generator side passes validate_term."""
+    left, right = _factors()[name]
+    t = gray(right, left) if swap else gray(left, right)
+    assert validate_presentation(t) == []
+    for g in t.gens.values():
+        if g.dim:
+            assert validate_term(g.src, t) == []
+            assert validate_term(g.tgt, t) == []

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfsmith.presentation import (Presentation, Violation,
-                                    validate_presentation)
-from hopfsmith.terms import Gen, Id, comp
+                                    validate_presentation, validate_term)
+from hopfsmith.terms import Gen, Id, Inv, comp
 from hopfsmith.walking import adj, e_oriental2, mnd, oriental2
 
 
@@ -182,6 +182,19 @@ def test_a_relation_over_a_generator_without_boundary_is_a_violation(
     doc = json.loads(capsys.readouterr().out)
     assert [(c["name"], c["status"]) for c in doc["checks"]] == [
         ("valid", "fail")]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_each_illegal_inverse_is_reported_once(depth):
+    """m is not invertible: however many Invs enclose its one occurrence,
+    validate_term names it once, and each of two occurrences once."""
+    m = Gen("m")
+    t = m
+    for _ in range(depth):
+        t = Inv(t)
+    illegal = Violation("term", "Inv over non-invertible generator 'm'")
+    assert validate_term(t, mnd().base) == [illegal]
+    assert validate_term(comp(0, t, Inv(t)), mnd().base) == [illegal] * 2
 
 
 @pytest.mark.xfail(strict=True, reason=(

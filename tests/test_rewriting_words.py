@@ -1,18 +1,20 @@
 """The per-presentation boundary-word table: it agrees with word_of on
 every generator, every atom stack_of builds carries its entry (swapped
 for inverted atoms), and it keeps its entries when the presentation
-grows.  Also the fit check of Stack.word_before and the public slide
-test."""
+grows.  Also the fit check of Stack.word_before, the public slide
+test, and the splice of a rule's right side into a word, which reduces
+only where the parts meet."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hopfsmith import presentation, rewriting
 from hopfsmith.cli import BUILTIN_PRESENTATIONS
 from hopfsmith.gray import gray
 from hopfsmith.mates import walking_retract
 from hopfsmith.presentation import Presentation
-from hopfsmith.rewriting import (EQ_EQUAL, Atom, Layer, Stack, eq, slide,
-                                 stack_of, word_of)
+from hopfsmith.rewriting import (EQ_EQUAL, Atom, Layer, Stack, _cancel_word,
+                                 _join, eq, slide, stack_of, word_of)
 from hopfsmith.terms import Gen, Id, Inv, TermError, comp
 from hopfsmith.walking import mnd
 
@@ -166,3 +168,22 @@ def test_slide_left_and_right_across_a_block():
     assert rewriting._slide_right(Layer(2, a), [merge]) \
         == ([merge], Layer(1, a))
     assert rewriting.slide_left([], last) == (last, [])
+
+
+# signed letters over two names, so that neighbours often cancel
+_reduced = st.lists(st.tuples(st.sampled_from("fg"), st.booleans()),
+                    max_size=8).map(lambda w: _cancel_word(tuple(w)))
+
+
+@given(_reduced, _reduced, st.data())
+def test_splice_reduces_as_the_whole_word_does(word, rhs, data):
+    """Replacing a window of a reduced word by a reduced right side and
+    reducing only at the two junctions gives the free reduction of the
+    whole spliced word, also when the right side cancels away entirely
+    and the two ends of the word meet."""
+    i = data.draw(st.integers(0, len(word)))
+    j = data.draw(st.integers(i, len(word)))
+    before, after = word[:i], word[j:]
+    assert _join(before, rhs) == _cancel_word(before + rhs)
+    assert (_join(_join(before, rhs), after)
+            == _cancel_word(before + rhs + after))
