@@ -10,18 +10,28 @@ every fixture are multiplied as machine-word `int`s.  `int` and
 no result.  Every operation of both fields returns canonical values, and
 this module is the only one that divides: `int / int` would be a
 `float`, so a quotient is always taken with a `Fraction` operand.
-Elements of Q[x]/(f) are represented by their reduced coefficient tuples:
-`degree` canonical rationals, low degree first.
+A value of Q[x]/(f) is represented by its canonical rational whenever its
+reduced coefficients above the constant term are all zero, so `zero` and
+`one` are `0` and `1` in both fields, and the rational structure constants
+of every fixture are multiplied as in Q.  Only an irrational value is a
+`NumberFieldElement`, holding its reduced coefficient tuple: `degree`
+canonical rationals, low degree first.  `NumberField.from_coefficients`
+is its one constructor and returns the rational whenever it can, so a
+rational value equals and hashes like that rational by construction, and
+`NumberField.coefficients` reads the tuple of either form back.
 
-A product multiplies only the nonzero coefficients of its factors and is
-then reduced by `NumberField._make`, the one reduction routine: because
-the modulus is monic, each coefficient of x^k with k >= degree folds into
-the lower ones from the top down, with no polynomial division.  Only
-`inv` divides: an embedded rational is inverted as a rational, anything
-else by extended Euclid over `Fraction` polynomials.  `zero` and `one`
-are built once per field and shared; elements are never mutated.  An
-element that is an embedded rational equals, and hashes like, that
-rational.
+The operations dispatch on the operand types: two rationals use the
+rational operation; a rational and an element combine the rational with
+the element's coefficients (a product scales them); only the product of
+two elements runs the polynomial product, which multiplies only their
+nonzero coefficients and is then reduced by `NumberField._make`, the one
+reduction routine: because the modulus is monic, each coefficient of x^k
+with k >= degree folds into the lower ones from the top down, with no
+polynomial division.  Only `inv` divides: a rational is inverted as a
+rational, an element by extended Euclid over `Fraction` polynomials.
+Any operand that is neither a rational nor an element of the field is
+converted first, and an element of another field is refused.  Values are
+never mutated.
 """
 
 from __future__ import annotations
@@ -29,11 +39,12 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 
 # a canonical rational: an int, or a Fraction with denominator > 1
 Rational = Union[int, Fraction]
+_RATIONAL_TYPES = frozenset((int, Fraction))
 
 
 class FieldError(ArithmeticError):
@@ -150,6 +161,11 @@ def _poly_divmod(a: List[Fraction], b: Sequence[Fraction]):
 
 
 class NumberFieldElement:
+    """An irrational element of Q[x]/(f): its reduced coefficient tuple,
+    `degree` canonical rationals low degree first, has a nonzero entry
+    above the constant term.  Built only by `NumberField.from_coefficients`;
+    a rational value of the field is never an element."""
+
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: "NumberField", coeffs: Tuple[Rational, ...]):
@@ -157,20 +173,12 @@ class NumberFieldElement:
         self.coeffs = coeffs
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, NumberFieldElement):
+        if type(other) is NumberFieldElement:
             return self.field is other.field and self.coeffs == other.coeffs
-        if isinstance(other, str):  # Fraction() would parse it
-            return NotImplemented
-        try:
-            q = Fraction(other)
-        except (TypeError, ValueError, OverflowError):
-            return NotImplemented
-        return self.coeffs == (self.field._lift(q)).coeffs
+        return NotImplemented
 
     def __hash__(self):
-        # an embedded rational equals its Fraction, so it hashes like one
-        cs = self.coeffs
-        return hash(cs) if any(cs[1:]) else hash(cs[0])
+        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return self.field.show(self)
@@ -179,6 +187,9 @@ class NumberFieldElement:
 class NumberField:
     """Q[x]/(modulus) for a monic modulus given by its coefficient list
     [c0, c1, ..., 1] (low degree first)."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, modulus: Sequence[Rational], var: str = "x"):
         mod = [QQ(c) for c in modulus]
@@ -193,8 +204,8 @@ class NumberField:
         self.name = f"Q[{var}]/({self.show_poly(self.modulus)})"
         # x^d = -(c0 + c1 x + ... + c_{d-1} x^{d-1}): (i, -c_i) for c_i != 0
         self._fold = tuple((i, -c) for i, c in enumerate(mod[:-1]) if c)
-        self.zero = NumberFieldElement(self, (_ZERO,) * d)
-        self.one = NumberFieldElement(self, (1,) + (_ZERO,) * (d - 1))
+        # the higher coefficients of a rational
+        self._pad = (_ZERO,) * (d - 1)
 
     @staticmethod
     def _rational_root_screen(mod: List[Rational]) -> None:
@@ -219,16 +230,35 @@ class NumberField:
                         raise FieldError(
                             f"modulus has rational root {r}; not irreducible")
 
-    # -- element constructors ------------------------------------------
+    # -- values and their coefficients ----------------------------------
 
-    def _make(self, cs: List) -> NumberFieldElement:
+    def from_coefficients(self, cs: Iterable[Rational]):
+        """The value whose reduced coefficients are `cs` (`degree`
+        rationals, low degree first): the canonical rational cs[0] when
+        every higher coefficient is zero, otherwise an element.  The one
+        constructor of `NumberFieldElement`."""
+        cs = _canonical_tuple(cs)
+        if len(cs) != self.degree:
+            raise FieldError(f"{len(cs)} coefficients for degree "
+                             f"{self.degree}")
+        return NumberFieldElement(self, cs) if any(cs[1:]) else cs[0]
+
+    def coefficients(self, x) -> Tuple[Rational, ...]:
+        """The reduced coefficient tuple of x, `degree` canonical rationals
+        low degree first; x is converted as by `__call__`."""
+        return self._coeffs(self(x))
+
+    def _coeffs(self, x) -> Tuple[Rational, ...]:
+        # x is a canonical rational or an element of this field
+        return x.coeffs if type(x) is NumberFieldElement else (x,) + self._pad
+
+    def _make(self, cs: List):
         """The class of the polynomial with coefficients `cs` (low degree
         first, any length), reducing `cs` in place.  From the top down, each
         nonzero coefficient c of x^k, k >= d = degree, folds into the lower
         ones as c * x^(k-d) * (x^d - modulus); no division is needed
         because the modulus is monic.  A slot that is `_ZERO` (the int 0)
-        takes a term as it is, which saves an addition; the kept
-        coefficients come back canonical."""
+        takes a term as it is, which saves an addition."""
         d = self.degree
         fold = self._fold
         for k in range(len(cs) - 1, d - 1, -1):
@@ -240,19 +270,21 @@ class NumberField:
                     cs[base + i] = c * m if t is _ZERO else t + c * m
         if len(cs) < d:
             cs.extend([_ZERO] * (d - len(cs)))
-        return NumberFieldElement(self, _canonical_tuple(cs[:d]))
+        return self.from_coefficients(cs[:d])
 
-    def _lift(self, q: Rational) -> NumberFieldElement:
-        return self._make([q])
-
-    def __call__(self, value) -> NumberFieldElement:
-        if isinstance(value, NumberFieldElement):
+    def __call__(self, value):
+        """`value` as a value of this field: an element of this field as it
+        is, an int, Fraction or float as its canonical rational, a str
+        parsed; an element of another field is refused."""
+        if type(value) in _RATIONAL_TYPES:
+            return _canonical(value)
+        if type(value) is NumberFieldElement:
             if value.field is not self:
                 raise FieldError("element of a different field")
             return value
         if isinstance(value, str):
             return self.parse(value)
-        return self._lift(QQ(value))
+        return QQ(value)
 
     @property
     def gen(self) -> NumberFieldElement:
@@ -260,34 +292,42 @@ class NumberField:
 
     # -- arithmetic -----------------------------------------------------
 
-    # Operands that are already elements of this field are used as they
-    # are; otherwise both go through __call__, which converts an int,
-    # Fraction or str and refuses an element of another field.
+    # Two rationals are combined as in Q.  Any other operand goes through
+    # __call__, which converts an int, Fraction or str and refuses an
+    # element of another field; then only a product of two elements runs
+    # the polynomial product and the fold.
 
     def add(self, a, b):
-        if not (type(a) is type(b) is NumberFieldElement
-                and a.field is b.field is self):
-            a, b = self(a), self(b)
-        return NumberFieldElement(self, _canonical_tuple(
-            map(operator.add, a.coeffs, b.coeffs)))
+        if type(a) in _RATIONAL_TYPES and type(b) in _RATIONAL_TYPES:
+            return _canonical(a + b)
+        a, b = self(a), self(b)
+        return self.from_coefficients(
+            map(operator.add, self._coeffs(a), self._coeffs(b)))
 
     def sub(self, a, b):
-        if not (type(a) is type(b) is NumberFieldElement
-                and a.field is b.field is self):
-            a, b = self(a), self(b)
-        return NumberFieldElement(self, _canonical_tuple(
-            map(operator.sub, a.coeffs, b.coeffs)))
+        if type(a) in _RATIONAL_TYPES and type(b) in _RATIONAL_TYPES:
+            return _canonical(a - b)
+        a, b = self(a), self(b)
+        return self.from_coefficients(
+            map(operator.sub, self._coeffs(a), self._coeffs(b)))
 
     def neg(self, a):
-        if type(a) is not NumberFieldElement or a.field is not self:
+        if type(a) not in _RATIONAL_TYPES:
             a = self(a)
-        return NumberFieldElement(self, _canonical_tuple(
-            map(operator.neg, a.coeffs)))
+            if type(a) is NumberFieldElement:
+                return self.from_coefficients(map(operator.neg, a.coeffs))
+        return _canonical(-a)
 
     def mul(self, a, b):
-        if not (type(a) is type(b) is NumberFieldElement
-                and a.field is b.field is self):
-            a, b = self(a), self(b)
+        if type(a) in _RATIONAL_TYPES and type(b) in _RATIONAL_TYPES:
+            return _canonical(a * b)
+        a, b = self(a), self(b)
+        if type(a) is not NumberFieldElement:
+            a, b = b, a
+        if type(a) is not NumberFieldElement:   # two rationals
+            return _canonical(a * b)
+        if type(b) is not NumberFieldElement:   # a rational scales a
+            return self.from_coefficients([b * c for c in a.coeffs])
         terms = [(j, y) for j, y in enumerate(b.coeffs) if y]
         out = [_ZERO] * (2 * self.degree - 1)
         for i, x in enumerate(a.coeffs):
@@ -298,16 +338,18 @@ class NumberField:
         return self._make(out)
 
     def inv(self, a):
-        a = self(a)
-        if not any(a.coeffs[1:]):  # an embedded rational, possibly zero
-            return self._make([_inverse(a.coeffs[0])])
-        return self._euclid_inverse(a)
+        if type(a) not in _RATIONAL_TYPES:
+            a = self(a)
+            if type(a) is NumberFieldElement:
+                return self._euclid_inverse(a.coeffs)
+        return _inverse(a)
 
-    def _euclid_inverse(self, a: NumberFieldElement) -> NumberFieldElement:
-        """The inverse of a nonzero element by extended Euclid in Q[x],
-        on Fraction coefficients so that every quotient is exact."""
+    def _euclid_inverse(self, coeffs: Sequence[Rational]):
+        """The inverse of the nonzero value with coefficients `coeffs` by
+        extended Euclid in Q[x], on Fraction coefficients so that every
+        quotient is exact."""
         r0 = [Fraction(c) for c in self.modulus]
-        r1 = [Fraction(c) for c in a.coeffs]
+        r1 = [Fraction(c) for c in coeffs]
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while any(r1):
             q, r = _poly_divmod(r0, _poly_trim(list(r1)) or [Fraction(0)])
@@ -326,13 +368,15 @@ class NumberField:
         return self._make([x / c for x in s0])
 
     def is_zero(self, a) -> bool:
-        if type(a) is not NumberFieldElement or a.field is not self:
+        if type(a) not in _RATIONAL_TYPES:
             a = self(a)
-        return not any(a.coeffs)
+            if type(a) is NumberFieldElement:   # irrational, so nonzero
+                return False
+        return a == 0
 
     # -- text -----------------------------------------------------------
 
-    def parse(self, text: str) -> NumberFieldElement:
+    def parse(self, text: str):
         """Polynomial expressions in the generator: '1/2*x^2 - x + 3'."""
         coeffs = [_ZERO] * self.degree
         for power, coeff in _parse_poly(text, self.var).items():
@@ -355,7 +399,7 @@ class NumberField:
         return " + ".join(terms) if terms else "0"
 
     def show(self, a) -> str:
-        return self.show_poly(self(a).coeffs)
+        return self.show_poly(self.coefficients(a))
 
     def to_json(self):
         return {"ext": self.show_poly(self.modulus)}

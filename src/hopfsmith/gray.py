@@ -15,7 +15,8 @@ The same term constructors (`cross`, `move12`, `move21` and
 boundaries, which is what both the generator table and the
 shear/proof-chain constructions need, and what `GrayMorphism`, the
 tensor of two presentation morphisms, sends pair generators to.
-`smash` returns its collapse as a `PresMorphism`.
+`smash` returns its collapse as a `PresMorphism`; `collapse` makes the same
+quotient of a tensor that is already built.
 """
 
 from __future__ import annotations
@@ -396,7 +397,14 @@ def smash(P: PointedPresentation,
           Q: PointedPresentation) -> Tuple[Presentation, PresMorphism]:
     """Quotient of the tensor collapsing every generator that touches either
     basepoint to an identity on the base object, with the collapse map."""
-    big = gray(P.base, Q.base)
+    return collapse(gray(P.base, Q.base), P.basepoint, Q.basepoint)
+
+
+def collapse(big: Presentation, p_point: str,
+             q_point: str) -> Tuple[Presentation, PresMorphism]:
+    """The smash collapse of an already built tensor `big = gray(P, Q)`:
+    every pair generator with `p_point` as its first factor or `q_point` as
+    its second becomes an identity on the base object."""
     out = Presentation(max_dim=big.max_dim)
     out.add(BASEPOINT, 0)
     assignment: Dict[str, CellTerm] = {}
@@ -404,7 +412,7 @@ def smash(P: PointedPresentation,
     survivors = []
     for g in big.gens.values():
         x, y = split_pair(g.name)
-        if x == P.basepoint or y == Q.basepoint:
+        if x == p_point or y == q_point:
             assignment[g.name] = idn(Gen(BASEPOINT), g.dim)
         else:
             survivors.append(g)

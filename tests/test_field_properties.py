@@ -9,7 +9,11 @@ that has to be folded again.
 
 Every scalar either field returns is canonical: an `int` when it is
 integral, otherwise a `Fraction` with denominator > 1, never a `float`.
-Plain `Fraction` arithmetic is the oracle for the values.
+Plain `Fraction` arithmetic is the oracle for the values.  A value of
+Q[x]/(f) is read through `NumberField.coefficients`, whether it is a
+rational or an element, and built from drawn coefficients by
+`NumberField.from_coefficients`, so that a drawn value with zero higher
+coefficients is the rational it equals.
 """
 
 from fractions import Fraction
@@ -33,8 +37,8 @@ def is_canonical(q):
     return type(q) is int or (type(q) is Fraction and q.denominator > 1)
 
 
-def canonical_coeffs(x):
-    return all(map(is_canonical, x.coeffs))
+def canonical_coeffs(F, x):
+    return all(map(is_canonical, F.coefficients(x)))
 
 
 def oracle_mul(F, a, b):
@@ -55,7 +59,7 @@ def oracle_mul(F, a, b):
 @st.composite
 def field_elements(draw, count):
     F = FIELDS[draw(st.sampled_from(MODULI))]
-    elems = [NumberFieldElement(F, draw(st.tuples(*[RATIONALS] * F.degree)))
+    elems = [F.from_coefficients(draw(st.tuples(*[RATIONALS] * F.degree)))
              for _ in range(count)]
     return (F, *elems)
 
@@ -64,9 +68,10 @@ def field_elements(draw, count):
 def test_mul_matches_long_division(args):
     F, a, b = args
     got = F.mul(a, b)
-    assert got.coeffs == oracle_mul(F, a.coeffs, b.coeffs)
-    assert len(got.coeffs) == F.degree
-    assert canonical_coeffs(got)
+    assert F.coefficients(got) == oracle_mul(F, F.coefficients(a),
+                                             F.coefficients(b))
+    assert len(F.coefficients(got)) == F.degree
+    assert canonical_coeffs(F, got)
 
 
 @given(field_elements(3))
@@ -85,7 +90,8 @@ def test_inverse(args):
         return
     inv = F.inv(a)
     assert F.mul(a, inv) == F.one
-    assert oracle_mul(F, a.coeffs, inv.coeffs) == F.one.coeffs
+    assert oracle_mul(F, F.coefficients(a), F.coefficients(inv)) \
+        == F.coefficients(F.one)
 
 
 @given(field_elements(1))
@@ -95,7 +101,7 @@ def test_identities_and_is_zero(args):
     assert F.add(a, F.zero) == a
     assert F.mul(a, F.one) == a and F.mul(F.one, a) == a
     assert F.mul(a, F.zero) == F.zero
-    assert F.is_zero(a) == all(c == 0 for c in a.coeffs)
+    assert F.is_zero(a) == all(c == 0 for c in F.coefficients(a))
     assert F.is_zero(F.sub(a, a)) and F.is_zero(F.zero)
     assert not F.is_zero(F.one)
 
@@ -158,7 +164,7 @@ def test_rational_operations_are_exact_and_canonical(a, b):
 def test_field_constants_are_canonical(text):
     F = FIELDS[text]
     for x in (F.zero, F.one, F.gen):
-        assert canonical_coeffs(x)
+        assert canonical_coeffs(F, x)
     assert all(map(is_canonical, F.modulus))
     assert (QQ.zero, QQ.one) == (0, 1)
     assert is_canonical(QQ.zero) and is_canonical(QQ.one)
@@ -167,20 +173,21 @@ def test_field_constants_are_canonical(text):
 @given(field_elements(2), OPERANDS)
 def test_number_field_coefficients_are_exact_and_canonical(args, q):
     F, a, b = args
-    for got, want in ((F.add(a, b), map(Fraction.__add__, a.coeffs,
-                                        b.coeffs)),
-                      (F.sub(a, b), map(Fraction.__sub__, a.coeffs,
-                                        b.coeffs)),
-                      (F.neg(a), map(Fraction.__neg__, a.coeffs)),
-                      (F.parse(F.show(a)), a.coeffs),
+    # the oracle is Fraction arithmetic on the coefficients
+    ca, cb = (tuple(map(Fraction, F.coefficients(x))) for x in (a, b))
+    for got, want in ((F.add(a, b), map(Fraction.__add__, ca, cb)),
+                      (F.sub(a, b), map(Fraction.__sub__, ca, cb)),
+                      (F.neg(a), map(Fraction.__neg__, ca)),
+                      (F.parse(F.show(a)), ca),
                       (F(q), [q] + [0] * (F.degree - 1))):
-        assert got.coeffs == tuple(want) and canonical_coeffs(got)
+        assert F.coefficients(got) == tuple(want) \
+            and canonical_coeffs(F, got)
     if not F.is_zero(a):
-        # the drawn coefficients are Fractions; the parsed copy's integral
-        # ones are ints, which Euclid must not divide as ints
+        # the drawn value and its parsed copy have int integral
+        # coefficients, which Euclid must not divide as ints
         for x in (a, F.parse(F.show(a))):
             inv = F.inv(x)
-            assert canonical_coeffs(inv) and F.mul(x, inv) == F.one
+            assert canonical_coeffs(F, inv) and F.mul(x, inv) == F.one
 
 
 @given(field_elements(1), OPERANDS)
@@ -202,7 +209,38 @@ def test_rational_inverse_shortcut_agrees_with_euclid(text, q):
         with pytest.raises(FieldError):
             F.inv(F(q))
         return
-    got, euclid = F.inv(F(q)), F._euclid_inverse(F(q))
-    assert got.coeffs == euclid.coeffs
-    assert canonical_coeffs(got) and canonical_coeffs(euclid)
+    got, euclid = F.inv(F(q)), F._euclid_inverse(F.coefficients(F(q)))
+    assert F.coefficients(got) == F.coefficients(euclid)
+    assert canonical_coeffs(F, got) and canonical_coeffs(F, euclid)
     assert got == 1 / Fraction(q)
+
+
+# -- rationals are never elements ---------------------------------------------
+
+
+@st.composite
+def mixed_operands(draw, count):
+    """A field and `count` operands, each a rational as a caller may pass
+    it or a value built from drawn coefficients, which is an element
+    unless its higher coefficients are zero."""
+    F = FIELDS[draw(st.sampled_from(MODULI))]
+    built = st.tuples(*[RATIONALS] * F.degree).map(F.from_coefficients)
+    return (F, *(draw(st.one_of(OPERANDS, built)) for _ in range(count)))
+
+
+@given(mixed_operands(2))
+def test_no_operation_returns_a_rational_element(args):
+    F, a, b = args
+    # the sums and products that cancel back to a or b may be rational
+    results = [F(a), F.add(a, b), F.sub(a, b), F.mul(a, b), F.neg(a),
+               F.parse(F.show(a)), F.sub(F.add(a, b), b),
+               F.sub(F.add(a, b), a), F.add(F.sub(a, b), b)]
+    if not F.is_zero(b):
+        inv = F.inv(b)
+        results += [inv, F.mul(b, inv), F.mul(F.mul(a, b), inv)]
+    for x in results:
+        if type(x) is NumberFieldElement:
+            assert x.field is F and any(x.coeffs[1:])
+        else:
+            assert is_canonical(x)
+        assert canonical_coeffs(F, x)

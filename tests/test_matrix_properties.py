@@ -55,7 +55,8 @@ def is_canonical(q):
 
 
 def canonical(F, x):
-    return is_canonical(x) if F is QQ else all(map(is_canonical, x.coeffs))
+    return is_canonical(x) if F is QQ \
+        else all(map(is_canonical, F.coefficients(x)))
 
 
 def check(F, got, rows, cols, lists):

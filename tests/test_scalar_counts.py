@@ -15,8 +15,8 @@ import pytest
 
 from hopfsmith import bialgebra as ba
 from hopfsmith.field import QQ, number_field_from_text
-from hopfsmith.fixtures import (exterior_line_super, sweedler_algebra,
-                                symmetric_group_algebra)
+from hopfsmith.fixtures import (FIXTURE_BUILDERS, exterior_line_super,
+                                sweedler_algebra, symmetric_group_algebra)
 from hopfsmith.matrix import Matrix
 
 OPS = ("add", "sub", "mul", "neg")
@@ -89,3 +89,26 @@ def test_checks_stay_within_scalar_budget(name, F, build, budget):
         checks_and_shears(B)
     over = {op: n for op, n in counts.items() if n > budget.get(op, 0)}
     assert not over, f"{name}: {dict(counts)} exceeds {budget}"
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+def test_rational_fixture_over_an_extension_never_folds(name):
+    # every structure constant is rational, so over Q[x]/(x^2+x+1) no
+    # product of two elements, and so no polynomial fold, is ever needed
+    F = number_field_from_text("x^2+x+1")
+    B, w = FIXTURE_BUILDERS[name](F), F.gen
+    folds = Counter()
+    fold = F._make
+
+    def counted(cs):
+        folds["fold"] += 1
+        return fold(cs)
+
+    F._make = counted
+    try:
+        assert F.mul(w, w) != 0 and folds["fold"] == 1
+        folds.clear()
+        reports = ba.check_bialgebra(B)
+    finally:
+        del F._make
+    assert folds == {} and reports and all(r.holds for r in reports)

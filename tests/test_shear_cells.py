@@ -1,10 +1,11 @@
 """The universal shear 3-cell, the structure cells of the smashed monad
 square, and the boundary-checked factorization chain."""
 
+from hopfsmith.gray import TensorTerms
 from hopfsmith.presentation import validate_term
 from hopfsmith.rewriting import EQ_EQUAL, eq
 from hopfsmith.shear import (bimnd_cells, mnd_smash, proof_skeleton_check,
-                             universal_shear)
+                             universal_shear, whiskered_gray)
 from hopfsmith.terms import Comp, Gen, Id, generators
 
 
@@ -85,3 +86,25 @@ def test_proof_skeleton_mutation_fails_at_step():
     rep = proof_skeleton_check(mutate_step=2)
     assert not rep.chain_composable
     assert any("step2" in f or "step1" in f for f in rep.failures)
+
+
+def test_hexagon_check_catches_swapped_boundaries(monkeypatch):
+    # a tensor whose interchange 4-cells have source and target exchanged:
+    # the routes stay parallel, but each carries the other's 3-chain
+    fill = TensorTerms.fill22_boundaries
+
+    def swapped(self, alpha, beta):
+        src, tgt = fill(self, alpha, beta)
+        return tgt, src
+
+    whiskered_gray.cache_clear()
+    monkeypatch.setattr(TensorTerms, "fill22_boundaries", swapped)
+    try:
+        rep = proof_skeleton_check()
+    finally:
+        monkeypatch.undo()
+        whiskered_gray.cache_clear()
+    assert not rep.hexagon_closes and not rep.ok()
+    assert rep.failures == ["hexagon source mismatch at level 3",
+                            "hexagon target mismatch at level 3"]
+    assert proof_skeleton_check().hexagon_closes
