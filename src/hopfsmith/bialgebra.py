@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import jsonshape as shape
-from .field import Field, field_from_json
+from .field import Field, FieldError, field_from_json
 from .matrix import Matrix
 
 FLIP = "flip"
@@ -186,10 +186,11 @@ def antipode(B: Bialgebra) -> HopfData:
     """S = (eps (x) id) . shear_SE^{-1} . (id (x) u), checked against both
     convolution axioms and against inverting the shear."""
     sh = shear(B, SE)
-    if not sh.is_invertible():
-        raise NoAntipode(sh.nullspace())
+    try:
+        sh_inv = sh.inverse()
+    except FieldError:
+        raise NoAntipode(sh.nullspace()) from None
     n = B.n
-    sh_inv = sh.inverse()
     S = B.eps.whisker(1, n) @ sh_inv @ B.u.whisker(n, 1)
     conv_l = B.m @ S.whisker(1, n) @ B.delta
     conv_r = B.m @ S.whisker(n, 1) @ B.delta

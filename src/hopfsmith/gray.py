@@ -1,20 +1,20 @@
 """Gray tensor product of presentations, and the pointed smash collapse.
 
 Generators of the tensor are pairs (x, y), one from each factor, of total
-dimension <= 4.  Boundaries follow the explicit case table for dimension
-pairs (0,k), (k,0), (1,1), (2,1), (1,2), (2,2), (1,3), (3,1):
-
-  * the crossing square for a pair of 1-cells, oriented so the first
-    factor's source stays in the source;
-  * the two pull-across-a-wire 3-cells, moving second-factor beads to the
-    northwest and first-factor beads to the southwest;
-  * the interchange 4-cell mediating the two pull orders.
+dimension <= 4.  An object paired with a cell gives a relabelled copy of
+the cell, and two 2-cells give the interchange 4-cell mediating the two
+pull orders.  A wire (1-cell) paired with a bead (k-cell), in either
+order, follows one rule, `_wire_bead`, after Steiner's formula
+d(x (x) y) = dx (x) y +- x (x) dy: it gives the crossing square for k = 1,
+the pull-across-a-wire 3-cells for k = 2 and the 4-dimensional pulls for
+k = 3.
 
 The same term constructors (`cross`, `move12`, `move21` and
-`fill22_boundaries`) build instances of these cells over composite
-boundaries, which is what both the generator table and the
-shear/proof-chain constructions need, and what `GrayMorphism`, the
-tensor of two presentation morphisms, sends pair generators to.
+`fill22_boundaries`), dispatched on dimensions by `TensorTerms.tensor`,
+build instances of these cells over composite boundaries, which is what
+both the generator table and the shear/proof-chain constructions need,
+and what `GrayMorphism`, the tensor of two presentation morphisms, sends
+pair generators to.
 `smash` returns its collapse as a `PresMorphism`; `collapse` makes the same
 quotient of a tensor that is already built.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .presentation import PresMorphism, Presentation
-from .terms import CellTerm, Comp, Gen, Id, TermError, comp, idn, substitute
+from .terms import CellTerm, Comp, Gen, Id, TermError, idn, substitute
 from .walking import PointedPresentation
 
 PAIR_SEP = "⊗"  # the tensor sign, kept out of factor names
@@ -65,6 +65,22 @@ class TensorTerms:
     def ten_r(self, x: str, t: CellTerm) -> CellTerm:
         """x (x) t for x an object name and t a term of the right factor."""
         return substitute(t, lambda y: Gen(pair_name(x, y)))
+
+    def tensor(self, a: CellTerm, da: int, b: CellTerm, db: int) -> CellTerm:
+        """a (x) b for a term a of dimension da of the left factor and a term
+        b of dimension db of the right factor, da + db <= 3."""
+        if da == 0 or db == 0:
+            x = a if da == 0 else b
+            if not isinstance(x, Gen):
+                raise TermError("object term is not an object generator")
+            return self.ten_r(x.name, b) if da == 0 else self.ten_l(a, x.name)
+        if (da, db) == (1, 1):
+            return self.cross(a, b)
+        if (da, db) == (1, 2):
+            return self.move12(a, b)
+        if (da, db) == (2, 1):
+            return self.move21(a, b)
+        raise TermError(f"no tensor rule for dimension pair ({da},{db})")
 
     # -- the crossing of two 1-cells --------------------------------------
 
@@ -276,68 +292,55 @@ def gray(P: Presentation, Q: Presentation) -> Presentation:
 
 
 def _pair_boundaries(tt: TensorTerms, g, h):
-    dg, dh = g.dim, h.dim
-    gx, hy = Gen(g.name), Gen(h.name)
-    if dg == 0:
+    if g.dim == 0:
         return tt.ten_r(g.name, h.src), tt.ten_r(g.name, h.tgt)
-    if dh == 0:
+    if h.dim == 0:
         return tt.ten_l(g.src, h.name), tt.ten_l(g.tgt, h.name)
-    if (dg, dh) == (1, 1):
-        A0, A1 = _ends(tt.L, gx)
-        p, q = _ends(tt.R, hy)
-        src = comp(0, tt.ten_r(A0, hy), tt.ten_l(gx, q))
-        tgt = comp(0, tt.ten_l(gx, p), tt.ten_r(A1, hy))
-        return src, tgt
-    if (dg, dh) == (1, 2):
-        a = gx
-        b, b2 = h.src, h.tgt
-        p, q = _ends(tt.R, b)
-        A0, A1 = _ends(tt.L, a)
-        src = Comp(1, Comp(0, tt.ten_r(A0, hy), Id(tt.ten_l(a, q))),
-                   tt.cross(a, b2))
-        tgt = Comp(1, tt.cross(a, b),
-                   Comp(0, Id(tt.ten_l(a, p)), tt.ten_r(A1, hy)))
-        return src, tgt
-    if (dg, dh) == (2, 1):
-        b = hy
-        a, a2 = g.src, g.tgt
-        p, q = _ends(tt.R, b)
-        A0, A1 = _ends(tt.L, a)
-        src = Comp(1, tt.cross(a, b),
-                   Comp(0, tt.ten_l(gx, p), Id(tt.ten_r(A1, b))))
-        tgt = Comp(1, Comp(0, Id(tt.ten_r(A0, b)), tt.ten_l(gx, q)),
-                   tt.cross(a2, b))
-        return src, tgt
-    if (dg, dh) == (2, 2):
-        return tt.fill22_boundaries(gx, hy)
-    if (dg, dh) == (1, 3):
-        # by analogy with (1,2): the second-factor 3-bead travels northwest
-        beta, beta2 = h.src, h.tgt
-        b = tt.R.src(beta)
-        b2 = tt.R.tgt(beta)
-        p, q = _ends(tt.R, b)
-        A0, A1 = _ends(tt.L, gx)
-        w_src = Comp(1, Comp(0, tt.ten_r(A0, hy), Id(Id(tt.ten_l(gx, q)))),
-                     Id(tt.cross(gx, b2)))
-        src = Comp(2, w_src, tt.move12(gx, beta2))
-        w_tgt = Comp(1, Id(tt.cross(gx, b)),
-                     Comp(0, Id(Id(tt.ten_l(gx, p))), tt.ten_r(A1, hy)))
-        tgt = Comp(2, tt.move12(gx, beta), w_tgt)
-        return src, tgt
-    if (dg, dh) == (3, 1):
-        alpha, alpha2 = g.src, g.tgt
-        a = tt.L.src(alpha)
-        a2 = tt.L.tgt(alpha)
-        p, q = _ends(tt.R, hy)
-        A0, A1 = _ends(tt.L, a)
-        w_src = Comp(1, Comp(0, Id(Id(tt.ten_r(A0, hy))), tt.ten_l(gx, q)),
-                     Id(tt.cross(a2, hy)))
-        src = Comp(2, tt.move21(alpha, hy), w_src)
-        w_tgt = Comp(1, Id(tt.cross(a, hy)),
-                     Comp(0, tt.ten_l(gx, p), Id(Id(tt.ten_r(A1, hy)))))
-        tgt = Comp(2, w_tgt, tt.move21(alpha2, hy))
-        return src, tgt
-    raise TermError(f"no boundary rule for dimension pair ({dg},{dh})")
+    if g.dim == h.dim == 2:
+        return tt.fill22_boundaries(Gen(g.name), Gen(h.name))
+    return _wire_bead(tt, g, h)
+
+
+def _wire_bead(tt: TensorTerms, g, h) -> Tuple[CellTerm, CellTerm]:
+    """Source and target of g (x) h when one factor is a wire (a
+    1-generator) and the other a bead (a k-generator, k = 1..3).
+
+    Each side is the bead tensored with one end of the wire, composed at
+    every level j < k with the wire tensored with the bead's j-boundary,
+    whiskered up to dimension k: a j-source on the left, a j-target on the
+    right.  With the wire first, the source starts at the wire's source and
+    takes j-targets, the target starts at the wire's target and takes
+    j-sources.  With the bead first, the sides alternate with the level as
+    in Steiner's sign (-1)^(k-1-j): the source takes a j-source when k-1-j
+    is even, and starts at the wire's source when k is even; the target
+    makes the opposite choices.  For k = 1 the two readings agree.
+
+    The bead's j-boundary is taken along its source spine: sources down to
+    dimension j+1, then one step to the wanted side."""
+    wire_first = g.dim == 1
+    wire, bead = (g, h) if wire_first else (h, g)
+    w, b, k = Gen(wire.name), Gen(bead.name), bead.dim
+    B = tt.R if wire_first else tt.L
+    faces = []                          # faces[j]: (j-source, j-target)
+    t = b
+    for _ in range(k):
+        faces.append((B.src(t), B.tgt(t)))
+        t = faces[-1][0]
+    faces.reverse()
+    ends = _ends(tt.L if wire_first else tt.R, w)
+    sides = []
+    for target in (0, 1):
+        end = Gen(ends[target if wire_first else (target + k) % 2])
+        out = tt.tensor(end, 0, b, k) if wire_first else tt.tensor(b, k, end, 0)
+        for j in range(k):
+            on_right = 1 - target if wire_first else (target + k - 1 - j) % 2
+            face = faces[j][on_right]
+            piece = (tt.tensor(w, 1, face, j) if wire_first
+                     else tt.tensor(face, j, w, 1))
+            piece = idn(piece, k - 1 - j)
+            out = Comp(j, out, piece) if on_right else Comp(j, piece, out)
+        sides.append(out)
+    return sides[0], sides[1]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +354,6 @@ class GrayMorphism:
     define the tensor boundaries, so functoriality is by construction."""
     left: PresMorphism
     right: PresMorphism
-    domain: Presentation     # gray(left.domain, right.domain)
     codomain: Presentation   # gray(left.codomain, right.codomain)
 
     def __post_init__(self):
@@ -362,28 +364,10 @@ class GrayMorphism:
 
     def _push_pair(self, name: str) -> CellTerm:
         x, y = split_pair(name)
-        fx = self.left.push(Gen(x))
-        gy = self.right.push(Gen(y))
-        dx = self.left.domain.gens[x].dim
-        dy = self.right.domain.gens[y].dim
-        tt = self.tt
-        if dx == 0:
-            return tt.ten_r(_object_name(fx), gy)
-        if dy == 0:
-            return tt.ten_l(fx, _object_name(gy))
-        if (dx, dy) == (1, 1):
-            return tt.cross(fx, gy)
-        if (dx, dy) == (1, 2):
-            return tt.move12(fx, gy)
-        if (dx, dy) == (2, 1):
-            return tt.move21(fx, gy)
-        raise TermError(f"no tensor image rule for dimension pair ({dx},{dy})")
-
-
-def _object_name(t: CellTerm) -> str:
-    if not isinstance(t, Gen):
-        raise TermError("object image is not an object generator")
-    return t.name
+        return self.tt.tensor(self.left.push(Gen(x)),
+                              self.left.domain.gens[x].dim,
+                              self.right.push(Gen(y)),
+                              self.right.domain.gens[y].dim)
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,6 @@ def mnd_smash() -> Tuple[Presentation, PresMorphism]:
 
 
 @lru_cache(maxsize=None)
-def oriental_gray() -> Presentation:
-    o2 = oriental2()
-    return gray(o2, o2)
-
-
-@lru_cache(maxsize=None)
 def whiskered_gray() -> Presentation:
     e = e_oriental2()
     return gray(e, e)
@@ -127,10 +121,8 @@ class UniversalShear:
 
 @lru_cache(maxsize=None)
 def universal_shear() -> UniversalShear:
-    o2 = oriental2()
-    og = oriental_gray()
     to_mnd = _o2_to_mnd()
-    gm = GrayMorphism(to_mnd, to_mnd, og, mnd_gray())
+    gm = GrayMorphism(to_mnd, to_mnd, mnd_gray())
     term = gm.push(oriental_shear_term())
     s_fix, t_fix = (gm.push(t) for t in oriental_shear_boundaries())
     small, cm = mnd_smash()
@@ -269,7 +261,7 @@ def proof_skeleton_check(budget: Optional[int] = None,
     failure mode."""
     eg = whiskered_gray()
     to_e = _o2_to_eo2()
-    gm = GrayMorphism(to_e, to_e, oriental_gray(), eg)
+    gm = GrayMorphism(to_e, to_e, eg)
     image = gm.push(oriental_shear_term())
     steps_terms = _split_moves(image, eg)
     # the invertibility argument runs on the chain whiskered below by the

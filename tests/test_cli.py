@@ -272,3 +272,49 @@ def test_tensor_validation_honours_the_budget(tmp_path, command,
 
 def test_there_is_no_depth_option():
     assert run(["--depth", "2", "reconstruct", "QZ2"])[0] == 64
+
+
+def test_text_report_lines():
+    """Without --json each check is one `[status] name` line and each
+    payload key one `key: json` line."""
+    assert run(["--no-timing", "census", "mnd"]) == (
+        0, "[   pass] valid\ncensus: [1, 1, 2]\n")
+
+
+def test_text_report_ends_with_elapsed_time():
+    code, out = run(["census", "mnd"])
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[:2] == ["[   pass] valid", "census: [1, 1, 2]"]
+    assert len(lines) == 3
+    assert lines[2].startswith("elapsed: ") and lines[2].endswith(" ms")
+    float(lines[2][len("elapsed: "):-len(" ms")])
+
+
+def test_text_report_shows_a_failing_witness(tmp_path):
+    from hopfsmith.presentation import Presentation
+    from hopfsmith.terms import Gen
+    p = Presentation(max_dim=2)
+    p.add("x", 0)
+    p.add("bad", 2, Gen("x"), Gen("x"))
+    path = _written(p, tmp_path / "p.json")
+    assert run(["--no-timing", "census", path]) == (
+        1, "[   fail] valid  (src has dimension 0, expected 1)\n"
+           "census: [1, 0, 1]\n")
+
+
+@pytest.mark.parametrize("name", ["QZ2", "sweedler", "QM"])
+def test_reconstruct_bialgebra_json_reports_like_the_fixture(tmp_path, name):
+    """A bialgebra file is round-tripped whatever its name; only a document
+    with a `bialgebra` key is a comodule family."""
+    from hopfsmith.bialgebra import bialgebra_to_json
+    from hopfsmith.fixtures import standard_fixtures
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(bialgebra_to_json(standard_fixtures()[name])))
+    code, out = run(["--json", "--no-timing", "reconstruct", str(path)])
+    want_code, want = run(["--json", "--no-timing", "reconstruct", name])
+    doc, want_doc = json.loads(out), json.loads(want)
+    assert doc.pop("command")[-1] == str(path)
+    assert want_doc.pop("command")[-1] == name
+    assert (code, doc) == (want_code, want_doc)
+    assert "verdict" in doc

@@ -1,12 +1,19 @@
 """The universal shear 3-cell, the structure cells of the smashed monad
 square, and the boundary-checked factorization chain."""
 
-from hopfsmith.gray import TensorTerms
+import hashlib
+import io
+from contextlib import redirect_stdout
+
+from hopfsmith.cli import main
+from hopfsmith.gray import TensorTerms, gray
 from hopfsmith.presentation import validate_term
 from hopfsmith.rewriting import EQ_EQUAL, eq
-from hopfsmith.shear import (bimnd_cells, mnd_smash, proof_skeleton_check,
-                             universal_shear, whiskered_gray)
+from hopfsmith.shear import (bimnd_cells, mnd_smash, oriental_shear_term,
+                             proof_skeleton_check, universal_shear,
+                             whiskered_gray)
 from hopfsmith.terms import Comp, Gen, Id, generators
+from hopfsmith.walking import oriental2
 
 
 def test_shear_term_valid_and_fixtures_match():
@@ -108,3 +115,28 @@ def test_hexagon_check_catches_swapped_boundaries(monkeypatch):
     assert rep.failures == ["hexagon source mismatch at level 3",
                             "hexagon target mismatch at level 3"]
     assert proof_skeleton_check().hexagon_closes
+
+
+PROOF_SKELETON_SHA256 = (
+    "cd4d5b60840a08ecd95d097f2f9e2bcc6d2afb4aeaaece846439a0b7d60d25ba")
+
+
+def test_proof_skeleton_report_is_pinned():
+    """The `--json --no-timing` report of the proof skeleton, byte for byte:
+    the step labels and classes of the chain that GrayMorphism pushes into
+    the whiskered square, the table and every check."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["--json", "--no-timing", "proof-skeleton"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        PROOF_SKELETON_SHA256
+
+
+def test_oriental_shear_term_lives_in_the_triangle_square():
+    """The shear that both tensor-square morphisms push is a valid 3-cell
+    of gray(oriental2, oriental2), their common domain."""
+    o2 = oriental2()
+    og = gray(o2, o2)
+    assert validate_term(oriental_shear_term(), og) == []
+    assert og.dim(oriental_shear_term()) == 3

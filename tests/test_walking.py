@@ -1,6 +1,6 @@
 from hopfsmith.presentation import Presentation, validate_presentation
 from hopfsmith.rewriting import EQ_EQUAL, eq
-from hopfsmith.terms import Gen, Id, comp
+from hopfsmith.terms import Gen, Id, comp, generators
 from hopfsmith.walking import (adj, boundary_globe, e_oriental2, globe, mnd,
                                oriental2, point, suspend)
 
@@ -65,3 +65,25 @@ def test_oriental_censuses():
     assert oriental2().census() == (3, 3, 1)
     assert e_oriental2().census() == (5, 5, 1)
     assert validate_presentation(e_oriental2()) == []
+
+
+@pytest.mark.parametrize("build", [lambda: mnd().base, lambda: adj().base])
+@pytest.mark.parametrize("times", [1, 2])
+def test_suspension_shifts_relations(build, times):
+    """Every relation moves up one dimension per suspension, keeps its
+    orientation and its generators (renamed), and the suspension
+    validates."""
+    p = build()
+    s = p
+    for _ in range(times):
+        s = suspend(s)
+    assert validate_presentation(s) == []
+    assert len(s.relations) == len(p.relations) > 0
+    prefix = "S." * times
+    for r, sr in zip(p.relations, s.relations):
+        assert sr.dim == r.dim + times
+        assert sr.oriented == r.oriented
+        for side, shifted in ((r.lhs, sr.lhs), (r.rhs, sr.rhs)):
+            assert s.dim(shifted) == r.dim + times
+            assert list(generators(shifted)) == [
+                prefix + n for n in generators(side)]
