@@ -200,7 +200,11 @@ def antipode(B: Bialgebra) -> HopfData:
     undo = B.m.whisker(n, 1) @ S.whisker(n, n) @ B.delta.whisker(1, n)
     if undo != sh_inv:
         raise BialgebraError("antipode does not invert the shear")
-    S_inv = S.inverse() if is_cohopf(B) else None
+    # S is invertible exactly when B is co-Hopf
+    try:
+        S_inv = S.inverse()
+    except FieldError:
+        S_inv = None
     return HopfData(B, S, S_inv)
 
 

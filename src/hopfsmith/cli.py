@@ -3,14 +3,16 @@ run the constructions and checks, and emit machine- or human-readable
 reports.
 
 Exit codes: 0 when everything passes, 1 on any failing check, 2 when the
-only non-passes are Unknown verdicts, 64 for usage errors.  Hopf-ness is
-reported data, never a failure.
+only non-passes are Unknown verdicts, 64 for usage errors, 141 when the
+reader of standard output closed it before the report was written.
+Hopf-ness is reported data, never a failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Dict, List, Optional
@@ -33,6 +35,8 @@ from .terms import TermError, generators
 from .walking import PointedPresentation
 
 USAGE_EXIT = 64
+# 128 + SIGPIPE, what a shell reports for a writer whose reader went away
+BROKEN_PIPE_EXIT = 141
 
 BUILTIN_PRESENTATIONS = {
     "point": walking.point,
@@ -351,7 +355,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (TermError, FieldError, ba.BialgebraError, ClosureError,
             ValueError) as e:
         report.check("error", "fail", str(e))
-    report.emit(args.json)
+    try:
+        report.emit(args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the recipe of the signal module's documentation: what is still
+        # buffered goes to devnull, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE_EXIT
     return report.exit_code()
 
 

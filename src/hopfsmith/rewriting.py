@@ -22,8 +22,14 @@ window tried, in every dimension.  An exhausted budget gives Unknown.
 
 A stack is a complete value: stack_of gives each atom its generator's
 source and target words (swapped when inverted) from the presentation's
-boundary-word table, so slides, canonicalization, cancellation and rule
-matching are functions of stacks alone.
+boundary-word table.  The 2-cell search runs in the `interchange` kernel
+on packed states: _eq2 builds one atom table per search, an int id per
+atom and its inverse with their words, packs both stacks and the
+oriented 2-rules into (source word, (offset, id, ...)) tuples once, and
+_meet explores those, so slides, canonicalization, cancellation and rule
+matching are functions of the states and the table alone.  Stack,
+slide and slide_left stay for evaluate, and canonical_stack packs a
+single stack for the kernel and unpacks the result.
 
 Every comparison starts with the boundary certificate, `parallel`: the
 k-sources and k-targets of both sides are taken once each and compared
@@ -51,6 +57,7 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, AbstractSet, Callable, Container, Dict,
                     Iterable, List, Optional, Sequence, Tuple, TypeVar)
 
+from . import interchange
 from .terms import (CellTerm, Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
                     boundary, flatten, illegal_inverses, print_term,
                     top_boundary)
@@ -282,105 +289,30 @@ def slide_left(block: Sequence[Layer],
     return layer, adjusted
 
 
-def _slide_right(layer: Layer,
-                 block: Sequence[Layer]) -> Optional[Tuple[List[Layer], Layer]]:
-    """Mirror of slide_left: a layer that fires right before block, moved
-    to fire after it.  Returns (the adjusted block as a list, the moved
-    layer), or None when blocked."""
-    adjusted: List[Layer] = []
-    for nxt in block:
-        swapped = slide(layer, nxt)
-        if swapped is None:
-            return None
-        shifted, layer = swapped
-        adjusted.append(shifted)
-    return adjusted, layer
+def _pack(layers: Sequence[Layer],
+          table: interchange.AtomTable) -> Tuple[int, ...]:
+    """Layers as a flat (offset, atom id, ...) tuple, adding each atom to
+    the table."""
+    flat: List[int] = []
+    for layer in layers:
+        a = layer.atom
+        flat += (layer.offset, table.add(a.name, a.inverted, a.src, a.tgt))
+    return tuple(flat)
+
+
+def _unpack(state: interchange.State,
+            table: interchange.AtomTable) -> Stack:
+    word, flat = state
+    return Stack(word, tuple(
+        Layer(o, Atom(*table.keys[x], table.src[x], table.tgt[x]))
+        for o, x in zip(flat[0::2], flat[1::2])))
 
 
 def canonical_stack(stack: Stack) -> Stack:
-    """A fixed firing order under interchange, computed greedily: each
-    round emits the least (name, inverted, offset) layer among those that
-    can slide to the front, the first such index on a tie, with its
-    offset as shifted by the slide.  This is not a normal form: two
-    orders equal by interchange can end in different stacks (the
-    free-interchange-pair probe of perfbench/workloads.py).
-
-    Candidates are tried in order of (atom name, inverted, index), and a
-    round stops after the first atom class with a member that slides to
-    the front: a slide keeps the atom, so every later class has a larger
-    key.  Emitting a layer keeps the order of the rest, so the sorted
-    candidates are kept from round to round."""
-    layers = list(stack.layers)
-    order = sorted(range(len(layers)), key=lambda i: (
-        layers[i].atom.name, layers[i].atom.inverted, i))
-    out: List[Layer] = []
-    while layers:
-        best = None
-        for i in order:
-            if best is not None and layers[i].atom != best[0].atom:
-                break
-            got = slide_left(layers[:i], layers[i])
-            if got is not None and (best is None
-                                    or got[0].offset < best[0].offset):
-                best, k = got, i
-        assert best is not None  # i = 0 always slides
-        out.append(best[0])
-        layers = best[1] + layers[k + 1:]
-        order = [i - (i > k) for i in order if i != k]
-    return Stack(stack.srcword, tuple(out))
-
-
-def _pair_cancels(a: Layer, b: Layer) -> bool:
-    """Whether the adjacent pair a-then-b composes to an identity: either
-    literally an inverse pair at one offset, or one slide away from it."""
-    if (a.atom.name == b.atom.name and a.atom.inverted != b.atom.inverted
-            and a.offset == b.offset):
-        return True
-    sw = slide(a, b)
-    if sw is not None:
-        c, d = sw
-        return (c.atom.name == d.atom.name and c.atom.inverted != d.atom.inverted
-                and c.offset == d.offset)
-    return False
-
-
-def _cancellations(stack: Stack) -> List[Stack]:
-    """All single removals of an inverse pair of layers, sliding intervening
-    disjoint layers out of the way in either direction.  A slide keeps the
-    atom, so only pairs whose atoms are inverse to each other are tried;
-    a stack without such a pair is answered without any slide."""
-    out: List[Stack] = []
-    layers = stack.layers
-    atoms = {layer.atom for layer in layers}
-    if not any(a.inverse() in atoms for a in atoms):
-        return out
-    for i in range(len(layers)):
-        inverse = layers[i].atom.inverse()
-        for j in range(i + 1, len(layers)):
-            if layers[j].atom != inverse:
-                continue
-            block = layers[i + 1:j]
-            # slide layers[j] leftward until adjacent to layers[i]
-            got = slide_left(block, layers[j])
-            if got is not None and _pair_cancels(layers[i], got[0]):
-                out.append(Stack(stack.srcword, layers[:i] + tuple(got[1])
-                                 + layers[j + 1:]))
-                continue
-            # or slide layers[i] rightward until adjacent to layers[j]
-            got = _slide_right(layers[i], block)
-            if got is not None and _pair_cancels(got[1], layers[j]):
-                out.append(Stack(stack.srcword, layers[:i] + tuple(got[0])
-                                 + layers[j + 1:]))
-    return out
-
-
-def _cancel_inverses(stack: Stack) -> Stack:
-    """Fully cancelled form, for the fast equality path."""
-    while True:
-        nexts = _cancellations(stack)
-        if not nexts:
-            return stack
-        stack = nexts[0]
+    """The greedy firing order of interchange.canonical, on a stack."""
+    table = interchange.AtomTable()
+    state = (stack.srcword, _pack(stack.layers, table))
+    return _unpack(interchange.canonical(table, state), table)
 
 
 # oriented 2-rules in layer form
@@ -407,76 +339,10 @@ def _layer_rules(p: Presentation) -> List[LayerRule]:
     return rules
 
 
-def _match_rule(stack: Stack, rule: LayerRule,
-                budget: Budget) -> List[Stack]:
-    """All single-step applications of the rule to the stack, trying each
-    contiguous window after bubbling candidate layers together."""
-    out = []
-    n = len(rule.lhs)
-    layers = stack.layers
-    if n == 0:
-        return out
-    for i in range(len(layers)):
-        if not budget.spend():
-            return out
-        got = _try_window(stack, i, rule)
-        if got is not None:
-            out.append(got)
-    return out
-
-
-def _try_window(stack: Stack, i: int, rule: LayerRule):
-    """Try to apply the rule with its first layer matched at index i,
-    pulling later rule layers adjacent by legal slides.  A slide keeps the
-    atom, so only layers with the wanted atom are slid."""
-    layers = list(stack.layers)
-    first = layers[i]
-    if (first.atom != rule.lhs[0].atom):
-        return None
-    shift = first.offset - rule.lhs[0].offset
-    if shift < 0:
-        return None
-    # check the whole rule source word occurs at the shift position
-    word_here = stack.word_before(i)
-    seg = word_here[shift:shift + len(rule.src)]
-    if seg != rule.src:
-        return None
-    # slide the remaining rule layers up behind position i
-    for pos, r in enumerate(rule.lhs[1:], i):
-        want = Layer(r.offset + shift, r.atom)
-        for j in range(pos + 1, len(layers)):
-            if layers[j].atom != want.atom:
-                continue
-            got = slide_left(layers[pos + 1:j], layers[j])
-            if got is not None and got[0] == want:
-                break
-        else:
-            return None
-        layers[pos + 1:j + 1] = [got[0]] + got[1]
-    n = len(rule.lhs)
-    layers[i:i + n] = [Layer(l.offset + shift, l.atom) for l in rule.rhs]
-    return Stack(stack.srcword, tuple(layers))
-
-
-def _stack_successors(cur: Stack, rules: List[LayerRule],
-                      budget: Budget) -> List[Stack]:
-    """The canonical stacks one move away: an oriented rule application,
-    an inverse-pair cancellation or a single slide.  Cancellation is a
-    move rather than a preprocessing step: cancelling eagerly can destroy
-    rule redexes."""
-    nexts = []
-    for rule in rules:
-        nexts.extend(_match_rule(cur, rule, budget))
-    nexts.extend(_cancellations(cur))
-    # single slides: canonicalization collapses ordinary interchange, but
-    # a point-degenerate insertion/deletion pair has two inequivalent-
-    # looking canonical forms that are equal, reachable only this way
-    layers = cur.layers
-    for i in range(len(layers) - 1):
-        for swapped in _swap_variants(layers[i], layers[i + 1]):
-            nexts.append(Stack(cur.srcword,
-                               layers[:i] + swapped + layers[i + 2:]))
-    return [canonical_stack(nxt) for nxt in nexts]
+def _packed_rules(p: Presentation,
+                  table: interchange.AtomTable) -> List[interchange.Rule]:
+    return [(r.src, _pack(r.lhs, table), _pack(r.rhs, table))
+            for r in _layer_rules(p)]
 
 
 State = TypeVar("State")
@@ -618,21 +484,26 @@ def _certificate(a: CellTerm, b: CellTerm, d: int, p: Presentation,
 
 
 def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
+    """The 2-cell search, on the packed states of one atom table."""
     try:
         sa = stack_of(a, p)
         sb = stack_of(b, p)
     except TermError:
         return EQ_UNKNOWN
-    xa, xb = _cancel_inverses(sa), _cancel_inverses(sb)
-    ca, cb = canonical_stack(xa), canonical_stack(xb)
+    table = interchange.AtomTable()
+    sa = (sa.srcword, _pack(sa.layers, table))
+    sb = (sb.srcword, _pack(sb.layers, table))
+    xa = interchange.cancel_inverses(table, sa)
+    xb = interchange.cancel_inverses(table, sb)
+    ca, cb = interchange.canonical(table, xa), interchange.canonical(table, xb)
     if ca == cb:
         return EQ_EQUAL
-    rules = _layer_rules(p)
-    step = lambda s: _stack_successors(s, rules, budget)
-    # with nothing cancelled, the search starts from the stack already
+    rules = _packed_rules(p, table)
+    step = lambda s: interchange.successors(table, s, rules, budget)
+    # with nothing cancelled, the search starts from the state already
     # canonicalized
-    start_a = ca if xa is sa else canonical_stack(sa)
-    start_b = cb if xb is sb else canonical_stack(sb)
+    start_a = ca if xa is sa else interchange.canonical(table, sa)
+    start_b = cb if xb is sb else interchange.canonical(table, sb)
     return _meet(start_a, start_b, step, budget, {cb})
 
 

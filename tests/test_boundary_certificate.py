@@ -19,7 +19,7 @@ from hopfsmith.gray import gray
 from hopfsmith.mates import walking_retract
 from hopfsmith.presentation import Presentation
 from hopfsmith.rewriting import (Budget, EQ_DISTINCT, EQ_EQUAL, EQ_UNKNOWN,
-                                 Stack, _cancel_word, _eq2, _eq_high, _meet,
+                                 _cancel_word, _eq2, _eq_high, _meet,
                                  _rewrites, _word_rules, default_budget,
                                  eq, parallel, word_of)
 from hopfsmith.terms import (Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
@@ -167,6 +167,13 @@ def _rule_tower():
     return p
 
 
+def is_packed_stack(state):
+    """A 2-cell search state is (source word, (offset, atom id, ...)); a
+    word search state is a tuple of (name, inverted) letters."""
+    return (len(state) == 2 and isinstance(state[1], tuple)
+            and all(type(v) is int for v in state[1]))
+
+
 def test_each_level_and_side_is_compared_once(monkeypatch):
     """The 1-sources differ as terms, so comparing them takes a word
     search (which starts where it stops); the 2-sources and the 2-targets
@@ -179,7 +186,7 @@ def test_each_level_and_side_is_compared_once(monkeypatch):
     meet = rewriting._meet
 
     def counted(a, b, *args):
-        searches.append("stack" if isinstance(a, Stack) else "word")
+        searches.append("stack" if is_packed_stack(a) else "word")
         return meet(a, b, *args)
 
     monkeypatch.setattr(rewriting, "_meet", counted)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hopfsmith.cli import main
+from hopfsmith.cli import BROKEN_PIPE_EXIT, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -318,3 +324,26 @@ def test_reconstruct_bialgebra_json_reports_like_the_fixture(tmp_path, name):
     assert want_doc.pop("command")[-1] == name
     assert (code, doc) == (want_code, want_doc)
     assert "verdict" in doc
+
+
+@pytest.mark.parametrize("args", [["census", "mnd"],
+                                  ["--json", "census", "oriental2"]])
+def test_a_closed_stdout_ends_without_a_traceback(args):
+    """Standard output is a pipe whose read end is closed before the
+    command starts, so every write to it fails: the command exits 141 and
+    writes nothing to stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopfsmith.cli", "--no-timing", *args],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120)
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+    assert proc.returncode == BROKEN_PIPE_EXIT

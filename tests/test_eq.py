@@ -8,13 +8,13 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hopfsmith import rewriting
+from hopfsmith import interchange, rewriting
 from hopfsmith.presentation import Presentation
 from hopfsmith.rewriting import (Budget, CompositionError, EQ_DISTINCT,
-                                 EQ_EQUAL, EQ_UNKNOWN, _cancel_inverses,
-                                 _explore, _layer_rules, _rewrites,
-                                 _stack_successors, canonical_stack,
-                                 compose, eq, parallel, stack_of)
+                                 EQ_EQUAL, EQ_UNKNOWN, _explore, _pack,
+                                 _packed_rules, _rewrites,
+                                 canonical_stack, compose, eq, parallel,
+                                 stack_of)
 from hopfsmith.terms import Comp, Gen, Id, Inv, TermError, comp
 from hopfsmith.walking import adj, mnd
 
@@ -287,16 +287,20 @@ def unstopped_eq2(a, b, p, budget):
         sb = stack_of(b, p)
     except TermError:
         return EQ_UNKNOWN
-    ca = canonical_stack(_cancel_inverses(sa))
-    cb = canonical_stack(_cancel_inverses(sb))
+    table = interchange.AtomTable()
+    sa = (sa.srcword, _pack(sa.layers, table))
+    sb = (sb.srcword, _pack(sb.layers, table))
+    canonical = lambda s: interchange.canonical(table, s)
+    ca = canonical(interchange.cancel_inverses(table, sa))
+    cb = canonical(interchange.cancel_inverses(table, sb))
     if ca == cb:
         return EQ_EQUAL
-    rules = _layer_rules(p)
-    step = lambda s: _stack_successors(s, rules, budget)
-    seen_a, done_a = _explore(canonical_stack(sa), step, budget)
+    rules = _packed_rules(p, table)
+    step = lambda s: interchange.successors(table, s, rules, budget)
+    seen_a, done_a = _explore(canonical(sa), step, budget)
     if cb in seen_a:
         return EQ_EQUAL
-    seen_b, done_b = _explore(canonical_stack(sb), step, budget)
+    seen_b, done_b = _explore(canonical(sb), step, budget)
     if not seen_a.keys().isdisjoint(seen_b):
         return EQ_EQUAL
     if done_a and done_b:

@@ -1,15 +1,20 @@
-"""Differential oracle and slide counts for the interchange core.
+"""Differential oracle, slide counts and search trace for the interchange
+kernel.
 
-The reference functions below are the earlier versions of canonical_stack,
-_cancellations and _try_window: they try to slide every layer, whatever
-its atom, so they are slower but obviously follow their definitions.  The
-program's versions skip slides whose outcome is known without making them
-and must give the same stacks, and the same lists in the same order, on
-every stack.  The slide counts are exact: every interchange test goes
-through rewriting._swap_variants, which the counter wraps.
+The reference functions below work on Layer objects, and
+ref_canonical_stack, ref_cancellations and ref_try_window try to slide
+every layer, whatever its atom, so they are slower but obviously follow
+their definitions.  The kernel (hopfsmith.interchange) works on packed
+integer states and skips slides whose outcome is known without making
+them; it must give the same stacks, and the same lists in the same
+order, on every stack.  The slide counts are exact: every interchange test of the
+kernel goes through interchange._readings, which the counter wraps.  The
+search trace pins the verdict and the budget spent of every search.
 """
 
+import hashlib
 import importlib.util
+import json
 import random
 import sys
 from contextlib import contextmanager
@@ -18,13 +23,14 @@ from typing import List
 
 from hypothesis import given, settings, strategies as st
 
-from hopfsmith import rewriting
+from hopfsmith import interchange, mates, rewriting
 from hopfsmith.mates import walking_retract
-from hopfsmith.rewriting import (Atom, Layer, Stack, _cancellations,
-                                 _layer_rules, _pair_cancels, _slide_right,
-                                 _swap_variants, _try_window, canonical_stack,
+from hopfsmith.presentation import Presentation
+from hopfsmith.rewriting import (Atom, Budget, Layer, Stack, _layer_rules,
+                                 _pack, _packed_rules, _swap_variants,
+                                 _unpack, canonical_stack, eq, slide,
                                  slide_left, stack_of)
-from hopfsmith.terms import Gen, SOURCE, TARGET, boundary, comp
+from hopfsmith.terms import Gen, Id, SOURCE, TARGET, boundary, comp
 from hopfsmith.walking import adj, mnd
 
 PRESENTATIONS = {"mnd": mnd().base, "adj": adj().base,
@@ -35,6 +41,34 @@ MAX_WIDTH = 6
 
 # ---------------------------------------------------------------------------
 # reference code
+
+
+def _slide_right(layer, block):
+    """Mirror of slide_left: a layer that fires right before block, moved
+    to fire after it.  Returns (the adjusted block as a list, the moved
+    layer), or None when blocked."""
+    adjusted = []
+    for nxt in block:
+        swapped = slide(layer, nxt)
+        if swapped is None:
+            return None
+        shifted, layer = swapped
+        adjusted.append(shifted)
+    return adjusted, layer
+
+
+def _pair_cancels(a, b):
+    """Whether the adjacent pair a-then-b composes to an identity: either
+    literally an inverse pair at one offset, or one slide away from it."""
+    if (a.atom.name == b.atom.name and a.atom.inverted != b.atom.inverted
+            and a.offset == b.offset):
+        return True
+    sw = slide(a, b)
+    if sw is not None:
+        c, d = sw
+        return (c.atom.name == d.atom.name and c.atom.inverted != d.atom.inverted
+                and c.offset == d.offset)
+    return False
 
 
 def _layer_key(layer):
@@ -100,25 +134,70 @@ def ref_try_window(stack, i, rule):
     return Stack(stack.srcword, tuple(layers))
 
 
+def ref_moves(stack, rules, budget):
+    """Every rule window, then every cancellation, then every single slide
+    with each of its readings."""
+    out = []
+    for rule in rules:
+        if not rule.lhs:
+            continue
+        for i in range(len(stack.layers)):
+            if not budget.spend():
+                break
+            got = ref_try_window(stack, i, rule)
+            if got is not None:
+                out.append(got)
+    out += ref_cancellations(stack)
+    layers = stack.layers
+    for i in range(len(layers) - 1):
+        for swapped in _swap_variants(layers[i], layers[i + 1]):
+            out.append(Stack(stack.srcword,
+                             layers[:i] + swapped + layers[i + 2:]))
+    return out
+
+
+def ref_stack_successors(stack, rules, budget):
+    return [ref_canonical_stack(s) for s in ref_moves(stack, rules, budget)]
+
+
+# ---------------------------------------------------------------------------
+# the kernel on stacks
+
+
+def packed(p, stack):
+    """A fresh atom table with the stack and p's layer rules packed."""
+    table = interchange.AtomTable()
+    state = (stack.srcword, _pack(stack.layers, table))
+    return table, state, _packed_rules(p, table)
+
+
+def kernel_cancellations(stack):
+    table = interchange.AtomTable()
+    state = (stack.srcword, _pack(stack.layers, table))
+    return [_unpack(s, table)
+            for s in interchange.cancellations(table, state)]
+
+
 # ---------------------------------------------------------------------------
 # slide counting
 
 
 @contextmanager
 def counting_slides():
-    """Count the calls of rewriting._swap_variants, through which every
-    slide and every single-slide move goes."""
+    """Count the calls of interchange._readings, through which every slide
+    and every single-slide move of the kernel goes."""
     count = [0]
+    readings = interchange._readings
 
-    def counted(a, b):
+    def counted(*args):
         count[0] += 1
-        return _swap_variants(a, b)
+        return readings(*args)
 
-    rewriting._swap_variants = counted
+    interchange._readings = counted
     try:
         yield count
     finally:
-        rewriting._swap_variants = _swap_variants
+        interchange._readings = readings
 
 
 def has_inverse_pair(stack):
@@ -235,16 +314,26 @@ def stacks(draw, max_layers=10):
 # properties
 
 
+def assert_kernel_matches_reference(p, stack):
+    """canonical_stack, the cancellations, and the whole move and
+    successor lists of the packed state, against the Layer-level
+    reference."""
+    assert canonical_stack(stack) == ref_canonical_stack(stack)
+    assert kernel_cancellations(stack) == ref_cancellations(stack)
+    table, state, rules = packed(p, stack)
+    layer_rules = _layer_rules(p)
+    got = [_unpack(s, table)
+           for s in interchange.moves(table, state, rules, Budget(10**6))]
+    assert got == ref_moves(stack, layer_rules, Budget(10**6))
+    got = [_unpack(s, table) for s in
+           interchange.successors(table, state, rules, Budget(10**6))]
+    assert got == ref_stack_successors(stack, layer_rules, Budget(10**6))
+
+
 @settings(max_examples=300)
 @given(stacks())
 def test_interchange_core_matches_reference(case):
-    p, stack = case
-    assert canonical_stack(stack) == ref_canonical_stack(stack)
-    assert _cancellations(stack) == ref_cancellations(stack)
-    for rule in _layer_rules(p):
-        for i in range(len(stack.layers)):
-            assert (_try_window(stack, i, rule)
-                    == ref_try_window(stack, i, rule))
+    assert_kernel_matches_reference(*case)
 
 
 @settings(max_examples=300)
@@ -252,7 +341,7 @@ def test_interchange_core_matches_reference(case):
 def test_no_slides_without_an_inverse_pair(case):
     p, stack = case
     with counting_slides() as count:
-        got = _cancellations(stack)
+        got = kernel_cancellations(stack)
     if not has_inverse_pair(stack):
         assert got == [] and count[0] == 0
 
@@ -274,20 +363,25 @@ def test_point_degenerate_pairs_match_reference():
     ]
     for stack in cases:
         stack.tgtword()
-        assert canonical_stack(stack) == ref_canonical_stack(stack)
-        got = _cancellations(stack)
-        assert got and got == ref_cancellations(stack)
+        assert_kernel_matches_reference(p, stack)
+        assert kernel_cancellations(stack)
 
 
-def _fixed_adj_stack():
-    """The fixed 40-layer adj stack of the diagrams benchmark workload,
-    drawn the same way, from random.Random(0)."""
+def _bench_diagrams():
+    """perfbench/diagrams.py, the diagrams benchmark's pair generator."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "diagrams.py"
     spec = importlib.util.spec_from_file_location("_bench_diagrams", path)
     diagrams = importlib.util.module_from_spec(spec)
     # dataclasses look their module up while the class is made
     sys.modules[spec.name] = diagrams
     spec.loader.exec_module(diagrams)
+    return diagrams
+
+
+def _fixed_adj_stack():
+    """The fixed 40-layer adj stack of the diagrams benchmark workload,
+    drawn the same way, from random.Random(0)."""
+    diagrams = _bench_diagrams()
     fixed = random.Random(0)
     w = diagrams.start_word(fixed, diagrams.ADJ)
     layers = diagrams.random_stack(fixed, diagrams.ADJ, w, 40)
@@ -306,5 +400,41 @@ def test_slide_counts_on_the_fixed_40_layer_stack():
     assert count[0] <= 4000
     assert got == ref_canonical_stack(stack)
     with counting_slides() as count:
-        assert _cancellations(stack) == []
+        assert kernel_cancellations(stack) == []
     assert count[0] == 0
+
+
+# the (verdict, budget spent) of every search below, as the Layer-object
+# search that the packed kernel replaced made them
+SEARCH_TRACE_SHA256 = ("fb14ebd1faed8414015c4e5bd41a83fd1d92492c"
+                       "d1ef1d6b8d9827acf88bfd6a")
+
+
+def test_every_search_keeps_its_verdict_and_budget(monkeypatch):
+    """Every _meet call of the hopf-square queries and of 96 diagrams
+    pairs (seeds 1 and 2): its verdict and the budget it spent, in
+    order."""
+    monkeypatch.delenv("HOPFSMITH_BUDGET", raising=False)
+    trace = []
+    meet = rewriting._meet
+
+    def recorded(a, b, successors, budget, stop):
+        left = budget.left
+        verdict = meet(a, b, successors, budget, stop)
+        trace.append((verdict.name, left - budget.left))
+        return verdict
+
+    monkeypatch.setattr(rewriting, "_meet", recorded)
+    mates.hopf_square_terms(mates.walking_retract())
+    hs = mates.hopf_square_terms(mates.trivial_retract())
+    eq(hs.H, Id(Id(Gen("one"))), hs.record.presentation)
+    base = mnd().base
+    signatures = {"mnd": base, "adj": adj().base,
+                  "mnd-free": Presentation(base.max_dim, dict(base.gens))}
+    diagrams = _bench_diagrams()
+    for seed in (1, 2):
+        for pair in diagrams.make_pairs(seed, [2, 3, 4] * 4):
+            eq(pair.left, pair.right, signatures[pair.signature])
+    assert len(trace) == 105
+    digest = hashlib.sha256(json.dumps(trace).encode()).hexdigest()
+    assert digest == SEARCH_TRACE_SHA256

@@ -34,12 +34,17 @@ PRIVATE = {"_maps", "_of", "_row_map", "_EMPTY"}
 JSON_LOADERS = {("bialgebra.py", "bialgebra_from_json"),
                 ("cli.py", "cmd_reconstruct")}
 # the interchange core: every function that slides, canonicalizes,
-# cancels or matches layers, reading words from the atoms alone
+# cancels or matches layers, reading words from the atoms or from the
+# search's atom table alone
 INTERCHANGE_CORE = {("rewriting.py", name) for name in (
     "Stack.word_before", "Stack.tgtword", "_swap_variants", "slide",
-    "slide_left", "_slide_right", "canonical_stack", "_pair_cancels",
-    "_cancellations", "_cancel_inverses", "_try_window", "_match_rule",
-    "_stack_successors")} | {("evaluate.py", "_align")}
+    "slide_left", "canonical_stack", "_pack", "_unpack")} | {
+    ("interchange.py", name) for name in (
+        "AtomTable.__init__", "AtomTable.add", "AtomTable._new", "_flat",
+        "_readings", "_slide_left", "_slide_right", "canonical",
+        "_pair_cancels", "_without", "cancellations", "cancel_inverses",
+        "_fire", "_apply", "_windows", "moves", "successors")} | {
+    ("evaluate.py", "_align")}
 
 
 def private_uses(tree):

