@@ -1,12 +1,14 @@
 """The interchange kernel: 2-cell stacks as packed integer layers.
 
-A 2-cell search (rewriting._eq2) builds one AtomTable.  It gives an int
-id to every atom (name, inverted) the search can meet and to its
-inverse, and holds per id the source and target words, their lengths,
-the id of the inverse, and the rank of (name, inverted) among the atoms
-of the table.  A state is (srcword, (off0, id0, off1, id1, ...)): the
-source word and the layers in firing order, flattened, so states hash
-and compare as plain tuples.
+An AtomTable gives an int id to every atom (name, inverted) it meets
+and to its inverse, and holds per id the source and target words, their
+lengths, the id of the inverse, and the rank of (name, inverted) among
+the atoms of the table.  A state is (srcword, (off0, id0, off1, id1,
+...)): the source word and the layers in firing order, flattened, so
+states hash and compare as plain tuples.
+
+rewriting keeps one table per presentation for all its 2-cell searches,
+with the packed oriented 2-rules and the memos of successors.
 
 The moves are those of rewriting.Stack, on states:
 
@@ -23,6 +25,7 @@ Nothing here reads a presentation: a table holds every word it needs.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .terms import TermError
@@ -35,10 +38,11 @@ Rule = Tuple[Word, Flat, Flat]
 
 
 class AtomTable:
-    """The atoms of one search, by int id.  Adding an atom adds its
-    inverse too, with the words swapped, and re-ranks every atom, so the
-    rank order of the atoms already in states never changes.  The table
-    also keeps the canonical form of each state successors has met."""
+    """Atoms by int id.  Adding an atom adds its inverse too, with the
+    words swapped, and re-ranks every atom, so the rank order of the
+    atoms already in states never changes.  The table also keeps its
+    rules, which every successors call on it must be given, successors'
+    memos, and the lock that serializes the searches on it."""
 
     def __init__(self):
         self.ids: Dict[Tuple[str, bool], int] = {}
@@ -49,7 +53,10 @@ class AtomTable:
         self.nt: List[int] = []
         self.inv: List[int] = []
         self.rank: List[int] = []
+        self.rules: List[Rule] = []
         self.canonical_of: Dict[State, State] = {}
+        self.successors_of: Dict[State, Tuple[int, Tuple[State, ...]]] = {}
+        self.lock = threading.Lock()
 
     def add(self, name: str, inverted: bool, src: Word, tgt: Word) -> int:
         got = self.ids.get((name, inverted))
@@ -142,8 +149,8 @@ def canonical(tab: AtomTable, state: State) -> State:
     after the first atom with a member that slides to the front: a slide
     keeps the atom, so every later atom has a larger key.  Emitting a
     layer keeps the order of the rest, so the sorted candidates are kept
-    from round to round.  The slide is _slide_left's loop, inlined: this
-    is the kernel's hot loop."""
+    from round to round.  The slide is _slide_left's loop, inlined with
+    _readings' two tests written out: this is the kernel's hot loop."""
     word, flat = state
     offs, ids = list(flat[0::2]), list(flat[1::2])
     ns, nt, rank = tab.ns, tab.nt, tab.rank
@@ -163,10 +170,9 @@ def canonical(tab: AtomTable, state: State) -> State:
             o, shifted = offs[i], []
             for j in range(i - 1, -1, -1):
                 y = ids[j]
-                r = _readings(ns, nt, offs[j], y, o, x)
-                if r & 1:
+                if offs[j] + nt[y] <= o:
                     o += ns[y] - nt[y]
-                elif r:
+                elif o + ns[x] <= offs[j]:
                     shifted.append(j)
                 else:
                     stuck[i] = j == i - 1
@@ -341,10 +347,19 @@ def moves(tab: AtomTable, state: State, rules: Sequence[Rule],
 
 
 def successors(tab: AtomTable, state: State, rules: Sequence[Rule],
-               budget) -> List[State]:
+               budget) -> Tuple[State, ...]:
     """The canonical states one move away.  Different moves, from one state
     or from two, often give the same state, so each table keeps the
-    canonical form of every state it has canonicalized."""
+    canonical form of every state it has canonicalized, and the successors
+    of every state expanded within budget with the windows charged.  A
+    stored state is replayed, charging those windows, only when the
+    budget covers them, so every search spends what a fresh table
+    would."""
+    left = budget.left
+    hit = tab.successors_of.get(state)
+    if hit is not None and hit[0] <= left:
+        budget.spend(hit[0])
+        return hit[1]
     seen = tab.canonical_of
     out = []
     for nxt in moves(tab, state, rules, budget):
@@ -352,4 +367,7 @@ def successors(tab: AtomTable, state: State, rules: Sequence[Rule],
         if got is None:
             got = seen[nxt] = canonical(tab, nxt)
         out.append(got)
+    out = tuple(out)
+    if budget.left >= 0:
+        tab.successors_of[state] = (left - budget.left, out)
     return out

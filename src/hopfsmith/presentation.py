@@ -48,6 +48,11 @@ class Presentation:
     # mention, which add never changes and relate never reads
     _words: Dict[str, tuple] = field(default_factory=dict, repr=False,
                                      compare=False)
+    # rewriting's interchange kernel, filled by the first 2-cell search.
+    # relate drops it, since it holds the packed oriented 2-rules; so does
+    # add, since a rule naming a generator not yet added was left out
+    _kernel: Optional[object] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     # -- construction -------------------------------------------------
 
@@ -58,11 +63,13 @@ class Presentation:
         if d > self.max_dim:
             raise TermError(f"generator {name!r} exceeds maxDim {self.max_dim}")
         self.gens[name] = Generator(name, d, src, tgt, invertible)
+        self._kernel = None
         return Gen(name)
 
     def relate(self, d: int, lhs: CellTerm, rhs: CellTerm,
                oriented: bool = False) -> None:
         self.relations.append(Relation(d, lhs, rhs, oriented))
+        self._kernel = None
 
     # -- views ---------------------------------------------------------
 

@@ -23,13 +23,15 @@ window tried, in every dimension.  An exhausted budget gives Unknown.
 A stack is a complete value: stack_of gives each atom its generator's
 source and target words (swapped when inverted) from the presentation's
 boundary-word table.  The 2-cell search runs in the `interchange` kernel
-on packed states: _eq2 builds one atom table per search, an int id per
-atom and its inverse with their words, packs both stacks and the
-oriented 2-rules into (source word, (offset, id, ...)) tuples once, and
-_meet explores those, so slides, canonicalization, cancellation and rule
-matching are functions of the states and the table alone.  Stack,
-slide and slide_left stay for evaluate, and canonical_stack packs a
-single stack for the kernel and unpacks the result.
+on packed states: each presentation keeps one atom table, filled by its
+first 2-cell search with the packed oriented 2-rules, and it memoizes
+canonical forms and successors for every later search (add and relate
+drop it).  _eq2 packs both stacks into it under its lock, and _meet
+explores the (source word, (offset, id, ...)) tuples, so slides,
+canonicalization, cancellation and rule matching are functions of the
+states and the table alone.  Stack, slide and slide_left stay for
+evaluate, and canonical_stack packs a single stack for the kernel and
+unpacks the result.
 
 Every comparison starts with the boundary certificate, `parallel`: the
 k-sources and k-targets of both sides are taken once each and compared
@@ -206,43 +208,45 @@ class Stack:
 def stack_of(t: CellTerm, p: Presentation) -> Stack:
     """Layer decomposition of a 2-cell term.  The term is normalized once
     and its source boundary taken once; _layers_rec then walks the normal
-    term without normalizing again, so the cost is linear in its size
-    plus the boundary words of its 0-composites' left parts.  TermError
-    when a generator's boundary is not a word."""
+    term without normalizing again, in time linear in its size.
+    TermError when a generator's boundary is not a word."""
     t = p.normalize(t)
     d = p.dim(t)
     if d != 2:
         raise TermError(f"not a 2-cell term: dimension {d}")
     src = word_of(top_boundary(t, SOURCE, p.gens, d), p)
-    layers = tuple(_layers_rec(t, 0, p))
-    return Stack(src, layers)
+    layers: List[Layer] = []
+    _layers_rec(t, 0, p, layers)
+    return Stack(src, tuple(layers))
 
 
-def _layers_rec(t: CellTerm, offset: int, p: Presentation) -> List[Layer]:
-    """The layers of a normal 2-cell term whose source word starts at
-    offset.  Its subterms are normal too, so none is normalized again;
-    boundaries are taken at the known dimension 2."""
+def _layers_rec(t: CellTerm, offset: int, p: Presentation,
+                out: List[Layer]) -> Tuple[Letter, ...]:
+    """Append the layers of a normal 2-cell term whose source word starts
+    at offset to out, and return its target word.  Its subterms are
+    normal too, so none is normalized again."""
     if isinstance(t, Id):
-        return []
+        return word_of(t.inner, p)
     if isinstance(t, Gen):
-        return [Layer(offset, Atom(t.name, False, *p.boundary_words(t.name)))]
-    if isinstance(t, Inv):
-        if isinstance(t.inner, Gen):
-            atom = Atom(t.inner.name, False, *p.boundary_words(t.inner.name))
-            return [Layer(offset, atom.inverse())]
-        raise TermError(f"Inv not pushed to a leaf: {t!r}")
-    if not isinstance(t, Comp):
+        atom = Atom(t.name, False, *p.boundary_words(t.name))
+    elif isinstance(t, Inv):
+        if not isinstance(t.inner, Gen):
+            raise TermError(f"Inv not pushed to a leaf: {t!r}")
+        atom = Atom(t.inner.name, True,
+                    *reversed(p.boundary_words(t.inner.name)))
+    elif not isinstance(t, Comp):
         raise TermError(f"not a 2-cell term: {t!r}")
-    if t.k == 1:
-        return (_layers_rec(t.left, offset, p)
-                + _layers_rec(t.right, offset, p))
-    if t.k == 0:
+    elif t.k == 1:
+        _layers_rec(t.left, offset, p, out)
+        return _layers_rec(t.right, offset, p, out)
+    elif t.k == 0:
         # interchange expansion, left part fires first
-        left_tgt = word_of(top_boundary(t.left, TARGET, p.gens, 2), p)
-        left_layers = _layers_rec(t.left, offset, p)
-        right_layers = _layers_rec(t.right, offset + len(left_tgt), p)
-        return left_layers + right_layers
-    raise TermError(f"composition level {t.k} inside a 2-cell")
+        left = _layers_rec(t.left, offset, p, out)
+        return _join(left, _layers_rec(t.right, offset + len(left), p, out))
+    else:
+        raise TermError(f"composition level {t.k} inside a 2-cell")
+    out.append(Layer(offset, atom))
+    return atom.tgt
 
 
 def _swap_variants(a: Layer, b: Layer) -> List[Tuple[Layer, Layer]]:
@@ -484,27 +488,35 @@ def _certificate(a: CellTerm, b: CellTerm, d: int, p: Presentation,
 
 
 def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
-    """The 2-cell search, on the packed states of one atom table."""
+    """The 2-cell search, on the packed states of the presentation's
+    kernel, under its lock."""
     try:
         sa = stack_of(a, p)
         sb = stack_of(b, p)
     except TermError:
         return EQ_UNKNOWN
-    table = interchange.AtomTable()
-    sa = (sa.srcword, _pack(sa.layers, table))
-    sb = (sb.srcword, _pack(sb.layers, table))
-    xa = interchange.cancel_inverses(table, sa)
-    xb = interchange.cancel_inverses(table, sb)
-    ca, cb = interchange.canonical(table, xa), interchange.canonical(table, xb)
-    if ca == cb:
-        return EQ_EQUAL
-    rules = _packed_rules(p, table)
-    step = lambda s: interchange.successors(table, s, rules, budget)
-    # with nothing cancelled, the search starts from the state already
-    # canonicalized
-    start_a = ca if xa is sa else interchange.canonical(table, sa)
-    start_b = cb if xb is sb else interchange.canonical(table, sb)
-    return _meet(start_a, start_b, step, budget, {cb})
+    table = p._kernel
+    # the first 2-cell search since add or relate builds it; two such
+    # searches at once each build and use their own, and one is kept
+    if table is None:
+        table = interchange.AtomTable()
+        table.rules = _packed_rules(p, table)
+        p._kernel = table
+    with table.lock:
+        sa = (sa.srcword, _pack(sa.layers, table))
+        sb = (sb.srcword, _pack(sb.layers, table))
+        xa = interchange.cancel_inverses(table, sa)
+        xb = interchange.cancel_inverses(table, sb)
+        ca = interchange.canonical(table, xa)
+        cb = interchange.canonical(table, xb)
+        if ca == cb:
+            return EQ_EQUAL
+        step = lambda s: interchange.successors(table, s, table.rules, budget)
+        # with nothing cancelled, the search starts from the state already
+        # canonicalized
+        start_a = ca if xa is sa else interchange.canonical(table, sa)
+        start_b = cb if xb is sb else interchange.canonical(table, sb)
+        return _meet(start_a, start_b, step, budget, {cb})
 
 
 def _eq_high(a: CellTerm, b: CellTerm, d: int, p: Presentation,

@@ -206,9 +206,10 @@ class SkeletonReport:
 
 
 def _split_moves(t: CellTerm, p: Presentation) -> List[CellTerm]:
-    """Expand a 3-cell into a sequence of single generating moves by
-    distributing whiskers over 2-composition."""
-    t = p.normalize(t)
+    """Expand a normal 3-cell into a sequence of single generating moves by
+    distributing whiskers over 2-composition.  The subterms of a normal
+    term are normal too, so only the whiskered parts built here are
+    normalized."""
     if isinstance(t, Id):
         return []
     if isinstance(t, Comp):
@@ -223,7 +224,8 @@ def _split_moves(t: CellTerm, p: Presentation) -> List[CellTerm]:
         # sequentialize by interchange: the left part fires first
         first = Comp(t.k, t.left, Id(p.boundary(t.right, "source", 2)))
         second = Comp(t.k, Id(p.boundary(t.left, "target", 2)), t.right)
-        return _split_moves(first, p) + _split_moves(second, p)
+        return (_split_moves(p.normalize(first), p)
+                + _split_moves(p.normalize(second), p))
     return [t]
 
 
@@ -263,7 +265,7 @@ def proof_skeleton_check(budget: Optional[int] = None,
     to_e = _o2_to_eo2()
     gm = GrayMorphism(to_e, to_e, eg)
     image = gm.push(oriental_shear_term())
-    steps_terms = _split_moves(image, eg)
+    steps_terms = _split_moves(eg.normalize(image), eg)
     # the invertibility argument runs on the chain whiskered below by the
     # crossing of the two adjoint-pattern wires; the crossing's target is
     # exactly the image's boundary word, so the whisker composes on the nose

@@ -1,11 +1,15 @@
 """Hypothesis settings for the whole suite: the same examples on every run
 (derandomized, with no example database on disk), and no per-example
 deadline, which a slow or busy machine would turn into spurious failures.
-Also one presentation shared by the budget tests."""
+Also one presentation shared by the budget tests, and the queries of the
+hopf-square check shared by the kernel tests."""
+
+from unittest import mock
 
 import pytest
 from hypothesis import settings
 
+from hopfsmith import mates
 from hopfsmith.presentation import Presentation
 
 settings.register_profile("suite", derandomize=True, deadline=None,
@@ -24,3 +28,20 @@ def undecidable_at_budget_0():
     p.add("t", 3, p.add("a", 2, f, k), p.add("b", 2, g, k))
     p.relate(1, f, g, oriented=True)
     return p
+
+
+@pytest.fixture(scope="session")
+def hopf_square_queries():
+    """The JSON of walking_retract()'s presentation and the (left, right)
+    pair of every eq query that hopf_square_terms makes over it."""
+    rec = mates.walking_retract()
+    queries = []
+    eq = mates.eq
+
+    def recorded(a, b, p, budget=None):
+        queries.append((a, b))
+        return eq(a, b, p, budget)
+
+    with mock.patch.object(mates, "eq", recorded):
+        mates.hopf_square_terms(rec)
+    return rec.presentation.dumps(), queries

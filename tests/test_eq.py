@@ -3,6 +3,7 @@ fragment, soundness of oriented-rule steps, interchange normalization,
 inverse cancellation."""
 
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -174,15 +175,32 @@ def test_whiskered_rule_step_equal():
     assert eq(M.normalize(lhs), M.normalize(rhs), M) is EQ_EQUAL
 
 
-def test_concurrent_readonly_use():
-    # values are immutable and operations pure: parallel queries agree
+def test_concurrent_readonly_use(hopf_square_queries):
+    # searches on one presentation share its kernel, under its lock: the
+    # hopf-square queries at three budgets, from 8 threads that switch as
+    # often as the interpreter lets them, each give the verdict and spend
+    # the budget of a sequential run
     import concurrent.futures
-    m, Ag = Gen("m"), Gen("A")
-    a = comp(1, comp(0, Id(Ag), m), m)
-    b = comp(1, comp(0, m, Id(Ag)), m)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as ex:
-        results = list(ex.map(lambda _: eq(a, b, M).name, range(32)))
-    assert set(results) == {"Equal"}
+    text, pairs = hopf_square_queries
+    jobs = [(a, b, steps) for a, b in pairs for steps in (40, 200, 10_000)]
+
+    def run(p, job):
+        a, b, steps = job
+        budget = Budget(steps)
+        v = rewriting._eq(p.normalize(a), p.normalize(b), p, budget, True)
+        return v.name, steps - budget.left
+
+    sequential = Presentation.loads(text)
+    want = [run(sequential, job) for job in jobs]
+    shared = Presentation.loads(text)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as ex:
+            got = list(ex.map(lambda job: run(shared, job), jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_point_degenerate_interchange_orders_equal():
