@@ -7,8 +7,7 @@ the atoms of the table.  A state is (srcword, (off0, id0, off1, id1,
 ...)): the source word and the layers in firing order, flattened, so
 states hash and compare as plain tuples.
 
-rewriting keeps one table per presentation for all its 2-cell searches,
-with the packed oriented 2-rules and the memos of successors.
+rewriting keeps one table, with its rules and memos, per presentation.
 
 The moves are those of rewriting.Stack, on states:
 
@@ -35,14 +34,16 @@ Flat = Tuple[int, ...]
 State = Tuple[Word, Flat]
 # an oriented 2-rule: its source word, then both sides as flat layers
 Rule = Tuple[Word, Flat, Flat]
+# memos outlive a search only up to this many canonical forms (~650 B each)
+MEMO_STATES = 10_000
 
 
 class AtomTable:
     """Atoms by int id.  Adding an atom adds its inverse too, with the
     words swapped, and re-ranks every atom, so the rank order of the
-    atoms already in states never changes.  The table also keeps its
-    rules, which every successors call on it must be given, successors'
-    memos, and the lock that serializes the searches on it."""
+    atoms already in states never changes.  The table also keeps the
+    oriented rules that moves applies, successors' memos, and the lock
+    that serializes the searches on it."""
 
     def __init__(self):
         self.ids: Dict[Tuple[str, bool], int] = {}
@@ -53,7 +54,7 @@ class AtomTable:
         self.nt: List[int] = []
         self.inv: List[int] = []
         self.rank: List[int] = []
-        self.rules: List[Rule] = []
+        self.rules: Optional[List[Rule]] = None
         self.canonical_of: Dict[State, State] = {}
         self.successors_of: Dict[State, Tuple[int, Tuple[State, ...]]] = {}
         self.lock = threading.Lock()
@@ -317,16 +318,15 @@ def _windows(tab: AtomTable, state: State, words: List[Word], rule: Rule,
     return out
 
 
-def moves(tab: AtomTable, state: State, rules: Sequence[Rule],
-          budget) -> List[State]:
-    """The states one move away, in order: every oriented rule
-    application, every inverse-pair cancellation and every single slide
-    (both readings of a point-degenerate pair).  Cancellation is a move
-    rather than a preprocessing step: cancelling eagerly can destroy
-    rule redexes."""
+def moves(tab: AtomTable, state: State, budget) -> List[State]:
+    """The states one move away, in order: every application of the
+    table's oriented rules, every inverse-pair cancellation and every
+    single slide (both readings of a point-degenerate pair).  Cancellation
+    is a move rather than a preprocessing step: cancelling eagerly can
+    destroy rule redexes."""
     words = [state[0]]
     out: List[State] = []
-    for rule in rules:
+    for rule in tab.rules:
         out += _windows(tab, state, words, rule, budget)
     out += cancellations(tab, state)
     # single slides: canonicalization collapses ordinary interchange, but
@@ -346,15 +346,12 @@ def moves(tab: AtomTable, state: State, rules: Sequence[Rule],
     return out
 
 
-def successors(tab: AtomTable, state: State, rules: Sequence[Rule],
-               budget) -> Tuple[State, ...]:
-    """The canonical states one move away.  Different moves, from one state
-    or from two, often give the same state, so each table keeps the
-    canonical form of every state it has canonicalized, and the successors
-    of every state expanded within budget with the windows charged.  A
-    stored state is replayed, charging those windows, only when the
-    budget covers them, so every search spends what a fresh table
-    would."""
+def successors(tab: AtomTable, state: State, budget) -> Tuple[State, ...]:
+    """The canonical states one move away.  The table memoizes canonical
+    forms, and the successors of each state expanded within budget with
+    the windows charged; these are replayed, charging those windows, only
+    when the budget covers them, so a search spends what it would on a
+    fresh table."""
     left = budget.left
     hit = tab.successors_of.get(state)
     if hit is not None and hit[0] <= left:
@@ -362,7 +359,7 @@ def successors(tab: AtomTable, state: State, rules: Sequence[Rule],
         return hit[1]
     seen = tab.canonical_of
     out = []
-    for nxt in moves(tab, state, rules, budget):
+    for nxt in moves(tab, state, budget):
         got = seen.get(nxt)
         if got is None:
             got = seen[nxt] = canonical(tab, nxt)

@@ -54,6 +54,10 @@ class Presentation:
     _kernel: Optional[object] = field(default=None, init=False, repr=False,
                                       compare=False)
 
+    def __getstate__(self) -> dict:
+        # copies and pickles leave out the derived kernel and its lock
+        return {**self.__dict__, "_kernel": None}
+
     # -- construction -------------------------------------------------
 
     def add(self, name: str, d: int, src: Optional[CellTerm] = None,

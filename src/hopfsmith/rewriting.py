@@ -23,15 +23,15 @@ window tried, in every dimension.  An exhausted budget gives Unknown.
 A stack is a complete value: stack_of gives each atom its generator's
 source and target words (swapped when inverted) from the presentation's
 boundary-word table.  The 2-cell search runs in the `interchange` kernel
-on packed states: each presentation keeps one atom table, filled by its
-first 2-cell search with the packed oriented 2-rules, and it memoizes
-canonical forms and successors for every later search (add and relate
-drop it).  _eq2 packs both stacks into it under its lock, and _meet
-explores the (source word, (offset, id, ...)) tuples, so slides,
-canonicalization, cancellation and rule matching are functions of the
-states and the table alone.  Stack, slide and slide_left stay for
-evaluate, and canonical_stack packs a single stack for the kernel and
-unpacks the result.
+on packed states.  Each presentation keeps one atom table, made by its
+first 2-cell search and dropped by add and relate, with memos of
+canonical forms and successors and the oriented 2-rules, packed by the
+first search that explores.  _eq2 packs both stacks into it under its
+lock, and _meet explores the (source word, (offset, id, ...)) tuples,
+so slides, canonicalization, cancellation and rule matching are
+functions of the states and the table alone.  Stack, slide and
+slide_left stay for evaluate, and canonical_stack packs a single stack
+for the kernel and unpacks it.
 
 Every comparison starts with the boundary certificate, `parallel`: the
 k-sources and k-targets of both sides are taken once each and compared
@@ -496,13 +496,12 @@ def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
     except TermError:
         return EQ_UNKNOWN
     table = p._kernel
-    # the first 2-cell search since add or relate builds it; two such
-    # searches at once each build and use their own, and one is kept
+    # two first searches at once each build and use their own; one is kept
     if table is None:
-        table = interchange.AtomTable()
-        table.rules = _packed_rules(p, table)
-        p._kernel = table
+        table = p._kernel = interchange.AtomTable()
     with table.lock:
+        if len(table.canonical_of) > interchange.MEMO_STATES:
+            table.canonical_of, table.successors_of = {}, {}
         sa = (sa.srcword, _pack(sa.layers, table))
         sb = (sb.srcword, _pack(sb.layers, table))
         xa = interchange.cancel_inverses(table, sa)
@@ -511,7 +510,9 @@ def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
         cb = interchange.canonical(table, xb)
         if ca == cb:
             return EQ_EQUAL
-        step = lambda s: interchange.successors(table, s, table.rules, budget)
+        if table.rules is None:
+            table.rules = _packed_rules(p, table)
+        step = lambda s: interchange.successors(table, s, budget)
         # with nothing cancelled, the search starts from the state already
         # canonicalized
         start_a = ca if xa is sa else interchange.canonical(table, sa)

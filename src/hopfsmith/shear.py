@@ -207,9 +207,8 @@ class SkeletonReport:
 
 def _split_moves(t: CellTerm, p: Presentation) -> List[CellTerm]:
     """Expand a normal 3-cell into a sequence of single generating moves by
-    distributing whiskers over 2-composition.  The subterms of a normal
-    term are normal too, so only the whiskered parts built here are
-    normalized."""
+    distributing whiskers over 2-composition.  Subterms of a normal term
+    are normal, so only the whiskered parts built here are normalized."""
     if isinstance(t, Id):
         return []
     if isinstance(t, Comp):

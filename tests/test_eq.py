@@ -313,8 +313,8 @@ def unstopped_eq2(a, b, p, budget):
     cb = canonical(interchange.cancel_inverses(table, sb))
     if ca == cb:
         return EQ_EQUAL
-    rules = _packed_rules(p, table)
-    step = lambda s: interchange.successors(table, s, rules, budget)
+    table.rules = _packed_rules(p, table)
+    step = lambda s: interchange.successors(table, s, budget)
     seen_a, done_a = _explore(canonical(sa), step, budget)
     if cb in seen_a:
         return EQ_EQUAL

@@ -5,16 +5,20 @@ packed oriented 2-rules and the memos of canonical forms and successors.
 Sharing must change nothing: every query gives the verdict and spends
 the budget it does on a fresh copy of the presentation, whatever ran
 before it.  relate changes the rules and add can make a rule live, so
-both drop the kernel.
+both drop the kernel; copies and pickles leave it out, and a search
+drops its memos once they pass interchange.MEMO_STATES.
 """
 
+import copy
 import importlib.util
+import pickle
 import sys
+import threading
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from hopfsmith import rewriting
+from hopfsmith import interchange, rewriting
 from hopfsmith.presentation import Presentation
 from hopfsmith.rewriting import Budget, EQ_DISTINCT, EQ_EQUAL, eq
 from hopfsmith.terms import Gen
@@ -96,3 +100,56 @@ def test_add_drops_the_kernel():
     assert eq(a, c, p) is EQ_DISTINCT
     b = p.add("b", 2, f, f)
     assert eq(a, b, p) is EQ_EQUAL
+
+
+def _memo_size(p):
+    return len(p._kernel.canonical_of)
+
+
+def test_memos_are_dropped_past_their_bound(hopf_square_queries,
+                                            monkeypatch):
+    # with a bound of 0 every 2-cell search starts from empty memos, so the
+    # shared kernel ends each query that makes one with the memos of a
+    # fresh presentation
+    text, pairs = hopf_square_queries
+    monkeypatch.setattr(interchange, "MEMO_STATES", 0)
+    shared = Presentation.loads(text)
+    compared = 0
+    for a, b in pairs + pairs:
+        fresh = Presentation.loads(text)
+        assert verdict_and_spent(a, b, shared, 10_000) == verdict_and_spent(
+            a, b, fresh, 10_000)
+        if fresh._kernel is not None:
+            assert _memo_size(shared) == _memo_size(fresh)
+            compared += _memo_size(fresh) > 0
+    assert compared
+
+
+def test_copies_and_pickles_leave_the_kernel_out(hopf_square_queries):
+    text, pairs = hopf_square_queries
+    p = Presentation.loads(text)
+    want = [eq(a, b, p) for a, b in pairs]
+    assert p._kernel is not None
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert q == p and q._kernel is None
+        assert [eq(a, b, q) for a, b in pairs] == want
+    assert p._kernel is not None
+
+
+def test_searches_wait_for_the_kernel_lock(hopf_square_queries):
+    # without the lock, two searches that add one atom at once could give
+    # it two ids; a search started while the lock is held must wait
+    text, pairs = hopf_square_queries
+    p = Presentation.loads(text)
+    for a, b in pairs:
+        eq(a, b, p)
+        if p._kernel is not None:
+            break
+    done = threading.Event()
+    worker = threading.Thread(target=lambda: (eq(a, b, p), done.set()))
+    with p._kernel.lock:
+        worker.start()
+        assert not done.wait(0.5)
+    assert done.wait(60)
+    worker.join(60)
+    assert not worker.is_alive()
