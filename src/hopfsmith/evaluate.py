@@ -26,13 +26,14 @@ which is the same thing as evaluating the diagram in the smash.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
+from . import interchange
 from .bialgebra import NE, Bialgebra, shear
 from .gray import pair_name
 from .matrix import Matrix
 from .presentation import Presentation
-from .rewriting import Layer, Stack, slide, slide_left, stack_of
+from .rewriting import stack_of
 from .shear import universal_shear
 from .terms import CellTerm, Comp, Gen, Id, Inv, TermError, generators
 
@@ -141,62 +142,34 @@ def _is_wire_tower(t: CellTerm, p: Presentation) -> bool:
 def _junction(a2: CellTerm, b2: CellTerm, ctx: EvalContext,
               p: Presentation) -> Matrix:
     """The matrix realizing the interchange slides that align the target
-    layers of one move with the source layers of the next."""
+    layers of one move with the source layers of the next: both are
+    packed over one atom table, interchange.align gives the swaps, and
+    each swap of two crossings braids their tensor slots."""
     B = ctx.bialgebra
     F, n = B.field, B.n
-    sa = stack_of(p.normalize(a2), p)
-    sb = stack_of(p.normalize(b2), p)
-    if sa.layers == sb.layers:
-        return Matrix.identity(F, n ** _count_cross(sa))
-    swaps = _align(list(sa.layers), list(sb.layers))
+    tab = interchange.AtomTable()
+    a = stack_of(a2, p, tab)[1]
+    b = stack_of(b2, p, tab)[1]
+    crossing = [name == CROSSING for name, _ in tab.keys]
+    total = sum(crossing[x] for x in a[1::2])
+    out = Matrix.identity(F, n ** total)
+    if a == b:
+        return out
+    swaps = interchange.align(tab, a, b)
     if swaps is None:
         raise EvaluationError(
             "composition boundaries differ by more than interchange slides; "
             "evaluate the uncollapsed diagram instead")
-    total = _count_cross(sa)
-    out = Matrix.identity(F, n ** total)
     parities = B.parities
-    for config, pos in swaps:
-        x, y = config[pos], config[pos + 1]
-        if x.atom.name == CROSSING and y.atom.name == CROSSING:
-            below = sum(1 for l in config[:pos] if l.atom.name == CROSSING)
+    for flat, pos in swaps:
+        ids = flat[1::2]
+        if crossing[ids[pos]] and crossing[ids[pos + 1]]:
+            below = sum(crossing[x] for x in ids[:pos])
             # factors are read top-down: slot 0 is the topmost crossing
             slot = total - 2 - below
             out = out.braid(n ** slot, parities, parities,
                             n ** (total - 2 - slot))
     return out
-
-
-def _count_cross(s: Stack) -> int:
-    return sum(1 for l in s.layers if l.atom.name == CROSSING)
-
-
-def _align(a: List[Layer], b: List[Layer]):
-    """Adjacent transpositions turning layer list a into b, or None.
-    Returns pairs (configuration before the swap, position)."""
-    if len(a) != len(b):
-        return None
-    a = list(a)
-    swaps = []
-    for k in range(len(b)):
-        if a[k] == b[k]:
-            continue
-        found = None
-        for j in range(k + 1, len(a)):
-            got = slide_left(a[k:j], a[j])
-            if got is not None and got[0] == b[k]:
-                found = j
-                break
-        if found is None:
-            return None
-        for j in range(found, k, -1):
-            sw = slide(a[j - 1], a[j])
-            assert sw is not None
-            swaps.append((tuple(a), j - 1))
-            a[j - 1], a[j] = sw
-    if a != b:
-        return None
-    return swaps
 
 
 def shear_semantics(ctx: EvalContext) -> Tuple[Matrix, Matrix]:

@@ -7,12 +7,15 @@ the atoms of the table.  A state is (srcword, (off0, id0, off1, id1,
 ...)): the source word and the layers in firing order, flattened, so
 states hash and compare as plain tuples.
 
-rewriting keeps one table, with its rules and memos, per presentation.
-
-The moves are those of rewriting.Stack, on states:
+rewriting keeps one table, with its rules and memos, per presentation,
+and rewriting.stack_of builds every state, adding its atoms to a table.
+This module alone decides whether two layers interchange.  The moves
+are those of the Layer-object reference in tests/, on states:
 
   _readings      the legal interchanges of two adjacent layers; a slide
                  takes the first one
+  align          the adjacent swaps that turn one layer sequence into
+                 another
   canonical      the greedy firing order under interchange (not a normal
                  form, so single slides stay search moves)
   cancellations  single removals of an inverse pair of layers
@@ -136,6 +139,41 @@ def _slide_right(ns: List[int], nt: List[int], offs: Sequence[int],
         else:
             return None
     return o, shifted
+
+
+def align(tab: AtomTable, a: Flat, b: Flat
+          ) -> Optional[List[Tuple[Flat, int]]]:
+    """The adjacent swaps that turn the layers a into the layers b, as
+    (the layers before the swap, the index of its first layer), or None
+    when these greedy swaps do not reach b.  Position by position, the
+    first later layer that slides to b's layer there is slid there, one
+    swap at a time, each by the first reading."""
+    if len(a) != len(b):
+        return None
+    ns, nt = tab.ns, tab.nt
+    offs, ids = list(a[0::2]), list(a[1::2])
+    swaps: List[Tuple[Flat, int]] = []
+    for k in range(len(ids)):
+        bo, bx = b[2 * k], b[2 * k + 1]
+        if offs[k] == bo and ids[k] == bx:
+            continue
+        # a slide keeps the atom, so only layers with b's atom are slid
+        for j in range(k + 1, len(ids)):
+            if ids[j] == bx:
+                got = _slide_left(ns, nt, offs, ids, k, j, offs[j], bx)
+                if got is not None and got[0] == bo:
+                    break
+        else:
+            return None
+        for i in range(j, k, -1):
+            swaps.append((_flat(offs, ids), i - 1))
+            x, y = ids[i - 1], ids[i]
+            if _readings(ns, nt, offs[i - 1], x, offs[i], y) & 1:
+                offs[i - 1], offs[i] = offs[i] + ns[x] - nt[x], offs[i - 1]
+            else:
+                offs[i - 1], offs[i] = offs[i], offs[i - 1] + nt[y] - ns[y]
+            ids[i - 1], ids[i] = y, x
+    return swaps
 
 
 def canonical(tab: AtomTable, state: State) -> State:

@@ -20,18 +20,16 @@ second side until it reaches a state the first side reached.  Both
 spend the caller's Budget: one unit per expanded state, and one per rule
 window tried, in every dimension.  An exhausted budget gives Unknown.
 
-A stack is a complete value: stack_of gives each atom its generator's
-source and target words (swapped when inverted) from the presentation's
-boundary-word table.  The 2-cell search runs in the `interchange` kernel
-on packed states.  Each presentation keeps one atom table, made by its
-first 2-cell search and dropped by add and relate, with memos of
-canonical forms and successors and the oriented 2-rules, packed by the
-first search that explores.  _eq2 packs both stacks into it under its
-lock, and _meet explores the (source word, (offset, id, ...)) tuples,
-so slides, canonicalization, cancellation and rule matching are
-functions of the states and the table alone.  Stack, slide and
-slide_left stay for evaluate, and canonical_stack packs a single stack
-for the kernel and unpacks it.
+A 2-cell is a state of the `interchange` kernel: its source word and a
+flat (offset, atom id, ...) tuple of layers.  stack_of builds it over
+an atom table, giving each atom its generator's source and target
+words (swapped when inverted) from the presentation's boundary-word
+table.  Each presentation keeps one atom table, made by its first
+2-cell search and dropped by add and relate, with memos of canonical
+forms and successors and the oriented 2-rules, packed by the first
+search that explores.  _eq2 builds both states in it under its lock,
+and _meet explores them, so slides, canonicalization, cancellation and
+rule matching are functions of the states and the table alone.
 
 Every comparison starts with the boundary certificate, `parallel`: the
 k-sources and k-targets of both sides are taken once each and compared
@@ -55,7 +53,6 @@ table, so this module names `Presentation` only in annotations.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, AbstractSet, Callable, Container, Dict,
                     Iterable, List, Optional, Sequence, Tuple, TypeVar)
 
@@ -163,190 +160,82 @@ def _rewrites(seq: tuple, rules, budget: Budget,
 
 
 # ---------------------------------------------------------------------------
-# layers: 2-cells as whiskered atom stacks
+# layers: 2-cells as packed states of the interchange kernel
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
-    inverted: bool
-    # the words it fires on and leaves; equality and hashing ignore them
-    src: Tuple[Letter, ...] = field(compare=False)
-    tgt: Tuple[Letter, ...] = field(compare=False)
-
-    def inverse(self) -> "Atom":
-        return Atom(self.name, not self.inverted, self.tgt, self.src)
-
-
-@dataclass(frozen=True)
-class Layer:
-    offset: int
-    atom: Atom
-
-
-@dataclass(frozen=True)
-class Stack:
-    """A 2-cell in layer form: the source word plus the layer sequence."""
-    srcword: Tuple[Letter, ...]
-    layers: Tuple[Layer, ...]
-
-    def word_before(self, i: int) -> Tuple[Letter, ...]:
-        """The word after the first i layers fire; TermError when a layer
-        does not fit the word it fires on."""
-        w = self.srcword
-        for layer in self.layers[:i]:
-            a, b = layer.atom.src, layer.atom.tgt
-            if w[layer.offset:layer.offset + len(a)] != a:
-                raise TermError("layer does not fit its word")
-            w = w[:layer.offset] + b + w[layer.offset + len(a):]
-        return w
-
-    def tgtword(self) -> Tuple[Letter, ...]:
-        return self.word_before(len(self.layers))
-
-
-def stack_of(t: CellTerm, p: Presentation) -> Stack:
-    """Layer decomposition of a 2-cell term.  The term is normalized once
-    and its source boundary taken once; _layers_rec then walks the normal
-    term without normalizing again, in time linear in its size.
-    TermError when a generator's boundary is not a word."""
+def stack_of(t: CellTerm, p: Presentation,
+             table: interchange.AtomTable) -> interchange.State:
+    """Layer decomposition of a 2-cell term, as a state over table: its
+    source word and its (offset, atom id, ...) layers, each atom added to
+    table with its generator's source and target words, swapped when
+    inverted.  The term is normalized once and its source boundary taken
+    once; _layers_rec then walks the normal term without normalizing
+    again, in time linear in its size.  TermError when a generator's
+    boundary is not a word; atoms added before it stay in table."""
     t = p.normalize(t)
     d = p.dim(t)
     if d != 2:
         raise TermError(f"not a 2-cell term: dimension {d}")
     src = word_of(top_boundary(t, SOURCE, p.gens, d), p)
-    layers: List[Layer] = []
-    _layers_rec(t, 0, p, layers)
-    return Stack(src, tuple(layers))
+    flat: List[int] = []
+    _layers_rec(t, 0, p, table, flat)
+    return src, tuple(flat)
 
 
 def _layers_rec(t: CellTerm, offset: int, p: Presentation,
-                out: List[Layer]) -> Tuple[Letter, ...]:
+                table: interchange.AtomTable,
+                out: List[int]) -> Tuple[Letter, ...]:
     """Append the layers of a normal 2-cell term whose source word starts
     at offset to out, and return its target word.  Its subterms are
     normal too, so none is normalized again."""
     if isinstance(t, Id):
         return word_of(t.inner, p)
     if isinstance(t, Gen):
-        atom = Atom(t.name, False, *p.boundary_words(t.name))
+        name, inverted = t.name, False
     elif isinstance(t, Inv):
         if not isinstance(t.inner, Gen):
             raise TermError(f"Inv not pushed to a leaf: {t!r}")
-        atom = Atom(t.inner.name, True,
-                    *reversed(p.boundary_words(t.inner.name)))
+        name, inverted = t.inner.name, True
     elif not isinstance(t, Comp):
         raise TermError(f"not a 2-cell term: {t!r}")
     elif t.k == 1:
-        _layers_rec(t.left, offset, p, out)
-        return _layers_rec(t.right, offset, p, out)
+        _layers_rec(t.left, offset, p, table, out)
+        return _layers_rec(t.right, offset, p, table, out)
     elif t.k == 0:
         # interchange expansion, left part fires first
-        left = _layers_rec(t.left, offset, p, out)
-        return _join(left, _layers_rec(t.right, offset + len(left), p, out))
+        left = _layers_rec(t.left, offset, p, table, out)
+        return _join(left, _layers_rec(t.right, offset + len(left), p,
+                                       table, out))
     else:
         raise TermError(f"composition level {t.k} inside a 2-cell")
-    out.append(Layer(offset, atom))
-    return atom.tgt
+    src, tgt = p.boundary_words(name)
+    if inverted:
+        src, tgt = tgt, src
+    out += (offset, table.add(name, inverted, src, tgt))
+    return tgt
 
 
-def _swap_variants(a: Layer, b: Layer) -> List[Tuple[Layer, Layer]]:
-    """All legal interchanges of adjacent layers a-then-b, as b'-then-a'
-    pairs.  Normally at most one reading applies; when an insertion and a
-    deletion meet at a single point (both boundary intervals empty at one
-    offset) both readings are valid and genuinely equal by the interchange
-    law, so both are returned."""
-    a_src, a_tgt = a.atom.src, a.atom.tgt
-    b_src, b_tgt = b.atom.src, b.atom.tgt
-    out: List[Tuple[Layer, Layer]] = []
-    if a.offset + len(a_tgt) <= b.offset:
-        # b lies right of a's output: b can fire first
-        shift = len(a_src) - len(a_tgt)
-        out.append((Layer(b.offset + shift, b.atom), a))
-    if b.offset + len(b_src) <= a.offset:
-        # b lies left of a
-        shift = len(b_tgt) - len(b_src)
-        out.append((b, Layer(a.offset + shift, a.atom)))
-    return out
+# perfbench/tracing.py wraps this name, and with it every call of
+# interchange.canonical, the search's included; the alias goes once the
+# tracer wraps the kernel itself.
+canonical_stack = interchange.canonical
 
 
-def slide(a: Layer, b: Layer) -> Optional[Tuple[Layer, Layer]]:
-    """The first legal interchange of adjacent layers a-then-b, as a
-    b'-then-a' pair, or None when they do not commute."""
-    variants = _swap_variants(a, b)
-    return variants[0] if variants else None
-
-
-def slide_left(block: Sequence[Layer],
-               layer: Layer) -> Optional[Tuple[Layer, List[Layer]]]:
-    """Slide a layer that fires right after the layers of block so that it
-    fires before all of them.  Returns (the moved layer, the adjusted
-    block as a list), or None when some layer of block does not commute
-    with it."""
-    adjusted: List[Layer] = []
-    for prev in reversed(block):
-        swapped = slide(prev, layer)
-        if swapped is None:
-            return None
-        layer, shifted = swapped
-        adjusted.append(shifted)
-    adjusted.reverse()
-    return layer, adjusted
-
-
-def _pack(layers: Sequence[Layer],
-          table: interchange.AtomTable) -> Tuple[int, ...]:
-    """Layers as a flat (offset, atom id, ...) tuple, adding each atom to
-    the table."""
-    flat: List[int] = []
-    for layer in layers:
-        a = layer.atom
-        flat += (layer.offset, table.add(a.name, a.inverted, a.src, a.tgt))
-    return tuple(flat)
-
-
-def _unpack(state: interchange.State,
-            table: interchange.AtomTable) -> Stack:
-    word, flat = state
-    return Stack(word, tuple(
-        Layer(o, Atom(*table.keys[x], table.src[x], table.tgt[x]))
-        for o, x in zip(flat[0::2], flat[1::2])))
-
-
-def canonical_stack(stack: Stack) -> Stack:
-    """The greedy firing order of interchange.canonical, on a stack."""
-    table = interchange.AtomTable()
-    state = (stack.srcword, _pack(stack.layers, table))
-    return _unpack(interchange.canonical(table, state), table)
-
-
-# oriented 2-rules in layer form
-
-
-@dataclass(frozen=True)
-class LayerRule:
-    src: Tuple[Letter, ...]
-    lhs: Tuple[Layer, ...]
-    rhs: Tuple[Layer, ...]
-
-
-def _layer_rules(p: Presentation) -> List[LayerRule]:
+def _packed_rules(p: Presentation,
+                  table: interchange.AtomTable) -> List[interchange.Rule]:
+    """The oriented 2-relations whose sides both decompose, as rules over
+    table."""
     rules = []
     for r in p.relations:
         if r.dim != 2 or not r.oriented:
             continue
         try:
-            ls = stack_of(r.lhs, p)
-            rs = stack_of(r.rhs, p)
+            src, lhs = stack_of(r.lhs, p, table)
+            rhs = stack_of(r.rhs, p, table)[1]
         except TermError:
             continue
-        rules.append(LayerRule(ls.srcword, ls.layers, rs.layers))
+        rules.append((src, lhs, rhs))
     return rules
-
-
-def _packed_rules(p: Presentation,
-                  table: interchange.AtomTable) -> List[interchange.Rule]:
-    return [(r.src, _pack(r.lhs, table), _pack(r.rhs, table))
-            for r in _layer_rules(p)]
 
 
 State = TypeVar("State")
@@ -490,11 +379,6 @@ def _certificate(a: CellTerm, b: CellTerm, d: int, p: Presentation,
 def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
     """The 2-cell search, on the packed states of the presentation's
     kernel, under its lock."""
-    try:
-        sa = stack_of(a, p)
-        sb = stack_of(b, p)
-    except TermError:
-        return EQ_UNKNOWN
     table = p._kernel
     # two first searches at once each build and use their own; one is kept
     if table is None:
@@ -502,8 +386,11 @@ def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
     with table.lock:
         if len(table.canonical_of) > interchange.MEMO_STATES:
             table.canonical_of, table.successors_of = {}, {}
-        sa = (sa.srcword, _pack(sa.layers, table))
-        sb = (sb.srcword, _pack(sb.layers, table))
+        try:
+            sa = stack_of(a, p, table)
+            sb = stack_of(b, p, table)
+        except TermError:
+            return EQ_UNKNOWN
         xa = interchange.cancel_inverses(table, sa)
         xb = interchange.cancel_inverses(table, sb)
         ca = interchange.canonical(table, xa)

@@ -12,10 +12,9 @@ from hypothesis import assume, given, settings, strategies as st
 from hopfsmith import interchange, rewriting
 from hopfsmith.presentation import Presentation
 from hopfsmith.rewriting import (Budget, CompositionError, EQ_DISTINCT,
-                                 EQ_EQUAL, EQ_UNKNOWN, _explore, _pack,
-                                 _packed_rules, _rewrites,
-                                 canonical_stack, compose, eq, parallel,
-                                 stack_of)
+                                 EQ_EQUAL, EQ_UNKNOWN, _explore,
+                                 _packed_rules, _rewrites, compose, eq,
+                                 parallel, stack_of)
 from hopfsmith.terms import Comp, Gen, Id, Inv, TermError, comp
 from hopfsmith.walking import adj, mnd
 
@@ -258,8 +257,9 @@ def test_budget_bounds_search_without_rules(name):
     width, left, right, verdict = FREE_PAIRS[name]
     a, b = free_term(width, left), free_term(width, right)
     # only the search decides the pair: the normal forms differ
-    assert (canonical_stack(stack_of(a, FREE))
-            != canonical_stack(stack_of(b, FREE)))
+    table = interchange.AtomTable()
+    assert (interchange.canonical(table, stack_of(a, FREE, table))
+            != interchange.canonical(table, stack_of(b, FREE, table)))
     assert eq(a, b, FREE, budget=0) is EQ_UNKNOWN
     assert eq(a, b, FREE) is verdict
     assert eq(b, a, FREE) is verdict
@@ -300,14 +300,12 @@ def test_explore_stops_at_first_state_in_stop():
 def unstopped_eq2(a, b, p, budget):
     """Reference for rewriting._eq2 without the stop: both sides explored
     to the end, then compared."""
+    table = interchange.AtomTable()
     try:
-        sa = stack_of(a, p)
-        sb = stack_of(b, p)
+        sa = stack_of(a, p, table)
+        sb = stack_of(b, p, table)
     except TermError:
         return EQ_UNKNOWN
-    table = interchange.AtomTable()
-    sa = (sa.srcword, _pack(sa.layers, table))
-    sb = (sb.srcword, _pack(sb.layers, table))
     canonical = lambda s: interchange.canonical(table, s)
     ca = canonical(interchange.cancel_inverses(table, sa))
     cb = canonical(interchange.cancel_inverses(table, sb))
@@ -600,7 +598,7 @@ def test_a_generator_boundary_that_is_not_a_word_is_unknown():
     g = p.add("g", 2, f, comp(0, f, Gen("nope")))
     a, b = p.add("a", 2, f, f), p.add("b", 2, f, f)
     with pytest.raises(TermError):
-        stack_of(comp(1, g, a), p)
+        stack_of(comp(1, g, a), p, interchange.AtomTable())
     assert eq(comp(1, g, a), comp(1, g, b), p) is EQ_UNKNOWN
 
 

@@ -1,10 +1,11 @@
 """Differential oracle, slide counts and search trace for the interchange
 kernel.
 
-The reference functions below work on Layer objects, and
-ref_canonical_stack, ref_cancellations and ref_try_window try to slide
-every layer, whatever its atom, so they are slower but obviously follow
-their definitions.  The kernel (hopfsmith.interchange) works on packed
+The reference functions below work on Atom, Layer and Stack objects,
+each atom carrying its own words, and ref_canonical_stack,
+ref_cancellations, ref_try_window and ref_align try to slide every
+layer, whatever its atom, so they are slower but obviously follow their
+definitions.  The kernel (hopfsmith.interchange) works on packed
 integer states and skips slides whose outcome is known without making
 them; it must give the same stacks, and the same lists in the same
 order, on every stack.  The slide counts are exact: every interchange test of the
@@ -21,19 +22,18 @@ import json
 import random
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List
+from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import given, settings, strategies as st
 
 from hopfsmith import interchange, mates, rewriting
 from hopfsmith.mates import walking_retract
 from hopfsmith.presentation import Presentation
-from hopfsmith.rewriting import (Atom, Budget, Layer, Stack, _layer_rules,
-                                 _pack, _packed_rules, _swap_variants,
-                                 _unpack, canonical_stack, eq, slide,
-                                 slide_left, stack_of)
-from hopfsmith.terms import Gen, Id, SOURCE, TARGET, boundary, comp
+from hopfsmith.rewriting import Budget, _packed_rules, eq, stack_of
+from hopfsmith.terms import (Gen, Id, SOURCE, TARGET, TermError, boundary,
+                             comp)
 from hopfsmith.walking import adj, mnd
 
 PRESENTATIONS = {"mnd": mnd().base, "adj": adj().base,
@@ -44,6 +44,125 @@ MAX_WIDTH = 6
 
 # ---------------------------------------------------------------------------
 # reference code
+
+Letter = Tuple[str, bool]
+
+
+@dataclass(frozen=True)
+class Atom:
+    name: str
+    inverted: bool
+    # the words it fires on and leaves; equality and hashing ignore them
+    src: Tuple[Letter, ...] = field(compare=False)
+    tgt: Tuple[Letter, ...] = field(compare=False)
+
+    def inverse(self) -> "Atom":
+        return Atom(self.name, not self.inverted, self.tgt, self.src)
+
+
+@dataclass(frozen=True)
+class Layer:
+    offset: int
+    atom: Atom
+
+
+@dataclass(frozen=True)
+class Stack:
+    """A 2-cell in layer form: the source word plus the layer sequence."""
+    srcword: Tuple[Letter, ...]
+    layers: Tuple[Layer, ...]
+
+    def word_before(self, i: int) -> Tuple[Letter, ...]:
+        """The word after the first i layers fire; TermError when a layer
+        does not fit the word it fires on."""
+        w = self.srcword
+        for layer in self.layers[:i]:
+            a, b = layer.atom.src, layer.atom.tgt
+            if w[layer.offset:layer.offset + len(a)] != a:
+                raise TermError("layer does not fit its word")
+            w = w[:layer.offset] + b + w[layer.offset + len(a):]
+        return w
+
+    def tgtword(self) -> Tuple[Letter, ...]:
+        return self.word_before(len(self.layers))
+
+
+@dataclass(frozen=True)
+class LayerRule:
+    src: Tuple[Letter, ...]
+    lhs: Tuple[Layer, ...]
+    rhs: Tuple[Layer, ...]
+
+
+def pack(layers: Sequence[Layer], table) -> Tuple[int, ...]:
+    """Layers as a flat (offset, atom id, ...) tuple, adding each atom to
+    the table."""
+    flat: List[int] = []
+    for layer in layers:
+        a = layer.atom
+        flat += (layer.offset, table.add(a.name, a.inverted, a.src, a.tgt))
+    return tuple(flat)
+
+
+def unpack_layers(flat, table) -> Tuple[Layer, ...]:
+    return tuple(Layer(o, Atom(*table.keys[x], table.src[x], table.tgt[x]))
+                 for o, x in zip(flat[0::2], flat[1::2]))
+
+
+def unpack(state, table) -> Stack:
+    return Stack(state[0], unpack_layers(state[1], table))
+
+
+def ref_layer_rules(p) -> List[LayerRule]:
+    """p's oriented 2-rules in layer form, as the kernel packs them."""
+    table = interchange.AtomTable()
+    return [LayerRule(src, unpack_layers(lhs, table),
+                      unpack_layers(rhs, table))
+            for src, lhs, rhs in _packed_rules(p, table)]
+
+
+def _swap_variants(a: Layer, b: Layer) -> List[Tuple[Layer, Layer]]:
+    """All legal interchanges of adjacent layers a-then-b, as b'-then-a'
+    pairs.  Normally at most one reading applies; when an insertion and a
+    deletion meet at a single point (both boundary intervals empty at one
+    offset) both readings are valid and genuinely equal by the interchange
+    law, so both are returned."""
+    a_src, a_tgt = a.atom.src, a.atom.tgt
+    b_src, b_tgt = b.atom.src, b.atom.tgt
+    out: List[Tuple[Layer, Layer]] = []
+    if a.offset + len(a_tgt) <= b.offset:
+        # b lies right of a's output: b can fire first
+        shift = len(a_src) - len(a_tgt)
+        out.append((Layer(b.offset + shift, b.atom), a))
+    if b.offset + len(b_src) <= a.offset:
+        # b lies left of a
+        shift = len(b_tgt) - len(b_src)
+        out.append((b, Layer(a.offset + shift, a.atom)))
+    return out
+
+
+def slide(a: Layer, b: Layer) -> Optional[Tuple[Layer, Layer]]:
+    """The first legal interchange of adjacent layers a-then-b, as a
+    b'-then-a' pair, or None when they do not commute."""
+    variants = _swap_variants(a, b)
+    return variants[0] if variants else None
+
+
+def slide_left(block: Sequence[Layer],
+               layer: Layer) -> Optional[Tuple[Layer, List[Layer]]]:
+    """Slide a layer that fires right after the layers of block so that it
+    fires before all of them.  Returns (the moved layer, the adjusted
+    block as a list), or None when some layer of block does not commute
+    with it."""
+    adjusted: List[Layer] = []
+    for prev in reversed(block):
+        swapped = slide(prev, layer)
+        if swapped is None:
+            return None
+        layer, shifted = swapped
+        adjusted.append(shifted)
+    adjusted.reverse()
+    return layer, adjusted
 
 
 def _slide_right(layer, block):
@@ -163,6 +282,34 @@ def ref_stack_successors(stack, rules, budget):
     return [ref_canonical_stack(s) for s in ref_moves(stack, rules, budget)]
 
 
+def ref_align(a: List[Layer], b: List[Layer]):
+    """Adjacent transpositions turning layer list a into b, or None.
+    Returns pairs (configuration before the swap, position)."""
+    if len(a) != len(b):
+        return None
+    a = list(a)
+    swaps = []
+    for k in range(len(b)):
+        if a[k] == b[k]:
+            continue
+        found = None
+        for j in range(k + 1, len(a)):
+            got = slide_left(a[k:j], a[j])
+            if got is not None and got[0] == b[k]:
+                found = j
+                break
+        if found is None:
+            return None
+        for j in range(found, k, -1):
+            sw = slide(a[j - 1], a[j])
+            assert sw is not None
+            swaps.append((tuple(a), j - 1))
+            a[j - 1], a[j] = sw
+    if a != b:
+        return None
+    return swaps
+
+
 # ---------------------------------------------------------------------------
 # the kernel on stacks
 
@@ -170,15 +317,21 @@ def ref_stack_successors(stack, rules, budget):
 def packed(p, stack):
     """A fresh atom table with the stack and p's layer rules packed."""
     table = interchange.AtomTable()
-    state = (stack.srcword, _pack(stack.layers, table))
+    state = (stack.srcword, pack(stack.layers, table))
     table.rules = _packed_rules(p, table)
     return table, state
 
 
+def kernel_canonical(stack):
+    table = interchange.AtomTable()
+    state = (stack.srcword, pack(stack.layers, table))
+    return unpack(interchange.canonical(table, state), table)
+
+
 def kernel_cancellations(stack):
     table = interchange.AtomTable()
-    state = (stack.srcword, _pack(stack.layers, table))
-    return [_unpack(s, table)
+    state = (stack.srcword, pack(stack.layers, table))
+    return [unpack(s, table)
             for s in interchange.cancellations(table, state)]
 
 
@@ -293,7 +446,7 @@ def stacks(draw, max_layers=10):
             break
         letter = draw(st.sampled_from(nxt))
         word, obj = word + (letter,), _end(p, letter, TARGET)
-    rules = _layer_rules(p)
+    rules = ref_layer_rules(p)
     layers: List[Layer] = []
     cur = word
     size = draw(st.integers(0, max_layers))
@@ -341,17 +494,17 @@ def stacks(draw, max_layers=10):
 
 
 def assert_kernel_matches_reference(p, stack):
-    """canonical_stack, the cancellations, and the whole move and
+    """canonical, the cancellations, and the whole move and
     successor lists of the packed state, against the Layer-level
     reference."""
-    assert canonical_stack(stack) == ref_canonical_stack(stack)
+    assert kernel_canonical(stack) == ref_canonical_stack(stack)
     assert kernel_cancellations(stack) == ref_cancellations(stack)
     table, state = packed(p, stack)
-    layer_rules = _layer_rules(p)
-    got = [_unpack(s, table)
+    layer_rules = ref_layer_rules(p)
+    got = [unpack(s, table)
            for s in interchange.moves(table, state, Budget(10**6))]
     assert got == ref_moves(stack, layer_rules, Budget(10**6))
-    got = [_unpack(s, table) for s in
+    got = [unpack(s, table) for s in
            interchange.successors(table, state, Budget(10**6))]
     assert got == ref_stack_successors(stack, layer_rules, Budget(10**6))
 
@@ -372,25 +525,93 @@ def test_no_slides_without_an_inverse_pair(case):
         assert got == [] and count[0] == 0
 
 
-def test_point_degenerate_pairs_match_reference():
-    """A deletion then an insertion at one point slides both ways; with
-    alpha's inverse then alpha it is also an inverse pair."""
+def point_degenerate_stacks():
+    """Deletions then insertions at one point, and with alpha's inverse
+    then alpha also inverse pairs."""
     p = PRESENTATIONS["walking_retract"]
     f, g = ("f", False), ("g", False)
     alpha = Atom("alpha", False, *p.boundary_words("alpha"))
     alpha_inv = alpha.inverse()
     eta_f = Atom("eta_f", False, *p.boundary_words("eta_f"))
-    cases = [
+    return p, [
         Stack((f, g), (Layer(0, alpha_inv), Layer(0, alpha))),
         Stack((f, g), (Layer(0, alpha_inv), Layer(0, eta_f), Layer(0, alpha))),
         Stack((), (Layer(0, alpha), Layer(0, alpha_inv), Layer(0, alpha))),
         Stack((f, g, f, g), (Layer(2, alpha_inv), Layer(0, alpha_inv),
                              Layer(0, alpha), Layer(0, alpha))),
     ]
+
+
+def test_point_degenerate_pairs_match_reference():
+    """A deletion then an insertion at one point slides both ways; with
+    alpha's inverse then alpha it is also an inverse pair."""
+    p, cases = point_degenerate_stacks()
     for stack in cases:
         stack.tgtword()
         assert_kernel_matches_reference(p, stack)
         assert kernel_cancellations(stack)
+
+
+@st.composite
+def reorderings(draw):
+    """A stack and a reordering of its layers by random single slides,
+    each taking either reading of its pair."""
+    p, stack = draw(stacks())
+    layers = list(stack.layers)
+    for _ in range(draw(st.integers(0, 3 * len(layers)))):
+        if len(layers) < 2:
+            break
+        i = draw(st.integers(0, len(layers) - 2))
+        readings = _swap_variants(layers[i], layers[i + 1])
+        if readings:
+            layers[i:i + 2] = draw(st.sampled_from(readings))
+    return stack, tuple(layers)
+
+
+def assert_align_matches_reference(stack, target):
+    """align makes ref_align's swaps, in the same configurations; the
+    swaps, replayed by the reference slide, reach the target; and a
+    target with one atom changed is never reached."""
+    table = interchange.AtomTable()
+    a, b = pack(stack.layers, table), pack(target, table)
+    got = interchange.align(table, a, b)
+    want = ref_align(list(stack.layers), list(target))
+    if want is None:
+        assert got is None
+    else:
+        assert got == [(pack(config, table), pos) for config, pos in want]
+        layers = list(stack.layers)
+        for flat, pos in got:
+            assert flat == pack(layers, table)
+            layers[pos:pos + 2] = slide(layers[pos], layers[pos + 1])
+        assert pack(layers, table) == b
+    if b:
+        other = b[:-1] + (table.inv[b[-1]],)
+        assert interchange.align(table, a, other) is None
+
+
+@settings(max_examples=300)
+@given(reorderings())
+def test_align_matches_reference(case):
+    assert_align_matches_reference(*case)
+
+
+def test_align_on_every_reordering_of_the_point_degenerate_stacks():
+    """Every layer order that single slides, by either reading, reach from
+    each point-degenerate stack, where align meets pairs with two
+    readings."""
+    for stack in point_degenerate_stacks()[1]:
+        seen, todo = {stack.layers}, [stack.layers]
+        while todo:
+            layers = todo.pop()
+            assert_align_matches_reference(stack, layers)
+            for i in range(len(layers) - 1):
+                for pair in _swap_variants(layers[i], layers[i + 1]):
+                    nxt = layers[:i] + pair + layers[i + 2:]
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+        assert len(seen) > 1
 
 
 def _bench_diagrams():
@@ -413,15 +634,15 @@ def _fixed_adj_stack():
     layers = diagrams.random_stack(fixed, diagrams.ADJ, w, 40)
     rows = [diagrams.to_term(diagrams.ADJ, word, [layer]) for word, layer
             in zip(diagrams.words_along(diagrams.ADJ, w, layers), layers)]
-    p = PRESENTATIONS["adj"]
-    return p, stack_of(comp(1, *rows), p)
+    p, table = PRESENTATIONS["adj"], interchange.AtomTable()
+    return p, unpack(stack_of(comp(1, *rows), p, table), table)
 
 
 def test_slide_counts_on_the_fixed_40_layer_stack():
     p, stack = _fixed_adj_stack()
     assert len(stack.layers) == 40
     with counting_slides() as count:
-        got = canonical_stack(stack)
+        got = kernel_canonical(stack)
     # the reference makes 5,780 slides here
     assert 0 < count[0] <= 4000
     assert got == ref_canonical_stack(stack)

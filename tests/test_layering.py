@@ -14,7 +14,10 @@ own.  Every stratum of `eq` searches through `rewriting._meet`: no
 other function names the frontier loop `_explore`.  Stacks are complete
 values: only `rewriting._layers_rec`, which builds each atom, reads the
 presentation's boundary-word table, and no function of the interchange
-core takes a presentation.  Imports run once, at module top: no function
+core takes a presentation.  Only `interchange.py` decides whether two
+layers interchange: no other module reads an atom table's lengths
+(`.ns`, `.nt`), names `_readings`, `_slide_left` or `_slide_right`, or
+defines a `slide` function of its own.  Imports run once, at module top: no function
 imports, `rewriting` names `presentation` only for type checkers (so the
 presentation layer imports one way), and every module imports on its own
 in a fresh interpreter.  All checks but that last one read the syntax
@@ -33,18 +36,18 @@ PRIVATE = {"_maps", "_of", "_row_map", "_EMPTY"}
 # the functions that read dense matrices from JSON documents
 JSON_LOADERS = {("bialgebra.py", "bialgebra_from_json"),
                 ("cli.py", "cmd_reconstruct")}
-# the interchange core: every function that slides, canonicalizes,
-# cancels or matches layers, reading words from the atoms or from the
-# search's atom table alone
-INTERCHANGE_CORE = {("rewriting.py", name) for name in (
-    "Stack.word_before", "Stack.tgtword", "_swap_variants", "slide",
-    "slide_left", "canonical_stack", "_pack", "_unpack")} | {
-    ("interchange.py", name) for name in (
-        "AtomTable.__init__", "AtomTable.add", "AtomTable._new", "_flat",
-        "_readings", "_slide_left", "_slide_right", "canonical",
-        "_pair_cancels", "_without", "cancellations", "cancel_inverses",
-        "_fire", "_apply", "_windows", "moves", "successors")} | {
-    ("evaluate.py", "_align")}
+# the interchange core: every function that slides, aligns,
+# canonicalizes, cancels or matches layers, reading words from the atom
+# table alone
+INTERCHANGE_CORE = {("interchange.py", name) for name in (
+    "AtomTable.__init__", "AtomTable.add", "AtomTable._new", "_flat",
+    "_readings", "_slide_left", "_slide_right", "align", "canonical",
+    "_pair_cancels", "_without", "cancellations", "cancel_inverses",
+    "_fire", "_apply", "_windows", "moves", "successors")}
+# what only the interchange core may name: the atom lengths that decide
+# an interchange, and its tests and slides
+INTERCHANGE_DECISIONS = {"ns", "nt", "_readings", "_slide_left",
+                         "_slide_right"}
 
 
 def private_uses(tree):
@@ -146,6 +149,25 @@ def uses_of(name, tree):
             if (isinstance(node, ast.Name) and node.id == name
                     or isinstance(node, ast.Attribute) and node.attr == name):
                 yield node.lineno, getattr(top, "name", None)
+
+
+def interchange_decisions(tree):
+    """Every use of a name in INTERCHANGE_DECISIONS, as a plain name, an
+    attribute or an imported name, and every function or method whose
+    name starts with slide or _slide."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in INTERCHANGE_DECISIONS:
+            yield node.lineno, node.id
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in INTERCHANGE_DECISIONS):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in INTERCHANGE_DECISIONS:
+                    yield node.lineno, alias.name
+        elif (isinstance(node, ast.FunctionDef)
+              and node.name.lstrip("_").startswith("slide")):
+            yield node.lineno, node.name
 
 
 def functions(tree):
@@ -265,6 +287,12 @@ def test_the_interchange_core_takes_no_presentation():
     assert found == dict.fromkeys(INTERCHANGE_CORE, False)
 
 
+def test_only_the_interchange_module_decides_interchange():
+    bad = [(p.name, *use) for p in modules(but="interchange.py")
+           for use in interchange_decisions(parse(p))]
+    assert not bad
+
+
 def test_no_function_imports():
     bad = [(p.name, *use) for p in modules(but=None)
            for use in imports_in_functions(parse(p))]
@@ -350,6 +378,22 @@ def test_the_checks_see_what_they_forbid(tmp_path):
             for name, fn in functions(tree)} == {
         "Atom.words": True, "slide": True, "slide_left": True,
         "canonical_stack": False}
+    tree = ast.parse(
+        "from .interchange import _readings, align\n"
+        "def _junction(tab, a, b):\n"
+        "    n = tab.ns[a[1]] + tab.nt[a[1]] + len(b)\n"
+        "    return interchange._slide_left(n), _slide_right\n"
+        "class Layers:\n"
+        "    def slide(self, other):\n"
+        "        return _readings\n"
+        "def _slide_up(a):\n"
+        "    return a.offset\n")
+    assert sorted(interchange_decisions(tree)) == [
+        (1, "_readings"), (3, "ns"), (3, "nt"), (4, "_slide_left"),
+        (4, "_slide_right"), (6, "slide"), (7, "_readings"),
+        (8, "_slide_up")]
+    assert {name for _, name in interchange_decisions(
+        parse(SRC / "interchange.py"))} >= INTERCHANGE_DECISIONS
     tree = ast.parse(
         "import os\n"
         "def f():\n"

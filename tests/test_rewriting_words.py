@@ -1,23 +1,25 @@
 """The per-presentation boundary-word table: it agrees with word_of on
-every generator, every atom stack_of builds carries its entry (swapped
-for inverted atoms), and it keeps its entries when the presentation
-grows.  Also the fit check of Stack.word_before, the public slide
-test, and the splice of a rule's right side into a word, which reduces
-only where the parts meet."""
+every generator, every atom stack_of adds to an atom table carries its
+entry (swapped for inverted atoms), and it keeps its entries when the
+presentation grows.  Also the kernel's fit check of a layer on its
+word, its interchange test of two layers and its slides across a
+block, and the splice of a rule's right side into a word, which
+reduces only where the parts meet."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfsmith import presentation, rewriting
+from hopfsmith import presentation
 from hopfsmith.cli import BUILTIN_PRESENTATIONS
 from hopfsmith.gray import gray
+from hopfsmith.interchange import (AtomTable, _fire, _readings, _slide_left,
+                                   _slide_right)
 from hopfsmith.mates import walking_retract
 from hopfsmith.presentation import Presentation
-from hopfsmith.rewriting import (EQ_EQUAL, Atom, Layer, Stack, _cancel_word,
-                                 _join, eq, slide, stack_of, word_of)
+from hopfsmith.rewriting import (EQ_EQUAL, _cancel_word, _join, eq, stack_of,
+                                 word_of)
 from hopfsmith.terms import Gen, Id, Inv, TermError, comp
 from hopfsmith.walking import mnd
-from test_interchange_reference import _slide_right
 
 
 def _presentations():
@@ -41,8 +43,11 @@ def _table_or_error(p, name):
         return TermError
 
 
-def _atom(p, name):
-    return Atom(name, False, *p.boundary_words(name))
+def _atoms(p, *names):
+    """A table holding the named atoms, and their ids."""
+    table = AtomTable()
+    return table, [table.add(name, False, *p.boundary_words(name))
+                   for name in names]
 
 
 @pytest.mark.parametrize("name,p", sorted(_presentations().items()))
@@ -62,23 +67,26 @@ def test_table_matches_word_of(name, p):
 def test_atoms_carry_their_table_words(name, p):
     """Every atom of every stack stack_of builds from a 2-generator, its
     inverse or a side of a 2-relation carries the generator's table
-    words, swapped when it is inverted."""
+    words, swapped when it is inverted, and its inverse the other way
+    round."""
     terms = []
     for g in p.gens_of_dim(2):
         terms += [Gen(g.name), Inv(Gen(g.name))]
     terms += [t for r in p.relations if r.dim == 2 for t in (r.lhs, r.rhs)]
     atoms = 0
     for t in terms:
+        table = AtomTable()
         try:
-            stack = stack_of(t, p)
+            _, flat = stack_of(t, p, table)
         except TermError:
             continue
-        for layer in stack.layers:
-            src, tgt = p.boundary_words(layer.atom.name)
-            want = (tgt, src) if layer.atom.inverted else (src, tgt)
-            assert (layer.atom.src, layer.atom.tgt) == want, (name, t)
-            inverse = layer.atom.inverse()
-            assert (inverse.src, inverse.tgt) == want[::-1]
+        for x in flat[1::2]:
+            atom, inverted = table.keys[x]
+            src, tgt = p.boundary_words(atom)
+            want = (tgt, src) if inverted else (src, tgt)
+            assert (table.src[x], table.tgt[x]) == want, (name, t)
+            inverse = table.inv[x]
+            assert (table.src[inverse], table.tgt[inverse]) == want[::-1]
             atoms += 1
     assert atoms >= 2 * len(p.gens_of_dim(2))
 
@@ -101,9 +109,12 @@ def test_words_and_verdicts_after_add_and_relate():
     p.relate(2, lhs, rhs, oriented=True)
     ff, one_f = (("f", False), ("f", False)), (("f", False),)
     assert p.boundary_words("b") == (ff, one_f)
-    atom = stack_of(rhs, p).layers[0].atom
-    assert (atom.name, atom.src, atom.tgt) == ("b", ff, one_f)
-    assert (atom.inverse().src, atom.inverse().tgt) == (one_f, ff)
+    table = AtomTable()
+    x = stack_of(rhs, p, table)[1][1]
+    assert (table.keys[x], table.src[x], table.tgt[x]) == (("b", False),
+                                                          ff, one_f)
+    inverse = table.inv[x]
+    assert (table.src[inverse], table.tgt[inverse]) == (one_f, ff)
     assert eq(lhs, rhs, p) is EQ_EQUAL
 
 
@@ -132,25 +143,26 @@ def test_add_and_relate_keep_the_table(monkeypatch):
                                      word_of(g.tgt, fresh))
 
 
-def test_word_before_rejects_a_layer_that_does_not_fit():
+def test_fire_rejects_a_layer_that_does_not_fit():
     p, f, a = _loop_presentation()
     p.add("b", 2, comp(0, f, f), f)
-    stack = Stack((("f", False),), (Layer(0, _atom(p, "b")),))
-    assert stack.word_before(0) == (("f", False),)
+    table, (b,) = _atoms(p, "b")
+    f1 = (("f", False),)
+    assert _fire(table, f1 + f1, 0, b) == f1
     with pytest.raises(TermError):
-        stack.word_before(1)
-    with pytest.raises(TermError):
-        stack.tgtword()
+        _fire(table, f1, 0, b)
 
 
-def test_slide_disjoint_and_blocked():
+def test_readings_disjoint_and_blocked():
     p, f, a = _loop_presentation()
     p.add("b", 2, comp(0, f, f), f)
-    a, b = _atom(p, "a"), _atom(p, "b")
-    left, right = Layer(0, a), Layer(1, a)
-    assert slide(left, right) == (right, left)
-    merge = Layer(0, b)
-    assert slide(left, merge) is None
+    table, (a, b) = _atoms(p, "a", "b")
+    ns, nt = table.ns, table.nt
+    # a at 0 then a at 1: the second fires first, at 1 + ns[a] - nt[a]
+    assert _readings(ns, nt, 0, a, 1, a) == 1
+    assert 1 + ns[a] - nt[a] == 1
+    # a merge b at 0 overlaps a at 0
+    assert _readings(ns, nt, 0, a, 0, b) == 0
 
 
 def test_slide_left_and_right_across_a_block():
@@ -158,17 +170,16 @@ def test_slide_left_and_right_across_a_block():
     p.add("b", 2, comp(0, f, f), f)
     # on the word f f f: a at 2 fires after a at 0 and a at 1, which it
     # passes unchanged; a merge b at 0 blocks it
-    a, b = _atom(p, "a"), _atom(p, "b")
-    block = [Layer(0, a), Layer(1, a)]
-    last = Layer(2, a)
-    assert rewriting.slide_left(block, last) == (last, block)
-    assert _slide_right(last, block) == (block, last)
-    merge = Layer(0, b)
-    assert rewriting.slide_left([merge], Layer(1, a)) == (Layer(2, a), [merge])
-    assert rewriting.slide_left([merge], Layer(0, a)) is None
-    assert _slide_right(Layer(2, a), [merge]) \
-        == ([merge], Layer(1, a))
-    assert rewriting.slide_left([], last) == (last, [])
+    table, (a, b) = _atoms(p, "a", "b")
+    ns, nt = table.ns, table.nt
+    block = ([0, 1], [a, a])
+    assert _slide_left(ns, nt, *block, 0, 2, 2, a) == (2, [])
+    assert _slide_right(ns, nt, *block, 0, 2, 2, a) == (2, [])
+    merge = ([0], [b])
+    assert _slide_left(ns, nt, *merge, 0, 1, 1, a) == (2, [])
+    assert _slide_left(ns, nt, *merge, 0, 1, 0, a) is None
+    assert _slide_right(ns, nt, *merge, 0, 1, 2, a) == (1, [])
+    assert _slide_left(ns, nt, [], [], 0, 0, 2, a) == (2, [])
 
 
 # signed letters over two names, so that neighbours often cancel

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from hopfsmith import rewriting, terms
+from hopfsmith import interchange, rewriting, terms
 from hopfsmith.rewriting import EQ_EQUAL, eq, stack_of, word_of
 from hopfsmith.terms import SOURCE, Comp, Gen, Id, comp, flatten
 from hopfsmith.walking import mnd
@@ -59,8 +59,9 @@ OPERATIONS = {
     "normalize": (word, lambda t: M.normalize(t)),
     "boundary": (word, lambda t: M.boundary(t, SOURCE, 0)),
     "word_of": (word, lambda t: word_of(t, M)),
-    "stack_of": (stack, lambda t: stack_of(t, M)),
-    "stack_of_wide": (whiskers, lambda t: stack_of(t, M)),
+    "stack_of": (stack, lambda t: stack_of(t, M, interchange.AtomTable())),
+    "stack_of_wide": (whiskers,
+                      lambda t: stack_of(t, M, interchange.AtomTable())),
 }
 
 
@@ -83,6 +84,6 @@ def test_700_deep_terms_do_not_hit_the_recursion_limit():
     # terms recurses as deep as they are
     assert flatten(M.normalize(w), 0) == [A] * 700
     assert M.boundary(w, SOURCE, 0) == Gen("pt")
-    s = stack_of(stack(350), M)
-    assert s.srcword == (("A", False),)
-    assert len(s.layers) == 700
+    src, flat = stack_of(stack(350), M, interchange.AtomTable())
+    assert src == (("A", False),)
+    assert len(flat) == 2 * 700

@@ -13,12 +13,14 @@ from typing import List
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfsmith.interchange import AtomTable
 from hopfsmith.mates import walking_retract
-from hopfsmith.rewriting import Atom, Layer, Stack, _cancel_word, stack_of, word_of
+from hopfsmith.rewriting import _cancel_word, stack_of, word_of
 from hopfsmith.terms import (Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
                              boundary, dim, flatten, identity_core, normalize,
                              top_boundary)
 from hopfsmith.walking import adj, mnd
+from test_interchange_reference import Atom, Layer, Stack, pack
 
 PRESENTATIONS = {"mnd": mnd().base, "adj": adj().base,
                  "walking_retract": walking_retract().presentation}
@@ -230,13 +232,19 @@ def outcome(f, *args):
         return ("raises", type(e).__name__, str(e))
 
 
-def stack_outcome(f, t, p):
-    """outcome of a stack builder, with the words each atom carries, which
-    atom equality does not compare."""
-    got = outcome(f, t, p)
-    if isinstance(got, tuple):
-        return got
-    return got, [(l.atom.src, l.atom.tgt) for l in got.layers]
+def stack_outcome(t, p):
+    """The outcomes of stack_of and of ref_stack_of, whose layers are
+    packed into the same atom table; each state with the words its atoms
+    carry, which the table does not compare when it adds an atom it
+    holds."""
+    table = AtomTable()
+    got, want = outcome(stack_of, t, p, table), outcome(ref_stack_of, t, p)
+    if isinstance(want, Stack):
+        want = ((want.srcword, pack(want.layers, table)),
+                [(l.atom.src, l.atom.tgt) for l in want.layers])
+    if got[0] != "raises":
+        got = got, [(table.src[x], table.tgt[x]) for x in got[1][1::2]]
+    return got, want
 
 
 def subterms(t):
@@ -300,7 +308,8 @@ def test_normalize_raises_exactly_where_dim_raises(case):
 @given(well_formed(d=2))
 def test_stack_of_matches_reference(case):
     p, t = case
-    assert stack_outcome(stack_of, t, p) == stack_outcome(ref_stack_of, t, p)
+    got, want = stack_outcome(t, p)
+    assert got == want
     for side in (SOURCE, TARGET):
         b = top_boundary(t, side, p.gens)
         assert outcome(word_of, b, p) == outcome(ref_word_of, b, p)
@@ -312,5 +321,5 @@ def test_stack_of_matches_reference_on_relations(name):
     for r in p.relations:
         for t in (r.lhs, r.rhs):
             if ref_dim(t, p.gens) == 2:
-                assert (stack_outcome(stack_of, t, p)
-                        == stack_outcome(ref_stack_of, t, p))
+                got, want = stack_outcome(t, p)
+                assert got == want

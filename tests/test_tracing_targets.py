@@ -5,8 +5,9 @@ fail the test suite, not only the benchmark run."""
 import importlib.util
 from pathlib import Path
 
-from hopfsmith import rewriting, walking
-from hopfsmith.terms import Gen
+from hopfsmith import interchange, rewriting, walking
+from hopfsmith.presentation import Presentation
+from hopfsmith.terms import Gen, Id, comp
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,3 +34,24 @@ def test_tracer_installs_against_the_program():
         tracer.uninstall()
     assert rewriting.eq is eq
     assert not tracer.installed
+
+
+def test_tracer_counts_the_kernel_inside_a_search():
+    """rewriting.canonical_stack is interchange.canonical, so the tracer's
+    span sees every canonicalization: two before the search starts, and
+    those of successors.  The two unit stacks below are equal, but only
+    a search finds it."""
+    base = walking.mnd().base
+    p = Presentation(base.max_dim, dict(base.gens))
+    u, A = Gen("u"), Id(Gen("A"))
+    a = comp(1, comp(0, u, A), comp(0, u, A, A))
+    b = comp(1, comp(0, u, A), comp(0, A, u, A))
+    canonical = interchange.canonical
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert rewriting.eq(a, b, p) is rewriting.EQ_EQUAL
+    finally:
+        tracer.uninstall()
+    assert interchange.canonical is canonical
+    assert tracer.calls["rewriting.canonical_stack"] > 2
