@@ -15,7 +15,7 @@ are those of the Layer-object reference in tests/, on states:
   _readings      the legal interchanges of two adjacent layers; a slide
                  takes the first one
   align          the adjacent swaps that turn one layer sequence into
-                 another
+                 another, searched depth-first
   canonical      the greedy firing order under interchange (not a normal
                  form, so single slides stay search moves)
   cancellations  single removals of an inverse pair of layers
@@ -143,28 +143,35 @@ def _slide_right(ns: List[int], nt: List[int], offs: Sequence[int],
 
 def align(tab: AtomTable, a: Flat, b: Flat
           ) -> Optional[List[Tuple[Flat, int]]]:
-    """The adjacent swaps that turn the layers a into the layers b, as
-    (the layers before the swap, the index of its first layer), or None
-    when these greedy swaps do not reach b.  Position by position, the
-    first later layer that slides to b's layer there is slid there, one
-    swap at a time, each by the first reading."""
-    if len(a) != len(b):
+    """The adjacent swaps that turn the layers a into the layers b, each
+    by the first reading, as (the layers before the swap, the index of
+    its first layer), or None when the search below finds none.
+    Position by position, a layer that slides to b's layer there is slid
+    there, one swap at a time: the layer already there when it is b's,
+    else the first later layer that slides to it.  When a choice fails
+    further on, the search goes back and tries the next later layer,
+    depth-first, and never tries a (position, layers) pair that failed
+    once again; so an alignment that needs no going back is the one
+    found.  It misses an order that moves a layer away and back through
+    a pair with two readings, which changes the layer's offset."""
+    if len(a) != len(b) or sorted(a[1::2]) != sorted(b[1::2]):
         return None
     ns, nt = tab.ns, tab.nt
-    offs, ids = list(a[0::2]), list(a[1::2])
     swaps: List[Tuple[Flat, int]] = []
-    for k in range(len(ids)):
-        bo, bx = b[2 * k], b[2 * k + 1]
-        if offs[k] == bo and ids[k] == bx:
+    failed = set()
+    # (position, layers, its untried choices, len(swaps) on reaching it)
+    todo = [(0, a, _choices(ns, nt, a, b, 0), 0)]
+    while todo:
+        k, flat, choices, mark = todo[-1]
+        if k == len(b) // 2:
+            return swaps
+        j = next(choices, None)
+        if j is None:
+            failed.add((k, flat))
+            todo.pop()
             continue
-        # a slide keeps the atom, so only layers with b's atom are slid
-        for j in range(k + 1, len(ids)):
-            if ids[j] == bx:
-                got = _slide_left(ns, nt, offs, ids, k, j, offs[j], bx)
-                if got is not None and got[0] == bo:
-                    break
-        else:
-            return None
+        del swaps[mark:]
+        offs, ids = list(flat[0::2]), list(flat[1::2])
         for i in range(j, k, -1):
             swaps.append((_flat(offs, ids), i - 1))
             x, y = ids[i - 1], ids[i]
@@ -173,7 +180,28 @@ def align(tab: AtomTable, a: Flat, b: Flat
             else:
                 offs[i - 1], offs[i] = offs[i], offs[i - 1] + nt[y] - ns[y]
             ids[i - 1], ids[i] = y, x
-    return swaps
+        nxt = _flat(offs, ids)
+        if (k + 1, nxt) not in failed:
+            todo.append((k + 1, nxt, _choices(ns, nt, nxt, b, k + 1),
+                         len(swaps)))
+    return None
+
+
+def _choices(ns: List[int], nt: List[int], flat: Flat, b: Flat,
+             k: int) -> Iterator[int]:
+    """The indices of the layers of flat that slide to b's layer k, which
+    flat's first k layers already match: k itself first when its layer
+    is b's, then in order the later layers with b's atom that _slide_left
+    brings there.  A slide keeps the atom, so no other layer is tried."""
+    offs, ids = flat[0::2], flat[1::2]
+    bo, bx = b[2 * k], b[2 * k + 1]
+    if offs[k] == bo and ids[k] == bx:
+        yield k
+    for j in range(k + 1, len(ids)):
+        if ids[j] == bx:
+            got = _slide_left(ns, nt, offs, ids, k, j, offs[j], bx)
+            if got is not None and got[0] == bo:
+                yield j
 
 
 def canonical(tab: AtomTable, state: State) -> State:

@@ -28,8 +28,9 @@ table.  Each presentation keeps one atom table, made by its first
 2-cell search and dropped by add and relate, with memos of canonical
 forms and successors and the oriented 2-rules, packed by the first
 search that explores.  _eq2 builds both states in it under its lock,
-and _meet explores them, so slides, canonicalization, cancellation and
-rule matching are functions of the states and the table alone.
+from sides eq has already normalized, and _meet explores them, so
+slides, canonicalization, cancellation and rule matching are functions
+of the states and the table alone.
 
 Every comparison starts with the boundary certificate, `parallel`: the
 k-sources and k-targets of both sides are taken once each and compared
@@ -105,9 +106,14 @@ Letter = Tuple[str, bool]  # (generator name, inverted)
 
 def word_of(t: CellTerm, p: Presentation) -> Tuple[Letter, ...]:
     """Flatten a 1-cell term to its word of generator letters."""
+    return _word(p.normalize(t))
+
+
+def _word(t: CellTerm) -> Tuple[Letter, ...]:
+    """word_of for a normal 1-cell term, which is not normalized again."""
     out: List[Letter] = []
     # the factors of a normal term are normal
-    for f in flatten(p.normalize(t), 0):
+    for f in flatten(t, 0):
         if isinstance(f, Id):
             continue
         if isinstance(f, Gen):
@@ -168,15 +174,23 @@ def stack_of(t: CellTerm, p: Presentation,
     """Layer decomposition of a 2-cell term, as a state over table: its
     source word and its (offset, atom id, ...) layers, each atom added to
     table with its generator's source and target words, swapped when
-    inverted.  The term is normalized once and its source boundary taken
-    once; _layers_rec then walks the normal term without normalizing
-    again, in time linear in its size.  TermError when a generator's
-    boundary is not a word; atoms added before it stay in table."""
+    inverted.  The term is normalized once, and _normal_stack decomposes
+    it.  TermError when a generator's boundary is not a word; atoms added
+    before it stay in table."""
     t = p.normalize(t)
     d = p.dim(t)
     if d != 2:
         raise TermError(f"not a 2-cell term: dimension {d}")
-    src = word_of(top_boundary(t, SOURCE, p.gens, d), p)
+    return _normal_stack(t, p, table)
+
+
+def _normal_stack(t: CellTerm, p: Presentation,
+                  table: interchange.AtomTable) -> interchange.State:
+    """stack_of for a normal 2-cell term.  Its source boundary, which
+    need not be normal, is normalized for its word; _layers_rec then
+    walks the term without normalizing any part of it again, in time
+    linear in its size."""
+    src = word_of(top_boundary(t, SOURCE, p.gens, 2), p)
     flat: List[int] = []
     _layers_rec(t, 0, p, table, flat)
     return src, tuple(flat)
@@ -189,7 +203,7 @@ def _layers_rec(t: CellTerm, offset: int, p: Presentation,
     at offset to out, and return its target word.  Its subterms are
     normal too, so none is normalized again."""
     if isinstance(t, Id):
-        return word_of(t.inner, p)
+        return _word(t.inner)
     if isinstance(t, Gen):
         name, inverted = t.name, False
     elif isinstance(t, Inv):
@@ -387,8 +401,8 @@ def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
         if len(table.canonical_of) > interchange.MEMO_STATES:
             table.canonical_of, table.successors_of = {}, {}
         try:
-            sa = stack_of(a, p, table)
-            sb = stack_of(b, p, table)
+            sa = _normal_stack(a, p, table)
+            sb = _normal_stack(b, p, table)
         except TermError:
             return EQ_UNKNOWN
         xa = interchange.cancel_inverses(table, sa)

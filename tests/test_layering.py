@@ -41,9 +41,9 @@ JSON_LOADERS = {("bialgebra.py", "bialgebra_from_json"),
 # table alone
 INTERCHANGE_CORE = {("interchange.py", name) for name in (
     "AtomTable.__init__", "AtomTable.add", "AtomTable._new", "_flat",
-    "_readings", "_slide_left", "_slide_right", "align", "canonical",
-    "_pair_cancels", "_without", "cancellations", "cancel_inverses",
-    "_fire", "_apply", "_windows", "moves", "successors")}
+    "_readings", "_slide_left", "_slide_right", "align", "_choices",
+    "canonical", "_pair_cancels", "_without", "cancellations",
+    "cancel_inverses", "_fire", "_apply", "_windows", "moves", "successors")}
 # what only the interchange core may name: the atom lengths that decide
 # an interchange, and its tests and slides
 INTERCHANGE_DECISIONS = {"ns", "nt", "_readings", "_slide_left",

@@ -16,7 +16,7 @@ import pytest
 from hopfsmith import interchange, rewriting, terms
 from hopfsmith.rewriting import EQ_EQUAL, eq, stack_of, word_of
 from hopfsmith.terms import SOURCE, Comp, Gen, Id, comp, flatten
-from hopfsmith.walking import mnd
+from hopfsmith.walking import adj, mnd
 
 M = mnd().base
 A, m, u = Gen("A"), Gen("m"), Gen("u")
@@ -25,11 +25,20 @@ FILES = {terms.__file__, rewriting.__file__}
 
 def calls(f, *args) -> int:
     """The number of Python calls into the counted modules made by f(*args)."""
+    return _count(lambda code: code.co_filename in FILES, f, *args)
+
+
+def normalize_calls(f, *args) -> int:
+    """The number of terms.normalize calls made by f(*args)."""
+    return _count(lambda code: code is terms.normalize.__code__, f, *args)
+
+
+def _count(counted, f, *args) -> int:
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
-        if event == "call" and frame.f_code.co_filename in FILES:
+        if event == "call" and counted(frame.f_code):
             count += 1
 
     old = sys.getprofile()
@@ -70,6 +79,28 @@ def test_calls_grow_linearly(name):
     build, op = OPERATIONS[name]
     small, large = calls(op, build(100)), calls(op, build(200))
     assert large <= 2.5 * small, (small, large)
+
+
+def zigzags(n):
+    """n layers over adj, each whiskered by l: a unit, then a counit, in
+    turn.  The term is normal."""
+    eta, eps, l = Gen("eta"), Gen("eps"), Gen("l")
+    return comp(1, *[comp(0, eta, Id(l)), comp(0, Id(l), eps)] * (n // 2))
+
+
+def test_stack_of_normalizes_a_fixed_number_of_times():
+    """stack_of normalizes the term, its source boundary and each
+    generator's boundaries once; every whisker's word is read from the
+    normal term, so the count does not grow with the number of layers."""
+    counts = []
+    for n in (10, 20, 40):
+        p = adj().base
+        t = zigzags(n)
+        assert p.normalize(t) == t
+        table = interchange.AtomTable()
+        counts.append(normalize_calls(stack_of, t, p, table))
+        assert len(stack_of(t, p, table)[1]) == 2 * n
+    assert counts[0] == counts[1] == counts[2], counts
 
 
 def test_eq_on_a_300_letter_word():
