@@ -377,7 +377,7 @@ def bialgebra_from_json(data: dict) -> Bialgebra:
         F, n,
         m=mat("m", n, n * n), u=mat("u", n, 1),
         delta=mat("delta", n * n, n), eps=mat("epsilon", 1, n),
-        grading=tuple(shape.get(data, "grading", list, "bialgebra", [0] * n)),
+        grading=tuple(shape.ints(data, "grading", "bialgebra", [0] * n)),
         braiding=shape.get(data, "braiding", str, "bialgebra", FLIP),
         basis_names=tuple(shape.get(data, "basis", list, "bialgebra", [])),
     )

@@ -35,7 +35,8 @@ from .matrix import Matrix
 from .presentation import Presentation
 from .rewriting import stack_of
 from .shear import universal_shear
-from .terms import CellTerm, Comp, Gen, Id, Inv, TermError, generators
+from .terms import (CellTerm, Comp, Gen, Id, Inv, TermError, generators,
+                    identity_core)
 
 CROSSING = pair_name("A", "A")
 MULT = pair_name("m", "A")
@@ -92,9 +93,10 @@ def evaluate_diagram(t: CellTerm, ctx: EvalContext) -> Matrix:
 
 
 def _eval3(t: CellTerm, ctx: EvalContext, p: Presentation) -> Matrix:
+    """The matrix of a 3-cell term t of p in normal form, whose subterms
+    are then normal too and are not normalized again."""
     B = ctx.bialgebra
     F, n = B.field, B.n
-    t = p.normalize(t, push_inv=False)
     if isinstance(t, Gen):
         if t.name in ctx.assignment:
             return ctx.assignment[t.name]
@@ -130,9 +132,7 @@ def _eval3(t: CellTerm, ctx: EvalContext, p: Presentation) -> Matrix:
 
 
 def _is_wire_tower(t: CellTerm, p: Presentation) -> bool:
-    core = t
-    while isinstance(core, Id):
-        core = core.inner
+    core, _ = identity_core(t)
     try:
         return p.dim(core) <= 1
     except TermError:

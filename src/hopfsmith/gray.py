@@ -9,12 +9,12 @@ d(x (x) y) = dx (x) y +- x (x) dy: it gives the crossing square for k = 1,
 the pull-across-a-wire 3-cells for k = 2 and the 4-dimensional pulls for
 k = 3.
 
-The same term constructors (`cross`, `move12`, `move21` and
-`fill22_boundaries`), dispatched on dimensions by `TensorTerms.tensor`,
-build instances of these cells over composite boundaries, which is what
-both the generator table and the shear/proof-chain constructions need,
-and what `GrayMorphism`, the tensor of two presentation morphisms, sends
-pair generators to.
+`TensorTerms.tensor` builds these cells over composite boundaries for the
+generator table, the shear/proof chains and `GrayMorphism` (the tensor of
+two presentation morphisms) by one recursion, `_pull`, of a wire with a
+bead of dimension 1 or 2.  It is written for the wire in the first factor;
+with the bead first, every level-1 composite is reversed and a 2-bead's
+source and target are exchanged.
 `smash` returns its collapse as a `PresMorphism`; `collapse` makes the same
 quotient of a tensor that is already built.
 """
@@ -49,12 +49,40 @@ def _ends(p: Presentation, t: CellTerm) -> Tuple[str, str]:
     return s.name, g.name
 
 
+class _Order:
+    """A pull's order of factors, wire first or not: the wire's and the
+    bead's presentations (W, B), a term of either at an object of the
+    other, and how the order reads level-1 composites and 2-bead faces."""
+
+    def __init__(self, tt: "TensorTerms", wire_first: bool):
+        self.tt, self.wire_first = tt, wire_first
+        self.W, self.B = (tt.L, tt.R) if wire_first else (tt.R, tt.L)
+
+    def at(self, t: CellTerm, y: str) -> CellTerm:
+        """A term of the wire's factor at an object y of the bead's."""
+        return self.tt.ten_l(t, y) if self.wire_first else self.tt.ten_r(y, t)
+
+    def beside(self, x: str, t: CellTerm) -> CellTerm:
+        """A term of the bead's factor at an object x of the wire's."""
+        return self.tt.ten_r(x, t) if self.wire_first else self.tt.ten_l(t, x)
+
+    def then(self, s: CellTerm, t: CellTerm) -> CellTerm:
+        """s then t at level 1, run backwards with the bead first."""
+        return Comp(1, s, t) if self.wire_first else Comp(1, t, s)
+
+    def faces(self, t: CellTerm) -> Tuple[CellTerm, CellTerm]:
+        """Source and target of a bead-side 2-cell, exchanged bead first."""
+        s, g = self.B.src(t), self.B.tgt(t)
+        return (s, g) if self.wire_first else (g, s)
+
+
 class TensorTerms:
     """Term constructors over the tensor of two presentations."""
 
     def __init__(self, left: Presentation, right: Presentation):
         self.L = left
         self.R = right
+        self._orders = (_Order(self, False), _Order(self, True))
 
     # -- relabelling tensors with an object ------------------------------
 
@@ -74,163 +102,89 @@ class TensorTerms:
             if not isinstance(x, Gen):
                 raise TermError("object term is not an object generator")
             return self.ten_r(x.name, b) if da == 0 else self.ten_l(a, x.name)
-        if (da, db) == (1, 1):
-            return self.cross(a, b)
-        if (da, db) == (1, 2):
-            return self.move12(a, b)
-        if (da, db) == (2, 1):
-            return self.move21(a, b)
-        raise TermError(f"no tensor rule for dimension pair ({da},{db})")
+        if da + db > 3:
+            raise TermError(f"no tensor rule for dimension pair ({da},{db})")
+        a, b = self.L.normalize(a), self.R.normalize(b)
+        if da == 1:
+            return self._pull(a, b, db, True)
+        return self._pull(b, a, da, False)
 
-    # -- the crossing of two 1-cells --------------------------------------
+    # -- pulling a bead across a wire -------------------------------------
 
-    def cross(self, a: CellTerm, b: CellTerm) -> CellTerm:
-        """The square filler a (x) b of two 1-cell terms, as a 2-cell from
-        (src a (x) b) then (a (x) tgt b)  to  (a (x) src b) then (tgt a (x) b)."""
-        a = self.L.normalize(a)
-        b = self.R.normalize(b)
-        if isinstance(a, Id):
-            x = a.inner
-            assert isinstance(x, Gen)
-            return Id(self.ten_r(x.name, b))
-        if isinstance(b, Id):
-            y = b.inner
-            assert isinstance(y, Gen)
-            return Id(self.ten_l(a, y.name))
-        if isinstance(a, Comp):
-            s, t = a.left, a.right
-            p, q = _ends(self.R, b)
-            step1 = Comp(0, self.cross(s, b), Id(self.ten_l(t, q)))
-            step2 = Comp(0, Id(self.ten_l(s, p)), self.cross(t, b))
-            return Comp(1, step1, step2)
-        if isinstance(b, Comp):
-            u, v = b.left, b.right
-            P, Q = _ends(self.L, a)
-            step1 = Comp(0, Id(self.ten_r(P, u)), self.cross(a, v))
-            step2 = Comp(0, self.cross(a, u), Id(self.ten_r(Q, v)))
-            return Comp(1, step1, step2)
-        assert isinstance(a, Gen) and isinstance(b, Gen)
-        return Gen(pair_name(a.name, b.name))
+    def _pull(self, wire: CellTerm, bead: CellTerm, k: int,
+              wire_first: bool) -> CellTerm:
+        """wire (x) bead, or bead (x) wire unless wire_first, for a normal
+        1-cell wire and a normal k-cell bead, k = 1 or 2.  At k = 1 it fills
+        the crossing square: a (x) b goes from (src a (x) b) then
+        (a (x) tgt b) to (a (x) src b) then (tgt a (x) b).  At k = 2 it pulls
+        the bead across the wire; its source fires the bead before the
+        crossing with the wire first, after it with the bead first.
 
-    # -- pulling a second-factor bead across a first-factor wire ----------
+        The cases are written for the wire first.  With the bead first they
+        keep their shape, but every level-1 composite runs backwards and a
+        2-bead's source and target are exchanged (`_Order`).  The first
+        factor's composite splits first, so a composite 1-bead is split as
+        the wire of the other order.  Parts of normal terms are normal; the
+        faces and splits built here are normalized before the recursion."""
+        if isinstance(wire, Gen) and isinstance(bead, Gen):
+            return Gen(pair_name(wire.name, bead.name) if wire_first
+                       else pair_name(bead.name, wire.name))
+        o = self._orders[wire_first]
+        if isinstance(wire, Id):
+            return Id(o.beside(wire.inner.name, bead))
+        if isinstance(bead, Id):
+            return Id(self._pull(wire, bead.inner, 1, wire_first) if k == 2
+                      else o.at(wire, bead.inner.name))
+        if (k == 1 and isinstance(bead, Comp)
+                and not (wire_first and isinstance(wire, Comp))):
+            return self._pull(bead, wire, 1, not wire_first)
 
-    def move12(self, a: CellTerm, beta: CellTerm) -> CellTerm:
-        """The 3-cell a (x) beta pulling beta from the southeast to the
-        northwest of the a-wire.  Source: beta fires before the crossing;
-        target: the crossing fires before beta."""
-        a = self.L.normalize(a)
-        beta = self.R.normalize(beta)
-        if isinstance(a, Id):
-            x = a.inner
-            assert isinstance(x, Gen)
-            return Id(self.ten_r(x.name, beta))
-        if isinstance(beta, Id):
-            return Id(self.cross(a, beta.inner))
-        if isinstance(a, Comp):
-            # beta crosses the first leg, then the second
-            s, t = a.left, a.right
-            b = self.R.src(beta)
-            b2 = self.R.tgt(beta)
-            p, q = _ends(self.R, b)
-            layer3 = Comp(0, Id(self.ten_l(s, p)), self.cross(t, b2))
-            W1 = Comp(1, Comp(0, self.move12(s, beta), Id(Id(self.ten_l(t, q)))),
-                      Id(layer3))
-            layer1 = Comp(0, self.cross(s, b), Id(self.ten_l(t, q)))
-            W2 = Comp(1, Id(layer1),
-                      Comp(0, Id(Id(self.ten_l(s, p))), self.move12(t, beta)))
-            return Comp(2, W1, W2)
-        assert isinstance(a, Gen)
-        if isinstance(beta, Gen):
-            return Gen(pair_name(a.name, beta.name))
-        A0, A1 = _ends(self.L, a)
-        if isinstance(beta, Comp) and beta.k == 1:
-            # a vertical bead stack crosses top-first, idle bead whiskered
-            c, d = beta.left, beta.right
-            p, q = _ends(self.R, beta)
-            lower = Comp(1, Id(Comp(0, self.ten_r(A0, c), Id(self.ten_l(a, q)))),
-                         self.move12(a, d))
-            upper = Comp(1, self.move12(a, c),
-                         Id(Comp(0, Id(self.ten_l(a, p)), self.ten_r(A1, d))))
-            return Comp(2, lower, upper)
-        if isinstance(beta, Comp) and beta.k == 0:
-            x, y = beta.left, beta.right
-            if isinstance(x, Id):
-                # left whisker wire rides along
-                w = x.inner
-                b2 = self.R.tgt(y)
-                layer3 = Comp(0, self.cross(a, w), Id(self.ten_r(A1, b2)))
-                inner = Comp(0, Id(Id(self.ten_r(A0, w))), self.move12(a, y))
-                return Comp(1, inner, Id(layer3))
-            if isinstance(y, Id):
-                w = y.inner
-                b = self.R.src(x)
-                layer1 = Comp(0, Id(self.ten_r(A0, b)), self.cross(a, w))
-                inner = Comp(0, self.move12(a, x), Id(Id(self.ten_r(A1, w))))
-                return Comp(1, Id(layer1), inner)
-            # genuine horizontal composite: expand by interchange
-            split = Comp(1, Comp(0, x, Id(self.R.src(y))),
-                         Comp(0, Id(self.R.tgt(x)), y))
-            return self.move12(a, split)
-        raise TermError(f"unsupported shape in move12: {beta!r}")
+        def pull(w, b, j=k):
+            return self._pull(w, b, j, wire_first)
 
-    # -- pulling a first-factor bead across a second-factor wire ----------
-
-    def move21(self, alpha: CellTerm, b: CellTerm) -> CellTerm:
-        """The 3-cell alpha (x) b pulling alpha from the northeast to the
-        southwest of the b-wire.  Source: the crossing fires before alpha;
-        target: alpha fires before the crossing."""
-        alpha = self.L.normalize(alpha)
-        b = self.R.normalize(b)
-        if isinstance(b, Id):
-            y = b.inner
-            assert isinstance(y, Gen)
-            return Id(self.ten_l(alpha, y.name))
-        if isinstance(alpha, Id):
-            return Id(self.cross(alpha.inner, b))
-        if isinstance(b, Comp):
-            # alpha crosses the first leg, then the second
-            u, v = b.left, b.right
-            a = self.L.src(alpha)
-            a2 = self.L.tgt(alpha)
-            A0, A1 = _ends(self.L, a)
-            layer1 = Comp(0, Id(self.ten_r(A0, u)), self.cross(a, v))
-            W_u = Comp(1, Id(layer1),
-                       Comp(0, self.move21(alpha, u), Id(Id(self.ten_r(A1, v)))))
-            layer_u2 = Comp(0, self.cross(a2, u), Id(self.ten_r(A1, v)))
-            W_v = Comp(1, Comp(0, Id(Id(self.ten_r(A0, u))), self.move21(alpha, v)),
-                       Id(layer_u2))
-            return Comp(2, W_u, W_v)
-        assert isinstance(b, Gen)
-        if isinstance(alpha, Gen):
-            return Gen(pair_name(alpha.name, b.name))
-        p, q = _ends(self.R, b)
-        if isinstance(alpha, Comp) and alpha.k == 1:
-            # a vertical bead stack crosses bottom-first, idle bead whiskered
-            c, d = alpha.left, alpha.right
-            A0, A1 = _ends(self.L, alpha)
-            lower = Comp(1, self.move21(c, b),
-                         Id(Comp(0, self.ten_l(d, p), Id(self.ten_r(A1, b)))))
-            upper = Comp(1, Id(Comp(0, Id(self.ten_r(A0, b)), self.ten_l(c, q))),
-                         self.move21(d, b))
-            return Comp(2, lower, upper)
-        if isinstance(alpha, Comp) and alpha.k == 0:
-            x, y = alpha.left, alpha.right
-            if isinstance(x, Id):
-                w = x.inner
-                a2 = self.L.tgt(y)
-                layer1 = Comp(0, self.cross(w, b), Id(self.ten_l(self.L.src(y), q)))
-                inner = Comp(0, Id(Id(self.ten_l(w, p))), self.move21(y, b))
-                return Comp(1, Id(layer1), inner)
-            if isinstance(y, Id):
-                w = y.inner
-                a2 = self.L.tgt(x)
-                inner = Comp(0, self.move21(x, b), Id(Id(self.ten_l(w, q))))
-                layer2 = Comp(0, Id(self.ten_l(a2, p)), self.cross(w, b))
-                return Comp(1, inner, Id(layer2))
-            split = Comp(1, Comp(0, x, Id(self.L.src(y))),
-                         Comp(0, Id(self.L.tgt(x)), y))
-            return self.move21(split, b)
-        raise TermError(f"unsupported shape in move21: {alpha!r}")
+        if isinstance(wire, Comp):
+            # the bead crosses the first leg, then the second
+            s, t = wire.left, wire.right
+            p, q = _ends(o.B, bead)
+            s_leg = Comp(0, pull(s, bead), idn(o.at(t, q), k))
+            t_leg = Comp(0, idn(o.at(s, p), k), pull(t, bead))
+            if k == 1:
+                return o.then(s_leg, t_leg)
+            lo, hi = (o.B.normalize(f) for f in o.faces(bead))
+            return Comp(2,
+                        o.then(s_leg, Id(Comp(0, Id(o.at(s, p)),
+                                              pull(t, hi, 1)))),
+                        o.then(Id(Comp(0, pull(s, lo, 1), Id(o.at(t, q)))),
+                               t_leg))
+        if not (isinstance(wire, Gen) and isinstance(bead, Comp)):
+            raise TermError(f"no pull of {bead!r} across {wire!r}")
+        x0, x1 = _ends(o.W, wire)
+        # a vertical bead stack is a level-1 composite: backwards bead first
+        x, y = (bead.left, bead.right) if wire_first or bead.k == 0 else (
+            bead.right, bead.left)
+        if bead.k == 1:
+            # a vertical stack crosses one bead at a time, the other whiskered
+            p, q = _ends(o.B, bead)
+            return Comp(2,
+                        o.then(Id(Comp(0, o.beside(x0, x), Id(o.at(wire, q)))),
+                               pull(wire, y)),
+                        o.then(pull(wire, x),
+                               Id(Comp(0, Id(o.at(wire, p)),
+                                       o.beside(x1, y)))))
+        if isinstance(x, Id):
+            # a left whisker rides along
+            w = x.inner
+            return o.then(Comp(0, Id(Id(o.beside(x0, w))), pull(wire, y)),
+                          Id(Comp(0, pull(wire, w, 1),
+                                  Id(o.beside(x1, o.faces(y)[1])))))
+        if isinstance(y, Id):
+            w = y.inner
+            return o.then(Id(Comp(0, Id(o.beside(x0, o.faces(x)[0])),
+                                  pull(wire, w, 1))),
+                          Comp(0, pull(wire, x), Id(Id(o.beside(x1, w)))))
+        # a genuine horizontal composite: expand by interchange
+        return pull(wire, o.B.normalize(Comp(1, Comp(0, x, Id(o.B.src(y))),
+                                             Comp(0, Id(o.B.tgt(x)), y))))
 
     # -- the interchange 4-cell ------------------------------------------
 
@@ -248,11 +202,11 @@ class TensorTerms:
         bNW2 = Comp(0, Id(self.ten_l(a2, p)), self.ten_r(A1, beta))
         bSE = Comp(0, self.ten_r(A0, beta), Id(self.ten_l(a, q)))
         aSW2 = Comp(0, Id(self.ten_r(A0, b)), self.ten_l(alpha, q))
-        W1 = Comp(1, self.move12(a, beta), Id(aNE))
-        W2 = Comp(1, self.move21(alpha, b), Id(bNW2))
+        W1 = Comp(1, self.tensor(a, 1, beta, 2), Id(aNE))
+        W2 = Comp(1, self.tensor(alpha, 2, b, 1), Id(bNW2))
         src = Comp(2, W1, W2)
-        V1 = Comp(1, Id(bSE), self.move21(alpha, b2))
-        V2 = Comp(1, Id(aSW2), self.move12(a2, beta))
+        V1 = Comp(1, Id(bSE), self.tensor(alpha, 2, b2, 1))
+        V2 = Comp(1, Id(aSW2), self.tensor(a2, 1, beta, 2))
         tgt = Comp(2, V1, V2)
         return src, tgt
 

@@ -56,6 +56,17 @@ def get(data: dict, key: str, types: Union[Type, Tuple[Type, ...]],
     return value
 
 
+def ints(data: dict, key: str, where: str, default: Any = _MISSING) -> list:
+    """data[key], which must be an array of integers (JSON true and false
+    are not integers)."""
+    value = get(data, key, list, where, default)
+    for x in value:
+        if not _is(x, (int,)):
+            raise ShapeError(f"{where}: an entry of {key!r} must be an "
+                             f"integer, got {_name(x)}")
+    return value
+
+
 def rows(data: dict, key: str, where: str) -> list:
     """data[key], which must be an array of arrays of strings and
     integers; a JSON number with a fraction or exponent is refused, since

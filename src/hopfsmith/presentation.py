@@ -144,7 +144,7 @@ class Presentation:
                   shape.get(g, "dim", int, where),
                   parse_term(src) if src else None,
                   parse_term(tgt) if tgt else None,
-                  bool(g.get("invertible", False)))
+                  shape.get(g, "invertible", bool, where, False))
         for i, r in enumerate(shape.get(data, "relations", list,
                                         "presentation", [])):
             where = f"relation {i}"
@@ -152,7 +152,7 @@ class Presentation:
             p.relate(shape.get(r, "dim", int, where),
                      parse_term(shape.get(r, "lhs", str, where)),
                      parse_term(shape.get(r, "rhs", str, where)),
-                     bool(r.get("oriented", False)))
+                     shape.get(r, "oriented", bool, where, False))
         return p
 
     def dumps(self) -> str:

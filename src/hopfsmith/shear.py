@@ -327,8 +327,9 @@ def proof_skeleton_check(budget: Optional[int] = None,
     tt = TensorTerms(e_oriental2(), e_oriental2())
 
     steps.append(ChainStep("hexagon", hex_cell, FOUR_CELL))
-    for mv, label in ((tt.move21(Gen("sigma"), Gen("w")), "slide-across-w2"),
-                      (tt.move12(Gen("w"), Gen("sigma")), "slide-across-w1")):
+    sigma, w = Gen("sigma"), Gen("w")
+    for mv, label in ((tt.tensor(sigma, 2, w, 1), "slide-across-w2"),
+                      (tt.tensor(w, 1, sigma, 2), "slide-across-w1")):
         atom = _top_atom(mv)
         steps.append(ChainStep(label, mv, classify_pair(atom)))
 

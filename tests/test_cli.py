@@ -190,7 +190,22 @@ MALFORMED = [
     # 0.1 is not, and both are refused
     ("antipode", "qz2-with-float-u", "an entry of 'u'"),
     ("reconstruct", "comodule-with-float-rho", "an entry of 'rho'"),
+    # a degree is a JSON integer: not a string, a fraction or a boolean
+    ("shear-check", "qz2-super-with-string-grading", "an entry of 'grading'"),
+    ("shear-check", "qz2-super-with-float-grading", "an entry of 'grading'"),
+    ("shear-check", "qz2-super-with-boolean-grading",
+     "an entry of 'grading'"),
+    # "false" is a string, not JSON false: it must not load as invertible
+    # or oriented
+    ("census", {"maxDim": 1, "generators": [
+        {"name": "x", "dim": 0, "invertible": "false"}]}, "'invertible'"),
+    ("census", {"maxDim": 1, "generators": [{"name": "x", "dim": 0}],
+                "relations": [{"dim": 0, "lhs": "(gen x)", "rhs": "(gen x)",
+                               "oriented": "false"}]}, "'oriented'"),
 ]
+GRADINGS = {"qz2-super-with-string-grading": ["1", "0"],
+            "qz2-super-with-float-grading": [1.5, 0],
+            "qz2-super-with-boolean-grading": [True, False]}
 
 
 @pytest.mark.parametrize("command, doc, named", MALFORMED)
@@ -206,6 +221,8 @@ def test_malformed_json_exit_64(tmp_path, capsys, command, doc, named):
     elif doc == "comodule-with-float-rho":
         doc = {"bialgebra": _qz2_json(),
                "comodules": [{"dim": 1, "rho": [[0.1], [1]]}]}
+    elif isinstance(doc, str) and doc in GRADINGS:
+        doc = dict(_qz2_json(), grading=GRADINGS[doc], braiding="super")
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     code, out = run(["--json", "--no-timing", command, str(path)])

@@ -8,7 +8,7 @@ from hopfsmith.mates import walking_retract
 from hopfsmith.presentation import (Presentation, validate_presentation,
                                     validate_term)
 from hopfsmith.rewriting import EQ_EQUAL, eq
-from hopfsmith.terms import Comp, Gen, Id, TermError, comp
+from hopfsmith.terms import Comp, Gen, Id, Inv, TermError, comp
 from hopfsmith.walking import (PointedPresentation, boundary_globe, globe,
                                mnd, point)
 
@@ -53,6 +53,19 @@ def test_gray_dimension_overflow():
         gray(globe(3), globe(2))
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_a_bead_across_an_inverse_wire_is_a_term_error(swap):
+    """No pull crosses an inverse: a boundary through the inverse of an
+    invertible 1-cell raises TermError, which the command line reports as
+    a fail line, not an assertion traceback."""
+    p = Presentation(max_dim=2)
+    x = p.add("x", 0)
+    f = p.add("f", 1, x, x, True)
+    p.add("a", 2, Inv(f), f)
+    with pytest.raises(TermError, match="no pull"):
+        gray(globe(1), p) if swap else gray(p, globe(1))
+
+
 def test_gray_13_pair_builds():
     g = gray(globe(1), globe(3))
     assert validate_presentation(g) == []
@@ -87,8 +100,8 @@ def test_collapse_functoriality():
         Gen(pair_name("A", "A")),
         Gen(pair_name("m", "A")),
         Gen(pair_name("A", "m")),
-        tt.cross(comp(0, Gen("A"), Gen("A")), Gen("A")),
-        tt.move12(Gen("A"), Gen("m")),
+        tt.tensor(comp(0, Gen("A"), Gen("A")), 1, Gen("A"), 1),
+        tt.tensor(Gen("A"), 1, Gen("m"), 2),
     ]
     for t in samples:
         d = big.dim(t)

@@ -46,8 +46,8 @@ def reference_pair_boundaries(tt, g, h):
         p, q = _ends(tt.R, b)
         A0, A1 = _ends(tt.L, a)
         src = Comp(1, Comp(0, tt.ten_r(A0, hy), Id(tt.ten_l(a, q))),
-                   tt.cross(a, b2))
-        tgt = Comp(1, tt.cross(a, b),
+                   tt.tensor(a, 1, b2, 1))
+        tgt = Comp(1, tt.tensor(a, 1, b, 1),
                    Comp(0, Id(tt.ten_l(a, p)), tt.ten_r(A1, hy)))
         return src, tgt
     if (dg, dh) == (2, 1):
@@ -55,10 +55,10 @@ def reference_pair_boundaries(tt, g, h):
         a, a2 = g.src, g.tgt
         p, q = _ends(tt.R, b)
         A0, A1 = _ends(tt.L, a)
-        src = Comp(1, tt.cross(a, b),
+        src = Comp(1, tt.tensor(a, 1, b, 1),
                    Comp(0, tt.ten_l(gx, p), Id(tt.ten_r(A1, b))))
         tgt = Comp(1, Comp(0, Id(tt.ten_r(A0, b)), tt.ten_l(gx, q)),
-                   tt.cross(a2, b))
+                   tt.tensor(a2, 1, b, 1))
         return src, tgt
     if (dg, dh) == (2, 2):
         return tt.fill22_boundaries(gx, hy)
@@ -69,11 +69,11 @@ def reference_pair_boundaries(tt, g, h):
         p, q = _ends(tt.R, b)
         A0, A1 = _ends(tt.L, gx)
         w_src = Comp(1, Comp(0, tt.ten_r(A0, hy), Id(Id(tt.ten_l(gx, q)))),
-                     Id(tt.cross(gx, b2)))
-        src = Comp(2, w_src, tt.move12(gx, beta2))
-        w_tgt = Comp(1, Id(tt.cross(gx, b)),
+                     Id(tt.tensor(gx, 1, b2, 1)))
+        src = Comp(2, w_src, tt.tensor(gx, 1, beta2, 2))
+        w_tgt = Comp(1, Id(tt.tensor(gx, 1, b, 1)),
                      Comp(0, Id(Id(tt.ten_l(gx, p))), tt.ten_r(A1, hy)))
-        tgt = Comp(2, tt.move12(gx, beta), w_tgt)
+        tgt = Comp(2, tt.tensor(gx, 1, beta, 2), w_tgt)
         return src, tgt
     if (dg, dh) == (3, 1):
         alpha, alpha2 = g.src, g.tgt
@@ -82,11 +82,11 @@ def reference_pair_boundaries(tt, g, h):
         p, q = _ends(tt.R, hy)
         A0, A1 = _ends(tt.L, a)
         w_src = Comp(1, Comp(0, Id(Id(tt.ten_r(A0, hy))), tt.ten_l(gx, q)),
-                     Id(tt.cross(a2, hy)))
-        src = Comp(2, tt.move21(alpha, hy), w_src)
-        w_tgt = Comp(1, Id(tt.cross(a, hy)),
+                     Id(tt.tensor(a2, 1, hy, 1)))
+        src = Comp(2, tt.tensor(alpha, 2, hy, 1), w_src)
+        w_tgt = Comp(1, Id(tt.tensor(a, 1, hy, 1)),
                      Comp(0, tt.ten_l(gx, p), Id(Id(tt.ten_r(A1, hy)))))
-        tgt = Comp(2, w_tgt, tt.move21(alpha2, hy))
+        tgt = Comp(2, w_tgt, tt.tensor(alpha2, 2, hy, 1))
         return src, tgt
     raise TermError(f"no boundary rule for dimension pair ({dg},{dh})")
 

@@ -17,12 +17,15 @@ presentation's boundary-word table, and no function of the interchange
 core takes a presentation.  Only `interchange.py` decides whether two
 layers interchange: no other module reads an atom table's lengths
 (`.ns`, `.nt`), names `_readings`, `_slide_left` or `_slide_right`, or
-defines a `slide` function of its own.  Imports run once, at module top: no function
-imports, `rewriting` names `presentation` only for type checkers (so the
-presentation layer imports one way), and every module imports on its own
-in a fresh interpreter.  All checks but that last one read the syntax
-tree of every module, so they fail as soon as such a shortcut is
-written, whether or not a test runs it.
+defines a `slide` function of its own.  The Gray tensor's terms come
+from one pull recursion: `TensorTerms._pull` is the only method of its
+class that calls itself, for both orders of the factors.  Imports run
+once, at module top: no function imports, `rewriting` names
+`presentation` only for type checkers (so the presentation layer imports
+one way), and every module imports on its own in a fresh interpreter.
+All checks but that last one read the syntax tree of every module, so
+they fail as soon as such a shortcut is written, whether or not a test
+runs it.
 """
 
 import ast
@@ -149,6 +152,20 @@ def uses_of(name, tree):
             if (isinstance(node, ast.Name) and node.id == name
                     or isinstance(node, ast.Attribute) and node.attr == name):
                 yield node.lineno, getattr(top, "name", None)
+
+
+def self_callers(tree, cls):
+    """The methods of class cls that call themselves, by a method or a
+    plain name, nested functions included."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef) and top.name == cls:
+            for fn in top.body:
+                if isinstance(fn, ast.FunctionDef) and any(
+                        isinstance(node, ast.Call) and fn.name in (
+                            getattr(node.func, "id", None),
+                            getattr(node.func, "attr", None))
+                        for node in ast.walk(fn)):
+                    yield fn.lineno, fn.name
 
 
 def interchange_decisions(tree):
@@ -287,6 +304,12 @@ def test_the_interchange_core_takes_no_presentation():
     assert found == dict.fromkeys(INTERCHANGE_CORE, False)
 
 
+def test_one_pull_recursion_builds_the_tensor_terms():
+    found = [name for _, name in self_callers(parse(SRC / "gray.py"),
+                                              "TensorTerms")]
+    assert found == ["_pull"]
+
+
 def test_only_the_interchange_module_decides_interchange():
     bad = [(p.name, *use) for p in modules(but="interchange.py")
            for use in interchange_decisions(parse(p))]
@@ -378,6 +401,21 @@ def test_the_checks_see_what_they_forbid(tmp_path):
             for name, fn in functions(tree)} == {
         "Atom.words": True, "slide": True, "slide_left": True,
         "canonical_stack": False}
+    tree = ast.parse(
+        "class TensorTerms:\n"
+        "    def tensor(self, a, b):\n"
+        "        return self._pull(a, b)\n"
+        "    def _pull(self, a, b):\n"
+        "        def pull(w):\n"
+        "            return self._pull(w, b)\n"
+        "        return pull(a)\n"
+        "    def move21(self, a, b):\n"
+        "        return self.move21(b, a)\n"
+        "class Other:\n"
+        "    def _pull(self, a):\n"
+        "        return self._pull(a)\n")
+    assert list(self_callers(tree, "TensorTerms")) == [(4, "_pull"),
+                                                       (8, "move21")]
     tree = ast.parse(
         "from .interchange import _readings, align\n"
         "def _junction(tab, a, b):\n"

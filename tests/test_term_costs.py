@@ -14,7 +14,10 @@ import sys
 import pytest
 
 from hopfsmith import interchange, rewriting, terms
+from hopfsmith.evaluate import EvalContext, evaluate_diagram
+from hopfsmith.fixtures import standard_fixtures
 from hopfsmith.rewriting import EQ_EQUAL, eq, stack_of, word_of
+from hopfsmith.shear import universal_shear
 from hopfsmith.terms import SOURCE, Comp, Gen, Id, comp, flatten
 from hopfsmith.walking import adj, mnd
 
@@ -101,6 +104,19 @@ def test_stack_of_normalizes_a_fixed_number_of_times():
         counts.append(normalize_calls(stack_of, t, p, table))
         assert len(stack_of(t, p, table)[1]) == 2 * n
     assert counts[0] == counts[1] == counts[2], counts
+
+
+@pytest.mark.parametrize("name", ["QS3", "QZ3dual"])
+def test_evaluation_normalizes_the_diagram_once(name):
+    """evaluate_diagram normalizes the universal shear once, and each side
+    of its one junction is stacked from one normalize of the term and one
+    of its source word: five calls, once a first evaluation has filled the
+    presentation's boundary-word table.  The subterms of the normal
+    diagram are not normalized again (18 calls when every node was)."""
+    ctx = EvalContext(standard_fixtures()[name])
+    term = universal_shear().term
+    evaluate_diagram(term, ctx)
+    assert normalize_calls(evaluate_diagram, term, ctx) == 5
 
 
 def test_eq_on_a_300_letter_word():
