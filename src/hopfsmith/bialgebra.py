@@ -59,6 +59,8 @@ class Bialgebra:
             raise BialgebraError(f"unknown braiding {self.braiding!r}")
         if not self.basis_names:
             self.basis_names = tuple(f"e{i}" for i in range(n))
+        if len(self.basis_names) != n:
+            raise BialgebraError("basis length mismatch")
 
     # -- helpers ----------------------------------------------------------
 
@@ -379,7 +381,7 @@ def bialgebra_from_json(data: dict) -> Bialgebra:
         delta=mat("delta", n * n, n), eps=mat("epsilon", 1, n),
         grading=tuple(shape.ints(data, "grading", "bialgebra", [0] * n)),
         braiding=shape.get(data, "braiding", str, "bialgebra", FLIP),
-        basis_names=tuple(shape.get(data, "basis", list, "bialgebra", [])),
+        basis_names=tuple(shape.strs(data, "basis", "bialgebra", [])),
     )
 
 

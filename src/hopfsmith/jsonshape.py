@@ -59,11 +59,20 @@ def get(data: dict, key: str, types: Union[Type, Tuple[Type, ...]],
 def ints(data: dict, key: str, where: str, default: Any = _MISSING) -> list:
     """data[key], which must be an array of integers (JSON true and false
     are not integers)."""
+    return _array(data, key, int, where, default)
+
+
+def strs(data: dict, key: str, where: str, default: Any = _MISSING) -> list:
+    """data[key], which must be an array of strings."""
+    return _array(data, key, str, where, default)
+
+
+def _array(data: dict, key: str, entry: type, where: str, default) -> list:
     value = get(data, key, list, where, default)
     for x in value:
-        if not _is(x, (int,)):
-            raise ShapeError(f"{where}: an entry of {key!r} must be an "
-                             f"integer, got {_name(x)}")
+        if not _is(x, (entry,)):
+            raise ShapeError(f"{where}: an entry of {key!r} must be "
+                             f"{_JSON_NAMES[entry]}, got {_name(x)}")
     return value
 
 

@@ -7,7 +7,10 @@ The JSON format is pinned for interchange:
      "relations":  [{"dim", "lhs", "rhs", "oriented"}]}
 
 with src/tgt/lhs/rhs as S-expression strings.  parse -> print -> parse
-is the identity on the nose.
+is the identity on the nose.  `dumps` writes this format directly, one
+record per generator and per relation, byte for byte as
+json.dumps(to_json(), indent=1, sort_keys=True) would; the tests check
+it against that call.
 
 A presentation's `gens` is the generator table that `dim`, `boundary`
 and `normalize` in `terms` read.  `PresMorphism` maps the terms of one
@@ -21,11 +24,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import jsonshape as shape
-from .rewriting import EQ_DISTINCT, EQ_EQUAL, composable, parallel, word_of
-from .terms import (CellTerm, Gen, Generator, Id, Inv, SOURCE, TARGET,
-                    TermError, boundary, dim, generators, illegal_inverses,
-                    normalize, parse_term, print_term, substitute,
-                    top_boundary)
+from .rewriting import (EQ_DISTINCT, EQ_EQUAL, composable, parallel_with_dim,
+                        word_of)
+from .terms import (CellTerm, Faces, Gen, Generator, Id, Inv, SOURCE,
+                    TARGET, TermError, boundary, dim, generators,
+                    illegal_inverses, normalize, parse_term, print_term,
+                    substitute, top_boundary)
 
 MAX_DIM = 4
 
@@ -157,8 +161,19 @@ class Presentation:
 
     def dumps(self) -> str:
         """The pinned JSON, byte for byte as
-        json.dumps(self.to_json(), indent=1, sort_keys=True) writes it."""
-        return _dump(self.to_json(), "")
+        json.dumps(self.to_json(), indent=1, sort_keys=True) writes it,
+        written directly: one record per generator and per relation, keys
+        in sorted order, strings through json's C string encoder (under an
+        indent json itself falls back to its pure-Python encoder)."""
+        gens = [_GENERATOR % (_scalar(g.dim), _scalar(g.invertible),
+                              _STR(g.name), _side(g.src), _side(g.tgt))
+                for g in self.gens.values()]
+        rels = [_RELATION % (_scalar(r.dim), _STR(print_term(r.lhs)),
+                             _scalar(r.oriented), _STR(print_term(r.rhs)))
+                for r in self.relations]
+        return (f'{{\n "generators": {_records(gens)},\n'
+                f' "maxDim": {_scalar(self.max_dim)},\n'
+                f' "relations": {_records(rels)}\n}}')
 
     @classmethod
     def loads(cls, text: str) -> "Presentation":
@@ -181,27 +196,25 @@ class PresMorphism:
 
 _STR = json.encoder.encode_basestring_ascii
 
+# one record of each list, indented as json.dumps(indent=1) nests it
+_GENERATOR = ('  {\n   "dim": %s,\n   "invertible": %s,\n   "name": %s,\n'
+              '   "src": %s,\n   "tgt": %s\n  }')
+_RELATION = ('  {\n   "dim": %s,\n   "lhs": %s,\n   "oriented": %s,\n'
+             '   "rhs": %s\n  }')
 
-def _dump(v, pad: str) -> str:
-    """v, a value of the pinned format, as json.dumps(v, indent=1,
-    sort_keys=True) writes it when its line is indented by pad.  Under an
-    indent json falls back to its pure-Python encoder; this keeps its C
-    string encoder."""
-    if type(v) is str:
-        return _STR(v)
-    if type(v) is dict:
-        inner = pad + " "
-        items = [f"{inner}{_STR(k)}: {_dump(v[k], inner)}" for k in sorted(v)]
-    elif type(v) is list:
-        inner = pad + " "
-        items = [inner + _dump(x, inner) for x in v]
-    else:
-        return ("null" if v is None else "true" if v is True
-                else "false" if v is False else int.__repr__(v))
-    opening, closing = "{}" if type(v) is dict else "[]"
-    if not items:
-        return opening + closing
-    return f"{opening}\n" + ",\n".join(items) + f"\n{pad}{closing}"
+
+def _records(items: List[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+
+
+def _side(t: Optional[CellTerm]) -> str:
+    return "null" if t is None else _STR(print_term(t))
+
+
+def _scalar(v) -> str:
+    """An integer, a boolean or null as json writes it."""
+    return ("null" if v is None else "true" if v is True
+            else "false" if v is False else int.__repr__(v))
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +267,14 @@ def _validate_rec(t, p, budget) -> List[Violation]:
     return out
 
 
-def _parallel_violations(where: str, a: CellTerm, b: CellTerm, what: str,
-                         p: Presentation, budget) -> List[Violation]:
-    """A violation when a and b, well-formed terms of one dimension, are
-    not parallel, naming the lowest level that differs (undecided when eq
+def _parallel_violations(where: str, a: CellTerm, b: CellTerm, d: int,
+                         what: str, p: Presentation, budget,
+                         faces: Faces) -> List[Violation]:
+    """A violation when a and b, well-formed terms of dimension d, are not
+    parallel, naming the lowest level that differs (undecided when eq
     cannot tell within the budget), or a boundary cannot be taken."""
     try:
-        v, level = parallel(a, b, p, budget)
+        v, level = parallel_with_dim(a, b, d, p, budget, faces)
     except TermError as e:
         return [Violation(where, str(e))]
     if v is EQ_EQUAL:
@@ -274,9 +288,13 @@ def validate_presentation(p: Presentation,
                           budget: Optional[int] = None) -> List[Violation]:
     """Every violation of dimension stratification, parallelism, or
     globularity in the generator and relation data, undecided where eq
-    cannot tell within the step budget (eq's default).  Empty iff valid."""
+    cannot tell within the step budget (eq's default).  Empty iff valid.
+    The certificate of each generator and relation takes the dimension
+    its sides were checked at, and all of them share one table of normal
+    generator faces."""
     out: List[Violation] = []
     gens = p.gens
+    faces: Faces = {}  # the normal generator faces, read once
     for g in gens.values():
         if g.dim == 0:
             if g.src is not None or g.tgt is not None:
@@ -286,34 +304,40 @@ def validate_presentation(p: Presentation,
             out.append(Violation(g.name, "missing boundary"))
             continue
         found = len(out)
+        sides = []
         for side_name, side_term in (("src", g.src), ("tgt", g.tgt)):
             try:
                 d = dim(side_term, gens)
             except TermError as e:
                 out.append(Violation(g.name, f"{side_name}: {e}"))
                 continue
-            if d != g.dim - 1:
-                out.append(Violation(
-                    g.name, f"{side_name} has dimension {d}, expected {g.dim - 1}"))
+            sides.append(side_term)
+            if d == g.dim - 1:
+                # a well-formed term of dimension d mentions no generator
+                # of a higher dimension
+                continue
+            out.append(Violation(
+                g.name, f"{side_name} has dimension {d}, expected {g.dim - 1}"))
             for name in generators(side_term):
                 if name in gens and gens[name].dim >= g.dim:
                     out.append(Violation(
                         g.name,
                         f"{side_name} mentions {name!r} of dimension >= {g.dim}"))
         if len(out) == found:
-            out.extend(_parallel_violations(g.name, g.src, g.tgt, "src/tgt",
-                                            p, budget))
+            out.extend(_parallel_violations(g.name, *sides, g.dim - 1,
+                                            "src/tgt", p, budget, faces))
     for i, r in enumerate(p.relations):
         label = f"relation#{i}"
+        found = len(out)
         for side_name, side_term in (("lhs", r.lhs), ("rhs", r.rhs)):
             out.extend(Violation(label, f"{side_name}: {v.issue}",
                                  v.undecided)
                        for v in validate_term(side_term, p, budget))
-        if any(v.where == label for v in out):
+        if len(out) > found:
             continue
         if dim(r.lhs, gens) != r.dim or dim(r.rhs, gens) != r.dim:
             out.append(Violation(label, "stated dimension disagrees with sides"))
             continue
-        out.extend(_parallel_violations(label, r.lhs, r.rhs, "sides", p,
-                                        budget))
+        out.extend(_parallel_violations(label, r.lhs, r.rhs, r.dim, "sides",
+                                        p, budget, faces))
     return out

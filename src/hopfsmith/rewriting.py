@@ -33,12 +33,20 @@ slides, canonicalization, cancellation and rule matching are functions
 of the states and the table alone.
 
 Every comparison starts with the boundary certificate, `parallel`: the
-k-sources and k-targets of both sides are taken once each and compared
-from level 0 upward, each level by its own decision alone.  Each pair
-starts from the budget left when the certificate began, so running out
-on one pair never hides a difference at another.  Validation uses the
-same call for a generator's source and target and a relation's sides,
-and names the lowest level that differs.
+k-sources and k-targets of both sides are built once each, already
+normal, and compared from level 0 upward, each level by its own
+decision alone.  A level's boundary is built from the level above by
+`terms.normal_top_boundary`, which composes generator faces, each
+normalized once into a faces table, with the composite's normal form;
+it is never taken raw and then normalized whole.  A generator without
+a boundary raises TermError out of the certificate; a face that cannot
+be normalized to the dimension below its generator's makes its level
+Unknown.  Each pair starts from the budget left when the certificate
+began, so running out on one pair never hides a difference at another.
+Validation calls `parallel_with_dim` with the dimension it has already taken,
+for a generator's source and target and a relation's sides, sharing
+one faces table across the whole presentation, and names the lowest
+level that differs.
 
 Verdicts are Equal / Distinct / Unknown.  Both sides are normalized
 first; a side that is ill-formed, or that has a formal inverse of a
@@ -59,7 +67,8 @@ from typing import (TYPE_CHECKING, AbstractSet, Callable, Container, Dict,
 
 from . import interchange
 from .terms import (CellTerm, Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
-                    boundary, flatten, illegal_inverses, print_term,
+                    Faces, boundary, dim, flatten, illegal_inverses,
+                    normal_dim, normal_top_boundary, print_term,
                     top_boundary)
 
 if TYPE_CHECKING:  # presentation imports this module
@@ -303,37 +312,38 @@ def eq(a: CellTerm, b: CellTerm, p: Presentation,
        budget: Optional[int] = None) -> Verdict:
     """Decide equality of two parallel terms over p, within a step budget."""
     try:
-        a, b = p.normalize(a), p.normalize(b)
+        a, da = normal_dim(a, p.gens)
+        b, db = normal_dim(b, p.gens)
     except TermError:
         return EQ_UNKNOWN
     steps = default_budget() if budget is None else budget
-    return _eq(a, b, p, Budget(steps), certify=True)
+    return _eq(a, da, b, db, p, Budget(steps), certify=True)
 
 
-def _eq(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget,
-        certify: bool) -> Verdict:
-    """eq on two normal terms, after the boundary certificate when certify
-    is set.  In a normal form every Inv wraps a generator."""
-    if any(illegal_inverses(a, p.gens)) or any(illegal_inverses(b, p.gens)):
+def _eq(a: CellTerm, da: int, b: CellTerm, db: int, p: Presentation,
+        budget: Budget, certify: bool) -> Verdict:
+    """eq on two normal terms of dimensions da and db, after the boundary
+    certificate when certify is set.  In a normal form every Inv wraps a
+    generator."""
+    if any(illegal_inverses(a, p.gens)) or (
+            b is not a and any(illegal_inverses(b, p.gens))):
         return EQ_UNKNOWN
     if a == b:
         return EQ_EQUAL
-    # normal forms are well-formed, so dim cannot raise here
-    d = p.dim(a)
-    if p.dim(b) != d or d == 0:
+    if db != da or da == 0:
         return EQ_DISTINCT
     if certify:
-        v = _certificate(a, b, d, p, budget)[0]
+        v = _certificate(a, b, da, p, budget, {})[0]
         if v is not EQ_EQUAL:
             return v
-    if d == 1:
+    if da == 1:
         rules = _word_rules(p)
         step = lambda w: _rewrites(w, rules, budget, _join)
-        wb = word_of(b, p)
-        return _meet(word_of(a, p), wb, step, budget, {wb})
-    if d == 2:
+        wb = _word(b)
+        return _meet(_word(a), wb, step, budget, {wb})
+    if da == 2:
         return _eq2(a, b, p, budget)
-    return _eq_high(a, b, d, p, budget)
+    return _eq_high(a, b, da, p, budget)
 
 
 def parallel(a: CellTerm, b: CellTerm, p: Presentation,
@@ -342,33 +352,44 @@ def parallel(a: CellTerm, b: CellTerm, p: Presentation,
     equal under eq at every level k (two 0-cells always are), (Distinct,
     k) for the lowest level k with a Distinct pair, (Distinct, None) for
     cells of different dimensions, else (Unknown, None).  Each pair starts
-    from the step budget, by default eq's.  Raises TermError when a
-    boundary cannot be taken."""
-    d = p.dim(a)
-    if p.dim(b) != d:
+    from the step budget, by default eq's.  Raises TermError when a or b
+    is ill-formed or a boundary cannot be taken."""
+    d = dim(a, p.gens)
+    if dim(b, p.gens) != d:
         return EQ_DISTINCT, None
+    return parallel_with_dim(a, b, d, p, budget, {})
+
+
+def parallel_with_dim(a: CellTerm, b: CellTerm, d: int, p: Presentation,
+                      budget: Optional[int], faces: Faces
+                      ) -> Tuple[Verdict, Optional[int]]:
+    """parallel for well-formed a and b of one dimension d, which the
+    caller has already taken.  faces is the table of normal generator
+    faces that normal_top_boundary fills; certificates over one
+    presentation may share it while its generators stay as they are."""
     if d == 0:
         return EQ_EQUAL, None
     steps = default_budget() if budget is None else budget
-    return _certificate(a, b, d, p, Budget(steps))
+    return _certificate(a, b, d, p, Budget(steps), faces)
 
 
 def _certificate(a: CellTerm, b: CellTerm, d: int, p: Presentation,
-                 budget: Budget) -> Tuple[Verdict, Optional[int]]:
-    """parallel for a and b of dimension d.  Each k-boundary is taken once,
-    down its spine, and the levels are compared from 0 upward by _eq alone.
-    Each pair starts from the budget left when the certificate began, so a
-    pair that runs it out hides no Distinct at another; the budget is then
-    charged what all pairs spent."""
+                 budget: Budget, faces: Faces
+                 ) -> Tuple[Verdict, Optional[int]]:
+    """parallel for well-formed a and b of dimension d.  Each k-boundary
+    is built once, already normal, from the (k+1)-boundary, and the
+    levels are compared from 0 upward by _eq alone.  Each pair starts
+    from the budget left when the certificate began, so a pair that runs
+    it out hides no Distinct at another; the budget is then charged what
+    all pairs spent."""
+    gens = p.gens
     levels: List[list] = [[] for _ in range(d)]
     for side in (SOURCE, TARGET):
         x, y = a, b
         for k in range(d - 1, -1, -1):
-            x = top_boundary(x, side, p.gens, k + 1)
-            y = top_boundary(y, side, p.gens, k + 1)
-            try:
-                x, y = p.normalize(x), p.normalize(y)
-            except TermError:
+            x = normal_top_boundary(x, side, k + 1, gens, faces)
+            y = normal_top_boundary(y, side, k + 1, gens, faces)
+            if x is None or y is None:
                 levels[k].append(None)  # Unknown, and nothing below it
                 break
             if x == y:  # so is every pair below; _eq compares x to itself
@@ -379,7 +400,8 @@ def _certificate(a: CellTerm, b: CellTerm, d: int, p: Presentation,
     for k, pairs in enumerate(levels):
         for pair in pairs:
             own = Budget(start)
-            v = _eq(pair[0], pair[1], p, own, False) if pair else EQ_UNKNOWN
+            v = (_eq(pair[0], k, pair[1], k, p, own, False) if pair
+                 else EQ_UNKNOWN)
             spent += start - own.left
             if v is EQ_DISTINCT:
                 budget.spend(spent)

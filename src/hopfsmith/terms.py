@@ -25,20 +25,31 @@ All structural operations here
 (`dim`, `boundary`, `normalize`) are pure functions of the term and a
 generator table, the mapping name -> `Generator` that a presentation
 keeps as `gens`, and each visits every node of its input once:
-`normalize` computes dimensions bottom-up in the same pass, and
-`top_boundary`/`boundary` compute `dim` once at the top and pass it down,
-so all three are linear in the size of the term.
+`normalize` computes dimensions bottom-up in the same pass (`normal_dim`
+returns both), and `top_boundary`/`boundary` compute `dim` once at the
+top and pass it down, so all three are linear in the size of the term.
+`normal_top_boundary` builds the normal form of a top boundary directly,
+from generator faces normalized once into a table the caller keeps.
 
 `normalize` raises TermError exactly where `dim` does, with the same
 message, so a normal form is always well-formed.  Normal forms are closed
 under subterms: every subterm of a normal term is normal, and normalize
 is idempotent, so code that walks a normal term need not normalize its
 parts again.
+
+The S-expression syntax is read and written without recursion:
+`parse_term` is one left-to-right scan of the tokens with its own stack
+of open nodes, and `print_term` one walk that joins its parts once, so
+both are linear in the size of the term at any depth.  Equality,
+hashing, `dim` and `normalize` still recurse once per level of nesting,
+so a term nested about a thousand levels deep reaches Python's
+recursion limit there.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Tuple, Union)
 
 SOURCE = "source"
 TARGET = "target"
@@ -402,6 +413,62 @@ def _comp_normal(k: int, left: CellTerm, right: CellTerm,
     return Comp(k, left, right)
 
 
+def normal_dim(t: CellTerm, gens: Gens) -> Tuple[CellTerm, int]:
+    """(normalize(t, gens), dim(t, gens)), in one pass."""
+    return _normal(t, gens, True)
+
+
+# (generator name, side) -> the normal face, or None when it has none
+Faces = Dict[Tuple[str, str], Optional[CellTerm]]
+
+
+def normal_top_boundary(t: CellTerm, side: str, d: int, gens: Gens,
+                        faces: Faces) -> Optional[CellTerm]:
+    """normalize(top_boundary(t, side)) for a well-formed t of dimension
+    d, built already normal: generator faces, each normalized once into
+    the caller's faces table, and the inner cells of identities, composed
+    with _comp_normal.  t need not be normal, so a side is read as it is
+    written.  None when a face it needs is ill-formed or not of the
+    dimension one below its generator's, which normalize would refuse or
+    could not compose.  Every face the boundary needs is read first, so
+    a generator without a boundary raises TermError wherever it sits."""
+    cls = t.__class__
+    if cls is Gen:
+        key = (t.name, side)
+        try:
+            return faces[key]
+        except KeyError:
+            face = faces[key] = _normal_face(gens[t.name], side, gens)
+            return face
+    if cls is Id:
+        return _normal(t.inner, gens, True)[0]
+    if cls is Inv:
+        return normal_top_boundary(t.inner, TARGET if side == SOURCE
+                                   else SOURCE, d, gens, faces)
+    if t.k == d - 1:
+        return normal_top_boundary(t.left if side == SOURCE else t.right,
+                                   side, d, gens, faces)
+    left = normal_top_boundary(t.left, side, d, gens, faces)
+    right = normal_top_boundary(t.right, side, d, gens, faces)
+    if left is None or right is None:
+        return None
+    # both parts have dimension d - 1, so the composite is well-formed
+    return _comp_normal(t.k, left, right, d - 1)
+
+
+def _normal_face(g: Generator, side: str, gens: Gens) -> Optional[CellTerm]:
+    """The normal form of g's source or target, or None when it is
+    ill-formed or not of dimension g.dim - 1."""
+    b = g.src if side == SOURCE else g.tgt
+    if b is None:
+        raise TermError(f"generator {g.name!r} has no boundary")
+    try:
+        face, e = _normal(b, gens, True)
+    except TermError:
+        return None
+    return face if e == g.dim - 1 else None
+
+
 def _push_inv(t: CellTerm) -> CellTerm:
     """Inv of a normal term, pushed to its leaves; the result is normal."""
     if isinstance(t, Inv):
@@ -430,49 +497,97 @@ def flatten(t: CellTerm, k: int) -> list:
 # ---------------------------------------------------------------------------
 # S-expression syntax: (gen NAME), (id EXPR), (compK L R), (inv EXPR)
 
+
 def parse_term(text: str) -> CellTerm:
+    """The term text writes, read in one left-to-right scan of its tokens.
+    The scan keeps the nodes still open on its own stack, so no depth of
+    nesting reaches the recursion limit, and a malformed text raises
+    TermError at the first token that cannot continue it."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    term, rest = _parse_tokens(tokens)
-    if rest:
-        raise TermError(f"trailing tokens {rest!r} in term {text!r}")
-    return term
-
-
-def _parse_tokens(tokens):
-    if not tokens:
-        raise TermError("unexpected end of term")
-    tok = tokens[0]
-    if tok != "(":
-        raise TermError(f"expected '(' but found {tok!r}")
-    head, rest = tokens[1], tokens[2:]
-    if head == "gen":
-        name, rest = rest[0], rest[1:]
-        out: CellTerm = Gen(name)
-    elif head == "id":
-        inner, rest = _parse_tokens(rest)
-        out = Id(inner)
-    elif head == "inv":
-        inner, rest = _parse_tokens(rest)
-        out = Inv(inner)
-    elif head.startswith("comp") and head[4:].isdigit():
-        k = int(head[4:])
-        if k > 3:
-            raise TermError(f"composition level {k} exceeds the dimension cap")
-        left, rest = _parse_tokens(rest)
-        right, rest = _parse_tokens(rest)
-        out = Comp(k, left, right)
-    else:
-        raise TermError(f"unknown term head {head!r}")
-    if not rest or rest[0] != ")":
-        raise TermError(f"missing ')' after {head}")
-    return out, rest[1:]
+    n = len(tokens)
+    i = 0
+    # the open nodes, innermost last: Id or Inv for an identity or an
+    # inverse; a composite's head and level, then its left part once read
+    open_: list = []
+    while True:
+        # a term starts at token i
+        if i >= n:
+            raise TermError("unexpected end of term")
+        if tokens[i] != "(":
+            raise TermError(f"expected '(' but found {tokens[i]!r}")
+        if i + 1 >= n:
+            raise TermError("unexpected end of term")
+        head = tokens[i + 1]
+        i += 2
+        if head == "gen":
+            if i >= n:
+                raise TermError("unexpected end of term")
+            out: CellTerm = Gen(tokens[i])
+            i += 1
+        elif head == "id" or head == "inv":
+            open_.append(Id if head == "id" else Inv)
+            continue
+        elif (head.startswith("comp") and head[4:].isascii()
+              and head[4:].isdigit()):
+            # the level as int() writes it, without reading a long run of
+            # digits as a number
+            level = head[4:].lstrip("0") or "0"
+            if len(level) > 1 or level > "3":
+                raise TermError(
+                    f"composition level {level} exceeds the dimension cap")
+            open_ += (head, int(level))
+            continue
+        else:
+            raise TermError(f"unknown term head {head!r}")
+        # out is read up to its ')'; close every node it completes
+        while True:
+            if i >= n or tokens[i] != ")":
+                raise TermError(f"missing ')' after {head}")
+            i += 1
+            if not open_:
+                if i < n:
+                    raise TermError(
+                        f"trailing tokens {tokens[i:]!r} in term {text!r}")
+                return out
+            node = open_.pop()
+            if node is Id or node is Inv:
+                out = node(out)
+                head = "id" if node is Id else "inv"
+            elif node.__class__ is int:
+                open_ += (node, out)  # the right part starts at token i
+                break
+            else:
+                k = open_.pop()
+                head = open_.pop()
+                out = Comp(k, node, out)
 
 
 def print_term(t: CellTerm) -> str:
-    if isinstance(t, Gen):
-        return f"(gen {t.name})"
-    if isinstance(t, Id):
-        return f"(id {print_term(t.inner)})"
-    if isinstance(t, Inv):
-        return f"(inv {print_term(t.inner)})"
-    return f"(comp{t.k} {print_term(t.left)} {print_term(t.right)})"
+    """The S-expression of t, in one walk that keeps its own stack and
+    joins the parts once, so it is linear in the size of t at any depth.
+    The walk descends each left spine, keeping the right parts still to
+    print, and None for each ')' still to close, on its stack."""
+    parts: List[str] = []
+    todo: List[Optional[CellTerm]] = []
+    while True:
+        cls = t.__class__
+        while cls is not Gen:
+            if cls is Comp:
+                parts.append(f"(comp{t.k} ")
+                todo.append(t.right)
+                t = t.left
+            else:
+                parts.append("(id " if cls is Id else "(inv ")
+                todo.append(None)
+                t = t.inner
+            cls = t.__class__
+        parts.append(f"(gen {t.name})")
+        while todo:
+            t = todo.pop()
+            if t is not None:  # the right part of a composite comes next
+                parts.append(" ")
+                todo.append(None)
+                break
+            parts.append(")")
+        else:
+            return "".join(parts)

@@ -202,10 +202,15 @@ MALFORMED = [
     ("census", {"maxDim": 1, "generators": [{"name": "x", "dim": 0}],
                 "relations": [{"dim": 0, "lhs": "(gen x)", "rhs": "(gen x)",
                                "oriented": "false"}]}, "'oriented'"),
+    # a basis name is a JSON string, for every command that reads one
+    ("shear-check", "qz2-with-number-basis", "an entry of 'basis'"),
+    ("antipode", "qz2-with-number-basis", "an entry of 'basis'"),
+    ("integrals", "qz2-with-number-basis", "an entry of 'basis'"),
 ]
 GRADINGS = {"qz2-super-with-string-grading": ["1", "0"],
             "qz2-super-with-float-grading": [1.5, 0],
             "qz2-super-with-boolean-grading": [True, False]}
+BASES = {"qz2-with-number-basis": [1, [2]]}
 
 
 @pytest.mark.parametrize("command, doc, named", MALFORMED)
@@ -223,6 +228,8 @@ def test_malformed_json_exit_64(tmp_path, capsys, command, doc, named):
                "comodules": [{"dim": 1, "rho": [[0.1], [1]]}]}
     elif isinstance(doc, str) and doc in GRADINGS:
         doc = dict(_qz2_json(), grading=GRADINGS[doc], braiding="super")
+    elif isinstance(doc, str) and doc in BASES:
+        doc = dict(_qz2_json(), basis=BASES[doc])
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     code, out = run(["--json", "--no-timing", command, str(path)])
@@ -230,6 +237,35 @@ def test_malformed_json_exit_64(tmp_path, capsys, command, doc, named):
     assert code == 64 and out == ""
     assert err.startswith("hopfsmith: ") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize("command", ["shear-check", "antipode",
+                                     "integrals"])
+@pytest.mark.parametrize("basis", [["a"], ["a", "b", "c"]])
+def test_a_basis_of_the_wrong_length_is_a_fail_line(tmp_path, command,
+                                                    basis):
+    # QZ2 is 2-dimensional
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(dict(_qz2_json(), basis=basis)))
+    code, out = run(["--json", "--no-timing", command, str(path)])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks[-1]["status"] == "fail"
+    assert checks[-1]["witness"] == "basis length mismatch"
+
+
+@pytest.mark.parametrize("src", ["(", "(gen", "(comp²", "(gen x) x"])
+def test_a_malformed_term_is_a_fail_line(tmp_path, src):
+    """A term string the reader cannot finish is a TermError, reported as
+    a fail line, never a traceback."""
+    doc = {"maxDim": 1, "generators": [
+        {"name": "x", "dim": 0},
+        {"name": "f", "dim": 1, "src": src, "tgt": "(gen x)"}]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["--json", "--no-timing", "census", str(path)])
+    assert code == 1
+    assert json.loads(out)["checks"][-1]["status"] == "fail"
 
 
 def test_field_with_non_string_modulus_is_a_fail_line(tmp_path):

@@ -15,7 +15,7 @@ from hopfsmith.rewriting import (Budget, CompositionError, EQ_DISTINCT,
                                  EQ_EQUAL, EQ_UNKNOWN, _explore,
                                  _packed_rules, _rewrites, compose, eq,
                                  parallel, stack_of)
-from hopfsmith.terms import Comp, Gen, Id, Inv, TermError, comp
+from hopfsmith.terms import Comp, Gen, Id, Inv, TermError, comp, normal_dim
 from hopfsmith.walking import adj, mnd
 
 M = mnd().base
@@ -186,7 +186,8 @@ def test_concurrent_readonly_use(hopf_square_queries):
     def run(p, job):
         a, b, steps = job
         budget = Budget(steps)
-        v = rewriting._eq(p.normalize(a), p.normalize(b), p, budget, True)
+        v = rewriting._eq(*normal_dim(a, p.gens), *normal_dim(b, p.gens),
+                          p, budget, True)
         return v.name, steps - budget.left
 
     sequential = Presentation.loads(text)

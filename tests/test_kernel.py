@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from hopfsmith import interchange, rewriting
 from hopfsmith.presentation import Presentation
 from hopfsmith.rewriting import Budget, EQ_DISTINCT, EQ_EQUAL, eq
-from hopfsmith.terms import Gen
+from hopfsmith.terms import Gen, normal_dim
 from hopfsmith.walking import adj, mnd
 
 
@@ -55,7 +55,8 @@ def verdict_and_spent(a, b, p, steps):
     """eq's verdict on a and b with a budget of steps, and the steps it
     spent."""
     budget = Budget(steps)
-    v = rewriting._eq(p.normalize(a), p.normalize(b), p, budget, True)
+    v = rewriting._eq(*normal_dim(a, p.gens), *normal_dim(b, p.gens),
+                      p, budget, True)
     return v.name, steps - budget.left
 
 

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hopfsmith.presentation import (Presentation, Violation,
                                     validate_presentation, validate_term)
@@ -68,27 +68,54 @@ NAMES = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7f é€😀'), max_size=6)
 
 @st.composite
 def presentations(draw):
-    """Points and arrows between them, with relations between arrows."""
+    """Points, arrows between them and 2-cells between composites of
+    arrows, with relations between arrows and between 2-cells."""
     p = Presentation(max_dim=draw(st.integers(1, 4)))
-    names = draw(st.lists(NAMES, unique=True, max_size=8))
+    names = draw(st.lists(NAMES, unique=True, max_size=10))
     points = names[:draw(st.integers(0, len(names)))]
     for name in points:
         p.add(name, 0)
-    arrows = []
+    arrows, cells = [], []
     for name in names[len(points):]:
         if not points:
             break
+        if arrows and p.max_dim >= 2 and draw(st.booleans()):
+            # a 2-cell whose boundaries are composites, identities among
+            # them; the data need not be valid to be written
+            ends = [comp(0, *draw(st.lists(st.sampled_from(
+                arrows + [Id(Gen(x)) for x in points]), min_size=1,
+                max_size=3))) for _ in range(2)]
+            cells.append(p.add(name, 2, *ends))
+            continue
         ends = [Gen(draw(st.sampled_from(points))) for _ in range(2)]
         arrows.append(p.add(name, 1, *ends, invertible=draw(st.booleans())))
-    for _ in range(draw(st.integers(0, 3)) if arrows else 0):
-        lhs, rhs = (draw(st.sampled_from(arrows)) for _ in range(2))
-        p.relate(1, lhs, rhs, oriented=draw(st.booleans()))
+    for level, parts in ((1, arrows), (2, cells)):
+        for _ in range(draw(st.integers(0, 3)) if parts else 0):
+            lhs = comp(level - 1, *draw(st.lists(st.sampled_from(parts),
+                                                 min_size=1, max_size=2)))
+            rhs = Inv(draw(st.sampled_from(parts)))
+            p.relate(level, lhs, rhs, oriented=draw(st.booleans()))
     return p
 
 
+@example(Presentation(max_dim=0))
 @given(presentations())
 def test_dumps_writes_what_json_writes(p):
     assert p.dumps() == json.dumps(p.to_json(), indent=1, sort_keys=True)
+
+
+def test_a_side_of_the_wrong_dimension_names_what_it_mentions():
+    p = Presentation(max_dim=3)
+    x = p.add("x", 0)
+    f = p.add("f", 1, x, x)
+    a = p.add("a", 2, f, f)
+    t = p.add("t", 3, a, a)
+    p.add("bad", 2, comp(1, a, Id(f)), Id(t))
+    assert validate_presentation(p) == [
+        Violation("bad", "src has dimension 2, expected 1"),
+        Violation("bad", "src mentions 'a' of dimension >= 2"),
+        Violation("bad", "tgt has dimension 4, expected 1"),
+        Violation("bad", "tgt mentions 't' of dimension >= 2")]
 
 
 def test_census():

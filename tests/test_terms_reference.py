@@ -6,18 +6,24 @@ recomputes dim at every composite and normalizes every subterm again, so
 they are quadratic or cubic in the size of a term, but obviously follow
 the definitions.  The program's versions must agree with them on every
 well-formed term, and normalize must raise exactly where dim raises.
+normal_top_boundary, which the boundary certificate builds its levels
+with, must give the normal form of the reference top boundary, also over
+a presentation whose generator faces are written in forms that are not
+normal.
 """
 
 from typing import List
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hopfsmith.interchange import AtomTable
 from hopfsmith.mates import walking_retract
+from hopfsmith.presentation import Presentation
 from hopfsmith.rewriting import _cancel_word, stack_of, word_of
 from hopfsmith.terms import (Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
-                             boundary, dim, flatten, identity_core, normalize,
+                             boundary, comp, dim, flatten, generators,
+                             identity_core, normal_top_boundary, normalize,
                              top_boundary)
 from hopfsmith.walking import adj, mnd
 from test_interchange_reference import Atom, Layer, Stack, pack
@@ -323,3 +329,52 @@ def test_stack_of_matches_reference_on_relations(name):
             if ref_dim(t, p.gens) == 2:
                 got, want = stack_outcome(t, p)
                 assert got == want
+
+
+# a presentation whose generator faces are written in forms that are not
+# normal: identity factors that normalize absorbs
+PADDED = Presentation(max_dim=3)
+_x, _y = PADDED.add("x", 0), PADDED.add("y", 0)
+_f, _g = PADDED.add("f", 1, _x, _y), PADDED.add("g", 1, _x, _y)
+_a = PADDED.add("a", 2, comp(0, _f, Id(_y)), comp(0, Id(_x), _g))
+_b = PADDED.add("b", 2, _g, comp(0, _f, Id(_y)), invertible=True)
+PADDED.add("c", 3, comp(1, _a, _b), comp(1, Id(comp(0, Id(_x), _f)), Id(_f)))
+
+
+@st.composite
+def padded_or_pinned(draw):
+    """A term of dimension at least 1 over PADDED or one of PRESENTATIONS."""
+    if draw(st.booleans()):
+        return PADDED, draw(cells(PADDED, draw(st.integers(1, 3))))
+    p, t = draw(well_formed())
+    assume(dim(t, p.gens) >= 1)
+    return p, t
+
+
+@settings(max_examples=200)
+@given(padded_or_pinned())
+def test_normal_top_boundary_is_the_normal_form_of_the_top_boundary(case):
+    """For a well-formed term, and for its normal form, normal_top_boundary
+    builds the normal form of the reference top boundary."""
+    p, t = case
+    sig, d = p.gens, ref_dim(t, p.gens)
+    for u in (t, ref_normalize(t, sig)):
+        for side in (SOURCE, TARGET):
+            want = ref_normalize(ref_top_boundary(u, side, sig), sig)
+            faces = {}
+            assert normal_top_boundary(u, side, d, sig, faces) == want
+            # and again from the faces already read
+            assert normal_top_boundary(u, side, d, sig, faces) == want
+
+
+@settings(max_examples=300)
+@given(st.one_of(trees, well_formed(), padded_or_pinned()))
+def test_a_term_dim_accepts_mentions_no_generator_above_its_dimension(case):
+    """What validate_presentation rests on when it looks for generators of
+    too high a dimension only in a side whose dimension is wrong."""
+    p, t = case
+    try:
+        d = dim(t, p.gens)
+    except TermError:
+        return
+    assert all(p.gens[name].dim <= d for name in generators(t))
