@@ -132,14 +132,10 @@ def damaged(draw):
 
 @settings(max_examples=300)
 @given(any_terms)
-def test_print_writes_what_the_reference_writes(t):
-    assert print_term(t) == ref_print_term(t)
-
-
-@settings(max_examples=300)
-@given(any_terms)
-def test_parse_reads_what_the_reference_reads(t):
-    assert_reads_as_reference(ref_print_term(t))
+def test_print_and_parse_agree_with_the_reference(t):
+    text = print_term(t)
+    assert text == ref_print_term(t)
+    assert_reads_as_reference(text)
 
 
 @settings(max_examples=150)
@@ -149,13 +145,13 @@ def test_parse_inverts_print(case):
     assert parse_term(print_term(t)) == t
 
 
-@settings(max_examples=500)
+@settings(max_examples=300)
 @given(damaged())
 def test_damaged_terms_fail_as_the_reference_fails(text):
     assert_reads_as_reference(text)
 
 
-@settings(max_examples=500)
+@settings(max_examples=300)
 @given(st.lists(st.sampled_from(VOCABULARY), max_size=12).map(" ".join))
 def test_token_strings_read_as_the_reference_reads(text):
     assert_reads_as_reference(text)
