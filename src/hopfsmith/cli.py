@@ -355,6 +355,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (TermError, FieldError, ba.BialgebraError, ClosureError,
             ValueError) as e:
         report.check("error", "fail", str(e))
+    except RecursionError:  # the term walks that still recurse
+        report.check("error", "fail", "term nested too deeply")
     try:
         report.emit(args.json)
         sys.stdout.flush()

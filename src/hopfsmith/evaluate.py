@@ -148,8 +148,8 @@ def _junction(a2: CellTerm, b2: CellTerm, ctx: EvalContext,
     B = ctx.bialgebra
     F, n = B.field, B.n
     tab = interchange.AtomTable()
-    a = stack_of(a2, p, tab)[1]
-    b = stack_of(b2, p, tab)[1]
+    a = stack_of(p.normalize(a2), p, tab)[1]
+    b = stack_of(p.normalize(b2), p, tab)[1]
     crossing = [name == CROSSING for name, _ in tab.keys]
     total = sum(crossing[x] for x in a[1::2])
     out = Matrix.identity(F, n ** total)

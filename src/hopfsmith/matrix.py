@@ -241,9 +241,9 @@ class Matrix:
               right: int) -> "Matrix":
         """(I_left (x) s (x) I_right) @ self, where s: A (x) B -> B (x) A
         is the braiding with the Koszul sign of the parities deg_a, deg_b
-        (the flip when either side is all even), as koszul_matrix builds
-        it.  Output row (l, j, i, r) is row (l, i, j, r) of self, negated
-        when deg_a[i] and deg_b[j] are both odd; only `neg` is called."""
+        (the flip when either side is all even).  Output row (l, j, i, r)
+        is row (l, i, j, r) of self, negated when deg_a[i] and deg_b[j]
+        are both odd; only `neg` is called."""
         n, m = len(deg_a), len(deg_b)
         if self.rows != left * n * m * right:
             raise ValueError(f"braiding of {left}*{n}*{m}*{right} rows "
@@ -395,16 +395,3 @@ class Matrix:
             det = F.mul(det, value)
         return det
 
-
-def koszul_matrix(field: Field, deg_a: Sequence[int], deg_b: Sequence[int]) -> Matrix:
-    """The graded swap X (x) Y -> Y (x) X: a sign -1 whenever both basis
-    vectors are odd, so with all parities even it is the plain flip."""
-    n, m = len(deg_a), len(deg_b)
-    one = field.one
-    minus = field.neg(one)
-    maps: List[Dict[int, object]] = [_EMPTY] * (n * m)
-    for i in range(n):
-        for j in range(m):
-            sign = one if (deg_a[i] * deg_b[j]) % 2 == 0 else minus
-            maps[j * n + i] = {i * m + j: sign}
-    return Matrix._of(field, n * m, n * m, maps)

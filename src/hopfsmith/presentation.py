@@ -26,9 +26,9 @@ from typing import Dict, List, Optional, Tuple
 from . import jsonshape as shape
 from .rewriting import (EQ_DISTINCT, EQ_EQUAL, composable, parallel_with_dim,
                         word_of)
-from .terms import (CellTerm, Faces, Gen, Generator, Id, Inv, SOURCE,
-                    TARGET, TermError, boundary, dim, generators,
-                    illegal_inverses, normalize, parse_term, print_term,
+from .terms import (CellTerm, Gen, Generator, Id, Inv, SOURCE, TARGET,
+                    TermError, boundary, dim, generators, illegal_inverses,
+                    normal_dim, normalize, parse_term, print_term,
                     substitute, top_boundary)
 
 MAX_DIM = 4
@@ -47,9 +47,12 @@ class Presentation:
     max_dim: int
     gens: Dict[str, Generator] = field(default_factory=dict)
     relations: List[Relation] = field(default_factory=list)
-    # the boundary-word table only grows, since an entry depends on its
-    # generator's boundaries and on the dimensions of the generators they
-    # mention, which add never changes and relate never reads
+    # the normal-face and boundary-word tables only grow, since an entry
+    # depends on its generator's boundaries and on the dimensions of the
+    # generators they mention, which add never changes and relate never
+    # reads; a face that fails to normalize is not kept
+    _faces: Dict[Tuple[str, str], CellTerm] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
     _words: Dict[str, tuple] = field(default_factory=dict, repr=False,
                                      compare=False)
     # rewriting's interchange kernel, filled by the first 2-cell search.
@@ -81,15 +84,39 @@ class Presentation:
 
     # -- views ---------------------------------------------------------
 
+    def normal_face(self, name: str, side: str) -> Optional[CellTerm]:
+        """The normal form of a generator's source or target, normalized
+        once.  None when it is ill-formed or not of the dimension below the
+        generator's; TermError when the generator is unknown or has no
+        boundary."""
+        face = self._faces.get((name, side))
+        if face is None:
+            if name not in self.gens:
+                raise TermError(f"unknown generator {name!r}")
+            g = self.gens[name]
+            b = g.src if side == SOURCE else g.tgt
+            if b is None:
+                raise TermError(f"generator {name!r} has no boundary")
+            try:
+                face, d = normal_dim(b, self.gens)
+            except TermError:
+                d = None
+            if d != g.dim - 1:
+                return None
+            self._faces[name, side] = face
+        return face
+
     def boundary_words(self, name: str) -> tuple:
-        """(source word, target word) of a generator of dimension >= 2, as
-        computed by rewriting.word_of, once per generator."""
+        """(source word, target word) of a 2-generator, read by
+        rewriting.word_of from its normal faces, once per generator.
+        TermError for any other generator, or a face that is not a word."""
         try:
             return self._words[name]
         except KeyError:
-            g = self.gens[name]
-            pair = (word_of(g.src, self), word_of(g.tgt, self))
-            self._words[name] = pair
+            faces = [self.normal_face(name, side) for side in (SOURCE, TARGET)]
+            if faces[0] is None or faces[1] is None:
+                raise TermError(f"a face of {name!r} is ill-formed")
+            pair = self._words[name] = tuple(word_of(f, self) for f in faces)
             return pair
 
     def gens_of_dim(self, d: int) -> List[Generator]:
@@ -268,13 +295,13 @@ def _validate_rec(t, p, budget) -> List[Violation]:
 
 
 def _parallel_violations(where: str, a: CellTerm, b: CellTerm, d: int,
-                         what: str, p: Presentation, budget,
-                         faces: Faces) -> List[Violation]:
+                         what: str, p: Presentation,
+                         budget) -> List[Violation]:
     """A violation when a and b, well-formed terms of dimension d, are not
     parallel, naming the lowest level that differs (undecided when eq
     cannot tell within the budget), or a boundary cannot be taken."""
     try:
-        v, level = parallel_with_dim(a, b, d, p, budget, faces)
+        v, level = parallel_with_dim(a, b, d, p, budget)
     except TermError as e:
         return [Violation(where, str(e))]
     if v is EQ_EQUAL:
@@ -290,11 +317,10 @@ def validate_presentation(p: Presentation,
     globularity in the generator and relation data, undecided where eq
     cannot tell within the step budget (eq's default).  Empty iff valid.
     The certificate of each generator and relation takes the dimension
-    its sides were checked at, and all of them share one table of normal
+    its sides were checked at, and reads the presentation's normal
     generator faces."""
     out: List[Violation] = []
     gens = p.gens
-    faces: Faces = {}  # the normal generator faces, read once
     for g in gens.values():
         if g.dim == 0:
             if g.src is not None or g.tgt is not None:
@@ -325,7 +351,7 @@ def validate_presentation(p: Presentation,
                         f"{side_name} mentions {name!r} of dimension >= {g.dim}"))
         if len(out) == found:
             out.extend(_parallel_violations(g.name, *sides, g.dim - 1,
-                                            "src/tgt", p, budget, faces))
+                                            "src/tgt", p, budget))
     for i, r in enumerate(p.relations):
         label = f"relation#{i}"
         found = len(out)
@@ -339,5 +365,5 @@ def validate_presentation(p: Presentation,
             out.append(Violation(label, "stated dimension disagrees with sides"))
             continue
         out.extend(_parallel_violations(label, r.lhs, r.rhs, r.dim, "sides",
-                                        p, budget, faces))
+                                        p, budget))
     return out

@@ -22,31 +22,38 @@ window tried, in every dimension.  An exhausted budget gives Unknown.
 
 A 2-cell is a state of the `interchange` kernel: its source word and a
 flat (offset, atom id, ...) tuple of layers.  stack_of builds it over
-an atom table, giving each atom its generator's source and target
-words (swapped when inverted) from the presentation's boundary-word
-table.  Each presentation keeps one atom table, made by its first
-2-cell search and dropped by add and relate, with memos of canonical
-forms and successors and the oriented 2-rules, packed by the first
-search that explores.  _eq2 builds both states in it under its lock,
-from sides eq has already normalized, and _meet explores them, so
+an atom table in one walk of the term, giving each atom its generator's
+source and target words (swapped when inverted) from the presentation's
+boundary-word table.  Each presentation keeps one atom table, made by
+its first 2-cell search and dropped by add and relate, with memos of
+canonical forms and successors and the oriented 2-rules, packed by the
+first search that explores.  _eq2 builds both states in it under its
+lock, from sides eq has already normalized, and _meet explores them, so
 slides, canonicalization, cancellation and rule matching are functions
 of the states and the table alone.
+
+The readers word_of and stack_of take normal terms and normalize
+nothing, and hold that contract by construction: on any term they read
+what they read on its normal form or raise TermError, since they refuse
+each shape no normal form has, so a raw term passed by mistake never
+becomes a wrong word or stack.  Callers with raw terms (relations,
+generator faces, evaluation junctions) normalize once first.
 
 Every comparison starts with the boundary certificate, `parallel`: the
 k-sources and k-targets of both sides are built once each, already
 normal, and compared from level 0 upward, each level by its own
 decision alone.  A level's boundary is built from the level above by
-`terms.normal_top_boundary`, which composes generator faces, each
-normalized once into a faces table, with the composite's normal form;
-it is never taken raw and then normalized whole.  A generator without
-a boundary raises TermError out of the certificate; a face that cannot
-be normalized to the dimension below its generator's makes its level
-Unknown.  Each pair starts from the budget left when the certificate
-began, so running out on one pair never hides a difference at another.
-Validation calls `parallel_with_dim` with the dimension it has already taken,
-for a generator's source and target and a relation's sides, sharing
-one faces table across the whole presentation, and names the lowest
-level that differs.
+`terms.normal_top_boundary`, which composes the presentation's normal
+generator faces (`Presentation.normal_face`, each normalized once per
+presentation) with the composite's normal form; it is never taken raw
+and then normalized whole.  A generator without a boundary raises
+TermError out of the certificate; a face that cannot be normalized to
+the dimension below its generator's makes its level Unknown.  Each
+pair starts from the budget left when the certificate began, so running
+out on one pair never hides a difference at another.  Validation calls
+`parallel_with_dim` with the dimension it has already taken, for a
+generator's source and target and a relation's sides, and names the
+lowest level that differs.
 
 Verdicts are Equal / Distinct / Unknown.  Both sides are normalized
 first; a side that is ill-formed, or that has a formal inverse of a
@@ -67,9 +74,8 @@ from typing import (TYPE_CHECKING, AbstractSet, Callable, Container, Dict,
 
 from . import interchange
 from .terms import (CellTerm, Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
-                    Faces, boundary, dim, flatten, illegal_inverses,
-                    normal_dim, normal_top_boundary, print_term,
-                    top_boundary)
+                    boundary, dim, flatten, illegal_inverses, normal_dim,
+                    normal_top_boundary, print_term)
 
 if TYPE_CHECKING:  # presentation imports this module
     from .presentation import Presentation
@@ -114,23 +120,24 @@ Letter = Tuple[str, bool]  # (generator name, inverted)
 
 
 def word_of(t: CellTerm, p: Presentation) -> Tuple[Letter, ...]:
-    """Flatten a 1-cell term to its word of generator letters."""
-    return _word(p.normalize(t))
-
-
-def _word(t: CellTerm) -> Tuple[Letter, ...]:
-    """word_of for a normal 1-cell term, which is not normalized again."""
+    """The freely reduced word of generator letters of a normal 1-cell
+    term.  TermError on the shapes no normal 1-cell has: an identity that
+    is not the whole term or not on a 0-cell, and a factor that is not a
+    1-generator or its Inv."""
+    gens = p.gens
+    if t.__class__ is Id:
+        if dim(t.inner, gens) != 0:
+            raise TermError(f"not the identity of a 0-cell: {t!r}")
+        return ()
     out: List[Letter] = []
-    # the factors of a normal term are normal
     for f in flatten(t, 0):
-        if isinstance(f, Id):
-            continue
-        if isinstance(f, Gen):
-            out.append((f.name, False))
-        elif isinstance(f, Inv) and isinstance(f.inner, Gen):
-            out.append((f.inner.name, True))
-        else:
+        inverted = f.__class__ is Inv
+        g = f.inner if inverted else f
+        if g.__class__ is not Gen or g.name not in gens:
             raise TermError(f"not a 1-cell word factor: {f!r}")
+        if gens[g.name].dim != 1:
+            raise TermError(f"not a 1-generator: {g.name!r}")
+        out.append((g.name, inverted))
     return _cancel_word(tuple(out))
 
 
@@ -145,7 +152,7 @@ def _cancel_word(w: Tuple[Letter, ...]) -> Tuple[Letter, ...]:
 
 
 def _word_rules(p: Presentation):
-    return [(word_of(r.lhs, p), word_of(r.rhs, p))
+    return [(word_of(p.normalize(r.lhs), p), word_of(p.normalize(r.rhs), p))
             for r in p.relations if r.dim == 1 and r.oriented]
 
 
@@ -180,62 +187,56 @@ def _rewrites(seq: tuple, rules, budget: Budget,
 
 def stack_of(t: CellTerm, p: Presentation,
              table: interchange.AtomTable) -> interchange.State:
-    """Layer decomposition of a 2-cell term, as a state over table: its
-    source word and its (offset, atom id, ...) layers, each atom added to
-    table with its generator's source and target words, swapped when
-    inverted.  The term is normalized once, and _normal_stack decomposes
-    it.  TermError when a generator's boundary is not a word; atoms added
-    before it stay in table."""
-    t = p.normalize(t)
-    d = p.dim(t)
-    if d != 2:
-        raise TermError(f"not a 2-cell term: dimension {d}")
-    return _normal_stack(t, p, table)
-
-
-def _normal_stack(t: CellTerm, p: Presentation,
-                  table: interchange.AtomTable) -> interchange.State:
-    """stack_of for a normal 2-cell term.  Its source boundary, which
-    need not be normal, is normalized for its word; _layers_rec then
-    walks the term without normalizing any part of it again, in time
-    linear in its size."""
-    src = word_of(top_boundary(t, SOURCE, p.gens, 2), p)
+    """Layer decomposition of a normal 2-cell term, as a state over table:
+    its source word and its (offset, atom id, ...) layers, each atom added
+    to table with its generator's source and target words, swapped when
+    inverted, all read in one walk.  TermError on a shape no normal 2-cell
+    has (see _layers_rec); atoms added before it stay in table."""
     flat: List[int] = []
-    _layers_rec(t, 0, p, table, flat)
+    src = _layers_rec(t, 0, p, table, flat)[0]
     return src, tuple(flat)
 
 
 def _layers_rec(t: CellTerm, offset: int, p: Presentation,
                 table: interchange.AtomTable,
-                out: List[int]) -> Tuple[Letter, ...]:
+                out: List[int]) -> Tuple[Tuple[Letter, ...],
+                                         Tuple[Letter, ...]]:
     """Append the layers of a normal 2-cell term whose source word starts
-    at offset to out, and return its target word.  Its subterms are
-    normal too, so none is normalized again."""
-    if isinstance(t, Id):
-        return _word(t.inner)
-    if isinstance(t, Gen):
+    at offset to out, and return its source and target words.  TermError
+    on a part of a 1-composite without layers (normalize absorbs it), an
+    Inv over a non-generator, a composite above level 1, and (through
+    boundary_words) a generator not of dimension 2."""
+    cls = t.__class__
+    if cls is Id:
+        w = word_of(t.inner, p)
+        return w, w
+    if cls is Gen:
         name, inverted = t.name, False
-    elif isinstance(t, Inv):
-        if not isinstance(t.inner, Gen):
+    elif cls is Inv:
+        if t.inner.__class__ is not Gen:
             raise TermError(f"Inv not pushed to a leaf: {t!r}")
         name, inverted = t.inner.name, True
-    elif not isinstance(t, Comp):
-        raise TermError(f"not a 2-cell term: {t!r}")
     elif t.k == 1:
-        _layers_rec(t.left, offset, p, table, out)
-        return _layers_rec(t.right, offset, p, table, out)
+        start = len(out)
+        src = _layers_rec(t.left, offset, p, table, out)[0]
+        middle = len(out)
+        tgt = _layers_rec(t.right, offset, p, table, out)[1]
+        if start == middle or middle == len(out):
+            raise TermError("an identity part in a 1-composite")
+        return src, tgt
     elif t.k == 0:
         # interchange expansion, left part fires first
-        left = _layers_rec(t.left, offset, p, table, out)
-        return _join(left, _layers_rec(t.right, offset + len(left), p,
-                                       table, out))
+        src, tgt = _layers_rec(t.left, offset, p, table, out)
+        right_src, right_tgt = _layers_rec(t.right, offset + len(tgt), p,
+                                           table, out)
+        return _join(src, right_src), _join(tgt, right_tgt)
     else:
         raise TermError(f"composition level {t.k} inside a 2-cell")
     src, tgt = p.boundary_words(name)
     if inverted:
         src, tgt = tgt, src
     out += (offset, table.add(name, inverted, src, tgt))
-    return tgt
+    return src, tgt
 
 
 # perfbench/tracing.py wraps this name, and with it every call of
@@ -246,15 +247,15 @@ canonical_stack = interchange.canonical
 
 def _packed_rules(p: Presentation,
                   table: interchange.AtomTable) -> List[interchange.Rule]:
-    """The oriented 2-relations whose sides both decompose, as rules over
-    table."""
+    """The oriented 2-relations whose sides both normalize and decompose,
+    as rules over table."""
     rules = []
     for r in p.relations:
         if r.dim != 2 or not r.oriented:
             continue
         try:
-            src, lhs = stack_of(r.lhs, p, table)
-            rhs = stack_of(r.rhs, p, table)[1]
+            src, lhs = stack_of(p.normalize(r.lhs), p, table)
+            rhs = stack_of(p.normalize(r.rhs), p, table)[1]
         except TermError:
             continue
         rules.append((src, lhs, rhs))
@@ -333,14 +334,14 @@ def _eq(a: CellTerm, da: int, b: CellTerm, db: int, p: Presentation,
     if db != da or da == 0:
         return EQ_DISTINCT
     if certify:
-        v = _certificate(a, b, da, p, budget, {})[0]
+        v = _certificate(a, b, da, p, budget)[0]
         if v is not EQ_EQUAL:
             return v
     if da == 1:
         rules = _word_rules(p)
         step = lambda w: _rewrites(w, rules, budget, _join)
-        wb = _word(b)
-        return _meet(_word(a), wb, step, budget, {wb})
+        wb = word_of(b, p)
+        return _meet(word_of(a, p), wb, step, budget, {wb})
     if da == 2:
         return _eq2(a, b, p, budget)
     return _eq_high(a, b, da, p, budget)
@@ -357,38 +358,35 @@ def parallel(a: CellTerm, b: CellTerm, p: Presentation,
     d = dim(a, p.gens)
     if dim(b, p.gens) != d:
         return EQ_DISTINCT, None
-    return parallel_with_dim(a, b, d, p, budget, {})
+    return parallel_with_dim(a, b, d, p, budget)
 
 
 def parallel_with_dim(a: CellTerm, b: CellTerm, d: int, p: Presentation,
-                      budget: Optional[int], faces: Faces
-                      ) -> Tuple[Verdict, Optional[int]]:
+                      budget: Optional[int]) -> Tuple[Verdict, Optional[int]]:
     """parallel for well-formed a and b of one dimension d, which the
-    caller has already taken.  faces is the table of normal generator
-    faces that normal_top_boundary fills; certificates over one
-    presentation may share it while its generators stay as they are."""
+    caller has already taken."""
     if d == 0:
         return EQ_EQUAL, None
     steps = default_budget() if budget is None else budget
-    return _certificate(a, b, d, p, Budget(steps), faces)
+    return _certificate(a, b, d, p, Budget(steps))
 
 
 def _certificate(a: CellTerm, b: CellTerm, d: int, p: Presentation,
-                 budget: Budget, faces: Faces
-                 ) -> Tuple[Verdict, Optional[int]]:
+                 budget: Budget) -> Tuple[Verdict, Optional[int]]:
     """parallel for well-formed a and b of dimension d.  Each k-boundary
-    is built once, already normal, from the (k+1)-boundary, and the
+    is built once, already normal, from the (k+1)-boundary and the
+    presentation's normal generator faces, and the
     levels are compared from 0 upward by _eq alone.  Each pair starts
     from the budget left when the certificate began, so a pair that runs
     it out hides no Distinct at another; the budget is then charged what
     all pairs spent."""
-    gens = p.gens
+    gens, face = p.gens, p.normal_face
     levels: List[list] = [[] for _ in range(d)]
     for side in (SOURCE, TARGET):
         x, y = a, b
         for k in range(d - 1, -1, -1):
-            x = normal_top_boundary(x, side, k + 1, gens, faces)
-            y = normal_top_boundary(y, side, k + 1, gens, faces)
+            x = normal_top_boundary(x, side, k + 1, gens, face)
+            y = normal_top_boundary(y, side, k + 1, gens, face)
             if x is None or y is None:
                 levels[k].append(None)  # Unknown, and nothing below it
                 break
@@ -423,8 +421,8 @@ def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
         if len(table.canonical_of) > interchange.MEMO_STATES:
             table.canonical_of, table.successors_of = {}, {}
         try:
-            sa = _normal_stack(a, p, table)
-            sb = _normal_stack(b, p, table)
+            sa = stack_of(a, p, table)
+            sb = stack_of(b, p, table)
         except TermError:
             return EQ_UNKNOWN
         xa = interchange.cancel_inverses(table, sa)
@@ -445,17 +443,19 @@ def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
 
 def _eq_high(a: CellTerm, b: CellTerm, d: int, p: Presentation,
              budget: Budget) -> Verdict:
-    """Dimension >= 3: boundaries already agree; bounded search over move
-    chains, rewriting by oriented same-dimension relations (contiguous
-    syntactic matches only) and cancelling inverse pairs.  Chains meet
-    when they are equal move by move as normalized terms.  Never returns
-    Distinct: chains that never meet may still be equal by an interchange
-    of moves the chains do not model (sound, incomplete)."""
-    rules = [(_moves(r.lhs, p), _moves(r.rhs, p))
+    """Dimension >= 3, for normal a and b of dimension d: boundaries
+    already agree; bounded search over move chains, rewriting by oriented
+    same-dimension relations (contiguous syntactic matches only, each
+    side normalized once per call) and cancelling inverse pairs.  Chains
+    meet when they are equal move by move as normalized terms.  Never
+    returns Distinct: chains that never meet may still be equal by an
+    interchange of moves the chains do not model (sound, incomplete)."""
+    rules = [tuple(_moves(*normal_dim(side, p.gens))
+                   for side in (r.lhs, r.rhs))
              for r in p.relations if r.dim == d and r.oriented]
     step = lambda c: _chain_successors(c, rules, p, budget)
-    chain_b = _moves(b, p)
-    met = _meet(_moves(a, p), chain_b, step, budget, {chain_b})
+    chain_b = _moves(b, d)
+    met = _meet(_moves(a, d), chain_b, step, budget, {chain_b})
     return EQ_EQUAL if met is EQ_EQUAL else EQ_UNKNOWN
 
 
@@ -466,9 +466,9 @@ def _chain_successors(cur, rules, p: Presentation, budget: Budget):
     yield from _rewrites(cur, rules, budget)
 
 
-def _moves(t: CellTerm, p: Presentation) -> Tuple[CellTerm, ...]:
-    t = p.normalize(t)
-    return tuple(m for m in flatten(t, p.dim(t) - 1) if not isinstance(m, Id))
+def _moves(t: CellTerm, d: int) -> Tuple[CellTerm, ...]:
+    """The non-identity (d-1)-composition factors of a normal d-cell."""
+    return tuple(m for m in flatten(t, d - 1) if not isinstance(m, Id))
 
 
 def _cancel_moves(moves: Sequence[CellTerm],

@@ -29,13 +29,15 @@ keeps as `gens`, and each visits every node of its input once:
 returns both), and `top_boundary`/`boundary` compute `dim` once at the
 top and pass it down, so all three are linear in the size of the term.
 `normal_top_boundary` builds the normal form of a top boundary directly,
-from generator faces normalized once into a table the caller keeps.
+from normal generator faces that its caller gives; a presentation keeps
+one table of them.
 
 `normalize` raises TermError exactly where `dim` does, with the same
 message, so a normal form is always well-formed.  Normal forms are closed
 under subterms: every subterm of a normal term is normal, and normalize
-is idempotent, so code that walks a normal term need not normalize its
-parts again.
+is idempotent, so code that walks a normal term, as `rewriting.word_of`
+and `stack_of` do, need not normalize its parts again.  A normal form's
+boundaries agree with its input's only up to eq (see `normalize`).
 
 The S-expression syntax is read and written without recursion:
 `parse_term` is one left-to-right scan of the tokens with its own stack
@@ -48,8 +50,8 @@ recursion limit there.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
-                    Tuple, Union)
+from typing import (Callable, Iterator, List, Mapping, Optional, Tuple,
+                    Union)
 
 SOURCE = "source"
 TARGET = "target"
@@ -363,8 +365,12 @@ def normalize(t: CellTerm, gens: Gens, push_inv: bool = True) -> CellTerm:
         whenever the identity factor is an Id-tower over its own boundary;
       * identity functoriality  Comp(k, Id a, Id b) = Id(Comp(k, a, b));
       * Inv pushed to the leaves;  Inv(Id t) = Id t;  Inv(Inv t) = t.
-    The result has the same dimension and boundaries as the input.  An
-    ill-formed input raises the TermError that dim(t) raises.
+    The result has the same dimension as the input.  Its boundaries
+    agree with the input's only up to eq: unit absorption drops an
+    identity factor whose cell is its neighbour's boundary only up to eq,
+    so normalize(top_boundary(normalize(t))) and
+    normalize(top_boundary(t)) can differ as syntax.  An ill-formed input
+    raises the TermError that dim(t) raises.
     Semantic evaluation passes push_inv=False to keep formal inverses
     at the level of whole composites.
     """
@@ -418,55 +424,33 @@ def normal_dim(t: CellTerm, gens: Gens) -> Tuple[CellTerm, int]:
     return _normal(t, gens, True)
 
 
-# (generator name, side) -> the normal face, or None when it has none
-Faces = Dict[Tuple[str, str], Optional[CellTerm]]
-
-
 def normal_top_boundary(t: CellTerm, side: str, d: int, gens: Gens,
-                        faces: Faces) -> Optional[CellTerm]:
+                        face: Callable[[str, str], Optional[CellTerm]]
+                        ) -> Optional[CellTerm]:
     """normalize(top_boundary(t, side)) for a well-formed t of dimension
-    d, built already normal: generator faces, each normalized once into
-    the caller's faces table, and the inner cells of identities, composed
-    with _comp_normal.  t need not be normal, so a side is read as it is
-    written.  None when a face it needs is ill-formed or not of the
-    dimension one below its generator's, which normalize would refuse or
-    could not compose.  Every face the boundary needs is read first, so
-    a generator without a boundary raises TermError wherever it sits."""
+    d, built already normal: the normal generator faces face(name, side)
+    gives, and the inner cells of identities, composed with _comp_normal.
+    t need not be normal, so a side is read as it is written.  None when
+    a face it needs is None.  Every face the boundary needs is read first,
+    so a generator without a boundary raises face's TermError wherever it
+    sits."""
     cls = t.__class__
     if cls is Gen:
-        key = (t.name, side)
-        try:
-            return faces[key]
-        except KeyError:
-            face = faces[key] = _normal_face(gens[t.name], side, gens)
-            return face
+        return face(t.name, side)
     if cls is Id:
         return _normal(t.inner, gens, True)[0]
     if cls is Inv:
         return normal_top_boundary(t.inner, TARGET if side == SOURCE
-                                   else SOURCE, d, gens, faces)
+                                   else SOURCE, d, gens, face)
     if t.k == d - 1:
         return normal_top_boundary(t.left if side == SOURCE else t.right,
-                                   side, d, gens, faces)
-    left = normal_top_boundary(t.left, side, d, gens, faces)
-    right = normal_top_boundary(t.right, side, d, gens, faces)
+                                   side, d, gens, face)
+    left = normal_top_boundary(t.left, side, d, gens, face)
+    right = normal_top_boundary(t.right, side, d, gens, face)
     if left is None or right is None:
         return None
     # both parts have dimension d - 1, so the composite is well-formed
     return _comp_normal(t.k, left, right, d - 1)
-
-
-def _normal_face(g: Generator, side: str, gens: Gens) -> Optional[CellTerm]:
-    """The normal form of g's source or target, or None when it is
-    ill-formed or not of dimension g.dim - 1."""
-    b = g.src if side == SOURCE else g.tgt
-    if b is None:
-        raise TermError(f"generator {g.name!r} has no boundary")
-    try:
-        face, e = _normal(b, gens, True)
-    except TermError:
-        return None
-    return face if e == g.dim - 1 else None
 
 
 def _push_inv(t: CellTerm) -> CellTerm:

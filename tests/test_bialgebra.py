@@ -13,7 +13,7 @@ from hopfsmith.field import QQ, number_field_from_text
 from hopfsmith.fixtures import (corrupted_delta, cyclic_group_algebra,
                                 exterior_line_super, group_inversion_matrix,
                                 standard_fixtures, symmetric_group_algebra)
-from hopfsmith.matrix import koszul_matrix
+from test_matrix_properties import koszul_matrix
 
 FX = standard_fixtures()
 

@@ -268,6 +268,36 @@ def test_a_malformed_term_is_a_fail_line(tmp_path, src):
     assert json.loads(out)["checks"][-1]["status"] == "fail"
 
 
+def _deep_side(shape, n=3000):
+    """A term nested n levels deep: a comp0 word in f, or an id or inv
+    tower."""
+    if shape == "word":
+        return "(comp0 " * (n - 1) + "(gen f)" + " (gen f))" * (n - 1)
+    head, leaf = ("id", "(gen x)") if shape == "id" else ("inv", "(gen f)")
+    return f"({head} " * n + leaf + ")" * n
+
+
+@pytest.mark.parametrize("shape", ["word", "id", "inv"])
+@pytest.mark.parametrize("command", [["census", "P"], ["gray", "P", "globe1"],
+                                     ["smash", "P", "x", "globe1", "s0"]])
+def test_a_deeply_nested_term_is_a_fail_line(tmp_path, shape, command):
+    """The term walks that still recurse reach the recursion limit on a
+    3,000-level generator source; the report says so in a fail line."""
+    doc = {"maxDim": 2, "generators": [
+        {"name": "x", "dim": 0},
+        {"name": "f", "dim": 1, "src": "(gen x)", "tgt": "(gen x)",
+         "invertible": True},
+        {"name": "a", "dim": 2, "src": _deep_side(shape), "tgt": "(gen f)"}]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    argv = [str(path) if arg == "P" else arg for arg in command]
+    code, out = run(["--json", "--no-timing"] + argv)
+    assert code == 1
+    assert json.loads(out)["checks"][-1] == {
+        "name": "error", "status": "fail",
+        "witness": "term nested too deeply"}
+
+
 def test_field_with_non_string_modulus_is_a_fail_line(tmp_path):
     doc = dict(_qz2_json(), field={"ext": 5})
     path = tmp_path / "input.json"

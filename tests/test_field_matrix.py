@@ -4,7 +4,8 @@ import pytest
 
 from hopfsmith.field import (FieldError, QQ, field_from_json,
                              number_field_from_text)
-from hopfsmith.matrix import Matrix, koszul_matrix
+from hopfsmith.matrix import Matrix
+from test_matrix_properties import koszul_matrix
 
 
 def test_rational_field_basics():

@@ -14,10 +14,15 @@ own.  Every stratum of `eq` searches through `rewriting._meet`: no
 other function names the frontier loop `_explore`.  Stacks are complete
 values: only `rewriting._layers_rec`, which builds each atom, reads the
 presentation's boundary-word table, and no function of the interchange
-core takes a presentation.  Only `interchange.py` decides whether two
-layers interchange: no other module reads an atom table's lengths
-(`.ns`, `.nt`), names `_readings`, `_slide_left` or `_slide_right`, or
-defines a `slide` function of its own.  The Gray tensor's terms come
+core takes a presentation.  Normal terms have one stack builder and one
+word reader, with no "already normal" twin: only `rewriting.stack_of`
+walks a term into layers (`_layers_rec`), only `rewriting.word_of`
+reduces a word (`_cancel_word`), and no function takes a table of
+normal faces of its own (a `faces` parameter), since each presentation
+keeps one.  Only `interchange.py` decides whether two layers
+interchange: no other module reads an atom table's lengths (`.ns`,
+`.nt`), names `_readings`, `_slide_left` or `_slide_right`, or defines a
+`slide` function of its own.  The Gray tensor's terms come
 from one pull recursion: `TensorTerms._pull` is the only method of its
 class that calls itself, for both orders of the factors.  Imports run
 once, at module top: no function imports, `rewriting` names
@@ -206,6 +211,13 @@ def takes_a_presentation(fn):
                for a in args.posonlyargs + args.args + args.kwonlyargs)
 
 
+def parameters(fn):
+    """The names of fn's parameters."""
+    args = fn.args
+    return [a.arg for a in (args.posonlyargs + args.args + args.kwonlyargs
+                            + [args.vararg, args.kwarg]) if a is not None]
+
+
 def imports_in_functions(tree):
     """(line, function) of every import inside a top-level function or a
     method, nested functions included."""
@@ -295,6 +307,22 @@ def test_only_layers_rec_reads_boundary_words():
     found = {(p.name, fn) for p in modules(but=None)
              for _, fn in uses_of("boundary_words", parse(p))}
     assert found == {("rewriting.py", "_layers_rec")}
+
+
+def test_one_stack_builder_and_one_word_reader():
+    found = {(p.name, fn) for p in modules(but=None)
+             for name in ("_layers_rec", "_cancel_word")
+             for _, fn in uses_of(name, parse(p))}
+    assert found == {("rewriting.py", "stack_of"),
+                     ("rewriting.py", "_layers_rec"),
+                     ("rewriting.py", "word_of")}
+
+
+def test_no_function_takes_a_faces_table():
+    found = [(p.name, name) for p in modules(but=None)
+             for name, fn in functions(parse(p))
+             if "faces" in parameters(fn)]
+    assert not found
 
 
 def test_the_interchange_core_takes_no_presentation():
@@ -397,6 +425,10 @@ def test_the_checks_see_what_they_forbid(tmp_path):
         "def canonical_stack(stack: Stack) -> Presentation:\n"
         "    return stack\n")
     assert list(uses_of("boundary_words", tree)) == [(3, "Atom")]
+    assert [parameters(fn) for _, fn in functions(ast.parse(
+        "def top(t, side, d, gens, faces, *more, **kw):\n"
+        "    pass\n"))] == [["t", "side", "d", "gens", "faces", "more",
+                             "kw"]]
     assert {name: takes_a_presentation(fn)
             for name, fn in functions(tree)} == {
         "Atom.words": True, "slide": True, "slide_left": True,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfsmith.field import FieldError, QQ, number_field_from_text
-from hopfsmith.matrix import Matrix, koszul_matrix
+from hopfsmith.matrix import Matrix
 
 EXT = number_field_from_text("x^2+x+1")
 FIELDS = pytest.mark.parametrize("F", [QQ, EXT], ids=["Q", "ext"])
@@ -208,6 +208,18 @@ def test_whisker_of_a_wide_matrix_with_a_zero_row(F):
     same(A.whisker(2, 3), whiskered(F, 2, A, 3))
     same(A.whisker(1, 2), whiskered(F, 1, A, 2))
     assert A.whisker(1, 1) is A
+
+
+def koszul_matrix(field, deg_a, deg_b):
+    """The reference for Matrix.braid: the graded swap X (x) Y -> Y (x) X
+    as a matrix, with a sign -1 whenever both basis vectors are odd, so
+    with all parities even it is the plain flip."""
+    n, m = len(deg_a), len(deg_b)
+    minus = field.neg(field.one)
+    return Matrix.from_entries(field, n * m, n * m, (
+        (j * n + i, i * m + j,
+         minus if deg_a[i] * deg_b[j] % 2 else field.one)
+        for i in range(n) for j in range(m)))
 
 
 def parities(data, n):

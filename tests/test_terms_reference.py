@@ -9,7 +9,10 @@ well-formed term, and normalize must raise exactly where dim raises.
 normal_top_boundary, which the boundary certificate builds its levels
 with, must give the normal form of the reference top boundary, also over
 a presentation whose generator faces are written in forms that are not
-normal.
+normal.  word_of and stack_of take normal terms, so they are compared
+with the reference on normal forms; on any other term they must read
+what they read on its normal form or refuse it, and each shape that no
+normal form has is refused.
 """
 
 from typing import List
@@ -239,12 +242,13 @@ def outcome(f, *args):
 
 
 def stack_outcome(t, p):
-    """The outcomes of stack_of and of ref_stack_of, whose layers are
-    packed into the same atom table; each state with the words its atoms
-    carry, which the table does not compare when it adds an atom it
-    holds."""
+    """The outcomes of stack_of on the normal form of t and of
+    ref_stack_of on t, whose layers are packed into the same atom table;
+    each state with the words its atoms carry, which the table does not
+    compare when it adds an atom it holds."""
     table = AtomTable()
-    got, want = outcome(stack_of, t, p, table), outcome(ref_stack_of, t, p)
+    got = outcome(stack_of, normalize(t, p.gens), p, table)
+    want = outcome(ref_stack_of, t, p)
     if isinstance(want, Stack):
         want = ((want.srcword, pack(want.layers, table)),
                 [(l.atom.src, l.atom.tgt) for l in want.layers])
@@ -318,7 +322,8 @@ def test_stack_of_matches_reference(case):
     assert got == want
     for side in (SOURCE, TARGET):
         b = top_boundary(t, side, p.gens)
-        assert outcome(word_of, b, p) == outcome(ref_word_of, b, p)
+        assert (outcome(word_of, normalize(b, p.gens), p)
+                == outcome(ref_word_of, b, p))
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
@@ -361,10 +366,87 @@ def test_normal_top_boundary_is_the_normal_form_of_the_top_boundary(case):
     for u in (t, ref_normalize(t, sig)):
         for side in (SOURCE, TARGET):
             want = ref_normalize(ref_top_boundary(u, side, sig), sig)
-            faces = {}
-            assert normal_top_boundary(u, side, d, sig, faces) == want
+            face = Presentation(p.max_dim, dict(sig)).normal_face
+            assert normal_top_boundary(u, side, d, sig, face) == want
             # and again from the faces already read
-            assert normal_top_boundary(u, side, d, sig, faces) == want
+            assert normal_top_boundary(u, side, d, sig, face) == want
+
+
+def read(reader, t, p):
+    """What word_of or stack_of reads from t, with each atom named by its
+    key rather than by its id in a fresh table, or TermError."""
+    try:
+        if reader is word_of:
+            return word_of(t, p)
+        table = AtomTable()
+        src, flat = stack_of(t, p, table)
+    except TermError:
+        return TermError
+    return src, flat[::2], [table.keys[x] for x in flat[1::2]]
+
+
+@settings(max_examples=250)
+@given(st.one_of(trees, well_formed(), well_formed(d=1), well_formed(d=2),
+                 padded_or_pinned()))
+def test_the_readers_read_a_term_as_its_normal_form_or_refuse_it(case):
+    """word_of and stack_of take normal terms, and hold that contract by
+    construction: on any term they read what they read on its normal
+    form, or raise TermError; where no normal form exists they raise."""
+    p, t = case
+    try:
+        n = normalize(t, p.gens)
+    except TermError:
+        n = None
+    for reader in (word_of, stack_of):
+        got = read(reader, t, p)
+        if got is not TermError:
+            assert n is not None and read(reader, n, p) == got
+
+
+A, m, u, pt = Gen("A"), Gen("m"), Gen("u"), Gen("pt")
+MND = PRESENTATIONS["mnd"]
+AA = comp(0, A, A)
+# each shape that no normal form has, with its normal form where that
+# reads as a word or a stack, else None
+REFUSED_WORDS = {
+    "identity part": (comp(0, Id(pt), A), A),
+    "identity of a 1-cell": (Id(A), None),
+    "inv over a composite": (Inv(AA), comp(0, Inv(A), Inv(A))),
+    "inv over an inv": (Inv(Inv(A)), A),
+    "leaf of dimension 0": (comp(0, A, pt), None),
+    "leaf of dimension 2": (comp(0, A, m), None),
+}
+REFUSED_STACKS = {
+    "identity part": (comp(1, Id(AA), m), m),
+    "part normalizing to an identity": (comp(1, comp(0, Id(A), Id(A)), m),
+                                        m),
+    "inv over a composite": (Inv(comp(1, m, u)), comp(1, Inv(u), Inv(m))),
+    "inv over an identity": (Inv(Id(A)), Id(A)),
+    "composite at level 2": (comp(2, Id(m), Id(m)), None),
+    "leaf of dimension 1": (comp(0, m, A), None),
+    "leaf of dimension 3": (Gen("c"), None),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(REFUSED_WORDS))
+def test_word_of_refuses_a_shape_no_normal_word_has(shape):
+    t, n = REFUSED_WORDS[shape]
+    with pytest.raises(TermError):
+        word_of(t, MND)
+    if n is not None:
+        assert normalize(t, MND.gens) == n
+        word_of(n, MND)
+
+
+@pytest.mark.parametrize("shape", sorted(REFUSED_STACKS))
+def test_stack_of_refuses_a_shape_no_normal_stack_has(shape):
+    t, n = REFUSED_STACKS[shape]
+    p = PADDED if t == Gen("c") else MND
+    with pytest.raises(TermError):
+        stack_of(t, p, AtomTable())
+    if n is not None:
+        assert normalize(t, p.gens) == n
+        stack_of(n, p, AtomTable())
 
 
 @settings(max_examples=300)

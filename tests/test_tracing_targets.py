@@ -55,3 +55,20 @@ def test_tracer_counts_the_kernel_inside_a_search():
         tracer.uninstall()
     assert interchange.canonical is canonical
     assert tracer.calls["rewriting.canonical_stack"] > 2
+
+
+def test_tracer_counts_the_stacks_of_a_search():
+    """The 2-cell search builds its states through rewriting.stack_of, the
+    name the tracer wraps: two stacks for a pair that canonical forms
+    alone show Equal."""
+    p = walking.mnd().base
+    u, A, pt = Gen("u"), Gen("A"), Gen("pt")
+    a = comp(0, u, u)
+    b = comp(1, comp(0, u, Id(Id(pt))), comp(0, Id(A), u))
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert rewriting.eq(a, b, p) is rewriting.EQ_EQUAL
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["rewriting.stack_of"] == 2
