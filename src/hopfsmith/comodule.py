@@ -55,12 +55,16 @@ def trivial_comodule(B: Bialgebra) -> Comodule:
     return Comodule(B, 1, B.u)
 
 
+def _common_bialgebra(M: Comodule, N: Comodule) -> Bialgebra:
+    if M.bialgebra is not N.bialgebra and M.bialgebra != N.bialgebra:
+        raise ComoduleError("comodules over different bialgebras")
+    return M.bialgebra
+
+
 def comodule_hom(M: Comodule, N: Comodule) -> List[Matrix]:
     """Exact basis of intertwiners phi: M -> N with
     rho_N . phi = (id (x) phi) . rho_M."""
-    if M.bialgebra is not N.bialgebra and M.bialgebra != N.bialgebra:
-        raise ComoduleError("comodules over different bialgebras")
-    B = M.bialgebra
+    B = _common_bialgebra(M, N)
     F, n = B.field, B.n
     dm, dn = M.d, N.d
     # unknown phi[a, b] (a < dn, b < dm) is column a*dm + b; equation
@@ -80,14 +84,28 @@ def comodule_hom(M: Comodule, N: Comodule) -> List[Matrix]:
 
 
 def tensor_comodule(M: Comodule, N: Comodule) -> Comodule:
-    """Codiagonal coaction: multiply the two H-legs after pulling the
-    second one across the first module factor."""
-    B = M.bialgebra
-    n, dm, dn = B.n, M.d, N.d
-    both = M.rho.kron(N.rho)                       # (H M H N) from (M N)
-    # flip (M, H) -> (H, M): (H H M N)
-    rearranged = both.braid(n, (0,) * dm, (0,) * n, dn)
-    return Comodule(B, dm * dn, B.m.whisker(1, dm * dn) @ rearranged)
+    """Codiagonal coaction, the product of the two H-legs, as one
+    contraction of entries: entry ((h, x, y), (i, j)) is the sum over
+    a, b of m[h, (a, b)] rho_M[(a, x), i] rho_N[(b, y), j], and
+    rho_M (x) rho_N is never formed."""
+    B = _common_bialgebra(M, N)
+    F, n, dm, dn = B.field, B.n, M.d, N.d
+    mul = F.mul
+    legs_m = [[] for _ in range(n)]     # rho_M[(a, x), i] under a
+    legs_n = [[] for _ in range(n)]     # rho_N[(b, y), j] under b
+    for rows, legs, d in ((M.rho, legs_m, dm), (N.rho, legs_n, dn)):
+        for r, i, x in rows.entries():
+            a, k = divmod(r, d)
+            legs[a].append((k, i, x))
+    entries = []
+    for h, ab, z in B.m.entries():
+        a, b = divmod(ab, n)
+        for x, i, v in legs_m[a]:
+            zv = mul(z, v)
+            entries += [((h * dm + x) * dn + y, i * dn + j, mul(zv, w))
+                        for y, j, w in legs_n[b]]
+    return Comodule(B, dm * dn, Matrix.from_entries(F, n * dm * dn, dm * dn,
+                                                    entries))
 
 
 def dual_comodule(M: Comodule, hopf: Optional[HopfData] = None) -> Comodule:

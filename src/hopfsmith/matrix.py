@@ -17,8 +17,10 @@ index arithmetic, not products.  `whisker(l, r)` is I_l (x) A (x) I_r
 built from A's own entries, and `braid` composes a matrix with a
 whiskered flip or Koszul braiding by relabelling its rows, negating the
 rows whose two braided factors are both odd.  Neither makes a
-multiplication; `kron` is for the tensor products that are results in
-their own right, such as m (x) m.
+multiplication.  `kron_matmul(other, x)` is (self (x) other) @ x from
+the stored entries of the three operands: it multiplies by the two
+factors in turn and never forms self (x) other.  `kron` is for the
+tensor products that are results in their own right, such as u (x) u.
 
 Everything is exact, and every scalar operation goes through the field's
 methods, so Q and Q[x]/(f) share this code.  Rank, nullspace, solve,
@@ -29,6 +31,7 @@ are tested for zero.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .field import Field, FieldError
@@ -119,7 +122,7 @@ class Matrix:
 
     def entries(self) -> Iterator[Tuple[int, int, object]]:
         """The stored (i, j, x), row by row; x is never zero."""
-        for i, m in enumerate(self._maps):
+        for i, m in compress(enumerate(self._maps), self._maps):
             for j, x in m.items():
                 yield i, j, x
 
@@ -204,6 +207,43 @@ class Matrix:
             maps.append({j: s for j, s in acc.items() if not is_zero(s)}
                         or _EMPTY)
         return Matrix._of(F, self.rows, other.cols, maps)
+
+    def kron_matmul(self, other: "Matrix", x: "Matrix") -> "Matrix":
+        """(self (x) other) @ x without forming self (x) other.  Row
+        (j, k) of the middle product (I (x) other) @ x combines x's rows
+        (j, l) by other's row k; row (i, k) of the result combines the
+        middle rows (j, k) by self's row i, and only the nonzero middle
+        rows are visited."""
+        if self.cols * other.cols != x.rows:
+            raise ValueError(f"shape mismatch ({self.rows}x{self.cols} (x) "
+                             f"{other.rows}x{other.cols}) @ "
+                             f"{x.rows}x{x.cols}")
+        F, s, r = self.field, other.cols, other.rows
+        add, mul, is_zero = F.add, F.mul, F.is_zero
+        src = x._maps
+        # other's nonzero rows k, as one matrix
+        ks = list(compress(range(r), other._maps))
+        nonzero = Matrix._of(F, len(ks), s, [other._maps[k] for k in ks])
+        middle = []     # the nonzero (k, row (j, k)) for each j
+        for j in range(self.cols):
+            block = nonzero @ Matrix._of(F, s, x.cols, src[j * s:(j + 1) * s])
+            middle.append([(k, row) for k, row in zip(ks, block._maps)
+                           if row])
+        maps = []
+        for mine in self._maps:
+            acc: Dict[int, Dict[int, object]] = {}
+            for j, a in mine.items():
+                for k, row in middle[j]:
+                    target = acc.setdefault(k, {})
+                    for c, b in row.items():
+                        ab = mul(a, b)
+                        target[c] = add(target[c], ab) if c in target else ab
+            out = [_EMPTY] * r
+            for k, target in acc.items():
+                out[k] = {c: t for c, t in target.items()
+                          if not is_zero(t)} or _EMPTY
+            maps.extend(out)
+        return Matrix._of(F, self.rows * r, x.cols, maps)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Tensor product with index convention (i, j) |-> i*n + j."""

@@ -252,13 +252,13 @@ def coend_reconstruct(family: GeneratingFamily,
     eps = Matrix.from_entries(F, 1, dim, counit)
 
     # multiplication through resolutions of pairwise products
-    def express(P: Comodule, res: Resolution) -> Matrix:
-        """Row t * P.d + s is the class of e^t (x) e_s in P*, P: the sum over
-        the resolution of (e^t . iota) (x) (pi . e_s) in the member."""
-        out = Matrix.zero(F, P.d * P.d, dim)
+    def express(P: Comodule, res: Resolution):
+        """Entries (t * P.d + s, k, x) whose sums at each position give the
+        class of e^t (x) e_s in P*, P: one term of the resolution at a
+        time, the class of (e^t . iota) (x) (pi . e_s) in the member."""
         for idx, iota, pi in zip(res.member_indices, res.iotas, res.pis):
-            out = out + iota.kron(pi.transpose()) @ quotient[idx]
-        return out
+            yield from iota.kron_matmul(pi.transpose(),
+                                        quotient[idx]).entries()
 
     # column colx * dim + coly of m is the class of the product of the
     # section vectors nonpivot[colx] and nonpivot[coly]
@@ -268,8 +268,9 @@ def coend_reconstruct(family: GeneratingFamily,
         for j, Mj in enumerate(members):
             dj = Mj.d
             P = tensor_comodule(Mi, Mj)
-            for t, k, x in express(P, resolve(family, P,
-                                              factors=(i, j))).entries():
+            # distinct rows t land on distinct columns, so from_entries
+            # sums the terms of each entry of express and nothing else
+            for t, k, x in express(P, resolve(family, P, factors=(i, j))):
                 # row t is e^(a, c) (x) e_(b, e) in P = Mi (x) Mj
                 ac, be = divmod(t, di * dj)
                 (a, c), (b, e) = divmod(ac, dj), divmod(be, dj)
@@ -308,11 +309,14 @@ def coend_reconstruct(family: GeneratingFamily,
     canonical = Matrix.from_entries(F, n, dim, coefficients)
 
     ok = canonical.is_invertible() and not bad
+    # m (c (x) c) through its transpose (c^T (x) c^T) m^T
+    c_t = canonical.transpose()
     checks = [
-        ("mult", reference.m @ canonical.kron(canonical) == canonical @ C.m),
+        ("mult", c_t.kron_matmul(c_t, reference.m.transpose())
+         == (canonical @ C.m).transpose()),
         ("unit", reference.u == canonical @ C.u),
         ("comult", reference.delta @ canonical ==
-         canonical.kron(canonical) @ C.delta),
+         canonical.kron_matmul(canonical, C.delta)),
         ("counit", reference.eps @ canonical == C.eps),
     ]
     for name, good in checks:

@@ -7,7 +7,10 @@ from their nonzero entries (`Matrix.from_entries`), not from dense
 scratch rows such as `[F.zero] * n`; and only the JSON loaders build a
 matrix from dense rows (`Matrix.from_rows`).  Scalars stay behind
 `field.py`: no other module divides with `/` (an `int / int` is a
-`float`, not an exact scalar) or names `Fraction`.  Terms are mapped
+`float`, not an exact scalar) or names `Fraction`.  A Kronecker product
+is only ever a value: `Matrix.kron` is called at the allowlisted sites
+alone, and a product that is only multiplied goes through
+`Matrix.kron_matmul` or a contraction of entries.  Terms are mapped
 generator by generator only through `terms.substitute`: no other
 function rebuilds `Id`, `Inv` and `Comp` around recursive calls of its
 own.  Every stratum of `eq` searches through `rewriting._meet`: no
@@ -37,6 +40,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hopfsmith"
@@ -52,6 +56,15 @@ INTERCHANGE_CORE = {("interchange.py", name) for name in (
     "_readings", "_slide_left", "_slide_right", "align", "_choices",
     "canonical", "_pair_cancels", "_without", "cancellations",
     "cancel_inverses", "_fire", "_apply", "_windows", "moves", "successors")}
+# every use of Matrix.kron, with its count: each tensor product is a value
+# in its own right, and a product that is only multiplied goes through
+# Matrix.kron_matmul or a contraction of entries
+KRON_VALUES = {
+    # the vertical composite of two 3-cells is their tensor product
+    ("evaluate.py", "_eval3"): 1,
+    # u (x) u and eps (x) eps, the comult_unit and counit_mult sides
+    ("bialgebra.py", "check_bialgebra"): 2,
+}
 # what only the interchange core may name: the atom lengths that decide
 # an interchange, and its tests and slides
 INTERCHANGE_DECISIONS = {"ns", "nt", "_readings", "_slide_left",
@@ -301,6 +314,12 @@ def test_only_meet_runs_the_search_loop():
     found = {(p.name, fn) for p in modules(but=None)
              for _, fn in uses_of("_explore", parse(p))}
     assert found == {("rewriting.py", "_meet")}
+
+
+def test_kronecker_products_are_only_values():
+    found = Counter((p.name, fn) for p in modules(but=None)
+                    for _, fn in uses_of("kron", parse(p)))
+    assert found == KRON_VALUES
 
 
 def test_only_layers_rec_reads_boundary_words():

@@ -51,6 +51,18 @@ def test_tensor_and_trivial_unit():
     assert t.rho == reg.rho  # canonical identification is on the nose
 
 
+def test_comodules_over_different_bialgebras_do_not_combine():
+    # QZ2 and QM have the same dimension, so no shape check separates them
+    for other in ("QM", "QS3"):
+        M, N = regular_comodule(FX["QZ2"]), regular_comodule(FX[other])
+        for combine in (tensor_comodule, comodule_hom):
+            for pair in ((M, N), (N, M)):
+                with pytest.raises(ComoduleError,
+                                   match="comodules over different "
+                                         "bialgebras"):
+                    combine(*pair)
+
+
 def test_tensor_square_hom_count_qz2():
     B = FX["QZ2"]
     reg = regular_comodule(B)
