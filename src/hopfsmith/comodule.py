@@ -93,8 +93,8 @@ def tensor_comodule(M: Comodule, N: Comodule) -> Comodule:
     mul = F.mul
     legs_m = [[] for _ in range(n)]     # rho_M[(a, x), i] under a
     legs_n = [[] for _ in range(n)]     # rho_N[(b, y), j] under b
-    for rows, legs, d in ((M.rho, legs_m, dm), (N.rho, legs_n, dn)):
-        for r, i, x in rows.entries():
+    for rho, legs, d in ((M.rho, legs_m, dm), (N.rho, legs_n, dn)):
+        for r, i, x in rho.entries():
             a, k = divmod(r, d)
             legs[a].append((k, i, x))
     entries = []
