@@ -6,11 +6,12 @@ Index convention: the basis of B (x) B is ordered (i, j) |-> i*n + j.
 Braidings supported: the flip, and the Koszul sign rule for Z/2-graded
 spaces; both are involutions, so no separate inverse braiding is kept.
 Composites apply each structure map to its tensor slots with
-`Matrix.whisker` and each braiding with `Matrix.braid`, so no Kronecker
+`Matrix.whisker_matmul` and `Matrix.matmul_whisker`, so no Kronecker
 product by an identity is formed.  The bialgebra axiom's braided
-product (m (x) m)(id (x) br (x) id)(delta (x) delta) is one contraction
-of the entries of m and delta, so no composite forms a Kronecker product
-that it only multiplies.
+product (m (x) m)(id (x) br (x) id)(delta (x) delta), the four shears and
+the integral formula for the antipode are contractions of the entries
+of m and delta over a shared leg, so no composite forms a Kronecker
+product or a braiding that it only multiplies.
 """
 
 from __future__ import annotations
@@ -99,12 +100,13 @@ def check_bialgebra(B: Bialgebra) -> List[AxiomReport]:
         out.append(AxiomReport(name, False, f"entry {where}"))
 
     m, u, d, e = B.m, B.u, B.delta, B.eps
-    cmp("associativity", m @ m.whisker(1, n), m @ m.whisker(n, 1))
-    cmp("unit_left", m @ u.whisker(1, n), I)
-    cmp("unit_right", m @ u.whisker(n, 1), I)
-    cmp("coassociativity", d.whisker(1, n) @ d, d.whisker(n, 1) @ d)
-    cmp("counit_left", e.whisker(1, n) @ d, I)
-    cmp("counit_right", e.whisker(n, 1) @ d, I)
+    cmp("associativity", m.matmul_whisker(m, 1, n), m.matmul_whisker(m, n, 1))
+    cmp("unit_left", m.matmul_whisker(u, 1, n), I)
+    cmp("unit_right", m.matmul_whisker(u, n, 1), I)
+    cmp("coassociativity", d.whisker_matmul(1, n, d),
+        d.whisker_matmul(n, 1, d))
+    cmp("counit_left", e.whisker_matmul(1, n, d), I)
+    cmp("counit_right", e.whisker_matmul(n, 1, d), I)
     cmp("bialgebra_axiom", _braided_product(B), d @ m)
     cmp("comult_unit", d @ u, u.kron(u))
     cmp("counit_mult", e @ m, e.kron(e))
@@ -185,20 +187,51 @@ def is_valid_bialgebra(B: Bialgebra) -> bool:
 # shears
 
 
+# for each shear: whether delta keeps its first leg a (sharing b with m),
+# whether m shares its first leg, and whether a braiding signs the terms
+_SHEARS = {SE: (True, True, False), NW: (False, False, False),
+           NE: (False, True, True), SW: (True, False, True)}
+
+
 def shear(B: Bialgebra, which: str) -> Matrix:
     """The four composites of one comultiplication and one multiplication
     on B (x) B; the letter names the direction the exchanged factor
     travels under the quadrant identification."""
-    n, p, m, d = B.n, B.parities, B.m, B.delta
-    if which == SE:
-        return m.whisker(n, 1) @ d.whisker(1, n)
-    if which == NW:
-        return m.whisker(1, n) @ d.whisker(n, 1)
-    if which == NE:
-        return m.whisker(1, n) @ d.whisker(1, n).braid(n, p, p, 1)
-    if which == SW:
-        return m.whisker(n, 1) @ d.whisker(n, 1).braid(1, p, p, n)
-    raise BialgebraError(f"unknown shear direction {which!r}")
+    if which not in _SHEARS:
+        raise BialgebraError(f"unknown shear direction {which!r}")
+    return _contract_shear(B, B.delta, which)
+
+
+def _contract_shear(B: Bialgebra, d: Matrix, which: str) -> Matrix:
+    """A shear as one contraction of m with d (an n^2 x n coproduct) over
+    the leg they share, with p = B.parities:
+
+        SE[(a, y), (i, j)] = sum_b  d[(a, b), i] m[y, (b, j)]
+        NW[(y, b), (i, j)] = sum_a  m[y, (i, a)] d[(a, b), j]
+        NE[(y, b), (i, j)] = sum_a +- d[(a, b), i] m[y, (a, j)]
+        SW[(a, y), (i, j)] = sum_b +- d[(a, b), j] m[y, (i, b)]
+
+    NE and SW braid a leg of d past a leg of m, and a term is negated
+    when the two legs that stay, b and j or a and i, are both odd."""
+    keep_a, share_first, signed = _SHEARS[which]
+    F, n, p = B.field, B.n, B.parities
+    mul, neg = F.mul, F.neg
+    legs = [[] for _ in range(n)]   # (kept leg, column, entry, odd entry)
+    for ab, c, x in d.entries():
+        a, b = divmod(ab, n)
+        k, s = (a, b) if keep_a else (b, a)
+        legs[s].append((k, c, x, neg(x) if signed and p[k] % 2 else x))
+    entries = []
+    for y, st, z in B.m.entries():
+        s, t = divmod(st, n)
+        if not share_first:
+            s, t = t, s
+        odd = p[t] % 2
+        for k, c, x, x_odd in legs[s]:
+            entries.append((k * n + y if keep_a else y * n + k,
+                            c * n + t if share_first else t * n + c,
+                            mul(z, x_odd if odd else x)))
+    return Matrix.from_entries(F, n * n, n * n, entries)
 
 
 def is_hopf(B: Bialgebra) -> bool:
@@ -236,13 +269,15 @@ def antipode(B: Bialgebra) -> HopfData:
     except FieldError:
         raise NoAntipode(sh.nullspace()) from None
     n = B.n
-    S = B.eps.whisker(1, n) @ sh_inv @ B.u.whisker(n, 1)
-    conv_l = B.m @ S.whisker(1, n) @ B.delta
-    conv_r = B.m @ S.whisker(n, 1) @ B.delta
+    S = B.eps.whisker_matmul(1, n, sh_inv).matmul_whisker(B.u, n, 1)
+    conv_l = B.m.matmul_whisker(S, 1, n) @ B.delta
+    conv_r = B.m.matmul_whisker(S, n, 1) @ B.delta
     ue = B.u @ B.eps
     if conv_l != ue or conv_r != ue:
         raise BialgebraError("antipode candidate fails the convolution axioms")
-    undo = B.m.whisker(n, 1) @ S.whisker(n, n) @ B.delta.whisker(1, n)
+    # (id (x) m)(id (x) S (x) id)(delta (x) id) is the SE shear with
+    # (id (x) S)delta in place of delta
+    undo = _contract_shear(B, S.whisker_matmul(n, 1, B.delta), SE)
     if undo != sh_inv:
         raise BialgebraError("antipode does not invert the shear")
     # S is invertible exactly when B is co-Hopf
@@ -350,21 +385,28 @@ def antipode_from_integrals(B: Bialgebra,
     if data.normalized_integral is None:
         raise IntegralConditionError(
             "integral and cointegral spaces must be lines with nonzero pairing")
-    n, p = B.n, B.parities
+    F, n, p = B.field, B.n, B.parities
     lam = data.normalized_integral
     coint = data.normalized_cointegral
-    dl = B.delta @ coint         # n^2 x 1, the split cointegral
     if B.braiding == SUPER:
         deg_int = _functional_parity(B, lam)
         shifted = [(g + deg_int) % 2 for g in p]
     else:
         shifted = p
-    step1 = dl.whisker(1, n)     # h |-> Lam1 (x) Lam2 (x) h
-    # braid h past Lam2 and the value line: Lam1 (x) h (x) Lam2
-    step2 = step1.braid(n, shifted, p, 1)
-    step3 = B.m.whisker(n, 1)    # multiply h with Lam2
-    step4 = lam.whisker(n, 1)    # evaluate the integral
-    return step4 @ step3 @ step2
+    # S[a, h] = sum_b +- dl[(a, b)] (lam m)[(h, b)], with dl the split
+    # cointegral, negated when shifted[b] and p[h] are both odd
+    under_b = [[] for _ in range(n)]    # (h, (lam m)[(h, b)]) under b
+    for _, hb, y in (lam @ B.m).entries():
+        h, b = divmod(hb, n)
+        under_b[b].append((h, y))
+    entries = []
+    for ab, _, x in (B.delta @ coint).entries():
+        a, b = divmod(ab, n)
+        for h, y in under_b[b]:
+            z = F.mul(x, y)
+            entries.append((a, h, F.neg(z) if shifted[b] % 2 and p[h] % 2
+                            else z))
+    return Matrix.from_entries(F, n, n, entries)
 
 
 def _functional_parity(B: Bialgebra, lam: Matrix) -> int:

@@ -36,10 +36,11 @@ class Comodule:
         B = self.bialgebra
         n, d = B.n, self.d
         out = []
-        if B.delta.whisker(1, d) @ self.rho != \
-                self.rho.whisker(n, 1) @ self.rho:
+        if B.delta.whisker_matmul(1, d, self.rho) != \
+                self.rho.whisker_matmul(n, 1, self.rho):
             out.append("coassociativity")
-        if B.eps.whisker(1, d) @ self.rho != Matrix.identity(B.field, d):
+        if B.eps.whisker_matmul(1, d, self.rho) != \
+                Matrix.identity(B.field, d):
             out.append("counit")
         return out
 
@@ -117,7 +118,7 @@ def dual_comodule(M: Comodule, hopf: Optional[HopfData] = None) -> Comodule:
         raise ComoduleError("antipode belongs to a different bialgebra")
     B = M.bialgebra
     rho_t = _coefficient_transpose(M)
-    return Comodule(B, M.d, hopf.S.whisker(1, M.d) @ rho_t)
+    return Comodule(B, M.d, hopf.S.whisker_matmul(1, M.d, rho_t))
 
 
 def _coefficient_transpose(M: Comodule) -> Matrix:

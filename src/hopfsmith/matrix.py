@@ -13,19 +13,24 @@ back, so a caller never touches a zero; `m[i, j]`, `row(i)` and `data`
 read the entries densely, with the field's zero filled in.
 
 Maps applied to one tensor slot and braidings of two adjacent slots are
-index arithmetic, not products.  `whisker(l, r)` is I_l (x) A (x) I_r
-built from A's own entries, and `braid` composes a matrix with a
+never built as matrices.  `whisker_matmul(l, r, x)` is
+(I_l (x) A (x) I_r) @ x: it scatters each stored entry of x over one
+column of A, so only the rows that receive an entry are built;
+`matmul_whisker(a, l, r)` is x @ (I_l (x) a (x) I_r), spreading each
+stored entry of x over one row of a.  `braid` composes a matrix with a
 whiskered flip or Koszul braiding by relabelling its rows, negating the
-rows whose two braided factors are both odd.  Neither makes a
-multiplication.  `kron_matmul(other, x)` is (self (x) other) @ x from
-the stored entries of the three operands: it multiplies by the two
-factors in turn and never forms self (x) other.  `kron` is for the
-tensor products that are results in their own right, such as u (x) u.
+rows whose two braided factors are both odd, and multiplies nothing.
+`kron_matmul(other, x)` is (self (x) other) @ x from the stored entries
+of the three operands: it multiplies by the two factors in turn and
+never forms self (x) other.  `kron` is for the tensor products that are
+results in their own right, such as u (x) u.
 
 Everything is exact, and every scalar operation goes through the field's
 methods, so Q and Q[x]/(f) share this code.  Rank, nullspace, solve,
 inverse and determinant all use one Gauss-Jordan elimination on sparse
-rows.  A product of nonzero scalars is nonzero in a field, so only sums
+rows, which keeps a column index (the rows that hold an entry in each
+column) so that each pivot visits only the rows that hold its column.
+A product of nonzero scalars is nonzero in a field, so only sums
 are tested for zero.
 """
 
@@ -245,6 +250,76 @@ class Matrix:
             maps.extend(out)
         return Matrix._of(F, self.rows * r, x.cols, maps)
 
+    def whisker_matmul(self, left: int, right: int, x: "Matrix") -> "Matrix":
+        """(I_left (x) self (x) I_right) @ x without forming the whiskered
+        matrix.  Row (a, j, b) of x is a*cols*right + j*right + b, and
+        output row (a, i, b) likewise; each stored x[(a, j, b), c] is
+        scattered over self's column j, so only the rows that receive an
+        entry are built."""
+        p, q = self.rows, self.cols
+        if left * q * right != x.rows:
+            raise ValueError(f"shape mismatch (I_{left} (x) {p}x{q} (x) "
+                             f"I_{right}) @ {x.rows}x{x.cols}")
+        F = self.field
+        add, mul, is_zero = F.add, F.mul, F.is_zero
+        columns = [[] for _ in range(q)]    # (i * right, self[i, j]) under j
+        for i, j, s in self.entries():
+            columns[j].append((i * right, s))
+        acc: Dict[int, Dict[int, object]] = {}
+        summed = False      # only a sum can be zero
+        for k, row in compress(enumerate(x._maps), x._maps):
+            a, jb = divmod(k, q * right)
+            j, b = divmod(jb, right)
+            base = a * p * right + b
+            for shift, s in columns[j]:
+                target = acc.setdefault(base + shift, {})
+                for c, y in row.items():
+                    t = target.get(c)
+                    if t is None:
+                        target[c] = mul(s, y)
+                    else:
+                        target[c] = add(t, mul(s, y))
+                        summed = True
+        maps = [_EMPTY] * (left * p * right)
+        for i, target in acc.items():
+            if summed:
+                target = {c: t for c, t in target.items() if not is_zero(t)}
+            maps[i] = target or _EMPTY
+        return Matrix._of(F, len(maps), x.cols, maps)
+
+    def matmul_whisker(self, a: "Matrix", left: int, right: int) -> "Matrix":
+        """self @ (I_left (x) a (x) I_right) without forming the whiskered
+        matrix: each stored self[r, (l, i, b)] is spread over a's row i
+        into the columns (l, j, b)."""
+        p, width = a.rows, a.cols * right
+        if self.cols != left * p * right:
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
+                             f"(I_{left} (x) {p}x{a.cols} (x) I_{right})")
+        F = self.field
+        add, mul, is_zero = F.add, F.mul, F.is_zero
+        shifted = [tuple((j * right, y) for j, y in m.items())
+                   for m in a._maps]
+        maps = []
+        for mine in self._maps:
+            acc: Dict[int, object] = {}
+            summed = False      # only a sum can be zero
+            for k, x in mine.items():
+                l, ib = divmod(k, p * right)
+                i, b = divmod(ib, right)
+                base = l * width + b
+                for shift, y in shifted[i]:
+                    col = base + shift
+                    s = acc.get(col)
+                    if s is None:
+                        acc[col] = mul(x, y)
+                    else:
+                        acc[col] = add(s, mul(x, y))
+                        summed = True
+            if summed:
+                acc = {j: s for j, s in acc.items() if not is_zero(s)}
+            maps.append(acc or _EMPTY)
+        return Matrix._of(F, self.rows, left * width, maps)
+
     def kron(self, other: "Matrix") -> "Matrix":
         """Tensor product with index convention (i, j) |-> i*n + j."""
         mul = self.field.mul
@@ -258,24 +333,6 @@ class Matrix:
                              for l, b in theirs} or _EMPTY)
         return Matrix._of(self.field, self.rows * other.rows,
                           self.cols * width, maps)
-
-    def whisker(self, left: int, right: int) -> "Matrix":
-        """I_left (x) self (x) I_right.  Row (a, i, b) is
-        a*rows*right + i*right + b, and columns likewise; the entries are
-        self's own objects, and no scalar operation is made."""
-        if left == right == 1:
-            return self
-        width = self.cols * right
-        shifted = [tuple((j * right, x) for j, x in m.items())
-                   for m in self._maps]
-        maps = []
-        for a in range(left):
-            base = a * width
-            for row in shifted:
-                for b in range(right):
-                    maps.append({base + b + j: x for j, x in row} or _EMPTY)
-        return Matrix._of(self.field, left * self.rows * right,
-                          left * width, maps)
 
     def braid(self, left: int, deg_a: Sequence[int], deg_b: Sequence[int],
               right: int) -> "Matrix":
@@ -326,11 +383,18 @@ class Matrix:
     def _eliminate(self):
         """Gauss-Jordan elimination on copies of the sparse rows.  Returns
         the reduced rows, the pivot columns, each pivot's value before its
-        row was normalized, and the number of row swaps."""
+        row was normalized, and the number of row swaps.  holders[c] is
+        the set of rows that hold an entry in column c, kept exact on
+        every swap, fill-in and cancellation, so a pivot is the lowest row
+        at or below r in holders[c], and only those rows are reduced."""
         F = self.field
         mul, sub, neg, is_zero = F.mul, F.sub, F.neg, F.is_zero
         m = [dict(row) for row in self._maps]
         n = self.rows
+        holders: List[set] = [set() for _ in range(self.cols)]
+        for i, row in enumerate(m):
+            for j in row:
+                holders[j].add(i)
         pivots: List[int] = []
         values: List[object] = []
         swaps = 0
@@ -338,29 +402,38 @@ class Matrix:
         for c in range(self.cols):
             if r == n:
                 break
-            pivot = next((i for i in range(r, n) if c in m[i]), None)
+            pivot = min((i for i in holders[c] if i >= r), default=None)
             if pivot is None:
                 continue
             if pivot != r:
+                for i in (r, pivot):
+                    for j in m[i]:
+                        holders[j].discard(i)
                 m[r], m[pivot] = m[pivot], m[r]
+                for i in (r, pivot):
+                    for j in m[i]:
+                        holders[j].add(i)
                 swaps += 1
             value = m[r][c]
             inv = F.inv(value)
             prow = {j: mul(inv, x) for j, x in m[r].items()}
             m[r] = prow
-            for i, target in enumerate(m):
-                f = target.get(c)
-                if f is None or i == r:
+            for i in tuple(holders[c]):
+                if i == r:
                     continue
+                target = m[i]
+                f = target[c]
                 for j, y in prow.items():
                     t = mul(f, y)
                     x = target.get(j)
                     if x is None:
                         target[j] = neg(t)
+                        holders[j].add(i)
                         continue
                     s = sub(x, t)
                     if is_zero(s):
                         del target[j]
+                        holders[j].discard(i)
                     else:
                         target[j] = s
             pivots.append(c)

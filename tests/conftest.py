@@ -1,8 +1,10 @@
 """Hypothesis settings for the whole suite: the same examples on every run
 (derandomized, with no example database on disk), and no per-example
 deadline, which a slow or busy machine would turn into spurious failures.
-Also one presentation shared by the budget tests, and the queries of the
-hopf-square check shared by the kernel tests."""
+Also one presentation shared by the budget tests, the queries of the
+hopf-square check shared by the kernel tests, and `whiskered`, the slot
+map I_left (x) A (x) I_right built with kron, which the matrix and
+linear-system tests use as a reference."""
 
 from unittest import mock
 
@@ -10,11 +12,17 @@ import pytest
 from hypothesis import settings
 
 from hopfsmith import mates
+from hopfsmith.matrix import Matrix
 from hopfsmith.presentation import Presentation
 
 settings.register_profile("suite", derandomize=True, deadline=None,
                           database=None)
 settings.load_profile("suite")
+
+
+def whiskered(F, left, A, right):
+    """I_left (x) A (x) I_right, materialized with kron."""
+    return Matrix.identity(F, left).kron(A).kron(Matrix.identity(F, right))
 
 
 @pytest.fixture

@@ -2,14 +2,15 @@
 `integrals` and `convolution_inverse` assemble entry by entry.
 
 The oracle never indexes an equation by hand.  It states each defining
-identity with matrix products and whiskering, checks every returned
-basis element against it, checks that the basis is independent, and
-counts the solution space as the kernel dimension of the identity's
-linear map, whose matrix is built column by column from one-entry
-inputs.
+identity with matrix products and Kronecker products by identities
+(`whiskered`), checks every returned basis element against it, checks
+that the basis is independent, and counts the solution space as the
+kernel dimension of the identity's linear map, whose matrix is built
+column by column from one-entry inputs.
 """
 
 import pytest
+from conftest import whiskered
 
 from hopfsmith import bialgebra as ba
 from hopfsmith.comodule import (comodule_hom, regular_comodule,
@@ -68,7 +69,7 @@ def test_comodule_hom_is_the_intertwiner_space(name, field, which):
     M, N = comodule_pair(B, which)
     assert_solution_basis(
         B.field, comodule_hom(M, N), N.d, M.d,
-        lambda phi: N.rho @ phi - phi.whisker(B.n, 1) @ M.rho)
+        lambda phi: N.rho @ phi - whiskered(B.field, B.n, phi, 1) @ M.rho)
 
 
 @pytest.mark.parametrize("name,field", ALL)
@@ -78,10 +79,10 @@ def test_integrals_solve_their_defining_identities(name, field):
     data = ba.integrals(B)
     assert_solution_basis(
         F, data.left_integrals, 1, n,
-        lambda lam: lam.whisker(n, 1) @ B.delta - B.u @ lam)
+        lambda lam: whiskered(F, n, lam, 1) @ B.delta - B.u @ lam)
     assert_solution_basis(
         F, data.left_cointegrals, n, 1,
-        lambda coint: B.m @ coint.whisker(n, 1) - coint @ B.eps)
+        lambda coint: B.m @ whiskered(F, n, coint, 1) - coint @ B.eps)
 
 
 @pytest.mark.parametrize("name,field", ALL)
@@ -93,5 +94,5 @@ def test_convolution_inverse_solves_both_convolution_equations(name, field):
         assert not ba.is_hopf(B)
         return
     ue = B.u @ B.eps
-    assert B.m @ T.whisker(1, n) @ B.delta == ue
-    assert B.m @ T.whisker(n, 1) @ B.delta == ue
+    assert B.m @ whiskered(B.field, 1, T, n) @ B.delta == ue
+    assert B.m @ whiskered(B.field, n, T, 1) @ B.delta == ue

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import whiskered
 from hopfsmith.field import FieldError, QQ, number_field_from_text
 from hopfsmith.matrix import Matrix
 
@@ -174,16 +175,20 @@ def test_kron(F, data):
           c1 * c2, o_kron(F, a, b))
 
 
-def whiskered(F, left, A, right):
-    """I_left (x) A (x) I_right, materialized with kron."""
-    return Matrix.identity(F, left).kron(A).kron(Matrix.identity(F, right))
-
-
 def same(got, want):
     assert (got.rows, got.cols) == (want.rows, want.cols)
     assert all(canonical(got.field, x) for _, _, x in got.entries())
     assert got == want and hash(got) == hash(want)
     assert got.data == want.data
+
+
+def slot_maps(F, left, A, right):
+    """I_left (x) A (x) I_right applied to an identity on either side, by
+    whisker_matmul and by matmul_whisker."""
+    return (A.whisker_matmul(left, right,
+                             Matrix.identity(F, left * A.cols * right)),
+            Matrix.identity(F, left * A.rows * right).matmul_whisker(
+                A, left, right))
 
 
 @FIELDS
@@ -196,18 +201,19 @@ def test_whisker_is_kron_by_identities(F, data):
         a[data.draw(st.integers(0, r - 1))] = [F.zero] * c
     A = build(F, r, c, a)
     for l, rt in ((left, right), (left, 1), (1, right), (1, 1)):
-        got = A.whisker(l, rt)
-        same(got, whiskered(F, l, A, rt))
-        check(F, got, l * r * rt, l * c * rt,
-              o_kron(F, o_kron(F, eye(F, l), a), eye(F, rt)))
+        for got in slot_maps(F, l, A, rt):
+            same(got, whiskered(F, l, A, rt))
+            check(F, got, l * r * rt, l * c * rt,
+                  o_kron(F, o_kron(F, eye(F, l), a), eye(F, rt)))
 
 
 @FIELDS
 def test_whisker_of_a_wide_matrix_with_a_zero_row(F):
     A = Matrix.from_rows(F, [[0, 0, 0], [1, F(Fraction(1, 2)), 0]])
-    same(A.whisker(2, 3), whiskered(F, 2, A, 3))
-    same(A.whisker(1, 2), whiskered(F, 1, A, 2))
-    assert A.whisker(1, 1) is A
+    for l, rt in ((2, 3), (1, 2), (1, 1)):
+        for got in slot_maps(F, l, A, rt):
+            same(got, whiskered(F, l, A, rt))
+    assert all(got == A for got in slot_maps(F, 1, A, 1))
 
 
 def koszul_matrix(field, deg_a, deg_b):

