@@ -5,13 +5,17 @@ integrals.
 Index convention: the basis of B (x) B is ordered (i, j) |-> i*n + j.
 Braidings supported: the flip, and the Koszul sign rule for Z/2-graded
 spaces; both are involutions, so no separate inverse braiding is kept.
-Composites apply each structure map to its tensor slots with
-`Matrix.whisker_matmul` and `Matrix.matmul_whisker`, so no Kronecker
-product by an identity is formed.  The bialgebra axiom's braided
-product (m (x) m)(id (x) br (x) id)(delta (x) delta), the four shears and
-the integral formula for the antipode are contractions of the entries
-of m and delta over a shared leg, so no composite forms a Kronecker
-product or a braiding that it only multiplies.
+The braiding is data of the bialgebra, and this module is the only one
+that reads its signs: `braiding_matrix` is the braiding of B (x) B as a
+matrix, for a caller that braids two tensor slots, and the composites
+below sign their terms from the same parities.  Composites apply each
+structure map to its tensor slots with `Matrix.whisker_matmul` and
+`Matrix.matmul_whisker`, so no Kronecker product by an identity is
+formed.  The bialgebra axiom's braided product
+(m (x) m)(id (x) br (x) id)(delta (x) delta), the four shears and the
+integral formula for the antipode are contractions of the entries of m
+and delta over a shared leg, so no composite forms a Kronecker product
+or a braiding that it only multiplies.
 """
 
 from __future__ import annotations
@@ -77,6 +81,16 @@ class Bialgebra:
         """The parities the braiding signs by: the grading under the Koszul
         rule, all even under the flip."""
         return self.grading if self.braiding == SUPER else (0,) * self.n
+
+
+def braiding_matrix(B: Bialgebra) -> Matrix:
+    """The braiding of B (x) B, e_i (x) e_j |-> +- e_j (x) e_i: the flip,
+    negated where both basis vectors are odd under the Koszul rule."""
+    F, n, p = B.field, B.n, B.parities
+    one, minus = F.one, F.neg(F.one)
+    return Matrix.from_entries(F, n * n, n * n, (
+        (j * n + i, i * n + j, minus if p[i] % 2 and p[j] % 2 else one)
+        for i in range(n) for j in range(n)))
 
 
 @dataclass

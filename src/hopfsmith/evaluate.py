@@ -10,9 +10,10 @@ structure tensors, vertical stacking goes to the tensor product, and
 Factor order follows the quadrant identification: reading a stack top
 down (the 45-degree left rotation takes the upper crossing to the left
 factor).  When two 3-cells are composed across an interchange of layers,
-the slide of two crossings past each other evaluates to the braiding in
-the corresponding tensor slots; this is where a noncocommutative
-comultiplication notices the difference between the shear directions.
+the slide of two crossings past each other evaluates to the bialgebra's
+braiding (`bialgebra.braiding_matrix`) applied to the corresponding
+tensor slots; this is where a noncocommutative comultiplication notices
+the difference between the shear directions.
 
 Evaluation is a function of terms as written.  In the collapsed
 presentation all whiskers are identities, so stacks of crossings
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from . import interchange
-from .bialgebra import NE, Bialgebra, shear
+from .bialgebra import NE, Bialgebra, braiding_matrix, shear
 from .gray import pair_name
 from .matrix import Matrix
 from .presentation import Presentation
@@ -144,7 +145,8 @@ def _junction(a2: CellTerm, b2: CellTerm, ctx: EvalContext,
     """The matrix realizing the interchange slides that align the target
     layers of one move with the source layers of the next: both are
     packed over one atom table, interchange.align gives the swaps, and
-    each swap of two crossings braids their tensor slots."""
+    each swap of two crossings applies the bialgebra's braiding to their
+    tensor slots."""
     B = ctx.bialgebra
     F, n = B.field, B.n
     tab = interchange.AtomTable()
@@ -160,15 +162,14 @@ def _junction(a2: CellTerm, b2: CellTerm, ctx: EvalContext,
         raise EvaluationError(
             "composition boundaries differ by more than interchange slides; "
             "evaluate the uncollapsed diagram instead")
-    parities = B.parities
+    braiding = braiding_matrix(B)
     for flat, pos in swaps:
         ids = flat[1::2]
         if crossing[ids[pos]] and crossing[ids[pos + 1]]:
             below = sum(crossing[x] for x in ids[:pos])
             # factors are read top-down: slot 0 is the topmost crossing
             slot = total - 2 - below
-            out = out.braid(n ** slot, parities, parities,
-                            n ** (total - 2 - slot))
+            out = braiding.whisker_matmul(n ** slot, n ** below, out)
     return out
 
 

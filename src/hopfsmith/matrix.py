@@ -5,25 +5,23 @@ Row-major; the tensor-factor index convention for an n*n space is
 row that holds the nonzero entries only, so a zero is never stored and
 equality and hashing compare the maps directly.  Sums, products,
 Kronecker products and elimination visit stored entries only, which
-keeps the structure tensors, braidings and their tensor powers (almost
-all zeros) cheap.  The maps are private and never mutated once a matrix
-owns them, so matrices may share rows and entries.  `from_entries` builds
-a matrix from (i, j, x) triples and `entries()` reads the stored ones
-back, so a caller never touches a zero; `m[i, j]`, `row(i)` and `data`
-read the entries densely, with the field's zero filled in.
+keeps the structure tensors and their tensor powers (almost all zeros)
+cheap.  The maps are private and never mutated once a matrix owns them,
+so matrices may share rows and entries.  `from_entries` builds a matrix
+from (i, j, x) triples and `entries()` reads the stored ones back, so a
+caller never touches a zero; `m[i, j]`, `row(i)` and `data` read the
+entries densely, with the field's zero filled in.
 
-Maps applied to one tensor slot and braidings of two adjacent slots are
-never built as matrices.  `whisker_matmul(l, r, x)` is
-(I_l (x) A (x) I_r) @ x: it scatters each stored entry of x over one
-column of A, so only the rows that receive an entry are built;
-`matmul_whisker(a, l, r)` is x @ (I_l (x) a (x) I_r), spreading each
-stored entry of x over one row of a.  `braid` composes a matrix with a
-whiskered flip or Koszul braiding by relabelling its rows, negating the
-rows whose two braided factors are both odd, and multiplies nothing.
-`kron_matmul(other, x)` is (self (x) other) @ x from the stored entries
-of the three operands: it multiplies by the two factors in turn and
-never forms self (x) other.  `kron` is for the tensor products that are
-results in their own right, such as u (x) u.
+A map applied to one tensor slot is never built as a matrix.
+`whisker_matmul(l, r, x)` is (I_l (x) A (x) I_r) @ x: it scatters each
+stored entry of x over one column of A, so only the rows that receive
+an entry are built; `matmul_whisker(a, l, r)` is x @ (I_l (x) a (x) I_r),
+spreading each stored entry of x over one row of a.  A product by a
+Kronecker product is two of these, (A (x) B) @ x =
+A.whisker_matmul(1, B.rows, B.whisker_matmul(A.cols, 1, x)).  `kron` is
+for the tensor products that are results in their own right, such as
+u (x) u.  This module knows no grading: braidings and their signs belong
+to the bialgebra that carries them.
 
 Everything is exact, and every scalar operation goes through the field's
 methods, so Q and Q[x]/(f) share this code.  Rank, nullspace, solve,
@@ -213,43 +211,6 @@ class Matrix:
                         or _EMPTY)
         return Matrix._of(F, self.rows, other.cols, maps)
 
-    def kron_matmul(self, other: "Matrix", x: "Matrix") -> "Matrix":
-        """(self (x) other) @ x without forming self (x) other.  Row
-        (j, k) of the middle product (I (x) other) @ x combines x's rows
-        (j, l) by other's row k; row (i, k) of the result combines the
-        middle rows (j, k) by self's row i, and only the nonzero middle
-        rows are visited."""
-        if self.cols * other.cols != x.rows:
-            raise ValueError(f"shape mismatch ({self.rows}x{self.cols} (x) "
-                             f"{other.rows}x{other.cols}) @ "
-                             f"{x.rows}x{x.cols}")
-        F, s, r = self.field, other.cols, other.rows
-        add, mul, is_zero = F.add, F.mul, F.is_zero
-        src = x._maps
-        # other's nonzero rows k, as one matrix
-        ks = list(compress(range(r), other._maps))
-        nonzero = Matrix._of(F, len(ks), s, [other._maps[k] for k in ks])
-        middle = []     # the nonzero (k, row (j, k)) for each j
-        for j in range(self.cols):
-            block = nonzero @ Matrix._of(F, s, x.cols, src[j * s:(j + 1) * s])
-            middle.append([(k, row) for k, row in zip(ks, block._maps)
-                           if row])
-        maps = []
-        for mine in self._maps:
-            acc: Dict[int, Dict[int, object]] = {}
-            for j, a in mine.items():
-                for k, row in middle[j]:
-                    target = acc.setdefault(k, {})
-                    for c, b in row.items():
-                        ab = mul(a, b)
-                        target[c] = add(target[c], ab) if c in target else ab
-            out = [_EMPTY] * r
-            for k, target in acc.items():
-                out[k] = {c: t for c, t in target.items()
-                          if not is_zero(t)} or _EMPTY
-            maps.extend(out)
-        return Matrix._of(F, self.rows * r, x.cols, maps)
-
     def whisker_matmul(self, left: int, right: int, x: "Matrix") -> "Matrix":
         """(I_left (x) self (x) I_right) @ x without forming the whiskered
         matrix.  Row (a, j, b) of x is a*cols*right + j*right + b, and
@@ -333,33 +294,6 @@ class Matrix:
                              for l, b in theirs} or _EMPTY)
         return Matrix._of(self.field, self.rows * other.rows,
                           self.cols * width, maps)
-
-    def braid(self, left: int, deg_a: Sequence[int], deg_b: Sequence[int],
-              right: int) -> "Matrix":
-        """(I_left (x) s (x) I_right) @ self, where s: A (x) B -> B (x) A
-        is the braiding with the Koszul sign of the parities deg_a, deg_b
-        (the flip when either side is all even).  Output row (l, j, i, r)
-        is row (l, i, j, r) of self, negated when deg_a[i] and deg_b[j]
-        are both odd; only `neg` is called."""
-        n, m = len(deg_a), len(deg_b)
-        if self.rows != left * n * m * right:
-            raise ValueError(f"braiding of {left}*{n}*{m}*{right} rows "
-                             f"applied to {self.rows} rows")
-        neg = self.field.neg
-        odd_a = [g % 2 for g in deg_a]
-        odd_b = [g % 2 for g in deg_b]
-        src = self._maps
-        maps = []
-        for l in range(left):
-            for j in range(m):
-                for i in range(n):
-                    start = ((l * n + i) * m + j) * right
-                    rows = src[start:start + right]
-                    if odd_a[i] and odd_b[j]:
-                        rows = [{k: neg(x) for k, x in row.items()} or _EMPTY
-                                for row in rows]
-                    maps.extend(rows)
-        return Matrix._of(self.field, self.rows, self.cols, maps)
 
     def transpose(self) -> "Matrix":
         cols: List[Dict[int, object]] = [{} for _ in range(self.cols)]

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import jsonshape as shape
-from .rewriting import (EQ_DISTINCT, EQ_EQUAL, composable, parallel_with_dim,
-                        word_of)
+from .interchange import AtomTable
+from .rewriting import EQ_DISTINCT, EQ_EQUAL, composable, parallel, word_of
 from .terms import (CellTerm, Gen, Generator, Id, Inv, SOURCE, TARGET,
                     TermError, boundary, dim, generators, illegal_inverses,
                     normal_dim, normalize, parse_term, print_term,
@@ -55,11 +55,11 @@ class Presentation:
         default_factory=dict, init=False, repr=False, compare=False)
     _words: Dict[str, tuple] = field(default_factory=dict, repr=False,
                                      compare=False)
-    # rewriting's interchange kernel, filled by the first 2-cell search.
-    # relate drops it, since it holds the packed oriented 2-rules; so does
-    # add, since a rule naming a generator not yet added was left out
-    _kernel: Optional[object] = field(default=None, init=False, repr=False,
-                                      compare=False)
+    # the interchange kernel of 2-cell searches, made by `kernel` on first
+    # use.  relate drops it, since it holds the packed oriented 2-rules; so
+    # does add, since a rule naming a generator not yet added was left out
+    _kernel: Optional[AtomTable] = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     def __getstate__(self) -> dict:
         # copies and pickles leave out the derived kernel and its lock
@@ -83,6 +83,15 @@ class Presentation:
         self._kernel = None
 
     # -- views ---------------------------------------------------------
+
+    def kernel(self) -> AtomTable:
+        """The interchange kernel that 2-cell searches share, made on first
+        use.  Two first searches at once each make one and run on their
+        own, and one of the two is kept."""
+        table = self._kernel
+        if table is None:
+            table = self._kernel = AtomTable()
+        return table
 
     def normal_face(self, name: str, side: str) -> Optional[CellTerm]:
         """The normal form of a generator's source or target, normalized
@@ -301,7 +310,7 @@ def _parallel_violations(where: str, a: CellTerm, b: CellTerm, d: int,
     parallel, naming the lowest level that differs (undecided when eq
     cannot tell within the budget), or a boundary cannot be taken."""
     try:
-        v, level = parallel_with_dim(a, b, d, p, budget)
+        v, level = parallel(a, b, p, budget, d)
     except TermError as e:
         return [Violation(where, str(e))]
     if v is EQ_EQUAL:

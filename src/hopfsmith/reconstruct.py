@@ -258,8 +258,9 @@ def coend_reconstruct(family: GeneratingFamily,
         class of e^t (x) e_s in P*, P: one term of the resolution at a
         time, the class of (e^t . iota) (x) (pi . e_s) in the member."""
         for idx, iota, pi in zip(res.member_indices, res.iotas, res.pis):
-            yield from iota.kron_matmul(pi.transpose(),
-                                        quotient[idx]).entries()
+            # (iota (x) pi^T) @ quotient, one tensor factor at a time
+            half = pi.transpose().whisker_matmul(iota.cols, 1, quotient[idx])
+            yield from iota.whisker_matmul(1, pi.cols, half).entries()
 
     # column colx * dim + coly of m is the class of the product of the
     # section vectors nonpivot[colx] and nonpivot[coly]
@@ -311,14 +312,15 @@ def coend_reconstruct(family: GeneratingFamily,
 
     invertible = canonical.is_invertible()
     ok = invertible and not bad
-    # m (c (x) c) through its transpose (c^T (x) c^T) m^T
+    # (c (x) c) @ x as (c (x) I)(I (x) c) @ x; m (c (x) c) through its
+    # transpose (c^T (x) c^T) m^T
     c_t = canonical.transpose()
     checks = [
-        ("mult", c_t.kron_matmul(c_t, reference.m.transpose())
-         == (canonical @ C.m).transpose()),
+        ("mult", c_t.whisker_matmul(1, dim, c_t.whisker_matmul(
+            n, 1, reference.m.transpose())) == (canonical @ C.m).transpose()),
         ("unit", reference.u == canonical @ C.u),
-        ("comult", reference.delta @ canonical ==
-         canonical.kron_matmul(canonical, C.delta)),
+        ("comult", reference.delta @ canonical == canonical.whisker_matmul(
+            1, n, canonical.whisker_matmul(dim, 1, C.delta))),
         ("counit", reference.eps @ canonical == C.eps),
     ]
     for name, good in checks:

@@ -50,10 +50,10 @@ and then normalized whole.  A generator without a boundary raises
 TermError out of the certificate; a face that cannot be normalized to
 the dimension below its generator's makes its level Unknown.  Each
 pair starts from the budget left when the certificate began, so running
-out on one pair never hides a difference at another.  Validation calls
-`parallel_with_dim` with the dimension it has already taken, for a
-generator's source and target and a relation's sides, and names the
-lowest level that differs.
+out on one pair never hides a difference at another.  Validation passes
+`parallel` the dimension it has already taken, for a generator's source
+and target and a relation's sides, and names the lowest level that
+differs.
 
 Verdicts are Equal / Distinct / Unknown.  Both sides are normalized
 first; a side that is ill-formed, or that has a formal inverse of a
@@ -348,23 +348,20 @@ def _eq(a: CellTerm, da: int, b: CellTerm, db: int, p: Presentation,
 
 
 def parallel(a: CellTerm, b: CellTerm, p: Presentation,
-             budget: Optional[int] = None) -> Tuple[Verdict, Optional[int]]:
+             budget: Optional[int] = None,
+             d: Optional[int] = None) -> Tuple[Verdict, Optional[int]]:
     """(Equal, None) when the k-sources and k-targets of two cells are
     equal under eq at every level k (two 0-cells always are), (Distinct,
     k) for the lowest level k with a Distinct pair, (Distinct, None) for
     cells of different dimensions, else (Unknown, None).  Each pair starts
-    from the step budget, by default eq's.  Raises TermError when a or b
-    is ill-formed or a boundary cannot be taken."""
-    d = dim(a, p.gens)
-    if dim(b, p.gens) != d:
-        return EQ_DISTINCT, None
-    return parallel_with_dim(a, b, d, p, budget)
-
-
-def parallel_with_dim(a: CellTerm, b: CellTerm, d: int, p: Presentation,
-                      budget: Optional[int]) -> Tuple[Verdict, Optional[int]]:
-    """parallel for well-formed a and b of one dimension d, which the
-    caller has already taken."""
+    from the step budget, by default eq's.  A caller that has already
+    taken the one dimension of well-formed a and b passes it as d, and
+    no dimension is taken again.  Raises TermError when a or b is
+    ill-formed or a boundary cannot be taken."""
+    if d is None:
+        d = dim(a, p.gens)
+        if dim(b, p.gens) != d:
+            return EQ_DISTINCT, None
     if d == 0:
         return EQ_EQUAL, None
     steps = default_budget() if budget is None else budget
@@ -413,10 +410,7 @@ def _certificate(a: CellTerm, b: CellTerm, d: int, p: Presentation,
 def _eq2(a: CellTerm, b: CellTerm, p: Presentation, budget: Budget) -> Verdict:
     """The 2-cell search, on the packed states of the presentation's
     kernel, under its lock."""
-    table = p._kernel
-    # two first searches at once each build and use their own; one is kept
-    if table is None:
-        table = p._kernel = interchange.AtomTable()
+    table = p.kernel()
     with table.lock:
         if len(table.canonical_of) > interchange.MEMO_STATES:
             table.canonical_of, table.successors_of = {}, {}

@@ -390,7 +390,7 @@ def _normal(t: CellTerm, gens: Gens,
     if isinstance(t, Inv):
         inner, d = _normal(t.inner, gens, push_inv)
         if push_inv:
-            return _push_inv(inner), d
+            return _push_inv(inner, d), d
         if isinstance(inner, Inv):
             return inner.inner, d
         return (t if inner is t.inner else Inv(inner)), d
@@ -453,14 +453,21 @@ def normal_top_boundary(t: CellTerm, side: str, d: int, gens: Gens,
     return _comp_normal(t.k, left, right, d - 1)
 
 
-def _push_inv(t: CellTerm) -> CellTerm:
-    """Inv of a normal term, pushed to its leaves; the result is normal."""
+def _push_inv(t: CellTerm, d: int) -> CellTerm:
+    """Inv of a normal term of dimension d, pushed to its leaves; the
+    result is normal.  Only the top composition reverses: the inverse of
+    a (d-1)-composite is the composite of the inverses in the other
+    order, while a lower composite keeps its order (the inverse of
+    a comp0 b is inv a comp0 inv b)."""
     if isinstance(t, Inv):
         return t.inner
     if isinstance(t, Id):
         return t
     if isinstance(t, Comp):
-        return Comp(t.k, _push_inv(t.right), _push_inv(t.left))
+        left, right = _push_inv(t.left, d), _push_inv(t.right, d)
+        if t.k == d - 1:
+            left, right = right, left
+        return Comp(t.k, left, right)
     return Inv(t)
 
 

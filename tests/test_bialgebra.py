@@ -5,6 +5,7 @@ import pytest
 from hopfsmith.bialgebra import (IntegralConditionError, Matrix, NoAntipode,
                                  antipode, antipode_from_integrals,
                                  bialgebra_from_json, bialgebra_to_json,
+                                 braiding_matrix,
                                  check_bialgebra, convolution_inverse,
                                  dual_bialgebra, integrals, is_cohopf,
                                  is_hopf, is_valid_bialgebra, shear,
@@ -23,11 +24,12 @@ def test_all_fixtures_pass_axioms():
         assert is_valid_bialgebra(B), name
 
 
-def test_br_is_the_braiding_that_braid_applies():
+def test_braiding_matrix_is_the_koszul_swap():
     for name, B in FX.items():
         p = B.parities
-        assert (koszul_matrix(B.field, p, p) @ B.delta
-                == B.delta.braid(1, p, p, 1)), name
+        br = braiding_matrix(B)
+        assert br == koszul_matrix(B.field, p, p), name
+        assert br @ br == Matrix.identity(B.field, B.n * B.n), name
     assert FX["superline"].parities == FX["superline"].grading
     assert FX["QS3"].parities == (0,) * 6
 

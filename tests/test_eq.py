@@ -13,10 +13,12 @@ from hopfsmith import interchange, rewriting
 from hopfsmith.presentation import Presentation
 from hopfsmith.rewriting import (Budget, CompositionError, EQ_DISTINCT,
                                  EQ_EQUAL, EQ_UNKNOWN, _explore,
-                                 _packed_rules, _rewrites, compose, eq,
-                                 parallel, stack_of)
-from hopfsmith.terms import Comp, Gen, Id, Inv, TermError, comp, normal_dim
+                                 _packed_rules, _rewrites, composable,
+                                 compose, eq, parallel, stack_of)
+from hopfsmith.terms import (Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
+                             boundary, comp, dim, normal_dim, normalize)
 from hopfsmith.walking import adj, mnd
+from test_terms_reference import subterms, well_formed
 
 M = mnd().base
 A = adj().base
@@ -114,6 +116,55 @@ def test_inv_cancellation():
     assert eq(t, Id(f), p) is EQ_EQUAL
     t2 = comp(1, Inv(al), al)
     assert eq(t2, Id(g), p) is EQ_EQUAL
+
+
+def test_inverse_of_a_horizontal_composite_keeps_its_order():
+    # the inverse of a comp0 b is inv a comp0 inv b: only the top
+    # composition of a cell reverses under inversion
+    p = Presentation(max_dim=2)
+    x, y, z = p.add("x", 0), p.add("y", 0), p.add("z", 0)
+    f, f2 = p.add("f", 1, x, y), p.add("f2", 1, x, y)
+    g, g2 = p.add("g", 1, y, z), p.add("g2", 1, y, z)
+    a = p.add("a", 2, f, f2, invertible=True)
+    b = p.add("b", 2, g, g2, invertible=True)
+    t = Inv(comp(0, a, b))
+    n = p.normalize(t)
+    assert n == Comp(0, Inv(a), Inv(b))
+    assert [p.boundary(n, side, 0) for side in (SOURCE, TARGET)] == [x, z]
+    assert eq(t, comp(0, Inv(a), Inv(b)), p) is EQ_EQUAL
+    # the vertical composite does reverse
+    c = p.add("c", 2, f2, f, invertible=True)
+    assert p.normalize(Inv(comp(1, a, c))) == Comp(1, Inv(c), Inv(a))
+
+
+def composes(t, p):
+    """Whether the parts of every composite in t compose, under eq."""
+    if isinstance(t, (Id, Inv)):
+        return composes(t.inner, p)
+    if isinstance(t, Comp):
+        return (composes(t.left, p) and composes(t.right, p)
+                and composable(t.k, t.left, t.right, p)[0] is EQ_EQUAL)
+    return True
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([2, 3]).flatmap(lambda d: well_formed(d)))
+def test_an_inverse_normalizes_to_a_cell_with_its_boundaries(case):
+    # normalize pushes an inverse to the leaves; the normal form runs
+    # between the same 0- and 1-cells as the inverse it came from (eq is
+    # Unknown on an inverse of a non-invertible generator, never
+    # Distinct).  Every subterm whose composites compose is checked,
+    # since a term drawn with its dimensions alone seldom composes whole
+    p, t = case
+    for u in subterms(t):
+        if not composes(u, p):
+            continue
+        s = Inv(u)
+        n = normalize(s, p.gens)
+        for k in range(min(dim(u, p.gens), 2)):
+            for side in (SOURCE, TARGET):
+                assert eq(boundary(s, side, k, p.gens),
+                          boundary(n, side, k, p.gens), p) is not EQ_DISTINCT
 
 
 @pytest.mark.parametrize("bad, good", [

@@ -1,14 +1,16 @@
 """Tensor products that are never built, against the ones that are.
 
-`Matrix.kron_matmul` against `kron` then `@`; `whisker_matmul` and
+A product by a Kronecker product applied one factor at a time, as
+`reconstruct` applies it, against `kron` then `@`; `whisker_matmul` and
 `matmul_whisker` against the whiskered matrix (a kron by identities)
 then `@`; the bialgebra axiom's contraction against
-(m (x) m) @ braid(delta (x) delta), and the four shear contractions and
-the integral formula for the antipode against their whisker and braid
-composites, on the fixtures and on fixtures with one entry of m or delta
-changed, so that `check_bialgebra` reports the same witness; and
-`tensor_comodule`'s contraction against the kron, braid and whisker
-composite.  Over Q and over Q[x]/(x^2+x+1).
+(m (x) m) @ br(delta (x) delta), and the four shear contractions and
+the integral formula for the antipode against their whisker and
+braiding composites, on the fixtures and on fixtures with one entry of
+m or delta changed, so that `check_bialgebra` reports the same witness;
+and `tensor_comodule`'s contraction against the kron, flip and whisker
+composite.  Every braiding here is the materialized Koszul swap
+`koszul_matrix`.  Over Q and over Q[x]/(x^2+x+1).
 """
 
 import pytest
@@ -23,7 +25,7 @@ from hopfsmith.comodule import (Comodule, regular_comodule, tensor_comodule,
 from hopfsmith.field import QQ
 from hopfsmith.fixtures import FIXTURE_BUILDERS, standard_fixtures
 from hopfsmith.matrix import Matrix
-from test_matrix_properties import EXT, FIELDS, SCALARS
+from test_matrix_properties import EXT, FIELDS, SCALARS, koszul_matrix
 
 FX = {F: standard_fixtures(F) for F in (QQ, EXT)}
 
@@ -44,12 +46,17 @@ def kron_operands(F):
 OPERANDS = {F: kron_operands(F) for F in (QQ, EXT)}
 
 
+def kron_matmul(a, b, x):
+    """(a (x) b) @ x as (a (x) I)(I (x) b) @ x, never forming a (x) b."""
+    return a.whisker_matmul(1, b.rows, b.whisker_matmul(a.cols, 1, x))
+
+
 @FIELDS
 @settings(max_examples=40)
 @given(data=st.data())
 def test_kron_matmul_is_kron_then_matmul(F, data):
     a, b, x = data.draw(OPERANDS[F])
-    assert a.kron_matmul(b, x) == a.kron(b) @ x
+    assert kron_matmul(a, b, x) == a.kron(b) @ x
 
 
 def test_kron_matmul_keeps_all_zero_rows_and_empty_shapes():
@@ -58,14 +65,14 @@ def test_kron_matmul_keeps_all_zero_rows_and_empty_shapes():
     # the zero rows of b are the first, a middle and the last
     b = Matrix.from_rows(F, [[0, 0], [1, -1], [0, 0], [2, 0], [0, 0]])
     x = Matrix.from_rows(F, [[1, 0], [0, 1], [2, 3], [0, 0]])
-    got = a.kron_matmul(b, x)
+    got = kron_matmul(a, b, x)
     assert (got.rows, got.cols) == (15, 2)
     assert got == a.kron(b) @ x
     for p, q, r, s, t in [(0, 2, 3, 1, 2), (2, 1, 0, 2, 3), (2, 0, 3, 2, 1),
                           (2, 2, 2, 0, 1), (1, 2, 2, 1, 0)]:
         a, b = Matrix.zero(F, p, q), Matrix.zero(F, r, s)
         x = Matrix.identity(F, q * s).hstack(Matrix.zero(F, q * s, t))
-        got = a.kron_matmul(b, x)
+        got = kron_matmul(a, b, x)
         assert (got.rows, got.cols) == (p * r, q * s + t)
         assert got == a.kron(b) @ x
 
@@ -77,9 +84,9 @@ def test_kron_matmul_shape_mismatch_raises_as_matmul_does():
     with pytest.raises(ValueError):
         a.kron(b) @ x
     with pytest.raises(ValueError):
-        a.kron_matmul(b, x)
+        kron_matmul(a, b, x)
     with pytest.raises(ValueError):
-        b.kron_matmul(a, Matrix.zero(F, 0, 1))
+        kron_matmul(b, a, Matrix.zero(F, 0, 1))
 
 
 def slot_operands(F):
@@ -158,9 +165,14 @@ def test_slot_maps_shape_mismatch_raises_as_matmul_does():
         Matrix.zero(F, 1, 0).matmul_whisker(a, 1, 1)
 
 
+def braided(F, left, deg_a, deg_b, right, x):
+    """(I_left (x) koszul (x) I_right) @ x, with every factor built."""
+    return whiskered(F, left, koszul_matrix(F, deg_a, deg_b), right) @ x
+
+
 def braided_product_by_kron(B):
-    n, p = B.n, B.parities
-    return B.m.kron(B.m) @ B.delta.kron(B.delta).braid(n, p, p, n)
+    F, n, p = B.field, B.n, B.parities
+    return B.m.kron(B.m) @ braided(F, n, p, p, n, B.delta.kron(B.delta))
 
 
 def axiom_report(B):
@@ -217,7 +229,7 @@ def test_braided_product_on_changed_fixtures_keeps_the_witness(F, data):
 def tensor_by_kron(M, N):
     B = M.bialgebra
     n, dm, dn = B.n, M.d, N.d
-    both = M.rho.kron(N.rho).braid(n, (0,) * dm, (0,) * n, dn)
+    both = braided(B.field, n, (0,) * dm, (0,) * n, dn, M.rho.kron(N.rho))
     return Comodule(B, dm * dn,
                     whiskered(B.field, 1, B.m, dm * dn) @ both)
 
@@ -239,8 +251,10 @@ def shear_by_whiskers(B, which):
     if which == NW:
         return whiskered(F, 1, m, n) @ whiskered(F, n, d, 1)
     if which == NE:
-        return whiskered(F, 1, m, n) @ whiskered(F, 1, d, n).braid(n, p, p, 1)
-    return whiskered(F, n, m, 1) @ whiskered(F, n, d, 1).braid(1, p, p, n)
+        return whiskered(F, 1, m, n) @ braided(F, n, p, p, 1,
+                                               whiskered(F, 1, d, n))
+    return whiskered(F, n, m, 1) @ braided(F, 1, p, p, n,
+                                           whiskered(F, n, d, 1))
 
 
 SHEARS = (SE, NW, NE, SW)
@@ -271,7 +285,7 @@ def antipode_by_whiskers(B, data):
     dl = B.delta @ data.normalized_cointegral
     deg = _functional_parity(B, lam) if any(p) else 0
     shifted = [(g + deg) % 2 for g in p]
-    step2 = whiskered(F, 1, dl, n).braid(n, shifted, p, 1)
+    step2 = braided(F, n, shifted, p, 1, whiskered(F, 1, dl, n))
     return whiskered(F, n, lam, 1) @ whiskered(F, n, B.m, 1) @ step2
 
 

@@ -9,8 +9,14 @@ matrix from dense rows (`Matrix.from_rows`).  Scalars stay behind
 `field.py`: no other module divides with `/` (an `int / int` is a
 `float`, not an exact scalar) or names `Fraction`.  A Kronecker product
 is only ever a value: `Matrix.kron` is called at the allowlisted sites
-alone, and a product that is only multiplied goes through
-`Matrix.kron_matmul` or a contraction of entries.  Terms are mapped
+alone, and a product that is only multiplied goes through one
+`whisker_matmul` per factor or a contraction of entries.  `matrix.py`
+is linear algebra over a field and knows no grading: no name in it
+speaks of parities, degrees, Koszul signs or braidings, and only
+`bialgebra.py`, which carries the braiding, reads `parities`.  No
+module reaches into another's private attributes: an attribute
+`x._name` is read or written only in the module that defines `_name`,
+and no module imports another's private name.  Terms are mapped
 generator by generator only through `terms.substitute`: no other
 function rebuilds `Id`, `Inv` and `Comp` around recursive calls of its
 own.  Every stratum of `eq` searches through `rewriting._meet`: no
@@ -58,13 +64,17 @@ INTERCHANGE_CORE = {("interchange.py", name) for name in (
     "cancel_inverses", "_fire", "_apply", "_windows", "moves", "successors")}
 # every use of Matrix.kron, with its count: each tensor product is a value
 # in its own right, and a product that is only multiplied goes through
-# Matrix.kron_matmul or a contraction of entries
+# one whisker_matmul per factor or a contraction of entries
 KRON_VALUES = {
     # the vertical composite of two 3-cells is their tensor product
     ("evaluate.py", "_eval3"): 1,
     # u (x) u and eps (x) eps, the comult_unit and counit_mult sides
     ("bialgebra.py", "check_bialgebra"): 2,
 }
+# the parts of a name that speak of a grading or a braiding
+GRADING_WORDS = {"grading", "graded", "parity", "parities", "koszul", "odd",
+                 "even", "deg", "degree", "sign", "braid", "braiding",
+                 "super"}
 # what only the interchange core may name: the atom lengths that decide
 # an interchange, and its tests and slides
 INTERCHANGE_DECISIONS = {"ns", "nt", "_readings", "_slide_left",
@@ -82,6 +92,60 @@ def private_uses(tree):
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 if alias.name in PRIVATE:
+                    yield node.lineno, alias.name
+
+
+def grading_names(tree):
+    """(line, name) of every name, attribute, parameter or definition one
+    of whose underscore-separated parts is in GRADING_WORDS."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.arg):
+            name = node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        else:
+            continue
+        if GRADING_WORDS & set(name.lower().split("_")):
+            yield node.lineno, name
+
+
+def own_attributes(tree):
+    """The names a module defines: its functions, classes and methods,
+    every name it assigns, the attributes its methods set on self or cls,
+    and its `__slots__` entries."""
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            own.add(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)
+              and getattr(node.value, "id", None) in ("self", "cls")):
+            own.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__slots__" for t in node.targets):
+            own |= {c.value for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant)}
+    return own
+
+
+def foreign_privates(tree):
+    """(line, name) of every private attribute x._name (dunders aside)
+    that the module does not define itself, and of every private name it
+    imports from a sibling module."""
+    own = own_attributes(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__") and node.attr not in own):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if alias.name.startswith("_"):
                     yield node.lineno, alias.name
 
 
@@ -322,6 +386,22 @@ def test_kronecker_products_are_only_values():
     assert found == KRON_VALUES
 
 
+def test_matrix_knows_no_grading():
+    assert not list(grading_names(parse(SRC / "matrix.py")))
+
+
+def test_only_the_bialgebra_reads_parities():
+    found = {p.name for p in modules(but=None)
+             for _ in uses_of("parities", parse(p))}
+    assert found == {"bialgebra.py"}
+
+
+def test_no_module_touches_another_modules_privates():
+    bad = [(p.name, *use) for p in modules(but=None)
+           for use in foreign_privates(parse(p))]
+    assert not bad
+
+
 def test_only_layers_rec_reads_boundary_words():
     found = {(p.name, fn) for p in modules(but=None)
              for _, fn in uses_of("boundary_words", parse(p))}
@@ -391,6 +471,26 @@ def test_the_checks_see_what_they_forbid(tmp_path):
     assert {name for _, name in private_uses(tree)} == PRIVATE - {"_row_map"}
     assert list(zero_rows(tree)) == [3]
     assert list(from_rows_callers(tree)) == [(5, "f")]
+    tree = ast.parse(
+        "def braid(self, left, deg_a, right):\n"
+        "    odd_a = [g % 2 for g in deg_a]\n"
+        "    return B.parities, self.field.neg, Matrix.kron_matmul\n")
+    assert sorted(grading_names(tree)) == [
+        (1, "braid"), (1, "deg_a"), (2, "deg_a"), (2, "odd_a"),
+        (3, "parities")]
+    tree = ast.parse(
+        "from .matrix import _EMPTY, Matrix\n"
+        "class P:\n"
+        "    __slots__ = ('_maps',)\n"
+        "    _faces: dict\n"
+        "    def __init__(self):\n"
+        "        self._words = {}\n"
+        "    def kernel(self, p):\n"
+        "        table = p._kernel\n"
+        "        p._kernel = table = interchange._Table()\n"
+        "        return self._maps, self._faces, p._words, table.__dict__\n")
+    assert sorted(foreign_privates(tree)) == [
+        (1, "_EMPTY"), (8, "_kernel"), (9, "_Table"), (9, "_kernel")]
     assert {name for _, name in private_uses(parse(SRC / "matrix.py"))} \
         == PRIVATE
     tree = ast.parse(

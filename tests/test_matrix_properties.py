@@ -217,52 +217,15 @@ def test_whisker_of_a_wide_matrix_with_a_zero_row(F):
 
 
 def koszul_matrix(field, deg_a, deg_b):
-    """The reference for Matrix.braid: the graded swap X (x) Y -> Y (x) X
-    as a matrix, with a sign -1 whenever both basis vectors are odd, so
-    with all parities even it is the plain flip."""
+    """The reference for bialgebra.braiding_matrix: the graded swap
+    X (x) Y -> Y (x) X as a matrix, with a sign -1 whenever both basis
+    vectors are odd, so with all parities even it is the plain flip."""
     n, m = len(deg_a), len(deg_b)
     minus = field.neg(field.one)
     return Matrix.from_entries(field, n * m, n * m, (
         (j * n + i, i * m + j,
          minus if deg_a[i] * deg_b[j] % 2 else field.one)
         for i in range(n) for j in range(m)))
-
-
-def parities(data, n):
-    return data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-
-
-@FIELDS
-@given(data=st.data())
-def test_braid_is_product_with_braiding(F, data):
-    n, m = dims(data, 1, 3), dims(data, 1, 3)
-    left, right = dims(data, 1, 2), dims(data, 1, 2)
-    deg_a, deg_b = parities(data, n), parities(data, m)
-    rows, c = left * n * m * right, dims(data, 0, 3)
-    x = build(F, rows, c, dense(data, F, rows, c))
-    y = build(F, c, rows, dense(data, F, c, rows))
-    koszul = whiskered(F, left, koszul_matrix(F, deg_a, deg_b), right)
-    # on the left: relabel rows; on the right: the transpose of the
-    # braiding is the braiding with the two sides exchanged
-    same(x.braid(left, deg_a, deg_b, right), koszul @ x)
-    same(y.transpose().braid(left, deg_b, deg_a, right).transpose(),
-         y @ koszul)
-    even_a, even_b = (0,) * n, (0,) * m
-    flip = whiskered(F, left, koszul_matrix(F, even_a, even_b), right)
-    same(x.braid(left, even_a, even_b, right), flip @ x)
-    same(y.transpose().braid(left, even_b, even_a, right).transpose(),
-         y @ flip)
-
-
-def test_braid_signs_follow_both_parities():
-    # rows (i, j) of a 2 (x) 2 space with parities (0, 1) on both sides:
-    # only (1, 1) is odd twice, and (0, 1) and (1, 0) trade places
-    F = QQ
-    x = Matrix.from_rows(F, [[1], [2], [3], [4]])
-    got = x.braid(1, (0, 1), (0, 1), 1)
-    assert got == Matrix.from_rows(F, [[1], [3], [2], [-4]])
-    with pytest.raises(ValueError):
-        x.braid(1, (0, 1), (0,), 1)
 
 
 @FIELDS

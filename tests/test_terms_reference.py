@@ -100,7 +100,7 @@ def ref_normalize(t, sig, push_inv=True):
             if isinstance(inner, Inv):
                 return inner.inner
             return Inv(inner)
-        return _ref_push_inv(inner)
+        return _ref_push_inv(inner, ref_dim(inner, sig))
     left = ref_normalize(t.left, sig, push_inv)
     right = ref_normalize(t.right, sig, push_inv)
     d = ref_dim(left, sig)
@@ -114,13 +114,15 @@ def ref_normalize(t, sig, push_inv=True):
     return Comp(t.k, left, right)
 
 
-def _ref_push_inv(t):
+def _ref_push_inv(t, d):
+    """Only a composite at the top level d - 1 of a d-cell reverses."""
     if isinstance(t, Inv):
         return t.inner
     if isinstance(t, Id):
         return t
     if isinstance(t, Comp):
-        return Comp(t.k, _ref_push_inv(t.right), _ref_push_inv(t.left))
+        left, right = _ref_push_inv(t.left, d), _ref_push_inv(t.right, d)
+        return Comp(t.k, *((right, left) if t.k == d - 1 else (left, right)))
     return Inv(t)
 
 
