@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 from . import bialgebra as ba
 from . import jsonshape as shape
 from . import walking
-from .evaluate import EvalContext, EvaluationError, shear_semantics
+from .evaluate import EvaluationError, shear_semantics
 from .field import QQ, FieldError
 from .fixtures import FIXTURE_BUILDERS
 from .gray import gray, smash
@@ -182,7 +182,7 @@ def cmd_shear_check(args, report: Report) -> None:
     equiv = full[ba.NW] == full[ba.SE] and full[ba.NE] == full[ba.SW]
     report.check("shear-direction-equivalences", "pass" if equiv else "fail")
     try:
-        value, want = shear_semantics(EvalContext(B))
+        value, want = shear_semantics(B)
         report.check("universal-shear-image",
                      "pass" if value == want else "fail")
     except EvaluationError as e:

@@ -26,98 +26,86 @@ which is the same thing as evaluating the diagram in the smash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from . import interchange
 from .bialgebra import NE, Bialgebra, braiding_matrix, shear
-from .gray import pair_name
+from .gray import BASEPOINT, split_pair
 from .matrix import Matrix
 from .presentation import Presentation
 from .rewriting import stack_of
-from .shear import universal_shear
+from .shear import bimnd_cells, mnd_gray, mnd_smash, universal_shear
 from .terms import (CellTerm, Comp, Gen, Id, Inv, TermError, generators,
                     identity_core)
+from .walking import mnd
 
-CROSSING = pair_name("A", "A")
-MULT = pair_name("m", "A")
-UNIT = pair_name("u", "A")
-COMULT = pair_name("A", "m")
-COUNIT = pair_name("A", "u")
+_CELLS = bimnd_cells()
+CROSSING = _CELLS["underlying"].name
+# the bialgebra attribute each structure cell evaluates to
+_TENSORS = {_CELLS[cell].name: attr for cell, attr in (
+    ("mult", "m"), ("unit", "u"), ("comult", "delta"), ("counit", "eps"))}
 
 
 class EvaluationError(ValueError):
     pass
 
 
-@dataclass
-class EvalContext:
-    bialgebra: Bialgebra
-
-    def __post_init__(self):
-        us = universal_shear()
-        self.presentation: Presentation = us.presentation
-        self.smashed: Presentation = us.smashed
-        B = self.bialgebra
-        self.assignment: Dict[str, Matrix] = {
-            MULT: B.m, UNIT: B.u, COMULT: B.delta, COUNIT: B.eps,
-        }
-
-
 def _crossings(t: CellTerm) -> int:
     return sum(1 for name in generators(t) if name == CROSSING)
 
 
-def _which_presentation(t: CellTerm, ctx: EvalContext) -> Presentation:
-    names = set(generators(t))
-    for name in names:
-        if name in ctx.presentation.gens and name not in ctx.smashed.gens:
-            return ctx.presentation
-    return ctx.smashed if names <= set(ctx.smashed.gens) else ctx.presentation
+def _which_presentation(t: CellTerm) -> Presentation:
+    """The smashed monad square when every generator of t is one of its
+    generators (its basepoint, or a pair with no basepoint factor), else
+    the monad tensor square; the smash is built only in the first case."""
+    big, pt = mnd_gray(), mnd().basepoint
+    if all(n == BASEPOINT or (n in big.gens and pt not in split_pair(n))
+           for n in generators(t)):
+        return mnd_smash()[0]
+    return big
 
 
-def evaluate_diagram(t: CellTerm, ctx: EvalContext) -> Matrix:
+def evaluate_diagram(t: CellTerm, B: Bialgebra) -> Matrix:
     """Evaluate a 3-cell over the monad tensor square (or its smash
-    collapse) to an exact matrix."""
-    p = _which_presentation(t, ctx)
+    collapse) to an exact matrix in the bialgebra B."""
+    p = _which_presentation(t)
     t = p.normalize(t, push_inv=False)
     d = p.dim(t)
     if d == 4:
-        src = evaluate_diagram(p.boundary(t, "source", 3), ctx)
-        tgt = evaluate_diagram(p.boundary(t, "target", 3), ctx)
+        src = evaluate_diagram(p.boundary(t, "source", 3), B)
+        tgt = evaluate_diagram(p.boundary(t, "target", 3), B)
         if src != tgt:
             raise EvaluationError("4-cell asserts an equality that fails")
         return src
     if d != 3:
         raise EvaluationError(f"evaluation needs a 3-cell, got dimension {d}")
-    return _eval3(t, ctx, p)
+    return _eval3(t, B, p)
 
 
-def _eval3(t: CellTerm, ctx: EvalContext, p: Presentation) -> Matrix:
+def _eval3(t: CellTerm, B: Bialgebra, p: Presentation) -> Matrix:
     """The matrix of a 3-cell term t of p in normal form, whose subterms
     are then normal too and are not normalized again."""
-    B = ctx.bialgebra
     F, n = B.field, B.n
     if isinstance(t, Gen):
-        if t.name in ctx.assignment:
-            return ctx.assignment[t.name]
+        if t.name in _TENSORS:
+            return getattr(B, _TENSORS[t.name])
         raise EvaluationError(f"no matrix assigned to generator {t.name!r}")
     if isinstance(t, Id):
         return Matrix.identity(F, n ** _crossings(t.inner))
     if isinstance(t, Inv):
-        inner = _eval3(t.inner, ctx, p)
+        inner = _eval3(t.inner, B, p)
         return inner.inverse()
     assert isinstance(t, Comp)
     if t.k == 2:
-        left = _eval3(t.left, ctx, p)
-        right = _eval3(t.right, ctx, p)
+        left = _eval3(t.left, B, p)
+        right = _eval3(t.right, B, p)
         adjust = _junction(p.boundary(t.left, "target", 2),
-                           p.boundary(t.right, "source", 2), ctx, p)
+                           p.boundary(t.right, "source", 2), B, p)
         return right @ adjust @ left
     if t.k == 1:
         # vertical stacking: upper factors sit to the left
-        left = _eval3(t.left, ctx, p)
-        right = _eval3(t.right, ctx, p)
+        left = _eval3(t.left, B, p)
+        right = _eval3(t.right, B, p)
         return right.kron(left)
     if t.k == 0:
         lw = _is_wire_tower(t.left, p)
@@ -125,9 +113,9 @@ def _eval3(t: CellTerm, ctx: EvalContext, p: Presentation) -> Matrix:
         if lw and rw:
             return Matrix.identity(F, 1)
         if lw:
-            return _eval3(t.right, ctx, p)
+            return _eval3(t.right, B, p)
         if rw:
-            return _eval3(t.left, ctx, p)
+            return _eval3(t.left, B, p)
         raise EvaluationError("0-composition of two non-identity 3-cells")
     raise EvaluationError(f"unexpected composition level {t.k}")
 
@@ -140,14 +128,13 @@ def _is_wire_tower(t: CellTerm, p: Presentation) -> bool:
         return False
 
 
-def _junction(a2: CellTerm, b2: CellTerm, ctx: EvalContext,
+def _junction(a2: CellTerm, b2: CellTerm, B: Bialgebra,
               p: Presentation) -> Matrix:
     """The matrix realizing the interchange slides that align the target
     layers of one move with the source layers of the next: both are
     packed over one atom table, interchange.align gives the swaps, and
     each swap of two crossings applies the bialgebra's braiding to their
     tensor slots."""
-    B = ctx.bialgebra
     F, n = B.field, B.n
     tab = interchange.AtomTable()
     a = stack_of(p.normalize(a2), p, tab)[1]
@@ -173,9 +160,7 @@ def _junction(a2: CellTerm, b2: CellTerm, ctx: EvalContext,
     return out
 
 
-def shear_semantics(ctx: EvalContext) -> Tuple[Matrix, Matrix]:
-    """Evaluate the universal shear and return it with the coshear it is
-    supposed to equal."""
-    us = universal_shear()
-    value = evaluate_diagram(us.term, ctx)
-    return value, shear(ctx.bialgebra, NE)
+def shear_semantics(B: Bialgebra) -> Tuple[Matrix, Matrix]:
+    """Evaluate the universal shear in B and return it with the coshear it
+    is supposed to equal."""
+    return evaluate_diagram(universal_shear(), B), shear(B, NE)

@@ -53,8 +53,8 @@ class Presentation:
     # reads; a face that fails to normalize is not kept
     _faces: Dict[Tuple[str, str], CellTerm] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _words: Dict[str, tuple] = field(default_factory=dict, repr=False,
-                                     compare=False)
+    _words: Dict[str, tuple] = field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
     # the interchange kernel of 2-cell searches, made by `kernel` on first
     # use.  relate drops it, since it holds the packed oriented 2-rules; so
     # does add, since a rule naming a generator not yet added was left out

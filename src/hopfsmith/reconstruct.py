@@ -62,34 +62,29 @@ class GeneratingFamily:
         return self.hom_cache[(i, j)]
 
 
-def resolve(family: GeneratingFamily, P: Comodule,
-            factors: Optional[Tuple[int, int]] = None) -> Resolution:
-    """Express id_P through family members.  When P is a product of two
-    regular comodules of a Hopf algebra, the inverse shear gives the
-    isomorphism from a sum of regulars directly (it intertwines the
-    codiagonal coaction with coaction on the first factor); the identity
-    is verified before use.  Otherwise the general two-sided hom system
-    is solved."""
-    if factors is not None:
-        fast = _resolve_via_shear(family, P, factors)
-        if fast is not None:
-            return fast
-    return _resolve_general(family, P)
+def resolve(family: GeneratingFamily, P: Comodule) -> Resolution:
+    """Express id_P through family members.  When the family has a regular
+    member and P has its dimension squared, the inverse shear may give the
+    isomorphism from a sum of regulars directly (for a product of two
+    regular comodules of a Hopf algebra it intertwines the codiagonal
+    coaction with coaction on the first factor); the intertwining is
+    verified before use.  Otherwise the general two-sided hom system is
+    solved."""
+    return _resolve_via_shear(family, P) or _resolve_general(family, P)
 
 
 def _is_regular(B: Bialgebra, M: Comodule) -> bool:
     return M.d == B.n and M.rho == B.delta
 
 
-def _resolve_via_shear(family: GeneratingFamily, P: Comodule,
-                       factors: Tuple[int, int]) -> Optional[Resolution]:
+def _resolve_via_shear(family: GeneratingFamily,
+                       P: Comodule) -> Optional[Resolution]:
     B = family.bialgebra
     F, n = B.field, B.n
-    i, j = factors
-    if not (_is_regular(B, family.members[i])
-            and _is_regular(B, family.members[j])):
+    reg_index = next((k for k, M in enumerate(family.members)
+                      if _is_regular(B, M)), None)
+    if reg_index is None or P.d != n * n:
         return None
-    reg_index = i
     phi = shear(B, "NW")  # (m (x) id)(id (x) delta): codiagonal -> first-only
     try:
         inv = phi.inverse()
@@ -272,7 +267,7 @@ def coend_reconstruct(family: GeneratingFamily,
             P = tensor_comodule(Mi, Mj)
             # distinct rows t land on distinct columns, so from_entries
             # sums the terms of each entry of express and nothing else
-            for t, k, x in express(P, resolve(family, P, factors=(i, j))):
+            for t, k, x in express(P, resolve(family, P)):
                 # row t is e^(a, c) (x) e_(b, e) in P = Mi (x) Mj
                 ac, be = divmod(t, di * dj)
                 (a, c), (b, e) = divmod(ac, dj), divmod(be, dj)

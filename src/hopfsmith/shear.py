@@ -108,26 +108,13 @@ def oriental_shear_boundaries() -> Tuple[CellTerm, CellTerm]:
     return src, tgt
 
 
-@dataclass
-class UniversalShear:
-    presentation: Presentation          # the monad tensor square
-    term: CellTerm                      # the 3-cell there
-    source_fixture: CellTerm
-    target_fixture: CellTerm
-    smashed: Presentation
-    collapse: PresMorphism
-    collapsed_term: CellTerm
-
-
 @lru_cache(maxsize=None)
-def universal_shear() -> UniversalShear:
+def universal_shear() -> CellTerm:
+    """The universal shear as a 3-cell of the monad tensor square: the
+    triangle's shear pushed along the triangle-to-monad morphism."""
     to_mnd = _o2_to_mnd()
-    gm = GrayMorphism(to_mnd, to_mnd, mnd_gray())
-    term = gm.push(oriental_shear_term())
-    s_fix, t_fix = (gm.push(t) for t in oriental_shear_boundaries())
-    small, cm = mnd_smash()
-    return UniversalShear(mnd_gray(), term, s_fix, t_fix, small, cm,
-                          cm.push(term))
+    return GrayMorphism(to_mnd, to_mnd, mnd_gray()).push(
+        oriental_shear_term())
 
 
 def bimnd_cells() -> Dict[str, CellTerm]:

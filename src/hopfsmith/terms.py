@@ -241,16 +241,19 @@ def idn(t: CellTerm, times: int = 1) -> CellTerm:
 
 
 def generators(t: CellTerm) -> Iterator[str]:
-    """All generator names occurring in t, with multiplicity."""
-    if isinstance(t, Gen):
-        yield t.name
-    elif isinstance(t, Id):
-        yield from generators(t.inner)
-    elif isinstance(t, Inv):
-        yield from generators(t.inner)
-    else:
-        yield from generators(t.left)
-        yield from generators(t.right)
+    """All generator names occurring in t, with multiplicity, left to
+    right.  The walk keeps its own stack, so no depth of t reaches the
+    recursion limit."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Gen):
+            yield t.name
+        elif isinstance(t, Comp):
+            todo.append(t.right)
+            todo.append(t.left)
+        else:
+            todo.append(t.inner)
 
 
 def illegal_inverses(t: CellTerm, gens: Gens) -> Iterator[str]:

@@ -8,15 +8,17 @@ from hopfsmith.bialgebra import (antipode, antipode_from_integrals,
                                  check_bialgebra, convolution_inverse,
                                  integrals, shear, Matrix, NE, NW, SE, SW)
 from hopfsmith.cli import main as cli_main
-from hopfsmith.evaluate import EvalContext, shear_semantics
+from hopfsmith.evaluate import shear_semantics
 from hopfsmith.fixtures import corrupted_delta, standard_fixtures
 from hopfsmith.gray import gray, smash
 from hopfsmith.mates import AdjunctionRecord, Square, double_mate
 from hopfsmith.reconstruct import round_trip
 from hopfsmith.rewriting import EQ_EQUAL, eq
-from hopfsmith.shear import proof_skeleton_check, universal_shear
+from hopfsmith.shear import mnd_gray, proof_skeleton_check, universal_shear
 from hopfsmith.terms import Gen, Id
 from hopfsmith.walking import adj, globe, mnd
+
+from test_shear_cells import shear_fixtures
 
 FIXTURES = standard_fixtures()
 HOPF_NAMES = ("QZ2", "QS3", "QZ3dual", "sweedler", "superline")
@@ -52,14 +54,14 @@ def test_criterion_1_gray_censuses():
 
 def test_criterion_2_universal_shear_syntax():
     with timed("2 universal shear syntax", 1.0):
-        us = universal_shear()
-        p = us.presentation
-        assert eq(p.boundary(us.term, "source", 2), us.source_fixture,
+        p, term = mnd_gray(), universal_shear()
+        source_fixture, target_fixture = shear_fixtures()
+        assert eq(p.boundary(term, "source", 2), source_fixture,
                   p) is EQ_EQUAL
-        assert eq(p.boundary(us.term, "target", 2), us.target_fixture,
+        assert eq(p.boundary(term, "target", 2), target_fixture,
                   p) is EQ_EQUAL
-        src2 = p.boundary(us.term, "source", 2)
-        tgt2 = p.boundary(us.term, "target", 2)
+        src2 = p.boundary(term, "source", 2)
+        tgt2 = p.boundary(term, "target", 2)
         for k in (0, 1):
             for side in ("source", "target"):
                 assert eq(p.boundary(src2, side, k),
@@ -71,7 +73,7 @@ def test_criterion_3_universal_shear_semantics():
         assert len(ALL_NAMES) >= 6
         for name in ALL_NAMES:
             B = FIXTURES[name]
-            value, want = shear_semantics(EvalContext(B))
+            value, want = shear_semantics(B)
             assert value == want == shear(B, NE), name
 
 

@@ -4,88 +4,90 @@ and the universal shear evaluates to the coshear on every fixture."""
 import pytest
 
 from hopfsmith.bialgebra import shear, NE, NW, SE, SW
-from hopfsmith.evaluate import (EvalContext, evaluate_diagram,
-                                shear_semantics)
+from hopfsmith import evaluate, shear as shear_module
+from hopfsmith.evaluate import evaluate_diagram, shear_semantics
 from hopfsmith.fixtures import standard_fixtures
 from hopfsmith.matrix import Matrix
-from hopfsmith.shear import bimnd_cells, universal_shear
+from hopfsmith.shear import bimnd_cells, mnd_smash, universal_shear
 from hopfsmith.terms import Comp, Gen, Id, Inv
 
 FX = standard_fixtures()
 CROSS = "A⊗A"
 
 
-def ctx_for(name):
-    return EvalContext(FX[name])
-
-
 def test_structure_cells():
     for name in ("QZ2", "sweedler", "superline"):
         B = FX[name]
-        ctx = ctx_for(name)
         cells = bimnd_cells()
-        assert evaluate_diagram(cells["mult"], ctx) == B.m
-        assert evaluate_diagram(cells["comult"], ctx) == B.delta
-        assert evaluate_diagram(cells["unit"], ctx) == B.u
-        assert evaluate_diagram(cells["counit"], ctx) == B.eps
+        assert evaluate_diagram(cells["mult"], B) == B.m
+        assert evaluate_diagram(cells["comult"], B) == B.delta
+        assert evaluate_diagram(cells["unit"], B) == B.u
+        assert evaluate_diagram(cells["counit"], B) == B.eps
 
 
 def test_identity_of_crossing():
     B = FX["QS3"]
-    ctx = ctx_for("QS3")
-    assert evaluate_diagram(Id(Gen(CROSS)), ctx) == \
+    assert evaluate_diagram(Id(Gen(CROSS)), B) == \
         Matrix.identity(B.field, B.n)
-    assert evaluate_diagram(Id(Comp(1, Gen(CROSS), Gen(CROSS))), ctx) == \
+    assert evaluate_diagram(Id(Comp(1, Gen(CROSS), Gen(CROSS))), B) == \
         Matrix.identity(B.field, B.n ** 2)
 
 
 def test_functoriality_of_vertical_composition():
     B = FX["sweedler"]
-    ctx = ctx_for("sweedler")
     cells = bimnd_cells()
     chain = Comp(2, cells["comult"], cells["mult"])
-    lhs = evaluate_diagram(chain, ctx)
-    rhs = evaluate_diagram(cells["mult"], ctx) @ \
-        evaluate_diagram(cells["comult"], ctx)
+    lhs = evaluate_diagram(chain, B)
+    rhs = evaluate_diagram(cells["mult"], B) @ \
+        evaluate_diagram(cells["comult"], B)
     assert lhs == rhs
 
 
 def test_whiskering_tensors_identity():
     B = FX["sweedler"]
-    ctx = ctx_for("sweedler")
     cells = bimnd_cells()
     stacked = Comp(1, Id(Gen(CROSS)), cells["mult"])
-    val = evaluate_diagram(stacked, ctx)
+    val = evaluate_diagram(stacked, B)
     assert val == B.m.kron(Matrix.identity(B.field, B.n))
 
 
 def test_inverse_evaluation():
     B = FX["QZ2"]
-    ctx = ctx_for("QZ2")
-    cells = bimnd_cells()
-    us = universal_shear()
-    sh = evaluate_diagram(us.term, ctx)
-    sh_inv = evaluate_diagram(Inv(us.term), ctx)
+    sh = evaluate_diagram(universal_shear(), B)
+    sh_inv = evaluate_diagram(Inv(universal_shear()), B)
     assert sh @ sh_inv == Matrix.identity(B.field, B.n ** 2)
 
 
 def test_inverse_of_singular_errors():
-    ctx = ctx_for("QM")
-    us = universal_shear()
+    B = FX["QM"]
     with pytest.raises(Exception):
-        evaluate_diagram(Inv(us.term), ctx)
+        evaluate_diagram(Inv(universal_shear()), B)
 
 
 def test_universal_shear_is_the_coshear_everywhere():
     for name, B in FX.items():
-        val, want = shear_semantics(EvalContext(B))
+        val, want = shear_semantics(B)
         assert val == want, name
         assert want == shear(B, NE)
 
 
+def test_the_universal_shear_is_evaluated_without_the_smash(monkeypatch):
+    """The universal shear lives in the monad tensor square, so neither
+    building it nor evaluating it builds the smashed square."""
+    def no_smash():
+        raise AssertionError("the smashed monad square was built")
+
+    universal_shear.cache_clear()
+    monkeypatch.setattr(shear_module, "mnd_smash", no_smash)
+    monkeypatch.setattr(evaluate, "mnd_smash", no_smash, raising=False)
+    for name, B in FX.items():
+        val, want = shear_semantics(B)
+        assert val == want, name
+
+
 def test_shear_semantics_distinguishes_directions():
     B = FX["sweedler"]
-    val, _ = shear_semantics(EvalContext(B))
+    val, _ = shear_semantics(B)
     assert val != shear(B, NW)
     assert val != shear(B, SE)
     assert val != shear(B, SW)
@@ -93,24 +95,23 @@ def test_shear_semantics_distinguishes_directions():
 
 def test_four_cell_assertions():
     # collapse-trivial four-cells assert equalities that hold trivially
-    from hopfsmith.shear import mnd_smash
+    B = FX["QZ2"]
     small, _ = mnd_smash()
-    ctx = ctx_for("QZ2")
     name = "m⊗u"
     src = small.gens[name].src
     tgt = small.gens[name].tgt
-    assert evaluate_diagram(src, ctx) == evaluate_diagram(tgt, ctx)
+    assert evaluate_diagram(src, B) == evaluate_diagram(tgt, B)
 
 
 def test_functoriality_across_fixture_pairs():
     cells = bimnd_cells()
     pairs = [("comult", "mult"), ("unit", "counit")]
     for name in ("QZ2", "QS3", "superline"):
-        ctx = ctx_for(name)
+        B = FX[name]
         for a, b in pairs:
             chain = Comp(2, cells[a], cells[b])
-            assert evaluate_diagram(chain, ctx) == \
-                evaluate_diagram(cells[b], ctx) @ evaluate_diagram(cells[a], ctx)
+            assert evaluate_diagram(chain, B) == \
+                evaluate_diagram(cells[b], B) @ evaluate_diagram(cells[a], B)
 
 
 def test_dual_comodule_without_antipode_errors():

@@ -36,10 +36,10 @@ from one pull recursion: `TensorTerms._pull` is the only method of its
 class that calls itself, for both orders of the factors.  Imports run
 once, at module top: no function imports, `rewriting` names
 `presentation` only for type checkers (so the presentation layer imports
-one way), and every module imports on its own in a fresh interpreter.
-All checks but that last one read the syntax tree of every module, so
-they fail as soon as such a shortcut is written, whether or not a test
-runs it.
+one way), and every module imports on its own, with nothing else of the
+package imported.  All checks but that last one read the syntax tree of
+every module, so they fail as soon as such a shortcut is written,
+whether or not a test runs it.
 """
 
 import ast
@@ -328,13 +328,34 @@ def runtime_imports_of(module, tree):
         todo.extend(ast.iter_child_nodes(node))
 
 
-def import_error(module, path):
-    """The last line of what a fresh interpreter prints when `import
-    module` fails with path on its module search path, or None."""
+# imports each module named on its command line, after dropping every
+# module of that module's package from sys.modules, and prints one line
+# per module: its name, a tab, and the last line of the traceback if the
+# import failed
+IMPORT_EACH = """
+import importlib, sys, traceback
+for module in sys.argv[1:]:
+    package = module.split(".")[0]
+    for name in [n for n in sys.modules if n.split(".")[0] == package]:
+        del sys.modules[name]
+    try:
+        importlib.import_module(module)
+        error = ""
+    except Exception:
+        error = traceback.format_exc().strip().splitlines()[-1]
+    print(module, error, sep="\\t")
+"""
+
+
+def import_errors(names, path):
+    """For each module name, the last line of what `import name` prints
+    when it fails with path on the module search path and nothing of its
+    package imported yet, or None.  One interpreter imports them all."""
     run = subprocess.run(
-        [sys.executable, "-c", f"import {module}"], capture_output=True,
-        text=True, env={**os.environ, "PYTHONPATH": str(path)})
-    return run.stderr.strip().splitlines()[-1] if run.returncode else None
+        [sys.executable, "-c", IMPORT_EACH, *names], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(path)}, check=True)
+    lines = dict(line.split("\t", 1) for line in run.stdout.splitlines())
+    return {name: lines[name] or None for name in names}
 
 
 def modules(but="matrix.py"):
@@ -457,8 +478,7 @@ def test_rewriting_imports_presentation_only_for_type_checkers():
 def test_every_module_imports_on_its_own():
     names = ["hopfsmith" if p.stem == "__init__" else f"hopfsmith.{p.stem}"
              for p in modules(but=None)]
-    failed = {name: import_error(name, SRC.parent) for name in names}
-    assert failed == dict.fromkeys(names)
+    assert import_errors(names, SRC.parent) == dict.fromkeys(names)
 
 
 def test_the_checks_see_what_they_forbid(tmp_path):
@@ -612,5 +632,9 @@ def test_the_checks_see_what_they_forbid(tmp_path):
     (package / "a.py").write_text("from .b import g\ndef f():\n    pass\n")
     (package / "b.py").write_text("from .a import f\ndef g():\n    pass\n")
     (package / "c.py").write_text("def h():\n    from .a import f\n")
-    assert "ImportError" in import_error("cyc.a", tmp_path)
-    assert import_error("cyc.c", tmp_path) is None
+    # d imports only where c was imported before it
+    (package / "d.py").write_text("import sys\nsys.modules['cyc.c']\n")
+    errors = import_errors(["cyc.c", "cyc.d", "cyc.a"], tmp_path)
+    assert "ImportError" in errors["cyc.a"]
+    assert errors["cyc.c"] is None
+    assert "KeyError" in errors["cyc.d"]

@@ -5,7 +5,8 @@ from hypothesis import example, given, strategies as st
 
 from hopfsmith.presentation import (Presentation, Violation,
                                     validate_presentation, validate_term)
-from hopfsmith.terms import Gen, Id, Inv, comp
+from hopfsmith.rewriting import EQ_DISTINCT, EQ_EQUAL, eq
+from hopfsmith.terms import Comp, Gen, Id, Inv, comp
 from hopfsmith.walking import adj, e_oriental2, mnd, oriental2
 
 
@@ -19,6 +20,16 @@ def test_duplicate_generator_rejected():
     p.add("x", 0)
     with pytest.raises(Exception):
         p.add("x", 0)
+
+
+def test_derived_tables_are_not_constructor_arguments():
+    """A presentation is built from max_dim, gens and relations alone; its
+    word, face and kernel tables are derived, so no stale table can be
+    passed in."""
+    with pytest.raises(TypeError):
+        Presentation(2, {}, [], {"a": ("stale",)})
+    with pytest.raises(TypeError):
+        Presentation(2, _words={"a": ("stale",)})
 
 
 def test_wrong_dimension_src_flagged():
@@ -232,3 +243,30 @@ def test_smash_of_mnd_and_adj_at_b_is_valid():
     from hopfsmith.walking import PointedPresentation
     q = smash(mnd(), PointedPresentation(adj().base, "b"))[0]
     assert validate_presentation(q) == []
+
+
+def eta_eta_target(p):
+    """The target of eta⊗eta in p, a level-2 composite, and the shared
+    boundary of its two parts."""
+    t = p.gens["eta⊗eta"].tgt
+    assert isinstance(t, Comp) and t.k == 2
+    return p.boundary(t.left, "target", 2), p.boundary(t.right, "source", 2)
+
+
+def test_eta_eta_target_composes_in_the_tensor_square():
+    from hopfsmith.gray import gray
+    p = gray(adj().base, adj().base)
+    lt, rs = eta_eta_target(p)
+    assert eq(lt, rs, p) is EQ_EQUAL
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the target of eta⊗eta composes in gray adj adj and the collapse is a "
+    "functor, yet in smash adj a adj b eq calls the shared boundary of its "
+    "level-2 composite Distinct, even at budget 100,000"))
+def test_eta_eta_target_is_not_distinct_in_the_smash():
+    from hopfsmith.gray import smash
+    from hopfsmith.walking import PointedPresentation
+    p = smash(adj(), PointedPresentation(adj().base, "b"))[0]
+    lt, rs = eta_eta_target(p)
+    assert eq(lt, rs, p) is not EQ_DISTINCT

@@ -83,7 +83,7 @@ def test_resolution_identity_property():
     B = FX["sweedler"]
     fam = GeneratingFamily([regular_comodule(B)])
     P = tensor_comodule(regular_comodule(B), regular_comodule(B))
-    res = resolve(fam, P, factors=(0, 0))
+    res = resolve(fam, P)
     F = B.field
     total = Matrix.zero(F, P.d, P.d)
     for iota, pi in zip(res.iotas, res.pis):

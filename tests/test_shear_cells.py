@@ -6,30 +6,38 @@ import io
 from contextlib import redirect_stdout
 
 from hopfsmith.cli import main
-from hopfsmith.gray import TensorTerms, gray
+from hopfsmith.gray import GrayMorphism, TensorTerms, gray
 from hopfsmith.presentation import validate_term
 from hopfsmith.rewriting import EQ_EQUAL, eq
-from hopfsmith.shear import (bimnd_cells, mnd_smash, oriental_shear_term,
+from hopfsmith.shear import (_o2_to_mnd, bimnd_cells, mnd_gray, mnd_smash,
+                             oriental_shear_boundaries, oriental_shear_term,
                              proof_skeleton_check, universal_shear,
                              whiskered_gray)
 from hopfsmith.terms import Comp, Gen, Id, generators
 from hopfsmith.walking import oriental2
 
 
+def shear_fixtures():
+    """The hand-encoded 2-sides of the shear picture, pushed along the
+    triangle-to-monad morphism into the monad tensor square."""
+    to_mnd = _o2_to_mnd()
+    gm = GrayMorphism(to_mnd, to_mnd, mnd_gray())
+    return tuple(gm.push(t) for t in oriental_shear_boundaries())
+
+
 def test_shear_term_valid_and_fixtures_match():
-    us = universal_shear()
-    p = us.presentation
-    assert validate_term(us.term, p) == []
-    assert p.dim(us.term) == 3
-    assert eq(p.boundary(us.term, "source", 2), us.source_fixture, p) is EQ_EQUAL
-    assert eq(p.boundary(us.term, "target", 2), us.target_fixture, p) is EQ_EQUAL
+    p, term = mnd_gray(), universal_shear()
+    source_fixture, target_fixture = shear_fixtures()
+    assert validate_term(term, p) == []
+    assert p.dim(term) == 3
+    assert eq(p.boundary(term, "source", 2), source_fixture, p) is EQ_EQUAL
+    assert eq(p.boundary(term, "target", 2), target_fixture, p) is EQ_EQUAL
 
 
 def test_shear_globularity():
-    us = universal_shear()
-    p = us.presentation
-    src2 = p.boundary(us.term, "source", 2)
-    tgt2 = p.boundary(us.term, "target", 2)
+    p, term = mnd_gray(), universal_shear()
+    src2 = p.boundary(term, "source", 2)
+    tgt2 = p.boundary(term, "target", 2)
     for k in (0, 1):
         for side in ("source", "target"):
             assert eq(p.boundary(src2, side, k),
@@ -37,8 +45,8 @@ def test_shear_globularity():
 
 
 def test_shear_collapse_generator_multiset():
-    us = universal_shear()
-    names = sorted(generators(us.collapsed_term))
+    _, collapse = mnd_smash()
+    names = sorted(generators(collapse.push(universal_shear())))
     crossing = "A⊗A"
     assert names.count(crossing) == 2
     assert names.count("A⊗m") == 1

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from hopfsmith import interchange, rewriting, terms
-from hopfsmith.evaluate import EvalContext, evaluate_diagram
+from hopfsmith.evaluate import evaluate_diagram
 from hopfsmith.fixtures import standard_fixtures
 from hopfsmith.rewriting import EQ_EQUAL, eq, stack_of, word_of
 from hopfsmith.shear import universal_shear
@@ -115,10 +115,10 @@ def test_evaluation_normalizes_the_diagram_once(name):
     subterms of the normal diagram are not normalized again (18 calls
     when every node was, 5 when stack_of normalized each side and its
     source word)."""
-    ctx = EvalContext(standard_fixtures()[name])
-    term = universal_shear().term
-    evaluate_diagram(term, ctx)
-    assert normalize_calls(evaluate_diagram, term, ctx) == 3
+    B = standard_fixtures()[name]
+    term = universal_shear()
+    evaluate_diagram(term, B)
+    assert normalize_calls(evaluate_diagram, term, B) == 3
 
 
 def test_eq_on_a_300_letter_word():

@@ -1,6 +1,7 @@
 from hopfsmith.presentation import Presentation
 from hopfsmith.terms import (Comp, Gen, Id, Inv, TermError, comp, flatten,
-                             illegal_inverses, parse_term, print_term)
+                             generators, idn, illegal_inverses, parse_term,
+                             print_term)
 from hopfsmith.walking import mnd
 
 import pytest
@@ -97,6 +98,20 @@ def test_normalize_raises_where_dim_raises(bad, message):
             M.normalize(bad, push_inv)
     with pytest.raises(TermError, match=message):
         M.dim(bad)
+
+
+def test_generators_walks_deep_terms():
+    """A 10⁴-letter word, either way associated, and a 10⁴-deep id tower
+    give their generators left to right, with multiplicity."""
+    names = [f"g{i}" for i in range(10_000)]
+    right = Gen(names[-1])
+    for name in reversed(names[:-1]):
+        right = Comp(0, Gen(name), right)
+    for word in (comp(0, *map(Gen, names)), right):
+        assert list(generators(word)) == names
+    assert list(generators(idn(Gen("m"), 10_000))) == ["m"]
+    mixed = Comp(1, Inv(comp(0, Gen("A"), Id(Gen("m")))), Gen("A"))
+    assert list(generators(mixed)) == ["A", "m", "A"]
 
 
 def test_illegal_inverses_walks_deep_terms():
