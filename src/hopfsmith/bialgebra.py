@@ -193,10 +193,6 @@ def _check_degree_zero(B: Bialgebra) -> AxiomReport:
     return AxiomReport("degree_zero", True)
 
 
-def is_valid_bialgebra(B: Bialgebra) -> bool:
-    return all(r.holds for r in check_bialgebra(B))
-
-
 # ---------------------------------------------------------------------------
 # shears
 
@@ -432,14 +428,6 @@ def _functional_parity(B: Bialgebra, lam: Matrix) -> int:
 
 # ---------------------------------------------------------------------------
 # duality and serialization
-
-
-def dual_bialgebra(B: Bialgebra) -> Bialgebra:
-    return Bialgebra(B.field, B.n,
-                     m=B.delta.transpose(), u=B.eps.transpose(),
-                     delta=B.m.transpose(), eps=B.u.transpose(),
-                     grading=B.grading, braiding=B.braiding,
-                     basis_names=tuple(f"{x}*" for x in B.basis_names))
 
 
 def _mat_to_json(B: Bialgebra, mat: Matrix) -> list:

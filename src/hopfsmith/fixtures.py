@@ -72,17 +72,6 @@ def symmetric_group_algebra(n: int = 3, field: Field = QQ) -> Bialgebra:
     return _monoid_bialgebra(field, names, table, unit)
 
 
-def group_inversion_matrix(B: Bialgebra) -> Matrix:
-    """For group-algebra fixtures: the permutation g |-> g^{-1}, found from
-    the multiplication tensor."""
-    F, n = B.field, B.n
-    e = min(k for k, _, _ in B.u.entries())
-    # column (i, j) of row e of m is nonzero exactly when j = i^{-1}
-    return Matrix.from_entries(F, n, n, [(c % n, c // n, F.one)
-                                         for k, c, _ in B.m.entries()
-                                         if k == e])
-
-
 def idempotent_monoid_bialgebra(field: Field = QQ) -> Bialgebra:
     # {1, e} with e*e = e
     return _monoid_bialgebra(field, ["1", "e"], [[0, 1], [1, 1]], 0)

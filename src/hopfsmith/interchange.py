@@ -16,8 +16,10 @@ are those of the Layer-object reference in tests/, on states:
                  takes the first one
   align          the adjacent swaps that turn one layer sequence into
                  another, searched depth-first
-  canonical      the greedy firing order under interchange (not a normal
-                 form, so single slides stay search moves)
+  canonical      the greedy firing order under interchange, on layers
+                 that keep their input positions and are unlinked as they
+                 fire (not a normal form, so single slides stay search
+                 moves)
   cancellations  single removals of an inverse pair of layers
   moves          oriented-rule windows, cancellations and single slides
   successors     the moves, each in canonical order
@@ -212,21 +214,29 @@ def canonical(tab: AtomTable, state: State) -> State:
     orders equal by interchange can end in different states (the
     free-interchange-pair probe of perfbench/workloads.py).
 
-    Candidates are tried in order of (rank, index), and a round stops
-    after the first atom with a member that slides to the front: a slide
-    keeps the atom, so every later atom has a larger key.  Emitting a
-    layer keeps the order of the rest, so the sorted candidates are kept
-    from round to round.  The slide is _slide_left's loop, inlined with
-    _readings' two tests written out: this is the kernel's hot loop."""
+    Every layer keeps its index in the input for the whole call: an
+    emitted layer is unlinked from the prev/nxt links of the layers still
+    to fire, and a slide walks the prev links.  Index order is then
+    firing order among the remaining layers, so "the first index on a
+    tie" stays the same layer from round to round, and nothing is
+    renumbered.  Candidates are tried in order of (rank, index), sorted
+    once; a round stops after the first atom with a member that slides to
+    the front: a slide keeps the atom, so every later atom has a larger
+    key.  The slide is _slide_left's loop, inlined with _readings' two
+    tests written out: this is the kernel's hot loop."""
     word, flat = state
     offs, ids = list(flat[0::2]), list(flat[1::2])
     ns, nt, rank = tab.ns, tab.nt, tab.rank
-    order = sorted(range(len(ids)), key=lambda i: rank[ids[i]])
-    # stuck[i]: layer i does not commute with layer i - 1, known from an
+    n = len(ids)
+    order = sorted(range(n), key=[rank[x] for x in ids].__getitem__)
+    # the layers still to fire, linked in firing order; -1 and n end the
+    # links, and index n (which -1 also reaches) absorbs writes past an end
+    prev, nxt = list(range(-1, n)), list(range(1, n + 2))
+    # stuck[i]: layer i does not commute with layer prev[i], known from an
     # earlier round in which neither has moved since
-    stuck = [False] * len(ids)
+    stuck = [False] * (n + 1)
     out: List[int] = []
-    while ids:
+    while order:
         k = -1
         for i in order:
             x = ids[i]
@@ -234,27 +244,27 @@ def canonical(tab: AtomTable, state: State) -> State:
                 break
             if stuck[i]:
                 continue
-            o, shifted = offs[i], []
-            for j in range(i - 1, -1, -1):
+            o, shifted, j = offs[i], [], prev[i]
+            while j >= 0:
                 y = ids[j]
                 if offs[j] + nt[y] <= o:
                     o += ns[y] - nt[y]
                 elif o + ns[x] <= offs[j]:
                     shifted.append(j)
                 else:
-                    stuck[i] = j == i - 1
+                    stuck[i] = j == prev[i]
                     break
+                j = prev[j]
             else:
                 if k < 0 or o < bo:
                     k, bo, bx, bs = i, o, x, shifted
         out += (bo, bx)
         for j in bs:
             offs[j] += nt[bx] - ns[bx]
-            stuck[j] = stuck[j + 1] = False
-        del offs[k], ids[k], stuck[k]
-        if k < len(stuck):
-            stuck[k] = False
-        order = [i - (i > k) for i in order if i != k]
+            stuck[j] = stuck[nxt[j]] = False
+        a, b = prev[k], nxt[k]
+        nxt[a], prev[b], stuck[b] = b, a, False
+        order.remove(k)
     return word, tuple(out)
 
 

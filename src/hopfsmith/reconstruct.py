@@ -191,12 +191,6 @@ def _relations(family: GeneratingFamily, offs: List[int]) -> Matrix:
     return Matrix.from_entries(F, row, offs[-1], eqs)
 
 
-def coend_dimension(family: GeneratingFamily) -> int:
-    """Dimension of the quotient of the coefficient span by naturality."""
-    offs = _block_offsets(family)
-    return offs[-1] - _relations(family, offs).rank()
-
-
 def coend_reconstruct(family: GeneratingFamily,
                       reference: Optional[Bialgebra] = None
                       ) -> ReconstructionResult:

@@ -88,26 +88,6 @@ def oriental_shear_term() -> CellTerm:
     return Comp(2, w1, w2)
 
 
-def oriental_shear_boundaries() -> Tuple[CellTerm, CellTerm]:
-    """Hand-encoded fixtures for the two 2-sides of the shear picture:
-    four layers each, transcribed from the displayed diagrams."""
-    src = comp(
-        1,
-        comp(0, _g("v", "v"), Id(_g("x1", "u")), Id(_g("u", "x0"))),
-        comp(0, Id(_g("v", "x2")), _g("x1", "sigma"), Id(_g("u", "x0"))),
-        comp(0, Id(_g("v", "x2")), _g("u", "w")),
-        comp(0, _g("sigma", "x2"), Id(_g("x0", "w"))),
-    )
-    tgt = comp(
-        1,
-        comp(0, Id(_g("x2", "v")), Id(_g("v", "x1")), _g("u", "u")),
-        comp(0, Id(_g("x2", "v")), _g("sigma", "x1"), Id(_g("x0", "u"))),
-        comp(0, _g("w", "v"), Id(_g("x0", "u"))),
-        comp(0, Id(_g("w", "x2")), _g("x0", "sigma")),
-    )
-    return src, tgt
-
-
 @lru_cache(maxsize=None)
 def universal_shear() -> CellTerm:
     """The universal shear as a 3-cell of the monad tensor square: the

@@ -714,17 +714,49 @@ def _bench_diagrams():
     return diagrams
 
 
+def _bench_stack(diagrams, sig, w, layers):
+    """A benchmark stack of sig's layers on the word w, as the diagrams
+    workload builds its term, read back through stack_of; a stack over
+    the free monad signature is read over mnd, which has its generators."""
+    rows = [diagrams.to_term(sig, word, [layer]) for word, layer
+            in zip(diagrams.words_along(sig, w, layers), layers)]
+    p, table = PRESENTATIONS[sig.name.split("-")[0]], interchange.AtomTable()
+    return p, unpack(stack_of(comp(1, *rows), p, table), table)
+
+
 def _fixed_adj_stack():
     """The fixed 40-layer adj stack of the diagrams benchmark workload,
     drawn the same way, from random.Random(0)."""
     diagrams = _bench_diagrams()
     fixed = random.Random(0)
     w = diagrams.start_word(fixed, diagrams.ADJ)
-    layers = diagrams.random_stack(fixed, diagrams.ADJ, w, 40)
-    rows = [diagrams.to_term(diagrams.ADJ, word, [layer]) for word, layer
-            in zip(diagrams.words_along(diagrams.ADJ, w, layers), layers)]
-    p, table = PRESENTATIONS["adj"], interchange.AtomTable()
-    return p, unpack(stack_of(comp(1, *rows), p, table), table)
+    return _bench_stack(diagrams, diagrams.ADJ, w,
+                        diagrams.random_stack(fixed, diagrams.ADJ, w, 40))
+
+
+def _bracket_stacks(seed):
+    """The re-bracketed tall stacks of the diagrams benchmark workload at a
+    seed, drawn as perfbench/workloads.py draws them: 12 to 24 layers over
+    mnd, adj and the free monad signature."""
+    diagrams = _bench_diagrams()
+    rng = random.Random(seed + 1)
+    for n in (12, 16, 20, 24):
+        for sig in (diagrams.MND, diagrams.ADJ, diagrams.FREE):
+            w = diagrams.start_word(rng, sig)
+            yield _bench_stack(diagrams, sig, w,
+                               diagrams.random_stack(rng, sig, w, n))
+
+
+def test_tall_stacks_match_reference():
+    """canonical and the cancellations against the reference on stacks
+    taller than the random strategy draws, where a layer emitted from the
+    middle of the stack leaves layers on both sides of it."""
+    stacks = [stack for seed in (1, 2, 3) for _, stack in _bracket_stacks(seed)]
+    stacks.append(_fixed_adj_stack()[1])
+    assert sorted({len(s.layers) for s in stacks}) == [12, 16, 20, 24, 40]
+    for stack in stacks:
+        assert kernel_canonical(stack) == ref_canonical_stack(stack)
+        assert kernel_cancellations(stack) == ref_cancellations(stack)
 
 
 def test_slide_counts_on_the_fixed_40_layer_stack():
@@ -733,7 +765,7 @@ def test_slide_counts_on_the_fixed_40_layer_stack():
     with counting_slides() as count:
         got = kernel_canonical(stack)
     # the reference makes 5,780 slides here
-    assert 0 < count[0] <= 4000
+    assert count[0] == 3633
     assert got == ref_canonical_stack(stack)
     with counting_slides() as count:
         assert kernel_cancellations(stack) == []

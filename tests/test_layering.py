@@ -43,6 +43,7 @@ whether or not a test runs it.
 """
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -362,6 +363,9 @@ def modules(but="matrix.py"):
     return sorted(p for p in SRC.glob("*.py") if p.name != but)
 
 
+# every checker only reads the tree it is given, so each module is parsed
+# once per session
+@functools.cache
 def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"))
 

@@ -9,12 +9,32 @@ from hopfsmith.cli import main
 from hopfsmith.gray import GrayMorphism, TensorTerms, gray
 from hopfsmith.presentation import validate_term
 from hopfsmith.rewriting import EQ_EQUAL, eq
-from hopfsmith.shear import (_o2_to_mnd, bimnd_cells, mnd_gray, mnd_smash,
-                             oriental_shear_boundaries, oriental_shear_term,
+from hopfsmith.shear import (_g, _o2_to_mnd, bimnd_cells, mnd_gray,
+                             mnd_smash, oriental_shear_term,
                              proof_skeleton_check, universal_shear,
                              whiskered_gray)
-from hopfsmith.terms import Comp, Gen, Id, generators
+from hopfsmith.terms import Comp, Gen, Id, comp, generators
 from hopfsmith.walking import oriental2
+
+
+def oriental_shear_boundaries():
+    """Hand-encoded fixtures for the two 2-sides of the shear picture:
+    four layers each, transcribed from the displayed diagrams."""
+    src = comp(
+        1,
+        comp(0, _g("v", "v"), Id(_g("x1", "u")), Id(_g("u", "x0"))),
+        comp(0, Id(_g("v", "x2")), _g("x1", "sigma"), Id(_g("u", "x0"))),
+        comp(0, Id(_g("v", "x2")), _g("u", "w")),
+        comp(0, _g("sigma", "x2"), Id(_g("x0", "w"))),
+    )
+    tgt = comp(
+        1,
+        comp(0, Id(_g("x2", "v")), Id(_g("v", "x1")), _g("u", "u")),
+        comp(0, Id(_g("x2", "v")), _g("sigma", "x1"), Id(_g("x0", "u"))),
+        comp(0, _g("w", "v"), Id(_g("x0", "u"))),
+        comp(0, Id(_g("w", "x2")), _g("x0", "sigma")),
+    )
+    return src, tgt
 
 
 def shear_fixtures():
