@@ -38,7 +38,7 @@ class BialgebraError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bialgebra:
     field: Field
     n: int
@@ -60,13 +60,14 @@ class Bialgebra:
                     f"structure tensor shape {mat.rows}x{mat.cols}, "
                     f"expected {r}x{c}")
         if not self.grading:
-            self.grading = (0,) * n
+            object.__setattr__(self, "grading", (0,) * n)
         if len(self.grading) != n:
             raise BialgebraError("grading length mismatch")
         if self.braiding not in (FLIP, SUPER):
             raise BialgebraError(f"unknown braiding {self.braiding!r}")
         if not self.basis_names:
-            self.basis_names = tuple(f"e{i}" for i in range(n))
+            object.__setattr__(self, "basis_names",
+                               tuple(f"e{i}" for i in range(n)))
         if len(self.basis_names) != n:
             raise BialgebraError("basis length mismatch")
 
@@ -93,7 +94,7 @@ def braiding_matrix(B: Bialgebra) -> Matrix:
         for i in range(n) for j in range(n)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AxiomReport:
     name: str
     holds: bool
@@ -256,7 +257,7 @@ def is_cohopf(B: Bialgebra) -> bool:
 # antipodes
 
 
-@dataclass
+@dataclass(frozen=True)
 class HopfData:
     bialgebra: Bialgebra
     S: Matrix
@@ -333,7 +334,7 @@ def convolution_inverse(B: Bialgebra) -> Optional[Matrix]:
 # integrals
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegralData:
     left_integrals: List[Matrix]     # 1 x n rows
     left_cointegrals: List[Matrix]   # n x 1 columns
@@ -364,15 +365,14 @@ def integrals(B: Bialgebra) -> IntegralData:
             for r in range(n)]              # - eps[c] Lam[r]
     coint_basis = Matrix.from_entries(F, n * n, n, eqs).nullspace()
 
-    data = IntegralData(lam_basis, coint_basis)
+    pairing = integral = cointegral = None
     if len(lam_basis) == 1 and len(coint_basis) == 1:
-        lam, coint = lam_basis[0], coint_basis[0]
-        pairing = (lam @ coint)[0, 0]
-        data.pairing = pairing
+        pairing = (lam_basis[0] @ coint_basis[0])[0, 0]
         if not F.is_zero(pairing):
-            data.normalized_integral = lam.scale(F.inv(pairing))
-            data.normalized_cointegral = coint
-    return data
+            integral = lam_basis[0].scale(F.inv(pairing))
+            cointegral = coint_basis[0]
+    return IntegralData(lam_basis, coint_basis, pairing, integral,
+                        cointegral)
 
 
 class IntegralConditionError(BialgebraError):

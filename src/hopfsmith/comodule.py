@@ -18,7 +18,7 @@ class ComoduleError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Comodule:
     bialgebra: Bialgebra
     d: int

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .presentation import PresMorphism, Presentation
-from .terms import CellTerm, Comp, Gen, Id, TermError, idn, substitute
+from .terms import (MAX_DIM, CellTerm, Comp, Gen, Id, TermError, idn,
+                    substitute)
 from .walking import PointedPresentation
 
 PAIR_SEP = "⊗"  # the tensor sign, kept out of factor names
@@ -217,8 +218,8 @@ def gray(P: Presentation, Q: Presentation) -> Presentation:
     for g in P.gens.values():
         for h in Q.gens.values():
             top = max(top, g.dim + h.dim)
-    if top > 4:
-        raise TermError(f"tensor would reach dimension {top} > 4")
+    if top > MAX_DIM:
+        raise TermError(f"tensor would reach dimension {top} > {MAX_DIM}")
     out = Presentation(max_dim=top)
     tt = TensorTerms(P, Q)
 
@@ -301,7 +302,7 @@ def _wire_bead(tt: TensorTerms, g, h) -> Tuple[CellTerm, CellTerm]:
 # tensor squares of morphisms
 
 
-@dataclass
+@dataclass(frozen=True)
 class GrayMorphism:
     """The tensor of two presentation morphisms: a pair generator goes to
     the tensor of the images, built with the same term constructors that
@@ -311,7 +312,8 @@ class GrayMorphism:
     codomain: Presentation   # gray(left.codomain, right.codomain)
 
     def __post_init__(self):
-        self.tt = TensorTerms(self.left.codomain, self.right.codomain)
+        object.__setattr__(self, "tt", TensorTerms(self.left.codomain,
+                                                  self.right.codomain))
 
     def push(self, t: CellTerm) -> CellTerm:
         return self.codomain.normalize(substitute(t, self._push_pair))

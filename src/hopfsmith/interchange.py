@@ -261,7 +261,11 @@ def canonical(tab: AtomTable, state: State) -> State:
         out += (bo, bx)
         for j in bs:
             offs[j] += nt[bx] - ns[bx]
-            stuck[j] = stuck[nxt[j]] = False
+            # j moved, so its flag is stale; the flag of nxt[j] is not.
+            # nxt[j] is k, or shifted too, or a layer k passed on its left,
+            # whose source ends at or before k's source there, which ends
+            # at or before j's target: it commutes with j, so not stuck
+            stuck[j] = False
         a, b = prev[k], nxt[k]
         nxt[a], prev[b], stuck[b] = b, a, False
         order.remove(k)

@@ -17,10 +17,10 @@ from typing import Dict, Optional
 
 from .presentation import Presentation
 from .rewriting import EQ_DISTINCT, Verdict, eq
-from .terms import CellTerm, Id, Inv, TermError, comp, print_term
+from .terms import CellTerm, Id, Inv, TermError, comp
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdjunctionRecord:
     """Data of l -| r: counit eps: (r then l) => id, unit eta: id => (l then r)."""
     presentation: Presentation
@@ -45,7 +45,7 @@ class AdjunctionRecord:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Square:
     """alpha: (h then k) => (f then g)."""
     f: CellTerm
@@ -117,7 +117,7 @@ def double_mate(sq: Square, adj_f: AdjunctionRecord,
 # the walking adjunctible retract
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetractRecord:
     presentation: Presentation
     f: CellTerm
@@ -133,17 +133,6 @@ class RetractRecord:
     def basepoint_id(self) -> CellTerm:
         return self.presentation.normalize(
             Id(self.presentation.boundary(self.f, "source", 0)))
-
-    def to_json(self) -> dict:
-        data = self.presentation.to_json()
-        data["retract"] = {
-            "f": print_term(self.f), "g": print_term(self.g),
-            "alpha": print_term(self.alpha),
-            "fR": print_term(self.adj_f.r), "gL": print_term(self.adj_g.l),
-            "section_l": print_term(self.section_l),
-            "retraction_r": print_term(self.retraction_r),
-        }
-        return data
 
 
 def walking_retract() -> RetractRecord:
@@ -223,7 +212,7 @@ def trivial_retract() -> RetractRecord:
 # the Hopf square and its structure cells
 
 
-@dataclass
+@dataclass(frozen=True)
 class HopfSquare:
     record: RetractRecord
     H: CellTerm

@@ -8,13 +8,17 @@ The JSON format is pinned for interchange:
 
 with src/tgt/lhs/rhs as S-expression strings.  parse -> print -> parse
 is the identity on the nose.  `dumps` writes this format directly, one
-record per generator and per relation, byte for byte as
-json.dumps(to_json(), indent=1, sort_keys=True) would; the tests check
-it against that call.
+record per generator and per relation, byte for byte as json.dumps(...,
+indent=1, sort_keys=True) writes the same record; the tests check it
+against that call.
 
 A presentation's `gens` is the generator table that `dim`, `boundary`
-and `normalize` in `terms` read.  `PresMorphism` maps the terms of one
-presentation to another, generator by generator.
+and `normalize` in `terms` read.  It is built by `add` and `relate` and
+freezes at its first query: reading one of its derived tables (the
+normal faces, the boundary words or the interchange kernel), which every
+search and every boundary certificate does, makes any later `add` or
+`relate` raise TermError, so no table is ever stale.  `PresMorphism` maps
+the terms of one presentation to another, generator by generator.
 """
 
 from __future__ import annotations
@@ -26,12 +30,10 @@ from typing import Dict, List, Optional, Tuple
 from . import jsonshape as shape
 from .interchange import AtomTable
 from .rewriting import EQ_DISTINCT, EQ_EQUAL, composable, parallel, word_of
-from .terms import (CellTerm, Gen, Generator, Id, Inv, SOURCE, TARGET,
-                    TermError, boundary, dim, generators, illegal_inverses,
-                    normal_dim, normalize, parse_term, print_term,
-                    substitute, top_boundary)
-
-MAX_DIM = 4
+from .terms import (MAX_DIM, CellTerm, Gen, Generator, Id, Inv, SOURCE,
+                    TARGET, TermError, boundary, dim, generators,
+                    illegal_inverses, normal_dim, normalize, parse_term,
+                    print_term, substitute, top_boundary)
 
 
 @dataclass(frozen=True)
@@ -47,47 +49,54 @@ class Presentation:
     max_dim: int
     gens: Dict[str, Generator] = field(default_factory=dict)
     relations: List[Relation] = field(default_factory=list)
-    # the normal-face and boundary-word tables only grow, since an entry
-    # depends on its generator's boundaries and on the dimensions of the
-    # generators they mention, which add never changes and relate never
-    # reads; a face that fails to normalize is not kept
-    _faces: Dict[Tuple[str, str], CellTerm] = field(
+    # the derived tables, each entry made on first use: normal faces (None
+    # for an ill-formed one), boundary words, and the interchange kernel
+    # of 2-cell searches.  Reading one freezes the presentation.
+    _faces: Dict[Tuple[str, str], Optional[CellTerm]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _words: Dict[str, tuple] = field(default_factory=dict, init=False,
                                      repr=False, compare=False)
-    # the interchange kernel of 2-cell searches, made by `kernel` on first
-    # use.  relate drops it, since it holds the packed oriented 2-rules; so
-    # does add, since a rule naming a generator not yet added was left out
     _kernel: Optional[AtomTable] = field(default=None, init=False,
                                          repr=False, compare=False)
+    _frozen: bool = field(default=False, init=False, repr=False,
+                          compare=False)
 
     def __getstate__(self) -> dict:
-        # copies and pickles leave out the derived kernel and its lock
+        # copies and pickles keep the freeze and leave out the derived
+        # kernel and its lock
         return {**self.__dict__, "_kernel": None}
 
     # -- construction -------------------------------------------------
 
     def add(self, name: str, d: int, src: Optional[CellTerm] = None,
             tgt: Optional[CellTerm] = None, invertible: bool = False) -> Gen:
+        self._check_unfrozen()
         if name in self.gens:
             raise TermError(f"duplicate generator {name!r}")
         if d > self.max_dim:
             raise TermError(f"generator {name!r} exceeds maxDim {self.max_dim}")
+        if d > MAX_DIM:
+            raise TermError(
+                f"generator {name!r} exceeds the dimension cap {MAX_DIM}")
         self.gens[name] = Generator(name, d, src, tgt, invertible)
-        self._kernel = None
         return Gen(name)
 
     def relate(self, d: int, lhs: CellTerm, rhs: CellTerm,
                oriented: bool = False) -> None:
+        self._check_unfrozen()
         self.relations.append(Relation(d, lhs, rhs, oriented))
-        self._kernel = None
 
-    # -- views ---------------------------------------------------------
+    def _check_unfrozen(self) -> None:
+        if self._frozen:
+            raise TermError("a presentation is frozen once it is queried")
+
+    # -- views: each freezes the presentation ----------------------------
 
     def kernel(self) -> AtomTable:
         """The interchange kernel that 2-cell searches share, made on first
         use.  Two first searches at once each make one and run on their
         own, and one of the two is kept."""
+        self._frozen = True
         table = self._kernel
         if table is None:
             table = self._kernel = AtomTable()
@@ -98,21 +107,22 @@ class Presentation:
         once.  None when it is ill-formed or not of the dimension below the
         generator's; TermError when the generator is unknown or has no
         boundary."""
-        face = self._faces.get((name, side))
-        if face is None:
-            if name not in self.gens:
-                raise TermError(f"unknown generator {name!r}")
-            g = self.gens[name]
-            b = g.src if side == SOURCE else g.tgt
-            if b is None:
-                raise TermError(f"generator {name!r} has no boundary")
-            try:
-                face, d = normal_dim(b, self.gens)
-            except TermError:
-                d = None
-            if d != g.dim - 1:
-                return None
-            self._faces[name, side] = face
+        self._frozen = True
+        try:
+            return self._faces[name, side]
+        except KeyError:
+            pass
+        if name not in self.gens:
+            raise TermError(f"unknown generator {name!r}")
+        g = self.gens[name]
+        b = g.src if side == SOURCE else g.tgt
+        if b is None:
+            raise TermError(f"generator {name!r} has no boundary")
+        try:
+            face, d = normal_dim(b, self.gens)
+        except TermError:
+            face = d = None
+        face = self._faces[name, side] = face if d == g.dim - 1 else None
         return face
 
     def boundary_words(self, name: str) -> tuple:
@@ -153,25 +163,11 @@ class Presentation:
 
     # -- serialization ---------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {
-            "maxDim": self.max_dim,
-            "generators": [
-                {"name": g.name, "dim": g.dim,
-                 "src": print_term(g.src) if g.src is not None else None,
-                 "tgt": print_term(g.tgt) if g.tgt is not None else None,
-                 "invertible": g.invertible}
-                for g in self.gens.values()],
-            "relations": [
-                {"dim": r.dim, "lhs": print_term(r.lhs),
-                 "rhs": print_term(r.rhs), "oriented": r.oriented}
-                for r in self.relations],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "Presentation":
         """Raises jsonshape.ShapeError when data is not shaped like the
-        output of to_json."""
+        pinned format, TermError when a term does not parse or add refuses
+        a generator."""
         data = shape.obj(data, "presentation")
         p = cls(max_dim=shape.get(data, "maxDim", int, "presentation"))
         for i, g in enumerate(shape.get(data, "generators", list,
@@ -196,11 +192,11 @@ class Presentation:
         return p
 
     def dumps(self) -> str:
-        """The pinned JSON, byte for byte as
-        json.dumps(self.to_json(), indent=1, sort_keys=True) writes it,
-        written directly: one record per generator and per relation, keys
-        in sorted order, strings through json's C string encoder (under an
-        indent json itself falls back to its pure-Python encoder)."""
+        """The pinned JSON, byte for byte as json.dumps(..., indent=1,
+        sort_keys=True) writes the same record, written directly: one record
+        per generator and per relation, keys in sorted order, strings
+        through json's C string encoder (under an indent json itself falls
+        back to its pure-Python encoder)."""
         gens = [_GENERATOR % (_scalar(g.dim), _scalar(g.invertible),
                               _STR(g.name), _side(g.src), _side(g.tgt))
                 for g in self.gens.values()]
@@ -216,7 +212,7 @@ class Presentation:
         return cls.from_json(json.loads(text))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PresMorphism:
     """A map of presentations: each generator of the domain goes to a term
     of the codomain of the same dimension, with images of boundaries

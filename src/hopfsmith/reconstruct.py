@@ -30,7 +30,7 @@ class ClosureError(ComoduleError):
     """A tensor product of members is not expressible inside the family."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Resolution:
     """id_P = sum iota_s . pi_s with both legs comodule maps into members."""
     member_indices: List[int]
@@ -38,10 +38,12 @@ class Resolution:
     pis: List[Matrix]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratingFamily:
     members: List[Comodule]
-    hom_cache: Dict[Tuple[int, int], List[Matrix]] = dfield(default_factory=dict)
+    # intertwiner bases by member pair, made on first use
+    hom_cache: Dict[Tuple[int, int], List[Matrix]] = dfield(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
@@ -153,7 +155,7 @@ def _resolve_general(family: GeneratingFamily, P: Comodule) -> Resolution:
 # the coend
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconstructionResult:
     bialgebra: Bialgebra
     canonical: Optional[Matrix]
@@ -338,7 +340,7 @@ def _solve_unit(F, dim: int, mult: Matrix) -> Optional[Matrix]:
         Matrix.from_entries(F, 2 * dim * dim, 1, rhs))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoundTrip:
     verdict: str
     reconstruction: Bialgebra

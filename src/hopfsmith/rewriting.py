@@ -25,7 +25,7 @@ flat (offset, atom id, ...) tuple of layers.  stack_of builds it over
 an atom table in one walk of the term, giving each atom its generator's
 source and target words (swapped when inverted) from the presentation's
 boundary-word table.  Each presentation keeps one atom table, made by
-its first 2-cell search and dropped by add and relate, with memos of
+its first 2-cell search (which freezes the presentation), with memos of
 canonical forms and successors and the oriented 2-rules, packed by the
 first search that explores.  _eq2 builds both states in it under its
 lock, from sides eq has already normalized, and _meet explores them, so

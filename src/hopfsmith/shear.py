@@ -149,7 +149,7 @@ def _top_atom(t: CellTerm) -> Optional[str]:
     return pairs[0] if pairs else None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainStep:
     label: str
     term: CellTerm
@@ -157,7 +157,7 @@ class ChainStep:
     composable: Optional[bool] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SkeletonReport:
     steps: List[ChainStep]
     chain_composable: bool
@@ -242,28 +242,27 @@ def proof_skeleton_check(budget: Optional[int] = None,
     steps_terms = [eg.normalize(Comp(1, Id(beta_layer), t))
                    for t in steps_terms]
 
-    steps: List[ChainStep] = []
-    failures: List[str] = []
+    chain = []  # (label, term, classification) of each step
     for i, t in enumerate(steps_terms):
         atom = _top_atom(t)
-        cls = classify_pair(atom) if atom else "unknown"
-        steps.append(ChainStep(f"step{i}", t, cls))
+        chain.append((f"step{i}", t,
+                      classify_pair(atom) if atom else "unknown"))
 
-    if mutate_step is not None and 0 <= mutate_step < len(steps):
-        t = steps[mutate_step].term
-        steps[mutate_step] = ChainStep(
-            steps[mutate_step].label + ":reversed", Inv(t),
-            steps[mutate_step].classification)
+    if mutate_step is not None and 0 <= mutate_step < len(chain):
+        label, t, cls = chain[mutate_step]
+        chain[mutate_step] = (label + ":reversed", Inv(t), cls)
 
-    # (i) consecutive composability
-    for i in range(len(steps) - 1):
-        v = composable(2, steps[i].term, steps[i + 1].term, eg, budget)[0]
-        steps[i + 1].composable = v is EQ_EQUAL
+    # (i) consecutive composability; the first step has no predecessor
+    failures: List[str] = []
+    fits = [True]
+    for i in range(len(chain) - 1):
+        v = composable(2, chain[i][1], chain[i + 1][1], eg, budget)[0]
+        fits.append(v is EQ_EQUAL)
         if v is not EQ_EQUAL:
             failures.append(
                 f"boundary mismatch between step{i} and step{i + 1} ({v})")
     chain_ok = not failures
-    steps[0].composable = True
+    steps = [ChainStep(*step, fit) for step, fit in zip(chain, fits)]
 
     # (ii) total 2-boundary against the (whiskered) shear image
     whiskered_image = eg.normalize(Comp(1, Id(beta_layer), image))

@@ -55,6 +55,8 @@ from typing import (Callable, Iterator, List, Mapping, Optional, Tuple,
 
 SOURCE = "source"
 TARGET = "target"
+# the dimension cap: no generator, composition level or tensor goes above it
+MAX_DIM = 4
 
 
 class TermError(Exception):
@@ -526,7 +528,7 @@ def parse_term(text: str) -> CellTerm:
             # the level as int() writes it, without reading a long run of
             # digits as a number
             level = head[4:].lstrip("0") or "0"
-            if len(level) > 1 or level > "3":
+            if len(level) > 1 or int(level) >= MAX_DIM:
                 raise TermError(
                     f"composition level {level} exceeds the dimension cap")
             open_ += (head, int(level))

@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .presentation import Presentation
-from .terms import Gen, Id, comp, substitute
+from .terms import MAX_DIM, Gen, Id, comp, substitute
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointedPresentation:
     base: Presentation
     basepoint: str
@@ -75,8 +75,8 @@ def suspend(p: Presentation, prefix: str = "S.") -> Presentation:
     """Categorical suspension of a presentation: two fresh objects 0 and 1,
     every k-generator shifted to a (k+1)-generator between them, relations
     shifted along."""
-    if p.max_dim > 3:
-        raise ValueError("suspension would exceed the dimension cap 4")
+    if p.max_dim >= MAX_DIM:
+        raise ValueError(f"suspension would exceed the dimension cap {MAX_DIM}")
     out = Presentation(max_dim=p.max_dim + 1)
     lo = out.add("0", 0)
     hi = out.add("1", 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -155,6 +156,21 @@ def test_integrals_all_hopf_fixtures_are_lines():
         assert len(d.left_integrals) == 1, name
         assert len(d.left_cointegrals) == 1, name
         assert d.pairing is not None and d.pairing != 0, name
+
+
+def test_records_are_built_whole():
+    # the defaults a Bialgebra fills in and the integrals' normalized pair
+    # are there at construction, and no field can be set afterwards
+    Z2 = FX["QZ2"]
+    B = Bialgebra(Z2.field, Z2.n, Z2.m, Z2.u, Z2.delta, Z2.eps)
+    d = integrals(B)
+    assert B.grading == (0, 0) and B.basis_names == ("e0", "e1")
+    assert (d.normalized_integral @ d.normalized_cointegral)[0, 0] == 1
+    for record, name in ((B, "grading"), (d, "pairing"),
+                         (check_bialgebra(B)[0], "holds"),
+                         (antipode(B), "S")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
 
 
 def test_integrals_monoid_reported_without_guarantee():

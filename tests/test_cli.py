@@ -298,6 +298,31 @@ def test_a_deeply_nested_term_is_a_fail_line(tmp_path, shape, command):
         "witness": "term nested too deeply"}
 
 
+def _tall_globes(top=6):
+    """Two parallel generators in each dimension from 0 to top, each pair
+    between the pair below, with maxDim top."""
+    gens = [{"name": "s0", "dim": 0}, {"name": "t0", "dim": 0}]
+    for d in range(1, top + 1):
+        gens += [{"name": f"{n}{d}", "dim": d, "src": f"(gen s{d - 1})",
+                  "tgt": f"(gen t{d - 1})"} for n in "st"]
+    return {"maxDim": top, "generators": gens}
+
+
+@pytest.mark.parametrize("command", [["census", "P"], ["gray", "P", "globe1"],
+                                     ["smash", "P", "s0", "globe1", "s0"]])
+def test_a_generator_above_the_dimension_cap_is_a_fail_line(tmp_path,
+                                                             command):
+    """maxDim may say 6, but no generator goes above the cap of 4."""
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(_tall_globes()))
+    argv = [str(path) if arg == "P" else arg for arg in command]
+    code, out = run(["--json", "--no-timing"] + argv)
+    assert code == 1
+    assert json.loads(out)["checks"][-1] == {
+        "name": "error", "status": "fail",
+        "witness": "generator 's5' exceeds the dimension cap 4"}
+
+
 def test_field_with_non_string_modulus_is_a_fail_line(tmp_path):
     doc = dict(_qz2_json(), field={"ext": 5})
     path = tmp_path / "input.json"

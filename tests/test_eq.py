@@ -522,15 +522,15 @@ def _growing_words():
 
 def test_a_side_that_runs_the_budget_out_leaves_the_other_its_own():
     p, f, f2, k, k2 = _growing_words()
-    assert eq(f, f2, p) is EQ_UNKNOWN
-    assert eq(k, k2, p) is EQ_DISTINCT
     a = p.add("a", 2, f, k)
     b = p.add("b", 2, f2, k2)
+    t = p.add("t", 3, a, a)
+    u = p.add("u", 3, b, b)
+    assert eq(f, f2, p) is EQ_UNKNOWN
+    assert eq(k, k2, p) is EQ_DISTINCT
     assert parallel(a, b, p) == (EQ_DISTINCT, 1)
     assert eq(a, b, p) is EQ_DISTINCT
     # one level further up, the same certificate is found inside eq
-    t = p.add("t", 3, a, a)
-    u = p.add("u", 3, b, b)
     assert parallel(t, u, p) == (EQ_DISTINCT, 1)
     assert eq(t, u, p) is EQ_DISTINCT
 

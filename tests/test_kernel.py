@@ -1,12 +1,16 @@
-"""The interchange kernel a presentation keeps for its 2-cell searches.
+"""The interchange kernel a presentation keeps for its 2-cell searches,
+and the freeze that keeps it and the other derived tables current.
 
 All searches on one presentation share its kernel: the atom table, the
 packed oriented 2-rules and the memos of canonical forms and successors.
 Sharing must change nothing: every query gives the verdict and spends
 the budget it does on a fresh copy of the presentation, whatever ran
-before it.  relate changes the rules and add can make a rule live, so
-both drop the kernel; copies and pickles leave it out, and a search
-drops its memos once they pass interchange.MEMO_STATES.
+before it.  Reading a derived table (the kernel, a normal face or a
+boundary word pair), as every search and every boundary certificate
+does, freezes the presentation: add and relate raise from then on, so
+the kernel is never dropped and an ill-formed face is normalized once.
+Copies and pickles keep the freeze and leave the kernel out, and a
+search drops its memos once they pass interchange.MEMO_STATES.
 """
 
 import copy
@@ -14,14 +18,17 @@ import importlib.util
 import pickle
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfsmith import interchange, rewriting
-from hopfsmith.presentation import Presentation
-from hopfsmith.rewriting import Budget, EQ_DISTINCT, EQ_EQUAL, eq
-from hopfsmith.terms import Gen, normal_dim
+from hopfsmith import interchange, presentation, rewriting
+from hopfsmith.presentation import Presentation, validate_presentation
+from hopfsmith.rewriting import (Budget, EQ_DISTINCT, EQ_EQUAL, EQ_UNKNOWN,
+                                 eq, parallel)
+from hopfsmith.terms import SOURCE, TARGET, Gen, TermError, comp, normal_dim
 from hopfsmith.walking import adj, mnd
 
 
@@ -84,23 +91,70 @@ def _loop():
     return p, f
 
 
-def test_relate_drops_the_kernel():
+def assert_frozen(p, f):
+    with pytest.raises(TermError, match="frozen"):
+        p.add("late", 2, f, f)
+    with pytest.raises(TermError, match="frozen"):
+        p.relate(2, Gen("a"), Gen("b"))
+    assert "late" not in p.gens and len(p.relations) == 1
+
+
+@pytest.mark.parametrize("query", [
+    lambda p: eq(Gen("a"), Gen("b"), p),
+    lambda p: parallel(Gen("a"), Gen("b"), p),
+    validate_presentation,
+    # each derived table on its own
+    Presentation.kernel,
+    lambda p: p.normal_face("a", SOURCE),
+    lambda p: p.boundary_words("a")],
+    ids=["eq", "parallel", "validate", "kernel", "normal_face",
+         "boundary_words"])
+def test_a_queried_presentation_is_frozen(query):
     p, f = _loop()
     a, b = p.add("a", 2, f, f), p.add("b", 2, f, f)
-    assert eq(a, b, p) is EQ_DISTINCT
     p.relate(2, a, b, oriented=True)
-    assert eq(a, b, p) is EQ_EQUAL
+    query(p)
+    assert_frozen(p, f)
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert q == p and q._kernel is None
+        assert_frozen(q, f)
+    # the same data built again grows until its own first query
+    again = Presentation.loads(p.dumps())
+    again.add("c", 2, f, f)
+    assert eq(a, b, again) is EQ_EQUAL
 
 
-def test_add_drops_the_kernel():
-    # the rule a -> b names b before b is added, so the first search
-    # leaves it out; once b is added it is a rule
+def test_a_rule_naming_a_later_generator_is_live_at_the_first_search():
+    # the rule a -> b names b before b is added; the presentation is
+    # built whole before its first search, which has the rule
     p, f = _loop()
     a, c = p.add("a", 2, f, f), p.add("c", 2, f, f)
     p.relate(2, a, Gen("b"), oriented=True)
-    assert eq(a, c, p) is EQ_DISTINCT
     b = p.add("b", 2, f, f)
+    assert eq(a, c, p) is EQ_DISTINCT
     assert eq(a, b, p) is EQ_EQUAL
+
+
+def test_an_ill_formed_face_is_normalized_once(monkeypatch):
+    # the source of bad mentions an unknown generator, and the target of
+    # low has the wrong dimension; each side is normalized once
+    p, f = _loop()
+    p.add("bad", 2, comp(0, f, Gen("nope")), f)
+    p.add("low", 2, f, Gen("x"))
+    calls = Counter()
+
+    def counting(t, gens):
+        calls[t] += 1
+        return normal_dim(t, gens)
+
+    monkeypatch.setattr(presentation, "normal_dim", counting)
+    for _ in range(3):
+        assert p.normal_face("bad", SOURCE) is None
+        assert p.normal_face("low", TARGET) is None
+        assert p.normal_face("low", SOURCE) == f
+        assert parallel(Gen("bad"), Gen("low"), p) == (EQ_UNKNOWN, None)
+    # f is two faces: the target of bad and the source of low
+    assert calls == {comp(0, f, Gen("nope")): 1, Gen("x"): 1, f: 2}
 
 
 def _memo_size(p):

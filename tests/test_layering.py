@@ -40,6 +40,12 @@ one way), and every module imports on its own, with nothing else of the
 package imported.  All checks but that last one read the syntax tree of
 every module, so they fail as soon as such a shortcut is written,
 whether or not a test runs it.
+
+Values are built whole: every dataclass is frozen but `Presentation`,
+which `add` and `relate` build and its first query freezes; a field is
+set through `object.__setattr__` only in a `__post_init__`; and only
+`Presentation.add` and `Presentation.relate` write a presentation's
+`gens` or `relations`.
 """
 
 import ast
@@ -76,6 +82,17 @@ KRON_VALUES = {
 GRADING_WORDS = {"grading", "graded", "parity", "parities", "koszul", "odd",
                  "even", "deg", "degree", "sign", "braid", "braiding",
                  "super"}
+# the one dataclass that is not frozen: add and relate build it, and its
+# first query freezes it
+MUTABLE_DATACLASSES = [("presentation.py", "Presentation")]
+# a presentation's generator table and relation list, and their writers
+PRESENTATION_TABLES = {"gens", "relations"}
+PRESENTATION_WRITERS = {("presentation.py", "Presentation.add"),
+                        ("presentation.py", "Presentation.relate")}
+# the methods that change a dict or a list in place
+MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort",
+            "reverse", "update", "setdefault", "popitem", "__setitem__",
+            "__delitem__"}
 # what only the interchange core may name: the atom lengths that decide
 # an interchange, and its tests and slides
 INTERCHANGE_DECISIONS = {"ns", "nt", "_readings", "_slide_left",
@@ -359,6 +376,68 @@ def import_errors(names, path):
     return {name: lines[name] or None for name in names}
 
 
+def mutable_dataclasses(tree):
+    """(line, class) of every class decorated with dataclass, called or
+    not, without frozen=True."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            if ast.unparse(call.func if call else dec).split(".")[-1] \
+                    != "dataclass":
+                continue
+            if not call or not any(
+                    k.arg == "frozen" and getattr(k.value, "value", None)
+                    is True for k in call.keywords):
+                yield node.lineno, node.name
+
+
+def setattr_calls(tree, fn=None):
+    """(line, function) of every object.__setattr__ call, with the
+    innermost function around it (None at module level)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield from setattr_calls(node, node.name)
+            continue
+        if (isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "object.__setattr__"):
+            yield node.lineno, fn
+        yield from setattr_calls(node, fn)
+
+
+def presentation_writes(tree):
+    """(line, function) of every write to a `gens` or `relations`
+    attribute or to a name bound to one in the same function: binding or
+    deleting the attribute, storing or deleting an item, an augmented
+    assignment, or a call of a mutating method."""
+    top = [node for node in tree.body
+           if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    for name, scope in [*functions(tree), (None, ast.Module(top, []))]:
+        aliases = {t.id for node in ast.walk(scope)
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.value, "attr", None) in PRESENTATION_TABLES
+                   for t in node.targets if isinstance(t, ast.Name)}
+
+        def held(e):
+            return (isinstance(e, ast.Attribute)
+                    and e.attr in PRESENTATION_TABLES
+                    or isinstance(e, ast.Name) and e.id in aliases)
+
+        for node in ast.walk(scope):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in PRESENTATION_TABLES
+                    and isinstance(node.ctx, (ast.Store, ast.Del))
+                    or isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and held(node.value)
+                    or isinstance(node, ast.AugAssign) and held(node.target)
+                    or isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in MUTATORS and held(node.func.value)):
+                yield node.lineno, name
+
+
 def modules(but="matrix.py"):
     return sorted(p for p in SRC.glob("*.py") if p.name != but)
 
@@ -483,6 +562,24 @@ def test_every_module_imports_on_its_own():
     names = ["hopfsmith" if p.stem == "__init__" else f"hopfsmith.{p.stem}"
              for p in modules(but=None)]
     assert import_errors(names, SRC.parent) == dict.fromkeys(names)
+
+
+def test_every_dataclass_but_the_presentation_is_frozen():
+    found = [(p.name, name) for p in modules(but=None)
+             for _, name in mutable_dataclasses(parse(p))]
+    assert found == MUTABLE_DATACLASSES
+
+
+def test_fields_are_set_around_the_freeze_only_after_init():
+    found = [(p.name, *use) for p in modules(but=None)
+             for use in setattr_calls(parse(p)) if use[1] != "__post_init__"]
+    assert not found
+
+
+def test_only_add_and_relate_write_a_presentation():
+    found = {(p.name, fn) for p in modules(but=None)
+             for _, fn in presentation_writes(parse(p))}
+    assert found == PRESENTATION_WRITERS
 
 
 def test_the_checks_see_what_they_forbid(tmp_path):
@@ -642,3 +739,35 @@ def test_the_checks_see_what_they_forbid(tmp_path):
     assert "ImportError" in errors["cyc.a"]
     assert errors["cyc.c"] is None
     assert "KeyError" in errors["cyc.d"]
+    tree = ast.parse(
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class B:\n"
+        "    x: int\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'x', 1)\n"
+        "        def later():\n"
+        "            object.__setattr__(self, 'x', 2)\n"
+        "@dataclass(eq=False, frozen=False)\n"
+        "class C:\n"
+        "    gens: dict\n"
+        "    def add(self, g):\n"
+        "        self.gens[g.name] = g\n"
+        "def grow(p, q, g):\n"
+        "    gens = p.gens\n"
+        "    gens[g.name] = g\n"
+        "    p.relations.append(g)\n"
+        "    q.gens = {}\n"
+        "    del p.gens['x']\n"
+        "    rules = q.relations\n"
+        "    rules += [g]\n"
+        "    return p.gens.get('x'), len(rules), object.__setattr__\n"
+        "object.__setattr__(B(0), 'x', 3)\n")
+    assert list(mutable_dataclasses(tree)) == [(2, "A"), (12, "C")]
+    assert list(setattr_calls(tree)) == [(8, "__post_init__"),
+                                         (10, "later"), (25, None)]
+    assert sorted(presentation_writes(tree)) == [
+        (15, "C.add"), (18, "grow"), (19, "grow"), (20, "grow"),
+        (21, "grow"), (23, "grow")]

@@ -9,8 +9,9 @@ from hopfsmith.mates import (AdjunctionRecord, ShapeError, Square,
                              right_mate, trivial_retract, walking_retract)
 from hopfsmith.presentation import validate_presentation
 from hopfsmith.rewriting import EQ_EQUAL, eq
-from hopfsmith.terms import Gen, Id, Inv, comp
+from hopfsmith.terms import Gen, Id, Inv, comp, print_term
 from hopfsmith.walking import adj
+from test_presentation import to_json
 
 A = adj().base
 REC = AdjunctionRecord(A, Gen("l"), Gen("r"), Gen("eps"), Gen("eta"))
@@ -113,9 +114,23 @@ def test_trivial_retract_collapses():
     assert eq(hs.H, Id(Id(Gen("one"))), p) is EQ_EQUAL
 
 
+def retract_to_json(rec) -> dict:
+    """The pinned JSON of a retract's presentation with its named cells
+    under "retract"."""
+    data = to_json(rec.presentation)
+    data["retract"] = {
+        "f": print_term(rec.f), "g": print_term(rec.g),
+        "alpha": print_term(rec.alpha),
+        "fR": print_term(rec.adj_f.r), "gL": print_term(rec.adj_g.l),
+        "section_l": print_term(rec.section_l),
+        "retraction_r": print_term(rec.retraction_r),
+    }
+    return data
+
+
 def test_retract_serialization_header():
     W = walking_retract()
-    doc = W.to_json()
+    doc = retract_to_json(W)
     assert "retract" in doc
     assert doc["retract"]["f"] == "(gen f)"
     assert "generators" in doc

@@ -1,7 +1,7 @@
 """The per-presentation boundary-word table: it agrees with word_of on
 every generator, every atom stack_of adds to an atom table carries its
-entry (swapped for inverted atoms), and it keeps its entries when the
-presentation grows.  Also the kernel's fit check of a layer on its
+entry (swapped for inverted atoms), and each entry is computed once,
+since reading the table freezes the presentation.  Also the kernel's fit check of a layer on its
 word, its interchange test of two layers and its slides across a
 block, and the splice of a rule's right side into a word, which
 reduces only where the parts meet."""
@@ -101,12 +101,12 @@ def _loop_presentation():
 
 def test_words_and_verdicts_after_add_and_relate():
     p, f, a = _loop_presentation()
-    side_by_side = comp(0, a, a)
-    stacked = comp(1, comp(0, a, Id(f)), comp(0, Id(f), a))
-    assert eq(side_by_side, stacked, p) is EQ_EQUAL
     b = p.add("b", 2, comp(0, f, f), f)
     lhs, rhs = comp(1, comp(0, a, a), b), comp(1, b, a)
     p.relate(2, lhs, rhs, oriented=True)
+    side_by_side = comp(0, a, a)
+    stacked = comp(1, comp(0, a, Id(f)), comp(0, Id(f), a))
+    assert eq(side_by_side, stacked, p) is EQ_EQUAL
     ff, one_f = (("f", False), ("f", False)), (("f", False),)
     assert p.boundary_words("b") == (ff, one_f)
     table = AtomTable()
@@ -130,9 +130,11 @@ def test_add_and_relate_keep_the_table(monkeypatch):
     p.boundary_words("a")
     p.boundary_words("a")
     assert len(calls) == 2  # source and target, once
-    p.add("b", 2, comp(0, f, f), f)
+    with pytest.raises(TermError):
+        p.add("b", 2, comp(0, f, f), f)
     p.boundary_words("a")
-    p.relate(2, Gen("a"), Gen("a"))
+    with pytest.raises(TermError):
+        p.relate(2, Gen("a"), Gen("a"))
     p.boundary_words("a")
     assert len(calls) == 2
     monkeypatch.undo()
