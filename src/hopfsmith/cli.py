@@ -1,6 +1,6 @@
 """Batch front end: load presentations, bialgebras, and comodule families,
 run the constructions and checks, and emit machine- or human-readable
-reports.
+reports.  A call builds the parser of only the subcommand it names.
 
 Exit codes: 0 when everything passes, 1 on any failing check, 2 when the
 only non-passes are Unknown verdicts, 64 for usage errors, 141 when the
@@ -280,7 +280,30 @@ def cmd_proof_skeleton(args, report: Report) -> None:
         report.check("failure", "fail", f)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (help, positional and optional arguments, handler)
+COMMANDS = {
+    "census": ("per-dimension generator counts", "presentation", cmd_census),
+    "gray": ("lax tensor product of two presentations",
+             "left right --out --dot", cmd_gray),
+    "smash": ("pointed smash collapse of a tensor",
+              "left left_point right right_point --out --dot", cmd_smash),
+    "shear-check": ("axioms, shear ranks, and shear semantics", "bialgebra",
+                    cmd_shear_check),
+    "antipode": ("antipode by shear and by oracle", "bialgebra", cmd_antipode),
+    "integrals": ("integral and cointegral spaces", "bialgebra",
+                  cmd_integrals),
+    "reconstruct": ("coend reconstruction or a round trip", "family",
+                    cmd_reconstruct),
+    "proof-skeleton": ("factorization chain in the whiskered square", "",
+                       cmd_proof_skeleton),
+}
+ARGUMENT_HELP = {"family": "family JSON, bialgebra JSON, or fixture"}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of `command` alone, or of every one
+    when it is None.  Either way its usage line lists every subcommand; the
+    full parser alone names a missing one "command" in its error."""
     ap = argparse.ArgumentParser(
         prog="hopfsmith",
         description="workbench for walking structures, lax tensor squares, "
@@ -293,57 +316,34 @@ def build_parser() -> argparse.ArgumentParser:
                          "state expanded or rule window tried, Unknown when "
                          "it runs out (default HOPFSMITH_BUDGET or "
                          f"{default_budget()})")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("census", help="per-dimension generator counts")
-    c.add_argument("presentation")
-    c.set_defaults(run=cmd_census)
-
-    g = sub.add_parser("gray", help="lax tensor product of two presentations")
-    g.add_argument("left")
-    g.add_argument("right")
-    g.add_argument("--out")
-    g.add_argument("--dot")
-    g.set_defaults(run=cmd_gray)
-
-    s = sub.add_parser("smash", help="pointed smash collapse of a tensor")
-    s.add_argument("left")
-    s.add_argument("left_point")
-    s.add_argument("right")
-    s.add_argument("right_point")
-    s.add_argument("--out")
-    s.add_argument("--dot")
-    s.set_defaults(run=cmd_smash)
-
-    sc = sub.add_parser("shear-check",
-                        help="axioms, shear ranks, and shear semantics")
-    sc.add_argument("bialgebra")
-    sc.set_defaults(run=cmd_shear_check)
-
-    an = sub.add_parser("antipode", help="antipode by shear and by oracle")
-    an.add_argument("bialgebra")
-    an.set_defaults(run=cmd_antipode)
-
-    it = sub.add_parser("integrals", help="integral and cointegral spaces")
-    it.add_argument("bialgebra")
-    it.set_defaults(run=cmd_integrals)
-
-    rc = sub.add_parser("reconstruct",
-                        help="coend reconstruction or a round trip")
-    rc.add_argument("family", help="family JSON, bialgebra JSON, or fixture")
-    rc.set_defaults(run=cmd_reconstruct)
-
-    ps = sub.add_parser("proof-skeleton",
-                        help="factorization chain in the whiskered square")
-    ps.set_defaults(run=cmd_proof_skeleton)
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        text, arguments, run = COMMANDS[name]
+        sp = sub.add_parser(name, help=text)
+        for arg in arguments.split():
+            sp.add_argument(arg, help=ARGUMENT_HELP.get(arg))
+        sp.set_defaults(run=run)
     return ap
+
+
+def named_command(argv: List[str]) -> Optional[str]:
+    """The subcommand argv names after nothing but --json, --no-timing and
+    --budget N, else None.  The parser takes the same one: it never
+    abbreviates a subcommand."""
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--budget":
+            next(tokens, None)
+        elif token.split("=")[0] not in ("--json", "--no-timing", "--budget"):
+            return token if token in COMMANDS else None
+    return None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(named_command(argv)).parse_args(argv)
     except SystemExit as e:
         return USAGE_EXIT if e.code not in (0,) else 0
     report = Report(["hopfsmith"] + list(argv), timing=not args.no_timing)

@@ -62,9 +62,13 @@ class Presentation:
                           compare=False)
 
     def __getstate__(self) -> dict:
-        # copies and pickles keep the freeze and leave out the derived
-        # kernel and its lock
-        return {**self.__dict__, "_kernel": None}
+        # copies and pickles keep the freeze, leave out the derived kernel
+        # and its lock, and own their tables: a shallow copy that grows
+        # must not grow the original, nor read faces the original reads
+        return {**self.__dict__, "gens": dict(self.gens),
+                "relations": list(self.relations),
+                "_faces": dict(self._faces), "_words": dict(self._words),
+                "_kernel": None}
 
     # -- construction -------------------------------------------------
 
@@ -73,6 +77,8 @@ class Presentation:
         self._check_unfrozen()
         if name in self.gens:
             raise TermError(f"duplicate generator {name!r}")
+        if d < 0:
+            raise TermError(f"generator {name!r} has negative dimension {d}")
         if d > self.max_dim:
             raise TermError(f"generator {name!r} exceeds maxDim {self.max_dim}")
         if d > MAX_DIM:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from hopfsmith.cli import BROKEN_PIPE_EXIT, main
+from hopfsmith.cli import (BROKEN_PIPE_EXIT, COMMANDS, USAGE_EXIT,
+                           build_parser, main)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -81,6 +83,47 @@ def test_determinism_of_json_reports():
 def test_usage_error_exit_64():
     code, _ = run(["no-such-command"])
     assert code == 64
+
+
+def test_a_named_command_builds_only_its_own_parser(monkeypatch):
+    """The top-level parser and the subparser of the command argv names;
+    the other subcommands' parsers are never built."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(["--json", "--no-timing", "integrals", "QZ2"])[0] == 0
+    assert built == ["hopfsmith", "hopfsmith integrals"]
+
+
+def _usage_cases():
+    """Help, usage errors before and after the subcommand, an unknown
+    subcommand and none."""
+    yield ["--help"]
+    yield ["-h", "census"]
+    yield ["no-such-command", "mnd"]
+    yield []
+    for name, (_, arguments, _) in COMMANDS.items():
+        positional = [a for a in arguments.split() if a[0] != "-"]
+        yield [name, "-h"]
+        yield ["--budget", "x", name] + positional
+        if positional:
+            yield [name] + positional[:-1]
+
+
+@pytest.mark.parametrize("argv", list(_usage_cases()),
+                         ids=lambda argv: " ".join(argv) or "no command")
+def test_usage_help_and_errors_read_as_the_full_parser(capsys, argv):
+    code = main(argv)
+    got = code, *capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        build_parser().parse_args(argv)
+    want = 0 if stop.value.code == 0 else USAGE_EXIT, *capsys.readouterr()
+    assert got == want
 
 
 def test_missing_file_exit_64():
@@ -321,6 +364,23 @@ def test_a_generator_above_the_dimension_cap_is_a_fail_line(tmp_path,
     assert json.loads(out)["checks"][-1] == {
         "name": "error", "status": "fail",
         "witness": "generator 's5' exceeds the dimension cap 4"}
+
+
+@pytest.mark.parametrize("command", [["census", "P"], ["gray", "P", "globe1"],
+                                     ["smash", "P", "x", "globe1", "s0"]])
+def test_a_generator_of_negative_dimension_is_a_fail_line(tmp_path, command):
+    """A -1-cell x would make the pair of x with a 0-cell a cell without a
+    boundary; add refuses it."""
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"maxDim": 1, "generators": [
+        {"name": "x", "dim": -1},
+        {"name": "f", "dim": 1, "src": "(gen x)", "tgt": "(gen x)"}]}))
+    argv = [str(path) if arg == "P" else arg for arg in command]
+    code, out = run(["--json", "--no-timing"] + argv)
+    assert code == 1
+    assert json.loads(out)["checks"][-1] == {
+        "name": "error", "status": "fail",
+        "witness": "generator 'x' has negative dimension -1"}
 
 
 def test_field_with_non_string_modulus_is_a_fail_line(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, strategies as st
 from hopfsmith.presentation import (Presentation, Violation,
                                     validate_presentation, validate_term)
 from hopfsmith.rewriting import EQ_DISTINCT, EQ_EQUAL, eq
-from hopfsmith.terms import Comp, Gen, Id, Inv, comp, print_term
+from hopfsmith.terms import SOURCE, Comp, Gen, Id, Inv, comp, print_term
 from hopfsmith.walking import adj, e_oriental2, mnd, oriental2
 
 
@@ -20,6 +21,23 @@ def test_duplicate_generator_rejected():
     p.add("x", 0)
     with pytest.raises(Exception):
         p.add("x", 0)
+
+
+def test_a_shallow_copy_owns_its_tables():
+    """A copy that grows leaves the original as it was, and each reads
+    the faces of its own generators."""
+    p = Presentation(max_dim=1)
+    x = p.add("x", 0)
+    f = p.add("f", 1, x, x)
+    q = copy.copy(p)
+    q.add("y", 0)
+    q.relate(1, f, f)
+    assert list(p.gens) == ["x", "f"] and p.relations == []
+    q.add("g", 1, x, x)
+    assert q.normal_face("g", SOURCE) == x
+    z = p.add("z", 0)
+    p.add("g", 1, z, z)
+    assert p.normal_face("g", SOURCE) == z
 
 
 def test_derived_tables_are_not_constructor_arguments():
