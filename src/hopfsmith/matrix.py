@@ -10,7 +10,9 @@ cheap.  The maps are private and never mutated once a matrix owns them,
 so matrices may share rows and entries.  `from_entries` builds a matrix
 from (i, j, x) triples and `entries()` reads the stored ones back, so a
 caller never touches a zero; `m[i, j]`, `row(i)` and `data` read the
-entries densely, with the field's zero filled in.
+entries densely, with the field's zero filled in.  `from_rows` and the
+dense constructor convert each distinct raw text or integer once per
+matrix: a structure tensor read from JSON repeats a few texts throughout.
 
 A map applied to one tensor slot is never built as a matrix.
 `whisker_matmul(l, r, x)` is (I_l (x) A (x) I_r) @ x: it scatters each
@@ -41,17 +43,28 @@ from .field import Field, FieldError
 
 # every all-zero row of every matrix; like all stored maps, never mutated
 _EMPTY: Dict[int, object] = {}
+_KEYED = frozenset((str, int))   # the JSON scalars
+_UNREAD = object()
 
 
-def _row_map(field: Field, entries: Sequence) -> Dict[int, object]:
+def _row_map(field: Field, entries: Sequence,
+             read: Dict[object, object]) -> Dict[int, object]:
     """The nonzero entries of a dense row, converted to field elements so
-    that equal matrices hash alike."""
+    that equal matrices hash alike.  `read` maps each str or int entry
+    met before in the matrix to its value, or None for a zero; an entry
+    of another type may equal one of another value (1+0j == 1), so it is
+    always converted."""
     is_zero = field.is_zero
     out = {}
     for j, x in enumerate(entries):
-        x = field(x)
-        if not is_zero(x):
-            out[j] = x
+        y = read.get(x, _UNREAD) if type(x) in _KEYED else _UNREAD
+        if y is _UNREAD:
+            y = field(x)
+            y = None if is_zero(y) else y
+            if type(x) in _KEYED:
+                read[x] = y
+        if y is not None:
+            out[j] = y
     return out or _EMPTY
 
 
@@ -65,8 +78,9 @@ class Matrix:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self._maps = tuple(_row_map(field, data[i * cols:(i + 1) * cols])
-                           for i in range(rows))
+        read: Dict[object, object] = {}
+        self._maps = tuple(_row_map(field, data[i * cols:(i + 1) * cols],
+                                    read) for i in range(rows))
 
     @classmethod
     def _of(cls, field: Field, rows: int, cols: int, maps) -> "Matrix":
@@ -82,11 +96,14 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
+        """From dense rows of raw entries, converted by `field`."""
         r = len(rows)
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return cls._of(field, r, c, [_row_map(field, row) for row in rows])
+        read: Dict[object, object] = {}
+        return cls._of(field, r, c,
+                       [_row_map(field, row, read) for row in rows])
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":

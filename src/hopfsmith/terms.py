@@ -42,10 +42,12 @@ boundaries agree with its input's only up to eq (see `normalize`).
 The S-expression syntax is read and written without recursion:
 `parse_term` is one left-to-right scan of the tokens with its own stack
 of open nodes, and `print_term` one walk that joins its parts once, so
-both are linear in the size of the term at any depth.  Equality,
-hashing, `dim` and `normalize` still recurse once per level of nesting,
-so a term nested about a thousand levels deep reaches Python's
-recursion limit there.
+both are linear in the size of the term at any depth.  Equality walks
+the left spine of a composite in a loop, so a left comb such as the
+word `comp` builds compares at any length; it recurses into right parts
+and under `Id` and `Inv`.  Hashing, `dim` and `normalize` still recurse
+once per level of nesting, so a term nested about a thousand levels
+deep reaches Python's recursion limit there.
 """
 
 from __future__ import annotations
@@ -141,8 +143,15 @@ class Comp(_Value):
             return True
         if other.__class__ is not Comp:
             return False if isinstance(other, _Value) else NotImplemented
-        return (self.k == other.k and self.left == other.left
-                and self.right == other.right)
+        # the left spine in a loop, so a left comb compares at any length
+        a, b = self, other
+        while a.k == b.k and a.right == b.right:
+            a, b = a.left, b.left
+            if a is b:
+                return True
+            if a.__class__ is not Comp or b.__class__ is not Comp:
+                return a == b
+        return False
 
     def __hash__(self) -> int:
         return hash((_COMP, self.k, self.left, self.right))

@@ -310,6 +310,44 @@ def test_raw_entries_hash_like_field_elements(F):
     assert raw == same and hash(raw) == hash(same)
 
 
+# raw entries with repeats and equal values spelled apart; a Fraction is not
+# a JSON scalar, and 1+0j equals 1 but is no rational
+RAW = ["0", "-0", "1/2", "2/4", 0, 1, Fraction(1, 2)]
+RAW_EXT = ["x", "-x-1"]
+BAD = ["1/0", "y", 1 + 0j]
+
+
+def entrywise(F, rows, cols):
+    """from_entries on the entries converted one at a time, row by row."""
+    return Matrix.from_entries(F, len(rows), cols,
+                               [(i, j, F(x)) for i, row in enumerate(rows)
+                                for j, x in enumerate(row)])
+
+
+@FIELDS
+@given(data=st.data())
+def test_raw_rows_read_as_entry_by_entry(F, data):
+    r, c = dims(data, low=1), dims(data)   # from_rows needs a row for c
+    pool = st.sampled_from(RAW + (RAW_EXT if F is EXT else []))
+    rows = [data.draw(st.lists(pool, min_size=c, max_size=c))
+            for _ in range(r)]
+    if c and data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, r - 1))][
+            data.draw(st.integers(0, c - 1))] = data.draw(st.sampled_from(BAD))
+    try:
+        want = entrywise(F, rows, c)
+    except Exception as e:
+        for read in (lambda: Matrix.from_rows(F, rows),
+                     lambda: build(F, r, c, rows)):
+            with pytest.raises(type(e)) as got:
+                read()
+            assert got.value.args == e.args
+        return
+    for got in (Matrix.from_rows(F, rows), build(F, r, c, rows)):
+        assert got == want and hash(got) == hash(want)
+        assert all(canonical(F, x) for _, _, x in got.entries())
+
+
 # -- sparse construction -------------------------------------------------------
 
 

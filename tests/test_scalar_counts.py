@@ -3,7 +3,9 @@
 The field instance's add, sub, mul and neg are wrapped with counters for
 the length of one block.  The shear-and-antipode checks stay at or below
 the counts measured when they stopped building Kronecker products by
-identities, and a rational fixture over an extension never folds.
+identities, a rational fixture over an extension never folds, and reading
+a fixture's bialgebra JSON over an extension parses each distinct entry
+text once per matrix.
 """
 
 from collections import Counter
@@ -12,7 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from hopfsmith import bialgebra as ba
-from hopfsmith.field import QQ, number_field_from_text
+from hopfsmith.field import QQ, NumberField, number_field_from_text
 from hopfsmith.fixtures import (FIXTURE_BUILDERS, exterior_line_super,
                                 sweedler_algebra, symmetric_group_algebra)
 
@@ -90,3 +92,26 @@ def test_rational_fixture_over_an_extension_never_folds(name):
     finally:
         del F._make
     assert folds == {} and reports and all(r.holds for r in reports)
+
+
+MATRICES = ("m", "u", "delta", "epsilon")
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+def test_json_read_parses_each_entry_text_once_per_matrix(name, monkeypatch):
+    # the reader builds its own field from the document, so the class's
+    # parse is counted; the six fixtures' 700 entries hold three texts
+    doc = ba.bialgebra_to_json(FIXTURE_BUILDERS[name](EXT))
+    parsed = Counter()
+    parse = NumberField.parse
+
+    def counted(self, text):
+        parsed[text] += 1
+        return parse(self, text)
+
+    monkeypatch.setattr(NumberField, "parse", counted)
+    B = ba.bialgebra_from_json(doc)
+    texts = [{x for row in doc[key] for x in row} for key in MATRICES]
+    assert sum(parsed.values()) <= sum(map(len, texts))
+    assert set(parsed) == set().union(*texts)
+    assert B == FIXTURE_BUILDERS[name](B.field)

@@ -9,7 +9,8 @@ the same message, on every token string; where the reference failed
 with an IndexError (a text that ends right after an opening parenthesis
 or a `gen`), it raises TermError("unexpected end of term").  The
 program's printer must write what the reference writes.  Both must
-handle terms far deeper than the recursion limit.
+handle terms far deeper than the recursion limit, and a left comb read
+back must equal the one printed.
 """
 
 import sys
@@ -204,6 +205,15 @@ def test_deep_terms_print_and_parse(name):
     t, text = DEEP[name]()
     assert print_term(t) == text
     assert print_term(parse_term(text)) == text
+
+
+def test_a_left_comb_read_back_equals_the_printed_one():
+    """Equality walks the left spine in a loop, so a word read back
+    compares with the one printed at any length; a different first
+    letter is found at the bottom of the spine."""
+    t, text = _left_comb()
+    assert parse_term(text) == t
+    assert parse_term(text.replace("(gen f)", "(gen g)", 1)) != t
 
 
 def test_deep_boundaries_round_trip_through_the_pinned_json():
