@@ -71,6 +71,9 @@ def evaluate_diagram(t: CellTerm, B: Bialgebra) -> Matrix:
     p = _which_presentation(t)
     t = p.normalize(t, push_inv=False)
     d = p.dim(t)
+    if d == 4 and isinstance(t, Id):
+        # both sides as written: the walk would push an Inv to the leaves
+        return _eval3(t.inner, B, p)
     if d == 4:
         src = evaluate_diagram(p.boundary(t, "source", 3), B)
         tgt = evaluate_diagram(p.boundary(t, "target", 3), B)
@@ -131,14 +134,15 @@ def _is_wire_tower(t: CellTerm, p: Presentation) -> bool:
 def _junction(a2: CellTerm, b2: CellTerm, B: Bialgebra,
               p: Presentation) -> Matrix:
     """The matrix realizing the interchange slides that align the target
-    layers of one move with the source layers of the next: both are
+    layers of one move with the source layers of the next, normal 2-cells
+    as Presentation.boundary gives them: both are
     packed over one atom table, interchange.align gives the swaps, and
     each swap of two crossings applies the bialgebra's braiding to their
     tensor slots."""
     F, n = B.field, B.n
     tab = interchange.AtomTable()
-    a = stack_of(p.normalize(a2), p, tab)[1]
-    b = stack_of(p.normalize(b2), p, tab)[1]
+    a = stack_of(a2, p, tab)[1]
+    b = stack_of(b2, p, tab)[1]
     crossing = [name == CROSSING for name, _ in tab.keys]
     total = sum(crossing[x] for x in a[1::2])
     out = Matrix.identity(F, n ** total)

@@ -128,6 +128,8 @@ class RationalField:
 QQ = RationalField()
 
 _ZERO = 0
+# the generator of every extension field: the JSON format names none
+VAR = "x"
 
 
 def _poly_trim(cs: List[Fraction]) -> Tuple[Fraction, ...]:
@@ -191,7 +193,7 @@ class NumberField:
     zero = 0
     one = 1
 
-    def __init__(self, modulus: Sequence[Rational], var: str = "x"):
+    def __init__(self, modulus: Sequence[Rational]):
         mod = [QQ(c) for c in modulus]
         if len(mod) < 2:
             raise FieldError("modulus must have degree >= 1")
@@ -200,8 +202,7 @@ class NumberField:
         self._rational_root_screen(mod)
         self.modulus = tuple(mod)
         self.degree = d = len(mod) - 1
-        self.var = var
-        self.name = f"Q[{var}]/({self.show_poly(self.modulus)})"
+        self.name = f"Q[{VAR}]/({self.show_poly(self.modulus)})"
         # x^d = -(c0 + c1 x + ... + c_{d-1} x^{d-1}): (i, -c_i) for c_i != 0
         self._fold = tuple((i, -c) for i, c in enumerate(mod[:-1]) if c)
         # the higher coefficients of a rational
@@ -379,7 +380,7 @@ class NumberField:
     def parse(self, text: str):
         """Polynomial expressions in the generator: '1/2*x^2 - x + 3'."""
         coeffs = [_ZERO] * self.degree
-        for power, coeff in _parse_poly(text, self.var).items():
+        for power, coeff in _parse_poly(text).items():
             if power >= self.degree:
                 raise FieldError(f"exponent too large in {text!r}")
             coeffs[power] = coeff
@@ -393,9 +394,9 @@ class NumberField:
             if i == 0:
                 terms.append(str(c))
             elif i == 1:
-                terms.append(f"{c}*{self.var}" if c != 1 else self.var)
+                terms.append(f"{c}*{VAR}" if c != 1 else VAR)
             else:
-                terms.append(f"{c}*{self.var}^{i}" if c != 1 else f"{self.var}^{i}")
+                terms.append(f"{c}*{VAR}^{i}" if c != 1 else f"{VAR}^{i}")
         return " + ".join(terms) if terms else "0"
 
     def show(self, a) -> str:
@@ -416,21 +417,21 @@ def field_from_json(data) -> Field:
     raise FieldError(f"unknown field description {data!r}")
 
 
-def number_field_from_text(text: str, var: str = "x") -> NumberField:
+def number_field_from_text(text: str) -> NumberField:
     """Parse a monic modulus like 'x^2+x+1'."""
-    coeffs = _parse_poly(text, var)
+    coeffs = _parse_poly(text)
     mod = [coeffs.get(i, _ZERO) for i in range(max(coeffs) + 1)]
-    return NumberField(mod, var)
+    return NumberField(mod)
 
 
-def _parse_poly(text: str, var: str) -> Dict[int, Rational]:
+def _parse_poly(text: str) -> Dict[int, Rational]:
     """Power -> coefficient of a polynomial written like '1/2*x^2 - x + 3';
     repeated powers add up."""
     coeffs: Dict[int, Rational] = {}
     text = text.replace("-", "+-").replace(" ", "")
     for part in filter(None, text.split("+")):
-        if var in part:
-            head, _, tail = part.partition(var)
+        if VAR in part:
+            head, _, tail = part.partition(VAR)
             power = int(tail[1:]) if tail.startswith("^") else 1
             if head in ("", "-"):
                 head += "1"

@@ -43,9 +43,9 @@ def split_pair(name: str) -> Tuple[str, str]:
 
 def _ends(p: Presentation, t: CellTerm) -> Tuple[str, str]:
     """The names of the source and target objects of a term of p."""
-    s = p.normalize(p.boundary(t, "source", 0))
-    g = p.normalize(p.boundary(t, "target", 0))
+    s, g = p.boundary(t, "source", 0), p.boundary(t, "target", 0)
     if not (isinstance(s, Gen) and isinstance(g, Gen)):
+        # a normal 0-cell is an object or the formal inverse of one
         raise TermError("0-boundary is not an object")
     return s.name, g.name
 
@@ -72,7 +72,8 @@ class _Order:
         return Comp(1, s, t) if self.wire_first else Comp(1, t, s)
 
     def faces(self, t: CellTerm) -> Tuple[CellTerm, CellTerm]:
-        """Source and target of a bead-side 2-cell, exchanged bead first."""
+        """Normal source and target of a bead-side 2-cell, exchanged bead
+        first."""
         s, g = self.B.src(t), self.B.tgt(t)
         return (s, g) if self.wire_first else (g, s)
 
@@ -125,8 +126,9 @@ class TensorTerms:
         keep their shape, but every level-1 composite runs backwards and a
         2-bead's source and target are exchanged (`_Order`).  The first
         factor's composite splits first, so a composite 1-bead is split as
-        the wire of the other order.  Parts of normal terms are normal; the
-        faces and splits built here are normalized before the recursion."""
+        the wire of the other order.  Parts of normal terms and the faces
+        the presentations give are normal; the splits built here are
+        normalized before the recursion."""
         if isinstance(wire, Gen) and isinstance(bead, Gen):
             return Gen(pair_name(wire.name, bead.name) if wire_first
                        else pair_name(bead.name, wire.name))
@@ -151,7 +153,7 @@ class TensorTerms:
             t_leg = Comp(0, idn(o.at(s, p), k), pull(t, bead))
             if k == 1:
                 return o.then(s_leg, t_leg)
-            lo, hi = (o.B.normalize(f) for f in o.faces(bead))
+            lo, hi = o.faces(bead)
             return Comp(2,
                         o.then(s_leg, Id(Comp(0, Id(o.at(s, p)),
                                               pull(t, hi, 1)))),

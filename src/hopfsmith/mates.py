@@ -131,8 +131,8 @@ class RetractRecord:
     unit3: CellTerm            # 3-cell  id -> (Q' then R) for R = retraction_r
 
     def basepoint_id(self) -> CellTerm:
-        return self.presentation.normalize(
-            Id(self.presentation.boundary(self.f, "source", 0)))
+        # the identity on a normal cell is normal
+        return Id(self.presentation.boundary(self.f, "source", 0))
 
 
 def walking_retract() -> RetractRecord:

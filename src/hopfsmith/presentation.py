@@ -12,13 +12,17 @@ record per generator and per relation, byte for byte as json.dumps(...,
 indent=1, sort_keys=True) writes the same record; the tests check it
 against that call.
 
-A presentation's `gens` is the generator table that `dim`, `boundary`
-and `normalize` in `terms` read.  It is built by `add` and `relate` and
-freezes at its first query: reading one of its derived tables (the
+A presentation's `gens` is the generator table that `dim`, `normalize`
+and `top_boundary` in `terms` read.  It is built by `add` and `relate`
+and freezes at its first query: reading one of its derived tables (the
 normal faces, the boundary words or the interchange kernel), which every
-search and every boundary certificate does, makes any later `add` or
-`relate` raise TermError, so no table is ever stale.  `PresMorphism` maps
-the terms of one presentation to another, generator by generator.
+search, every boundary certificate and every boundary query that reads
+a generator's face does, makes any later `add` or `relate` raise
+TermError, so no table is ever stale.
+`boundary`, `src` and `tgt` iterate the one boundary walk,
+`terms.top_boundary`, over the normal face table, so every boundary they
+give is normal.  `PresMorphism` maps the terms of one presentation to
+another, generator by generator.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from . import jsonshape as shape
 from .interchange import AtomTable
 from .rewriting import EQ_DISTINCT, EQ_EQUAL, composable, parallel, word_of
 from .terms import (MAX_DIM, CellTerm, Gen, Generator, Id, Inv, SOURCE,
-                    TARGET, TermError, boundary, dim, generators,
-                    illegal_inverses, normal_dim, normalize, parse_term,
-                    print_term, substitute, top_boundary)
+                    TARGET, TermError, dim, generators, illegal_inverses,
+                    normal_dim, normalize, parse_term, print_term,
+                    substitute, top_boundary)
 
 
 @dataclass(frozen=True)
@@ -138,11 +142,17 @@ class Presentation:
         try:
             return self._words[name]
         except KeyError:
-            faces = [self.normal_face(name, side) for side in (SOURCE, TARGET)]
-            if faces[0] is None or faces[1] is None:
-                raise TermError(f"a face of {name!r} is ill-formed")
+            faces = [self._face(name, side) for side in (SOURCE, TARGET)]
             pair = self._words[name] = tuple(word_of(f, self) for f in faces)
             return pair
+
+    def _face(self, name: str, side: str) -> CellTerm:
+        """normal_face, with TermError naming the generator when its face
+        is ill-formed."""
+        face = self.normal_face(name, side)
+        if face is None:
+            raise TermError(f"a face of {name!r} is ill-formed")
+        return face
 
     def gens_of_dim(self, d: int) -> List[Generator]:
         return [g for g in self.gens.values() if g.dim == d]
@@ -156,13 +166,24 @@ class Presentation:
         return dim(t, self.gens)
 
     def boundary(self, t: CellTerm, side: str, k: int) -> CellTerm:
-        return boundary(t, side, k, self.gens)
+        """The k-dimensional source or target of t, for 0 <= k < dim(t),
+        normal: the boundary walk, once per level from dim(t) down to
+        k + 1, over the normal face table, whose first read freezes the
+        presentation.  TermError when t is ill-formed, k is out of range,
+        or a face the boundary needs is missing or ill-formed."""
+        d = dim(t, self.gens)
+        if not 0 <= k < d:
+            raise TermError(
+                f"boundary level {k} out of range for dimension {d}")
+        for level in range(d, k, -1):
+            t = top_boundary(t, side, level, self.gens, self._face)
+        return t
 
     def src(self, t: CellTerm) -> CellTerm:
-        return top_boundary(t, SOURCE, self.gens)
+        return top_boundary(t, SOURCE, dim(t, self.gens), self.gens, self._face)
 
     def tgt(self, t: CellTerm) -> CellTerm:
-        return top_boundary(t, TARGET, self.gens)
+        return top_boundary(t, TARGET, dim(t, self.gens), self.gens, self._face)
 
     def normalize(self, t: CellTerm, push_inv: bool = True) -> CellTerm:
         return normalize(t, self.gens, push_inv)
@@ -228,8 +249,13 @@ class PresMorphism:
     assignment: Dict[str, CellTerm]
 
     def push(self, t: CellTerm) -> CellTerm:
-        return self.codomain.normalize(
-            substitute(t, self.assignment.__getitem__))
+        """The normal image of t.  TermError when t names a generator
+        outside the assignment."""
+        try:
+            image = substitute(t, self.assignment.__getitem__)
+        except KeyError as e:
+            raise TermError(f"unknown generator {e.args[0]!r}") from None
+        return self.codomain.normalize(image)
 
 
 _STR = json.encoder.encode_basestring_ascii

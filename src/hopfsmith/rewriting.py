@@ -36,24 +36,32 @@ The readers word_of and stack_of take normal terms and normalize
 nothing, and hold that contract by construction: on any term they read
 what they read on its normal form or raise TermError, since they refuse
 each shape no normal form has, so a raw term passed by mistake never
-becomes a wrong word or stack.  Callers with raw terms (relations,
-generator faces, evaluation junctions) normalize once first.
+becomes a wrong word or stack.  Callers with raw terms (relations and
+generator faces) normalize once first; a boundary is never raw.
 
-Every comparison starts with the boundary certificate, `parallel`: the
-k-sources and k-targets of both sides are built once each, already
-normal, and compared from level 0 upward, each level by its own
-decision alone.  A level's boundary is built from the level above by
-`terms.normal_top_boundary`, which composes the presentation's normal
-generator faces (`Presentation.normal_face`, each normalized once per
-presentation) with the composite's normal form; it is never taken raw
-and then normalized whole.  A generator without a boundary raises
-TermError out of the certificate; a face that cannot be normalized to
-the dimension below its generator's makes its level Unknown.  Each
-pair starts from the budget left when the certificate began, so running
-out on one pair never hides a difference at another.  Validation passes
-`parallel` the dimension it has already taken, for a generator's source
-and target and a relation's sides, and names the lowest level that
-differs.
+Every boundary is taken by the one walk, `terms.top_boundary`, which
+composes the presentation's normal generator faces
+(`Presentation.normal_face`, each normalized once per presentation) with
+the normal forms of identities' inner cells, so it is built normal and
+never taken raw and then normalized whole.  Every comparison starts with
+the boundary certificate, `parallel`: the k-sources and k-targets of
+both sides are built once each, by the walk from the level above, and
+compared from level 0 upward, each level by its own decision alone.  A
+generator without a boundary raises TermError out of the certificate; a
+face that cannot be normalized to the dimension below its generator's
+makes its level Unknown.  Each pair starts from the budget left when the
+certificate began, so running out on one pair never hides a difference
+at another.  Validation passes `parallel` the dimension it has already
+taken, for a generator's source and target and a relation's sides, and
+names the lowest level that differs.  `boundaries_eq` reads a boundary
+of each of two cells from `Presentation.boundary`, the same walk
+iterated, and compares the two normal sides with no second
+normalization; `composable` is boundaries_eq on the target of one cell
+and the source of the next.
+
+Every stratum reads its rules from `_oriented`: an oriented relation
+whose sides do not both normalize to cells of its stated dimension is
+left out, as a rule, in every dimension.
 
 Verdicts are Equal / Distinct / Unknown.  Both sides are normalized
 first; a side that is ill-formed, or that has a formal inverse of a
@@ -70,12 +78,13 @@ from __future__ import annotations
 
 import os
 from typing import (TYPE_CHECKING, AbstractSet, Callable, Container, Dict,
-                    Iterable, List, Optional, Sequence, Tuple, TypeVar)
+                    Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    TypeVar)
 
 from . import interchange
 from .terms import (CellTerm, Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
-                    boundary, dim, flatten, illegal_inverses, normal_dim,
-                    normal_top_boundary, print_term)
+                    dim, flatten, illegal_inverses, normal_dim, print_term,
+                    top_boundary)
 
 if TYPE_CHECKING:  # presentation imports this module
     from .presentation import Presentation
@@ -152,8 +161,23 @@ def _cancel_word(w: Tuple[Letter, ...]) -> Tuple[Letter, ...]:
 
 
 def _word_rules(p: Presentation):
-    return [(word_of(p.normalize(r.lhs), p), word_of(p.normalize(r.rhs), p))
-            for r in p.relations if r.dim == 1 and r.oriented]
+    return [(word_of(lhs, p), word_of(rhs, p)) for lhs, rhs in _oriented(p, 1)]
+
+
+def _oriented(p: Presentation, d: int) -> Iterator[Tuple[CellTerm, CellTerm]]:
+    """The normal sides of the oriented d-relations whose sides both
+    normalize to d-cells.  Every stratum reads its rules from here, so a
+    relation that is ill-formed or of another dimension than it states is
+    left out alike in every dimension."""
+    for r in p.relations:
+        if r.dim != d or not r.oriented:
+            continue
+        try:
+            lhs, rhs = normal_dim(r.lhs, p.gens), normal_dim(r.rhs, p.gens)
+        except TermError:
+            continue
+        if lhs[1] == rhs[1] == d:
+            yield lhs[0], rhs[0]
 
 
 def _join(u: Tuple[Letter, ...], v: Tuple[Letter, ...]) -> Tuple[Letter, ...]:
@@ -247,18 +271,16 @@ canonical_stack = interchange.canonical
 
 def _packed_rules(p: Presentation,
                   table: interchange.AtomTable) -> List[interchange.Rule]:
-    """The oriented 2-relations whose sides both normalize and decompose,
-    as rules over table."""
+    """The oriented 2-relations whose sides both normalize to 2-cells and
+    decompose, as rules over table."""
     rules = []
-    for r in p.relations:
-        if r.dim != 2 or not r.oriented:
-            continue
+    for lhs, rhs in _oriented(p, 2):
         try:
-            src, lhs = stack_of(p.normalize(r.lhs), p, table)
-            rhs = stack_of(p.normalize(r.rhs), p, table)[1]
+            src, before = stack_of(lhs, p, table)
+            after = stack_of(rhs, p, table)[1]
         except TermError:
             continue
-        rules.append((src, lhs, rhs))
+        rules.append((src, before, after))
     return rules
 
 
@@ -382,8 +404,8 @@ def _certificate(a: CellTerm, b: CellTerm, d: int, p: Presentation,
     for side in (SOURCE, TARGET):
         x, y = a, b
         for k in range(d - 1, -1, -1):
-            x = normal_top_boundary(x, side, k + 1, gens, face)
-            y = normal_top_boundary(y, side, k + 1, gens, face)
+            x = top_boundary(x, side, k + 1, gens, face)
+            y = top_boundary(y, side, k + 1, gens, face)
             if x is None or y is None:
                 levels[k].append(None)  # Unknown, and nothing below it
                 break
@@ -444,9 +466,7 @@ def _eq_high(a: CellTerm, b: CellTerm, d: int, p: Presentation,
     meet when they are equal move by move as normalized terms.  Never
     returns Distinct: chains that never meet may still be equal by an
     interchange of moves the chains do not model (sound, incomplete)."""
-    rules = [tuple(_moves(*normal_dim(side, p.gens))
-                   for side in (r.lhs, r.rhs))
-             for r in p.relations if r.dim == d and r.oriented]
+    rules = [(_moves(lhs, d), _moves(rhs, d)) for lhs, rhs in _oriented(p, d)]
     step = lambda c: _chain_successors(c, rules, p, budget)
     chain_b = _moves(b, d)
     met = _meet(_moves(a, d), chain_b, step, budget, {chain_b})
@@ -489,17 +509,24 @@ class CompositionError(TermError):
         self.right_boundary = right_boundary
 
 
+def boundaries_eq(a: CellTerm, a_side: str, b: CellTerm, b_side: str,
+                  k: int, p: Presentation, budget: Optional[int] = None
+                  ) -> Tuple[Verdict, CellTerm, CellTerm]:
+    """eq on the k-dimensional a_side of a and b_side of b, with both, for
+    a report.  The boundaries come from Presentation.boundary already
+    normal, so eq's own normalization is skipped.  Raises TermError when a
+    boundary cannot be taken."""
+    x, y = p.boundary(a, a_side, k), p.boundary(b, b_side, k)
+    steps = default_budget() if budget is None else budget
+    return _eq(x, k, y, k, p, Budget(steps), certify=True), x, y
+
+
 def composable(k: int, a: CellTerm, b: CellTerm, p: Presentation,
                budget: Optional[int] = None
                ) -> Tuple[Verdict, CellTerm, CellTerm]:
-    """eq on the k-target of a and the k-source of b, which a-then-b
-    shares, with both, normalized for a report when they are not Equal.
-    Raises TermError when a boundary cannot be taken."""
-    lt, rs = boundary(a, TARGET, k, p.gens), boundary(b, SOURCE, k, p.gens)
-    v = eq(lt, rs, p, budget)
-    if v is not EQ_EQUAL:
-        lt, rs = p.normalize(lt), p.normalize(rs)
-    return v, lt, rs
+    """boundaries_eq on the k-target of a and the k-source of b, which
+    a-then-b shares."""
+    return boundaries_eq(a, TARGET, b, SOURCE, k, p, budget)
 
 
 def compose(k: int, a: CellTerm, b: CellTerm, p: Presentation,

@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Tuple
 from .gray import (GrayMorphism, TensorTerms, collapse, gray, pair_name,
                    split_pair)
 from .presentation import PresMorphism, Presentation
-from .rewriting import EQ_DISTINCT, EQ_EQUAL, composable, eq, parallel
+from .rewriting import (EQ_DISTINCT, EQ_EQUAL, boundaries_eq, composable,
+                        parallel)
 from .terms import CellTerm, Comp, Gen, Id, Inv, comp, generators
 from .walking import e_oriental2, mnd, oriental2
 
@@ -266,8 +267,8 @@ def proof_skeleton_check(budget: Optional[int] = None,
 
     # (ii) total 2-boundary against the (whiskered) shear image
     whiskered_image = eg.normalize(Comp(1, Id(beta_layer), image))
-    ends = [eq(eg.boundary(s.term, side, 2),
-               eg.boundary(whiskered_image, side, 2), eg, budget) is EQ_EQUAL
+    ends = [boundaries_eq(s.term, side, whiskered_image, side, 2, eg,
+                          budget)[0] is EQ_EQUAL
             for s, side in ((steps[0], "source"), (steps[-1], "target"))]
     boundary_match = all(ends) and chain_ok
     if not all(ends):

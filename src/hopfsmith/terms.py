@@ -10,27 +10,29 @@ A term is one of
     Inv(t)              -- formal inverse; only legal when every generator
                            occurring in t is marked invertible
 
-Terms are immutable and hashable.  Each node class, and `Generator`,
-keeps its fields in `__slots__` that its `__init__` writes through the
-slot descriptors; any later write or delete raises AttributeError, the
-base class of the FrozenInstanceError a frozen dataclass raises.  They
-are not frozen dataclasses because those write every field through
+Terms are immutable and hashable.  Each node class keeps its fields in
+`__slots__` that its `__init__` writes through the slot descriptors; any
+later write or delete raises AttributeError, the base class of the
+FrozenInstanceError a frozen dataclass raises.  The nodes are not frozen
+dataclasses because those write every field through
 `object.__setattr__`, which made a node about 1.7 times as costly to
 build (`Comp(0, a, b)`: 0.67 against 0.39 us, Python 3.11.7), and term
 construction dominates the rewriting engine.  Equality checks identity,
 then the class, then each field; a hash mixes a fixed tag per class with
 the fields, so it repeats across processes under one PYTHONHASHSEED.
+`Generator`, built once per generator of a presentation, is a frozen
+dataclass.
 
-All structural operations here
-(`dim`, `boundary`, `normalize`) are pure functions of the term and a
-generator table, the mapping name -> `Generator` that a presentation
-keeps as `gens`, and each visits every node of its input once:
-`normalize` computes dimensions bottom-up in the same pass (`normal_dim`
-returns both), and `top_boundary`/`boundary` compute `dim` once at the
-top and pass it down, so all three are linear in the size of the term.
-`normal_top_boundary` builds the normal form of a top boundary directly,
-from normal generator faces that its caller gives; a presentation keeps
-one table of them.
+All structural operations here (`dim`, `normalize`, `top_boundary`) are
+pure functions of the term and a generator table, the mapping name ->
+`Generator` that a presentation keeps as `gens`, and each visits every
+node of its input once, so all three are linear in the size of the
+term.  `normalize` computes dimensions bottom-up in the same pass
+(`normal_dim` returns both).  `top_boundary` is the one boundary walk:
+it builds the normal form of a top boundary directly, from the normal
+generator faces its caller gives (a presentation keeps one table of
+them, and `Presentation.boundary` iterates the walk over it), so every
+boundary the program takes is normal.
 
 `normalize` raises TermError exactly where `dim` does, with the same
 message, so a normal form is always well-formed.  Normal forms are closed
@@ -45,13 +47,14 @@ of open nodes, and `print_term` one walk that joins its parts once, so
 both are linear in the size of the term at any depth.  Equality walks
 the left spine of a composite in a loop, so a left comb such as the
 word `comp` builds compares at any length; it recurses into right parts
-and under `Id` and `Inv`.  Hashing, `dim` and `normalize` still recurse
-once per level of nesting, so a term nested about a thousand levels
-deep reaches Python's recursion limit there.
+and under `Id` and `Inv`.  Hashing, `dim`, `normalize` and
+`top_boundary` still recurse once per level of nesting, so a term nested
+about a thousand levels deep reaches Python's recursion limit there.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import (Callable, Iterator, List, Mapping, Optional, Tuple,
                     Union)
 
@@ -81,7 +84,7 @@ class _Value:
 
 
 # the per-class hash tags: ints, whose hashes no seed changes
-_GEN, _ID, _COMP, _INV, _GENERATOR = range(5)
+_GEN, _ID, _COMP, _INV = range(4)
 
 
 class Gen(_Value):
@@ -189,36 +192,13 @@ class Inv(_Value):
 CellTerm = Union[Gen, Id, Comp, Inv]
 
 
-class Generator(_Value):
-    __slots__ = ("name", "dim", "src", "tgt", "invertible")
-
-    def __init__(self, name: str, dim: int, src: Optional[CellTerm],
-                 tgt: Optional[CellTerm], invertible: bool = False):
-        fields = name, dim, src, tgt, invertible
-        for set_field, value in zip(_SET_GENERATOR, fields):
-            set_field(self, value)
-
-    def _fields(self) -> tuple:
-        # src and tgt are None exactly in dimension 0
-        return self.name, self.dim, self.src, self.tgt, self.invertible
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not Generator:
-            return False if isinstance(other, _Value) else NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash((_GENERATOR,) + self._fields())
-
-    def __reduce__(self):
-        return Generator, self._fields()
-
-    def __repr__(self) -> str:
-        return (f"Generator(name={self.name!r}, dim={self.dim!r}, "
-                f"src={self.src!r}, tgt={self.tgt!r}, "
-                f"invertible={self.invertible!r})")
+@dataclass(frozen=True)
+class Generator:
+    name: str
+    dim: int
+    src: Optional[CellTerm]  # src and tgt are None exactly in dimension 0
+    tgt: Optional[CellTerm]
+    invertible: bool = False
 
 
 # the slot descriptors' setters, bound once: the one way a field is written
@@ -228,8 +208,6 @@ _set_k = Comp.k.__set__
 _set_left = Comp.left.__set__
 _set_right = Comp.right.__set__
 _set_inv_inner = Inv.inner.__set__
-_SET_GENERATOR = tuple(getattr(Generator, f).__set__
-                       for f in Generator.__slots__)
 
 
 Gens = Mapping[str, Generator]
@@ -323,45 +301,6 @@ def _comp_dim(k: int, dl: int, dr: int) -> int:
     return dl
 
 
-def top_boundary(t: CellTerm, side: str, gens: Gens,
-                 d: Optional[int] = None) -> CellTerm:
-    """The (dim-1)-dimensional source or target of t.  A caller that
-    already knows dim(t) passes it as d; otherwise it is computed once
-    here, which also checks that t is well-formed throughout."""
-    if d is None:
-        d = dim(t, gens)
-    if isinstance(t, Gen):
-        g = gens[t.name]
-        b = g.src if side == SOURCE else g.tgt
-        if b is None:
-            raise TermError(f"generator {t.name!r} has no boundary")
-        return b
-    if isinstance(t, Id):
-        return t.inner
-    if isinstance(t, Inv):
-        return top_boundary(t.inner, TARGET if side == SOURCE else SOURCE,
-                            gens, d)
-    if t.k == d - 1:
-        part = t.left if side == SOURCE else t.right
-        return top_boundary(part, side, gens, d)
-    # composition at a deeper level: boundaries compose at the same level
-    return Comp(t.k, top_boundary(t.left, side, gens, d),
-                top_boundary(t.right, side, gens, d))
-
-
-def boundary(t: CellTerm, side: str, k: int, gens: Gens) -> CellTerm:
-    """The k-dimensional source or target of t, for 0 <= k < dim(t)."""
-    d = dim(t, gens)
-    if not 0 <= k < d:
-        raise TermError(f"boundary level {k} out of range for dimension {d}")
-    out = top_boundary(t, side, gens, d)
-    # deeper levels read generator boundaries from gens, so each is
-    # checked by top_boundary's own dim
-    for _ in range(d - 1 - k):
-        out = top_boundary(out, side, gens)
-    return out
-
-
 def identity_core(t: CellTerm) -> Tuple[CellTerm, int]:
     """Strip Id wrappers, returning (core, number of wrappers)."""
     n = 0
@@ -382,34 +321,33 @@ def normalize(t: CellTerm, gens: Gens, push_inv: bool = True) -> CellTerm:
     The result has the same dimension as the input.  Its boundaries
     agree with the input's only up to eq: unit absorption drops an
     identity factor whose cell is its neighbour's boundary only up to eq,
-    so normalize(top_boundary(normalize(t))) and
-    normalize(top_boundary(t)) can differ as syntax.  An ill-formed input
-    raises the TermError that dim(t) raises.
+    so the top boundary of normalize(t) and that of t can differ as
+    syntax.  An ill-formed input raises the TermError that dim(t) raises.
     Semantic evaluation passes push_inv=False to keep formal inverses
     at the level of whole composites.
     """
-    return _normal(t, gens, push_inv)[0]
+    return normal_dim(t, gens, push_inv)[0]
 
 
-def _normal(t: CellTerm, gens: Gens,
-            push_inv: bool) -> Tuple[CellTerm, int]:
-    """(normal form of t, dim(t)), bottom-up in one pass.  When its
-    parts come back unchanged and none is an identity, t itself is
-    returned rather than rebuilt."""
+def normal_dim(t: CellTerm, gens: Gens,
+               push_inv: bool = True) -> Tuple[CellTerm, int]:
+    """(normalize(t, gens, push_inv), dim(t, gens)), bottom-up in one
+    pass.  When its parts come back unchanged and none is an identity, t
+    itself is returned rather than rebuilt."""
     if isinstance(t, Gen):
         return t, dim(t, gens)
     if isinstance(t, Id):
-        inner, d = _normal(t.inner, gens, push_inv)
+        inner, d = normal_dim(t.inner, gens, push_inv)
         return (t if inner is t.inner else Id(inner)), d + 1
     if isinstance(t, Inv):
-        inner, d = _normal(t.inner, gens, push_inv)
+        inner, d = normal_dim(t.inner, gens, push_inv)
         if push_inv:
             return _push_inv(inner, d), d
         if isinstance(inner, Inv):
             return inner.inner, d
         return (t if inner is t.inner else Inv(inner)), d
-    left, dl = _normal(t.left, gens, push_inv)
-    right, dr = _normal(t.right, gens, push_inv)
+    left, dl = normal_dim(t.left, gens, push_inv)
+    right, dr = normal_dim(t.right, gens, push_inv)
     d = _comp_dim(t.k, dl, dr)
     if isinstance(left, Id) or isinstance(right, Id):
         return _comp_normal(t.k, left, right, d), d
@@ -433,34 +371,29 @@ def _comp_normal(k: int, left: CellTerm, right: CellTerm,
     return Comp(k, left, right)
 
 
-def normal_dim(t: CellTerm, gens: Gens) -> Tuple[CellTerm, int]:
-    """(normalize(t, gens), dim(t, gens)), in one pass."""
-    return _normal(t, gens, True)
-
-
-def normal_top_boundary(t: CellTerm, side: str, d: int, gens: Gens,
-                        face: Callable[[str, str], Optional[CellTerm]]
-                        ) -> Optional[CellTerm]:
-    """normalize(top_boundary(t, side)) for a well-formed t of dimension
-    d, built already normal: the normal generator faces face(name, side)
-    gives, and the inner cells of identities, composed with _comp_normal.
-    t need not be normal, so a side is read as it is written.  None when
-    a face it needs is None.  Every face the boundary needs is read first,
-    so a generator without a boundary raises face's TermError wherever it
-    sits."""
+def top_boundary(t: CellTerm, side: str, d: int, gens: Gens,
+                 face: Callable[[str, str], Optional[CellTerm]]
+                 ) -> Optional[CellTerm]:
+    """The (d-1)-dimensional source or target of a well-formed t of
+    dimension d, built already normal: from the normal generator faces
+    face(name, side) gives and the normal forms of the inner cells of
+    identities, composed with _comp_normal.  t need not be normal, so a
+    side is read as it is written.  None when a face it needs is None.
+    Every face the boundary needs is read first, so a generator without a
+    boundary raises face's TermError wherever it sits."""
     cls = t.__class__
     if cls is Gen:
         return face(t.name, side)
     if cls is Id:
-        return _normal(t.inner, gens, True)[0]
+        return normal_dim(t.inner, gens)[0]
     if cls is Inv:
-        return normal_top_boundary(t.inner, TARGET if side == SOURCE
-                                   else SOURCE, d, gens, face)
+        return top_boundary(t.inner, TARGET if side == SOURCE else SOURCE,
+                            d, gens, face)
     if t.k == d - 1:
-        return normal_top_boundary(t.left if side == SOURCE else t.right,
-                                   side, d, gens, face)
-    left = normal_top_boundary(t.left, side, d, gens, face)
-    right = normal_top_boundary(t.right, side, d, gens, face)
+        return top_boundary(t.left if side == SOURCE else t.right, side, d,
+                            gens, face)
+    left = top_boundary(t.left, side, d, gens, face)
+    right = top_boundary(t.right, side, d, gens, face)
     if left is None or right is None:
         return None
     # both parts have dimension d - 1, so the composite is well-formed

@@ -71,10 +71,14 @@ def boundary_globe(n: int) -> Presentation:
     return p
 
 
-def suspend(p: Presentation, prefix: str = "S.") -> Presentation:
+# the prefix of a suspended generator's name
+SUSPENDED = "S."
+
+
+def suspend(p: Presentation) -> Presentation:
     """Categorical suspension of a presentation: two fresh objects 0 and 1,
-    every k-generator shifted to a (k+1)-generator between them, relations
-    shifted along."""
+    every k-generator shifted to a (k+1)-generator between them and named
+    with SUSPENDED before its name, relations shifted along."""
     if p.max_dim >= MAX_DIM:
         raise ValueError(f"suspension would exceed the dimension cap {MAX_DIM}")
     out = Presentation(max_dim=p.max_dim + 1)
@@ -82,12 +86,12 @@ def suspend(p: Presentation, prefix: str = "S.") -> Presentation:
     hi = out.add("1", 0)
 
     def rename(name):
-        return Gen(prefix + name)
+        return Gen(SUSPENDED + name)
 
     for g in p.gens.values():
         src = substitute(g.src, rename, 1) if g.dim > 0 else lo
         tgt = substitute(g.tgt, rename, 1) if g.dim > 0 else hi
-        out.add(prefix + g.name, g.dim + 1, src, tgt, g.invertible)
+        out.add(SUSPENDED + g.name, g.dim + 1, src, tgt, g.invertible)
     for r in p.relations:
         out.relate(r.dim + 1, substitute(r.lhs, rename, 1),
                    substitute(r.rhs, rename, 1), r.oriented)

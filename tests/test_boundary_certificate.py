@@ -23,8 +23,9 @@ from hopfsmith.rewriting import (Budget, EQ_DISTINCT, EQ_EQUAL, EQ_UNKNOWN,
                                  _rewrites, _word_rules, default_budget,
                                  eq, parallel, word_of)
 from hopfsmith.terms import (Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
-                             boundary, illegal_inverses, top_boundary)
+                             illegal_inverses)
 from hopfsmith.walking import adj, mnd
+from test_terms_reference import ref_boundary, ref_top_boundary
 
 # ---------------------------------------------------------------------------
 # reference code
@@ -43,7 +44,7 @@ def ref_eq(a, b, p, budget):
     d = p.dim(a)
     if p.dim(b) != d or d == 0:
         return EQ_DISTINCT
-    v = ref_parallel(a, b, d, p, budget)
+    v = ref_parallel(a, b, p, budget)
     if v is not EQ_EQUAL:
         return v
     if d == 1:
@@ -56,13 +57,13 @@ def ref_eq(a, b, p, budget):
     return _eq_high(a, b, d, p, budget)
 
 
-def ref_parallel(a, b, d, p, budget):
+def ref_parallel(a, b, p, budget):
     verdict = EQ_EQUAL
     spent = 0
     for side in (SOURCE, TARGET):
         own = Budget(budget.left)
-        v = ref_eq(top_boundary(a, side, p.gens, d),
-                   top_boundary(b, side, p.gens, d), p, own)
+        v = ref_eq(ref_top_boundary(a, side, p.gens),
+                   ref_top_boundary(b, side, p.gens), p, own)
         spent += budget.left - own.left
         if v is EQ_DISTINCT:
             verdict = EQ_DISTINCT
@@ -79,12 +80,13 @@ def ref_certificate(a, b, p, steps):
         return EQ_DISTINCT, None
     if d == 0:
         return EQ_EQUAL, None
-    v = ref_parallel(a, b, d, p, Budget(steps))
+    v = ref_parallel(a, b, p, Budget(steps))
     if v is not EQ_DISTINCT:
         return v, None
     level = next((k for k in range(d) if any(
-        ref_eq(boundary(a, side, k, p.gens), boundary(b, side, k, p.gens),
-               p, Budget(steps)) is EQ_DISTINCT
+        ref_eq(ref_boundary(a, side, k, p.gens),
+               ref_boundary(b, side, k, p.gens), p, Budget(steps))
+        is EQ_DISTINCT
         for side in (SOURCE, TARGET))), d - 1)
     return EQ_DISTINCT, level
 
@@ -107,8 +109,8 @@ def _cells(p):
             if p.dim(y) != d:
                 continue
             for k in range(d):
-                if (p.normalize(boundary(x, TARGET, k, p.gens))
-                        == p.normalize(boundary(y, SOURCE, k, p.gens))):
+                if (p.normalize(ref_boundary(x, TARGET, k, p.gens))
+                        == p.normalize(ref_boundary(y, SOURCE, k, p.gens))):
                     out.append(Comp(k, x, y))
     return out
 

@@ -383,6 +383,48 @@ def test_a_generator_of_negative_dimension_is_a_fail_line(tmp_path, command):
         "witness": "generator 'x' has negative dimension -1"}
 
 
+# a 2-generator whose source names a generator the file lacks
+ILL_FORMED_FACE = {"maxDim": 2, "generators": [
+    {"name": "x", "dim": 0},
+    {"name": "f", "dim": 1, "src": "(gen x)", "tgt": "(gen x)"},
+    {"name": "a", "dim": 2, "src": "(gen nope)", "tgt": "(gen f)"}]}
+# an oriented 1-relation over a generator the file lacks, beside a 3-cell
+# t: a => b whose sides are not parallel at level 1
+UNKNOWN_RULE = {"maxDim": 3, "generators": [
+    {"name": "x", "dim": 0},
+    {"name": "f", "dim": 1, "src": "(gen x)", "tgt": "(gen x)"},
+    {"name": "g", "dim": 1, "src": "(gen x)", "tgt": "(gen x)"},
+    {"name": "a", "dim": 2, "src": "(gen f)", "tgt": "(gen f)"},
+    {"name": "b", "dim": 2, "src": "(gen g)", "tgt": "(gen g)"},
+    {"name": "t", "dim": 3, "src": "(gen a)", "tgt": "(gen b)"}],
+    "relations": [{"dim": 1, "lhs": "(gen nope)", "rhs": "(gen f)",
+                   "oriented": True}]}
+
+
+@pytest.mark.parametrize("doc, command, witness", [
+    (ILL_FORMED_FACE, ["census", "P"], "src: unknown generator 'nope'"),
+    (ILL_FORMED_FACE, ["gray", "P", "globe1"], "a face of 'a' is ill-formed"),
+    (ILL_FORMED_FACE, ["smash", "P", "x", "globe1", "s0"],
+     "a face of 'a' is ill-formed"),
+    (UNKNOWN_RULE, ["census", "P"], "src/tgt not parallel at level 1"),
+    (UNKNOWN_RULE, ["gray", "P", "globe1"], "src/tgt not parallel at level 1"),
+    (UNKNOWN_RULE, ["smash", "P", "x", "globe1", "s0"],
+     "unknown generator 'nope\u2297s0'"),
+])
+def test_an_unknown_generator_ends_in_one_fail_line(tmp_path, doc, command,
+                                                    witness):
+    """A face or a relation that names a generator the file lacks ends in
+    one fail line naming what is wrong, never a traceback: the smash of
+    the relation's image used to raise KeyError."""
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(doc))
+    argv = [str(path) if arg == "P" else arg for arg in command]
+    code, out = run(["--json", "--no-timing"] + argv)
+    assert code == 1
+    fails = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert [c["witness"] for c in fails] == [witness]
+
+
 def test_field_with_non_string_modulus_is_a_fail_line(tmp_path):
     doc = dict(_qz2_json(), field={"ext": 5})
     path = tmp_path / "input.json"

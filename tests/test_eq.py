@@ -10,15 +10,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hopfsmith import interchange, rewriting
-from hopfsmith.presentation import Presentation
+from hopfsmith.presentation import Presentation, validate_presentation
 from hopfsmith.rewriting import (Budget, CompositionError, EQ_DISTINCT,
                                  EQ_EQUAL, EQ_UNKNOWN, _explore,
-                                 _packed_rules, _rewrites, composable,
-                                 compose, eq, parallel, stack_of)
+                                 _packed_rules, _rewrites, boundaries_eq,
+                                 composable, compose, eq, parallel,
+                                 stack_of)
 from hopfsmith.terms import (Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
-                             boundary, comp, dim, normal_dim, normalize)
+                             comp, dim, normal_dim, normalize)
 from hopfsmith.walking import adj, mnd
-from test_terms_reference import subterms, well_formed
+from test_terms_reference import ref_boundary, subterms, well_formed
 
 M = mnd().base
 A = adj().base
@@ -127,13 +128,13 @@ def test_inverse_of_a_horizontal_composite_keeps_its_order():
     g, g2 = p.add("g", 1, y, z), p.add("g2", 1, y, z)
     a = p.add("a", 2, f, f2, invertible=True)
     b = p.add("b", 2, g, g2, invertible=True)
+    c = p.add("c", 2, f2, f, invertible=True)
     t = Inv(comp(0, a, b))
     n = p.normalize(t)
     assert n == Comp(0, Inv(a), Inv(b))
     assert [p.boundary(n, side, 0) for side in (SOURCE, TARGET)] == [x, z]
     assert eq(t, comp(0, Inv(a), Inv(b)), p) is EQ_EQUAL
     # the vertical composite does reverse
-    c = p.add("c", 2, f2, f, invertible=True)
     assert p.normalize(Inv(comp(1, a, c))) == Comp(1, Inv(c), Inv(a))
 
 
@@ -163,8 +164,9 @@ def test_an_inverse_normalizes_to_a_cell_with_its_boundaries(case):
         n = normalize(s, p.gens)
         for k in range(min(dim(u, p.gens), 2)):
             for side in (SOURCE, TARGET):
-                assert eq(boundary(s, side, k, p.gens),
-                          boundary(n, side, k, p.gens), p) is not EQ_DISTINCT
+                assert eq(ref_boundary(s, side, k, p.gens),
+                          ref_boundary(n, side, k, p.gens),
+                          p) is not EQ_DISTINCT
 
 
 @pytest.mark.parametrize("bad, good", [
@@ -175,6 +177,42 @@ def test_ill_formed_side_is_unknown(bad, good):
     # normalize used to absorb the identity factor and answer Equal
     assert eq(bad, good, M) is EQ_UNKNOWN
     assert eq(good, bad, M) is EQ_UNKNOWN
+
+
+def unknown_rule():
+    """x; f, g: x -> x; a: f => f; b: g => g; t: a => b, whose sides are
+    not parallel; u, v: a => a with the oriented 3-rule u -> v; and two
+    oriented relations over a generator the presentation lacks, nope -> f
+    and nope -> u."""
+    p = Presentation(max_dim=3)
+    x = p.add("x", 0)
+    f, g = p.add("f", 1, x, x), p.add("g", 1, x, x)
+    a, b = p.add("a", 2, f, f), p.add("b", 2, g, g)
+    p.add("t", 3, a, b)
+    u, v = p.add("u", 3, a, a), p.add("v", 3, a, a)
+    p.relate(1, Gen("nope"), f, oriented=True)
+    p.relate(3, Gen("nope"), u, oriented=True)
+    p.relate(3, u, v, oriented=True)
+    return p
+
+
+def test_validation_blames_the_generator_whose_sides_differ():
+    # the malformed 1-rule used to make the certificate of t raise, so t
+    # was blamed for the relation's unknown generator
+    issues = [(v.where, v.issue) for v in validate_presentation(
+        unknown_rule())]
+    assert issues == [("t", "src/tgt not parallel at level 1"),
+                      ("relation#0", "lhs: unknown generator 'nope'"),
+                      ("relation#1", "lhs: unknown generator 'nope'")]
+
+
+def test_a_malformed_word_rule_is_left_out():
+    assert eq(Gen("f"), Gen("g"), unknown_rule()) is EQ_DISTINCT
+
+
+def test_a_malformed_rule_above_dimension_2_is_left_out():
+    # the well-formed rule u -> v still applies
+    assert eq(Gen("u"), Gen("v"), unknown_rule()) is EQ_EQUAL
 
 
 @pytest.mark.parametrize("side, other", [
@@ -652,6 +690,15 @@ def test_a_generator_boundary_that_is_not_a_word_is_unknown():
     with pytest.raises(TermError):
         stack_of(comp(1, g, a), p, interchange.AtomTable())
     assert eq(comp(1, g, a), comp(1, g, b), p) is EQ_UNKNOWN
+
+
+def test_boundaries_eq_compares_the_sides_it_names():
+    m, u, a = Gen("m"), Gen("u"), Gen("A")
+    assert boundaries_eq(m, SOURCE, m, SOURCE, 1, M)[0] is EQ_EQUAL
+    assert boundaries_eq(m, TARGET, u, TARGET, 1, M) == (EQ_EQUAL, a, a)
+    # the boundaries come back normal, as the report shows them
+    assert boundaries_eq(m, SOURCE, u, SOURCE, 1, M) == (
+        EQ_DISTINCT, comp(0, a, a), Id(Gen("pt")))
 
 
 def test_parallel_spends_the_given_budget(undecidable_at_budget_0):

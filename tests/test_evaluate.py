@@ -58,6 +58,16 @@ def test_inverse_evaluation():
     assert sh @ sh_inv == Matrix.identity(B.field, B.n ** 2)
 
 
+@pytest.mark.parametrize("name", ["QS3", "QZ3dual"])
+def test_an_identity_4_cell_evaluates_its_inner_cell_as_written(name):
+    """Both sides of Id(Inv(shear)) are the inverse of the whole shear,
+    which evaluates to the inverse matrix; pushing the inverse to the
+    leaves would ask for the inverse of a non-square m (x) A."""
+    B = FX[name]
+    assert (evaluate_diagram(Id(Inv(universal_shear())), B)
+            == shear(B, NE).inverse())
+
+
 def test_inverse_of_singular_errors():
     B = FX["QM"]
     with pytest.raises(Exception):

@@ -28,11 +28,14 @@ word reader, with no "already normal" twin: only `rewriting.stack_of`
 walks a term into layers (`_layers_rec`), only `rewriting.word_of`
 reduces a word (`_cancel_word`), and no function takes a table of
 normal faces of its own (a `faces` parameter), since each presentation
-keeps one.  Only `interchange.py` decides whether two layers
-interchange: no other module reads an atom table's lengths (`.ns`,
-`.nt`), names `_readings`, `_slide_left` or `_slide_right`, or defines a
-`slide` function of its own.  The Gray tensor's terms come
-from one pull recursion: `TensorTerms._pull` is the only method of its
+keeps one.  Boundaries have one walk: `terms.top_boundary` is the only
+function of that name, with no `normal_top_boundary`, `_normal` or
+`terms.boundary` beside it, and `Presentation.boundary` is the only
+other function named for a boundary.  Only `interchange.py` decides
+whether two layers interchange: no other module reads an atom table's
+lengths (`.ns`, `.nt`), names `_readings`, `_slide_left` or
+`_slide_right`, or defines a `slide` function of its own.  The Gray
+tensor's terms come from one pull recursion: `TensorTerms._pull` is the only method of its
 class that calls itself, for both orders of the factors.  Imports run
 once, at module top: no function imports, `rewriting` names
 `presentation` only for type checkers (so the presentation layer imports
@@ -93,6 +96,10 @@ PRESENTATION_WRITERS = {("presentation.py", "Presentation.add"),
 MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort",
             "reverse", "update", "setdefault", "popitem", "__setitem__",
             "__delitem__"}
+# the names a boundary walk or its twins would take; the one walk is
+# terms.top_boundary, which Presentation.boundary iterates
+BOUNDARY_WALKS = {"top_boundary", "normal_top_boundary", "_normal",
+                  "boundary"}
 # what only the interchange core may name: the atom lengths that decide
 # an interchange, and its tests and slides
 INTERCHANGE_DECISIONS = {"ns", "nt", "_readings", "_slide_left",
@@ -526,6 +533,14 @@ def test_no_function_takes_a_faces_table():
              for name, fn in functions(parse(p))
              if "faces" in parameters(fn)]
     assert not found
+
+
+def test_one_boundary_walk():
+    found = sorted((p.name, name) for p in modules(but=None)
+                   for name, _ in functions(parse(p))
+                   if name.split(".")[-1] in BOUNDARY_WALKS)
+    assert found == [("presentation.py", "Presentation.boundary"),
+                     ("terms.py", "top_boundary")]
 
 
 def test_the_interchange_core_takes_no_presentation():

@@ -108,17 +108,17 @@ def test_stack_of_normalizes_a_fixed_number_of_times():
 
 @pytest.mark.parametrize("name", ["QS3", "QZ3dual"])
 def test_evaluation_normalizes_the_diagram_once(name):
-    """evaluate_diagram normalizes the universal shear once, and each side
-    of its one junction once before it is stacked, since stack_of reads
-    its source word in the same walk: three calls, once a first
-    evaluation has filled the presentation's boundary-word table.  The
-    subterms of the normal diagram are not normalized again (18 calls
-    when every node was, 5 when stack_of normalized each side and its
-    source word)."""
+    """evaluate_diagram normalizes the universal shear once, and the sides
+    of its one junction come from the boundary walk already normal: one
+    call, once a first evaluation has filled the presentation's
+    boundary-word table.  The subterms of the normal diagram are not
+    normalized again (18 calls when every node was, 5 when stack_of
+    normalized each side and its source word, 3 when each junction side
+    was normalized before it was stacked)."""
     B = standard_fixtures()[name]
     term = universal_shear()
     evaluate_diagram(term, B)
-    assert normalize_calls(evaluate_diagram, term, B) == 3
+    assert normalize_calls(evaluate_diagram, term, B) == 1
 
 
 def test_eq_on_a_300_letter_word():
