@@ -1,167 +1,164 @@
-"""Evaluation of monad-square diagrams in an exact bialgebra.
+"""Evaluation of diagrams through one strict functor given by an assignment.
 
-A 2-cell of the (smashed) monad square is a stack of crossings and
-collapse-trivial beads; it evaluates to the tensor power of the
-underlying space with one factor per crossing.  A 3-cell evaluates to a
-matrix between those powers: the four structure cells go to the four
-structure tensors, vertical stacking goes to the tensor product, and
-3-composition goes to matrix product.
+An `Interpretation` at level k gives each k-generator a space size (any
+other generator has size 1) and each (k+1)-generator a matrix; a k-cell
+evaluates to the space whose size is the product over its k-generators.
+`evaluate` extends it to every normal (k+1)-cell: a (k-1)-composite goes
+to the tensor product, a k-composite to the matrix product through the
+junction, and a lower composite, a whisker by an identity of an identity,
+to the value of its other part.  At k = 1 this is a 2-cell model, 1-cells
+to dimensions and 2-cells to matrices (Joyal & Street, "The geometry of
+tensor calculus I", 1991), whose composites need no junction.
 
-Factor order follows the quadrant identification: reading a stack top
-down (the 45-degree left rotation takes the upper crossing to the left
-factor).  When two 3-cells are composed across an interchange of layers,
-the slide of two crossings past each other evaluates to the bialgebra's
-braiding (`bialgebra.braiding_matrix`) applied to the corresponding
-tensor slots; this is where a noncocommutative comultiplication notices
-the difference between the shear directions.
+At k = 2, `monad_square(B)` reads the monad tensor square in a bialgebra
+B, and is the one place that names its structure cells: the crossing has
+B's space, the four structure cells are the four structure tensors, and
+the junction is B's braiding.  A stack reads top down (the 45-degree
+left rotation takes the upper crossing to the left factor), and where
+two 3-cells compose across an interchange of layers, the slide of two
+crossings past each other applies the braiding to their tensor slots:
+this is where a noncocommutative comultiplication tells the shear
+directions apart.
 
-Evaluation is a function of terms as written.  In the collapsed
-presentation all whiskers are identities, so stacks of crossings
-commute strictly and the slide data that selects a braiding is gone;
-consequently evaluation does not commute with the collapse at junctions
-where crossings interchange.  Semantic checks therefore run on the
-tensor-square term, whose trivialized beads evaluate to identities,
-which is the same thing as evaluating the diagram in the smash.
+Evaluation is a function of terms as written.  A term is read over the
+tensor square when every name in it is a generator there and the layers
+at each of its junctions align there by slides, and over the smash
+collapse otherwise.  In the smash all whiskers are identities, so the
+slide data that selects a braiding is gone: evaluation does not commute
+with the collapse, and the sides of the 4-cell `m⊗m` agree only over the
+tensor square.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from dataclasses import dataclass
+from math import prod
+from typing import Dict, Optional, Tuple
 
 from . import interchange
 from .bialgebra import NE, Bialgebra, braiding_matrix, shear
-from .gray import BASEPOINT, split_pair
+from .field import Field
 from .matrix import Matrix
 from .presentation import Presentation
 from .rewriting import stack_of
 from .shear import bimnd_cells, mnd_gray, mnd_smash, universal_shear
-from .terms import (CellTerm, Comp, Gen, Id, Inv, TermError, generators,
-                    identity_core)
-from .walking import mnd
-
-_CELLS = bimnd_cells()
-CROSSING = _CELLS["underlying"].name
-# the bialgebra attribute each structure cell evaluates to
-_TENSORS = {_CELLS[cell].name: attr for cell, attr in (
-    ("mult", "m"), ("unit", "u"), ("comult", "delta"), ("counit", "eps"))}
+from .terms import SOURCE, TARGET, CellTerm, Comp, Gen, Id, Inv, generators
 
 
 class EvaluationError(ValueError):
     pass
 
 
-def _crossings(t: CellTerm) -> int:
-    return sum(1 for name in generators(t) if name == CROSSING)
+class _Misaligned(EvaluationError):
+    """A junction whose layers no slides align: read over the smash."""
 
 
-def _which_presentation(t: CellTerm) -> Presentation:
-    """The smashed monad square when every generator of t is one of its
-    generators (its basepoint, or a pair with no basepoint factor), else
-    the monad tensor square; the smash is built only in the first case."""
-    big, pt = mnd_gray(), mnd().basepoint
-    if all(n == BASEPOINT or (n in big.gens and pt not in split_pair(n))
-           for n in generators(t)):
-        return mnd_smash()[0]
-    return big
+@dataclass(frozen=True)
+class Interpretation:
+    """A strict functor on the (k+1)-cells of a presentation: the space
+    size of each k-generator, the matrix of each (k+1)-generator, and the
+    junction: at k = 2, the matrix of a slide of two layers with a size
+    past each other, or None where slides are identities."""
+    field: Field
+    k: int
+    sizes: Dict[str, int]
+    matrices: Dict[str, Matrix]
+    junction: Optional[Matrix]
+
+
+def monad_square(B: Bialgebra) -> Interpretation:
+    """The monad tensor square (or its smash) read in B at level 2."""
+    cells = bimnd_cells()
+    return Interpretation(B.field, 2, {cells["underlying"].name: B.n}, {
+        cells[cell].name: tensor for cell, tensor in (
+            ("mult", B.m), ("unit", B.u), ("comult", B.delta),
+            ("counit", B.eps))}, braiding_matrix(B))
+
+
+def evaluate(t: CellTerm, I: Interpretation, p: Presentation) -> Matrix:
+    """The matrix of a (k+1)-cell term t of p in normal form, whose
+    subterms are then normal too and are not normalized again."""
+    if isinstance(t, Gen):
+        if t.name in I.matrices:
+            return I.matrices[t.name]
+        raise EvaluationError(f"no matrix assigned to generator {t.name!r}")
+    if isinstance(t, Id):
+        return Matrix.identity(I.field, prod(
+            I.sizes.get(name, 1) for name in generators(t.inner)))
+    if isinstance(t, Inv):
+        return evaluate(t.inner, I, p).inverse()
+    assert isinstance(t, Comp)
+    if t.k == I.k:
+        left = _junction(t, evaluate(t.left, I, p), I, p)
+        return evaluate(t.right, I, p) @ left
+    if t.k == I.k - 1:
+        # upper factors sit to the left
+        left = evaluate(t.left, I, p)
+        return evaluate(t.right, I, p).kron(left)
+    if isinstance(t.left, Id) and isinstance(t.left.inner, Id):
+        return evaluate(t.right, I, p)
+    if isinstance(t.right, Id) and isinstance(t.right.inner, Id):
+        return evaluate(t.left, I, p)
+    raise EvaluationError(
+        f"{t.k}-composition of two non-identity {I.k + 1}-cells")
+
+
+def _junction(t: Comp, x: Matrix, I: Interpretation,
+              p: Presentation) -> Matrix:
+    """x, the value of t.left, carried through the interchange slides that
+    align its target layers with the source layers of t.right, normal
+    2-cells as Presentation.boundary gives them: both are packed over one
+    atom table, interchange.align gives the swaps, and each swap of two
+    atoms with a space size in I applies I.junction to their slots."""
+    if I.junction is None:
+        return x
+    tab = interchange.AtomTable()
+    a = stack_of(p.boundary(t.left, TARGET, I.k), p, tab)[1]
+    b = stack_of(p.boundary(t.right, SOURCE, I.k), p, tab)[1]
+    swaps = interchange.align(tab, a, b)
+    if swaps is None:
+        raise _Misaligned(
+            "composition boundaries differ by more than interchange slides")
+    sized = [name in I.sizes for name, _ in tab.keys]
+    size = [I.sizes.get(name, 1) for name, _ in tab.keys]
+    for flat, pos in swaps:
+        ids = flat[1::2]
+        if sized[ids[pos]] and sized[ids[pos + 1]]:
+            # factors are read top-down: the first layer is the last factor
+            x = I.junction.whisker_matmul(
+                prod(size[y] for y in ids[pos + 2:]),
+                prod(size[y] for y in ids[:pos]), x)
+    return x
 
 
 def evaluate_diagram(t: CellTerm, B: Bialgebra) -> Matrix:
     """Evaluate a 3-cell over the monad tensor square (or its smash
-    collapse) to an exact matrix in the bialgebra B."""
-    p = _which_presentation(t)
+    collapse, as the module docstring says) to an exact matrix in the
+    bialgebra B; a 4-cell evaluates to the value of both its sides."""
+    I, big = monad_square(B), mnd_gray()
+    if all(name in big.gens for name in generators(t)):
+        try:
+            return _diagram(t, I, big)
+        except _Misaligned:
+            pass
+    return _diagram(t, I, mnd_smash()[0])
+
+
+def _diagram(t: CellTerm, I: Interpretation, p: Presentation) -> Matrix:
+    """The value of a 3-cell of p under I, or of both sides of a 4-cell."""
     t = p.normalize(t, push_inv=False)
     d = p.dim(t)
     if d == 4 and isinstance(t, Id):
         # both sides as written: the walk would push an Inv to the leaves
-        return _eval3(t.inner, B, p)
+        return evaluate(t.inner, I, p)
     if d == 4:
-        src = evaluate_diagram(p.boundary(t, "source", 3), B)
-        tgt = evaluate_diagram(p.boundary(t, "target", 3), B)
-        if src != tgt:
+        src = evaluate(p.boundary(t, SOURCE, 3), I, p)
+        if src != evaluate(p.boundary(t, TARGET, 3), I, p):
             raise EvaluationError("4-cell asserts an equality that fails")
         return src
     if d != 3:
         raise EvaluationError(f"evaluation needs a 3-cell, got dimension {d}")
-    return _eval3(t, B, p)
-
-
-def _eval3(t: CellTerm, B: Bialgebra, p: Presentation) -> Matrix:
-    """The matrix of a 3-cell term t of p in normal form, whose subterms
-    are then normal too and are not normalized again."""
-    F, n = B.field, B.n
-    if isinstance(t, Gen):
-        if t.name in _TENSORS:
-            return getattr(B, _TENSORS[t.name])
-        raise EvaluationError(f"no matrix assigned to generator {t.name!r}")
-    if isinstance(t, Id):
-        return Matrix.identity(F, n ** _crossings(t.inner))
-    if isinstance(t, Inv):
-        inner = _eval3(t.inner, B, p)
-        return inner.inverse()
-    assert isinstance(t, Comp)
-    if t.k == 2:
-        left = _eval3(t.left, B, p)
-        right = _eval3(t.right, B, p)
-        adjust = _junction(p.boundary(t.left, "target", 2),
-                           p.boundary(t.right, "source", 2), B, p)
-        return right @ adjust @ left
-    if t.k == 1:
-        # vertical stacking: upper factors sit to the left
-        left = _eval3(t.left, B, p)
-        right = _eval3(t.right, B, p)
-        return right.kron(left)
-    if t.k == 0:
-        lw = _is_wire_tower(t.left, p)
-        rw = _is_wire_tower(t.right, p)
-        if lw and rw:
-            return Matrix.identity(F, 1)
-        if lw:
-            return _eval3(t.right, B, p)
-        if rw:
-            return _eval3(t.left, B, p)
-        raise EvaluationError("0-composition of two non-identity 3-cells")
-    raise EvaluationError(f"unexpected composition level {t.k}")
-
-
-def _is_wire_tower(t: CellTerm, p: Presentation) -> bool:
-    core, _ = identity_core(t)
-    try:
-        return p.dim(core) <= 1
-    except TermError:
-        return False
-
-
-def _junction(a2: CellTerm, b2: CellTerm, B: Bialgebra,
-              p: Presentation) -> Matrix:
-    """The matrix realizing the interchange slides that align the target
-    layers of one move with the source layers of the next, normal 2-cells
-    as Presentation.boundary gives them: both are
-    packed over one atom table, interchange.align gives the swaps, and
-    each swap of two crossings applies the bialgebra's braiding to their
-    tensor slots."""
-    F, n = B.field, B.n
-    tab = interchange.AtomTable()
-    a = stack_of(a2, p, tab)[1]
-    b = stack_of(b2, p, tab)[1]
-    crossing = [name == CROSSING for name, _ in tab.keys]
-    total = sum(crossing[x] for x in a[1::2])
-    out = Matrix.identity(F, n ** total)
-    if a == b:
-        return out
-    swaps = interchange.align(tab, a, b)
-    if swaps is None:
-        raise EvaluationError(
-            "composition boundaries differ by more than interchange slides; "
-            "evaluate the uncollapsed diagram instead")
-    braiding = braiding_matrix(B)
-    for flat, pos in swaps:
-        ids = flat[1::2]
-        if crossing[ids[pos]] and crossing[ids[pos + 1]]:
-            below = sum(crossing[x] for x in ids[:pos])
-            # factors are read top-down: slot 0 is the topmost crossing
-            slot = total - 2 - below
-            out = braiding.whisker_matmul(n ** slot, n ** below, out)
-    return out
+    return evaluate(t, I, p)
 
 
 def shear_semantics(B: Bialgebra) -> Tuple[Matrix, Matrix]:

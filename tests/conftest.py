@@ -2,10 +2,15 @@
 (derandomized, with no example database on disk), and no per-example
 deadline, which a slow or busy machine would turn into spurious failures.
 Also one presentation shared by the budget tests, the queries of the
-hopf-square check shared by the kernel tests, and `whiskered`, the slot
+hopf-square check shared by the kernel tests, `whiskered`, the slot
 map I_left (x) A (x) I_right built with kron, which the matrix and
-linear-system tests use as a reference."""
+linear-system tests use as a reference, and `bench_diagrams`, the
+diagrams benchmark's pair generator, which the kernel, interchange and
+evaluation tests draw from."""
 
+import importlib.util
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -23,6 +28,17 @@ settings.load_profile("suite")
 def whiskered(F, left, A, right):
     """I_left (x) A (x) I_right, materialized with kron."""
     return Matrix.identity(F, left).kron(A).kron(Matrix.identity(F, right))
+
+
+def bench_diagrams():
+    """perfbench/diagrams.py, the diagrams benchmark's pair generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "diagrams.py"
+    spec = importlib.util.spec_from_file_location("_bench_diagrams", path)
+    diagrams = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class is made
+    sys.modules[spec.name] = diagrams
+    spec.loader.exec_module(diagrams)
+    return diagrams
 
 
 @pytest.fixture

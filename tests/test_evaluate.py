@@ -1,15 +1,27 @@
 """Semantics: structure cells hit their tensors, evaluation is functorial,
-and the universal shear evaluates to the coshear on every fixture."""
+the universal shear evaluates to the coshear on every fixture, the four
+4-cells of the monad square are the bialgebra axioms, and the same
+evaluator at level 1 is a 2-cell model that agrees with eq."""
+
+import dataclasses
+import random
 
 import pytest
 
+from conftest import bench_diagrams
 from hopfsmith.bialgebra import shear, NE, NW, SE, SW
 from hopfsmith import evaluate, shear as shear_module
-from hopfsmith.evaluate import evaluate_diagram, shear_semantics
-from hopfsmith.fixtures import standard_fixtures
+from hopfsmith.evaluate import (EvaluationError, Interpretation,
+                                evaluate_diagram, monad_square,
+                                shear_semantics)
+from hopfsmith.field import QQ
+from hopfsmith.fixtures import corrupted_delta, standard_fixtures
 from hopfsmith.matrix import Matrix
-from hopfsmith.shear import bimnd_cells, mnd_smash, universal_shear
+from hopfsmith.presentation import Presentation
+from hopfsmith.rewriting import EQ_EQUAL, eq
+from hopfsmith.shear import bimnd_cells, mnd_gray, mnd_smash, universal_shear
 from hopfsmith.terms import Comp, Gen, Id, Inv
+from hopfsmith.walking import adj, mnd
 
 FX = standard_fixtures()
 CROSS = "A⊗A"
@@ -129,3 +141,101 @@ def test_dual_comodule_without_antipode_errors():
     from hopfsmith.comodule import dual_comodule, regular_comodule
     with pytest.raises(NoAntipode):
         dual_comodule(regular_comodule(FX["QM"]))
+
+
+@pytest.mark.parametrize("name", sorted(FX))
+def test_the_four_4_cells_are_the_bialgebra_axioms(name, monkeypatch):
+    """Each 4-generator of the monad tensor square evaluates to the common
+    value of its sides.  They are read over the tensor square: in the
+    smash, m⊗m's sides lose the braiding of their junction."""
+    def no_smash():
+        raise AssertionError("the smashed monad square was built")
+
+    monkeypatch.setattr(evaluate, "mnd_smash", no_smash)
+    B = FX[name]
+    assert evaluate_diagram(Gen("m⊗m"), B) == B.delta @ B.m
+    assert evaluate_diagram(Gen("m⊗u"), B) == B.eps @ B.m
+    assert evaluate_diagram(Gen("u⊗m"), B) == B.delta @ B.u
+    assert evaluate_diagram(Gen("u⊗u"), B) == B.eps @ B.u
+
+
+def test_a_failing_4_cell_equality_is_reported():
+    with pytest.raises(EvaluationError,
+                       match="^4-cell asserts an equality that fails$"):
+        evaluate_diagram(Gen("m⊗m"), corrupted_delta(FX["QZ2"]))
+
+
+def test_a_cell_of_another_dimension_is_refused():
+    with pytest.raises(EvaluationError, match="^evaluation needs a 3-cell, "
+                       "got dimension 2$"):
+        evaluate_diagram(Gen(CROSS), FX["QZ2"])
+
+
+def test_a_generator_without_a_matrix_is_refused():
+    I = dataclasses.replace(monad_square(FX["QZ2"]), matrices={})
+    with pytest.raises(EvaluationError,
+                       match="^no matrix assigned to generator 'm⊗A'$"):
+        evaluate.evaluate(Gen("m⊗A"), I, mnd_gray())
+
+
+def test_two_non_identity_cells_side_by_side_are_refused():
+    mult = bimnd_cells()["mult"]
+    with pytest.raises(EvaluationError, match="^0-composition of two "
+                       "non-identity 3-cells$"):
+        evaluate_diagram(Comp(0, mult, mult), FX["QZ2"])
+
+
+def test_boundaries_that_no_slides_align_are_refused():
+    """m⊗A ends on one crossing and starts on two, in either square."""
+    mult = bimnd_cells()["mult"]
+    with pytest.raises(EvaluationError, match="^composition boundaries "
+                       "differ by more than interchange slides$"):
+        evaluate_diagram(Comp(2, mult, mult), FX["QZ2"])
+
+
+# ---------------------------------------------------------------------------
+# 2-cell models: the same evaluator at level 1
+
+
+def _models(seed):
+    """Each diagrams signature with a level-1 interpretation that satisfies
+    its relations: the monad through QZ2's multiplication and unit, the
+    adjunction through the identity pairing of a 2-dimensional space, and
+    the relation-free monad through integer matrices drawn from the
+    seed."""
+    B, rng = FX["QZ2"], random.Random(seed)
+
+    def drawn(rows, cols):
+        return Matrix.from_entries(QQ, rows, cols, (
+            (i, j, rng.randint(-3, 3)) for i in range(rows)
+            for j in range(cols)))
+
+    pairing = [(3 * i, 0, 1) for i in range(2)]
+    cap = Matrix.from_entries(QQ, 4, 1, pairing)
+    base = mnd().base
+    return {
+        "mnd": (base, Interpretation(QQ, 1, {"A": 2},
+                                     {"m": B.m, "u": B.u}, None)),
+        "adj": (adj().base, Interpretation(QQ, 1, {"l": 2, "r": 2}, {
+            "eta": cap, "eps": cap.transpose()}, None)),
+        "mnd-free": (Presentation(base.max_dim, dict(base.gens)),
+                     Interpretation(QQ, 1, {"A": 2}, {
+                         "m": drawn(2, 4), "u": drawn(2, 1)}, None)),
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_2_cell_model_agrees_with_eq_on_the_benchmark_pairs(seed):
+    """The 48 diagrams pairs of a seed at the benchmark's closure sizes:
+    every Equal pair evaluates equal, and every free-ne pair, Distinct by
+    construction, evaluates to different matrices."""
+    models = _models(seed)
+    pairs = bench_diagrams().make_pairs(seed, [2, 3, 4] * 4)
+    assert len(pairs) == 48
+    for pair in pairs:
+        p, I = models[pair.signature]
+        left, right = (evaluate.evaluate(p.normalize(t, push_inv=False), I, p)
+                       for t in (pair.left, pair.right))
+        verdict = eq(pair.left, pair.right, p)
+        assert verdict.name == pair.expect, pair.label
+        assert (left == right) == (verdict is EQ_EQUAL), pair.label

@@ -17,19 +17,18 @@ of every search.
 """
 
 import hashlib
-import importlib.util
 import inspect
 import json
 import random
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bench_diagrams
 from hopfsmith import interchange, mates, rewriting
 from hopfsmith.mates import walking_retract
 from hopfsmith.presentation import Presentation
@@ -704,17 +703,6 @@ def test_align_on_every_reordering_of_the_point_degenerate_stacks():
         assert len(seen) > 1
 
 
-def _bench_diagrams():
-    """perfbench/diagrams.py, the diagrams benchmark's pair generator."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "diagrams.py"
-    spec = importlib.util.spec_from_file_location("_bench_diagrams", path)
-    diagrams = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up while the class is made
-    sys.modules[spec.name] = diagrams
-    spec.loader.exec_module(diagrams)
-    return diagrams
-
-
 def _bench_stack(diagrams, sig, w, layers):
     """A benchmark stack of sig's layers on the word w, as the diagrams
     workload builds its term, read back through stack_of; a stack over
@@ -728,7 +716,7 @@ def _bench_stack(diagrams, sig, w, layers):
 def _fixed_adj_stack():
     """The fixed 40-layer adj stack of the diagrams benchmark workload,
     drawn the same way, from random.Random(0)."""
-    diagrams = _bench_diagrams()
+    diagrams = bench_diagrams()
     fixed = random.Random(0)
     w = diagrams.start_word(fixed, diagrams.ADJ)
     return _bench_stack(diagrams, diagrams.ADJ, w,
@@ -739,7 +727,7 @@ def _bracket_stacks(seed):
     """The re-bracketed tall stacks of the diagrams benchmark workload at a
     seed, drawn as perfbench/workloads.py draws them: 12 to 24 layers over
     mnd, adj and the free monad signature."""
-    diagrams = _bench_diagrams()
+    diagrams = bench_diagrams()
     rng = random.Random(seed + 1)
     for n in (12, 16, 20, 24):
         for sig in (diagrams.MND, diagrams.ADJ, diagrams.FREE):
@@ -800,7 +788,7 @@ def test_every_search_keeps_its_verdict_and_budget(monkeypatch):
     base = mnd().base
     signatures = {"mnd": base, "adj": adj().base,
                   "mnd-free": Presentation(base.max_dim, dict(base.gens))}
-    diagrams = _bench_diagrams()
+    diagrams = bench_diagrams()
     for seed in (1, 2):
         for pair in diagrams.make_pairs(seed, [2, 3, 4] * 4):
             eq(pair.left, pair.right, signatures[pair.signature])

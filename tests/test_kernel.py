@@ -14,33 +14,20 @@ search drops its memos once they pass interchange.MEMO_STATES.
 """
 
 import copy
-import importlib.util
 import pickle
-import sys
 import threading
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bench_diagrams
 from hopfsmith import interchange, presentation, rewriting
 from hopfsmith.presentation import Presentation, validate_presentation
 from hopfsmith.rewriting import (Budget, EQ_DISTINCT, EQ_EQUAL, EQ_UNKNOWN,
                                  eq, parallel)
 from hopfsmith.terms import SOURCE, TARGET, Gen, TermError, comp, normal_dim
 from hopfsmith.walking import adj, mnd
-
-
-def _bench_diagrams():
-    """perfbench/diagrams.py, the diagrams benchmark's pair generator."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "diagrams.py"
-    spec = importlib.util.spec_from_file_location("_bench_diagrams", path)
-    diagrams = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up while the class is made
-    sys.modules[spec.name] = diagrams
-    spec.loader.exec_module(diagrams)
-    return diagrams
 
 
 def _diagram_queries():
@@ -50,7 +37,7 @@ def _diagram_queries():
     signatures = {"mnd": base, "adj": adj().base,
                   "mnd-free": Presentation(base.max_dim, dict(base.gens))}
     out = {name: (p.dumps(), []) for name, p in signatures.items()}
-    for pair in _bench_diagrams().make_pairs(1, [2, 3, 4]):
+    for pair in bench_diagrams().make_pairs(1, [2, 3, 4]):
         out[pair.signature][1].append((pair.left, pair.right))
     return out
 

@@ -13,7 +13,10 @@ alone, and a product that is only multiplied goes through one
 `whisker_matmul` per factor or a contraction of entries.  `matrix.py`
 is linear algebra over a field and knows no grading: no name in it
 speaks of parities, degrees, Koszul signs or braidings, and only
-`bialgebra.py`, which carries the braiding, reads `parities`.  No
+`bialgebra.py`, which carries the braiding, reads `parities`.  Diagrams
+become matrices through one evaluator: only `evaluate.monad_square`
+names `bimnd_cells` or `braiding_matrix`, and `evaluate.evaluate` is the
+one walk in `evaluate.py`.  No
 module reaches into another's private attributes: an attribute
 `x._name` is read or written only in the module that defines `_name`,
 and no module imports another's private name.  Terms are mapped
@@ -76,8 +79,8 @@ INTERCHANGE_CORE = {("interchange.py", name) for name in (
 # in its own right, and a product that is only multiplied goes through
 # one whisker_matmul per factor or a contraction of entries
 KRON_VALUES = {
-    # the vertical composite of two 3-cells is their tensor product
-    ("evaluate.py", "_eval3"): 1,
+    # a (k-1)-composite of two (k+1)-cells is their tensor product
+    ("evaluate.py", "evaluate"): 1,
     # u (x) u and eps (x) eps, the comult_unit and counit_mult sides
     ("bialgebra.py", "check_bialgebra"): 2,
 }
@@ -499,6 +502,21 @@ def test_kronecker_products_are_only_values():
 
 def test_matrix_knows_no_grading():
     assert not list(grading_names(parse(SRC / "matrix.py")))
+
+
+def test_one_evaluator():
+    """Diagrams become matrices through one strict functor: only
+    evaluate.monad_square turns the structure cells and the braiding into
+    an assignment, and evaluate.evaluate is the one walk that reads it."""
+    found = {(p.name, fn) for p in modules(but=None)
+             for name in ("bimnd_cells", "braiding_matrix")
+             for _, fn in uses_of(name, parse(p))}
+    assert found == {("evaluate.py", "monad_square")}
+    walks = [name for name, fn in functions(parse(SRC / "evaluate.py"))
+             if any(isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == name
+                    for node in ast.walk(fn))]
+    assert walks == ["evaluate"]
 
 
 def test_only_the_bialgebra_reads_parities():
