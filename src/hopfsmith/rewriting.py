@@ -53,11 +53,10 @@ makes its level Unknown.  Each pair starts from the budget left when the
 certificate began, so running out on one pair never hides a difference
 at another.  Validation passes `parallel` the dimension it has already
 taken, for a generator's source and target and a relation's sides, and
-names the lowest level that differs.  `boundaries_eq` reads a boundary
-of each of two cells from `Presentation.boundary`, the same walk
-iterated, and compares the two normal sides with no second
-normalization; `composable` is boundaries_eq on the target of one cell
-and the source of the next.
+names the lowest level that differs.  `boundaries_eq` is eq on two
+normal k-cells, with no second normalization: `composable` passes it
+the target of one cell and the source of the next, each read from
+`Presentation.boundary`, the same walk iterated.
 
 Every stratum reads its rules from `_oriented`: an oriented relation
 whose sides do not both normalize to cells of its stated dimension is
@@ -509,24 +508,23 @@ class CompositionError(TermError):
         self.right_boundary = right_boundary
 
 
-def boundaries_eq(a: CellTerm, a_side: str, b: CellTerm, b_side: str,
-                  k: int, p: Presentation, budget: Optional[int] = None
-                  ) -> Tuple[Verdict, CellTerm, CellTerm]:
-    """eq on the k-dimensional a_side of a and b_side of b, with both, for
-    a report.  The boundaries come from Presentation.boundary already
-    normal, so eq's own normalization is skipped.  Raises TermError when a
-    boundary cannot be taken."""
-    x, y = p.boundary(a, a_side, k), p.boundary(b, b_side, k)
+def boundaries_eq(x: CellTerm, y: CellTerm, k: int, p: Presentation,
+                  budget: Optional[int] = None) -> Verdict:
+    """eq on two normal k-cells, such as the boundaries
+    Presentation.boundary builds normal: eq's own normalization is
+    skipped."""
     steps = default_budget() if budget is None else budget
-    return _eq(x, k, y, k, p, Budget(steps), certify=True), x, y
+    return _eq(x, k, y, k, p, Budget(steps), certify=True)
 
 
 def composable(k: int, a: CellTerm, b: CellTerm, p: Presentation,
                budget: Optional[int] = None
                ) -> Tuple[Verdict, CellTerm, CellTerm]:
     """boundaries_eq on the k-target of a and the k-source of b, which
-    a-then-b shares."""
-    return boundaries_eq(a, TARGET, b, SOURCE, k, p, budget)
+    a-then-b shares, with both, for a report.  Raises TermError when a
+    boundary cannot be taken."""
+    x, y = p.boundary(a, TARGET, k), p.boundary(b, SOURCE, k)
+    return boundaries_eq(x, y, k, p, budget), x, y
 
 
 def compose(k: int, a: CellTerm, b: CellTerm, p: Presentation,

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .gray import (GrayMorphism, TensorTerms, collapse, gray, pair_name,
-                   split_pair)
+from .gray import GrayMorphism, collapse, gray, pair_name, split_pair
 from .presentation import PresMorphism, Presentation
 from .rewriting import (EQ_DISTINCT, EQ_EQUAL, boundaries_eq, composable,
                         parallel)
-from .terms import CellTerm, Comp, Gen, Id, Inv, comp, generators
+from .terms import (CellTerm, Comp, Gen, Id, Inv, comp, generators,
+                    normal_comp)
 from .walking import e_oriental2, mnd, oriental2
 
 # ---------------------------------------------------------------------------
@@ -40,8 +40,13 @@ def mnd_smash() -> Tuple[Presentation, PresMorphism]:
 
 
 @lru_cache(maxsize=None)
+def _whiskered_triangle() -> Presentation:
+    return e_oriental2()
+
+
+@lru_cache(maxsize=None)
 def whiskered_gray() -> Presentation:
-    e = e_oriental2()
+    e = _whiskered_triangle()
     return gray(e, e)
 
 
@@ -56,7 +61,7 @@ def _o2_to_mnd() -> PresMorphism:
 
 def _o2_to_eo2() -> PresMorphism:
     o2 = oriental2()
-    e = e_oriental2()
+    e = _whiskered_triangle()
     asg = {"x0": Gen("q0"), "x1": Gen("q2"), "x2": Gen("q4"),
            "u": comp(0, Gen("u"), Gen("e1")),
            "v": comp(0, Gen("e2"), Gen("v")),
@@ -128,7 +133,7 @@ def classify_pair(name: str) -> str:
     """The kind of a generator of the whiskered tensor square, from the
     dimensions of its two factors."""
     x, y = split_pair(name)
-    gens = e_oriental2().gens
+    gens = _whiskered_triangle().gens
     dx, dy = gens[x].dim, gens[y].dim
     if x in _TRIVIAL_FACTORS or y in _TRIVIAL_FACTORS:
         return COLLAPSE_TRIVIAL
@@ -144,7 +149,7 @@ def classify_pair(name: str) -> str:
 def _top_atom(t: CellTerm) -> Optional[str]:
     """The unique top-dimensional generator in a move term over the
     whiskered tensor square, if any."""
-    gens = e_oriental2().gens
+    gens = _whiskered_triangle().gens
     pairs = [n for n in generators(t)
              if sum(gens[x].dim for x in split_pair(n)) >= 3]
     return pairs[0] if pairs else None
@@ -172,11 +177,10 @@ class SkeletonReport:
                 and self.hexagon_closes and not self.failures)
 
 
-
 def _split_moves(t: CellTerm, p: Presentation) -> List[CellTerm]:
     """Expand a normal 3-cell into a sequence of single generating moves by
-    distributing whiskers over 2-composition.  Subterms of a normal term
-    are normal, so only the whiskered parts built here are normalized."""
+    distributing whiskers over 2-composition.  Subterms and boundaries of
+    a normal term are normal, so normal_comp composes each part here."""
     if isinstance(t, Id):
         return []
     if isinstance(t, Comp):
@@ -185,14 +189,15 @@ def _split_moves(t: CellTerm, p: Presentation) -> List[CellTerm]:
         la = _split_moves(t.left, p)
         lb = _split_moves(t.right, p)
         if not la:
-            return [p.normalize(Comp(t.k, t.left, m)) for m in lb]
+            return [normal_comp(t.k, t.left, 3, m, 3) for m in lb]
         if not lb:
-            return [p.normalize(Comp(t.k, m, t.right)) for m in la]
+            return [normal_comp(t.k, m, 3, t.right, 3) for m in la]
         # sequentialize by interchange: the left part fires first
-        first = Comp(t.k, t.left, Id(p.boundary(t.right, "source", 2)))
-        second = Comp(t.k, Id(p.boundary(t.left, "target", 2)), t.right)
-        return (_split_moves(p.normalize(first), p)
-                + _split_moves(p.normalize(second), p))
+        first = normal_comp(t.k, t.left, 3,
+                            Id(p.boundary(t.right, "source", 2)), 3)
+        second = normal_comp(t.k, Id(p.boundary(t.left, "target", 2)), 3,
+                             t.right, 3)
+        return _split_moves(first, p) + _split_moves(second, p)
     return [t]
 
 
@@ -231,17 +236,16 @@ def proof_skeleton_check(budget: Optional[int] = None,
     eg = whiskered_gray()
     to_e = _o2_to_eo2()
     gm = GrayMorphism(to_e, to_e, eg)
-    image = gm.push(oriental_shear_term())
-    steps_terms = _split_moves(eg.normalize(image), eg)
+    image = gm.push(oriental_shear_term())  # normal, as push returns it
     # the invertibility argument runs on the chain whiskered below by the
     # crossing of the two adjoint-pattern wires; the crossing's target is
     # exactly the image's boundary word, so the whisker composes on the nose
-    beta_layer = comp(
+    beta = eg.normalize(Id(comp(
         0, Id(_g("q4", "e2")), Id(_g("q4", "v")), Id(_g("e2", "q2")),
         _g("v", "u"), Id(_g("q2", "e1")), Id(_g("u", "q0")),
-        Id(_g("e1", "q0")))
-    steps_terms = [eg.normalize(Comp(1, Id(beta_layer), t))
-                   for t in steps_terms]
+        Id(_g("e1", "q0")))))
+    steps_terms = [normal_comp(1, beta, 3, t, 3)
+                   for t in _split_moves(image, eg)]
 
     chain = []  # (label, term, classification) of each step
     for i, t in enumerate(steps_terms):
@@ -266,9 +270,10 @@ def proof_skeleton_check(budget: Optional[int] = None,
     steps = [ChainStep(*step, fit) for step, fit in zip(chain, fits)]
 
     # (ii) total 2-boundary against the (whiskered) shear image
-    whiskered_image = eg.normalize(Comp(1, Id(beta_layer), image))
-    ends = [boundaries_eq(s.term, side, whiskered_image, side, 2, eg,
-                          budget)[0] is EQ_EQUAL
+    whiskered_image = normal_comp(1, beta, 3, image, 3)
+    ends = [boundaries_eq(eg.boundary(s.term, side, 2),
+                          eg.boundary(whiskered_image, side, 2), 2, eg,
+                          budget) is EQ_EQUAL
             for s, side in ((steps[0], "source"), (steps[-1], "target"))]
     boundary_match = all(ends) and chain_ok
     if not all(ends):
@@ -282,8 +287,8 @@ def proof_skeleton_check(budget: Optional[int] = None,
     hex_ok = True
     for what, route, side in (("hexagon source mismatch", hex_src, "source"),
                               ("hexagon target mismatch", hex_tgt, "target")):
-        if _chain(eg, route, 3) != _steiner_chain22(e_oriental2(), "sigma",
-                                                    "sigma", side):
+        if _chain(eg, route, 3) != _steiner_chain22(
+                _whiskered_triangle(), "sigma", "sigma", side):
             hex_ok = False
             failures.append(f"{what} at level 3")
     v, lvl = parallel(hex_src, hex_tgt, eg, budget)
@@ -291,12 +296,10 @@ def proof_skeleton_check(budget: Optional[int] = None,
         hex_ok = False
         failures.append(f"hexagon routes differ at level {lvl}")
 
-    tt = TensorTerms(e_oriental2(), e_oriental2())
-
     steps.append(ChainStep("hexagon", hex_cell, FOUR_CELL))
     sigma, w = Gen("sigma"), Gen("w")
-    for mv, label in ((tt.tensor(sigma, 2, w, 1), "slide-across-w2"),
-                      (tt.tensor(w, 1, sigma, 2), "slide-across-w1")):
+    for mv, label in ((gm.tt.tensor(sigma, 2, w, 1), "slide-across-w2"),
+                      (gm.tt.tensor(w, 1, sigma, 2), "slide-across-w1")):
         atom = _top_atom(mv)
         steps.append(ChainStep(label, mv, classify_pair(atom)))
 

@@ -32,7 +32,8 @@ term.  `normalize` computes dimensions bottom-up in the same pass
 it builds the normal form of a top boundary directly, from the normal
 generator faces its caller gives (a presentation keeps one table of
 them, and `Presentation.boundary` iterates the walk over it), so every
-boundary the program takes is normal.
+boundary the program takes is normal.  Both build a composite of normal
+parts with `normal_comp`, as any caller holding normal parts should.
 
 `normalize` raises TermError exactly where `dim` does, with the same
 message, so a normal form is always well-formed.  Normal forms are closed
@@ -348,18 +349,21 @@ def normal_dim(t: CellTerm, gens: Gens,
         return (t if inner is t.inner else Inv(inner)), d
     left, dl = normal_dim(t.left, gens, push_inv)
     right, dr = normal_dim(t.right, gens, push_inv)
-    d = _comp_dim(t.k, dl, dr)
     if isinstance(left, Id) or isinstance(right, Id):
-        return _comp_normal(t.k, left, right, d), d
+        return normal_comp(t.k, left, dl, right, dr), dl
+    d = _comp_dim(t.k, dl, dr)
     if left is t.left and right is t.right:
         return t, d
     return Comp(t.k, left, right), d
 
 
-def _comp_normal(k: int, left: CellTerm, right: CellTerm,
-                 d: int) -> CellTerm:
+def normal_comp(k: int, left: CellTerm, dl: int, right: CellTerm,
+                dr: int) -> CellTerm:
     """The normal form of Comp(k, left, right) for normal parts of
-    dimension d."""
+    dimensions dl and dr, built without walking the parts: what
+    normalize gives for that composite.  Raises the TermError dim raises
+    on it."""
+    d = _comp_dim(k, dl, dr)
     # absorb identity factors: an Id-tower of height d - k over a (k-dim) cell
     if identity_core(left)[1] >= d - k:
         return right
@@ -367,7 +371,7 @@ def _comp_normal(k: int, left: CellTerm, right: CellTerm,
         return left
     # functoriality of Id over composition
     if isinstance(left, Id) and isinstance(right, Id):
-        return Id(_comp_normal(k, left.inner, right.inner, d - 1))
+        return Id(normal_comp(k, left.inner, d - 1, right.inner, d - 1))
     return Comp(k, left, right)
 
 
@@ -377,7 +381,7 @@ def top_boundary(t: CellTerm, side: str, d: int, gens: Gens,
     """The (d-1)-dimensional source or target of a well-formed t of
     dimension d, built already normal: from the normal generator faces
     face(name, side) gives and the normal forms of the inner cells of
-    identities, composed with _comp_normal.  t need not be normal, so a
+    identities, composed with normal_comp.  t need not be normal, so a
     side is read as it is written.  None when a face it needs is None.
     Every face the boundary needs is read first, so a generator without a
     boundary raises face's TermError wherever it sits."""
@@ -397,7 +401,7 @@ def top_boundary(t: CellTerm, side: str, d: int, gens: Gens,
     if left is None or right is None:
         return None
     # both parts have dimension d - 1, so the composite is well-formed
-    return _comp_normal(t.k, left, right, d - 1)
+    return normal_comp(t.k, left, d - 1, right, d - 1)
 
 
 def _push_inv(t: CellTerm, d: int) -> CellTerm:

@@ -57,15 +57,21 @@ def undecidable_at_budget_0():
 @pytest.fixture(scope="session")
 def hopf_square_queries():
     """The JSON of walking_retract()'s presentation and the (left, right)
-    pair of every eq query that hopf_square_terms makes over it."""
+    pair of every eq and boundaries_eq query that hopf_square_terms makes
+    over it, in order."""
     rec = mates.walking_retract()
     queries = []
-    eq = mates.eq
+    eq, boundaries_eq = mates.eq, mates.boundaries_eq
 
     def recorded(a, b, p, budget=None):
         queries.append((a, b))
         return eq(a, b, p, budget)
 
-    with mock.patch.object(mates, "eq", recorded):
+    def recorded_boundaries(x, y, k, p, budget=None):
+        queries.append((x, y))
+        return boundaries_eq(x, y, k, p, budget)
+
+    with mock.patch.object(mates, "eq", recorded), \
+            mock.patch.object(mates, "boundaries_eq", recorded_boundaries):
         mates.hopf_square_terms(rec)
     return rec.presentation.dumps(), queries

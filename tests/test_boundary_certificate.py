@@ -25,7 +25,7 @@ from hopfsmith.rewriting import (Budget, EQ_DISTINCT, EQ_EQUAL, EQ_UNKNOWN,
 from hopfsmith.terms import (Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
                              illegal_inverses)
 from hopfsmith.walking import adj, mnd
-from test_terms_reference import ref_boundary, ref_top_boundary
+from reference_cells import ref_boundary, ref_top_boundary
 
 # ---------------------------------------------------------------------------
 # reference code

@@ -19,7 +19,8 @@ from hopfsmith.rewriting import (Budget, CompositionError, EQ_DISTINCT,
 from hopfsmith.terms import (Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
                              comp, dim, normal_dim, normalize)
 from hopfsmith.walking import adj, mnd
-from test_terms_reference import ref_boundary, subterms, well_formed
+from reference_cells import ref_boundary
+from test_terms_reference import subterms, well_formed
 
 M = mnd().base
 A = adj().base
@@ -694,11 +695,15 @@ def test_a_generator_boundary_that_is_not_a_word_is_unknown():
 
 def test_boundaries_eq_compares_the_sides_it_names():
     m, u, a = Gen("m"), Gen("u"), Gen("A")
-    assert boundaries_eq(m, SOURCE, m, SOURCE, 1, M)[0] is EQ_EQUAL
-    assert boundaries_eq(m, TARGET, u, TARGET, 1, M) == (EQ_EQUAL, a, a)
-    # the boundaries come back normal, as the report shows them
-    assert boundaries_eq(m, SOURCE, u, SOURCE, 1, M) == (
-        EQ_DISTINCT, comp(0, a, a), Id(Gen("pt")))
+    aa, pt = comp(0, a, a), Id(Gen("pt"))
+    assert boundaries_eq(aa, aa, 1, M) is EQ_EQUAL
+    assert boundaries_eq(a, a, 1, M) is EQ_EQUAL
+    assert boundaries_eq(aa, pt, 1, M) is EQ_DISTINCT
+    # composable names the sides: the normal boundaries it compared come
+    # back for the report
+    assert composable(1, u, m, M) == (EQ_DISTINCT, a, aa)
+    assert composable(1, m, u, M) == (EQ_DISTINCT, a, pt)
+    assert composable(1, m, Id(a), M) == (EQ_EQUAL, a, a)
 
 
 def test_parallel_spends_the_given_budget(undecidable_at_budget_0):

@@ -1,11 +1,11 @@
 """Differential oracle, slide counts and search trace for the interchange
 kernel.
 
-The reference functions below work on Atom, Layer and Stack objects,
-each atom carrying its own words, and ref_canonical_stack,
-ref_cancellations, ref_try_window and ref_align try to slide every
-layer, whatever its atom, so they are slower but obviously follow their
-definitions.  The kernel (hopfsmith.interchange) works on packed
+The reference functions below work on the Atom, Layer and Stack objects
+of `reference_cells`, each atom carrying its own words, and
+ref_canonical_stack, ref_cancellations, ref_try_window and ref_align try
+to slide every layer, whatever its atom, so they are slower but
+obviously follow their definitions.  The kernel (hopfsmith.interchange) works on packed
 integer states and skips slides whose outcome is known without making
 them; it must give the same stacks, and the same lists in the same
 order, on every stack.  ref_align is greedy: align must make its swaps
@@ -22,7 +22,7 @@ import json
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
@@ -33,8 +33,9 @@ from hopfsmith import interchange, mates, rewriting
 from hopfsmith.mates import walking_retract
 from hopfsmith.presentation import Presentation
 from hopfsmith.rewriting import Budget, _packed_rules, eq, stack_of
-from hopfsmith.terms import Gen, Id, SOURCE, TARGET, TermError, comp
+from hopfsmith.terms import Gen, Id, SOURCE, TARGET, comp
 from hopfsmith.walking import adj, mnd
+from reference_cells import Atom, Layer, Letter, Stack, pack, ref_boundary
 
 PRESENTATIONS = {"mnd": mnd().base, "adj": adj().base,
                  "walking_retract": walking_retract().presentation}
@@ -45,63 +46,12 @@ MAX_WIDTH = 6
 # ---------------------------------------------------------------------------
 # reference code
 
-Letter = Tuple[str, bool]
-
-
-@dataclass(frozen=True)
-class Atom:
-    name: str
-    inverted: bool
-    # the words it fires on and leaves; equality and hashing ignore them
-    src: Tuple[Letter, ...] = field(compare=False)
-    tgt: Tuple[Letter, ...] = field(compare=False)
-
-    def inverse(self) -> "Atom":
-        return Atom(self.name, not self.inverted, self.tgt, self.src)
-
-
-@dataclass(frozen=True)
-class Layer:
-    offset: int
-    atom: Atom
-
-
-@dataclass(frozen=True)
-class Stack:
-    """A 2-cell in layer form: the source word plus the layer sequence."""
-    srcword: Tuple[Letter, ...]
-    layers: Tuple[Layer, ...]
-
-    def word_before(self, i: int) -> Tuple[Letter, ...]:
-        """The word after the first i layers fire; TermError when a layer
-        does not fit the word it fires on."""
-        w = self.srcword
-        for layer in self.layers[:i]:
-            a, b = layer.atom.src, layer.atom.tgt
-            if w[layer.offset:layer.offset + len(a)] != a:
-                raise TermError("layer does not fit its word")
-            w = w[:layer.offset] + b + w[layer.offset + len(a):]
-        return w
-
-    def tgtword(self) -> Tuple[Letter, ...]:
-        return self.word_before(len(self.layers))
-
 
 @dataclass(frozen=True)
 class LayerRule:
     src: Tuple[Letter, ...]
     lhs: Tuple[Layer, ...]
     rhs: Tuple[Layer, ...]
-
-
-def pack(layers: Sequence[Layer], table) -> Tuple[int, ...]:
-    """Layers as a flat (offset, atom id, ...) tuple, adding each atom to
-    the table."""
-    flat: List[int] = []
-    for layer in layers:
-        a = layer.atom
-        flat += (layer.offset, table.add(a.name, a.inverted, a.src, a.tgt))
-    return tuple(flat)
 
 
 def unpack_layers(flat, table) -> Tuple[Layer, ...]:
@@ -397,8 +347,6 @@ def _end(p, letter, side):
 def _atoms(p):
     """(atom, source word, target word, 0-cell under it) for every
     2-generator and, for an invertible one, its inverse."""
-    # that module imports this one, so it is read once both are loaded
-    from test_terms_reference import ref_boundary
     out = []
     for name in sorted(g.name for g in p.gens_of_dim(2)):
         src, tgt = p.boundary_words(name)

@@ -5,15 +5,18 @@ import hashlib
 import io
 from contextlib import redirect_stdout
 
+import pytest
+
+from hopfsmith import shear
 from hopfsmith.cli import main
 from hopfsmith.gray import GrayMorphism, TensorTerms, gray
 from hopfsmith.presentation import validate_term
 from hopfsmith.rewriting import EQ_EQUAL, eq
-from hopfsmith.shear import (_g, _o2_to_mnd, bimnd_cells, mnd_gray,
-                             mnd_smash, oriental_shear_term,
+from hopfsmith.shear import (_g, _o2_to_eo2, _o2_to_mnd, bimnd_cells,
+                             mnd_gray, mnd_smash, oriental_shear_term,
                              proof_skeleton_check, universal_shear,
                              whiskered_gray)
-from hopfsmith.terms import Comp, Gen, Id, comp, generators
+from hopfsmith.terms import Comp, Gen, Id, Inv, comp, generators, print_term
 from hopfsmith.walking import oriental2
 
 
@@ -168,3 +171,78 @@ def test_oriental_shear_term_lives_in_the_triangle_square():
     og = gray(o2, o2)
     assert validate_term(oriental_shear_term(), og) == []
     assert og.dim(oriental_shear_term()) == 3
+
+
+# ---------------------------------------------------------------------------
+# the chain's terms against the expansion that normalizes every part whole
+
+
+def ref_split_moves(t, p):
+    """The split of a normal 3-cell into single moves with each whiskered
+    part built raw and normalized whole."""
+    if isinstance(t, Id):
+        return []
+    if isinstance(t, Comp):
+        if t.k == 2:
+            return ref_split_moves(t.left, p) + ref_split_moves(t.right, p)
+        la = ref_split_moves(t.left, p)
+        lb = ref_split_moves(t.right, p)
+        if not la:
+            return [p.normalize(Comp(t.k, t.left, m)) for m in lb]
+        if not lb:
+            return [p.normalize(Comp(t.k, m, t.right)) for m in la]
+        first = Comp(t.k, t.left, Id(p.boundary(t.right, "source", 2)))
+        second = Comp(t.k, Id(p.boundary(t.left, "target", 2)), t.right)
+        return (ref_split_moves(p.normalize(first), p)
+                + ref_split_moves(p.normalize(second), p))
+    return [t]
+
+
+def ref_skeleton_terms():
+    """(split moves, whiskered steps, whiskered image) of the proof
+    skeleton, each whiskered composite normalized whole."""
+    eg = whiskered_gray()
+    to_e = _o2_to_eo2()
+    image = eg.normalize(GrayMorphism(to_e, to_e, eg).push(
+        oriental_shear_term()))
+    beta_layer = comp(
+        0, Id(_g("q4", "e2")), Id(_g("q4", "v")), Id(_g("e2", "q2")),
+        _g("v", "u"), Id(_g("q2", "e1")), Id(_g("u", "q0")),
+        Id(_g("e1", "q0")))
+    moves = ref_split_moves(image, eg)
+    steps = [eg.normalize(Comp(1, Id(beta_layer), t)) for t in moves]
+    return moves, steps, eg.normalize(Comp(1, Id(beta_layer), image))
+
+
+@pytest.mark.parametrize("mutate_step", [None, 0, 1, 2, 3])
+def test_skeleton_terms_match_the_normalize_based_expansion(monkeypatch,
+                                                            mutate_step):
+    """Every split move, every whiskered step and the whiskered image that
+    proof_skeleton_check composes from normal parts print as the
+    expansion above gives them."""
+    splits, comps = [], []
+    split_moves, normal_comp = shear._split_moves, shear.normal_comp
+
+    def recorded_split(t, p):
+        out = split_moves(t, p)
+        splits.append((t, out))
+        return out
+
+    def recorded_comp(k, left, dl, right, dr):
+        out = normal_comp(k, left, dl, right, dr)
+        comps.append((right, out))
+        return out
+
+    monkeypatch.setattr(shear, "_split_moves", recorded_split)
+    monkeypatch.setattr(shear, "normal_comp", recorded_comp)
+    rep = proof_skeleton_check(mutate_step=mutate_step)
+    moves, steps, image = ref_skeleton_terms()
+    assert len(moves) == 4
+    # the outermost split returns last; its input is the pushed image
+    pushed, got_moves = splits[-1]
+    assert [print_term(m) for m in got_moves] == [print_term(m) for m in moves]
+    want = [Inv(t) if i == mutate_step else t for i, t in enumerate(steps)]
+    assert ([print_term(s.term) for s in rep.steps[:len(want)]]
+            == [print_term(t) for t in want])
+    assert [print_term(out) for right, out in comps if right is pushed] == [
+        print_term(image)]

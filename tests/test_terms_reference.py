@@ -1,18 +1,18 @@
 """Differential oracle for the one-pass term operations.
 
-The reference functions below are the earlier, straightforward versions
-of dim, normalize, word_of and stack_of, and the raw boundary walk
-(ref_top_boundary, ref_boundary), which takes a side as it is written
-and normalizes nothing: each recomputes dim at every composite and
-normalizes every subterm again, so they are quadratic or cubic in the
-size of a term, but obviously follow the definitions.  The program's
-versions must agree with them on every well-formed term, and normalize
-must raise exactly where dim raises.  The program's one boundary walk,
-top_boundary, must give the normal form of the reference top boundary,
-also over a presentation whose generator faces are written in forms
-that are not normal, and Presentation.boundary must give that normal
-top boundary iterated level by level.  word_of and stack_of take normal
-terms, so they are compared
+The reference functions below, with ref_dim and the raw boundary walk
+(ref_top_boundary, ref_boundary) of `reference_cells`, which takes a
+side as it is written and normalizes nothing, are the earlier,
+straightforward versions of dim, normalize, word_of and stack_of: each
+recomputes dim at every composite and normalizes every subterm again, so
+they are quadratic or cubic in the size of a term, but obviously follow
+the definitions.  The program's versions must agree with them on every
+well-formed term, and normalize must raise exactly where dim raises.
+The program's one boundary walk, top_boundary, must give the normal form
+of the reference top boundary, also over a presentation whose generator
+faces are written in forms that are not normal, and
+Presentation.boundary must give that normal top boundary iterated level
+by level.  word_of and stack_of take normal terms, so they are compared
 with the reference on normal forms; on any other term they must read
 what they read on its normal form or refuse it, and each shape that no
 normal form has is refused.
@@ -29,9 +29,9 @@ from hopfsmith.presentation import Presentation
 from hopfsmith.rewriting import _cancel_word, stack_of, word_of
 from hopfsmith.terms import (Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
                              comp, dim, flatten, generators, identity_core,
-                             normalize, top_boundary)
+                             idn, normal_comp, normalize, top_boundary)
 from hopfsmith.walking import adj, mnd
-from test_interchange_reference import Atom, Layer, Stack, pack
+from reference_cells import Atom, Layer, Stack, pack, ref_dim, ref_top_boundary
 
 PRESENTATIONS = {"mnd": mnd().base, "adj": adj().base,
                  "walking_retract": walking_retract().presentation}
@@ -39,54 +39,6 @@ PRESENTATIONS = {"mnd": mnd().base, "adj": adj().base,
 
 # ---------------------------------------------------------------------------
 # reference code
-
-
-def ref_dim(t, sig):
-    if isinstance(t, Gen):
-        if t.name not in sig:
-            raise TermError(f"unknown generator {t.name!r}")
-        return sig[t.name].dim
-    if isinstance(t, Id):
-        return ref_dim(t.inner, sig) + 1
-    if isinstance(t, Inv):
-        return ref_dim(t.inner, sig)
-    dl = ref_dim(t.left, sig)
-    dr = ref_dim(t.right, sig)
-    if dl != dr:
-        raise TermError(f"composite of unequal dimensions {dl} and {dr}")
-    if not 0 <= t.k < dl:
-        raise TermError(f"illegal composition level {t.k} for dimension {dl}")
-    return dl
-
-
-def ref_top_boundary(t, side, sig):
-    if isinstance(t, Gen):
-        b = sig[t.name].src if side == SOURCE else sig[t.name].tgt
-        if b is None:
-            raise TermError(f"0-cell {t.name!r} has no boundary")
-        return b
-    if isinstance(t, Id):
-        return t.inner
-    if isinstance(t, Inv):
-        return ref_top_boundary(t.inner, TARGET if side == SOURCE else SOURCE,
-                                sig)
-    d = ref_dim(t, sig)
-    if t.k == d - 1:
-        part = t.left if side == SOURCE else t.right
-        return ref_top_boundary(part, side, sig)
-    return Comp(t.k, ref_top_boundary(t.left, side, sig),
-                ref_top_boundary(t.right, side, sig))
-
-
-def ref_boundary(t, side, k, sig):
-    d = ref_dim(t, sig)
-    if not 0 <= k < d:
-        raise TermError(f"boundary level {k} out of range for dimension {d}")
-    out = t
-    while d > k + 1:
-        out = ref_top_boundary(out, side, sig)
-        d -= 1
-    return ref_top_boundary(out, side, sig)
 
 
 def ref_normal_boundary(t, side, k, sig):
@@ -309,6 +261,44 @@ def test_normal_forms_are_idempotent_and_closed_under_subterms(case):
         assert dim(n, p.gens) == dim(t, p.gens)
         for s in subterms(n):
             assert normalize(s, p.gens, push_inv) == s
+
+
+@st.composite
+def normal_parts(draw):
+    """A presentation, a dimension d >= 1 and two normal d-cells over it.
+    Each part is, half the time, an identity tower over a cell of a lower
+    dimension j, which a composite at any level k >= j absorbs."""
+    p = PRESENTATIONS[draw(st.sampled_from(sorted(PRESENTATIONS)))]
+    d = draw(st.integers(1, max(g.dim for g in p.gens.values())))
+
+    def part():
+        if draw(st.booleans()):
+            return draw(cells(p, d))
+        j = draw(st.integers(0, d - 1))
+        return idn(draw(cells(p, j, 2)), d - j)
+
+    # push_inv changes which terms are normal, so each part is drawn normal
+    # under both settings
+    push_inv = draw(st.booleans())
+    a, b = (normalize(part(), p.gens, push_inv) for _ in range(2))
+    return p, d, a, b, push_inv
+
+
+@settings(max_examples=200)
+@given(normal_parts())
+def test_normal_comp_is_the_normal_form_of_the_composite(case):
+    p, d, a, b, push_inv = case
+    for k in range(d):
+        want = normalize(Comp(k, a, b), p.gens, push_inv)
+        assert want == ref_normalize(Comp(k, a, b), p.gens, push_inv)
+        assert normal_comp(k, a, d, b, d) == want
+    # at a level outside 0..d-1, or on parts of unequal dimensions, it
+    # raises what dim raises on such a composite
+    for k in (-1, d):
+        assert (outcome(normal_comp, k, a, d, b, d)
+                == outcome(dim, Comp(k, a, b), p.gens))
+    assert outcome(normal_comp, 0, a, d, b, d - 1) == (
+        "raises", "TermError", f"composite of unequal dimensions {d} and {d - 1}")
 
 
 @settings(max_examples=150)
