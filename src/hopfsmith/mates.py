@@ -278,9 +278,7 @@ def hopf_square_terms(rec: RetractRecord,
             y, d = normal_dim(expected, p.gens)
         except TermError:
             return EQ_UNKNOWN
-        if d != k:  # a cell of another dimension takes eq's own verdict
-            return eq(x, y, p, budget)
-        return boundaries_eq(x, y, k, p, budget)
+        return boundaries_eq(x, k, y, d, p, budget)
 
     base = rec.basepoint_id()
     note("H_src1", boundary_is(H, "source", 1, base))

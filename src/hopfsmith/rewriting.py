@@ -54,9 +54,9 @@ certificate began, so running out on one pair never hides a difference
 at another.  Validation passes `parallel` the dimension it has already
 taken, for a generator's source and target and a relation's sides, and
 names the lowest level that differs.  `boundaries_eq` is eq on two
-normal k-cells, with no second normalization: `composable` passes it
-the target of one cell and the source of the next, each read from
-`Presentation.boundary`, the same walk iterated.
+normal cells of known dimensions, with no second normalization:
+`composable` passes it the target of one cell and the source of the
+next, each read from `Presentation.boundary`, the same walk iterated.
 
 Every stratum reads its rules from `_oriented`: an oriented relation
 whose sides do not both normalize to cells of its stated dimension is
@@ -508,13 +508,13 @@ class CompositionError(TermError):
         self.right_boundary = right_boundary
 
 
-def boundaries_eq(x: CellTerm, y: CellTerm, k: int, p: Presentation,
-                  budget: Optional[int] = None) -> Verdict:
-    """eq on two normal k-cells, such as the boundaries
-    Presentation.boundary builds normal: eq's own normalization is
-    skipped."""
+def boundaries_eq(x: CellTerm, dx: int, y: CellTerm, dy: int,
+                  p: Presentation, budget: Optional[int] = None) -> Verdict:
+    """eq on two normal cells of dimensions dx and dy, such as the
+    boundaries Presentation.boundary builds normal: eq's own
+    normalization is skipped."""
     steps = default_budget() if budget is None else budget
-    return _eq(x, k, y, k, p, Budget(steps), certify=True)
+    return _eq(x, dx, y, dy, p, Budget(steps), certify=True)
 
 
 def composable(k: int, a: CellTerm, b: CellTerm, p: Presentation,
@@ -524,7 +524,7 @@ def composable(k: int, a: CellTerm, b: CellTerm, p: Presentation,
     a-then-b shares, with both, for a report.  Raises TermError when a
     boundary cannot be taken."""
     x, y = p.boundary(a, TARGET, k), p.boundary(b, SOURCE, k)
-    return boundaries_eq(x, y, k, p, budget), x, y
+    return boundaries_eq(x, k, y, k, p, budget), x, y
 
 
 def compose(k: int, a: CellTerm, b: CellTerm, p: Presentation,

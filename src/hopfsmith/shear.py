@@ -271,7 +271,7 @@ def proof_skeleton_check(budget: Optional[int] = None,
 
     # (ii) total 2-boundary against the (whiskered) shear image
     whiskered_image = normal_comp(1, beta, 3, image, 3)
-    ends = [boundaries_eq(eg.boundary(s.term, side, 2),
+    ends = [boundaries_eq(eg.boundary(s.term, side, 2), 2,
                           eg.boundary(whiskered_image, side, 2), 2, eg,
                           budget) is EQ_EQUAL
             for s, side in ((steps[0], "source"), (steps[-1], "target"))]

@@ -67,9 +67,9 @@ def hopf_square_queries():
         queries.append((a, b))
         return eq(a, b, p, budget)
 
-    def recorded_boundaries(x, y, k, p, budget=None):
+    def recorded_boundaries(x, dx, y, dy, p, budget=None):
         queries.append((x, y))
-        return boundaries_eq(x, y, k, p, budget)
+        return boundaries_eq(x, dx, y, dy, p, budget)
 
     with mock.patch.object(mates, "eq", recorded), \
             mock.patch.object(mates, "boundaries_eq", recorded_boundaries):

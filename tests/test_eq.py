@@ -696,9 +696,9 @@ def test_a_generator_boundary_that_is_not_a_word_is_unknown():
 def test_boundaries_eq_compares_the_sides_it_names():
     m, u, a = Gen("m"), Gen("u"), Gen("A")
     aa, pt = comp(0, a, a), Id(Gen("pt"))
-    assert boundaries_eq(aa, aa, 1, M) is EQ_EQUAL
-    assert boundaries_eq(a, a, 1, M) is EQ_EQUAL
-    assert boundaries_eq(aa, pt, 1, M) is EQ_DISTINCT
+    assert boundaries_eq(aa, 1, aa, 1, M) is EQ_EQUAL
+    assert boundaries_eq(a, 1, a, 1, M) is EQ_EQUAL
+    assert boundaries_eq(aa, 1, pt, 1, M) is EQ_DISTINCT
     # composable names the sides: the normal boundaries it compared come
     # back for the report
     assert composable(1, u, m, M) == (EQ_DISTINCT, a, aa)
