@@ -21,12 +21,12 @@ or a braiding that it only multiplies.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import jsonshape as shape
 from .field import Field, FieldError, field_from_json
 from .matrix import Matrix
+from .record import Record
 
 FLIP = "flip"
 SUPER = "super"
@@ -38,38 +38,31 @@ class BialgebraError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Bialgebra:
-    field: Field
-    n: int
-    m: Matrix          # n x n^2
-    u: Matrix          # n x 1
-    delta: Matrix      # n^2 x n
-    eps: Matrix        # 1 x n
-    grading: Tuple[int, ...] = ()
-    braiding: str = FLIP
-    basis_names: Tuple[str, ...] = ()
+class Bialgebra(Record):
+    # m: n x n^2, u: n x 1, delta: n^2 x n, eps: 1 x n; an empty grading
+    # is all even, and empty basis names are e0, e1, ...
+    __slots__ = ("field", "n", "m", "u", "delta", "eps", "grading",
+                 "braiding", "basis_names")
 
-    def __post_init__(self):
-        n = self.n
-        shapes = ((self.m, n, n * n), (self.u, n, 1),
-                  (self.delta, n * n, n), (self.eps, 1, n))
+    def __init__(self, field: Field, n: int, m: Matrix, u: Matrix,
+                 delta: Matrix, eps: Matrix, grading: Tuple[int, ...] = (),
+                 braiding: str = FLIP, basis_names: Tuple[str, ...] = ()):
+        shapes = ((m, n, n * n), (u, n, 1), (delta, n * n, n), (eps, 1, n))
         for mat, r, c in shapes:
             if (mat.rows, mat.cols) != (r, c):
                 raise BialgebraError(
                     f"structure tensor shape {mat.rows}x{mat.cols}, "
                     f"expected {r}x{c}")
-        if not self.grading:
-            object.__setattr__(self, "grading", (0,) * n)
-        if len(self.grading) != n:
+        grading = grading or (0,) * n
+        if len(grading) != n:
             raise BialgebraError("grading length mismatch")
-        if self.braiding not in (FLIP, SUPER):
-            raise BialgebraError(f"unknown braiding {self.braiding!r}")
-        if not self.basis_names:
-            object.__setattr__(self, "basis_names",
-                               tuple(f"e{i}" for i in range(n)))
-        if len(self.basis_names) != n:
+        if braiding not in (FLIP, SUPER):
+            raise BialgebraError(f"unknown braiding {braiding!r}")
+        basis_names = basis_names or tuple(f"e{i}" for i in range(n))
+        if len(basis_names) != n:
             raise BialgebraError("basis length mismatch")
+        Record.__init__(self, field, n, m, u, delta, eps, grading, braiding,
+                        basis_names)
 
     # -- helpers ----------------------------------------------------------
 
@@ -94,11 +87,9 @@ def braiding_matrix(B: Bialgebra) -> Matrix:
         for i in range(n) for j in range(n)))
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    name: str
-    holds: bool
-    witness: Optional[str] = None
+class AxiomReport(Record):
+    __slots__ = ("name", "holds", "witness")
+    _defaults = {"witness": None}
 
 
 def check_bialgebra(B: Bialgebra) -> List[AxiomReport]:
@@ -257,11 +248,9 @@ def is_cohopf(B: Bialgebra) -> bool:
 # antipodes
 
 
-@dataclass(frozen=True)
-class HopfData:
-    bialgebra: Bialgebra
-    S: Matrix
-    S_inv: Optional[Matrix] = None
+class HopfData(Record):
+    __slots__ = ("bialgebra", "S", "S_inv")
+    _defaults = {"S_inv": None}
 
 
 class NoAntipode(BialgebraError):
@@ -334,13 +323,12 @@ def convolution_inverse(B: Bialgebra) -> Optional[Matrix]:
 # integrals
 
 
-@dataclass(frozen=True)
-class IntegralData:
-    left_integrals: List[Matrix]     # 1 x n rows
-    left_cointegrals: List[Matrix]   # n x 1 columns
-    pairing: Optional[object] = None  # scalar for the normalized pair
-    normalized_integral: Optional[Matrix] = None
-    normalized_cointegral: Optional[Matrix] = None
+class IntegralData(Record):
+    # 1 x n integral rows, n x 1 cointegral columns, and the scalar of the
+    # normalized pair
+    __slots__ = ("left_integrals", "left_cointegrals", "pairing",
+                 "normalized_integral", "normalized_cointegral")
+    _defaults = dict.fromkeys(__slots__[2:])
 
 
 def integrals(B: Bialgebra) -> IntegralData:

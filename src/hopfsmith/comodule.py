@@ -7,29 +7,27 @@ rows are indexed (h, i) |-> h*d + i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from .bialgebra import Bialgebra, HopfData, antipode
 from .matrix import Matrix
+from .record import Record
 
 
 class ComoduleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Comodule:
-    bialgebra: Bialgebra
-    d: int
-    rho: Matrix  # (n*d) x d
+class Comodule(Record):
+    # rho: (n*d) x d
+    __slots__ = ("bialgebra", "d", "rho")
 
-    def __post_init__(self):
-        n = self.bialgebra.n
-        if (self.rho.rows, self.rho.cols) != (n * self.d, self.d):
-            raise ComoduleError(
-                f"coaction shape {self.rho.rows}x{self.rho.cols}, expected "
-                f"{n * self.d}x{self.d}")
+    def __init__(self, bialgebra: Bialgebra, d: int, rho: Matrix):
+        n = bialgebra.n
+        if (rho.rows, rho.cols) != (n * d, d):
+            raise ComoduleError(f"coaction shape {rho.rows}x{rho.cols}, "
+                                f"expected {n * d}x{d}")
+        Record.__init__(self, bialgebra, d, rho)
 
     def check(self) -> List[str]:
         """Names of failing comodule axioms (empty when valid)."""

@@ -31,15 +31,14 @@ tensor square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 from . import interchange
 from .bialgebra import NE, Bialgebra, braiding_matrix, shear
-from .field import Field
 from .matrix import Matrix
 from .presentation import Presentation
+from .record import Record
 from .rewriting import stack_of
 from .shear import bimnd_cells, mnd_gray, mnd_smash, universal_shear
 from .terms import SOURCE, TARGET, CellTerm, Comp, Gen, Id, Inv, generators
@@ -53,17 +52,12 @@ class _Misaligned(EvaluationError):
     """A junction whose layers no slides align: read over the smash."""
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(Record):
     """A strict functor on the (k+1)-cells of a presentation: the space
     size of each k-generator, the matrix of each (k+1)-generator, and the
     junction: at k = 2, the matrix of a slide of two layers with a size
     past each other, or None where slides are identities."""
-    field: Field
-    k: int
-    sizes: Dict[str, int]
-    matrices: Dict[str, Matrix]
-    junction: Optional[Matrix]
+    __slots__ = ("field", "k", "sizes", "matrices", "junction")
 
 
 def monad_square(B: Bialgebra) -> Interpretation:

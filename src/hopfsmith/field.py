@@ -124,6 +124,10 @@ class RationalField:
     def to_json(self):
         return "Q"
 
+    def __reduce__(self):
+        # the one instance: copies and pickles refer to it
+        return "QQ"
+
 
 QQ = RationalField()
 

@@ -21,24 +21,35 @@ quotient of a tensor that is already built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .presentation import PresMorphism, Presentation
-from .terms import (MAX_DIM, CellTerm, Comp, Gen, Id, TermError, idn,
+from .record import Record
+from .terms import (MAX_DIM, CellTerm, Comp, Gen, Gens, Id, TermError, idn,
                     substitute)
 from .walking import PointedPresentation
 
-PAIR_SEP = "⊗"  # the tensor sign, kept out of factor names
+# the tensor sign; a factor's name may hold it too, as the names of an
+# iterated tensor do
+PAIR_SEP = "⊗"
 
 
 def pair_name(x: str, y: str) -> str:
     return f"{x}{PAIR_SEP}{y}"
 
 
-def split_pair(name: str) -> Tuple[str, str]:
-    x, y = name.split(PAIR_SEP, 1)
-    return x, y
+def split_pair(name: str, left: Gens, right: Gens) -> Tuple[str, str]:
+    """The factors (x, y) of a pair generator of a tensor of two
+    presentations with generator tables left and right: the one split of
+    name at a tensor sign into a name of each, since `gray` refuses two
+    pairs with one name.  ValueError when there is none."""
+    i = name.find(PAIR_SEP)
+    while i >= 0:
+        x, y = name[:i], name[i + len(PAIR_SEP):]
+        if x in left and y in right:
+            return x, y
+        i = name.find(PAIR_SEP, i + 1)
+    raise ValueError(f"{name!r} is not a pair of the two factors")
 
 
 def _ends(p: Presentation, t: CellTerm) -> Tuple[str, str]:
@@ -304,24 +315,24 @@ def _wire_bead(tt: TensorTerms, g, h) -> Tuple[CellTerm, CellTerm]:
 # tensor squares of morphisms
 
 
-@dataclass(frozen=True)
-class GrayMorphism:
+class GrayMorphism(Record, derived=("tt",)):
     """The tensor of two presentation morphisms: a pair generator goes to
     the tensor of the images, built with the same term constructors that
-    define the tensor boundaries, so functoriality is by construction."""
-    left: PresMorphism
-    right: PresMorphism
-    codomain: Presentation   # gray(left.codomain, right.codomain)
+    define the tensor boundaries, so functoriality is by construction.
+    The codomain is gray(left.codomain, right.codomain)."""
+    __slots__ = ("left", "right", "codomain", "tt")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tt", TensorTerms(self.left.codomain,
-                                                  self.right.codomain))
+    def __init__(self, left: PresMorphism, right: PresMorphism,
+                 codomain: Presentation):
+        Record.__init__(self, left, right, codomain,
+                        TensorTerms(left.codomain, right.codomain))
 
     def push(self, t: CellTerm) -> CellTerm:
         return self.codomain.normalize(substitute(t, self._push_pair))
 
     def _push_pair(self, name: str) -> CellTerm:
-        x, y = split_pair(name)
+        x, y = split_pair(name, self.left.domain.gens,
+                          self.right.domain.gens)
         return self.tt.tensor(self.left.push(Gen(x)),
                               self.left.domain.gens[x].dim,
                               self.right.push(Gen(y)),
@@ -339,22 +350,22 @@ def smash(P: PointedPresentation,
           Q: PointedPresentation) -> Tuple[Presentation, PresMorphism]:
     """Quotient of the tensor collapsing every generator that touches either
     basepoint to an identity on the base object, with the collapse map."""
-    return collapse(gray(P.base, Q.base), P.basepoint, Q.basepoint)
+    return collapse(gray(P.base, Q.base), P, Q)
 
 
-def collapse(big: Presentation, p_point: str,
-             q_point: str) -> Tuple[Presentation, PresMorphism]:
-    """The smash collapse of an already built tensor `big = gray(P, Q)`:
-    every pair generator with `p_point` as its first factor or `q_point` as
-    its second becomes an identity on the base object."""
+def collapse(big: Presentation, P: PointedPresentation,
+             Q: PointedPresentation) -> Tuple[Presentation, PresMorphism]:
+    """The smash collapse of an already built tensor `big = gray(P.base,
+    Q.base)`: every pair generator with P's basepoint as its first factor
+    or Q's as its second becomes an identity on the base object."""
     out = Presentation(max_dim=big.max_dim)
     out.add(BASEPOINT, 0)
     assignment: Dict[str, CellTerm] = {}
 
     survivors = []
     for g in big.gens.values():
-        x, y = split_pair(g.name)
-        if x == p_point or y == q_point:
+        x, y = split_pair(g.name, P.base.gens, Q.base.gens)
+        if x == P.basepoint or y == Q.basepoint:
             assignment[g.name] = idn(Gen(BASEPOINT), g.dim)
         else:
             survivors.append(g)

@@ -12,22 +12,17 @@ to the zigzag rules; eq() decides both at the layer level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .presentation import Presentation
+from .record import Record
 from .rewriting import EQ_DISTINCT, EQ_UNKNOWN, Verdict, boundaries_eq, eq
 from .terms import CellTerm, Id, Inv, TermError, comp, normal_dim
 
 
-@dataclass(frozen=True)
-class AdjunctionRecord:
+class AdjunctionRecord(Record):
     """Data of l -| r: counit eps: (r then l) => id, unit eta: id => (l then r)."""
-    presentation: Presentation
-    l: CellTerm
-    r: CellTerm
-    eps: CellTerm
-    eta: CellTerm
+    __slots__ = ("presentation", "l", "r", "eps", "eta")
 
     @classmethod
     def trivial(cls, p: Presentation, obj: CellTerm) -> "AdjunctionRecord":
@@ -45,14 +40,9 @@ class AdjunctionRecord:
         }
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(Record):
     """alpha: (h then k) => (f then g)."""
-    f: CellTerm
-    g: CellTerm
-    h: CellTerm
-    k: CellTerm
-    alpha: CellTerm
+    __slots__ = ("f", "g", "h", "k", "alpha")
 
 
 class ShapeError(TermError):
@@ -117,18 +107,15 @@ def double_mate(sq: Square, adj_f: AdjunctionRecord,
 # the walking adjunctible retract
 
 
-@dataclass(frozen=True)
-class RetractRecord:
-    presentation: Presentation
-    f: CellTerm
-    g: CellTerm
-    alpha: CellTerm            # invertible, id => (f then g)
-    adj_f: AdjunctionRecord    # f -| f_R
-    adj_g: AdjunctionRecord    # g_L -| g
-    section_l: CellTerm        # (g . ev_f)^L : g => (f_R then f then g)
-    retraction_r: CellTerm     # (ev_g . f)^R : f => (f then g then g_L)
-    counit3: CellTerm          # 3-cell  (Q then P) -> id  for P = section_l
-    unit3: CellTerm            # 3-cell  id -> (Q' then R) for R = retraction_r
+class RetractRecord(Record):
+    # alpha         invertible, id => (f then g)
+    # adj_f, adj_g  f -| f_R and g_L -| g
+    # section_l     (g . ev_f)^L : g => (f_R then f then g)
+    # retraction_r  (ev_g . f)^R : f => (f then g then g_L)
+    # counit3       3-cell  (Q then P) -> id  for P = section_l
+    # unit3         3-cell  id -> (Q' then R) for R = retraction_r
+    __slots__ = ("presentation", "f", "g", "alpha", "adj_f", "adj_g",
+                 "section_l", "retraction_r", "counit3", "unit3")
 
     def basepoint_id(self) -> CellTerm:
         # the identity on a normal cell is normal
@@ -212,18 +199,9 @@ def trivial_retract() -> RetractRecord:
 # the Hopf square and its structure cells
 
 
-@dataclass(frozen=True)
-class HopfSquare:
-    record: RetractRecord
-    H: CellTerm
-    mult: CellTerm
-    unit: CellTerm
-    counit: CellTerm
-    comult: CellTerm
-    alpha_rmate: CellTerm
-    alpha_lmate: CellTerm
-    alpha_sharp: CellTerm
-    checks: Dict[str, str]
+class HopfSquare(Record):
+    __slots__ = ("record", "H", "mult", "unit", "counit", "comult",
+                 "alpha_rmate", "alpha_lmate", "alpha_sharp", "checks")
 
 
 def hopf_square_terms(rec: RetractRecord,

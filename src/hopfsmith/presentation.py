@@ -13,12 +13,15 @@ indent=1, sort_keys=True) writes the same record; the tests check it
 against that call.
 
 A presentation's `gens` is the generator table that `dim`, `normalize`
-and `top_boundary` in `terms` read.  It is built by `add` and `relate`
-and freezes at its first query: reading one of its derived tables (the
-normal faces, the boundary words or the interchange kernel), which every
-search, every boundary certificate and every boundary query that reads
-a generator's face does, makes any later `add` or `relate` raise
-TermError, so no table is ever stale.
+and `top_boundary` in `terms` read.  Unlike the records here and
+elsewhere (`record.Record`), a presentation is built in place, by `add`
+and `relate`, and freezes at its first query: reading one of its derived
+tables (the normal faces, the boundary words or the interchange kernel),
+which every search, every boundary certificate and every boundary query
+that reads a generator's face does, makes any later `add` or `relate`
+raise TermError, so no table is ever stale.  `add` refuses a generator
+name that the term syntax cannot write: an empty one, or one holding
+whitespace or a parenthesis.
 `boundary`, `src` and `tgt` iterate the one boundary walk,
 `terms.top_boundary`, over the normal face table, so every boundary they
 give is normal.  `PresMorphism` maps the terms of one presentation to
@@ -28,11 +31,12 @@ another, generator by generator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import re
 from typing import Dict, List, Optional, Tuple
 
 from . import jsonshape as shape
 from .interchange import AtomTable
+from .record import Record
 from .rewriting import EQ_DISTINCT, EQ_EQUAL, composable, parallel, word_of
 from .terms import (MAX_DIM, CellTerm, Gen, Generator, Id, Inv, SOURCE,
                     TARGET, TermError, dim, generators, illegal_inverses,
@@ -40,30 +44,55 @@ from .terms import (MAX_DIM, CellTerm, Gen, Generator, Id, Inv, SOURCE,
                     substitute, top_boundary)
 
 
-@dataclass(frozen=True)
-class Relation:
-    dim: int
-    lhs: CellTerm
-    rhs: CellTerm
-    oriented: bool = False  # oriented relations are rewrite rules lhs -> rhs
+class Relation(Record):
+    # oriented relations are rewrite rules lhs -> rhs
+    __slots__ = ("dim", "lhs", "rhs", "oriented")
+
+    def __init__(self, dim: int, lhs: CellTerm, rhs: CellTerm,
+                 oriented: bool = False):
+        _set_rel_dim(self, dim)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_oriented(self, oriented)
 
 
-@dataclass
+_set_rel_dim = Relation.dim.__set__
+_set_lhs = Relation.lhs.__set__
+_set_rhs = Relation.rhs.__set__
+_set_oriented = Relation.oriented.__set__
+
+# what a generator name may not hold: the term syntax splits its tokens
+# at whitespace and parentheses
+_UNWRITABLE = re.compile(r"[\s()]")
+
+
 class Presentation:
-    max_dim: int
-    gens: Dict[str, Generator] = field(default_factory=dict)
-    relations: List[Relation] = field(default_factory=list)
-    # the derived tables, each entry made on first use: normal faces (None
-    # for an ill-formed one), boundary words, and the interchange kernel
-    # of 2-cell searches.  Reading one freezes the presentation.
-    _faces: Dict[Tuple[str, str], Optional[CellTerm]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _words: Dict[str, tuple] = field(default_factory=dict, init=False,
-                                     repr=False, compare=False)
-    _kernel: Optional[AtomTable] = field(default=None, init=False,
-                                         repr=False, compare=False)
-    _frozen: bool = field(default=False, init=False, repr=False,
-                          compare=False)
+    """The one mutable value: `add` and `relate` build it until its first
+    query freezes it.  Like a list, it does not hash."""
+
+    def __init__(self, max_dim: int,
+                 gens: Optional[Dict[str, Generator]] = None,
+                 relations: Optional[List[Relation]] = None):
+        self.max_dim = max_dim
+        self.gens = {} if gens is None else gens
+        self.relations = [] if relations is None else relations
+        # the derived tables, each entry made on first use: normal faces
+        # (None for an ill-formed one), boundary words, and the interchange
+        # kernel of 2-cell searches.  Reading one freezes the presentation.
+        self._faces: Dict[Tuple[str, str], Optional[CellTerm]] = {}
+        self._words: Dict[str, tuple] = {}
+        self._kernel: Optional[AtomTable] = None
+        self._frozen = False
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.max_dim, self.gens, self.relations) == (
+            other.max_dim, other.gens, other.relations)
+
+    def __repr__(self) -> str:
+        return (f"Presentation(max_dim={self.max_dim!r}, gens={self.gens!r}, "
+                f"relations={self.relations!r})")
 
     def __getstate__(self) -> dict:
         # copies and pickles keep the freeze, leave out the derived kernel
@@ -81,6 +110,9 @@ class Presentation:
         self._check_unfrozen()
         if name in self.gens:
             raise TermError(f"duplicate generator {name!r}")
+        if not name or _UNWRITABLE.search(name):
+            raise TermError(f"generator name {name!r} is empty or holds a "
+                            "space or a parenthesis")
         if d < 0:
             raise TermError(f"generator {name!r} has negative dimension {d}")
         if d > self.max_dim:
@@ -239,14 +271,11 @@ class Presentation:
         return cls.from_json(json.loads(text))
 
 
-@dataclass(frozen=True)
-class PresMorphism:
+class PresMorphism(Record):
     """A map of presentations: each generator of the domain goes to a term
     of the codomain of the same dimension, with images of boundaries
     matching boundaries of images."""
-    domain: Presentation
-    codomain: Presentation
-    assignment: Dict[str, CellTerm]
+    __slots__ = ("domain", "codomain", "assignment")
 
     def push(self, t: CellTerm) -> CellTerm:
         """The normal image of t.  TermError when t names a generator
@@ -285,11 +314,20 @@ def _scalar(v) -> str:
 # validation
 
 
-@dataclass(frozen=True)
-class Violation:
-    where: str   # generator or relation identifier
-    issue: str
-    undecided: bool = False  # eq ran out of budget; the data may be valid
+class Violation(Record):
+    # where: a generator or relation identifier; undecided: eq ran out of
+    # budget, so the data may be valid
+    __slots__ = ("where", "issue", "undecided")
+
+    def __init__(self, where: str, issue: str, undecided: bool = False):
+        _set_where(self, where)
+        _set_issue(self, issue)
+        _set_undecided(self, undecided)
+
+
+_set_where = Violation.where.__set__
+_set_issue = Violation.issue.__set__
+_set_undecided = Violation.undecided.__set__
 
 
 def validate_term(t: CellTerm, p: Presentation,

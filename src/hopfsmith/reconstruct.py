@@ -11,7 +11,6 @@ splits matrix coefficients; the counit evaluates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
 from typing import Dict, List, Optional, Tuple
 
 from .bialgebra import (Bialgebra, check_bialgebra, is_cohopf, is_hopf,
@@ -20,6 +19,7 @@ from .comodule import (Comodule, ComoduleError, comodule_hom,
                        regular_comodule, tensor_comodule)
 from .field import FieldError
 from .matrix import Matrix
+from .record import Record
 
 
 # the largest resolution system solved, in unknowns times entries of id_P
@@ -30,28 +30,23 @@ class ClosureError(ComoduleError):
     """A tensor product of members is not expressible inside the family."""
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(Record):
     """id_P = sum iota_s . pi_s with both legs comodule maps into members."""
-    member_indices: List[int]
-    iotas: List[Matrix]
-    pis: List[Matrix]
+    __slots__ = ("member_indices", "iotas", "pis")
 
 
-@dataclass(frozen=True)
-class GeneratingFamily:
-    members: List[Comodule]
-    # intertwiner bases by member pair, made on first use
-    hom_cache: Dict[Tuple[int, int], List[Matrix]] = dfield(
-        default_factory=dict, init=False, repr=False, compare=False)
+class GeneratingFamily(Record, derived=("hom_cache",)):
+    # hom_cache: intertwiner bases by member pair, made on first use
+    __slots__ = ("members", "hom_cache")
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, members: List[Comodule]):
+        if not members:
             raise ComoduleError("empty generating family")
-        for i, M in enumerate(self.members):
+        for i, M in enumerate(members):
             bad = M.check()
             if bad:
                 raise ComoduleError(f"member {i} fails {bad}")
+        Record.__init__(self, members, {})
 
     @property
     def bialgebra(self) -> Bialgebra:
@@ -155,12 +150,9 @@ def _resolve_general(family: GeneratingFamily, P: Comodule) -> Resolution:
 # the coend
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    bialgebra: Bialgebra
-    canonical: Optional[Matrix]
-    verdict: str   # "isomorphism" | "not-isomorphism" | "no-reference"
-    details: List[str]
+class ReconstructionResult(Record):
+    # verdict: "isomorphism" | "not-isomorphism" | "no-reference"
+    __slots__ = ("bialgebra", "canonical", "verdict", "details")
 
 
 def _block_offsets(family: GeneratingFamily) -> List[int]:
@@ -340,15 +332,10 @@ def _solve_unit(F, dim: int, mult: Matrix) -> Optional[Matrix]:
         Matrix.from_entries(F, 2 * dim * dim, 1, rhs))
 
 
-@dataclass(frozen=True)
-class RoundTrip:
-    verdict: str
-    reconstruction: Bialgebra
-    reference_hopf: bool
-    reconstruction_hopf: bool
-    reference_cohopf: bool
-    reconstruction_cohopf: bool
-    details: List[str]
+class RoundTrip(Record):
+    __slots__ = ("verdict", "reconstruction", "reference_hopf",
+                 "reconstruction_hopf", "reference_cohopf",
+                 "reconstruction_cohopf", "details")
 
     def flags_agree(self) -> bool:
         return (self.reference_hopf == self.reconstruction_hopf

@@ -12,12 +12,12 @@ argument.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .gray import GrayMorphism, collapse, gray, pair_name, split_pair
 from .presentation import PresMorphism, Presentation
+from .record import Record
 from .rewriting import (EQ_DISTINCT, EQ_EQUAL, boundaries_eq, composable,
                         parallel)
 from .terms import (CellTerm, Comp, Gen, Id, Inv, comp, generators,
@@ -36,7 +36,7 @@ def mnd_gray() -> Presentation:
 @lru_cache(maxsize=None)
 def mnd_smash() -> Tuple[Presentation, PresMorphism]:
     m = mnd()
-    return collapse(mnd_gray(), m.basepoint, m.basepoint)
+    return collapse(mnd_gray(), m, m)
 
 
 @lru_cache(maxsize=None)
@@ -132,8 +132,8 @@ _TRIVIAL_FACTORS = {"w"}
 def classify_pair(name: str) -> str:
     """The kind of a generator of the whiskered tensor square, from the
     dimensions of its two factors."""
-    x, y = split_pair(name)
     gens = _whiskered_triangle().gens
+    x, y = split_pair(name, gens, gens)
     dx, dy = gens[x].dim, gens[y].dim
     if x in _TRIVIAL_FACTORS or y in _TRIVIAL_FACTORS:
         return COLLAPSE_TRIVIAL
@@ -151,26 +151,18 @@ def _top_atom(t: CellTerm) -> Optional[str]:
     whiskered tensor square, if any."""
     gens = _whiskered_triangle().gens
     pairs = [n for n in generators(t)
-             if sum(gens[x].dim for x in split_pair(n)) >= 3]
+             if sum(gens[x].dim for x in split_pair(n, gens, gens)) >= 3]
     return pairs[0] if pairs else None
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    label: str
-    term: CellTerm
-    classification: str
-    composable: Optional[bool] = None
+class ChainStep(Record):
+    __slots__ = ("label", "term", "classification", "composable")
+    _defaults = {"composable": None}
 
 
-@dataclass(frozen=True)
-class SkeletonReport:
-    steps: List[ChainStep]
-    chain_composable: bool
-    boundary_match: bool
-    hexagon_closes: bool
-    table: Dict[str, int] = field(default_factory=dict)
-    failures: List[str] = field(default_factory=list)
+class SkeletonReport(Record):
+    __slots__ = ("steps", "chain_composable", "boundary_match",
+                 "hexagon_closes", "table", "failures")
 
     def ok(self) -> bool:
         return (self.chain_composable and self.boundary_match

@@ -10,18 +10,16 @@ A term is one of
     Inv(t)              -- formal inverse; only legal when every generator
                            occurring in t is marked invertible
 
-Terms are immutable and hashable.  Each node class keeps its fields in
-`__slots__` that its `__init__` writes through the slot descriptors; any
-later write or delete raises AttributeError, the base class of the
-FrozenInstanceError a frozen dataclass raises.  The nodes are not frozen
-dataclasses because those write every field through
-`object.__setattr__`, which made a node about 1.7 times as costly to
-build (`Comp(0, a, b)`: 0.67 against 0.39 us, Python 3.11.7), and term
-construction dominates the rewriting engine.  Equality checks identity,
-then the class, then each field; a hash mixes a fixed tag per class with
-the fields, so it repeats across processes under one PYTHONHASHSEED.
-`Generator`, built once per generator of a presentation, is a frozen
-dataclass.
+Terms are immutable and hashable records (`record.Record`): each node
+class keeps its fields in `__slots__` that its `__init__` writes through
+setters bound once to the slot descriptors, and any later write or
+delete raises AttributeError.  Term construction dominates the rewriting
+engine, so each node spells out its own equality, hash, repr and pickle
+reduction instead of reading them off its slot list: equality checks
+identity, then the class, then each field; a hash mixes a fixed tag per
+class with the fields, so it repeats across processes under one
+PYTHONHASHSEED.  `Generator`, built once per generator of a
+presentation, is a record with a slot-setter `__init__` of its own.
 
 All structural operations here (`dim`, `normalize`, `top_boundary`) are
 pure functions of the term and a generator table, the mapping name ->
@@ -55,9 +53,10 @@ about a thousand levels deep reaches Python's recursion limit there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (Callable, Iterator, List, Mapping, Optional, Tuple,
                     Union)
+
+from .record import Record
 
 SOURCE = "source"
 TARGET = "target"
@@ -69,19 +68,10 @@ class TermError(Exception):
     """Malformed term: bad dimension, bad boundary, or illegal Inv."""
 
 
-class _Value:
-    """The base of the term values.  A value keeps its fields in slots,
-    has no instance dictionary, and raises AttributeError (the base class
-    of dataclasses' FrozenInstanceError) on every write or delete after
-    construction."""
+class _Value(Record):
+    """The base of the term nodes, which compare only with each other."""
 
     __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # the per-class hash tags: ints, whose hashes no seed changes
@@ -193,13 +183,17 @@ class Inv(_Value):
 CellTerm = Union[Gen, Id, Comp, Inv]
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    dim: int
-    src: Optional[CellTerm]  # src and tgt are None exactly in dimension 0
-    tgt: Optional[CellTerm]
-    invertible: bool = False
+class Generator(Record):
+    # src and tgt are None exactly in dimension 0
+    __slots__ = ("name", "dim", "src", "tgt", "invertible")
+
+    def __init__(self, name: str, dim: int, src: Optional[CellTerm],
+                 tgt: Optional[CellTerm], invertible: bool = False):
+        _set_gen_name(self, name)
+        _set_dim(self, dim)
+        _set_src(self, src)
+        _set_tgt(self, tgt)
+        _set_invertible(self, invertible)
 
 
 # the slot descriptors' setters, bound once: the one way a field is written
@@ -209,6 +203,11 @@ _set_k = Comp.k.__set__
 _set_left = Comp.left.__set__
 _set_right = Comp.right.__set__
 _set_inv_inner = Inv.inner.__set__
+_set_gen_name = Generator.name.__set__
+_set_dim = Generator.dim.__set__
+_set_src = Generator.src.__set__
+_set_tgt = Generator.tgt.__set__
+_set_invertible = Generator.invertible.__set__
 
 
 Gens = Mapping[str, Generator]

@@ -15,21 +15,19 @@ Orientation conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .presentation import Presentation
+from .record import Record
 from .terms import MAX_DIM, Gen, Id, comp, substitute
 
 
-@dataclass(frozen=True)
-class PointedPresentation:
-    base: Presentation
-    basepoint: str
+class PointedPresentation(Record):
+    __slots__ = ("base", "basepoint")
 
-    def __post_init__(self):
-        g = self.base.gens.get(self.basepoint)
+    def __init__(self, base: Presentation, basepoint: str):
+        g = base.gens.get(basepoint)
         if g is None or g.dim != 0:
-            raise ValueError(f"basepoint {self.basepoint!r} is not a 0-generator")
+            raise ValueError(f"basepoint {basepoint!r} is not a 0-generator")
+        Record.__init__(self, base, basepoint)
 
 
 def point() -> Presentation:

@@ -3,7 +3,6 @@ the universal shear evaluates to the coshear on every fixture, the four
 4-cells of the monad square are the bialgebra axioms, and the same
 evaluator at level 1 is a 2-cell model that agrees with eq."""
 
-import dataclasses
 import random
 
 import pytest
@@ -172,7 +171,8 @@ def test_a_cell_of_another_dimension_is_refused():
 
 
 def test_a_generator_without_a_matrix_is_refused():
-    I = dataclasses.replace(monad_square(FX["QZ2"]), matrices={})
+    I = monad_square(FX["QZ2"])
+    I = evaluate.Interpretation(I.field, I.k, I.sizes, {}, I.junction)
     with pytest.raises(EvaluationError,
                        match="^no matrix assigned to generator 'm⊗A'$"):
         evaluate.evaluate(Gen("m⊗A"), I, mnd_gray())

@@ -3,9 +3,10 @@ and its functoriality."""
 
 import pytest
 
-from hopfsmith.gray import TensorTerms, gray, pair_name, smash
+from hopfsmith.gray import GrayMorphism, TensorTerms, gray, pair_name, smash
 from hopfsmith.mates import walking_retract
-from hopfsmith.presentation import (Presentation, validate_presentation,
+from hopfsmith.presentation import (PresMorphism, Presentation,
+                                    validate_presentation,
                                     validate_term)
 from hopfsmith.rewriting import EQ_EQUAL, eq
 from hopfsmith.terms import Comp, Gen, Id, Inv, TermError, comp
@@ -74,8 +75,39 @@ def test_gray_13_pair_builds():
 
 def test_smash_mnd_census():
     out, _ = smash(mnd(), mnd())
-    assert out.census() == (1, 0, 1, 4, 4)
+    assert out.census() == (1, 0, 1, 4, 4) == smash_census(
+        mnd().base.census(), mnd().base.census())
     assert validate_presentation(out) == []
+
+
+def smash_census(pc, qc):
+    """The census of a smash of presentations with censuses pc and qc: the
+    base object, and the pairs of cells that are not basepoints."""
+    pc, qc = [pc[0] - 1, *pc[1:]], [qc[0] - 1, *qc[1:]]
+    out = [census_product(pc, qc, d) for d in range(len(pc) + len(qc) - 1)]
+    return (out[0] + 1, *out[1:])
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_a_pair_basepoint_of_an_iterated_tensor_collapses(swap):
+    # gray(globe1, globe1) pointed at the pair s0⊗s0: the names of its
+    # pairs with globe1 split at either tensor sign, and only the factors'
+    # generator tables tell which split is meant
+    gg = PointedPresentation(gray(globe(1), globe(1)), pair_name("s0", "s0"))
+    g1 = PointedPresentation(globe(1), "s0")
+    P, Q = (g1, gg) if swap else (gg, g1)
+    out, _ = smash(P, Q)
+    assert out.census() == smash_census(P.base.census(), Q.base.census()) \
+        == (4, 7, 5, 1)
+    assert validate_presentation(out) == []
+
+
+def test_the_tensor_of_identities_is_the_identity_on_an_iterated_tensor():
+    gg, g1 = gray(globe(1), globe(1)), globe(1)
+    big = gray(gg, g1)
+    gm = GrayMorphism(*(PresMorphism(p, p, {n: Gen(n) for n in p.gens})
+                        for p in (gg, g1)), big)
+    assert all(gm.push(Gen(n)) == Gen(n) for n in big.gens)
 
 
 def test_smash_with_two_point_presentation_is_identity_like():

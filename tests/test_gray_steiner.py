@@ -75,7 +75,8 @@ def rows(P, Q):
     for g in T.gens.values():
         if g.dim == 0:
             continue
-        x, y = (f.gens[n] for f, n in zip((P, Q), split_pair(g.name)))
+        x, y = (f.gens[n] for f, n in
+                zip((P, Q), split_pair(g.name, P.gens, Q.gens)))
         for alpha, side in enumerate((g.src, g.tgt)):
             yield g.name, alpha, chain(T, side, g.dim - 1), steiner(
                 P, Q, x, y, alpha)

@@ -47,11 +47,17 @@ package imported.  All checks but that last one read the syntax tree of
 every module, so they fail as soon as such a shortcut is written,
 whether or not a test runs it.
 
-Values are built whole: every dataclass is frozen but `Presentation`,
-which `add` and `relate` build and its first query freezes; a field is
-set through `object.__setattr__` only in a `__post_init__`; and only
-`Presentation.add` and `Presentation.relate` write a presentation's
-`gens` or `relations`.
+Values are built whole on one record base, with no code generated: no
+module imports `dataclasses`; every class that declares fields (class
+annotations or `__slots__`) derives from `record.Record` or the term
+nodes' `terms._Value`, but for the two arithmetic values of the matrix
+and field kernels; a field is written only in an `__init__`, through a
+slot setter, never through `object.__setattr__` or `setattr`, and no
+method of a record stores an attribute on `self`; and only
+`Presentation.__init__`, `Presentation.add` and `Presentation.relate`
+write a presentation's `gens` or `relations`.  `Presentation`, which
+`add` and `relate` build and its first query freezes, is the one
+mutable value.
 """
 
 import ast
@@ -88,12 +94,23 @@ KRON_VALUES = {
 GRADING_WORDS = {"grading", "graded", "parity", "parities", "koszul", "odd",
                  "even", "deg", "degree", "sign", "braid", "braiding",
                  "super"}
-# the one dataclass that is not frozen: add and relate build it, and its
-# first query freezes it
-MUTABLE_DATACLASSES = [("presentation.py", "Presentation")]
+# the bases of every value: the record base and the term nodes' base
+RECORD_BASES = {"Record", "_Value"}
+# the classes that declare fields off the record base: the arithmetic
+# values the matrix and field kernels build in their inner loops with
+# plain slot stores
+FIELD_CLASSES_OFF_THE_BASE = {("matrix.py", "Matrix"),
+                              ("field.py", "NumberFieldElement")}
+# where a slot setter may be bound without being called: at module level
+# and in a class's __init_subclass__
+SETTER_BINDERS = (None, "__init_subclass__")
+# the calls that write or delete an attribute by name
+NAMED_WRITES = {"object.__setattr__", "object.__delattr__", "setattr",
+                "delattr"}
 # a presentation's generator table and relation list, and their writers
 PRESENTATION_TABLES = {"gens", "relations"}
-PRESENTATION_WRITERS = {("presentation.py", "Presentation.add"),
+PRESENTATION_WRITERS = {("presentation.py", "Presentation.__init__"),
+                        ("presentation.py", "Presentation.add"),
                         ("presentation.py", "Presentation.relate")}
 # the methods that change a dict or a list in place
 MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort",
@@ -386,34 +403,91 @@ def import_errors(names, path):
     return {name: lines[name] or None for name in names}
 
 
-def mutable_dataclasses(tree):
-    """(line, class) of every class decorated with dataclass, called or
-    not, without frozen=True."""
+def dataclass_imports(tree):
+    """Lines that import the dataclasses module or a name from it."""
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
             continue
-        for dec in node.decorator_list:
-            call = dec if isinstance(dec, ast.Call) else None
-            if ast.unparse(call.func if call else dec).split(".")[-1] \
-                    != "dataclass":
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            yield node.lineno
+
+
+def base_names(cls):
+    return {ast.unparse(b).split(".")[-1] for b in cls.bases}
+
+
+def record_classes(trees):
+    """The names of the classes of the given modules that derive from a
+    record base, directly or through another such class."""
+    classes = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    found = set(RECORD_BASES)
+    more = True
+    while more:
+        more = {c.name for c in classes if base_names(c) & found} - found
+        found |= more
+    return found
+
+
+def declares_fields(stmt):
+    """Whether a statement of a class body annotates a name or assigns a
+    non-empty `__slots__`."""
+    if isinstance(stmt, ast.AnnAssign):
+        return isinstance(stmt.target, ast.Name)
+    slots = isinstance(stmt, ast.Assign) and any(
+        getattr(t, "id", None) == "__slots__" for t in stmt.targets)
+    return slots and bool(ast.literal_eval(stmt.value))
+
+
+def field_classes(tree):
+    """(line, class) of every class whose body declares fields."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                declares_fields(s) for s in node.body):
+            yield node.lineno, node.name
+
+
+def field_writes(tree, records):
+    """(line, function) of every write to a field that is not made in an
+    `__init__` through a slot setter, with the innermost function around
+    it (None at module level): a slot setter (an `x.__set__`) called
+    outside an `__init__`, or bound outside SETTER_BINDERS; a call of a
+    name the module binds to a slot setter outside an `__init__`; a call
+    in NAMED_WRITES anywhere; and, in any method of a class named in
+    records, a store or delete of an attribute of self."""
+    setters = {t.id for node in tree.body if isinstance(node, ast.Assign)
+               and getattr(node.value, "attr", None) == "__set__"
+               for t in node.targets if isinstance(t, ast.Name)}
+
+    def walk(node, fn, record):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, fn, child.name in records)
                 continue
-            if not call or not any(
-                    k.arg == "frozen" and getattr(k.value, "value", None)
-                    is True for k in call.keywords):
-                yield node.lineno, node.name
+            if isinstance(child, ast.FunctionDef):
+                yield from walk(child, child.name, record)
+                continue
+            if isinstance(child, ast.Call) and (
+                    ast.unparse(child.func) in NAMED_WRITES
+                    or fn != "__init__"
+                    and getattr(child.func, "id", None) in setters
+                    or fn in SETTER_BINDERS
+                    and getattr(child.func, "attr", None) == "__set__"):
+                yield child.lineno, fn
+            elif (isinstance(child, ast.Attribute) and child.attr == "__set__"
+                  and fn not in (*SETTER_BINDERS, "__init__")):
+                yield child.lineno, fn
+            elif (record and isinstance(child, ast.Attribute)
+                  and isinstance(child.ctx, (ast.Store, ast.Del))
+                  and getattr(child.value, "id", None) == "self"):
+                yield child.lineno, fn
+            yield from walk(child, fn, record)
 
-
-def setattr_calls(tree, fn=None):
-    """(line, function) of every object.__setattr__ call, with the
-    innermost function around it (None at module level)."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, ast.FunctionDef):
-            yield from setattr_calls(node, node.name)
-            continue
-        if (isinstance(node, ast.Call)
-                and ast.unparse(node.func) == "object.__setattr__"):
-            yield node.lineno, fn
-        yield from setattr_calls(node, fn)
+    yield from walk(tree, None, False)
 
 
 def presentation_writes(tree):
@@ -597,15 +671,24 @@ def test_every_module_imports_on_its_own():
     assert import_errors(names, SRC.parent) == dict.fromkeys(names)
 
 
-def test_every_dataclass_but_the_presentation_is_frozen():
-    found = [(p.name, name) for p in modules(but=None)
-             for _, name in mutable_dataclasses(parse(p))]
-    assert found == MUTABLE_DATACLASSES
+def test_no_module_imports_dataclasses():
+    found = [(p.name, line) for p in modules(but=None)
+             for line in dataclass_imports(parse(p))]
+    assert not found
 
 
-def test_fields_are_set_around_the_freeze_only_after_init():
+def test_every_field_holding_class_but_two_is_a_record():
+    records = record_classes([parse(p) for p in modules(but=None)])
+    found = {(p.name, name) for p in modules(but=None)
+             for _, name in field_classes(parse(p)) if name not in records}
+    assert found == FIELD_CLASSES_OFF_THE_BASE
+    assert "Presentation" not in records and {"Generator", "Gen"} < records
+
+
+def test_fields_are_written_only_in_init():
+    records = record_classes([parse(p) for p in modules(but=None)])
     found = [(p.name, *use) for p in modules(but=None)
-             for use in setattr_calls(parse(p)) if use[1] != "__post_init__"]
+             for use in field_writes(parse(p), records)]
     assert not found
 
 
@@ -773,21 +856,31 @@ def test_the_checks_see_what_they_forbid(tmp_path):
     assert errors["cyc.c"] is None
     assert "KeyError" in errors["cyc.d"]
     tree = ast.parse(
-        "@dataclass\n"
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
         "class A:\n"
         "    x: int\n"
-        "@dataclasses.dataclass(frozen=True)\n"
-        "class B:\n"
-        "    x: int\n"
-        "    def __post_init__(self):\n"
-        "        object.__setattr__(self, 'x', 1)\n"
-        "        def later():\n"
-        "            object.__setattr__(self, 'x', 2)\n"
-        "@dataclass(eq=False, frozen=False)\n"
-        "class C:\n"
-        "    gens: dict\n"
+        "class B(Record):\n"
+        "    __slots__ = ('x',)\n"
+        "    def __init__(self, x):\n"
+        "        _set_x(self, x)\n"
+        "        object.__setattr__(self, 'x', x)\n"
+        "    def later(self):\n"
+        "        _set_x(self, 2)\n"
+        "        self.y = B.x.__set__\n"
+        "    def __init_subclass__(cls):\n"
+        "        cls.setters = (cls.x.__set__,)\n"
+        "        cls.x.__set__(cls, 1)\n"
+        "class C(B):\n"
+        "    __slots__ = ()\n"
+        "    def drop(self):\n"
+        "        del self.x\n"
+        "class D:\n"
+        "    __slots__ = ('gens',)\n"
         "    def add(self, g):\n"
         "        self.gens[g.name] = g\n"
+        "        self.count = 1\n"
+        "_set_x = B.x.__set__\n"
         "def grow(p, q, g):\n"
         "    gens = p.gens\n"
         "    gens[g.name] = g\n"
@@ -796,11 +889,16 @@ def test_the_checks_see_what_they_forbid(tmp_path):
         "    del p.gens['x']\n"
         "    rules = q.relations\n"
         "    rules += [g]\n"
-        "    return p.gens.get('x'), len(rules), object.__setattr__\n"
-        "object.__setattr__(B(0), 'x', 3)\n")
-    assert list(mutable_dataclasses(tree)) == [(2, "A"), (12, "C")]
-    assert list(setattr_calls(tree)) == [(8, "__post_init__"),
-                                         (10, "later"), (25, None)]
+        "    setattr(p, 'gens', {})\n"
+        "    return p.gens.get('x'), len(rules)\n"
+        "B.x.__set__(B(0), 3)\n")
+    assert list(dataclass_imports(tree)) == [1, 2]
+    records = record_classes([tree])
+    assert records == RECORD_BASES | {"B", "C"}
+    assert list(field_classes(tree)) == [(3, "A"), (5, "B"), (20, "D")]
+    assert sorted(field_writes(tree, records), key=lambda use: use[0]) == [
+        (9, "__init__"), (11, "later"), (12, "later"), (12, "later"),
+        (15, "__init_subclass__"), (19, "drop"), (34, "grow"), (36, None)]
     assert sorted(presentation_writes(tree)) == [
-        (15, "C.add"), (18, "grow"), (19, "grow"), (20, "grow"),
-        (21, "grow"), (23, "grow")]
+        (23, "D.add"), (28, "grow"), (29, "grow"), (30, "grow"),
+        (31, "grow"), (33, "grow")]

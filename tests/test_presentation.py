@@ -4,11 +4,13 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
+from hopfsmith.gray import gray
 from hopfsmith.presentation import (Presentation, Violation,
                                     validate_presentation, validate_term)
 from hopfsmith.rewriting import EQ_DISTINCT, EQ_EQUAL, eq
-from hopfsmith.terms import SOURCE, Comp, Gen, Id, Inv, comp, print_term
-from hopfsmith.walking import adj, e_oriental2, mnd, oriental2
+from hopfsmith.terms import (SOURCE, Comp, Gen, Id, Inv, TermError, comp,
+                             print_term)
+from hopfsmith.walking import adj, e_oriental2, globe, mnd, oriental2
 
 
 def test_shipped_presentations_are_valid():
@@ -21,6 +23,29 @@ def test_duplicate_generator_rejected():
     p.add("x", 0)
     with pytest.raises(Exception):
         p.add("x", 0)
+
+
+# names from the characters that matter to the term syntax (whitespace,
+# parentheses, the tensor sign) and to JSON
+SOME_NAMES = st.text(st.sampled_from('ab⊗ ()\t\n\x1f\x85\xa0"\\é'),
+                     max_size=5)
+
+
+@given(SOME_NAMES)
+@example("a b")
+@example("")
+def test_every_name_add_accepts_round_trips(name):
+    p = Presentation(max_dim=1)
+    try:
+        x = p.add(name, 0)
+    except TermError as e:
+        assert repr(name) in str(e)
+        assert not name or any(c.isspace() or c in "()" for c in name)
+        return
+    p.add(name + "f", 1, x, x)
+    assert Presentation.loads(p.dumps()) == p
+    tensor = gray(p, globe(1))
+    assert Presentation.loads(tensor.dumps()) == tensor
 
 
 def test_a_shallow_copy_owns_its_tables():
@@ -91,8 +116,10 @@ def test_json_roundtrip_bit_exact():
 
 
 # names with quotes, backslashes, control characters and non-ASCII text,
-# one character outside the basic plane (escaped as a surrogate pair)
-NAMES = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7f é€😀'), max_size=6)
+# one character outside the basic plane (escaped as a surrogate pair);
+# none empty or holding whitespace, which add refuses
+NAMES = st.text(st.sampled_from('ab"\\/\b\x00\x1b\x7fé€😀'), min_size=1,
+                max_size=6)
 
 
 @st.composite
