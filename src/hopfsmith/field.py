@@ -409,6 +409,21 @@ class NumberField:
     def to_json(self):
         return {"ext": self.show_poly(self.modulus)}
 
+    def __reduce__(self):
+        return number_field, (self.modulus,)
+
+
+# one field per modulus, as elements compare their fields by identity
+_NUMBER_FIELDS: Dict[Tuple[Rational, ...], NumberField] = {}
+
+
+def number_field(modulus: Sequence[Rational]) -> NumberField:
+    """The one NumberField of this monic modulus, made on first use."""
+    mod = tuple(QQ(c) for c in modulus)
+    # setdefault keeps the field made first, should two threads race
+    return _NUMBER_FIELDS.get(mod) or _NUMBER_FIELDS.setdefault(
+        mod, NumberField(mod))
+
 
 Field = Union[RationalField, NumberField]
 
@@ -425,7 +440,7 @@ def number_field_from_text(text: str) -> NumberField:
     """Parse a monic modulus like 'x^2+x+1'."""
     coeffs = _parse_poly(text)
     mod = [coeffs.get(i, _ZERO) for i in range(max(coeffs) + 1)]
-    return NumberField(mod)
+    return number_field(mod)
 
 
 def _parse_poly(text: str) -> Dict[int, Rational]:

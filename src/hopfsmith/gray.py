@@ -89,23 +89,32 @@ class _Order:
         return (s, g) if self.wire_first else (g, s)
 
 
+class _Pairs(dict):
+    """One tensor's pair generators by factor names (x, y), each made once."""
+
+    def __missing__(self, xy: Tuple[str, str]) -> Gen:
+        g = self[xy] = Gen(pair_name(*xy))
+        return g
+
+
 class TensorTerms:
     """Term constructors over the tensor of two presentations."""
 
     def __init__(self, left: Presentation, right: Presentation):
         self.L = left
         self.R = right
+        self._pairs = _Pairs()
         self._orders = (_Order(self, False), _Order(self, True))
 
     # -- relabelling tensors with an object ------------------------------
 
     def ten_l(self, t: CellTerm, y: str) -> CellTerm:
         """t (x) y for t a term of the left factor and y an object name."""
-        return substitute(t, lambda x: Gen(pair_name(x, y)))
+        return substitute(t, lambda x: self._pairs[x, y])
 
     def ten_r(self, x: str, t: CellTerm) -> CellTerm:
         """x (x) t for x an object name and t a term of the right factor."""
-        return substitute(t, lambda y: Gen(pair_name(x, y)))
+        return substitute(t, lambda y: self._pairs[x, y])
 
     def tensor(self, a: CellTerm, da: int, b: CellTerm, db: int) -> CellTerm:
         """a (x) b for a term a of dimension da of the left factor and a term
@@ -141,8 +150,8 @@ class TensorTerms:
         the presentations give are normal; the splits built here are
         normalized before the recursion."""
         if isinstance(wire, Gen) and isinstance(bead, Gen):
-            return Gen(pair_name(wire.name, bead.name) if wire_first
-                       else pair_name(bead.name, wire.name))
+            return self._pairs[(wire.name, bead.name) if wire_first
+                              else (bead.name, wire.name)]
         o = self._orders[wire_first]
         if isinstance(wire, Id):
             return Id(o.beside(wire.inner.name, bead))
@@ -240,12 +249,11 @@ def gray(P: Presentation, Q: Presentation) -> Presentation:
                    key=lambda gh: (gh[0].dim + gh[1].dim, gh[0].name, gh[1].name))
     for g, h in pairs:
         d = g.dim + h.dim
-        name = pair_name(g.name, h.name)
-        if d == 0:
-            out.add(name, 0)
-            continue
-        src, tgt = _pair_boundaries(tt, g, h)
-        out.add(name, d, src, tgt, invertible=g.invertible or h.invertible)
+        src, tgt = _pair_boundaries(tt, g, h) if d else (None, None)
+        # boundaries name only pairs added before, so they reuse add's Gen
+        tt._pairs[g.name, h.name] = out.add(
+            pair_name(g.name, h.name), d, src, tgt,
+            invertible=d > 0 and (g.invertible or h.invertible))
 
     # transport relations by tensoring with objects of the other factor
     for r in P.relations:

@@ -37,8 +37,9 @@ from typing import Dict, List, Optional, Tuple
 from . import jsonshape as shape
 from .interchange import AtomTable
 from .record import Record
-from .rewriting import EQ_DISTINCT, EQ_EQUAL, composable, parallel, word_of
-from .terms import (MAX_DIM, CellTerm, Gen, Generator, Id, Inv, SOURCE,
+from .rewriting import (EQ_DISTINCT, EQ_EQUAL, composable, default_budget,
+                        parallel, word_of)
+from .terms import (MAX_DIM, CellTerm, Comp, Gen, Generator, SOURCE,
                     TARGET, TermError, dim, generators, illegal_inverses,
                     normal_dim, normalize, parse_term, print_term,
                     substitute, top_boundary)
@@ -336,6 +337,7 @@ def validate_term(t: CellTerm, p: Presentation,
     boundary-compatible composites (up to eq within the step budget),
     Inv restricted to invertible-marked content, each offending
     occurrence reported once."""
+    budget = default_budget() if budget is None else budget
     try:
         d = dim(t, p.gens)
     except TermError as e:
@@ -350,9 +352,9 @@ def validate_term(t: CellTerm, p: Presentation,
 def _validate_rec(t, p, budget) -> List[Violation]:
     """The composites of t whose parts do not compose, innermost first;
     a composite is checked only when its parts passed."""
-    if isinstance(t, Gen):
+    if t.__class__ is Gen:
         return []
-    if isinstance(t, (Id, Inv)):
+    if t.__class__ is not Comp:
         return _validate_rec(t.inner, p, budget)
     out = _validate_rec(t.left, p, budget) + _validate_rec(t.right, p, budget)
     if out:
@@ -394,6 +396,7 @@ def validate_presentation(p: Presentation,
     The certificate of each generator and relation takes the dimension
     its sides were checked at, and reads the presentation's normal
     generator faces."""
+    budget = default_budget() if budget is None else budget
     out: List[Violation] = []
     gens = p.gens
     for g in gens.values():

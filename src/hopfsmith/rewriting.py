@@ -397,7 +397,9 @@ def _certificate(a: CellTerm, b: CellTerm, d: int, p: Presentation,
     levels are compared from 0 upward by _eq alone.  Each pair starts
     from the budget left when the certificate began, so a pair that runs
     it out hides no Distinct at another; the budget is then charged what
-    all pairs spent."""
+    all pairs spent.  When a and b share their top source and target, the
+    verdict is given at once, with no budget spent: Unknown when either
+    holds an inverse of a generator not marked invertible, else Equal."""
     gens, face = p.gens, p.normal_face
     levels: List[list] = [[] for _ in range(d)]
     for side in (SOURCE, TARGET):
@@ -412,6 +414,11 @@ def _certificate(a: CellTerm, b: CellTerm, d: int, p: Presentation,
                 levels[k].append((x, x))
                 break
             levels[k].append((x, y))
+    src, tgt = levels[-1]
+    if src and tgt and src[0] is src[1] and tgt[0] is tgt[1]:
+        illegal = (any(illegal_inverses(src[0], gens))
+                   or any(illegal_inverses(tgt[0], gens)))
+        return (EQ_UNKNOWN if illegal else EQ_EQUAL), None
     start, spent, verdict = budget.left, 0, EQ_EQUAL
     for k, pairs in enumerate(levels):
         for pair in pairs:

@@ -33,12 +33,15 @@ them, and `Presentation.boundary` iterates the walk over it), so every
 boundary the program takes is normal.  Both build a composite of normal
 parts with `normal_comp`, as any caller holding normal parts should.
 
-`normalize` raises TermError exactly where `dim` does, with the same
-message, so a normal form is always well-formed.  Normal forms are closed
-under subterms: every subterm of a normal term is normal, and normalize
-is idempotent, so code that walks a normal term, as `rewriting.word_of`
-and `stack_of` do, need not normalize its parts again.  A normal form's
-boundaries agree with its input's only up to eq (see `normalize`).
+Every walk here dispatches once per node on the node's class by
+identity (`t.__class__ is Comp`), and `normal_dim` reads a leaf's
+dimension from the generator table itself.  `normalize` raises TermError
+exactly where `dim` does, with the same message, so a normal form is
+always well-formed.  Normal forms are closed under subterms: every
+subterm of a normal term is normal, and normalize is idempotent, so code
+that walks a normal term, as `rewriting.word_of` and `stack_of` do, need
+not normalize its parts again.  A normal form's boundaries agree with
+its input's only up to eq (see `normalize`).
 
 The S-expression syntax is read and written without recursion:
 `parse_term` is one left-to-right scan of the tokens with its own stack
@@ -236,9 +239,10 @@ def generators(t: CellTerm) -> Iterator[str]:
     todo = [t]
     while todo:
         t = todo.pop()
-        if isinstance(t, Gen):
+        cls = t.__class__
+        if cls is Gen:
             yield t.name
-        elif isinstance(t, Comp):
+        elif cls is Comp:
             todo.append(t.right)
             todo.append(t.left)
         else:
@@ -253,14 +257,15 @@ def illegal_inverses(t: CellTerm, gens: Gens) -> Iterator[str]:
     todo = [(t, False)]
     while todo:
         t, inverted = todo.pop()
-        if isinstance(t, Gen):
+        cls = t.__class__
+        if cls is Gen:
             if inverted and not gens[t.name].invertible:
                 yield t.name
-        elif isinstance(t, Comp):
+        elif cls is Comp:
             todo.append((t.right, inverted))
             todo.append((t.left, inverted))
         else:
-            todo.append((t.inner, inverted or isinstance(t, Inv)))
+            todo.append((t.inner, inverted or cls is Inv))
 
 
 def substitute(t: CellTerm, image: Callable[[str], CellTerm],
@@ -269,27 +274,26 @@ def substitute(t: CellTerm, image: Callable[[str], CellTerm],
     rebuilt as it is, and every Comp rebuilt at its level plus shift.
     This is how a map of presentations, the tensor with a fixed object,
     or a suspension (shift 1) acts on terms."""
-    if isinstance(t, Gen):
+    cls = t.__class__
+    if cls is Gen:
         return image(t.name)
-    if isinstance(t, Id):
-        return Id(substitute(t.inner, image, shift))
-    if isinstance(t, Inv):
-        return Inv(substitute(t.inner, image, shift))
-    return Comp(t.k + shift, substitute(t.left, image, shift),
-                substitute(t.right, image, shift))
+    if cls is Comp:
+        return Comp(t.k + shift, substitute(t.left, image, shift),
+                    substitute(t.right, image, shift))
+    return type(t)(substitute(t.inner, image, shift))
 
 
 def dim(t: CellTerm, gens: Gens) -> int:
-    if isinstance(t, Gen):
+    cls = t.__class__
+    if cls is Gen:
         try:
             return gens[t.name].dim
         except KeyError:
             raise TermError(f"unknown generator {t.name!r}") from None
-    if isinstance(t, Id):
-        return dim(t.inner, gens) + 1
-    if isinstance(t, Inv):
-        return dim(t.inner, gens)
-    return _comp_dim(t.k, dim(t.left, gens), dim(t.right, gens))
+    if cls is Comp:
+        return _comp_dim(t.k, dim(t.left, gens), dim(t.right, gens))
+    d = dim(t.inner, gens)
+    return d + 1 if cls is Id else d
 
 
 def _comp_dim(k: int, dl: int, dr: int) -> int:
@@ -304,7 +308,7 @@ def _comp_dim(k: int, dl: int, dr: int) -> int:
 def identity_core(t: CellTerm) -> Tuple[CellTerm, int]:
     """Strip Id wrappers, returning (core, number of wrappers)."""
     n = 0
-    while isinstance(t, Id):
+    while t.__class__ is Id:
         t = t.inner
         n += 1
     return t, n
@@ -334,21 +338,25 @@ def normal_dim(t: CellTerm, gens: Gens,
     """(normalize(t, gens, push_inv), dim(t, gens)), bottom-up in one
     pass.  When its parts come back unchanged and none is an identity, t
     itself is returned rather than rebuilt."""
-    if isinstance(t, Gen):
-        return t, dim(t, gens)
-    if isinstance(t, Id):
+    cls = t.__class__
+    if cls is Gen:
+        try:
+            return t, gens[t.name].dim
+        except KeyError:
+            raise TermError(f"unknown generator {t.name!r}") from None
+    if cls is Id:
         inner, d = normal_dim(t.inner, gens, push_inv)
         return (t if inner is t.inner else Id(inner)), d + 1
-    if isinstance(t, Inv):
+    if cls is Inv:
         inner, d = normal_dim(t.inner, gens, push_inv)
         if push_inv:
             return _push_inv(inner, d), d
-        if isinstance(inner, Inv):
+        if inner.__class__ is Inv:
             return inner.inner, d
         return (t if inner is t.inner else Inv(inner)), d
     left, dl = normal_dim(t.left, gens, push_inv)
     right, dr = normal_dim(t.right, gens, push_inv)
-    if isinstance(left, Id) or isinstance(right, Id):
+    if left.__class__ is Id or right.__class__ is Id:
         return normal_comp(t.k, left, dl, right, dr), dl
     d = _comp_dim(t.k, dl, dr)
     if left is t.left and right is t.right:
@@ -369,7 +377,7 @@ def normal_comp(k: int, left: CellTerm, dl: int, right: CellTerm,
     if identity_core(right)[1] >= d - k:
         return left
     # functoriality of Id over composition
-    if isinstance(left, Id) and isinstance(right, Id):
+    if left.__class__ is Id and right.__class__ is Id:
         return Id(normal_comp(k, left.inner, d - 1, right.inner, d - 1))
     return Comp(k, left, right)
 
@@ -409,16 +417,15 @@ def _push_inv(t: CellTerm, d: int) -> CellTerm:
     a (d-1)-composite is the composite of the inverses in the other
     order, while a lower composite keeps its order (the inverse of
     a comp0 b is inv a comp0 inv b)."""
-    if isinstance(t, Inv):
-        return t.inner
-    if isinstance(t, Id):
-        return t
-    if isinstance(t, Comp):
+    cls = t.__class__
+    if cls is Gen:
+        return Inv(t)
+    if cls is Comp:
         left, right = _push_inv(t.left, d), _push_inv(t.right, d)
         if t.k == d - 1:
             left, right = right, left
         return Comp(t.k, left, right)
-    return Inv(t)
+    return t.inner if cls is Inv else t
 
 
 def flatten(t: CellTerm, k: int) -> list:
@@ -427,7 +434,7 @@ def flatten(t: CellTerm, k: int) -> list:
     todo = [t]
     while todo:
         t = todo.pop()
-        if isinstance(t, Comp) and t.k == k:
+        if t.__class__ is Comp and t.k == k:
             todo.append(t.right)
             todo.append(t.left)
         else:

@@ -1,9 +1,12 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from hopfsmith.field import (FieldError, QQ, field_from_json,
                              number_field_from_text)
+from hopfsmith.fixtures import standard_fixtures
 from hopfsmith.matrix import Matrix
 from test_matrix_properties import koszul_matrix
 
@@ -112,3 +115,20 @@ def test_number_field_matrix():
     m = Matrix.from_rows(F, [[F.one, w], [w, F.one]])
     assert m.is_invertible()
     assert m @ m.inverse() == Matrix.identity(F, 2)
+
+
+def test_number_field_values_copy_and_pickle_over_their_field():
+    """Elements compare their fields by identity, so a copy or a pickle of
+    a field must come back as the one field of its modulus."""
+    F = number_field_from_text("x^2+x+1")
+    w = F.gen
+    m = Matrix.from_rows(F, [[F.one, w], [F.mul(w, w), F.zero]])
+    B = standard_fixtures(F)["QS3"]
+    for copy_of in (copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        again = copy_of(m)
+        assert again == m
+        assert again + m == m + m and again @ m == m @ m
+        assert copy_of(B) == B
+        assert copy_of(B).m @ B.delta == B.m @ B.delta
+        assert copy_of(F) is F
+    assert number_field_from_text("x^2+x+1") is F

@@ -258,6 +258,21 @@ def test_a_check_eq_cannot_decide_is_an_undecided_violation(
                   "(gen f) vs (gen g)", undecided=True)]
 
 
+def test_an_illegal_inverse_in_a_shared_top_boundary_is_undecided():
+    """a and b have one source and one target, Inv(f) with f not
+    invertible, so t's source and target agree at every level as terms,
+    yet eq answers Unknown on a term holding such an inverse: the
+    certificate must not call the shared boundary Equal."""
+    p = Presentation(max_dim=3)
+    x = p.add("x", 0)
+    f = p.add("f", 1, x, x)
+    a = p.add("a", 2, Inv(f), Inv(f))
+    b = p.add("b", 2, Inv(f), Inv(f))
+    p.add("t", 3, a, b)
+    assert validate_presentation(p) == [
+        Violation("t", "src/tgt parallel undecided", True)]
+
+
 def test_a_boundary_that_cannot_be_taken_is_a_violation():
     p = Presentation(max_dim=2)
     p.add("x", 0)

@@ -7,6 +7,8 @@ input makes about twice the calls when the input doubles; recomputing
 dimensions at every node made that ratio about 4 for normalize and
 boundary, and about 7.6 for stack_of; taking the target word of every
 0-composite's left part made it about 3.9 for stack_of on wide whiskers.
+The other guards count the calls of one function, or the pair generators
+a tensor builds, on a fixed input.
 """
 
 import sys
@@ -16,6 +18,8 @@ import pytest
 from hopfsmith import interchange, rewriting, terms
 from hopfsmith.evaluate import evaluate_diagram
 from hopfsmith.fixtures import standard_fixtures
+from hopfsmith.gray import PAIR_SEP, gray
+from hopfsmith.presentation import validate_presentation
 from hopfsmith.rewriting import EQ_EQUAL, eq, stack_of, word_of
 from hopfsmith.shear import universal_shear
 from hopfsmith.terms import SOURCE, Comp, Gen, Id, comp, flatten
@@ -28,20 +32,27 @@ FILES = {terms.__file__, rewriting.__file__}
 
 def calls(f, *args) -> int:
     """The number of Python calls into the counted modules made by f(*args)."""
-    return _count(lambda code: code.co_filename in FILES, f, *args)
+    return _count(lambda frame: frame.f_code.co_filename in FILES, f, *args)
 
 
 def normalize_calls(f, *args) -> int:
     """The number of terms.normalize calls made by f(*args)."""
-    return _count(lambda code: code is terms.normalize.__code__, f, *args)
+    return code_calls(terms.normalize, f, *args)
+
+
+def code_calls(fn, f, *args) -> int:
+    """The number of calls of the Python function fn made by f(*args)."""
+    return _count(lambda frame: frame.f_code is fn.__code__, f, *args)
 
 
 def _count(counted, f, *args) -> int:
+    """The number of Python calls made by f(*args) whose new frame, with
+    its arguments bound, counted accepts."""
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
-        if event == "call" and counted(frame.f_code):
+        if event == "call" and counted(frame):
             count += 1
 
     old = sys.getprofile()
@@ -136,3 +147,28 @@ def test_700_deep_terms_do_not_hit_the_recursion_limit():
     src, flat = stack_of(stack(350), M, interchange.AtomTable())
     assert src == (("A", False),)
     assert len(flat) == 2 * 700
+
+
+def test_validation_reads_the_budget_once():
+    """validate_presentation resolves the default budget once and passes
+    the number down (56 reads of the environment for gray(adj, adj)
+    when each parallel and boundaries_eq call read it)."""
+    p = gray(adj().base, adj().base)
+    assert code_calls(rewriting.default_budget, validate_presentation, p) == 1
+
+
+def test_normal_dim_reads_leaf_dimensions_from_the_table():
+    """normal_dim reads each leaf's dimension from the generator table
+    itself: no dim call on a 40-letter word (40 when each leaf asked dim)."""
+    assert code_calls(terms.dim, terms.normal_dim, word(40), M.gens) == 0
+
+
+def test_a_tensor_builds_one_gen_per_pair_name():
+    """gray builds each pair generator once and its boundaries reuse it
+    (340 pair Gens for the 36 pair names of gray(adj, adj) when every
+    relabelling and every pull made its own)."""
+    p = adj().base
+    names = len(gray(p, p).gens)
+    made = _count(lambda frame: frame.f_code is Gen.__init__.__code__
+                  and PAIR_SEP in frame.f_locals["name"], gray, p, p)
+    assert made <= names == 36
