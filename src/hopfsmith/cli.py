@@ -1,6 +1,7 @@
 """Batch front end: load presentations, bialgebras, and comodule families,
 run the constructions and checks, and emit machine- or human-readable
-reports.  A call builds the parser of only the subcommand it names.
+reports.  A well-formed call is read from the command table; help,
+abbreviations and usage errors go through the full argparse parser.
 
 Exit codes: 0 when everything passes, 1 on any failing check, 2 when the
 only non-passes are Unknown verdicts, 64 for usage errors, 141 when the
@@ -300,10 +301,8 @@ COMMANDS = {
 ARGUMENT_HELP = {"family": "family JSON, bialgebra JSON, or fixture"}
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser with the subparser of `command` alone, or of every one
-    when it is None.  Either way its usage line lists every subcommand; the
-    full parser alone names a missing one "command" in its error."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand: help, usage and error text."""
     ap = argparse.ArgumentParser(
         prog="hopfsmith",
         description="workbench for walking structures, lax tensor squares, "
@@ -316,10 +315,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                          "state expanded or rule window tried, Unknown when "
                          "it runs out (default HOPFSMITH_BUDGET or "
                          f"{default_budget()})")
-    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else [command]:
-        text, arguments, run = COMMANDS[name]
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (text, arguments, run) in COMMANDS.items():
         sp = sub.add_parser(name, help=text)
         for arg in arguments.split():
             sp.add_argument(arg, help=ARGUMENT_HELP.get(arg))
@@ -327,23 +324,39 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return ap
 
 
-def named_command(argv: List[str]) -> Optional[str]:
-    """The subcommand argv names after nothing but --json, --no-timing and
-    --budget N, else None.  The parser takes the same one: it never
-    abbreviates a subcommand."""
-    tokens = iter(argv)
+def read_argv(argv: List[str]) -> Optional[argparse.Namespace]:
+    """build_parser().parse_args(argv) when argv is --json, --no-timing and
+    --budget DIGITS, each at most once, then a subcommand, its positionals
+    and at most one of each of its options; else None, for the parser."""
+    args = argparse.Namespace(json=False, no_timing=False, budget=None)
+    options = {"--json": bool, "--no-timing": bool, "--budget": int}
+    names, values, tokens = None, [], iter(argv)
     for token in tokens:
-        if token == "--budget":
-            next(tokens, None)
-        elif token.split("=")[0] not in ("--json", "--no-timing", "--budget"):
-            return token if token in COMMANDS else None
-    return None
+        if token in options:
+            read = options.pop(token)
+            value = "on" if read is bool else next(tokens, "-")
+            if value[:1] == "-" or read is int and not (
+                    value.isascii() and value.isdigit() and len(value) < 19):
+                return None  # int() reads 18 digits under any digit limit
+            vars(args)[token[2:].replace("-", "_")] = read(value)
+        elif token[:1] == "-" or names is None and token not in COMMANDS:
+            return None
+        elif names is None:
+            args.command, (_, arguments, args.run) = token, COMMANDS[token]
+            names = [a for a in arguments.split() if a[0] != "-"]
+            options = {a: str for a in arguments.split() if a[0] == "-"}
+            vars(args).update(dict.fromkeys(a[2:] for a in options))
+        else:
+            values.append(token)
+    if names is None or len(values) != len(names):
+        return None
+    return argparse.Namespace(**vars(args), **dict(zip(names, values)))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(named_command(argv)).parse_args(argv)
+        args = read_argv(argv) or build_parser().parse_args(argv)
     except SystemExit as e:
         return USAGE_EXIT if e.code not in (0,) else 0
     report = Report(["hopfsmith"] + list(argv), timing=not args.no_timing)

@@ -54,7 +54,8 @@ def split_pair(name: str, left: Gens, right: Gens) -> Tuple[str, str]:
 
 def _ends(p: Presentation, t: CellTerm) -> Tuple[str, str]:
     """The names of the source and target objects of a term of p."""
-    s, g = p.boundary(t, "source", 0), p.boundary(t, "target", 0)
+    d = p.dim(t)
+    s, g = p.boundary(t, "source", 0, d), p.boundary(t, "target", 0, d)
     if not (isinstance(s, Gen) and isinstance(g, Gen)):
         # a normal 0-cell is an object or the formal inverse of one
         raise TermError("0-boundary is not an object")

@@ -198,13 +198,14 @@ class Presentation:
     def dim(self, t: CellTerm) -> int:
         return dim(t, self.gens)
 
-    def boundary(self, t: CellTerm, side: str, k: int) -> CellTerm:
-        """The k-dimensional source or target of t, for 0 <= k < dim(t),
-        normal: the boundary walk, once per level from dim(t) down to
-        k + 1, over the normal face table, whose first read freezes the
+    def boundary(self, t: CellTerm, side: str, k: int,
+                 d: Optional[int] = None) -> CellTerm:
+        """The k-dimensional source or target of t, for 0 <= k < dim(t) = d,
+        normal: the boundary walk, once per level from d down to k + 1,
+        over the normal face table, whose first read freezes the
         presentation.  TermError when t is ill-formed, k is out of range,
         or a face the boundary needs is missing or ill-formed."""
-        d = dim(t, self.gens)
+        d = dim(t, self.gens) if d is None else d
         if not 0 <= k < d:
             raise TermError(
                 f"boundary level {k} out of range for dimension {d}")

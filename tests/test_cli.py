@@ -1,14 +1,19 @@
 import argparse
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfsmith.cli import (BROKEN_PIPE_EXIT, COMMANDS, USAGE_EXIT,
-                           build_parser, main)
+                           build_parser, main, read_argv)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -85,10 +90,29 @@ def test_usage_error_exit_64():
     assert code == 64
 
 
-def test_a_named_command_builds_only_its_own_parser(monkeypatch):
-    """The top-level parser and the subparser of the command argv names;
-    the other subcommands' parsers are never built."""
-    built = []
+def _readme_examples():
+    """The argv of each command line in README's Command line section."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.split("```", 1)[0].splitlines()]
+
+
+# the argv of each call the algebra benchmark workloads make
+WORKLOAD_ARGVS = [["--json", "--no-timing", command, f"/tmp/fixtures/{name}"]
+                  for command in ("shear-check", "antipode", "integrals",
+                                  "reconstruct")
+                  for name in ("QZ2.json", "sweedler.family.json")]
+
+
+@pytest.mark.parametrize("argv", _readme_examples() + WORKLOAD_ARGVS,
+                         ids=" ".join)
+def test_a_well_formed_call_builds_no_parser(monkeypatch, argv):
+    """main reads README's examples and the benchmark's calls from the
+    command table, into the namespace the full parser gives, and builds
+    no ArgumentParser."""
+    want = vars(build_parser().parse_args(argv))
+    got, built = [], []
     init = argparse.ArgumentParser.__init__
 
     def counting(self, *args, **kwargs):
@@ -96,8 +120,62 @@ def test_a_named_command_builds_only_its_own_parser(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    assert run(["--json", "--no-timing", "integrals", "QZ2"])[0] == 0
-    assert built == ["hopfsmith", "hopfsmith integrals"]
+    text, arguments, _ = COMMANDS[want["command"]]
+    monkeypatch.setitem(COMMANDS, want["command"], (
+        text, arguments, lambda args, report: got.append(vars(args))))
+    assert run(argv)[0] == 0
+    assert built == []
+    assert [dict(got[0], run=want["run"])] == [want]
+
+
+# flags, their abbreviations and = forms, help, the end of options, bare
+# dashes, the empty word, digits and signed digits, every subcommand, and
+# presentation, point and fixture names and paths
+TOKENS = ["--json", "--no-timing", "--budget", "--out", "--dot", "--js",
+          "--no", "--bud", "--o", "--json=", "--budget=50", "--out=x.json",
+          "-h", "--help", "--", "-", "", "\uff15", "-3", "007", "50",
+          *COMMANDS, "mnd", "pt", "QZ2", "x.json", "/tmp/p q.json", "a=b"]
+
+
+@st.composite
+def argvs(draw):
+    """A token list, or a well-formed call in some order of its parts with
+    up to two tokens changed, put in or taken out."""
+    tokens = st.sampled_from(TOKENS)
+    if draw(st.booleans()):
+        return draw(st.lists(tokens, max_size=8))
+    values = st.one_of(st.sampled_from([t for t in TOKENS if t[:1] != "-"]),
+                       tokens)
+    name = draw(st.sampled_from(list(COMMANDS)))
+    flags = [["--json"], ["--no-timing"],
+             ["--budget", draw(st.sampled_from(["0", "7", "007", "50"]))]]
+    rest = [[word, draw(values)] if word[0] == "-" else [draw(values)]
+            for word in COMMANDS[name][1].split()
+            if word[0] != "-" or draw(st.booleans())]
+    parts = [flag for flag in draw(st.permutations(flags))
+             if draw(st.booleans())] + [[name]] + draw(st.permutations(rest))
+    argv = [token for part in parts for token in part]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        argv[i:i + draw(st.integers(0, 1))] = draw(st.lists(tokens,
+                                                            max_size=1))
+    return argv
+
+
+@settings(max_examples=2000)
+@given(argvs())
+def test_read_argv_answers_as_the_full_parser(argv):
+    """Wherever the command-table reader answers, the full parser reads
+    the same namespace and does not exit."""
+    args = read_argv(argv)
+    if args is None:
+        return
+    with redirect_stderr(io.StringIO()) as err:
+        try:
+            want = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            want = err.getvalue()
+    assert vars(args) == want
 
 
 def _usage_cases():

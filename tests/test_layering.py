@@ -236,15 +236,37 @@ def term_rebuilders(tree):
     f(..)) around calls f of themselves, as a generator-by-generator map
     does.  A rebuild through type(t)(f(..)) counts as both Id and Inv, and
     one at level t.k + shift as one at t.k, so a map that raises every
-    level, as a suspension does, is found too."""
+    level, as a suspension does, is found too.  A local name assigned a
+    call of f, alone or in a tuple of values, stands for that call, so a
+    walk that binds its recursive results first and rebuilds from the
+    names is found too; a name unpacked from one call's result is a part
+    of it, not the term, as in normal_dim's (term, dimension) pairs."""
     for fn in ast.walk(tree):
         if not isinstance(fn, ast.FunctionDef):
             continue
 
-        def recurses(node):
+        def calls_itself(node):
             return isinstance(node, ast.Call) and fn.name in (
                 getattr(node.func, "id", None),
                 getattr(node.func, "attr", None))
+
+        results = set()
+        for node in ast.walk(fn):
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target]):
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple)
+                         and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                results |= {name.id for name, value in pairs
+                            if isinstance(name, ast.Name)
+                            and calls_itself(value)}
+
+        def recurses(node):
+            return calls_itself(node) or (isinstance(node, ast.Name)
+                                          and node.id in results)
 
         rebuilt = set()
         for node in ast.walk(fn):
@@ -762,6 +784,24 @@ def test_the_checks_see_what_they_forbid(tmp_path):
         "        return Comp(t.k + 1, lift(t.left), lift(t.right))\n"
         "    return type(t)(lift(t.inner))\n")
     assert list(term_rebuilders(tree)) == [(1, "keep"), (5, "lift")]
+    tree = ast.parse(
+        "def push(t, image):\n"
+        "    if isinstance(t, Gen):\n"
+        "        return image(t.name)\n"
+        "    if isinstance(t, Comp):\n"
+        "        left, right = push(t.left, image), push(t.right, image)\n"
+        "        return Comp(t.k, left, right)\n"
+        "    inner: CellTerm = push(t.inner, image)\n"
+        "    return Id(inner) if isinstance(t, Id) else Inv(inner)\n"
+        "def walk(t):\n"
+        "    if isinstance(t, Comp):\n"
+        "        left, dl = walk(t.left)\n"
+        "        right, dr = walk(t.right)\n"
+        "        return Comp(t.k, left, right), dl\n"
+        "    inner, d = walk(t.inner)\n"
+        "    n = len(walk(t.inner))\n"
+        "    return (Id(inner) if d else Inv(n)), d\n")
+    assert list(term_rebuilders(tree)) == [(1, "push")]
     tree = ast.parse(
         "def _meet(a, b, step):\n"
         "    return _explore(a, step), _explore(b, step)\n"

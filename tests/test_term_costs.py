@@ -172,3 +172,11 @@ def test_a_tensor_builds_one_gen_per_pair_name():
     made = _count(lambda frame: frame.f_code is Gen.__init__.__code__
                   and PAIR_SEP in frame.f_locals["name"], gray, p, p)
     assert made <= names == 36
+
+
+def test_a_tensor_takes_each_ends_dimension_once():
+    """gray takes the two 0-boundaries of a wire or bead from one
+    dimension: 152 dim calls, recursive ones included, for gray(adj, adj)
+    (208 when each end took its own)."""
+    p = adj().base
+    assert code_calls(terms.dim, gray, p, p) <= 152
