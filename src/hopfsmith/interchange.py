@@ -16,13 +16,13 @@ are those of the Layer-object reference in tests/, on states:
                  takes the first one
   align          the adjacent swaps that turn one layer sequence into
                  another, searched depth-first
-  canonical      the greedy firing order under interchange, on layers
-                 that keep their input positions and are unlinked as they
-                 fire (not a normal form, so single slides stay search
-                 moves)
+  canonical      greedy firing orders under interchange, on layers that
+                 keep their input positions and are unlinked as they fire,
+                 until one is unchanged
   cancellations  single removals of an inverse pair of layers
-  moves          oriented-rule windows, cancellations and single slides
-  successors     the moves, each in canonical order
+  moves          oriented-rule windows, cancellations and the single
+                 slides of insertion/deletion pairs
+  successors     the moves, each in canonical order, less the state
 
 Nothing here reads a presentation: a table holds every word it needs.
 """
@@ -207,23 +207,32 @@ def _choices(ns: List[int], nt: List[int], flat: Flat, b: Flat,
 
 
 def canonical(tab: AtomTable, state: State) -> State:
-    """A fixed firing order under interchange, computed greedily: each
-    round emits the least (name, inverted, offset) layer among those that
-    can slide to the front, the first such index on a tie, with its
-    offset as shifted by the slide.  This is not a normal form: two
-    orders equal by interchange can end in different states (the
-    free-interchange-pair probe of perfbench/workloads.py).
+    """A fixed firing order under interchange: greedy passes until one
+    changes nothing, at most one per layer.  A deletion and an insertion
+    at one point, where a slide takes the first reading, are all that can
+    make a pass change its own output, or a single slide change the result."""
+    got, ns, nt, ids = _greedy(tab, state), tab.ns, tab.nt, state[1][1::2]
+    if any(not ns[x] for x in ids) and any(not nt[x] for x in ids):
+        for _ in ids:
+            if got == state:
+                break
+            state, got = got, _greedy(tab, got)
+    return got
 
+
+def _greedy(tab: AtomTable, state: State) -> State:
+    """One pass: each round emits the least (name, inverted, offset) layer
+    that can slide to the front, at its offset after the slide; of two
+    insertions at one point, the left one, whose slide shifts the other.
     Every layer keeps its index in the input for the whole call: an
     emitted layer is unlinked from the prev/nxt links of the layers still
     to fire, and a slide walks the prev links.  Index order is then
-    firing order among the remaining layers, so "the first index on a
-    tie" stays the same layer from round to round, and nothing is
-    renumbered.  Candidates are tried in order of (rank, index), sorted
-    once; a round stops after the first atom with a member that slides to
-    the front: a slide keeps the atom, so every later atom has a larger
-    key.  The slide is _slide_left's loop, inlined with _readings' two
-    tests written out: this is the kernel's hot loop."""
+    firing order among the remaining layers, and nothing is renumbered.
+    Candidates are tried in order of (rank, index), sorted once; a round
+    stops after the first atom with a member that slides to the front: a
+    slide keeps the atom, so every later atom has a larger key.  The
+    slide is _slide_left's loop, inlined with _readings' two tests
+    written out: this is the kernel's hot loop."""
     word, flat = state
     offs, ids = list(flat[0::2]), list(flat[1::2])
     ns, nt, rank = tab.ns, tab.nt, tab.rank
@@ -256,7 +265,7 @@ def canonical(tab: AtomTable, state: State) -> State:
                     break
                 j = prev[j]
             else:
-                if k < 0 or o < bo:
+                if k < 0 or o < bo or o == bo and k in shifted:
                     k, bo, bx, bs = i, o, x, shifted
         out += (bo, bx)
         for j in bs:
@@ -401,21 +410,22 @@ def _windows(tab: AtomTable, state: State, words: List[Word], rule: Rule,
 def moves(tab: AtomTable, state: State, budget) -> List[State]:
     """The states one move away, in order: every application of the
     table's oriented rules, every inverse-pair cancellation and every
-    single slide (both readings of a point-degenerate pair).  Cancellation
-    is a move rather than a preprocessing step: cancelling eagerly can
-    destroy rule redexes."""
+    single slide of an insertion next to a deletion (both readings at a
+    point).  Cancellation is a move rather than a preprocessing step:
+    cancelling eagerly can destroy rule redexes."""
     words = [state[0]]
     out: List[State] = []
     for rule in tab.rules:
         out += _windows(tab, state, words, rule, budget)
     out += cancellations(tab, state)
-    # single slides: canonicalization collapses ordinary interchange, but
-    # a point-degenerate insertion/deletion pair has two inequivalent-
-    # looking canonical forms that are equal, reachable only this way
+    # single slides: only those of an insertion/deletion pair can change the
+    # canonical form, to an equal one reachable only this way
     word, flat = state
     ns, nt = tab.ns, tab.nt
     for k in range(0, len(flat) - 2, 2):
         ao, a, bo, b = flat[k:k + 4]
+        if ns[a] + nt[b] and nt[a] + ns[b]:
+            continue
         r = _readings(ns, nt, ao, a, bo, b)
         if r & 1:
             out.append((word, flat[:k] + (bo + ns[a] - nt[a], b, ao, a)
@@ -427,11 +437,11 @@ def moves(tab: AtomTable, state: State, budget) -> List[State]:
 
 
 def successors(tab: AtomTable, state: State, budget) -> Tuple[State, ...]:
-    """The canonical states one move away.  The table memoizes canonical
-    forms, and the successors of each state expanded within budget with
-    the windows charged; these are replayed, charging those windows, only
-    when the budget covers them, so a search spends what it would on a
-    fresh table."""
+    """The canonical states one move away, but the state itself.  The
+    table memoizes canonical forms, and the successors of each state
+    expanded within budget with the windows charged; these are replayed,
+    charging those windows, only when the budget covers them, so a search
+    spends what it would on a fresh table."""
     left = budget.left
     hit = tab.successors_of.get(state)
     if hit is not None and hit[0] <= left:
@@ -443,7 +453,8 @@ def successors(tab: AtomTable, state: State, budget) -> Tuple[State, ...]:
         got = seen.get(nxt)
         if got is None:
             got = seen[nxt] = canonical(tab, nxt)
-        out.append(got)
+        if got != state:
+            out.append(got)
     out = tuple(out)
     if budget.left >= 0:
         tab.successors_of[state] = (left - budget.left, out)

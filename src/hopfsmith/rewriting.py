@@ -6,10 +6,9 @@ The decision procedure is dimension-stratified and deliberately partial:
   dim 1   free words in the 1-generators; oriented 1-rules rewrite any
           contiguous match, and every rewrite is freely reduced
   dim 2   layered interchange: a 2-cell is decomposed into layers, one
-          whiskered atom each; whisker-disjoint layers slide past each
-          other into a greedy firing order (not a normal form, so single
-          slides stay search moves); oriented 2-relations
-          and formal-inverse cancellation are the other moves
+          whiskered atom each, put in a greedy firing order; single
+          slides of insertion/deletion pairs, oriented 2-relations and
+          formal-inverse cancellation are the moves
   dim >=3 move chains, whose moves are compared as normalized terms,
           rewritten by oriented relations and cancelled in inverse pairs
 

@@ -137,28 +137,37 @@ TOKENS = ["--json", "--no-timing", "--budget", "--out", "--dot", "--js",
           *COMMANDS, "mnd", "pt", "QZ2", "x.json", "/tmp/p q.json", "a=b"]
 
 
+# the strategies argvs draws from, made once
+TOKEN = st.sampled_from(TOKENS)
+TOKEN_LISTS = st.lists(TOKEN, max_size=8)
+ONE_TOKEN = st.lists(TOKEN, max_size=1)
+VALUE = st.one_of(st.sampled_from([t for t in TOKENS if t[:1] != "-"]), TOKEN)
+NAME = st.sampled_from(list(COMMANDS))
+BUDGET = st.sampled_from(["0", "7", "007", "50"])
+BOOL = st.booleans()
+EDITS, WIDTH = st.integers(0, 2), st.integers(0, 1)
+# orders of n parts, and the places in an argv of n tokens
+ORDERS = [st.permutations(range(n)) for n in range(8)]
+PLACES = [st.integers(0, n) for n in range(32)]
+
+
 @st.composite
 def argvs(draw):
     """A token list, or a well-formed call in some order of its parts with
     up to two tokens changed, put in or taken out."""
-    tokens = st.sampled_from(TOKENS)
-    if draw(st.booleans()):
-        return draw(st.lists(tokens, max_size=8))
-    values = st.one_of(st.sampled_from([t for t in TOKENS if t[:1] != "-"]),
-                       tokens)
-    name = draw(st.sampled_from(list(COMMANDS)))
-    flags = [["--json"], ["--no-timing"],
-             ["--budget", draw(st.sampled_from(["0", "7", "007", "50"]))]]
-    rest = [[word, draw(values)] if word[0] == "-" else [draw(values)]
+    if draw(BOOL):
+        return draw(TOKEN_LISTS)
+    name = draw(NAME)
+    flags = [["--json"], ["--no-timing"], ["--budget", draw(BUDGET)]]
+    rest = [[word, draw(VALUE)] if word[0] == "-" else [draw(VALUE)]
             for word in COMMANDS[name][1].split()
-            if word[0] != "-" or draw(st.booleans())]
-    parts = [flag for flag in draw(st.permutations(flags))
-             if draw(st.booleans())] + [[name]] + draw(st.permutations(rest))
+            if word[0] != "-" or draw(BOOL)]
+    parts = ([flags[i] for i in draw(ORDERS[3]) if draw(BOOL)] + [[name]]
+             + [rest[i] for i in draw(ORDERS[len(rest)])])
     argv = [token for part in parts for token in part]
-    for _ in range(draw(st.integers(0, 2))):
-        i = draw(st.integers(0, len(argv)))
-        argv[i:i + draw(st.integers(0, 1))] = draw(st.lists(tokens,
-                                                            max_size=1))
+    for _ in range(draw(EDITS)):
+        i = draw(PLACES[len(argv)])
+        argv[i:i + draw(WIDTH)] = draw(ONE_TOKEN)
     return argv
 
 

@@ -327,33 +327,46 @@ def free_term(width, layers):
     return comp(1, *rows)
 
 
-# (source width, left layers, right layers, verdict).  The Equal pairs
-# differ by slides of two units at one point, which the greedy interchange
-# normal form does not identify; each Distinct pair adds a unit and a
-# multiplication, which changes the multiset of atoms.
-FREE_PAIRS = {
-    "two-units": (1, [(0, "u"), (0, "u")], [(0, "u"), (1, "u")], EQ_EQUAL),
+# (source width, left layers, right layers).  Each pair differs by slides
+# of two units at one point, which the canonical form identifies: two
+# insertions of one atom at one point fire left one first.
+FREE_EQUAL_PAIRS = {
+    "two-units": (1, [(0, "u"), (0, "u")], [(0, "u"), (1, "u")]),
     "units-and-m": (1, [(0, "u"), (0, "m"), (0, "u")],
-                    [(0, "u"), (1, "u"), (1, "m")], EQ_EQUAL),
-    "unit-redex": (2, [(0, "m")], [(0, "m"), (0, "u"), (0, "m")],
-                   EQ_DISTINCT),
+                    [(0, "u"), (1, "u"), (1, "m")]),
+}
+# Each Distinct pair adds a unit and a multiplication, which changes the
+# multiset of atoms, so only the search decides it.
+FREE_DISTINCT_PAIRS = {
+    "unit-redex": (2, [(0, "m")], [(0, "m"), (0, "u"), (0, "m")]),
     "unit-redex-inside": (2, [(2, "u"), (0, "m"), (1, "u")],
-                          [(2, "u"), (0, "m"), (0, "u"), (0, "m"), (1, "u")],
-                          EQ_DISTINCT),
+                          [(2, "u"), (0, "m"), (0, "u"), (0, "m"), (1, "u")]),
 }
 
 
-@pytest.mark.parametrize("name", sorted(FREE_PAIRS))
+def free_canonical(t):
+    table = interchange.AtomTable()
+    return interchange.canonical(table, stack_of(t, FREE, table))
+
+
+@pytest.mark.parametrize("name", sorted(FREE_EQUAL_PAIRS))
+def test_units_at_one_point_have_one_canonical_form(name):
+    width, left, right = FREE_EQUAL_PAIRS[name]
+    a, b = free_term(width, left), free_term(width, right)
+    assert free_canonical(a) == free_canonical(b)
+    assert eq(a, b, FREE, budget=0) is EQ_EQUAL
+    assert eq(b, a, FREE, budget=0) is EQ_EQUAL
+
+
+@pytest.mark.parametrize("name", sorted(FREE_DISTINCT_PAIRS))
 def test_budget_bounds_search_without_rules(name):
-    width, left, right, verdict = FREE_PAIRS[name]
+    width, left, right = FREE_DISTINCT_PAIRS[name]
     a, b = free_term(width, left), free_term(width, right)
     # only the search decides the pair: the normal forms differ
-    table = interchange.AtomTable()
-    assert (interchange.canonical(table, stack_of(a, FREE, table))
-            != interchange.canonical(table, stack_of(b, FREE, table)))
+    assert free_canonical(a) != free_canonical(b)
     assert eq(a, b, FREE, budget=0) is EQ_UNKNOWN
-    assert eq(a, b, FREE) is verdict
-    assert eq(b, a, FREE) is verdict
+    assert eq(a, b, FREE) is EQ_DISTINCT
+    assert eq(b, a, FREE) is EQ_DISTINCT
 
 
 def test_explore_finds_states_in_order_within_budget():
@@ -423,9 +436,12 @@ def assert_unstopped_verdicts(a, b, p):
             assert eq(x, y, p, budget) is want, (budget, want)
 
 
+FREE_PAIRS = {**FREE_EQUAL_PAIRS, **FREE_DISTINCT_PAIRS}
+
+
 @pytest.mark.parametrize("name", sorted(FREE_PAIRS))
 def test_stopped_search_keeps_unstopped_verdicts(name):
-    width, left, right, _ = FREE_PAIRS[name]
+    width, left, right = FREE_PAIRS[name]
     assert_unstopped_verdicts(free_term(width, left), free_term(width, right),
                            FREE)
 

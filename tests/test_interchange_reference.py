@@ -8,12 +8,15 @@ to slide every layer, whatever its atom, so they are slower but
 obviously follow their definitions.  The kernel (hopfsmith.interchange) works on packed
 integer states and skips slides whose outcome is known without making
 them; it must give the same stacks, and the same lists in the same
-order, on every stack.  ref_align is greedy: align must make its swaps
+order, on every stack, but that its successors leave out the single
+slides that give back the state expanded, which ref_moves makes.
+ref_align is greedy: align must make its swaps
 wherever it finds them, and goes back to find more.  The slide counts are exact: every interchange test of the
 kernel goes through interchange._readings, which the counter wraps, or
-through the slide loop that canonical inlines, whose iterations the
-counter traces.  The search trace pins the verdict and the budget spent
-of every search.
+through the slide loop that canonical's passes inline, whose iterations
+the counter traces.  The search trace pins the verdict and the budget
+spent of every search, as the reference search makes them, and the
+kernel's search must make the same.
 """
 
 import hashlib
@@ -147,7 +150,17 @@ def _layer_key(layer):
     return (layer.atom.name, layer.atom.inverted, layer.offset)
 
 
-def ref_canonical_stack(stack):
+def _lies_left(block, layer, j):
+    """Whether layer, slid to the front of block, passes block[j] on its
+    left: by the second reading, which leaves the layer where it is."""
+    got = slide_left(block[j + 1:], layer)
+    return block[j].offset + len(block[j].atom.tgt) > got[0].offset
+
+
+def _ref_pass(stack):
+    """One greedy pass: the least (name, inverted, offset) layer that
+    slides to the front, each round; of two with one key, the one that
+    lies left of the other."""
     layers = list(stack.layers)
     out = []
     while layers:
@@ -156,11 +169,24 @@ def ref_canonical_stack(stack):
             got = slide_left(layers[:i], layers[i])
             if got is None:
                 continue
-            if best is None or _layer_key(got[0]) < _layer_key(best[0]):
-                best = (got[0], got[1] + layers[i + 1:])
+            key = _layer_key(got[0])
+            if (best is None or key < _layer_key(best[0])
+                    or key == _layer_key(best[0])
+                    and _lies_left(layers[:i], layers[i], best[2])):
+                best = (got[0], got[1] + layers[i + 1:], i)
         out.append(best[0])
         layers = best[1]
     return Stack(stack.srcword, tuple(out))
+
+
+def ref_canonical_stack(stack):
+    """Greedy passes until one changes nothing, at most one per layer."""
+    got = _ref_pass(stack)
+    for _ in stack.layers:
+        if got == stack:
+            break
+        stack, got = got, _ref_pass(got)
+    return got
 
 
 def ref_cancellations(stack):
@@ -290,12 +316,12 @@ def kernel_cancellations(stack):
 
 
 def _canonical_slide_line():
-    """The first line of the slide loop that canonical inlines: one run of
-    it per interchange test."""
-    lines, first = inspect.getsourcelines(interchange.canonical)
+    """The first line of the slide loop that canonical's passes inline:
+    one run of it per interchange test."""
+    lines, first = inspect.getsourcelines(interchange._greedy)
     hits = [first + k for k, line in enumerate(lines)
             if line.strip() == "y = ids[j]"]
-    assert len(hits) == 1, "canonical's slide loop has moved"
+    assert len(hits) == 1, "the greedy pass's slide loop has moved"
     return hits[0]
 
 
@@ -303,11 +329,11 @@ def _canonical_slide_line():
 def counting_slides():
     """Count the calls of interchange._readings, through which every other
     slide and every single-slide move of the kernel goes, plus the
-    iterations of canonical's slide loop, which makes its interchange
-    tests inline and is counted by a line tracer."""
+    iterations of the greedy pass's slide loop, which makes its
+    interchange tests inline and is counted by a line tracer."""
     count = [0]
     readings = interchange._readings
-    code, line = interchange.canonical.__code__, _canonical_slide_line()
+    code, line = interchange._greedy.__code__, _canonical_slide_line()
 
     def counted(*args):
         count[0] += 1
@@ -444,19 +470,19 @@ def stacks(draw, max_layers=10):
 
 
 def assert_kernel_matches_reference(p, stack):
-    """canonical, the cancellations, and the whole move and
-    successor lists of the packed state, against the Layer-level
-    reference."""
-    assert kernel_canonical(stack) == ref_canonical_stack(stack)
+    """canonical, the cancellations, and the successor list of the
+    canonical state, against the Layer-level reference.  The reference
+    makes every single slide; the kernel makes only those of an
+    insertion/deletion pair, and drops the states that give back the
+    state expanded, so its list is the reference's less those states."""
+    canon = ref_canonical_stack(stack)
+    assert kernel_canonical(stack) == canon
     assert kernel_cancellations(stack) == ref_cancellations(stack)
-    table, state = packed(p, stack)
-    layer_rules = ref_layer_rules(p)
-    got = [unpack(s, table)
-           for s in interchange.moves(table, state, Budget(10**6))]
-    assert got == ref_moves(stack, layer_rules, Budget(10**6))
+    table, state = packed(p, canon)
     got = [unpack(s, table) for s in
            interchange.successors(table, state, Budget(10**6))]
-    assert got == ref_stack_successors(stack, layer_rules, Budget(10**6))
+    want = ref_stack_successors(canon, ref_layer_rules(p), Budget(10**6))
+    assert got == [s for s in want if s != canon]
 
 
 @settings(max_examples=300)
@@ -477,18 +503,23 @@ def test_no_slides_without_an_inverse_pair(case):
 
 def point_degenerate_stacks():
     """Deletions then insertions at one point, and with alpha's inverse
-    then alpha also inverse pairs."""
+    then alpha also inverse pairs.  In the last, alpha's inverse deletes
+    the f g that retR's output begins with, and eta_g inserts at the point
+    it leaves: read left of that f g, eta_g passes retR; read right, it
+    does not, and the two readings have different canonical forms."""
     p = PRESENTATIONS["walking_retract"]
     f, g = ("f", False), ("g", False)
     alpha = Atom("alpha", False, *p.boundary_words("alpha"))
     alpha_inv = alpha.inverse()
-    eta_f = Atom("eta_f", False, *p.boundary_words("eta_f"))
+    eta_f, eta_g, ret_r = (Atom(name, False, *p.boundary_words(name))
+                           for name in ("eta_f", "eta_g", "retR"))
     return p, [
         Stack((f, g), (Layer(0, alpha_inv), Layer(0, alpha))),
         Stack((f, g), (Layer(0, alpha_inv), Layer(0, eta_f), Layer(0, alpha))),
         Stack((), (Layer(0, alpha), Layer(0, alpha_inv), Layer(0, alpha))),
         Stack((f, g, f, g), (Layer(2, alpha_inv), Layer(0, alpha_inv),
                              Layer(0, alpha), Layer(0, alpha))),
+        Stack((f,), (Layer(0, ret_r), Layer(0, alpha_inv), Layer(0, eta_g))),
     ]
 
 
@@ -496,10 +527,15 @@ def test_point_degenerate_pairs_match_reference():
     """A deletion then an insertion at one point slides both ways; with
     alpha's inverse then alpha it is also an inverse pair."""
     p, cases = point_degenerate_stacks()
-    for stack in cases:
+    for stack in cases[:-1]:
         stack.tgtword()
         assert_kernel_matches_reference(p, stack)
         assert kernel_cancellations(stack)
+    stack = cases[-1]
+    assert ref_canonical_stack(stack) == stack
+    assert_kernel_matches_reference(p, stack)
+    table, state = packed(p, stack)
+    assert interchange.successors(table, state, Budget(10**6))
 
 
 @st.composite
@@ -701,8 +737,9 @@ def test_slide_counts_on_the_fixed_40_layer_stack():
     assert len(stack.layers) == 40
     with counting_slides() as count:
         got = kernel_canonical(stack)
-    # the reference makes 5,780 slides here
-    assert count[0] == 3633
+    # a first pass makes 3,637 slides and the pass that finds it unchanged
+    # 3,109; the reference makes 5,780 in a pass
+    assert count[0] == 6746
     assert got == ref_canonical_stack(stack)
     with counting_slides() as count:
         assert kernel_cancellations(stack) == []
@@ -710,12 +747,12 @@ def test_slide_counts_on_the_fixed_40_layer_stack():
 
 
 # the (verdict, budget spent) of every search below, as the Layer-object
-# search that the packed kernel replaced made them
-SEARCH_TRACE_SHA256 = ("fb14ebd1faed8414015c4e5bd41a83fd1d92492c"
-                       "d1ef1d6b8d9827acf88bfd6a")
+# search with every single slide makes them
+SEARCH_TRACE_SHA256 = ("8398c72c799aadd3be9584b85b70f1be5c470ae2"
+                       "341d9ff8e6cfed81274de415")
 
 
-def test_every_search_keeps_its_verdict_and_budget(monkeypatch):
+def search_trace(monkeypatch):
     """Every _meet call of the hopf-square queries and of 96 diagrams
     pairs (seeds 1 and 2): its verdict and the budget it spent, in
     order."""
@@ -740,6 +777,33 @@ def test_every_search_keeps_its_verdict_and_budget(monkeypatch):
     for seed in (1, 2):
         for pair in diagrams.make_pairs(seed, [2, 3, 4] * 4):
             eq(pair.left, pair.right, signatures[pair.signature])
-    assert len(trace) == 105
+    return trace
+
+
+def assert_pinned(trace):
+    assert len(trace) == 99
     digest = hashlib.sha256(json.dumps(trace).encode()).hexdigest()
     assert digest == SEARCH_TRACE_SHA256
+
+
+def test_every_search_keeps_its_verdict_and_budget(monkeypatch):
+    assert_pinned(search_trace(monkeypatch))
+
+
+def test_the_reference_search_makes_the_pinned_trace(monkeypatch):
+    """The same searches with the Layer-object canonical form and
+    successors, every single slide made, in place of the kernel's."""
+    def canonical(table, state):
+        return state[0], pack(ref_canonical_stack(unpack(state, table)).layers,
+                              table)
+
+    def successors(table, state, budget):
+        rules = [LayerRule(src, unpack_layers(lhs, table),
+                           unpack_layers(rhs, table))
+                 for src, lhs, rhs in table.rules]
+        return tuple((s.srcword, pack(s.layers, table)) for s in
+                     ref_stack_successors(unpack(state, table), rules, budget))
+
+    monkeypatch.setattr(interchange, "canonical", canonical)
+    monkeypatch.setattr(interchange, "successors", successors)
+    assert_pinned(search_trace(monkeypatch))

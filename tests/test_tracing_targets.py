@@ -6,7 +6,6 @@ import importlib.util
 from pathlib import Path
 
 from hopfsmith import interchange, rewriting, walking
-from hopfsmith.presentation import Presentation
 from hopfsmith.terms import Gen, Id, comp
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -39,18 +38,17 @@ def test_tracer_installs_against_the_program():
 def test_tracer_counts_the_kernel_inside_a_search():
     """rewriting.canonical_stack is interchange.canonical, so the tracer's
     span sees every canonicalization: two before the search starts, and
-    those of successors.  The two unit stacks below are equal, but only
-    a search finds it."""
-    base = walking.mnd().base
-    p = Presentation(base.max_dim, dict(base.gens))
-    u, A = Gen("u"), Id(Gen("A"))
-    a = comp(1, comp(0, u, A), comp(0, u, A, A))
-    b = comp(1, comp(0, u, A), comp(0, A, u, A))
+    those of successors.  A snake in adj and the identity it removes
+    have different canonical forms: only a search, applying the snake
+    rule, finds them equal."""
+    p = walking.adj().base
+    l = Gen("l")
+    snake = comp(1, comp(0, Gen("eta"), Id(l)), comp(0, Id(l), Gen("eps")))
     canonical = interchange.canonical
     tracer = load_tracing().Tracer()
     try:
         tracer.install()
-        assert rewriting.eq(a, b, p) is rewriting.EQ_EQUAL
+        assert rewriting.eq(snake, Id(l), p) is rewriting.EQ_EQUAL
     finally:
         tracer.uninstall()
     assert interchange.canonical is canonical
