@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 
@@ -64,7 +64,10 @@ def _rational(text: str):
     digits = text[1:] if text[:1] == "-" else text
     if digits.isdecimal():
         return int(text)
-    return _canonical(Fraction(text))
+    try:
+        return _canonical(Fraction(text))
+    except ZeroDivisionError:
+        raise FieldError(f"zero denominator in {text!r}") from None
 
 
 def _inverse(q):
@@ -134,6 +137,10 @@ QQ = RationalField()
 _ZERO = 0
 # the generator of every extension field: the JSON format names none
 VAR = "x"
+# the largest modulus: its degree, and each coefficient once all are scaled
+# to integers by their common denominator, bound the rational-root screen
+MAX_MODULUS_DEGREE = 16
+MAX_MODULUS_HEIGHT = 10 ** 4
 
 
 def _poly_trim(cs: List[Fraction]) -> Tuple[Fraction, ...]:
@@ -219,21 +226,27 @@ class NumberField:
         for c in mod:
             den = den * c.denominator // gcd(den, c.denominator)
         ints = [int(c * den) for c in mod]
-        lead, const = ints[-1], ints[0]
+        if (len(ints) > MAX_MODULUS_DEGREE + 1
+                or max(map(abs, ints)) > MAX_MODULUS_HEIGHT):
+            raise FieldError(f"modulus above the cap of degree "
+                             f"{MAX_MODULUS_DEGREE} and integer coefficients "
+                             f"up to {MAX_MODULUS_HEIGHT}")
+        lead, const, d = ints[-1], ints[0], len(ints) - 1
         if const == 0:
             raise FieldError("modulus has root 0; not irreducible")
 
         def divisors(n):
-            n = abs(n)
-            return [d for d in range(1, n + 1) if n % d == 0]
+            small = [k for k in range(1, isqrt(abs(n)) + 1) if n % k == 0]
+            return small + [abs(n) // k for k in small]
 
+        # f(p/q) = 0 when sum(c_i p^i q^(d-i)) = 0, in integers
         for p in divisors(const):
             for q in divisors(lead):
-                for sign in (1, -1):
-                    r = Fraction(sign * p, q)
-                    if sum(c * r ** i for i, c in enumerate(mod)) == 0:
-                        raise FieldError(
-                            f"modulus has rational root {r}; not irreducible")
+                for r in (p, -p):
+                    if sum(c * r ** i * q ** (d - i)
+                           for i, c in enumerate(ints)) == 0:
+                        raise FieldError(f"modulus has rational root "
+                                         f"{Fraction(r, q)}; not irreducible")
 
     # -- values and their coefficients ----------------------------------
 
@@ -452,6 +465,9 @@ def _parse_poly(text: str) -> Dict[int, Rational]:
         if VAR in part:
             head, _, tail = part.partition(VAR)
             power = int(tail[1:]) if tail.startswith("^") else 1
+            if power > MAX_MODULUS_DEGREE:
+                raise FieldError(f"exponent above {MAX_MODULUS_DEGREE} in "
+                                 f"{part!r}")
             if head in ("", "-"):
                 head += "1"
             coeff = _rational(head.rstrip("*"))

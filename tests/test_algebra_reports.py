@@ -6,7 +6,8 @@ reconstruct on the five that round-trip) are pinned by sha256, once over Q
 through the built-in fixtures and once over Q[x]/(x^2+x+1) through
 bialgebra and family JSON files.  The directory of those files is replaced
 by a fixed placeholder before hashing.  A change to the linear algebra may
-make these reports faster, never different.
+make these reports faster, never different.  Reconstruct on the bialgebra
+files over Q[x]/(x^2+x+1) is checked by its verdict and Hopf flags.
 """
 
 import hashlib
@@ -174,3 +175,17 @@ def test_report_over_extension(cmd, name, ext_inputs):
     directory, paths, families = ext_inputs
     path = families[name] if cmd == "reconstruct" else paths[name]
     assert digest([cmd, path], directory) == GOLDEN_EXT[f"{cmd} {name}"]
+
+
+@pytest.mark.parametrize("name", RECONSTRUCT)
+def test_reconstruct_of_a_bialgebra_file_over_extension(name, ext_inputs):
+    """The round trip of each fixture read from its bialgebra file over
+    Q[x]/(x^2+x+1) is an isomorphism whose two Hopf flags agree; QM is the
+    one of them that is not Hopf."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["--json", "--no-timing", "reconstruct",
+                         ext_inputs[1][name]])
+    doc, hopf = json.loads(out.getvalue()), name != "QM"
+    assert (code, doc["verdict"], doc["hopf"]) == (
+        0, "isomorphism", [hopf, hopf])

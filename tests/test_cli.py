@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -171,20 +172,26 @@ def argvs(draw):
     return argv
 
 
-@settings(max_examples=2000)
-@given(argvs())
-def test_read_argv_answers_as_the_full_parser(argv):
+def test_read_argv_answers_as_the_full_parser():
     """Wherever the command-table reader answers, the full parser reads
-    the same namespace and does not exit."""
-    args = read_argv(argv)
-    if args is None:
-        return
-    with redirect_stderr(io.StringIO()) as err:
-        try:
-            want = vars(build_parser().parse_args(argv))
-        except SystemExit:
-            want = err.getvalue()
-    assert vars(args) == want
+    the same namespace and does not exit.  The parser is built once: it
+    keeps no state between calls of parse_args."""
+    parser = build_parser()
+
+    @settings(max_examples=2000)
+    @given(argvs())
+    def answers_as_the_parser(argv):
+        args = read_argv(argv)
+        if args is None:
+            return
+        with redirect_stderr(io.StringIO()) as err:
+            try:
+                want = vars(parser.parse_args(argv))
+            except SystemExit:
+                want = err.getvalue()
+        assert vars(args) == want
+
+    answers_as_the_parser()
 
 
 def _usage_cases():
@@ -259,6 +266,32 @@ def test_reconstruct_family_over_number_field(tmp_path, name):
     assert code == 0
     assert doc["verdict"] == "isomorphism"
     assert doc["coend_dim"] == B.n
+
+
+@pytest.mark.parametrize("name", ["QZ2", "sweedler"])
+def test_reconstruct_of_irrational_structure_constants(tmp_path, name):
+    """Every fixture's structure constants are rational, so its values
+    over Q[x]/(x^2+x+1) are all ints.  In the basis e_i + x e_(i-1) they
+    are not, and the round trip runs on NumberFieldElements throughout."""
+    from hopfsmith.bialgebra import Bialgebra, bialgebra_to_json
+    from hopfsmith.field import number_field_from_text
+    from hopfsmith.fixtures import standard_fixtures
+    from hopfsmith.matrix import Matrix
+    F = number_field_from_text("x^2+x+1")
+    B = standard_fixtures(F)[name]
+    T = Matrix.from_rows(F, [[1 if j == i else "x" if j == i + 1 else 0
+                              for j in range(B.n)] for i in range(B.n)])
+    S = T.inverse()
+    doc = bialgebra_to_json(Bialgebra(
+        F, B.n, S @ B.m @ T.kron(T), S @ B.u, S.kron(S) @ B.delta @ T,
+        B.eps @ T, B.grading, B.braiding, B.basis_names))
+    assert "x" in json.dumps(doc["m"])
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["--json", "--no-timing", "reconstruct", str(path)])
+    doc = json.loads(out)
+    assert (code, doc["verdict"], doc["hopf"]) == (
+        0, "isomorphism", [True, True])
 
 
 def test_proof_skeleton_cli():
@@ -521,6 +554,55 @@ def test_field_with_non_string_modulus_is_a_fail_line(tmp_path):
     checks = json.loads(out)["checks"]
     assert checks[-1]["status"] == "fail"
     assert "unknown field description" in checks[-1]["witness"]
+
+
+def _one_fail_line(argv):
+    """The witness of the one fail line a CLI call that exits 1 reports."""
+    code, out = run(["--json", "--no-timing"] + argv)
+    fails = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert code == 1 and len(fails) == 1
+    return fails[0]["witness"]
+
+
+# "1/0" as a matrix entry of a bialgebra file, as the modulus of its field's
+# constant term, and as an entry of a comodule of a family file
+ZERO_DENOMINATORS = {
+    "entry": lambda: dict(_qz2_json(), u=[["1/0"], ["0"]]),
+    "modulus": lambda: dict(_qz2_json(), field={"ext": "x^2+1/0"}),
+    "family": lambda: {"bialgebra": _qz2_json(), "depth": 2, "comodules": [
+        {"dim": 1, "rho": [["1/0"], ["0"]]}]},
+}
+
+
+@pytest.mark.parametrize("command, doc", [
+    *[(command, doc) for command in ("shear-check", "antipode", "integrals",
+                                     "reconstruct")
+      for doc in ("entry", "modulus")],
+    ("reconstruct", "family")])
+def test_a_zero_denominator_is_a_fail_line(tmp_path, command, doc):
+    """Fraction("1/0") raises ZeroDivisionError; the field reports it as a
+    FieldError, so the call ends in one fail line, not a traceback."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(ZERO_DENOMINATORS[doc]()))
+    assert (_one_fail_line([command, str(path)])
+            == "zero denominator in '1/0'")
+
+
+@pytest.mark.parametrize("modulus, witness", [
+    ("x^2+1000000000039", "modulus above the cap of degree 16 and integer "
+                          "coefficients up to 10000"),
+    ("x^200000+1", "exponent above 16 in 'x^200000'")],
+    ids=["height", "degree"])
+def test_a_modulus_above_the_cap_is_a_fail_line_within_a_second(
+        tmp_path, modulus, witness):
+    """The rational-root screen of a modulus lists the divisors of its
+    constant and leading coefficients: a modulus above the cap is refused
+    before, so its cost does not grow with the input."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(dict(_qz2_json(), field={"ext": modulus})))
+    start = time.perf_counter()
+    assert _one_fail_line(["antipode", str(path)]) == witness
+    assert time.perf_counter() - start < 1
 
 
 def _written(p, path):

@@ -14,15 +14,19 @@ Q[x]/(f) is read through `NumberField.coefficients`, whether it is a
 rational or an element, and built from drawn coefficients by
 `NumberField.from_coefficients`, so that a drawn value with zero higher
 coefficients is the rational it equals.
+
+The rational-root screen of a modulus is checked against the discriminant
+of a monic quadratic, and against cubics made with a linear factor.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hopfsmith.field import (FieldError, NumberFieldElement, QQ,
-                             number_field_from_text)
+                             number_field, number_field_from_text)
 
 MODULI = ["x^2+x+1", "x^2+1", "x^3-2", "x^2-1/2", "x^3+1/3*x^2-x+1/2"]
 FIELDS = {text: number_field_from_text(text) for text in MODULI}
@@ -244,3 +248,33 @@ def test_no_operation_returns_a_rational_element(args):
         else:
             assert is_canonical(x)
         assert canonical_coeffs(F, x)
+
+
+# coefficients small enough that every modulus below is under the cap
+SMALL = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3]))
+
+
+def screened(mod) -> str:
+    """The refusal of the monic modulus mod (low degree first), or ''."""
+    try:
+        number_field(mod)
+    except FieldError as e:
+        return str(e)
+    return ""
+
+
+@given(SMALL, SMALL)
+def test_a_quadratic_is_refused_exactly_when_it_has_a_rational_root(b, c):
+    d = b * b - 4 * c
+    rational = d >= 0 and all(isqrt(n) ** 2 == n
+                              for n in (d.numerator, d.denominator))
+    refusal = screened([c, b, 1])
+    assert bool(refusal) == rational
+    assert not refusal or "root" in refusal
+
+
+@given(SMALL, SMALL, SMALL)
+def test_a_cubic_with_a_linear_factor_is_refused(r, b, c):
+    """(x - r)(x^2 + bx + c) has the rational root r."""
+    refusal = screened([-r * c, c - r * b, b - r, 1])
+    assert "root" in refusal
