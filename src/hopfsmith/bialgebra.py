@@ -20,7 +20,6 @@ or a braiding that it only multiplies.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Tuple
 
 from . import jsonshape as shape
@@ -462,4 +461,4 @@ def bialgebra_from_json(data: dict) -> Bialgebra:
 
 def load_bialgebra(path: str) -> Bialgebra:
     with open(path, "r", encoding="utf-8") as fh:
-        return bialgebra_from_json(json.load(fh))
+        return bialgebra_from_json(shape.loads(fh.read()))

@@ -232,7 +232,7 @@ def cmd_reconstruct(args, report: Report) -> None:
     doc = None
     if args.family not in FIXTURE_BUILDERS:
         with open(args.family, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = shape.loads(fh.read())
     if not (isinstance(doc, dict) and "bialgebra" in doc):
         B = load_bialgebra(args.family) if doc is None \
             else ba.bialgebra_from_json(doc)

@@ -17,6 +17,10 @@ with the bead first, every level-1 composite is reversed and a 2-bead's
 source and target are exchanged.
 `smash` returns its collapse as a `PresMorphism`; `collapse` makes the same
 quotient of a tensor that is already built.
+
+A tensor reads the end objects of a wire or bead by descent (`_ends`),
+with no boundary built, and takes each generator's face chain once per
+tensor at its known dimensions (`_Chains`), with no `dim` walk.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from typing import Dict, Tuple
 
 from .presentation import PresMorphism, Presentation
 from .record import Record
-from .terms import (MAX_DIM, CellTerm, Comp, Gen, Gens, Id, TermError, idn,
-                    substitute)
+from .terms import (MAX_DIM, SOURCE, TARGET, CellTerm, Comp, Gen, Gens, Id,
+                    TermError, idn, substitute)
 from .walking import PointedPresentation
 
 # the tensor sign; a factor's name may hold it too, as the names of an
@@ -53,13 +57,35 @@ def split_pair(name: str, left: Gens, right: Gens) -> Tuple[str, str]:
 
 
 def _ends(p: Presentation, t: CellTerm) -> Tuple[str, str]:
-    """The names of the source and target objects of a term of p."""
-    d = p.dim(t)
-    s, g = p.boundary(t, "source", 0, d), p.boundary(t, "target", 0, d)
-    if not (isinstance(s, Gen) and isinstance(g, Gen)):
-        # a normal 0-cell is an object or the formal inverse of one
-        raise TermError("0-boundary is not an object")
-    return s.name, g.name
+    """The names of the source and target objects of a well-formed term of
+    p of dimension at least 1, each read by one descent along the term: a
+    composite's first part for the source and its last part for the
+    target, an identity's cell, an inverse's cell with the sides
+    exchanged, and a generator's normal face, until an object.  Where
+    every composite composes, these are the ends `Presentation.boundary`
+    gives at level 0, with no boundary of a level between built."""
+    return _end(p, t, SOURCE), _end(p, t, TARGET)
+
+
+def _end(p: Presentation, t: CellTerm, side: str) -> str:
+    """The name of t's object at one end: its source or its target."""
+    gens, here = p.gens, side
+    while True:
+        cls = t.__class__
+        if cls is Gen:
+            if gens[t.name].dim == 0:
+                if here != side:
+                    # a normal 0-cell is an object or the formal inverse
+                    # of one
+                    raise TermError("0-boundary is not an object")
+                return t.name
+            t, here = p.face(t.name, here), side
+        elif cls is Comp:
+            t = t.left if here == SOURCE else t.right
+        elif cls is Id:
+            t, here = t.inner, side
+        else:
+            t, here = t.inner, TARGET if here == SOURCE else SOURCE
 
 
 class _Order:
@@ -86,8 +112,33 @@ class _Order:
     def faces(self, t: CellTerm) -> Tuple[CellTerm, CellTerm]:
         """Normal source and target of a bead-side 2-cell, exchanged bead
         first."""
-        s, g = self.B.src(t), self.B.tgt(t)
+        s, g = _faces(self.B, t, 2)
         return (s, g) if self.wire_first else (g, s)
+
+
+def _faces(p: Presentation, t: CellTerm, d: int) -> Tuple[CellTerm, CellTerm]:
+    """The normal source and target of a term t of p of dimension d."""
+    return p.boundary(t, SOURCE, d - 1, d), p.boundary(t, TARGET, d - 1, d)
+
+
+class _Chains(dict):
+    """One factor's face chains by generator name, each taken once per
+    tensor: chain[j] is the generator's (j-source, j-target), taken along
+    its source spine, each level from the one above at its known
+    dimension."""
+
+    def __init__(self, p: Presentation):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, name: str) -> list:
+        chain, t = [], Gen(name)
+        for d in range(self.p.gens[name].dim, 0, -1):
+            chain.append(_faces(self.p, t, d))
+            t = chain[-1][0]
+        chain.reverse()
+        self[name] = chain
+        return chain
 
 
 class _Pairs(dict):
@@ -105,6 +156,7 @@ class TensorTerms:
         self.L = left
         self.R = right
         self._pairs = _Pairs()
+        self._chains = (_Chains(left), _Chains(right))
         self._orders = (_Order(self, False), _Order(self, True))
 
     # -- relabelling tensors with an object ------------------------------
@@ -207,18 +259,18 @@ class TensorTerms:
                                   pull(wire, w, 1))),
                           Comp(0, pull(wire, x), Id(Id(o.beside(x1, w)))))
         # a genuine horizontal composite: expand by interchange
-        return pull(wire, o.B.normalize(Comp(1, Comp(0, x, Id(o.B.src(y))),
-                                             Comp(0, Id(o.B.tgt(x)), y))))
+        B = o.B
+        return pull(wire, B.normalize(
+            Comp(1, Comp(0, x, Id(B.boundary(y, SOURCE, 1, 2))),
+                 Comp(0, Id(B.boundary(x, TARGET, 1, 2)), y))))
 
     # -- the interchange 4-cell ------------------------------------------
 
     def fill22_boundaries(self, alpha: Gen, beta: Gen) -> Tuple[CellTerm, CellTerm]:
         """Source and target 3-cells of the interchange 4-cell: the two ways
         of pulling both beads across each other's wires."""
-        a = self.L.src(alpha)
-        a2 = self.L.tgt(alpha)
-        b = self.R.src(beta)
-        b2 = self.R.tgt(beta)
+        a, a2 = self._chains[0][alpha.name][1]
+        b, b2 = self._chains[1][beta.name][1]
         p, q = _ends(self.R, b)
         A0, A1 = _ends(self.L, a)
         # layers used as whiskers
@@ -237,10 +289,8 @@ class TensorTerms:
 
 def gray(P: Presentation, Q: Presentation) -> Presentation:
     """The strict lax tensor product of two presentations."""
-    top = 0
-    for g in P.gens.values():
-        for h in Q.gens.values():
-            top = max(top, g.dim + h.dim)
+    top = (max(g.dim for g in P.gens.values())
+           + max(h.dim for h in Q.gens.values()) if P.gens and Q.gens else 0)
     if top > MAX_DIM:
         raise TermError(f"tensor would reach dimension {top} > {MAX_DIM}")
     out = Presentation(max_dim=top)
@@ -293,17 +343,12 @@ def _wire_bead(tt: TensorTerms, g, h) -> Tuple[CellTerm, CellTerm]:
     makes the opposite choices.  For k = 1 the two readings agree.
 
     The bead's j-boundary is taken along its source spine: sources down to
-    dimension j+1, then one step to the wanted side."""
+    dimension j+1, then one step to the wanted side (the tensor's face
+    chain of the bead)."""
     wire_first = g.dim == 1
     wire, bead = (g, h) if wire_first else (h, g)
     w, b, k = Gen(wire.name), Gen(bead.name), bead.dim
-    B = tt.R if wire_first else tt.L
-    faces = []                          # faces[j]: (j-source, j-target)
-    t = b
-    for _ in range(k):
-        faces.append((B.src(t), B.tgt(t)))
-        t = faces[-1][0]
-    faces.reverse()
+    faces = tt._chains[wire_first][bead.name]  # faces[j]: (j-source, j-target)
     ends = _ends(tt.L if wire_first else tt.R, w)
     sides = []
     for target in (0, 1):

@@ -3,9 +3,10 @@
 An AtomTable gives an int id to every atom (name, inverted) it meets
 and to its inverse, and holds per id the source and target words, their
 lengths, the id of the inverse, and the rank of (name, inverted) among
-the atoms of the table.  A state is (srcword, (off0, id0, off1, id1,
-...)): the source word and the layers in firing order, flattened, so
-states hash and compare as plain tuples.
+the atoms of the table, ranked when a canonical form reads it.  A state
+is (srcword, (off0, id0, off1, id1, ...)): the source word and the
+layers in firing order, flattened, so states hash and compare as plain
+tuples.
 
 rewriting keeps one table, with its rules and memos, per presentation,
 and rewriting.stack_of builds every state, adding its atoms to a table.
@@ -45,10 +46,11 @@ MEMO_STATES = 10_000
 
 class AtomTable:
     """Atoms by int id.  Adding an atom adds its inverse too, with the
-    words swapped, and re-ranks every atom, so the rank order of the
-    atoms already in states never changes.  The table also keeps the
-    oriented rules that moves applies, successors' memos, and the lock
-    that serializes the searches on it."""
+    words swapped.  `ranks` ranks every atom when one was added since it
+    last did, once however many atoms a stack added, so the rank order
+    of the atoms already in states never changes.  The table also keeps
+    the oriented rules that moves applies, successors' memos, and the
+    lock that serializes the searches on it."""
 
     def __init__(self):
         self.ids: Dict[Tuple[str, bool], int] = {}
@@ -58,7 +60,8 @@ class AtomTable:
         self.ns: List[int] = []
         self.nt: List[int] = []
         self.inv: List[int] = []
-        self.rank: List[int] = []
+        # None when an atom was added since the last ranking
+        self.rank: Optional[List[int]] = []
         self.rules: Optional[List[Rule]] = None
         self.canonical_of: Dict[State, State] = {}
         self.successors_of: Dict[State, Tuple[int, Tuple[State, ...]]] = {}
@@ -70,11 +73,19 @@ class AtomTable:
             got = self._new((name, inverted), src, tgt)
             self._new((name, not inverted), tgt, src)
             self.inv += (got + 1, got)
-            order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
-            self.rank = [0] * len(order)
-            for r, x in enumerate(order):
-                self.rank[x] = r
+            self.rank = None
         return got
+
+    def ranks(self) -> List[int]:
+        """The rank of each atom's (name, inverted) among the atoms of the
+        table, by id."""
+        rank = self.rank
+        if rank is None:
+            order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
+            rank = self.rank = [0] * len(order)
+            for r, x in enumerate(order):
+                rank[x] = r
+        return rank
 
     def _new(self, key: Tuple[str, bool], src: Word, tgt: Word) -> int:
         self.ids[key] = len(self.keys)
@@ -235,7 +246,7 @@ def _greedy(tab: AtomTable, state: State) -> State:
     written out: this is the kernel's hot loop."""
     word, flat = state
     offs, ids = list(flat[0::2]), list(flat[1::2])
-    ns, nt, rank = tab.ns, tab.nt, tab.rank
+    ns, nt, rank = tab.ns, tab.nt, tab.ranks()
     n = len(ids)
     order = sorted(range(n), key=[rank[x] for x in ids].__getitem__)
     # the layers still to fire, linked in firing order; -1 and n end the

@@ -3,11 +3,15 @@
 A reader asks for each key with the JSON types it accepts; a missing key
 or a value of another type raises one ShapeError that names the place,
 the key and the type, instead of the KeyError or TypeError the reader
-would hit further on.
+would hit further on.  Every JSON document is read by `loads`, which
+raises ShapeError for a document json cannot read though it parses: an
+integer of more digits than Python converts, or nesting deeper than
+json's recursion reaches.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Tuple, Type, Union
 
 _MISSING = object()
@@ -19,6 +23,24 @@ _JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
 
 class ShapeError(ValueError):
     """JSON input of the wrong shape: a missing key or a wrong type."""
+
+
+def loads(text: str):
+    """The JSON document text holds.  json.JSONDecodeError when it is not
+    JSON; ShapeError for an integer of more digits than Python converts
+    (json raises a plain ValueError there) and for arrays or objects
+    nested deeper than json reads (a RecursionError)."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError:
+        raise ShapeError("a JSON document is nested too deeply") from None
+    except ValueError as e:
+        # "Exceeds the limit (4300 digits) for integer string conversion:
+        # value has ...": its first clause names the limit
+        reason = str(e).split(":")[0].lower()
+        raise ShapeError(f"a JSON integer is too long: {reason}") from None
 
 
 def _name(value) -> str:
@@ -43,11 +65,15 @@ def get(data: dict, key: str, types: Union[Type, Tuple[Type, ...]],
         where: str, default: Any = _MISSING):
     """data[key], which must have one of the given types; default when
     the key is absent and a default is given."""
-    if key not in data:
+    value = data.get(key, _MISSING)
+    if value is _MISSING:
         if default is _MISSING:
             raise ShapeError(f"{where}: missing key {key!r}")
         return default
-    value = data[key]
+    # a JSON value's class is one of _JSON_NAMES, bool apart from int
+    cls = value.__class__
+    if cls is types or (types.__class__ is tuple and cls in types):
+        return value
     types = types if isinstance(types, tuple) else (types,)
     if not _is(value, types):
         want = " or ".join(_JSON_NAMES[t] for t in types)

@@ -175,11 +175,11 @@ class Presentation:
         try:
             return self._words[name]
         except KeyError:
-            faces = [self._face(name, side) for side in (SOURCE, TARGET)]
+            faces = [self.face(name, side) for side in (SOURCE, TARGET)]
             pair = self._words[name] = tuple(word_of(f, self) for f in faces)
             return pair
 
-    def _face(self, name: str, side: str) -> CellTerm:
+    def face(self, name: str, side: str) -> CellTerm:
         """normal_face, with TermError naming the generator when its face
         is ill-formed."""
         face = self.normal_face(name, side)
@@ -210,14 +210,14 @@ class Presentation:
             raise TermError(
                 f"boundary level {k} out of range for dimension {d}")
         for level in range(d, k, -1):
-            t = top_boundary(t, side, level, self.gens, self._face)
+            t = top_boundary(t, side, level, self.gens, self.face)
         return t
 
     def src(self, t: CellTerm) -> CellTerm:
-        return top_boundary(t, SOURCE, dim(t, self.gens), self.gens, self._face)
+        return top_boundary(t, SOURCE, dim(t, self.gens), self.gens, self.face)
 
     def tgt(self, t: CellTerm) -> CellTerm:
-        return top_boundary(t, TARGET, dim(t, self.gens), self.gens, self._face)
+        return top_boundary(t, TARGET, dim(t, self.gens), self.gens, self.face)
 
     def normalize(self, t: CellTerm, push_inv: bool = True) -> CellTerm:
         return normalize(t, self.gens, push_inv)
@@ -228,9 +228,19 @@ class Presentation:
     def from_json(cls, data: dict) -> "Presentation":
         """Raises jsonshape.ShapeError when data is not shaped like the
         pinned format, TermError when a term does not parse or add refuses
-        a generator."""
+        a generator.  Each distinct term text is parsed once, and each
+        leaf name read as one Gen."""
         data = shape.obj(data, "presentation")
         p = cls(max_dim=shape.get(data, "maxDim", int, "presentation"))
+        terms: Dict[str, CellTerm] = {}
+        leaves: Dict[str, Gen] = {}
+
+        def term(text: str) -> CellTerm:
+            t = terms.get(text)
+            if t is None:
+                t = terms[text] = parse_term(text, leaves)
+            return t
+
         for i, g in enumerate(shape.get(data, "generators", list,
                                         "presentation")):
             where = f"generator {i}"
@@ -239,16 +249,16 @@ class Presentation:
                         for side in ("src", "tgt"))
             p.add(shape.get(g, "name", str, where),
                   shape.get(g, "dim", int, where),
-                  parse_term(src) if src else None,
-                  parse_term(tgt) if tgt else None,
+                  term(src) if src else None,
+                  term(tgt) if tgt else None,
                   shape.get(g, "invertible", bool, where, False))
         for i, r in enumerate(shape.get(data, "relations", list,
                                         "presentation", [])):
             where = f"relation {i}"
             r = shape.obj(r, where)
             p.relate(shape.get(r, "dim", int, where),
-                     parse_term(shape.get(r, "lhs", str, where)),
-                     parse_term(shape.get(r, "rhs", str, where)),
+                     term(shape.get(r, "lhs", str, where)),
+                     term(shape.get(r, "rhs", str, where)),
                      shape.get(r, "oriented", bool, where, False))
         return p
 
@@ -270,7 +280,7 @@ class Presentation:
 
     @classmethod
     def loads(cls, text: str) -> "Presentation":
-        return cls.from_json(json.loads(text))
+        return cls.from_json(shape.loads(text))
 
 
 class PresMorphism(Record):
@@ -396,7 +406,12 @@ def validate_presentation(p: Presentation,
     cannot tell within the step budget (eq's default).  Empty iff valid.
     The certificate of each generator and relation takes the dimension
     its sides were checked at, and reads the presentation's normal
-    generator faces."""
+    generator faces; a 1-generator has none, since two 0-cells are always
+    parallel.  A side's dimension is taken by `dim`, not by the
+    `normal_dim` walk that would also give its normal face: on the
+    tensors' sides, whose identity parts normalizing rebuilds, that walk
+    costs about three times as much, and most of those faces are never
+    read."""
     budget = default_budget() if budget is None else budget
     out: List[Violation] = []
     gens = p.gens
@@ -409,14 +424,12 @@ def validate_presentation(p: Presentation,
             out.append(Violation(g.name, "missing boundary"))
             continue
         found = len(out)
-        sides = []
         for side_name, side_term in (("src", g.src), ("tgt", g.tgt)):
             try:
                 d = dim(side_term, gens)
             except TermError as e:
                 out.append(Violation(g.name, f"{side_name}: {e}"))
                 continue
-            sides.append(side_term)
             if d == g.dim - 1:
                 # a well-formed term of dimension d mentions no generator
                 # of a higher dimension
@@ -428,8 +441,9 @@ def validate_presentation(p: Presentation,
                     out.append(Violation(
                         g.name,
                         f"{side_name} mentions {name!r} of dimension >= {g.dim}"))
-        if len(out) == found:
-            out.extend(_parallel_violations(g.name, *sides, g.dim - 1,
+        if len(out) == found and g.dim > 1:
+            # two 0-cells are always parallel
+            out.extend(_parallel_violations(g.name, g.src, g.tgt, g.dim - 1,
                                             "src/tgt", p, budget))
     for i, r in enumerate(p.relations):
         label = f"relation#{i}"

@@ -81,7 +81,7 @@ from typing import (TYPE_CHECKING, AbstractSet, Callable, Container, Dict,
 
 from . import interchange
 from .terms import (CellTerm, Comp, Gen, Id, Inv, SOURCE, TARGET, TermError,
-                    dim, flatten, illegal_inverses, normal_dim, print_term,
+                    dim, flatten, has_illegal_inverse, normal_dim, print_term,
                     top_boundary)
 
 if TYPE_CHECKING:  # presentation imports this module
@@ -346,8 +346,8 @@ def _eq(a: CellTerm, da: int, b: CellTerm, db: int, p: Presentation,
     """eq on two normal terms of dimensions da and db, after the boundary
     certificate when certify is set.  In a normal form every Inv wraps a
     generator."""
-    if any(illegal_inverses(a, p.gens)) or (
-            b is not a and any(illegal_inverses(b, p.gens))):
+    if has_illegal_inverse(a, p.gens) or (
+            b is not a and has_illegal_inverse(b, p.gens)):
         return EQ_UNKNOWN
     if a == b:
         return EQ_EQUAL
@@ -392,11 +392,12 @@ def _certificate(a: CellTerm, b: CellTerm, d: int, p: Presentation,
                  budget: Budget) -> Tuple[Verdict, Optional[int]]:
     """parallel for well-formed a and b of dimension d.  Each k-boundary
     is built once, already normal, from the (k+1)-boundary and the
-    presentation's normal generator faces, and the
-    levels are compared from 0 upward by _eq alone.  Each pair starts
-    from the budget left when the certificate began, so a pair that runs
-    it out hides no Distinct at another; the budget is then charged what
-    all pairs spent.  When a and b share their top source and target, the
+    presentation's normal generator faces, and the levels are compared
+    from 0 upward by _eq alone; a pair of one term with itself gets _eq's
+    answer from _eq's inverse check alone.  Each pair starts from the
+    budget left when the certificate began, so a pair that runs it out
+    hides no Distinct at another; the budget is then charged what all
+    pairs spent.  When a and b share their top source and target, the
     verdict is given at once, with no budget spent: Unknown when either
     holds an inverse of a generator not marked invertible, else Equal."""
     gens, face = p.gens, p.normal_face
@@ -415,16 +416,21 @@ def _certificate(a: CellTerm, b: CellTerm, d: int, p: Presentation,
             levels[k].append((x, y))
     src, tgt = levels[-1]
     if src and tgt and src[0] is src[1] and tgt[0] is tgt[1]:
-        illegal = (any(illegal_inverses(src[0], gens))
-                   or any(illegal_inverses(tgt[0], gens)))
+        illegal = (has_illegal_inverse(src[0], gens)
+                   or has_illegal_inverse(tgt[0], gens))
         return (EQ_UNKNOWN if illegal else EQ_EQUAL), None
     start, spent, verdict = budget.left, 0, EQ_EQUAL
     for k, pairs in enumerate(levels):
         for pair in pairs:
-            own = Budget(start)
-            v = (_eq(pair[0], k, pair[1], k, p, own, False) if pair
-                 else EQ_UNKNOWN)
-            spent += start - own.left
+            if not pair:
+                v = EQ_UNKNOWN
+            elif pair[0] is pair[1]:  # what _eq gives on it, spending nothing
+                v = (EQ_UNKNOWN if has_illegal_inverse(pair[0], gens)
+                     else EQ_EQUAL)
+            else:
+                own = Budget(start)
+                v = _eq(pair[0], k, pair[1], k, p, own, False)
+                spent += start - own.left
             if v is EQ_DISTINCT:
                 budget.spend(spent)
                 return v, k

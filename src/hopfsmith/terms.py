@@ -56,7 +56,7 @@ about a thousand levels deep reaches Python's recursion limit there.
 
 from __future__ import annotations
 
-from typing import (Callable, Iterator, List, Mapping, Optional, Tuple,
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional, Tuple,
                     Union)
 
 from .record import Record
@@ -268,6 +268,26 @@ def illegal_inverses(t: CellTerm, gens: Gens) -> Iterator[str]:
             todo.append((t.inner, inverted or cls is Inv))
 
 
+def has_illegal_inverse(t: CellTerm, gens: Gens) -> bool:
+    """any(illegal_inverses(t, gens)), by a walk that carries no flag and
+    stops at the first one: only the generators under an Inv are looked
+    up.  The walk keeps its own stack."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        cls = t.__class__
+        if cls is Comp:
+            todo.append(t.right)
+            todo.append(t.left)
+        elif cls is Id:
+            todo.append(t.inner)
+        elif cls is Inv:
+            for name in generators(t.inner):
+                if not gens[name].invertible:
+                    return True
+    return False
+
+
 def substitute(t: CellTerm, image: Callable[[str], CellTerm],
                shift: int = 0) -> CellTerm:
     """t with each generator replaced by image(name), every Id and Inv
@@ -446,11 +466,16 @@ def flatten(t: CellTerm, k: int) -> list:
 # S-expression syntax: (gen NAME), (id EXPR), (compK L R), (inv EXPR)
 
 
-def parse_term(text: str) -> CellTerm:
+def parse_term(text: str, leaves: Optional[Dict[str, Gen]] = None
+               ) -> CellTerm:
     """The term text writes, read in one left-to-right scan of its tokens.
     The scan keeps the nodes still open on its own stack, so no depth of
     nesting reaches the recursion limit, and a malformed text raises
-    TermError at the first token that cannot continue it."""
+    TermError at the first token that cannot continue it.  A reader of
+    many texts passes leaves, the Gen of each name read so far, which the
+    scan reuses and extends."""
+    if leaves is None:
+        leaves = {}
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     n = len(tokens)
     i = 0
@@ -459,34 +484,29 @@ def parse_term(text: str) -> CellTerm:
     open_: list = []
     while True:
         # a term starts at token i
-        if i >= n:
-            raise TermError("unexpected end of term")
-        if tokens[i] != "(":
-            raise TermError(f"expected '(' but found {tokens[i]!r}")
-        if i + 1 >= n:
+        if i + 1 >= n or tokens[i] != "(":
+            if i < n and tokens[i] != "(":
+                raise TermError(f"expected '(' but found {tokens[i]!r}")
             raise TermError("unexpected end of term")
         head = tokens[i + 1]
         i += 2
         if head == "gen":
             if i >= n:
                 raise TermError("unexpected end of term")
-            out: CellTerm = Gen(tokens[i])
+            name = tokens[i]
+            out: CellTerm = leaves.get(name)
+            if out is None:
+                out = leaves[name] = Gen(name)
             i += 1
-        elif head == "id" or head == "inv":
-            open_.append(Id if head == "id" else Inv)
-            continue
-        elif (head.startswith("comp") and head[4:].isascii()
-              and head[4:].isdigit()):
-            # the level as int() writes it, without reading a long run of
-            # digits as a number
-            level = head[4:].lstrip("0") or "0"
-            if len(level) > 1 or int(level) >= MAX_DIM:
-                raise TermError(
-                    f"composition level {level} exceeds the dimension cap")
-            open_ += (head, int(level))
-            continue
         else:
-            raise TermError(f"unknown term head {head!r}")
+            node = _OPENS.get(head)
+            if node is None:
+                node = _comp_level(head)
+            if node.__class__ is int:
+                open_ += (head, node)
+            else:
+                open_.append(node)
+            continue
         # out is read up to its ')'; close every node it completes
         while True:
             if i >= n or tokens[i] != ")":
@@ -508,6 +528,26 @@ def parse_term(text: str) -> CellTerm:
                 k = open_.pop()
                 head = open_.pop()
                 out = Comp(k, node, out)
+
+
+# what each head but gen opens: an identity, an inverse, or a composite
+# at its level
+_OPENS = {"id": Id, "inv": Inv, **{f"comp{k}": k for k in range(MAX_DIM)}}
+
+
+def _comp_level(head: str) -> int:
+    """The level of a composite head that _OPENS does not hold, such as
+    comp00; TermError for any other head."""
+    if not (head.startswith("comp") and head[4:].isascii()
+            and head[4:].isdigit()):
+        raise TermError(f"unknown term head {head!r}")
+    # the level as int() writes it, without reading a long run of digits
+    # as a number
+    level = head[4:].lstrip("0") or "0"
+    if len(level) > 1 or int(level) >= MAX_DIM:
+        raise TermError(
+            f"composition level {level} exceeds the dimension cap")
+    return int(level)
 
 
 def print_term(t: CellTerm) -> str:

@@ -402,6 +402,52 @@ def test_malformed_json_exit_64(tmp_path, capsys, command, doc, named):
     assert named in err
 
 
+# a JSON integer of 5,000 digits, past the 4,300 that Python converts by
+# default, in each kind of document: a presentation, a bialgebra and a
+# comodule family
+LONG_INTEGER = "1" * 5000
+LONG_INTEGERS = {
+    "presentation": ("census", lambda: '{"maxDim": %s, "generators": []}'
+                     % LONG_INTEGER),
+    "bialgebra": ("antipode", lambda: json.dumps(
+        dict(_qz2_json(), u=[["1"], [0]])).replace(
+            '[0]]', "[%s]]" % LONG_INTEGER)),
+    "family": ("reconstruct", lambda: json.dumps(
+        {"bialgebra": _qz2_json(), "depth": 0}).replace(
+            '"depth": 0', '"depth": %s' % LONG_INTEGER)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LONG_INTEGERS))
+def test_a_json_integer_too_long_to_read_is_a_usage_error(tmp_path, capsys,
+                                                          kind):
+    """json raises a plain ValueError for an integer of more digits than
+    Python converts; every reader makes it a usage error, as any other
+    document json cannot read: one stderr line, exit 64."""
+    command, text = LONG_INTEGERS[kind]
+    path = tmp_path / "input.json"
+    path.write_text(text())
+    assert LONG_INTEGER in path.read_text()
+    code, out = run(["--json", "--no-timing", command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 64 and out == ""
+    assert err == ("hopfsmith: a JSON integer is too long: exceeds the "
+                   "limit (4300 digits) for integer string conversion\n")
+
+
+@pytest.mark.parametrize("command", ["census", "antipode", "reconstruct"])
+def test_a_json_document_nested_too_deeply_is_a_usage_error(tmp_path, capsys,
+                                                            command):
+    """json raises RecursionError on arrays nested 100,000 deep; each
+    reader makes it a usage error, not a fail line about a term."""
+    path = tmp_path / "input.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out = run(["--json", "--no-timing", command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 64 and out == ""
+    assert err == "hopfsmith: a JSON document is nested too deeply\n"
+
+
 @pytest.mark.parametrize("command", ["shear-check", "antipode",
                                      "integrals"])
 @pytest.mark.parametrize("basis", [["a"], ["a", "b", "c"]])

@@ -77,10 +77,11 @@ JSON_LOADERS = {("bialgebra.py", "bialgebra_from_json"),
 # canonicalizes, cancels or matches layers, reading words from the atom
 # table alone
 INTERCHANGE_CORE = {("interchange.py", name) for name in (
-    "AtomTable.__init__", "AtomTable.add", "AtomTable._new", "_flat",
-    "_readings", "_slide_left", "_slide_right", "align", "_choices",
-    "canonical", "_pair_cancels", "_without", "cancellations",
-    "cancel_inverses", "_fire", "_apply", "_windows", "moves", "successors")}
+    "AtomTable.__init__", "AtomTable.add", "AtomTable.ranks",
+    "AtomTable._new", "_flat", "_readings", "_slide_left", "_slide_right",
+    "align", "_choices", "canonical", "_pair_cancels", "_without",
+    "cancellations", "cancel_inverses", "_fire", "_apply", "_windows",
+    "moves", "successors")}
 # every use of Matrix.kron, with its count: each tensor product is a value
 # in its own right, and a product that is only multiplied goes through
 # one whisker_matmul per factor or a contraction of entries

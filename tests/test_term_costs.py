@@ -7,19 +7,20 @@ input makes about twice the calls when the input doubles; recomputing
 dimensions at every node made that ratio about 4 for normalize and
 boundary, and about 7.6 for stack_of; taking the target word of every
 0-composite's left part made it about 3.9 for stack_of on wide whiskers.
-The other guards count the calls of one function, or the pair generators
-a tensor builds, on a fixed input.
+The other guards count the calls of one function or builtin, or the pair
+generators a tensor builds, on a fixed input.
 """
 
 import sys
 
 import pytest
 
+from hopfsmith import gray as gray_module
 from hopfsmith import interchange, rewriting, terms
 from hopfsmith.evaluate import evaluate_diagram
 from hopfsmith.fixtures import standard_fixtures
 from hopfsmith.gray import PAIR_SEP, gray
-from hopfsmith.presentation import validate_presentation
+from hopfsmith.presentation import Presentation, validate_presentation
 from hopfsmith.rewriting import EQ_EQUAL, eq, stack_of, word_of
 from hopfsmith.shear import universal_shear
 from hopfsmith.terms import SOURCE, Comp, Gen, Id, comp, flatten
@@ -45,14 +46,22 @@ def code_calls(fn, f, *args) -> int:
     return _count(lambda frame: frame.f_code is fn.__code__, f, *args)
 
 
-def _count(counted, f, *args) -> int:
+def builtin_calls(fn, f, *args) -> int:
+    """The number of calls of the builtin fn made by f(*args)."""
+    return _count(lambda frame: True, f, *args, event="c_call", called=fn)
+
+
+def _count(counted, f, *args, event="call", called=None) -> int:
     """The number of Python calls made by f(*args) whose new frame, with
-    its arguments bound, counted accepts."""
+    its arguments bound, counted accepts; with event "c_call", the
+    number of calls of the builtin called made from a frame counted
+    accepts."""
     count = 0
 
-    def profile(frame, event, arg):
+    def profile(frame, seen, arg):
         nonlocal count
-        if event == "call" and counted(frame):
+        if seen == event and (called is None or arg is called) \
+                and counted(frame):
             count += 1
 
     old = sys.getprofile()
@@ -175,8 +184,66 @@ def test_a_tensor_builds_one_gen_per_pair_name():
 
 
 def test_a_tensor_takes_each_ends_dimension_once():
-    """gray takes the two 0-boundaries of a wire or bead from one
-    dimension: 152 dim calls, recursive ones included, for gray(adj, adj)
-    (208 when each end took its own)."""
+    """gray takes no dimension at all: its ends are read by descent and
+    its face chains at their known dimensions, so gray(adj, adj) makes no
+    dim call (152, recursive ones included, when the two 0-boundaries of
+    a wire or bead were taken from one dimension, 208 when each end took
+    its own)."""
     p = adj().base
-    assert code_calls(terms.dim, gray, p, p) <= 152
+    assert code_calls(terms.dim, gray, p, p) == 0
+
+
+def test_a_tensor_takes_no_boundary_for_its_ends():
+    """gray reads the end objects of a wire or bead by one descent along
+    the term, with no boundary built between: no Presentation.boundary
+    call from _ends or its descent for gray(adj, adj) (88 when each end
+    was the boundary walk down to level 0)."""
+    p = adj().base
+    ends = {gray_module._ends.__code__, gray_module._end.__code__}
+    assert _count(lambda frame: frame.f_code is Presentation.boundary.__code__
+                  and frame.f_back.f_code in ends, gray, p, p) == 0
+
+
+def units(n):
+    """The horizontal composite of n distinct 2-cells id => A over one
+    object: a stack of n layers, each a new atom."""
+    p = Presentation(2)
+    p.add("pt", 0)
+    A = p.add("A", 1, Gen("pt"), Gen("pt"))
+    return p, comp(0, *[p.add(f"u{i}", 2, Id(Gen("pt")), A)
+                        for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [5, 20])
+def test_a_stack_ranks_its_atoms_once_per_canonical_call(n):
+    """Adding an atom does not rank the table: a stack that adds n atoms
+    is ranked once, when canonical's greedy pass first reads the ranks,
+    so the sorts are one per greedy pass and one ranking (n + 1 sorts
+    when every added atom re-ranked the table)."""
+    p, t = units(n)
+
+    def build_and_canonicalize():
+        table = interchange.AtomTable()
+        interchange.canonical(table, stack_of(t, p, table))
+
+    sorts = builtin_calls(sorted, build_and_canonicalize)
+    passes = code_calls(interchange._greedy, build_and_canonicalize)
+    assert sorts == passes + 1, (sorts, passes)
+
+
+def test_validation_certifies_what_can_differ():
+    """validate_presentation makes no certificate for a 1-generator, whose
+    0-cell sides are always parallel, and the certificate sends no level
+    pair of one term with itself through _eq: for gray(adj, adj), 32
+    parallel calls for its 24 generators above dimension 1 and its 8
+    relations (40 when its 8 1-generators were certified too), and no
+    such _eq call (24 when each went through _eq)."""
+    p = gray(adj().base, adj().base)
+    certified = code_calls(rewriting.parallel, validate_presentation, p)
+    assert certified == sum(g.dim > 1 for g in p.gens.values()) \
+        + len(p.relations) == 32
+    p = gray(adj().base, adj().base)
+    assert _count(lambda frame: frame.f_code is rewriting._eq.__code__
+                  and frame.f_back.f_code is rewriting._certificate.__code__
+                  and frame.f_locals["a"] is frame.f_locals["b"],
+                  validate_presentation, p) == 0
